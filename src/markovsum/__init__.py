@@ -14,9 +14,7 @@ from .exact import (
     DecimalRendering,
     Enclosure,
     Rational,
-    arith,
     format_rational,
-    normalize,
     parse_decimal,
     parse_rational,
     to_decimal,
@@ -40,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BHGSpec", "DecimalRendering", "Enclosure", "HGSpec", "Rational",
     "ROUND_HALF_EVEN", "ROUND_TRUNCATE", "TermError", "TermSequence",
-    "arith", "bhg_term", "catalog", "format_rational", "hg_term", "markov",
-    "normalize", "parse_decimal", "parse_rational", "q_limit_check",
+    "bhg_term", "catalog", "format_rational", "hg_term", "markov",
+    "parse_decimal", "parse_rational", "q_limit_check",
     "q_pochhammer", "rising_factorial", "term_sequence", "to_decimal",
 ]

@@ -17,14 +17,16 @@ by that enclosure.  Three bound mechanisms are used:
 
 All arithmetic is rational; nothing here rounds until rendering.  Entries
 are immutable after registration and evaluation is pure, so concurrent
-evaluation needs no coordination (term caches follow the append-only
-contract of the term-algebra module).
+evaluation needs no coordination: the memoized term caches, here and in
+the term-algebra module, are extended under a lock and never change a
+stored value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
@@ -345,12 +347,15 @@ def entry_az_zeta3() -> FormulaEntry:
 
 
 _odd_dfact_cache: list[int] = [1]  # index k holds (2k-1)!!
+_odd_dfact_lock = threading.Lock()
 
 
 def _odd_double_factorial(k: int) -> int:
-    while len(_odd_dfact_cache) <= k:
-        j = len(_odd_dfact_cache)
-        _odd_dfact_cache.append(_odd_dfact_cache[-1] * (2 * j - 1))
+    if len(_odd_dfact_cache) <= k:
+        with _odd_dfact_lock:
+            while len(_odd_dfact_cache) <= k:
+                j = len(_odd_dfact_cache)
+                _odd_dfact_cache.append(_odd_dfact_cache[-1] * (2 * j - 1))
     return _odd_dfact_cache[k]
 
 

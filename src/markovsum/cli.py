@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -129,6 +130,15 @@ def _add_param_options(p):
     p.add_argument("--preset", help="tuple name to load from the presets file")
 
 
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report a ValueError raised on user input as a usage error (exit 64)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(f"{prefix}{exc}") from None
+
+
 def _resolve_params(args) -> tuple[Fraction, ...]:
     if args.preset:
         if not args.presets:
@@ -140,6 +150,13 @@ def _resolve_params(args) -> tuple[Fraction, ...]:
         entry = table[args.preset]
         return tuple(parse_rational(entry[k]) for k in "abcdq")
     return (args.a, args.b, args.c, args.d, args.q)
+
+
+def _build_engine(args, factory):
+    """The parameter tuple of the options or preset, and ``factory`` built on it."""
+    with _usage_errors():
+        params = _resolve_params(args)
+        return params, factory(*params)
 
 
 class _Out:
@@ -256,13 +273,9 @@ def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
 def _cmd_verify_pair(args, out: _Out) -> int:
     if args.fixture != "3phi2":
         raise _UsageError(f"unknown pair fixture {args.fixture!r}")
-    params = _resolve_params(args)
+    params, engine = _build_engine(args, ThreePhiTwo)
     if not abs(params[4]) < 1:
         raise _UsageError(f"|q| < 1 required, got q = {format_rational(params[4])}")
-    try:
-        engine = ThreePhiTwo(*params)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     pair = _fuzzed_pair(engine) if args.fuzz else engine.pair()
     i, j = args.grid
     failures = 0
@@ -297,11 +310,11 @@ def _cmd_verify_pair(args, out: _Out) -> int:
 
 
 def _cmd_verify_certificate(args, out: _Out) -> int:
-    params = _resolve_params(args)
-    cert = make_certificate(*params)
+    _, cert = _build_engine(args, make_certificate)
     x_max, z_max = args.grid
-    verdict = verify_certificate(cert, x_max, z_max, family=make_certificate,
-                                 random_points=args.random_points, seed=args.seed)
+    with _usage_errors():
+        verdict = verify_certificate(cert, x_max, z_max, family=make_certificate,
+                                     random_points=args.random_points, seed=args.seed)
     if args.format == "json":
         out.emit(json.dumps({"schema": "1", **verdict.to_json()}, indent=2, sort_keys=True))
     else:
@@ -317,15 +330,16 @@ def _cmd_solve(args, out: _Out) -> int:
         raise _UsageError(f"unknown family {args.family!r}")
     family = FAMILIES[args.family]
     params = family.defaults
-    if args.params:
-        params = tuple(parse_rational(p) for p in args.params.split(","))
-    try:
+    with _usage_errors(f"bad parameters for {args.family}: "):
+        if args.params:
+            params = tuple(parse_rational(p) for p in args.params.split(","))
+        if len(params) != len(family.defaults):
+            raise ValueError(f"expected {len(family.defaults)} values, got {len(params)}")
         extension = family.build(*params)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad parameters for {args.family}: {exc}") from None
     form = args.form or family.form
-    result = solve_multipliers_stepwise(extension, form, args.x_max,
-                                        z_samples=args.z_samples)
+    with _usage_errors():
+        result = solve_multipliers_stepwise(extension, form, args.x_max,
+                                            z_samples=args.z_samples)
     if not result.ok:
         out.emit(f"failure: {result.reason}")
         out.flush()

@@ -37,36 +37,15 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d*))?$")
 
 
-def normalize(n: int, d: int) -> Fraction:
-    """Canonical rational n/d (positive denominator, reduced)."""
-    if d == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(n, d)
-
-
-def arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of '+', '-', '*', '/' exactly."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'n/d' or a plain integer string (no decimals, no whitespace)."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
-    return normalize(num, den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(m.group(1)), den)
 
 
 def format_rational(x: RationalLike) -> str:

@@ -15,12 +15,14 @@ evaluating; a second upper 1 really does truncate the series.
 
 Pochhammer prefixes are memoized as running products keyed by the
 parameter (and base), so evaluating thousands of consecutive terms stays
-linear.  The caches are append-only; concurrent readers always observe
-identical values.
+linear.  A cache is only extended under a module lock, and a stored value
+never changes afterwards, so lookups need no lock and concurrent callers
+always get exact values.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -37,11 +39,13 @@ class TermError(ValueError):
 _rising_cache: dict[Fraction, list[Fraction]] = {}
 # (a, q) -> (prefix products, box holding q**len(products)-1)
 _qpoch_cache: dict[tuple[Fraction, Fraction], tuple[list[Fraction], list[Fraction]]] = {}
+_extend_lock = threading.Lock()
 
 
 def clear_caches():
-    _rising_cache.clear()
-    _qpoch_cache.clear()
+    with _extend_lock:
+        _rising_cache.clear()
+        _qpoch_cache.clear()
 
 
 def rising_factorial(a, n: int) -> Fraction:
@@ -49,10 +53,12 @@ def rising_factorial(a, n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     a = Fraction(a)
-    prefix = _rising_cache.setdefault(a, [Fraction(1)])
-    while len(prefix) <= n:
-        k = len(prefix) - 1
-        prefix.append(prefix[-1] * (a + k))
+    prefix = _rising_cache.get(a)
+    if prefix is None or len(prefix) <= n:
+        with _extend_lock:
+            prefix = _rising_cache.setdefault(a, [Fraction(1)])
+            while len(prefix) <= n:
+                prefix.append(prefix[-1] * (a + len(prefix) - 1))
     return prefix[n]
 
 
@@ -62,13 +68,14 @@ def q_pochhammer(a, q, n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     a, q = Fraction(a), Fraction(q)
     state = _qpoch_cache.get((a, q))
-    if state is None:
-        state = _qpoch_cache[(a, q)] = ([Fraction(1)], [Fraction(1)])
-    prefix, power = state
-    while len(prefix) <= n:
-        prefix.append(prefix[-1] * (1 - power[0] * a))
-        power[0] *= q
-    return prefix[n]
+    if state is None or len(state[0]) <= n:
+        with _extend_lock:
+            state = _qpoch_cache.setdefault((a, q), ([Fraction(1)], [Fraction(1)]))
+            prefix, power = state
+            while len(prefix) <= n:
+                prefix.append(prefix[-1] * (1 - power[0] * a))
+                power[0] *= q
+    return state[0][n]
 
 
 def _is_nonpositive_integer(x: Fraction) -> bool:

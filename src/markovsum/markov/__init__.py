@@ -8,7 +8,6 @@ from .pairs import (
     MarkovPair,
     PairCheck,
     RectangleSums,
-    TermExtension,
     TransformSums,
     check_pair_condition,
     green_rectangle,
@@ -58,7 +57,7 @@ __all__ = [
     "Certificate", "EvaluationError", "FailurePoint", "FAMILIES", "FORM_U1",
     "FORM_U2", "FORM_U3", "GridFunction", "Lcg", "MarkovPair", "MultiplierData",
     "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "SchellbachParams",
-    "SolveResult", "SolverFamily", "TermExtension", "ThreePhiTwo",
+    "SolveResult", "SolverFamily", "ThreePhiTwo",
     "TransformSums", "Verdict", "check_pair_condition", "coefficient_residuals",
     "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",
     "green_rectangle", "make_certificate",

@@ -16,6 +16,10 @@ a telescoping pair: with A_0 = 1,
     A_{x+1} = A_x Q(x)/P(x),     M_{x,z} = A_x R(x,z)/P(x),
     U_{x,z} = A_x F_{x,z},       V_{x,z} = M_{x,z} F_{x,z}.
 
+The recurrence for A is accumulated by :func:`column_multipliers` alone;
+the worked q-series engine uses the same loop for its own A_x, so a pair
+and its certificate are two views of one set of evaluators.
+
 Certificates are consumed as black-box exact evaluators, not symbolic
 expressions; verification combines exhaustive small-grid checking with
 seeded random parameter instantiation when a parameterized family is
@@ -29,14 +33,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ..exact import format_rational
-from .pairs import EvaluationError, GridFunction, MarkovPair, TermExtension
+from .pairs import EvaluationError, GridFunction, MarkovPair
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Extension F with telescoping data (P, Q, R)."""
 
-    extension: TermExtension
+    extension: GridFunction
     p: Callable[[int], Fraction]
     q: Callable[[int], Fraction]
     r: Callable[[int, int], Fraction]
@@ -116,25 +120,35 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
     return Verdict(True, checks)
 
 
-def pair_from_certificate(cert: Certificate, x_cap: int = 512) -> MarkovPair:
-    """Build the telescoping pair induced by a certificate (A_0 = 1).
+def column_multipliers(p: Callable[[int], Fraction], q: Callable[[int], Fraction],
+                       x_cap: int = 512) -> Callable[[int], Fraction]:
+    """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x), as x -> A_x.
 
-    P(x) must not vanish on the working range; column multipliers A_x are
-    accumulated once and memoized.  ``x_cap`` bounds the range because the
-    grid values grow super-exponentially in representation size.
+    Values are accumulated once and memoized.  P(x) must not vanish on the
+    working range; ``x_cap`` bounds the range because the grid values grow
+    super-exponentially in representation size.
     """
-    a_values = [Fraction(1)]
+    values = [Fraction(1)]
 
     def a(x: int) -> Fraction:
         if x > x_cap:
             raise EvaluationError(f"x={x} beyond cap {x_cap}", x=x)
-        while len(a_values) <= x:
-            k = len(a_values) - 1
-            pk = cert.p(k)
+        if x < 0:
+            raise ValueError("x must be >= 0")
+        while len(values) <= x:
+            k = len(values) - 1
+            pk = p(k)
             if pk == 0:
                 raise EvaluationError(f"certificate singular at x={k}", x=k)
-            a_values.append(a_values[-1] * cert.q(k) / pk)
-        return a_values[x]
+            values.append(values[-1] * q(k) / pk)
+        return values[x]
+
+    return a
+
+
+def pair_from_certificate(cert: Certificate, x_cap: int = 512) -> MarkovPair:
+    """Build the telescoping pair induced by a certificate (A_0 = 1)."""
+    a = column_multipliers(cert.p, cert.q, x_cap)
 
     def u(x: int, z: int) -> Fraction:
         return a(x) * cert.extension(x, z)

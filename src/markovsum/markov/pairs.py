@@ -10,6 +10,10 @@ condition over a rectangle gives the exact boundary identity
 the engine of every series transformation in this package: when the edge
 sums die off, the column series of U and the row series of V share a sum.
 Everything here is exact; residuals are rationals, equality means equality.
+
+One wrapper, :class:`GridFunction`, carries every lattice function of the
+package: a pair's U and V, and the term extension F that certificates and
+the stepwise solver work on.
 """
 
 from __future__ import annotations
@@ -32,10 +36,17 @@ class EvaluationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Deterministic exact evaluator on lattice points (x, z)."""
+    """Deterministic exact evaluator on lattice points (x, z).
+
+    The same wrapper carries a pair's U and V and a term extension F, whose
+    row F_{0,z} is the z-th series term.  ``params`` records the parameters
+    the evaluator closes over (e.g. the base q), which downstream consumers
+    such as the stepwise solver need.
+    """
 
     evaluator: Callable[[int, int], Fraction]
     label: str = ""
+    params: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __call__(self, x: int, z: int) -> Fraction:
         try:
@@ -43,27 +54,6 @@ class GridFunction:
         except ZeroDivisionError as exc:
             raise EvaluationError(
                 f"{self.label or 'grid function'} undefined at (x={x}, z={z}): {exc}", x, z
-            ) from exc
-
-
-@dataclass(frozen=True)
-class TermExtension:
-    """Two-variable extension F of a series term: F_{0,z} is the z-th term.
-
-    ``params`` records the parameters the evaluator closes over (e.g. the
-    base q), which downstream consumers such as the stepwise solver need.
-    """
-
-    evaluator: Callable[[int, int], Fraction]
-    params: Mapping[str, Fraction] = field(default_factory=dict)
-    label: str = ""
-
-    def __call__(self, x: int, z: int) -> Fraction:
-        try:
-            return self.evaluator(x, z)
-        except ZeroDivisionError as exc:
-            raise EvaluationError(
-                f"{self.label or 'term extension'} undefined at (x={x}, z={z}): {exc}", x, z
             ) from exc
 
 

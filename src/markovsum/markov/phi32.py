@@ -1,29 +1,33 @@
 """The worked q-series transformation: 3phi2(a,b,1; c,d; q, t), t = cd/(abq).
 
-This is the fully explicit instance of the engine: the extension
+This is the fully explicit instance of the engine, and the one place where
+its algebra is written.  The extension
 
     F_{x,z} = (a;q)_z (b;q)_z t^z / ((c;q)_{x+z} (d;q)_{x+z})
               * (c d q^(2z))^x * q^(x(x-1))
 
-admits column multipliers A_x and row multipliers M_{x,z} = B_x + C_x q^z
-in closed form:
-
-    B_x / A_x = 1 / (1 - t q^(2x)),
-    C_x / A_x = t q^(2x) ((c+d) q^x - (a+b))
-                / ((1 - t q^(2x)) (1 - t q^(2x+1))),
-    A_{x+1}/A_x = (1 - (c/a)q^x)(1 - (c/b)q^x)(1 - (d/a)q^x)(1 - (d/b)q^x)
-                / (q (1 - t q^(2x)) (1 - t q^(2x+1))),
-    A_0 = 1  =>  A_x = (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x}).
-
-The transformed series then has terms V_{x,0} = M_{x,0} F_{x,0}, whose
-step-to-step decay is of order q^(2x), much faster than the original t^z.
-The same data in certificate form is
+satisfies the certificate identity with
 
     P(x) = 1 - t q^(2x),
     Q(x) = (1-(c/a)q^x)(1-(c/b)q^x)(1-(d/a)q^x)(1-(d/b)q^x) / (q(1-tq^(2x+1))),
     R(x,z) = 1 + t q^(2x+z) ((c+d)q^x - (a+b)) / (1 - t q^(2x+1)),
 
-with M/A = R/P and A_{x+1}/A_x = Q/P, so both roads produce the same pair.
+for any nonzero parameters away from poles: the identity is algebraic.
+Everything else is derived from F, P, Q and R.  The column multipliers
+follow the certificate recurrence A_{x+1} = A_x Q(x)/P(x), A_0 = 1, and the
+row multipliers are M_{x,z} = A_x R(x,z)/P(x) = B_x + C_x q^z with
+
+    B_x / A_x = 1 / (1 - t q^(2x)),
+    C_x / A_x = t q^(2x) ((c+d) q^x - (a+b))
+                / ((1 - t q^(2x)) (1 - t q^(2x+1))).
+
+The pair of the transformation is the pair induced by the certificate.
+When |t| < 1 both series converge; the transformed series then has terms
+V_{x,0} = M_{x,0} F_{x,0}, whose step-to-step decay is of order q^(2x),
+much faster than the original t^z.  The product form
+A_x = (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x}), the closed forms of
+M_{x,0} and V_{x,0}, and the coefficient equations are kept as independent
+checks of the derived values.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from fractions import Fraction
 
 from ..exact import format_rational
 from ..hgterm import BHGSpec, q_pochhammer
-from .certificates import Certificate
-from .pairs import EvaluationError, GridFunction, MarkovPair, TermExtension
+from .certificates import Certificate, column_multipliers, pair_from_certificate
+from .pairs import EvaluationError, GridFunction, MarkovPair
 
 DEFAULT_X_CAP = 512
 
@@ -81,13 +85,15 @@ def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
     return prod * qq ** n
 
 
-class ThreePhiTwo:
-    """The 3phi2(a,b,1; c,d) transformation at fixed rational parameters.
+FIXTURE_NAME = "markov-3phi2"
 
-    Exposes the extension F, the closed-form multipliers A, B, C, the row
-    multiplier M, transformed terms V0, the induced pair, and the matching
-    certificate.  Construction requires |t| < 1 with t = cd/(abq), the
-    regime in which both series converge.
+
+class _ThreePhiTwoAlgebra:
+    """The extension F, its certificate (P, Q, R) and the induced multipliers.
+
+    Nothing here needs convergence, so any nonzero rational parameters are
+    accepted, whatever t is.  A_x comes from the certificate through the
+    shared column-step loop.
     """
 
     def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
@@ -96,32 +102,20 @@ class ThreePhiTwo:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
         self.t = self.c * self.d / (self.a * self.b * self.q)
-        if not abs(self.t) < 1:
-            raise ValueError(f"|t| < 1 required, got t = {format_rational(self.t)}")
         self.x_cap = x_cap
-        self._a_cache = [Fraction(1)]
         self._f_cache: dict[tuple[int, int], Fraction] = {}
-
-    # -- parameters -------------------------------------------------------
+        #: column multiplier A_x, A_0 = 1
+        self.A = column_multipliers(self.P, self.Q, x_cap)
 
     @property
     def params(self) -> tuple[Fraction, ...]:
         return (self.a, self.b, self.c, self.d, self.q)
-
-    def _check_cap(self, x: int):
-        if x > self.x_cap:
-            raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
-        if x < 0:
-            raise ValueError("x must be >= 0")
-
-    # -- extension and series ----------------------------------------------
 
     def f(self, x: int, z: int) -> Fraction:
         """The extension F_{x,z}; F_{0,z} is the series term."""
         cached = self._f_cache.get((x, z))
         if cached is not None:
             return cached
-        self._check_cap(x)
         a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
         den = q_pochhammer(c, q, x + z) * q_pochhammer(d, q, x + z)
         if den == 0:
@@ -132,10 +126,70 @@ class ThreePhiTwo:
         self._f_cache[(x, z)] = value
         return value
 
-    def extension(self) -> TermExtension:
-        return TermExtension(self.f, params={
+    def extension(self) -> GridFunction:
+        return GridFunction(self.f, "3phi2 extension", params={
             "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "q": self.q, "t": self.t}, label="3phi2 extension")
+            "q": self.q, "t": self.t})
+
+    # -- certificate -----------------------------------------------------------
+
+    def _d1(self, x: int) -> Fraction:
+        d1 = 1 - self.t * self.q ** (2 * x + 1)
+        if d1 == 0:
+            raise EvaluationError(f"(1 - t q^(2x+1)) vanishes at x={x}", x=x)
+        return d1
+
+    def P(self, x: int) -> Fraction:
+        return 1 - self.t * self.q ** (2 * x)
+
+    def Q(self, x: int) -> Fraction:
+        """The column step: A_{x+1}/A_x = Q(x)/P(x)."""
+        a, b, c, d, q = self.params
+        return (1 - (c / a) * q ** x) * (1 - (c / b) * q ** x) \
+            * (1 - (d / a) * q ** x) * (1 - (d / b) * q ** x) / (q * self._d1(x))
+
+    def R(self, x: int, z: int) -> Fraction:
+        a, b, c, d, q = self.params
+        return 1 + self.t * q ** (2 * x + z) * ((c + d) * q ** x - (a + b)) / self._d1(x)
+
+    def certificate(self) -> Certificate:
+        return Certificate(self.extension(), self.P, self.Q, self.R, label=FIXTURE_NAME)
+
+    # -- row multipliers, M = A R / P ------------------------------------------
+
+    def B(self, x: int) -> Fraction:
+        p = self.P(x)
+        if p == 0:
+            raise EvaluationError(f"(1 - t q^(2x)) vanishes at x={x}", x=x)
+        return self.A(x) / p
+
+    def C(self, x: int) -> Fraction:
+        return self.B(x) * (self.R(x, 0) - 1)
+
+    def m(self, x: int, z: int) -> Fraction:
+        """Row multiplier M_{x,z} = B_x + C_x q^z."""
+        return self.B(x) * self.R(x, z)
+
+
+class ThreePhiTwo(_ThreePhiTwoAlgebra):
+    """The 3phi2(a,b,1; c,d) transformation at fixed rational parameters.
+
+    Exposes the extension F, the certificate, the multipliers A, B, C and
+    M, the induced pair, the source series and the transformed terms V0.
+    Construction requires |t| < 1 with t = cd/(abq), the regime in which
+    both series converge.
+    """
+
+    def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
+        super().__init__(a, b, c, d, q, x_cap)
+        if not abs(self.t) < 1:
+            raise ValueError(f"|t| < 1 required, got t = {format_rational(self.t)}")
+
+    def _check_cap(self, x: int):
+        if x > self.x_cap:
+            raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
+        if x < 0:
+            raise ValueError("x must be >= 0")
 
     def series_spec(self) -> BHGSpec:
         """The source series as a q-series spec (upper 1 listed literally)."""
@@ -144,32 +198,12 @@ class ThreePhiTwo:
 
     def series_term(self, z: int) -> Fraction:
         """Term z of the source series: (a,b;q)_z / (c,d;q)_z * t^z."""
-        den = q_pochhammer(self.c, self.q, z) * q_pochhammer(self.d, self.q, z)
-        if den == 0:
-            raise EvaluationError(f"(c,d;q)_{z} vanishes", z=z)
-        return q_pochhammer(self.a, self.q, z) * q_pochhammer(self.b, self.q, z) / den * self.t ** z
+        return self.f(0, z)
 
-    # -- closed-form multipliers -------------------------------------------
+    def pair(self) -> MarkovPair:
+        return pair_from_certificate(self.certificate(), self.x_cap)
 
-    def _denoms(self, x: int) -> tuple[Fraction, Fraction]:
-        q, t = self.q, self.t
-        d0 = 1 - t * q ** (2 * x)
-        d1 = 1 - t * q ** (2 * x + 1)
-        if d0 == 0 or d1 == 0:
-            raise EvaluationError(f"(1 - t q^(2x{'' if d0 == 0 else '+1'})) vanishes at x={x}", x=x)
-        return d0, d1
-
-    def A(self, x: int) -> Fraction:
-        """Column multiplier, A_0 = 1."""
-        self._check_cap(x)
-        a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
-        while len(self._a_cache) <= x:
-            k = len(self._a_cache) - 1
-            d0, d1 = self._denoms(k)
-            step = (1 - (c / a) * q ** k) * (1 - (c / b) * q ** k) \
-                * (1 - (d / a) * q ** k) * (1 - (d / b) * q ** k) / (q * d0 * d1)
-            self._a_cache.append(self._a_cache[-1] * step)
-        return self._a_cache[x]
+    # -- closed forms, independent of the certificate ----------------------------
 
     def A_closed(self, x: int) -> Fraction:
         """Product form (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x})."""
@@ -182,24 +216,11 @@ class ThreePhiTwo:
             raise EvaluationError(f"(t;q)_{2 * x} vanishes at x={x}", x=x)
         return num / den
 
-    def B(self, x: int) -> Fraction:
-        d0, _ = self._denoms(x)
-        return self.A(x) / d0
-
-    def C(self, x: int) -> Fraction:
-        a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
-        d0, d1 = self._denoms(x)
-        return self.A(x) * t * q ** (2 * x) * ((c + d) * q ** x - (a + b)) / (d0 * d1)
-
-    def m(self, x: int, z: int) -> Fraction:
-        """Row multiplier M_{x,z} = B_x + C_x q^z."""
-        return self.B(x) + self.C(x) * self.q ** z
-
     def m0(self, x: int) -> Fraction:
         """M_{x,0} = A_x (1 - tq^(2x)(a+b+q) + tq^(3x)(c+d)) / ((1-tq^(2x))(1-tq^(2x+1)))."""
         a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
-        d0, d1 = self._denoms(x)
-        return self.A(x) * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d)) / (d0 * d1)
+        return self.B(x) * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d)) \
+            / self._d1(x)
 
     def v0(self, x: int) -> Fraction:
         """Term x of the transformed series, in fully reduced closed form."""
@@ -212,26 +233,6 @@ class ThreePhiTwo:
             raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
         return num / den * (c * d) ** x * q ** (x * (x - 2)) \
             * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d))
-
-    # -- assembled objects ---------------------------------------------------
-
-    def pair(self) -> MarkovPair:
-        def u(x: int, z: int) -> Fraction:
-            return self.A(x) * self.f(x, z)
-
-        def v(x: int, z: int) -> Fraction:
-            return self.m(x, z) * self.f(x, z)
-
-        label = ",".join(format_rational(p) for p in self.params)
-        return MarkovPair(GridFunction(u, f"U[3phi2 {label}]"),
-                          GridFunction(v, f"V[3phi2 {label}]"),
-                          provenance=f"3phi2:{label}")
-
-    def certificate(self) -> Certificate:
-        return make_certificate(self.a, self.b, self.c, self.d, self.q)
-
-
-FIXTURE_NAME = "markov-3phi2"
 
 
 def fixture_to_json(engine: ThreePhiTwo) -> dict:
@@ -251,44 +252,14 @@ def fixture_from_json(obj: dict) -> ThreePhiTwo:
     return ThreePhiTwo(*(parse_rational(obj["params"][name]) for name in "abcdq"))
 
 
-def make_certificate(a, b, c, d, q, label: str = FIXTURE_NAME) -> Certificate:
+def make_certificate(a, b, c, d, q) -> Certificate:
     """The built-in certificate fixture for the 3phi2 extension.
 
     Valid for any nonzero rational parameters away from poles; unlike the
     transformation object it does not require |t| < 1, since the identity
     it certifies is algebraic.
     """
-    a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
-    if 0 in (a, b, c, d, q):
-        raise ValueError("certificate parameters must be nonzero")
-    t = c * d / (a * b * q)
-
-    def f(x: int, z: int) -> Fraction:
-        den = q_pochhammer(c, q, x + z) * q_pochhammer(d, q, x + z)
-        if den == 0:
-            raise ZeroDivisionError(f"(c,d;q)_{x + z} vanishes")
-        return q_pochhammer(a, q, z) * q_pochhammer(b, q, z) * t ** z / den \
-            * (c * d * q ** (2 * z)) ** x * q ** (x * (x - 1))
-
-    def p(x: int) -> Fraction:
-        return 1 - t * q ** (2 * x)
-
-    def qq(x: int) -> Fraction:
-        den = q * (1 - t * q ** (2 * x + 1))
-        if den == 0:
-            raise ZeroDivisionError(f"certificate Q denominator vanishes at x={x}")
-        return (1 - (c / a) * q ** x) * (1 - (c / b) * q ** x) \
-            * (1 - (d / a) * q ** x) * (1 - (d / b) * q ** x) / den
-
-    def r(x: int, z: int) -> Fraction:
-        den = 1 - t * q ** (2 * x + 1)
-        if den == 0:
-            raise ZeroDivisionError(f"certificate R denominator vanishes at x={x}")
-        return 1 + t * q ** (2 * x + z) * ((c + d) * q ** x - (a + b)) / den
-
-    ext = TermExtension(f, params={"a": a, "b": b, "c": c, "d": d, "q": q, "t": t},
-                        label=f"{label} extension")
-    return Certificate(ext, p, qq, r, label=label)
+    return _ThreePhiTwoAlgebra(a, b, c, d, q).certificate()
 
 
 def coefficient_residuals(a, b, c, d, q, x: int, *,

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exact import exp2_approx, format_rational, log2_approx
-from ..hgterm import rising_factorial
+from ..hgterm import _is_nonpositive_integer, rising_factorial
 from ..polys import RationalFunction, poly, poly_mul, poly_shift
 from .pairs import EvaluationError
-
-
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x.numerator <= 0
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from markovsum.exact import (
     ROUND_HALF_EVEN,
     ROUND_TRUNCATE,
     Enclosure,
-    normalize,
+    format_rational,
+    parse_rational,
     to_decimal,
 )
 from markovsum.hgterm import (
@@ -76,8 +77,9 @@ def exact_field_axioms(x, y, z):
 @given(st.integers(min_value=-(2 ** 128), max_value=2 ** 128),
        st.integers(min_value=1, max_value=2 ** 128))
 def exact_normalize_idempotent(n, d):
-    once = normalize(n, d)
-    assert normalize(once.numerator, once.denominator) == once
+    once = parse_rational(f"{n}/{d}")
+    assert once == Q(n, d)
+    assert parse_rational(format_rational(once)) == once
     assert once.denominator > 0
 
 

@@ -5,7 +5,7 @@ import pytest
 from markovsum.markov import (
     Certificate,
     EvaluationError,
-    TermExtension,
+    GridFunction,
     ThreePhiTwo,
     check_pair_condition,
     make_certificate,
@@ -83,7 +83,7 @@ class TestPairFromCertificate:
 
     def test_constant_certificate(self):
         # P = Q = 1, R = 0 on F == 1: telescoping is trivial and U == 1, V == 0
-        ext = TermExtension(lambda x, z: Q(1), label="ones")
+        ext = GridFunction(lambda x, z: Q(1), "ones")
         cert = Certificate(ext, lambda x: Q(1), lambda x: Q(1), lambda x, z: Q(0),
                            label="constant")
         assert verify_certificate(cert, 6, 6).passed
@@ -95,7 +95,7 @@ class TestPairFromCertificate:
                 assert check_pair_condition(pair, x, z).holds
 
     def test_singular_certificate_reported(self):
-        ext = TermExtension(lambda x, z: Q(1), label="ones")
+        ext = GridFunction(lambda x, z: Q(1), "ones")
         cert = Certificate(ext, lambda x: Q(x - 2), lambda x: Q(1), lambda x, z: Q(0))
         pair = pair_from_certificate(cert)
         with pytest.raises(EvaluationError, match="singular at x=2"):

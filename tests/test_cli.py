@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from markovsum import cli
 from markovsum.catalog import parse_reports_csv
 
@@ -157,6 +159,25 @@ class TestSolve:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "solve", "not-a-family")
         assert code == 64
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        "compute markov-hurwitz --a 1/0",
+        "verify-pair 3phi2 --q 1/0",
+        "solve 4f3-u2 --params x,1,2",
+        "solve 4f3-u2 --params 1/0,1,2",
+        "solve 4f3-u2 --params 1,2",
+        "solve 4f3-wp-u3 --z-samples 3",
+        "verify-certificate --a 0 --grid 2x2",
+        "verify-certificate --grid 2x-1",
+        "verify-pair 3phi2 --a 0",
+    ])
+    def test_bad_input_exits_64_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestInfrastructure:

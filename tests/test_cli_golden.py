@@ -1,0 +1,57 @@
+"""Byte-identical CLI output on a fixed set of fast invocations.
+
+Each digest is SHA-256 over the exit code, a newline, and everything the
+invocation wrote to stdout.  A refactor that changes any rendered byte or
+exit code of these commands fails here; a deliberate output change must
+re-record the affected digest and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from markovsum import cli
+
+GOLDEN = {
+    "compute apery --digits 33":
+        "18476d6d36b9d04366dc6bb202d198e9fa0daf7e22033530c05744bd57b9c5b2",
+    "compute markov-hurwitz --a 1/2 --digits 20":
+        "3c382d7ea835913c04471cd083460c0811a1209dcc60cf9e4f1b02300281b2ee",
+    "verify-pair 3phi2":
+        "a3cbb87bfc410f089220caba2f8784e6d6ef9a4522edaf0562010844e77eb37c",
+    "verify-pair 3phi2 --a 3/4 --b 1/2 --c 1/3 --d 1/4 --q 2/5":
+        "4ecf97e3d10363736db7caecf352e058762ea6faaf4df3c4123d451fe94dff2d",
+    "verify-pair 3phi2 --fuzz":
+        "954b0bf73d0d3742439374c5a276363d33176e3693d5155812a0e8987fdb3302",
+    "verify-certificate --grid 8x8 --random-points 10 --seed 3":
+        "1038a4245aa99cdac88e165415f93e06b8326a9ccb38c816105985b4059c8371",
+    "solve 3phi2-u1 --x-max 6":
+        "8178278d274ed810521a4c88c3e104eba9953f4049a7ee5ab2ddb765b9c5ac83",
+    "solve 4f3-u2 --x-max 6":
+        "3178301d5219af6be987b569cf66ba421a9a9281e1b52a4352c7f2f2d9c83809",
+    "solve 4f3-wp-u3 --x-max 6":
+        "9a45268e01d50cf7fe56e2e4b537040eb7bee3a32b33676c5c9e59b8401d0696",
+    "--format json solve 3phi2-u1 --x-max 6":
+        "74ab48433deb71db848435ba4887b70dfd2796eaf562803f837e7e015373a485",
+    "--format json solve 4f3-u2 --x-max 6":
+        "933a342e77ace23dc14248b500275c7bea56a7822f2f6128abe59cf3249ceeb7",
+    "--format json solve 4f3-wp-u3 --x-max 6":
+        "1569bd2e3000942dc4c258b62ee728182ddb30d47068e7d71d53fe88984ed3cc",
+    "solve 3phi2-u1 --form u3 --x-max 3":
+        "99473e42c6eee927ac357769ee8cccb28cb02bd80f104de6b998e7203efb5623",
+    "compare zeta3 --digits 10":
+        "99c0c82f807b6f02c4809a7980e301d625c3edb31f91b5fa244628544ceeb49e",
+    "list":
+        "3979d47e6e4555142fbce558b2328008071d36d98d0ebf243ee8d7766143cfff",
+}
+
+
+def digest(capsys, argv: str) -> str:
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_output(capsys, argv):
+    assert digest(capsys, argv) == GOLDEN[argv]

@@ -6,12 +6,10 @@ from markovsum.exact import (
     ROUND_HALF_EVEN,
     ROUND_TRUNCATE,
     Enclosure,
-    arith,
     digits_capacity,
     exp2_approx,
     format_rational,
     log2_approx,
-    normalize,
     parse_decimal,
     parse_rational,
     to_decimal,
@@ -19,47 +17,27 @@ from markovsum.exact import (
 
 
 class TestNormalize:
+    """parse_rational returns the canonical form of its literal."""
+
     def test_gcd_reduction(self):
-        assert normalize(2, 4) == Q(1, 2)
+        assert parse_rational("2/4") == Q(1, 2)
 
     def test_sign_normalization(self):
-        x = normalize(-3, -6)
-        assert x == Q(1, 2)
+        x = parse_rational("-3/6")
+        assert x == Q(-1, 2)
         assert x.denominator > 0
 
     def test_zero(self):
-        x = normalize(0, 7)
+        x = parse_rational("0/7")
         assert (x.numerator, x.denominator) == (0, 1)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError, match="division by zero"):
-            normalize(1, 0)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
 
     def test_idempotent(self):
-        x = normalize(21, 91)
-        assert normalize(x.numerator, x.denominator) == x
-
-
-class TestArith:
-    def test_add(self):
-        assert arith(Q(1, 2), Q(1, 3), "+") == Q(5, 6)
-
-    def test_mul(self):
-        assert arith(Q(5, 2), Q(1, 2), "*") == Q(5, 4)
-
-    def test_div_identity(self):
-        assert arith(Q(1, 3), Q(1, 3), "/") == 1
-
-    def test_sub(self):
-        assert arith(Q(1, 2), Q(1, 3), "-") == Q(1, 6)
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            arith(Q(1), Q(0), "/")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            arith(Q(1), Q(1), "^")
+        x = parse_rational("21/91")
+        assert parse_rational(format_rational(x)) == x
 
 
 class TestSerialization:
