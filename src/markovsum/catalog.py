@@ -5,9 +5,10 @@ so a partial sum always comes back as an enclosure [lower, upper] known to
 contain the limit, and decimal digits are only ever reported when proven
 by that enclosure.  Three bound mechanisms are used:
 
-* geometric: |term(n+1)| <= rho |term(n)| with rho < 1, verified exactly on
-  a prefix at registration and, where possible, certified for *all* n by a
-  polynomial positivity certificate on the closed-form term ratio;
+* geometric: |term(n+1)| <= rho |term(n)| with rho < 1 for n >= valid_from,
+  verified exactly on a prefix at registration and, where possible,
+  certified for *all* such n by a polynomial positivity certificate on the
+  term ratio;
 * alternating: for sign-alternating, magnitude-decreasing terms the
   remainder is bounded by the first omitted term and has its sign
   (the classical alternating-series bracket), which is tighter than the
@@ -15,21 +16,37 @@ by that enclosure.  Three bound mechanisms are used:
 * custom integral-comparison bounds for the direct (unaccelerated) series
   and the slow three-halves-power entry.
 
+Each of the six geometric zeta entries is described once: by its first
+index n0, its first term and its signed term ratio
+term(n+1)/term(n) = p(n)/q(n), with p and q polynomials.  The terms follow
+by recurrence and are memoized in the entry's term sequence, so each is
+computed once per entry.  The all-n certificate bounds the magnitude ratio
+-p/q (or p/q for positive terms) by rho; ``valid_from`` is the first index
+from which that certificate holds, and for alternating entries it also
+shows p/q <= 0, so from there on no two consecutive terms share a sign.
+The closed-form terms are kept only as independent checks
+(``CLOSED_FORMS``).
+
+``terms_needed`` is one forward pass.  Every bound of ``enclosure_after``
+is the partial sum plus a quantity that depends only on terms, so the
+width test needs no sum: the partial sum is formed once, at the first
+index whose width is at most 10^-digits, and then grows by one term per
+further index.  The rendering check runs only at such indices.
+
 All arithmetic is rational; nothing here rounds until rendering.  Entries
 are immutable after registration and evaluation is pure, so concurrent
-evaluation needs no coordination: the memoized term caches, here and in
-the term-algebra module, are extended under a lock and never change a
-stored value.
+evaluation needs no coordination: the memoized terms, here and in the
+term-algebra module, are extended under a lock and never change a stored
+value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 from typing import Callable, Optional, Sequence
 
 from .exact import (
@@ -44,7 +61,15 @@ from .exact import (
 from .hgterm import HGSpec, TermSequence, rising_factorial, term_sequence
 from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
-from .polys import RationalFunction, poly, poly_mul, poly_pow, poly_shift
+from .polys import (
+    RationalFunction,
+    leading_coefficient,
+    poly,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    poly_shift,
+)
 
 
 class CatalogError(ValueError):
@@ -119,14 +144,22 @@ class FormulaEntry:
 
     # -- tail bounds --------------------------------------------------------
 
-    def _leibniz_ok(self) -> bool:
-        # Magnitude decrease beyond the scanned prefix needs a certificate.
-        return self.alternating and (self.ratio_certified or self.monotone_certified)
+    def _leibniz_ok(self, last: int) -> bool:
+        # Magnitude decrease beyond the scanned prefix needs a certificate
+        # that covers every index after ``last``.
+        if not self.alternating:
+            return False
+        return self.monotone_certified or (
+            self.ratio_certified and last + 1 >= self.ratio_bound.valid_from)
 
     def enclosure_after(self, partial: Fraction, last: int) -> Optional[Enclosure]:
-        """An enclosure of the limit from the partial sum through index ``last``."""
+        """An enclosure of the limit from the partial sum through index ``last``.
+
+        Each bound is ``partial`` plus a quantity that depends only on the
+        terms, so the width does not depend on ``partial``.
+        """
         lows, highs = [], []
-        if self._leibniz_ok():
+        if self._leibniz_ok(last):
             nxt = self.term(last + 1)
             lo, hi = sorted((partial, partial + nxt))
             lows.append(lo)
@@ -215,27 +248,35 @@ def _rescan_ratio(entry: FormulaEntry, upto: int):
 
 def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCATE,
                  n_cap: int = 100000) -> int:
-    """Smallest N with evaluate(entry, N).digits_proven >= digits.
+    """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
     Only meaningful (and only allowed) for entries carrying a geometric
-    ratio bound; found by exact forward scanning.
+    ratio bound.  One exact forward pass: the enclosure width after N terms
+    does not depend on the partial sum, so the sum is formed only at the
+    first N whose width is at most 10^-digits and then grows by one term
+    per further N.  The rendering check, and for an uncertified ratio bound
+    the exact rescan of ``evaluate``, run only at such N.
     """
     if entry.ratio_bound is None:
         raise CatalogError(f"{entry.entry_id}: no geometric bound")
     if digits <= 0:
         return 1
     target = Fraction(1, 10 ** digits)
-    n = max(1, entry.ratio_bound.valid_from - entry.n0 + 1)
-    while n <= n_cap:
-        partial = entry.offset
-        for k in range(entry.n0, entry.n0 + n):
+    n0 = entry.n0
+    partial, summed = entry.offset, n0  # partial holds the terms before index summed
+    for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
+        last = n0 + n - 1
+        relative = entry.enclosure_after(Fraction(0), last)
+        if relative is None or relative.width > target:
+            continue
+        for k in range(summed, last + 1):
             partial += entry.term(k)
-        enclosure = entry.enclosure_after(partial, entry.n0 + n - 1)
-        if enclosure is not None and enclosure.width <= target:
-            report = evaluate(entry, n, digits=digits, rounding=rounding)
-            if report.digits_proven >= digits:
-                return n
-        n += 1
+        summed = last + 1
+        if not entry.ratio_certified:
+            _rescan_ratio(entry, n0 + 4 * n)
+        if to_decimal(entry.enclosure_after(partial, last), digits,
+                      rounding).digits_proven >= digits:
+            return n
     raise CatalogError(f"{entry.entry_id}: {digits} digits not reached within {n_cap} terms")
 
 
@@ -243,161 +284,176 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
 # Entry builders
 # ---------------------------------------------------------------------------
 
-def _certify(entry_kwargs: dict, ratio: RationalFunction, rho: Fraction, n0: int):
-    """Attach an all-n geometric certificate when the polynomial check holds."""
-    if ratio.bounded_by(rho, n0) is not None:
-        entry_kwargs["ratio_certified"] = True
-    return entry_kwargs
+def _geometric_entry(entry_id: str, constant: str, description: str, first: Fraction,
+                     ratio: RationalFunction, n0: int, rho: Fraction,
+                     alternating: bool = True, **kwargs) -> FormulaEntry:
+    """An entry described by n0, its first term and its signed term ratio.
+
+    The ratio bound holds for every n >= valid_from, the first index from
+    which ``bounded_by`` certifies the magnitude ratio (-p/q when the terms
+    alternate, p/q otherwise) against rho.  Without such a certificate
+    there is no entry.
+    """
+    magnitude = RationalFunction(poly_scale(ratio.num, -1), ratio.den) if alternating else ratio
+    valid_from = magnitude.bounded_from(rho, n0)
+    if valid_from is None:
+        rate = format_rational(rho)
+        if leading_coefficient(magnitude.margin(rho)) < 0:
+            raise CatalogError(f"{entry_id}: no rho = {rate} certificate exists: "
+                               f"|term(n+1)/term(n)| > {rate} for all large n")
+        raise CatalogError(f"{entry_id}: no rho = {rate} certificate found")
+    return FormulaEntry(
+        entry_id, constant, description, TermSequence.from_ratio(first, ratio, n0, entry_id),
+        ratio_bound=RatioBound(rho, valid_from), asymptotic_ratio=rho,
+        alternating=alternating, ratio_certified=True, **kwargs)
 
 
 def entry_apery() -> FormulaEntry:
-    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (binom(2n,n) n^3); rate 1/4."""
-    def term(n: int) -> Fraction:
-        return Fraction(5 * (-1) ** (n - 1), 2 * comb(2 * n, n) * n ** 3)
+    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (binom(2n,n) n^3); rate 1/4.
 
-    # |t(n+1)/t(n)| = n^3 / (2 (n+1)^2 (2n+1))
-    ratio = RationalFunction(poly(0, 0, 0, 1),
+    term(1) = 5/4, term(n+1)/term(n) = -n^3 / (2 (n+1)^2 (2n+1)).
+    """
+    ratio = RationalFunction(poly(0, 0, 0, -1),
                              poly_mul(poly_pow(poly(1, 1), 2), poly(2, 4)))
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 4), 1),
-                  asymptotic_ratio=Fraction(1, 4), alternating=True)
-    _certify(kwargs, ratio, Fraction(1, 4), 1)
-    return FormulaEntry(
+    return _geometric_entry(
         "apery", "zeta3",
         "alternating central-binomial series for zeta(3), geometric rate 1/4",
-        TermSequence.from_term(term, n0=1, label="apery"),
-        provenance="Markov (1890); popularized by Apery (1978)",
-        **kwargs)
-
-
-def _hurwitz_quadratic(a: Fraction, n: int) -> Fraction:
-    return 5 * (n + 1) ** 2 + 6 * (a - 1) * (n + 1) + 2 * (a - 1) ** 2
+        Fraction(5, 4), ratio, 1, Fraction(1, 4),
+        provenance="Markov (1890); popularized by Apery (1978)")
 
 
 def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
     """sum_{n>=0} (a+n)^(-3) as an alternating series of rate 1/4.
 
-    term(n) = (1/4) (-1)^n n!^6 / (2n+1)! *
-              [5(n+1)^2 + 6(a-1)(n+1) + 2(a-1)^2] / (a(a+1)...(a+n))^4.
+    term(0) = p_a(0) / (4 a^4) and
+    term(n+1)/term(n) = -(n+1)^6 p_a(n+1) / ((2n+2)(2n+3)(n+1+a)^4 p_a(n)),
+    with p_a(n) = 5(n+1)^2 + 6(a-1)(n+1) + 2(a-1)^2.
     """
     a = Fraction(a)
     if a.denominator == 1 and a.numerator <= 0:
         raise CatalogError("pole in a: must not be a nonpositive integer")
-
-    def term(n: int) -> Fraction:
-        num = Fraction(factorial(n)) ** 6 * _hurwitz_quadratic(a, n)
-        return Fraction((-1) ** n, 4) * num / factorial(2 * n + 1) \
-            / rising_factorial(a, n + 1) ** 4
-
-    # |t(n+1)/t(n)| = (n+1)^6 p_a(n+1) / ((2n+2)(2n+3)(n+1+a)^4 p_a(n))
     p_a = poly(5 + 6 * (a - 1) + 2 * (a - 1) ** 2, 10 + 6 * (a - 1), 5)
-    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(p_a, 1))
+    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -1), 1))
     den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
                             poly_pow(poly(1 + a, 1), 4)), p_a)
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 4), 0),
-                  asymptotic_ratio=Fraction(1, 4), alternating=True)
-    _certify(kwargs, RationalFunction(num, den), Fraction(1, 4), 0)
-    return FormulaEntry(
+    return _geometric_entry(
         "markov-hurwitz", "zeta3" if a == 1 else f"hurwitz3({format_rational(a)})",
         f"rate-1/4 alternating series for sum 1/({format_rational(a)}+n)^3",
-        TermSequence.from_term(term, n0=0, label="markov-hurwitz"),
-        provenance="Markov (1890)",
-        **kwargs)
+        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0, Fraction(1, 4),
+        provenance="Markov (1890)")
 
 
 def entry_ratio27_zeta3() -> FormulaEntry:
-    """zeta(3) = (1/4) sum_{n>=1} (-1)^(n-1) (56n^2-32n+5)/((2n-1)^2 n^3) n!^3/(3n)!."""
-    def term(n: int) -> Fraction:
-        num = (56 * n * n - 32 * n + 5) * Fraction(factorial(n)) ** 3
-        return Fraction((-1) ** (n - 1), 4) * num / ((2 * n - 1) ** 2 * n ** 3) / factorial(3 * n)
+    """zeta(3) = (1/4) sum_{n>=1} (-1)^(n-1) (56n^2-32n+5)/((2n-1)^2 n^3) n!^3/(3n)!.
 
+    term(1) = 29/24, term(n+1)/term(n)
+    = -p(n+1) (2n-1)^2 n^3 / (p(n) (2n+1)^2 (3n+1)(3n+2)(3n+3)), p = 56n^2-32n+5.
+    """
     p = poly(5, -32, 56)
-    num = poly_mul(poly_mul(poly_shift(p, 1), poly_pow(poly(-1, 2), 2)), poly(0, 0, 0, 1))
+    num = poly_mul(poly_mul(poly_shift(p, 1), poly_pow(poly(-1, 2), 2)), poly(0, 0, 0, -1))
     den = poly_mul(poly_mul(p, poly_pow(poly(1, 2), 2)),
                    poly_mul(poly_mul(poly(1, 3), poly(2, 3)), poly(3, 3)))
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 27), 1),
-                  asymptotic_ratio=Fraction(1, 27), alternating=True)
-    _certify(kwargs, RationalFunction(num, den), Fraction(1, 27), 1)
-    return FormulaEntry(
+    return _geometric_entry(
         "ratio27-zeta3", "zeta3",
         "rate-1/27 alternating series for zeta(3)",
-        TermSequence.from_term(term, n0=1, label="ratio27-zeta3"),
+        Fraction(29, 24), RationalFunction(num, den), 1, Fraction(1, 27),
         provenance="Markov (1889/1890); rederived via telescoping certificates "
-                   "by Amdeberhan (1996)",
-        **kwargs)
+                   "by Amdeberhan (1996)")
 
 
 def entry_az_zeta3() -> FormulaEntry:
-    """zeta(3) = sum_{n>=0} (-1)^n n!^10 (205n^2+250n+77) / (64 (2n+1)!^5)."""
-    def term(n: int) -> Fraction:
-        num = Fraction(factorial(n)) ** 10 * (205 * n * n + 250 * n + 77)
-        return (-1) ** n * num / (64 * Fraction(factorial(2 * n + 1)) ** 5)
+    """zeta(3) = sum_{n>=0} (-1)^n n!^10 (205n^2+250n+77) / (64 (2n+1)!^5).
 
+    term(0) = 77/64, term(n+1)/term(n)
+    = -(n+1)^10 p(n+1) / (p(n) (2n+2)^5 (2n+3)^5), p = 205n^2+250n+77.
+    """
     p = poly(77, 250, 205)
-    num = poly_mul(poly_pow(poly(1, 1), 10), poly_shift(p, 1))
+    num = poly_mul(poly_pow(poly(1, 1), 10), poly_shift(poly_scale(p, -1), 1))
     den = poly_mul(poly_mul(p, poly_pow(poly(2, 2), 5)), poly_pow(poly(3, 2), 5))
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 1024), 0),
-                  asymptotic_ratio=Fraction(1, 1024), alternating=True)
-    _certify(kwargs, RationalFunction(num, den), Fraction(1, 1024), 0)
-    return FormulaEntry(
+    return _geometric_entry(
         "az-zeta3", "zeta3",
         "rate-2^-10 alternating series for zeta(3)",
-        TermSequence.from_term(term, n0=0, label="az-zeta3"),
-        provenance="Amdeberhan-Zeilberger (1997)",
-        **kwargs)
-
-
-_odd_dfact_cache: list[int] = [1]  # index k holds (2k-1)!!
-_odd_dfact_lock = threading.Lock()
-
-
-def _odd_double_factorial(k: int) -> int:
-    if len(_odd_dfact_cache) <= k:
-        with _odd_dfact_lock:
-            while len(_odd_dfact_cache) <= k:
-                j = len(_odd_dfact_cache)
-                _odd_dfact_cache.append(_odd_dfact_cache[-1] * (2 * j - 1))
-    return _odd_dfact_cache[k]
+        Fraction(77, 64), RationalFunction(num, den), 0, Fraction(1, 1024),
+        provenance="Amdeberhan-Zeilberger (1997)")
 
 
 def entry_zeta2_27() -> FormulaEntry:
-    """zeta(2) = 5/3 + sum_{k>=1} (-1)^k (2k-1)!!^3/(6k-1)!! (1/(4k^2) + 5/((6k+1)(6k+3)))."""
-    def term(k: int) -> Fraction:
-        weight = Fraction(1, 4 * k * k) + Fraction(5, (6 * k + 1) * (6 * k + 3))
-        return (-1) ** k * Fraction(_odd_double_factorial(k) ** 3,
-                                    _odd_double_factorial(3 * k)) * weight
+    """zeta(2) = 5/3 + sum_{k>=1} (-1)^k (2k-1)!!^3/(6k-1)!! (1/(4k^2) + 5/((6k+1)(6k+3))).
 
-    num = poly_mul(poly_mul(poly_pow(poly(1, 2), 3), poly(0, 0, 1)), poly(83, 136, 56))
+    term(1) = -83/3780, term(k+1)/term(k)
+    = -(2k+1)^3 k^2 (56k^2+136k+83) / ((6k+5)(56k^2+24k+3)(k+1)^2 (6k+7)(6k+9)).
+    """
+    num = poly_mul(poly_mul(poly_pow(poly(1, 2), 3), poly(0, 0, -1)), poly(83, 136, 56))
     den = poly_mul(poly_mul(poly_mul(poly(5, 6), poly(3, 24, 56)),
                             poly_pow(poly(1, 1), 2)),
                    poly_mul(poly(7, 6), poly(9, 6)))
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 27), 1),
-                  asymptotic_ratio=Fraction(1, 27), alternating=True,
-                  offset=Fraction(5, 3))
-    _certify(kwargs, RationalFunction(num, den), Fraction(1, 27), 1)
-    return FormulaEntry(
+    return _geometric_entry(
         "zeta2-27", "zeta2",
         "rate-1/27 alternating series for zeta(2), constant offset 5/3",
-        TermSequence.from_term(term, n0=1, label="zeta2-27"),
-        provenance="Markov (1889)",
-        **kwargs)
+        Fraction(-83, 3780), RationalFunction(num, den), 1, Fraction(1, 27),
+        offset=Fraction(5, 3), provenance="Markov (1889)")
+
+
+#: 3F2(1,1,1; 2,2) = zeta(2), the Schellbach parameters of ``schellbach-zeta2``
+ZETA2_SCHELLBACH = SchellbachParams(Fraction(1), Fraction(1), Fraction(2), Fraction(2))
 
 
 def entry_schellbach_zeta2() -> FormulaEntry:
-    """zeta(2) via the transformed 3F2(1,1,1;2,2): terms 3 x!^2/(2x+2)!, rate 1/4."""
-    params = SchellbachParams(Fraction(1), Fraction(1), Fraction(2), Fraction(2))
+    """zeta(2) via the transformed 3F2(1,1,1;2,2): terms 3 x!^2/(2x+2)!, rate 1/4.
 
-    def term(x: int) -> Fraction:
-        return schellbach_term(params, x)
-
-    kwargs = dict(ratio_bound=RatioBound(Fraction(1, 4), 0),
-                  asymptotic_ratio=Fraction(1, 4), remainder_nonneg=True)
-    _certify(kwargs, ratio_function(params), Fraction(1, 4), 0)
-    return FormulaEntry(
+    The first term and the term ratio are Schellbach's, at (1, 1, 2, 2).
+    """
+    return _geometric_entry(
         "schellbach-zeta2", "zeta2",
         "transformed 3F2(1,1,1;2,2) series for zeta(2), geometric rate 1/4",
-        TermSequence.from_term(term, n0=0, label="schellbach-zeta2"),
-        provenance="Schellbach (1864); limit case of the q-series transformation",
-        **kwargs)
+        schellbach_term(ZETA2_SCHELLBACH, 0), ratio_function(ZETA2_SCHELLBACH), 0,
+        Fraction(1, 4), alternating=False, remainder_nonneg=True,
+        provenance="Schellbach (1864); limit case of the q-series transformation")
+
+
+# -- closed forms: independent checks of the recurrences ----------------------
+
+def apery_term(n: int) -> Fraction:
+    return Fraction(5 * (-1) ** (n - 1), 2 * comb(2 * n, n) * n ** 3)
+
+
+def markov_hurwitz_term(n: int, a=Fraction(1)) -> Fraction:
+    """(1/4) (-1)^n n!^6 / (2n+1)! * p_a(n) / (a(a+1)...(a+n))^4."""
+    a = Fraction(a)
+    quadratic = 5 * (n + 1) ** 2 + 6 * (a - 1) * (n + 1) + 2 * (a - 1) ** 2
+    num = Fraction(factorial(n)) ** 6 * quadratic
+    return Fraction((-1) ** n, 4) * num / factorial(2 * n + 1) \
+        / rising_factorial(a, n + 1) ** 4
+
+
+def ratio27_term(n: int) -> Fraction:
+    num = (56 * n * n - 32 * n + 5) * Fraction(factorial(n)) ** 3
+    return Fraction((-1) ** (n - 1), 4) * num / ((2 * n - 1) ** 2 * n ** 3) / factorial(3 * n)
+
+
+def az_term(n: int) -> Fraction:
+    num = Fraction(factorial(n)) ** 10 * (205 * n * n + 250 * n + 77)
+    return (-1) ** n * num / (64 * Fraction(factorial(2 * n + 1)) ** 5)
+
+
+def zeta2_27_term(k: int) -> Fraction:
+    weight = Fraction(1, 4 * k * k) + Fraction(5, (6 * k + 1) * (6 * k + 3))
+    return (-1) ** k * Fraction(prod(range(1, 2 * k, 2)) ** 3, prod(range(1, 6 * k, 2))) * weight
+
+
+def schellbach_zeta2_term(x: int) -> Fraction:
+    return schellbach_term(ZETA2_SCHELLBACH, x)
+
+
+#: entry id -> closed-form term, for the geometric entries
+CLOSED_FORMS: dict[str, Callable[[int], Fraction]] = {
+    "apery": apery_term,
+    "markov-hurwitz": markov_hurwitz_term,
+    "ratio27-zeta3": ratio27_term,
+    "az-zeta3": az_term,
+    "zeta2-27": zeta2_27_term,
+    "schellbach-zeta2": schellbach_zeta2_term,
+}
 
 
 def entry_direct(kind: str, a=None) -> FormulaEntry:

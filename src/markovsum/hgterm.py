@@ -17,7 +17,9 @@ Pochhammer prefixes are memoized as running products keyed by the
 parameter (and base), so evaluating thousands of consecutive terms stays
 linear.  A cache is only extended under a module lock, and a stored value
 never changes afterwards, so lookups need no lock and concurrent callers
-always get exact values.
+always get exact values.  A series given by its first term and a rational
+term ratio (``TermSequence.from_ratio``) memoizes its own terms the same
+way, under a lock of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .exact import format_rational, parse_rational
+from .polys import RationalFunction
 
 Spec = Union["HGSpec", "BHGSpec"]
 
@@ -223,6 +226,45 @@ class TermSequence:
                 raise TermError(f"ratio undefined at n={n}: term is zero")
             return term(n + 1) / t
         return TermSequence(term, ratio, n0, label)
+
+    @staticmethod
+    def from_ratio(first, ratio: RationalFunction, n0: int = 0,
+                   label: str = "") -> "TermSequence":
+        """Build from term(n0) and the signed term ratio term(n+1)/term(n).
+
+        Each term is computed once, from its predecessor, with the ratio's
+        polynomials scaled to integer coefficients; the terms are memoized
+        in this sequence, extended under its own lock and never rewritten.
+        ``ratio`` stays the sequence's ratio evaluator.
+        """
+        num, den = ratio.integer_coefficients()
+        values = [Fraction(first)]
+        lock = threading.Lock()
+
+        def step(n: int) -> Fraction:
+            d = _eval_int(den, n)
+            if d == 0:
+                raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
+            return Fraction(_eval_int(num, n), d)
+
+        def term(n: int) -> Fraction:
+            k = n - n0
+            if k < 0:
+                raise ValueError(f"n must be >= {n0}")
+            if k >= len(values):
+                with lock:
+                    while len(values) <= k:
+                        values.append(values[-1] * step(n0 + len(values) - 1))
+            return values[k]
+
+        return TermSequence(term, ratio, n0, label)
+
+
+def _eval_int(coeffs: Sequence[int], n: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * n + c
+    return v
 
 
 def term_sequence(spec: Spec) -> TermSequence:

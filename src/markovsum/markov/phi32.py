@@ -176,12 +176,14 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
 
     Exposes the extension F, the certificate, the multipliers A, B, C and
     M, the induced pair, the source series and the transformed terms V0.
-    Construction requires |t| < 1 with t = cd/(abq), the regime in which
-    both series converge.
+    Construction requires |q| < 1 and |t| < 1 with t = cd/(abq), the regime
+    in which both series converge.
     """
 
     def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
         super().__init__(a, b, c, d, q, x_cap)
+        if not abs(self.q) < 1:
+            raise ValueError(f"|q| < 1 required, got q = {format_rational(self.q)}")
         if not abs(self.t) < 1:
             raise ValueError(f"|t| < 1 required, got t = {format_rational(self.t)}")
 

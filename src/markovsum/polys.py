@@ -11,7 +11,7 @@ Coefficient lists are ordered low degree first.  This backs two needs:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 Poly = list[Fraction]
@@ -68,21 +68,49 @@ def poly_eval(p: Sequence[Fraction], x) -> Fraction:
     return v
 
 
+def leading_coefficient(p: Sequence[Fraction]) -> Fraction:
+    """The highest nonzero coefficient (0 for the zero polynomial)."""
+    return next((c for c in reversed(p) if c), Fraction(0))
+
+
+def _certificate_shift(p: Sequence[Fraction], n0: int, max_shift: int) -> Optional[int]:
+    """Smallest s <= max_shift with every coefficient of p(n0 + s + m) nonnegative."""
+    if leading_coefficient(p) < 0:
+        return None  # p tends to -infinity: no shift can work
+    for s in range(max_shift + 1):
+        if all(c >= 0 for c in poly_shift(p, n0 + s)):
+            return s
+    return None
+
+
 def eventually_nonneg(p: Sequence[Fraction], n0: int, max_shift: int = 256) -> Optional[int]:
     """Certify p(n) >= 0 for every integer n >= n0.
 
     Looks for a shift s such that all coefficients of p(n0 + s + m) are
     nonnegative (then p >= 0 for n >= n0 + s follows termwise) and checks
     the finitely many gap points n0 .. n0+s-1 exactly.  Returns the shift
-    used, or None when no certificate was found within max_shift.
+    used, or None when no certificate was found within max_shift.  A
+    negative leading coefficient gives None at once.
     """
-    for s in range(max_shift + 1):
-        shifted = poly_shift(p, n0 + s)
-        if all(c >= 0 for c in shifted):
-            if all(poly_eval(p, n0 + j) >= 0 for j in range(s)):
-                return s
-            return None
-    return None
+    s = _certificate_shift(p, n0, max_shift)
+    if s is None or any(poly_eval(p, n0 + j) < 0 for j in range(s)):
+        return None
+    return s
+
+
+def nonneg_from(p: Sequence[Fraction], n0: int, max_shift: int = 256) -> Optional[int]:
+    """The first index v >= n0 with p(n) >= 0 certified for every integer n >= v.
+
+    Same certificate as ``eventually_nonneg``; the gap points below the
+    shifted start are checked exactly, downwards, for as long as they hold.
+    """
+    s = _certificate_shift(p, n0, max_shift)
+    if s is None:
+        return None
+    start = n0 + s
+    while start > n0 and poly_eval(p, start - 1) >= 0:
+        start -= 1
+    return start
 
 
 class RationalFunction:
@@ -109,8 +137,27 @@ class RationalFunction:
             return None
         if eventually_nonneg(self.den, n0, max_shift) is None:
             return None
-        margin = poly_add(poly_scale(self.den, Fraction(rho)), poly_scale(self.num, -1))
-        return eventually_nonneg(margin, n0, max_shift)
+        return eventually_nonneg(self.margin(rho), n0, max_shift)
+
+    def margin(self, rho) -> Poly:
+        """rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""
+        return poly_add(poly_scale(self.den, Fraction(rho)), poly_scale(self.num, -1))
+
+    def bounded_from(self, rho, n0: int, max_shift: int = 256) -> Optional[int]:
+        """The first index v >= n0 from which num/den <= rho is certified, or None.
+
+        v is where the margin's certificate (``nonneg_from``) starts, and
+        ``bounded_by(rho, v)`` must then hold as well.
+        """
+        start = nonneg_from(self.margin(rho), n0, max_shift)
+        if start is None or self.bounded_by(rho, start, max_shift) is None:
+            return None
+        return start
+
+    def integer_coefficients(self) -> tuple[list[int], list[int]]:
+        """num and den scaled by one positive integer to integer coefficients."""
+        scale = lcm(*(c.denominator for c in self.num + self.den))
+        return ([int(c * scale) for c in self.num], [int(c * scale) for c in self.den])
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

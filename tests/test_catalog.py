@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -23,7 +24,7 @@ from markovsum.catalog import (
     reports_to_csv,
     terms_needed,
 )
-from markovsum.exact import ROUND_HALF_EVEN, parse_decimal
+from markovsum.exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, parse_decimal
 from markovsum.hgterm import TermSequence
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
@@ -300,3 +301,95 @@ class TestRegistryAndReports:
                     asides = reports[i].rendering.fraction_digits[:shared]
                     bsides = reports[j].rendering.fraction_digits[:shared]
                     assert asides == bsides, (constant, i, j)
+
+
+# ---------------------------------------------------------------------------
+# One description per geometric entry: first term and term ratio
+# ---------------------------------------------------------------------------
+
+GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
+                 "zeta2-27", "schellbach-zeta2")
+HURWITZ_VALUES = [Q(n, d) for n in range(1, 13) for d in range(1, 13) if gcd(n, d) == 1]
+#: a <= 12 whose term ratio exceeds 1/4 for every large n
+HURWITZ_UNCERTIFIABLE = {Q(1, d) for d in range(3, 13)} | {
+    Q(2, 7), Q(2, 9), Q(2, 11), Q(3, 8), Q(3, 10), Q(3, 11), Q(4, 11)}
+
+
+def quadratic_terms_needed(entry, digits, rounding):
+    """The term search before the single pass: it re-sums every prefix."""
+    target = Q(1, 10 ** digits)
+    n = max(1, entry.ratio_bound.valid_from - entry.n0 + 1)
+    while True:
+        partial = entry.offset
+        for k in range(entry.n0, entry.n0 + n):
+            partial += entry.term(k)
+        enclosure = entry.enclosure_after(partial, entry.n0 + n - 1)
+        if enclosure is not None and enclosure.width <= target:
+            if evaluate(entry, n, digits=digits, rounding=rounding).digits_proven >= digits:
+                return n
+        n += 1
+
+
+class TestRecurrenceTerms:
+    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    def test_terms_equal_closed_form(self, entry_id):
+        entry = get_entry(entry_id)
+        closed = catalog.CLOSED_FORMS[entry_id]
+        assert all(entry.term(n) == closed(n) for n in range(entry.n0, entry.n0 + 301))
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(2, 5), Q(5, 12), Q(8, 19), Q(3, 7), Q(2, 3),
+                                   Q(11, 12), Q(1), Q(3, 2), Q(7, 3), Q(5), Q(12)])
+    def test_hurwitz_terms_equal_closed_form(self, a):
+        entry = entry_markov_hurwitz(a)
+        assert all(entry.term(n) == catalog.markov_hurwitz_term(n, a) for n in range(301))
+
+    def test_terms_before_n0_rejected(self):
+        with pytest.raises(ValueError):
+            entry_apery().term(0)
+
+    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    def test_ratio_certified_from_n0(self, entry_id):
+        entry = get_entry(entry_id)
+        assert entry.ratio_certified
+        assert entry.ratio_bound.valid_from == entry.n0
+
+
+class TestHurwitzValidFrom:
+    def test_every_value_up_to_twelve(self):
+        for a in HURWITZ_VALUES:
+            if a in HURWITZ_UNCERTIFIABLE:
+                with pytest.raises(CatalogError, match="no rho = 1/4 certificate exists"):
+                    entry_markov_hurwitz(a)
+                continue
+            expected = 1 if a in (Q(2, 5), Q(5, 12)) else 0
+            assert entry_markov_hurwitz(a).ratio_bound.valid_from == expected, a
+
+    @pytest.mark.parametrize("a", [Q(2, 5), Q(5, 12)])
+    def test_ratio_above_quarter_only_at_zero(self, a):
+        entry = entry_markov_hurwitz(a)
+        assert abs(entry.term(1) / entry.term(0)) > Q(1, 4)
+        report = evaluate(entry, terms_needed(entry, 20), digits=20)
+        assert report.digits_proven == 20
+        direct = evaluate(entry_direct("hurwitz3", a), 600)
+        assert report.enclosure.lower <= direct.enclosure.upper
+        assert direct.enclosure.lower <= report.enclosure.upper
+
+
+class TestSinglePassTermsNeeded:
+    @pytest.mark.parametrize("rounding", [ROUND_TRUNCATE, ROUND_HALF_EVEN])
+    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    def test_equals_quadratic_search(self, entry_id, rounding):
+        entry = get_entry(entry_id)
+        for digits in range(1, 61):
+            assert terms_needed(entry, digits, rounding) == \
+                quadratic_terms_needed(entry, digits, rounding), digits
+
+    def test_uncertified_ratio_bound_is_rescanned(self):
+        # the claimed rate 1/2 holds on the registration scan, fails at n = 100
+        entry = FormulaEntry(
+            "late-failure", "other", "ratio 1/2 until n = 100, then 3/4",
+            TermSequence.from_term(lambda n: Q(1, 2 ** n) if n <= 100
+                                   else Q(1, 2 ** 100) * Q(3, 4) ** (n - 100)),
+            ratio_bound=RatioBound(Q(1, 2), 0), remainder_nonneg=True)
+        with pytest.raises(CatalogError, match="ratio bound fails at n=100"):
+            terms_needed(entry, 10)

@@ -172,6 +172,10 @@ class TestUsageErrors:
         "verify-certificate --a 0 --grid 2x2",
         "verify-certificate --grid 2x-1",
         "verify-pair 3phi2 --a 0",
+        "verify-pair 3phi2 --grid 2x-1",
+        "verify-pair 3phi2 --q 2",
+        "solve 4f3-u2 --x-max -1",
+        "verify-certificate --random-points -3",
     ])
     def test_bad_input_exits_64_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())

@@ -43,6 +43,20 @@ GOLDEN = {
         "99c0c82f807b6f02c4809a7980e301d625c3edb31f91b5fa244628544ceeb49e",
     "list":
         "3979d47e6e4555142fbce558b2328008071d36d98d0ebf243ee8d7766143cfff",
+    "compute apery --digits 150":
+        "472a6eb48b685bffffa40ff0ec530d23281d98d9a5343bc70e19544a3a7b0e71",
+    "compute markov-hurwitz --digits 150":
+        "272999efab9bbdfd4122664a384c186c4c19473a7ac77f456d689be9d9527d42",
+    "compute ratio27-zeta3 --digits 150":
+        "7c2b5df88d30f7e56a8937cc85a9ba332de7a99061014378e14ab11abfa949b5",
+    "compute az-zeta3 --digits 150":
+        "1a9d15da2b4f72d44513f26ea71e1f42fe112e5fbf7690f0521efa16dcaa943c",
+    "compute zeta2-27 --digits 150":
+        "4a444b090b530950bf2d0ac5d95a8f26cbf15c981c0368246acdcc21da672475",
+    "compute schellbach-zeta2 --digits 150":
+        "1c2a595c2204f0ad84ce3aee5bdbee59ca390e0ff96e3501c739eea2b84db58b",
+    "compare zeta3 --digits 100":
+        "7e80d2e72761f9bcbb8e9eb3ab9a3a704b0c4fbd65159f7ed1ffa8687988f5ad",
 }
 
 

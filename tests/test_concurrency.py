@@ -3,17 +3,19 @@
 Four threads extend the same cold cache at once while the interpreter
 switches threads every microsecond, which interleaves the extension loops
 as finely as CPython allows.  Every cached value must still equal the
-product computed directly.
+product computed directly, and threads evaluating one shared catalog
+entry must all get the enclosures of its closed-form terms.
 """
 
 import sys
 import threading
 from fractions import Fraction as Q
-from math import prod
 
 import pytest
 
 from markovsum import catalog, hgterm
+from markovsum.hgterm import TermSequence
+from markovsum.polys import RationalFunction, poly
 
 THREADS = 4
 TRIALS = 10
@@ -62,18 +64,28 @@ def _qpoch(trial: int):
             _running_products(Q(1), (1 - a * q ** k for k in range(LENGTH))))
 
 
-def _odd_double_factorial(trial: int):
-    base = 1000 + trial * (LENGTH + 1)  # beyond every value cached so far
-    return (lambda n: catalog._odd_double_factorial(base + n),
-            _running_products(prod(range(1, 2 * base, 2)),
-                              range(2 * base + 1, 2 * (base + LENGTH), 2)))
+def _term_recurrence(trial: int):
+    # a fresh sequence per trial: term(n+1) = term(n) (n+1)/(trial+2)
+    seq = TermSequence.from_ratio(Q(1), RationalFunction(poly(1, 1), poly(trial + 2)))
+    return seq.term, _running_products(Q(1), (Q(k + 1, trial + 2) for k in range(LENGTH)))
 
 
-@pytest.mark.parametrize("cache", [_rising, _qpoch, _odd_double_factorial],
-                         ids=["rising_factorial", "q_pochhammer", "odd_double_factorial"])
+@pytest.mark.parametrize("cache", [_rising, _qpoch, _term_recurrence],
+                         ids=["rising_factorial", "q_pochhammer", "term_recurrence"])
 def test_concurrent_extension_keeps_cached_values_exact(cache):
     for trial in range(TRIALS):
         fn, truth = cache(trial)
         results = _race(fn, LENGTH)
         assert all(values == truth for values in results), f"trial {trial}"
         assert [fn(n) for n in range(LENGTH + 1)] == truth, f"trial {trial}"
+
+
+def test_threads_evaluating_one_shared_entry_agree():
+    span = 60
+    for trial in range(TRIALS):
+        a = Q(trial + 1, 2)  # a cold entry per trial
+        truth = [catalog.markov_hurwitz_term(n, a) for n in range(span + 2)]
+        entry = catalog.entry_markov_hurwitz(a)
+        results = _race(lambda k: catalog.evaluate(entry, k + 1).enclosure, span)
+        expected = [entry.enclosure_after(sum(truth[:k + 1]), k) for k in range(span + 1)]
+        assert all(values == expected for values in results), f"trial {trial}"

@@ -9,6 +9,7 @@ from markovsum.markov import (
     coefficient_residuals,
     fixture_from_json,
     fixture_to_json,
+    make_certificate,
     markov_form_term,
     markov_param_map,
     sample_parameter_tuples,
@@ -72,6 +73,14 @@ class TestClosedForms:
     def test_t_geq_one_rejected(self):
         with pytest.raises(ValueError, match=r"\|t\| < 1"):
             ThreePhiTwo(Q(1), Q(1), Q(1), Q(1), Q(1, 2))
+
+    def test_base_outside_unit_disc_rejected(self):
+        with pytest.raises(ValueError, match=r"\|q\| < 1"):
+            ThreePhiTwo(Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2))
+
+    def test_certificate_accepts_any_base(self):
+        cert = make_certificate(Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2))
+        assert all(cert.residual(x, z) == 0 for x in range(3) for z in range(3))
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -1,0 +1,89 @@
+from fractions import Fraction as Q
+from math import gcd
+
+import pytest
+
+from markovsum import catalog
+from markovsum.polys import (
+    RationalFunction,
+    eventually_nonneg,
+    nonneg_from,
+    poly,
+    poly_eval,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    poly_shift,
+)
+
+GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
+                 "zeta2-27", "schellbach-zeta2")
+
+
+def reference_eventually_nonneg(p, n0, max_shift=256):
+    """The shift search without the leading-coefficient test."""
+    for s in range(max_shift + 1):
+        shifted = poly_shift(p, n0 + s)
+        if all(c >= 0 for c in shifted):
+            if all(poly_eval(p, n0 + j) >= 0 for j in range(s)):
+                return s
+            return None
+    return None
+
+
+def certificate_polys(num, den, rho):
+    return (num, den, RationalFunction(num, den).margin(rho))
+
+
+def hurwitz_certificate_polys(a):
+    """num, den and margin of the markov-hurwitz magnitude ratio at a."""
+    p_a = poly(5 + 6 * (a - 1) + 2 * (a - 1) ** 2, 10 + 6 * (a - 1), 5)
+    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(p_a, 1))
+    den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
+                            poly_pow(poly(1 + a, 1), 4)), p_a)
+    return certificate_polys(num, den, Q(1, 4))
+
+
+class TestEventuallyNonneg:
+    @pytest.mark.parametrize("p", [poly(1, 0, -1), poly(100, 5, -1, 0), poly(-3)])
+    def test_negative_leading_coefficient_gives_none(self, p):
+        assert eventually_nonneg(p, 0) is None
+        assert nonneg_from(p, 0) is None
+
+    def test_zero_polynomial(self):
+        assert eventually_nonneg(poly(0, 0), 3) == 0
+
+    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    def test_shifts_unchanged_on_registry_certificates(self, entry_id):
+        entry = catalog.get_entry(entry_id)
+        ratio = entry.terms.ratio
+        num = poly_scale(ratio.num, -1) if entry.alternating else ratio.num
+        for p in certificate_polys(num, ratio.den, entry.ratio_bound.rho):
+            assert eventually_nonneg(p, entry.n0) == reference_eventually_nonneg(p, entry.n0)
+
+    def test_shifts_unchanged_on_all_hurwitz_values(self):
+        values = [Q(n, d) for n in range(1, 13) for d in range(1, 13) if gcd(n, d) == 1]
+        assert len(values) == 91
+        for a in values:
+            for p in hurwitz_certificate_polys(a):
+                assert eventually_nonneg(p, 0) == reference_eventually_nonneg(p, 0), a
+
+
+class TestNonnegFrom:
+    def test_first_index_of_a_certified_tail(self):
+        # (n - 2)(n - 5) is negative exactly at n = 3, 4
+        p = poly(10, -7, 1)
+        assert nonneg_from(p, 0) == 5
+        assert nonneg_from(p, 6) == 6
+        assert eventually_nonneg(p, 0) is None
+
+    def test_bounded_from(self):
+        # (n + 3)/(4n + 4) <= 1/2 exactly for n >= 1
+        ratio = RationalFunction(poly(3, 1), poly(4, 4))
+        assert ratio.bounded_by(Q(1, 2), 0) is None
+        assert ratio.bounded_from(Q(1, 2), 0) == 1
+        assert ratio.bounded_from(Q(1, 5), 0) is None
+
+    def test_integer_coefficients(self):
+        ratio = RationalFunction(poly(Q(1, 2), Q(1, 3)), poly(Q(5, 6)))
+        assert ratio.integer_coefficients() == ([3, 2], [5])
