@@ -3,48 +3,40 @@
 Every entry couples an exact term generator with a *certified* tail bound,
 so a partial sum always comes back as an enclosure [lower, upper] known to
 contain the limit, and decimal digits are only ever reported when proven
-by that enclosure.  Three bound mechanisms are used:
+by that enclosure.
 
-* geometric: |term(n+1)| <= rho |term(n)| with rho < 1 for n >= valid_from,
-  verified exactly on a prefix at registration and, where possible,
-  certified for *all* such n by a polynomial positivity certificate on the
-  term ratio;
-* alternating: for sign-alternating, magnitude-decreasing terms the
-  remainder is bounded by the first omitted term and has its sign
-  (the classical alternating-series bracket), which is tighter than the
-  geometric bound and is preferred when both apply;
-* custom integral-comparison bounds for the direct (unaccelerated) series
-  and the slow three-halves-power entry.
+Each entry is described once, by its first index n0, its first term and
+its signed term ratio p/q, polynomials in n or, for the two q-series
+sides, in y = q^n; the terms follow by memoized recurrence.  Everything
+else is derived by positivity certificates that hold for every index
+(``polys.nonneg_from`` in n, ``polys.unit_interval_nonneg`` for y in
+(0, 1]), never by a scan:
 
-Each of the six geometric zeta entries is described once: by its first
-index n0, its first term and its signed term ratio
-term(n+1)/term(n) = p(n)/q(n), with p and q polynomials.  The terms follow
-by recurrence and are memoized in the entry's term sequence, so each is
-computed once per entry.  The all-n certificate bounds the magnitude ratio
--p/q (or p/q for positive terms) by rho; ``valid_from`` is the first index
-from which that certificate holds, and for alternating entries it also
-shows p/q <= 0, so from there on no two consecutive terms share a sign.
-The closed-form terms are kept only as independent checks
-(``CLOSED_FORMS``).
+* the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
+* geometric: a claimed rate rho < 1, |term(n+1)| <= rho |term(n)|, holds
+  from ``valid_from``, the first index the certificate covers;
+* alternating: alternating terms with rho <= 1 decrease in magnitude, so
+  the remainder is bounded by the first omitted term and has its sign, a
+  bracket tighter than the geometric bound;
+* custom tails: integral comparison for the direct series and the slow
+  n^(-3/2) entry; for the transformed q-series a one-term-plus-geometric
+  bound, its ratio certified below K q^(2x).
 
-``terms_needed`` is one forward pass.  Every bound of ``enclosure_after``
-is the partial sum plus a quantity that depends only on terms, so the
-width test needs no sum: the partial sum is formed once, at the first
-index whose width is at most 10^-digits, and then grows by one term per
-further index.  The rendering check runs only at such indices.
+A 64-term exact scan at registration cross-checks the derived bounds; the
+closed-form terms are independent checks only (``CLOSED_FORMS``).  The
+term sequence keeps its furthest prefix sum, so ``evaluate`` after
+``terms_needed`` adds no term twice.
 
-All arithmetic is rational; nothing here rounds until rendering.  Entries
-are immutable after registration and evaluation is pure, so concurrent
-evaluation needs no coordination: the memoized terms, here and in the
-term-algebra module, are extended under a lock and never change a stored
-value.
+All arithmetic is rational; nothing rounds until rendering.  Entries are
+immutable after registration and evaluation is pure; the memoized terms
+and the kept prefix sum only ever grow, under the sequence's lock.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 from typing import Callable, Optional, Sequence
@@ -58,17 +50,20 @@ from .exact import (
     parse_rational,
     to_decimal,
 )
-from .hgterm import HGSpec, TermSequence, rising_factorial, term_sequence
+from .hgterm import RatioSequence, TermError, TermSequence, rising_factorial
 from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
 from .polys import (
     RationalFunction,
     leading_coefficient,
+    nonneg_from,
     poly,
+    poly_eval,
     poly_mul,
     poly_pow,
     poly_scale,
     poly_shift,
+    unit_interval_nonneg,
 )
 
 
@@ -89,68 +84,105 @@ class RatioBound:
 
 @dataclass
 class FormulaEntry:
-    """A catalog series with tail-bound metadata.
+    """A catalog series: its description, an optional rate rho in [0, 1], and
+    the bounds derived from both at registration: ``alternating`` and
+    ``remainder_nonneg`` from the sign of the ratio, ``ratio_bound`` (rho < 1)
+    and ``leibniz_from`` (alternating, rho <= 1) from the rate.
 
-    ``offset`` is an exact constant added to every partial sum (some
-    accelerated forms carry one).  ``tail_extra(N)`` returns a certified
-    bound on |sum of terms beyond index N| for entries whose decay is not
-    a fixed geometric ratio, or None when not yet applicable at N.
+    ``offset`` is added to every partial sum.  ``tail_extra(last)`` is a
+    certified bound on |sum of terms beyond index last|, or None when not
+    yet applicable.
     """
 
     entry_id: str
     constant: str
     description: str
-    terms: TermSequence
-    ratio_bound: Optional[RatioBound] = None
-    asymptotic_ratio: Optional[Fraction] = None
-    alternating: bool = False
-    remainder_nonneg: bool = False
+    terms: RatioSequence
+    rho: Optional[Fraction] = None
     offset: Fraction = Fraction(0)
     tail_extra: Optional[Callable[[int], Optional[Fraction]]] = None
-    ratio_certified: bool = False
-    monotone_certified: bool = False
     slow: bool = False
     provenance: str = ""
-    notes: str = ""
+    alternating: bool = field(init=False)
+    remainder_nonneg: bool = field(init=False)
+    leibniz_from: Optional[int] = field(init=False)
+    ratio_bound: Optional[RatioBound] = field(init=False)
 
     def __post_init__(self):
+        self.alternating, self.remainder_nonneg = self._signs()
+        self.leibniz_from = self.ratio_bound = None
+        if self.rho is not None:
+            rho = self.rho = Fraction(self.rho)
+            valid_from = self._rate_from(rho)
+            self.leibniz_from = valid_from if self.alternating else None
+            self.ratio_bound = RatioBound(rho, valid_from) if rho < 1 else None
         self._validate()
 
     @property
     def n0(self) -> int:
         return self.terms.n0
 
+    @property
+    def asymptotic_ratio(self) -> Optional[Fraction]:
+        return self.rho
+
     def term(self, n: int) -> Fraction:
         return self.terms.term(n)
 
+    def _nonneg_from(self, p) -> Optional[int]:
+        """The first index from which p >= 0 is certified at every later index."""
+        base = self.terms.base
+        if base is None:
+            return nonneg_from(p, self.n0)
+        return self.n0 if 0 < base < 1 and unit_interval_nonneg(p) else None
+
+    def _signs(self) -> tuple[bool, bool]:
+        """(alternating, remainder_nonneg), from the sign of the ratio from n0 on."""
+        ratio, n0 = self.terms.ratio, self.n0
+        if self._nonneg_from(ratio.den) == n0:
+            if self._nonneg_from(ratio.num) == n0:
+                return False, self.term(n0) >= 0
+            if self._nonneg_from(poly_scale(ratio.num, -1)) == n0:
+                return True, False
+        raise CatalogError(f"{self.entry_id}: terms not certified to keep a sign or alternate")
+
+    def _rate_from(self, rho: Fraction) -> int:
+        """valid_from: where |term(n+1)/term(n)| <= rho is certified from."""
+        if not 0 <= rho <= 1:
+            raise CatalogError(f"{self.entry_id}: rate must lie in [0, 1]")
+        ratio = self.terms.ratio
+        num = poly_scale(ratio.num, -1) if self.alternating else ratio.num
+        margin = RationalFunction(num, ratio.den).margin(rho)
+        valid_from = self._nonneg_from(margin)
+        if valid_from is None:
+            rate = format_rational(rho)
+            # large n is the top coefficient in n, the bottom one in y = q^n
+            at_infinity = margin if self.terms.base is None else margin[::-1]
+            reason = (f"exists: |term(n+1)/term(n)| > {rate} for all large n"
+                      if leading_coefficient(at_infinity) < 0 else "found")
+            raise CatalogError(f"{self.entry_id}: no rho = {rate} certificate {reason}")
+        return valid_from
+
     def _validate(self, check_span: int = 64):
-        """Registration checks: ratio bound, alternation, sign, exactly."""
+        """Registration cross-check of the derived bounds, exactly, on a prefix."""
         n0 = self.n0
-        previous = self.term(n0)
-        for n in range(n0, n0 + check_span):
-            nxt = self.term(n + 1)
-            if self.ratio_bound and n >= self.ratio_bound.valid_from:
-                if abs(nxt) > self.ratio_bound.rho * abs(previous):
-                    raise CatalogError(
-                        f"{self.entry_id}: ratio bound {format_rational(self.ratio_bound.rho)} "
-                        f"fails at n={n}")
-            if self.alternating and nxt * previous >= 0:
-                raise CatalogError(f"{self.entry_id}: terms do not alternate at n={n}")
-            if self.monotone_certified and abs(nxt) > abs(previous):
-                raise CatalogError(f"{self.entry_id}: magnitudes not decreasing at n={n}")
-            if self.remainder_nonneg and previous < 0:
-                raise CatalogError(f"{self.entry_id}: negative term at n={n}")
-            previous = nxt
+        rate_from = self.ratio_bound.valid_from if self.ratio_bound else self.leibniz_from
+        try:
+            previous = self.term(n0)
+            for n in range(n0, n0 + check_span):
+                nxt = self.term(n + 1)
+                if rate_from is not None and n >= rate_from \
+                        and abs(nxt) > self.rho * abs(previous):
+                    raise CatalogError(f"{self.entry_id}: rate {self.rho} fails at n={n}")
+                if self.alternating and nxt * previous >= 0:
+                    raise CatalogError(f"{self.entry_id}: terms do not alternate at n={n}")
+                if self.remainder_nonneg and previous < 0:
+                    raise CatalogError(f"{self.entry_id}: negative term at n={n}")
+                previous = nxt
+        except TermError as exc:
+            raise CatalogError(f"{self.entry_id}: {exc}") from None
 
     # -- tail bounds --------------------------------------------------------
-
-    def _leibniz_ok(self, last: int) -> bool:
-        # Magnitude decrease beyond the scanned prefix needs a certificate
-        # that covers every index after ``last``.
-        if not self.alternating:
-            return False
-        return self.monotone_certified or (
-            self.ratio_certified and last + 1 >= self.ratio_bound.valid_from)
 
     def enclosure_after(self, partial: Fraction, last: int) -> Optional[Enclosure]:
         """An enclosure of the limit from the partial sum through index ``last``.
@@ -159,7 +191,7 @@ class FormulaEntry:
         terms, so the width does not depend on ``partial``.
         """
         lows, highs = [], []
-        if self._leibniz_ok(last):
+        if self.leibniz_from is not None and last + 1 >= self.leibniz_from:
             nxt = self.term(last + 1)
             lo, hi = sorted((partial, partial + nxt))
             lows.append(lo)
@@ -211,22 +243,11 @@ class EvaluationReport:
 
 def evaluate(entry: FormulaEntry, n_terms: int, digits: Optional[int] = None,
              rounding: str = ROUND_TRUNCATE) -> EvaluationReport:
-    """Sum ``n_terms`` exact terms and certify digits from the tail bound.
-
-    When the entry's geometric ratio is not certified for all n, the bound
-    is re-verified exactly out to four times the used range before being
-    trusted (entries are registered with a 64-term scan regardless).
-    """
+    """Sum ``n_terms`` exact terms and certify digits from the tail bound."""
     if n_terms < 1:
         raise CatalogError("n_terms must be >= 1")
-    n0 = entry.n0
-    last = n0 + n_terms - 1
-    partial = entry.offset
-    for n in range(n0, last + 1):
-        partial += entry.term(n)
-    if entry.ratio_bound and not entry.ratio_certified:
-        _rescan_ratio(entry, n0 + 4 * n_terms)
-    enclosure = entry.enclosure_after(partial, last)
+    last = entry.n0 + n_terms - 1
+    enclosure = entry.enclosure_after(entry.offset + entry.terms.partial_sum(last), last)
     if enclosure is None:
         return EvaluationReport(entry.entry_id, entry.constant, n_terms, None, None, 0,
                                 entry.ratio_bound)
@@ -236,26 +257,13 @@ def evaluate(entry: FormulaEntry, n_terms: int, digits: Optional[int] = None,
                             rendering, rendering.digits_proven, entry.ratio_bound)
 
 
-def _rescan_ratio(entry: FormulaEntry, upto: int):
-    bound = entry.ratio_bound
-    previous = entry.term(bound.valid_from)
-    for n in range(bound.valid_from, upto):
-        nxt = entry.term(n + 1)
-        if abs(nxt) > bound.rho * abs(previous):
-            raise CatalogError(f"{entry.entry_id}: ratio bound fails at n={n}")
-        previous = nxt
-
-
 def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCATE,
                  n_cap: int = 100000) -> int:
     """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
-    Only meaningful (and only allowed) for entries carrying a geometric
-    ratio bound.  One exact forward pass: the enclosure width after N terms
-    does not depend on the partial sum, so the sum is formed only at the
-    first N whose width is at most 10^-digits and then grows by one term
-    per further N.  The rendering check, and for an uncertified ratio bound
-    the exact rescan of ``evaluate``, run only at such N.
+    Only allowed for entries with a geometric ratio bound.  One forward
+    pass: the enclosure width does not depend on the partial sum, so the sum
+    is read, and the rendering checked, only where it is <= 10^-digits.
     """
     if entry.ratio_bound is None:
         raise CatalogError(f"{entry.entry_id}: no geometric bound")
@@ -263,17 +271,12 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
         return 1
     target = Fraction(1, 10 ** digits)
     n0 = entry.n0
-    partial, summed = entry.offset, n0  # partial holds the terms before index summed
     for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
         last = n0 + n - 1
         relative = entry.enclosure_after(Fraction(0), last)
         if relative is None or relative.width > target:
             continue
-        for k in range(summed, last + 1):
-            partial += entry.term(k)
-        summed = last + 1
-        if not entry.ratio_certified:
-            _rescan_ratio(entry, n0 + 4 * n)
+        partial = entry.offset + entry.terms.partial_sum(last)
         if to_decimal(entry.enclosure_after(partial, last), digits,
                       rounding).digits_proven >= digits:
             return n
@@ -284,28 +287,11 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
 # Entry builders
 # ---------------------------------------------------------------------------
 
-def _geometric_entry(entry_id: str, constant: str, description: str, first: Fraction,
-                     ratio: RationalFunction, n0: int, rho: Fraction,
-                     alternating: bool = True, **kwargs) -> FormulaEntry:
-    """An entry described by n0, its first term and its signed term ratio.
-
-    The ratio bound holds for every n >= valid_from, the first index from
-    which ``bounded_by`` certifies the magnitude ratio (-p/q when the terms
-    alternate, p/q otherwise) against rho.  Without such a certificate
-    there is no entry.
-    """
-    magnitude = RationalFunction(poly_scale(ratio.num, -1), ratio.den) if alternating else ratio
-    valid_from = magnitude.bounded_from(rho, n0)
-    if valid_from is None:
-        rate = format_rational(rho)
-        if leading_coefficient(magnitude.margin(rho)) < 0:
-            raise CatalogError(f"{entry_id}: no rho = {rate} certificate exists: "
-                               f"|term(n+1)/term(n)| > {rate} for all large n")
-        raise CatalogError(f"{entry_id}: no rho = {rate} certificate found")
-    return FormulaEntry(
-        entry_id, constant, description, TermSequence.from_ratio(first, ratio, n0, entry_id),
-        ratio_bound=RatioBound(rho, valid_from), asymptotic_ratio=rho,
-        alternating=alternating, ratio_certified=True, **kwargs)
+def _entry(entry_id: str, constant: str, description: str, first, ratio: RationalFunction,
+           n0: int = 0, base=None, **kwargs) -> FormulaEntry:
+    """The entry described by n0, its first term and its signed term ratio."""
+    return FormulaEntry(entry_id, constant, description,
+                        TermSequence.from_ratio(first, ratio, n0, base=base), **kwargs)
 
 
 def entry_apery() -> FormulaEntry:
@@ -315,10 +301,10 @@ def entry_apery() -> FormulaEntry:
     """
     ratio = RationalFunction(poly(0, 0, 0, -1),
                              poly_mul(poly_pow(poly(1, 1), 2), poly(2, 4)))
-    return _geometric_entry(
+    return _entry(
         "apery", "zeta3",
         "alternating central-binomial series for zeta(3), geometric rate 1/4",
-        Fraction(5, 4), ratio, 1, Fraction(1, 4),
+        Fraction(5, 4), ratio, 1, rho=Fraction(1, 4),
         provenance="Markov (1890); popularized by Apery (1978)")
 
 
@@ -336,10 +322,10 @@ def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
     num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -1), 1))
     den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
                             poly_pow(poly(1 + a, 1), 4)), p_a)
-    return _geometric_entry(
+    return _entry(
         "markov-hurwitz", "zeta3" if a == 1 else f"hurwitz3({format_rational(a)})",
         f"rate-1/4 alternating series for sum 1/({format_rational(a)}+n)^3",
-        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0, Fraction(1, 4),
+        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0, rho=Fraction(1, 4),
         provenance="Markov (1890)")
 
 
@@ -353,10 +339,10 @@ def entry_ratio27_zeta3() -> FormulaEntry:
     num = poly_mul(poly_mul(poly_shift(p, 1), poly_pow(poly(-1, 2), 2)), poly(0, 0, 0, -1))
     den = poly_mul(poly_mul(p, poly_pow(poly(1, 2), 2)),
                    poly_mul(poly_mul(poly(1, 3), poly(2, 3)), poly(3, 3)))
-    return _geometric_entry(
+    return _entry(
         "ratio27-zeta3", "zeta3",
         "rate-1/27 alternating series for zeta(3)",
-        Fraction(29, 24), RationalFunction(num, den), 1, Fraction(1, 27),
+        Fraction(29, 24), RationalFunction(num, den), 1, rho=Fraction(1, 27),
         provenance="Markov (1889/1890); rederived via telescoping certificates "
                    "by Amdeberhan (1996)")
 
@@ -370,10 +356,10 @@ def entry_az_zeta3() -> FormulaEntry:
     p = poly(77, 250, 205)
     num = poly_mul(poly_pow(poly(1, 1), 10), poly_shift(poly_scale(p, -1), 1))
     den = poly_mul(poly_mul(p, poly_pow(poly(2, 2), 5)), poly_pow(poly(3, 2), 5))
-    return _geometric_entry(
+    return _entry(
         "az-zeta3", "zeta3",
         "rate-2^-10 alternating series for zeta(3)",
-        Fraction(77, 64), RationalFunction(num, den), 0, Fraction(1, 1024),
+        Fraction(77, 64), RationalFunction(num, den), 0, rho=Fraction(1, 1024),
         provenance="Amdeberhan-Zeilberger (1997)")
 
 
@@ -387,10 +373,10 @@ def entry_zeta2_27() -> FormulaEntry:
     den = poly_mul(poly_mul(poly_mul(poly(5, 6), poly(3, 24, 56)),
                             poly_pow(poly(1, 1), 2)),
                    poly_mul(poly(7, 6), poly(9, 6)))
-    return _geometric_entry(
+    return _entry(
         "zeta2-27", "zeta2",
         "rate-1/27 alternating series for zeta(2), constant offset 5/3",
-        Fraction(-83, 3780), RationalFunction(num, den), 1, Fraction(1, 27),
+        Fraction(-83, 3780), RationalFunction(num, den), 1, rho=Fraction(1, 27),
         offset=Fraction(5, 3), provenance="Markov (1889)")
 
 
@@ -403,11 +389,11 @@ def entry_schellbach_zeta2() -> FormulaEntry:
 
     The first term and the term ratio are Schellbach's, at (1, 1, 2, 2).
     """
-    return _geometric_entry(
+    return _entry(
         "schellbach-zeta2", "zeta2",
         "transformed 3F2(1,1,1;2,2) series for zeta(2), geometric rate 1/4",
         schellbach_term(ZETA2_SCHELLBACH, 0), ratio_function(ZETA2_SCHELLBACH), 0,
-        Fraction(1, 4), alternating=False, remainder_nonneg=True,
+        rho=Fraction(1, 4),
         provenance="Schellbach (1864); limit case of the q-series transformation")
 
 
@@ -456,52 +442,40 @@ CLOSED_FORMS: dict[str, Callable[[int], Fraction]] = {
 }
 
 
+def _power_ratio(k: int, shift, sign: int = 1) -> RationalFunction:
+    """sign (n+shift)^k / (n+shift+1)^k."""
+    return RationalFunction(poly_scale(poly_pow(poly(shift, 1), k), sign),
+                            poly_pow(poly(shift + 1, 1), k))
+
+
 def entry_direct(kind: str, a=None) -> FormulaEntry:
     """Unaccelerated reference series with integral or alternating bounds.
 
-    kinds: zeta2, zeta3 (integral-comparison tails), eta2, eta3
-    (alternating, remainder below first omitted term), hurwitz3 (needs
-    a > 0; integral-comparison tail).
+    kinds: zeta2, zeta3 (term(1) = 1, ratio n^k/(n+1)^k, integral tails),
+    eta2, eta3 (term(1) = 1, ratio -n^k/(n+1)^k, rate 1: the alternating
+    bracket), hurwitz3 (a > 0, term(0) = a^-3, ratio (a+n)^3/(a+n+1)^3).
     """
-    if kind == "zeta3":
-        return FormulaEntry(
-            "zeta3-direct", "zeta3", "direct sum of n^-3, tail <= 1/(2N^2)",
-            TermSequence.from_term(lambda n: Fraction(1, n ** 3), n0=1, label="zeta3-direct"),
-            remainder_nonneg=True,
-            tail_extra=lambda last: Fraction(1, 2 * last * last),
-            provenance="definition")
-    if kind == "zeta2":
-        return FormulaEntry(
-            "zeta2-direct", "zeta2", "direct sum of n^-2, tail <= 1/N",
-            TermSequence.from_term(lambda n: Fraction(1, n * n), n0=1, label="zeta2-direct"),
-            remainder_nonneg=True,
-            tail_extra=lambda last: Fraction(1, last),
-            provenance="definition")
+    if kind in ("zeta2", "zeta3"):
+        k = int(kind[-1])
+        bound = "1/N" if k == 2 else "1/(2N^2)"
+        return _entry(f"{kind}-direct", kind, f"direct sum of n^-{k}, tail <= {bound}",
+                      1, _power_ratio(k, 0), 1,
+                      tail_extra=lambda last: Fraction(1, (k - 1) * last ** (k - 1)),
+                      provenance="definition")
     if kind in ("eta2", "eta3"):
-        k = 2 if kind == "eta2" else 3
-        # |t(n+1)|/|t(n)| = n^k/(n+1)^k <= 1 for all n >= 1, certified
-        magnitude_ratio = RationalFunction(poly_pow(poly(0, 1), k),
-                                           poly_pow(poly(1, 1), k))
-        assert magnitude_ratio.bounded_by(Fraction(1), 1) is not None
-        return FormulaEntry(
-            f"{kind}-direct", kind,
-            f"alternating sum of (-1)^(n-1) n^-{k}",
-            TermSequence.from_term(lambda n, k=k: Fraction((-1) ** (n - 1), n ** k),
-                                   n0=1, label=f"{kind}-direct"),
-            alternating=True, monotone_certified=True,
-            provenance="definition")
+        k = int(kind[-1])
+        return _entry(f"{kind}-direct", kind, f"alternating sum of (-1)^(n-1) n^-{k}",
+                      1, _power_ratio(k, 0, -1), 1, rho=Fraction(1),
+                      provenance="definition")
     if kind == "hurwitz3":
         a = Fraction(a if a is not None else 1)
         if a <= 0:
             raise CatalogError("hurwitz3 needs a > 0")
-        return FormulaEntry(
-            "hurwitz3-direct", f"hurwitz3({format_rational(a)})",
-            f"direct sum of ({format_rational(a)}+n)^-3",
-            TermSequence.from_term(lambda n, a=a: 1 / (a + n) ** 3, n0=0,
-                                   label="hurwitz3-direct"),
-            remainder_nonneg=True,
-            tail_extra=lambda last, a=a: 1 / (2 * (a + last) ** 2),
-            provenance="definition")
+        return _entry("hurwitz3-direct", f"hurwitz3({format_rational(a)})",
+                      f"direct sum of ({format_rational(a)}+n)^-3",
+                      1 / a ** 3, _power_ratio(3, a), 0,
+                      tail_extra=lambda last: 1 / (2 * (a + last) ** 2),
+                      provenance="definition")
     raise CatalogError(f"unknown direct series kind {kind!r}")
 
 
@@ -514,38 +488,30 @@ def _sqrt_lower(n: int, bits: int = 64) -> Fraction:
 def entry_kummer() -> FormulaEntry:
     """The slow three-halves-power series 4F3(9/2,9/2,9/2,1; 5,5,5).
 
-    Terms ((9/2)_n/(5)_n)^3 decay only like n^(-3/2): no geometric ratio
-    exists (the term ratio tends to 1), so the entry is flagged slow and
-    certifies digits through an integral-comparison bound instead.  The
-    double-factorial rewriting sometimes quoted for this sum, namely
-    sum ((2n+1)!!/(2n)!!)^3, has growing summands and is recorded here
-    without being evaluated.
+    term(0) = 1, term(n+1)/term(n) = (2n+9)^3/(2n+10)^3.  The terms decay
+    only like n^(-3/2) (the ratio tends to 1), so the entry is flagged slow
+    and certifies digits through an integral-comparison bound.  The
+    double-factorial form sometimes quoted, sum ((2n+1)!!/(2n)!!)^3, has
+    growing summands and is recorded here without being evaluated.
     """
-    spec = HGSpec(upper=(Fraction(9, 2), Fraction(9, 2), Fraction(9, 2), Fraction(1)),
-                  lower=(Fraction(5), Fraction(5), Fraction(5)))
-    seq = term_sequence(spec)
-
     # u_n = (9/2)_n/(5)_n satisfies u_n^2 (n + 9/2) nonincreasing, since
-    # (n+9/2)^2 (n+11/2) <= (n+5)^2 (n+9/2) reduces to n/4 + 9/8 >= 0;
+    # (2n+9)^2 (2n+11) <= (2n+10)^2 (2n+9) for all n >= 0 (certified below);
     # hence term(n) <= ((9/2)/(n+9/2))^(3/2) and
     # tail(N) <= 2 (9/2)^(3/2)/sqrt(N+9/2) = 27/sqrt(2N+9).
-    shift = Fraction(9, 2)
-    u_sq = Fraction(1)
-    for n in range(64):
-        ratio = ((n + shift) / (n + 5)) ** 2
-        assert u_sq * (n + shift) >= u_sq * ratio * (n + 1 + shift)
-        u_sq *= ratio
+    decay = RationalFunction(poly_mul(poly_pow(poly(9, 2), 2), poly(11, 2)),
+                             poly_mul(poly_pow(poly(10, 2), 2), poly(9, 2)))
+    if decay.bounded_by(1, 0) is None:
+        raise CatalogError("kummer: u_n^2 (n + 9/2) is not certified nonincreasing")
 
     def tail(last: int) -> Fraction:
         return 27 / _sqrt_lower(2 * last + 9)
 
-    return FormulaEntry(
+    return _entry(
         "kummer", "kummer-4f3",
         "slow 4F3(9/2,9/2,9/2,1;5,5,5); terms decay like n^(-3/2)",
-        TermSequence(seq.term, seq.ratio, 0, "kummer"),
-        remainder_nonneg=True, tail_extra=tail, slow=True,
-        provenance="Kummer's summand family",
-        notes="double-factorial form sum((2n+1)!!/(2n)!!)^3 recorded, not evaluated")
+        1, RationalFunction(poly_pow(poly(9, 2), 3), poly_pow(poly(10, 2), 3)), 0,
+        tail_extra=tail, slow=True,
+        provenance="Kummer's summand family")
 
 
 # -- parameterized q-series entries (both sides of the transformation) ------
@@ -553,56 +519,71 @@ def entry_kummer() -> FormulaEntry:
 def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
     """The source series sum_z (a,b;q)_z/(c,d;q)_z t^z with a certified tail.
 
-    Certification requires the ordered-positive regime
-    0 < c <= a < 1, 0 < d <= b < 1, 0 < q < 1 (then every term is positive
-    and term ratios increase toward t, so rho = t is valid for all z).
+    term(0) = 1 and term(z+1)/term(z) = t (1-ay)(1-by) / ((1-cy)(1-dy)) with
+    y = q^z.  Any 0 < q < 1 (and |t| < 1) is accepted for which the sign of
+    the ratio and the rate |t| are certified on y in (0, 1]; the ordered
+    regime 0 < c <= a < 1, 0 < d <= b < 1 is one such case.
     """
     engine = ThreePhiTwo(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    if not (0 < c <= a < 1 and 0 < d <= b < 1 and 0 < q < 1):
-        raise CatalogError("certified source-series bound needs 0 < c <= a < 1, "
-                           "0 < d <= b < 1, 0 < q < 1")
+    if not 0 < q < 1:
+        raise CatalogError("certified source-series bound needs 0 < q < 1")
+    ratio = RationalFunction(poly_scale(poly_mul(poly(1, -a), poly(1, -b)), t),
+                             poly_mul(poly(1, -c), poly(1, -d)))
     label = ",".join(format_rational(v) for v in engine.params)
-    return FormulaEntry(
+    return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
         "source q-series of the transformation, geometric rate t",
-        TermSequence.from_term(engine.series_term, n0=0, label="qsh"),
-        ratio_bound=RatioBound(t, 0), asymptotic_ratio=t,
-        remainder_nonneg=True, ratio_certified=True,
-        provenance="q-series 3phi2(a,b,1;c,d)")
+        1, ratio, 0, base=q, rho=abs(t), provenance="q-series 3phi2(a,b,1;c,d)")
+
+
+def _contraction(a, b, c, d, q, t) -> Fraction:
+    """K with term(x+1)/term(x) <= K q^(2x) on the transformed series."""
+    return (c * d / q) * (1 + t * (c + d)) / (
+        (1 - c) * (1 - d) * (1 - t * (a + b + q)) * (1 - t) ** 2)
 
 
 def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
     """The transformed series sum_x V_{x,0}, decaying like q^(2x) per step.
 
-    Certification conditions: 0 < max(c,d) <= min(a,b), all of a, b, c, d
-    below 1, 0 < q < 1, c, d, t < 1 - q and t(a+b+q) < 1.  Then every term
-    is positive and term(x+1)/term(x) <= K q^(2x) with the explicit
-    constant K below, giving a one-term-plus-geometric tail bound.
+    With y = q^x and g(y) = 1 - t(a+b+q) y^2 + t(c+d) y^3,
+    term(0) = g(1) / ((1-t)(1-tq)) and term(x+1)/term(x) = y^2 h(y) with
+    h(y) = cd (1-(c/a)y)(1-(c/b)y)(1-(d/a)y)(1-(d/b)y) g(qy)
+           / (q (1-cy)(1-dy)(1-tq^2 y^2)(1-tq^3 y^2) g(y)).
+    The conditions below make K finite and positive; h <= K on (0, 1] is
+    certified, which gives a one-term-plus-geometric tail.
     """
     engine = ThreePhiTwo(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    if not (0 < max(c, d) <= min(a, b) and max(a, b) < 1 and 0 < q < 1):
-        raise CatalogError("certified transformed-series bound needs "
-                           "0 < max(c,d) <= min(a,b) and a, b < 1 and 0 < q < 1")
-    if not (c < 1 - q and d < 1 - q and t < 1 - q and t * (a + b + q) < 1):
-        raise CatalogError("certified transformed-series bound needs "
-                           "c, d, t < 1-q and t(a+b+q) < 1")
-    big_k = (c * d / q) * (1 + t * (c + d)) / (
-        (1 - c) * (1 - d) * (1 - t * (a + b + q)) * (1 - t) ** 2)
+    if not (0 < max(c, d) <= min(a, b) and max(a, b) < 1 and 0 < q < 1
+            and max(c, d, t) < 1 - q and t * (a + b + q) < 1):
+        raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
+                           "min(a,b), a, b < 1, 0 < q < 1, c, d, t < 1-q and t(a+b+q) < 1")
+    g = poly(1, 0, -t * (a + b + q), t * (c + d))
+    h_num = [c * d * coeff * q ** i for i, coeff in enumerate(g)]  # cd g(qy)
+    for ratio in (c / a, c / b, d / a, d / b):
+        h_num = poly_mul(h_num, poly(1, -ratio))
+    h_den = poly_mul(poly_mul(poly_scale(poly(1, -c), q), poly(1, -d)),
+                     poly_mul(poly_mul(poly(1, 0, -t * q ** 2), poly(1, 0, -t * q ** 3)), g))
+    big_k = _contraction(a, b, c, d, q, t)
+    if not unit_interval_nonneg(RationalFunction(h_num, h_den).margin(big_k)):
+        raise CatalogError(f"transformed series: term(x+1)/term(x) <= "
+                           f"{format_rational(big_k)} q^(2x) is not certified")
+    terms = TermSequence.from_ratio(
+        poly_eval(g, 1) / ((1 - t) * (1 - t * q)),
+        RationalFunction(poly_mul(poly(0, 0, 1), h_num), h_den), base=q)
 
     def tail(last: int) -> Optional[Fraction]:
         contraction = big_k * q ** (2 * (last + 1))
         if contraction >= 1:
             return None
-        return abs(engine.v0(last + 1)) / (1 - contraction)
+        return abs(terms.term(last + 1)) / (1 - contraction)
 
     label = ",".join(format_rational(v) for v in engine.params)
     return FormulaEntry(
         f"transformed-3phi2({label})", f"3phi2({label})",
         "transformed series of the q-series transformation, q^(2x)-type decay",
-        TermSequence.from_term(engine.v0, n0=0, label="v0"),
-        remainder_nonneg=True, tail_extra=tail,
+        terms, tail_extra=tail,
         provenance="telescoped column sums of the 3phi2 extension")
 
 

@@ -17,9 +17,9 @@ Pochhammer prefixes are memoized as running products keyed by the
 parameter (and base), so evaluating thousands of consecutive terms stays
 linear.  A cache is only extended under a module lock, and a stored value
 never changes afterwards, so lookups need no lock and concurrent callers
-always get exact values.  A series given by its first term and a rational
-term ratio (``TermSequence.from_ratio``) memoizes its own terms the same
-way, under a lock of its own.
+always get exact values.  A ``RatioSequence`` (first term and a term ratio
+rational in n or in y = q^n) memoizes its terms the same way and keeps its
+furthest prefix sum, both under a lock of its own.
 """
 
 from __future__ import annotations
@@ -217,53 +217,69 @@ class TermSequence:
     label: str = ""
 
     @staticmethod
-    def from_term(term: Callable[[int], Fraction], n0: int = 0,
-                  label: str = "") -> "TermSequence":
-        """Build with the generic ratio term(n+1)/term(n)."""
-        def ratio(n: int) -> Fraction:
-            t = term(n)
-            if t == 0:
-                raise TermError(f"ratio undefined at n={n}: term is zero")
-            return term(n + 1) / t
-        return TermSequence(term, ratio, n0, label)
-
-    @staticmethod
-    def from_ratio(first, ratio: RationalFunction, n0: int = 0,
-                   label: str = "") -> "TermSequence":
-        """Build from term(n0) and the signed term ratio term(n+1)/term(n).
-
-        Each term is computed once, from its predecessor, with the ratio's
-        polynomials scaled to integer coefficients; the terms are memoized
-        in this sequence, extended under its own lock and never rewritten.
-        ``ratio`` stays the sequence's ratio evaluator.
-        """
-        num, den = ratio.integer_coefficients()
-        values = [Fraction(first)]
-        lock = threading.Lock()
-
-        def step(n: int) -> Fraction:
-            d = _eval_int(den, n)
-            if d == 0:
-                raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
-            return Fraction(_eval_int(num, n), d)
-
-        def term(n: int) -> Fraction:
-            k = n - n0
-            if k < 0:
-                raise ValueError(f"n must be >= {n0}")
-            if k >= len(values):
-                with lock:
-                    while len(values) <= k:
-                        values.append(values[-1] * step(n0 + len(values) - 1))
-            return values[k]
-
-        return TermSequence(term, ratio, n0, label)
+    def from_ratio(first, ratio: RationalFunction, n0: int = 0, *, base=None) -> "RatioSequence":
+        """The series with term(n0) = ``first`` and term ratio ``ratio`` (see RatioSequence)."""
+        return RatioSequence(first, ratio, n0, base=base)
 
 
-def _eval_int(coeffs: Sequence[int], n: int) -> int:
-    v = 0
+class RatioSequence:
+    """A series described by its first term and its signed term ratio.
+
+    term(n+1) = term(n) * ratio(n), or term(n) * ratio(base^n) for a
+    q-series, whose ratio is rational in y = q^n; the ratio's polynomials
+    are scaled to integers and evaluated at the integer numerator and
+    denominator of n or base^n.  The terms, and the furthest prefix sum as
+    one (index, value) pair, only ever grow; a shorter sum starts at n0.
+    """
+
+    def __init__(self, first, ratio: RationalFunction, n0: int = 0, *, base=None):
+        self.ratio = ratio
+        self.n0 = n0
+        self.base = None if base is None else Fraction(base)
+        coeffs = ratio.integer_coefficients()
+        width = max(map(len, coeffs))  # one degree for both: base^(n degree) cancels
+        self._num, self._den = (c + [0] * (width - len(c)) for c in coeffs)
+        self._values = [Fraction(first)]
+        self._sum = (n0, self._values[0])
+        self._lock = threading.Lock()
+
+    def _step(self, n: int) -> Fraction:
+        base = self.base
+        y, w = (n, 1) if base is None else (base.numerator ** n, base.denominator ** n)
+        d = _eval_int(self._den, y, w)
+        if d == 0:
+            raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
+        return Fraction(_eval_int(self._num, y, w), d)
+
+    def term(self, n: int) -> Fraction:
+        k = n - self.n0
+        if k < 0:
+            raise ValueError(f"n must be >= {self.n0}")
+        values = self._values
+        if k >= len(values):
+            with self._lock:
+                while len(values) <= k:
+                    values.append(values[-1] * self._step(self.n0 + len(values) - 1))
+        return values[k]
+
+    def partial_sum(self, last: int) -> Fraction:
+        """term(n0) + ... + term(last)."""
+        self.term(last)
+        with self._lock:
+            index, value = self._sum
+            if index <= last:
+                value = sum(self._values[index - self.n0 + 1:last - self.n0 + 1], value)
+                self._sum = (last, value)
+                return value
+        return sum(self._values[:last - self.n0 + 1], Fraction(0))
+
+
+def _eval_int(coeffs: Sequence[int], y: int, w: int) -> int:
+    """w^(len(coeffs)-1) p(y/w), for the integer coefficients of p."""
+    v, w_power = 0, 1
     for c in reversed(coeffs):
-        v = v * n + c
+        v = v * y + c * w_power
+        w_power *= w
     return v
 
 

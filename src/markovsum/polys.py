@@ -4,7 +4,8 @@ Coefficient lists are ordered low degree first.  This backs two needs:
 
 * certifying that a rational function of the summation index stays below a
   geometric ratio for *all* indices past some point (tail-bound rigor in
-  the series catalog), via a shift-and-inspect positivity certificate;
+  the series catalog), via a shift-and-inspect positivity certificate, and
+  the same for a rational function of y = q^n on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver.
 """
 
@@ -113,6 +114,18 @@ def nonneg_from(p: Sequence[Fraction], n0: int, max_shift: int = 256) -> Optiona
     return start
 
 
+def unit_interval_nonneg(p: Sequence[Fraction]) -> bool:
+    """Certify p(y) >= 0 for every y in (0, 1].
+
+    y = 1/(1+s) maps s >= 0 onto (0, 1], and (1+s)^deg p(1/(1+s)) =
+    sum_i p_i (1+s)^(deg-i) has the sign of p(y): all its coefficients in s
+    must be nonnegative.
+    """
+    degree = len(p) - 1
+    return all(sum(c * comb(degree - i, j) for i, c in enumerate(p[:degree - j + 1])) >= 0
+               for j in range(degree + 1))
+
+
 class RationalFunction:
     """Quotient of two exact polynomials in one integer variable."""
 
@@ -142,17 +155,6 @@ class RationalFunction:
     def margin(self, rho) -> Poly:
         """rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""
         return poly_add(poly_scale(self.den, Fraction(rho)), poly_scale(self.num, -1))
-
-    def bounded_from(self, rho, n0: int, max_shift: int = 256) -> Optional[int]:
-        """The first index v >= n0 from which num/den <= rho is certified, or None.
-
-        v is where the margin's certificate (``nonneg_from``) starts, and
-        ``bounded_by(rho, v)`` must then hold as well.
-        """
-        start = nonneg_from(self.margin(rho), n0, max_shift)
-        if start is None or self.bounded_by(rho, start, max_shift) is None:
-            return None
-        return start
 
     def integer_coefficients(self) -> tuple[list[int], list[int]]:
         """num and den scaled by one positive integer to integer coefficients."""

@@ -25,7 +25,9 @@ from markovsum.catalog import (
     terms_needed,
 )
 from markovsum.exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, parse_decimal
-from markovsum.hgterm import TermSequence
+from markovsum.hgterm import HGSpec, TermSequence, hg_term
+from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
+from markovsum.polys import RationalFunction, poly
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -40,7 +42,7 @@ class TestAperyEntry:
 
     def test_certified(self):
         e = entry_apery()
-        assert e.ratio_certified
+        assert e.ratio_bound.valid_from == e.n0
         assert e.ratio_bound == RatioBound(Q(1, 4), 1)
 
     def test_one_term_enclosure_brackets_limit(self):
@@ -85,7 +87,8 @@ class TestRatio27Entry:
         assert report.digits_proven >= 20
 
     def test_certified(self):
-        assert entry_ratio27_zeta3().ratio_certified
+        e = entry_ratio27_zeta3()
+        assert e.ratio_bound.valid_from == e.n0
 
 
 class TestAZEntry:
@@ -189,9 +192,10 @@ class TestPhi32Entries:
         assert lhs.ratio_bound.rho == Q(30, 77)
 
     def test_conditions_enforced(self):
-        # t = 5/11 < 1 but c > a, outside the certified ordering regime
-        with pytest.raises(CatalogError):
-            entry_phi32_series(Q(1, 5), Q(1, 2), Q(1, 4), Q(1, 11), Q(1, 2))
+        # t = 19/25 < 1, but a + b < c + d: the term ratio exceeds t for all
+        # large z, so no rate-t certificate exists
+        with pytest.raises(CatalogError, match="certificate exists"):
+            entry_phi32_series(Q(1, 2), Q(1, 2), Q(19, 20), Q(1, 10), Q(1, 2))
 
 
 class TestEvaluate:
@@ -215,27 +219,28 @@ class TestEvaluate:
         assert report.enclosure.width <= geometric
 
     def test_vanishing_tail_gives_point_enclosure(self):
+        # term ratio 0: every term after the first vanishes
         entry = FormulaEntry(
-            "finite", "other", "terms vanish past n = 5",
-            TermSequence.from_term(lambda n: Q(1, 2 ** n) if n <= 5 else Q(0)),
-            ratio_bound=RatioBound(Q(1, 2), 0), remainder_nonneg=True)
+            "finite", "other", "one nonzero term",
+            TermSequence.from_ratio(Q(3, 2), RationalFunction(poly(0), poly(1))), rho=Q(1, 2))
+        assert entry.remainder_nonneg and entry.ratio_bound == RatioBound(Q(1, 2), 0)
         report = evaluate(entry, 10)
         assert report.enclosure.width == 0
-        assert report.enclosure.lower == sum(Q(1, 2 ** n) for n in range(6))
+        assert report.enclosure.lower == Q(3, 2)
 
     def test_registration_rejects_bad_ratio(self):
-        with pytest.raises(CatalogError, match="ratio bound"):
+        with pytest.raises(CatalogError, match="no rho = 1/3 certificate exists"):
             FormulaEntry(
                 "bogus", "zeta3", "ratio claimed too small",
-                TermSequence.from_term(lambda n: Q(1, 2) ** n),
-                ratio_bound=RatioBound(Q(1, 3), 0))
+                TermSequence.from_ratio(1, RationalFunction(poly(1), poly(2))), rho=Q(1, 3))
 
     def test_registration_rejects_wrong_alternation(self):
+        # term ratio (n - 3)/(n + 1) changes sign at n = 3
         with pytest.raises(CatalogError, match="alternate"):
             FormulaEntry(
-                "bogus", "zeta3", "not alternating",
-                TermSequence.from_term(lambda n: Q(1, 2) ** n),
-                alternating=True)
+                "bogus", "zeta3", "neither one sign nor alternating",
+                TermSequence.from_ratio(1, RationalFunction(poly(-3, 1), poly(1, 1))),
+                rho=Q(1, 2))
 
 
 class TestTermsNeeded:
@@ -350,7 +355,6 @@ class TestRecurrenceTerms:
     @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
     def test_ratio_certified_from_n0(self, entry_id):
         entry = get_entry(entry_id)
-        assert entry.ratio_certified
         assert entry.ratio_bound.valid_from == entry.n0
 
 
@@ -384,12 +388,128 @@ class TestSinglePassTermsNeeded:
             assert terms_needed(entry, digits, rounding) == \
                 quadratic_terms_needed(entry, digits, rounding), digits
 
-    def test_uncertified_ratio_bound_is_rescanned(self):
-        # the claimed rate 1/2 holds on the registration scan, fails at n = 100
-        entry = FormulaEntry(
-            "late-failure", "other", "ratio 1/2 until n = 100, then 3/4",
-            TermSequence.from_term(lambda n: Q(1, 2 ** n) if n <= 100
-                                   else Q(1, 2 ** 100) * Q(3, 4) ** (n - 100)),
-            ratio_bound=RatioBound(Q(1, 2), 0), remainder_nonneg=True)
-        with pytest.raises(CatalogError, match="ratio bound fails at n=100"):
-            terms_needed(entry, 10)
+    def test_unprovable_ratio_bound_is_refused(self):
+        # 1001/(2n+2) <= 1/2 only from n = 1000 on, past the certificate's reach
+        with pytest.raises(CatalogError, match="no rho = 1/2 certificate found"):
+            FormulaEntry(
+                "late-rate", "other", "ratio 1/2 only from n = 1000",
+                TermSequence.from_ratio(1, RationalFunction(poly(1001), poly(2, 2))),
+                rho=Q(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# One description per entry: the remaining eight entries and the derived fields
+# ---------------------------------------------------------------------------
+
+KUMMER_SPEC = HGSpec((Q(9, 2), Q(9, 2), Q(9, 2), Q(1)), (Q(5), Q(5), Q(5)))
+
+#: entry -> closed form of its terms, the oracle of its recurrence
+DIRECT_ORACLES = {
+    "zeta3-direct": lambda n: Q(1, n ** 3),
+    "zeta2-direct": lambda n: Q(1, n * n),
+    "eta2-direct": lambda n: Q((-1) ** (n - 1), n * n),
+    "eta3-direct": lambda n: Q((-1) ** (n - 1), n ** 3),
+    "hurwitz3-direct": lambda n: 1 / (1 + Q(n)) ** 3,
+    "kummer": lambda n: hg_term(KUMMER_SPEC, n),
+}
+
+#: (alternating, remainder_nonneg, Leibniz start, valid_from) as hand-set
+#: before these fields were derived from the term ratio
+HAND_SET = {
+    "apery": (True, False, 1, 1),
+    "az-zeta3": (True, False, 0, 0),
+    "eta2-direct": (True, False, 1, None),
+    "eta3-direct": (True, False, 1, None),
+    "hurwitz3-direct": (False, True, None, None),
+    "kummer": (False, True, None, None),
+    "markov-hurwitz": (True, False, 0, 0),
+    "ratio27-zeta3": (True, False, 1, 1),
+    "schellbach-zeta2": (False, True, None, 0),
+    "zeta2-27": (True, False, 1, 1),
+    "zeta2-direct": (False, True, None, None),
+    "zeta3-direct": (False, True, None, None),
+}
+Q_SOURCE_HAND_SET = (False, True, None, 0)
+Q_TRANSFORMED_HAND_SET = (False, True, None, None)
+
+
+def derived(entry):
+    valid_from = entry.ratio_bound.valid_from if entry.ratio_bound else None
+    return (entry.alternating, entry.remainder_nonneg, entry.leibniz_from, valid_from)
+
+
+class TestDescriptions:
+    @pytest.mark.parametrize("entry_id", sorted(DIRECT_ORACLES))
+    def test_terms_equal_oracle(self, entry_id):
+        entry = get_entry(entry_id)
+        oracle = DIRECT_ORACLES[entry_id]
+        assert all(entry.term(n) == oracle(n) for n in range(entry.n0, entry.n0 + 301))
+
+    @pytest.mark.parametrize("a", [Q(1, 2), Q(5, 7), Q(3), Q(11, 4)])
+    def test_hurwitz_direct_terms(self, a):
+        entry = entry_direct("hurwitz3", a)
+        assert all(entry.term(n) == 1 / (a + n) ** 3 for n in range(301))
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_q_sides_equal_closed_forms(self, params):
+        engine = ThreePhiTwo(*params)
+        source, transformed = entry_phi32_series(*params), entry_phi32_transformed(*params)
+        assert all(source.term(z) == engine.series_term(z) for z in range(61))
+        assert all(transformed.term(x) == engine.v0(x) for x in range(61))
+
+    def test_registry_fields_equal_hand_set_ones(self):
+        assert {entry_id: derived(get_entry(entry_id)) for entry_id in catalog.REGISTRY} \
+            == HAND_SET
+
+    def test_hurwitz_fields_equal_hand_set_ones(self):
+        for a in HURWITZ_VALUES:
+            if a not in HURWITZ_UNCERTIFIABLE:
+                start = 1 if a in (Q(2, 5), Q(5, 12)) else 0
+                assert derived(entry_markov_hurwitz(a)) == (True, False, start, start), a
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_q_fields_equal_hand_set_ones(self, params):
+        assert derived(entry_phi32_series(*params)) == Q_SOURCE_HAND_SET
+        assert derived(entry_phi32_transformed(*params)) == Q_TRANSFORMED_HAND_SET
+
+    def test_eta_rate_one_certifies_the_decrease(self):
+        entry = entry_direct("eta2")
+        assert entry.asymptotic_ratio == 1 and entry.ratio_bound is None
+        assert entry.leibniz_from == entry.n0
+
+    def test_source_outside_the_ordered_regime(self):
+        # c = 1/20 <= a but d = 7/10 > b = 1/2: refused before the rate-t
+        # certificate replaced the ordering conditions
+        params = (Q(3, 4), Q(1, 2), Q(1, 20), Q(7, 10), Q(9, 10))
+        entry = entry_phi32_series(*params)
+        assert entry.ratio_bound == RatioBound(ThreePhiTwo(*params).t, 0)
+        report = evaluate(entry, terms_needed(entry, 20), digits=20)
+        assert report.digits_proven == 20
+        pair = ThreePhiTwo(*params).pair()
+        assert report.enclosure.contains(sum(pair.v(x, 0) for x in range(60)))
+
+    def test_halved_contraction_is_refused(self, monkeypatch):
+        # small c, d and t: term(x+1)/(q^(2x) term(x)) tends to cd/q > K/2
+        params = (Q(1, 2), Q(1, 2), Q(1, 100), Q(1, 100), Q(1, 2))
+        entry_phi32_transformed(*params)
+        contraction = catalog._contraction
+        monkeypatch.setattr(catalog, "_contraction", lambda *args: contraction(*args) / 2)
+        with pytest.raises(CatalogError, match="is not certified"):
+            entry_phi32_transformed(*params)
+
+
+class TestPrefixSums:
+    def test_any_order_of_requests(self):
+        entry = entry_apery()
+        closed = catalog.CLOSED_FORMS["apery"]
+        for last in (5, 40, 12, 40, 41, 1, 90):
+            assert entry.terms.partial_sum(last) == sum(closed(n) for n in range(1, last + 1))
+
+    def test_evaluate_reads_the_sum_of_terms_needed(self):
+        entry = entry_az_zeta3()
+        n = terms_needed(entry, 40)
+        last, value = entry.terms._sum
+        assert last == entry.n0 + n - 1
+        report = evaluate(entry, n, digits=40)
+        assert entry.terms._sum == (last, value)
+        assert report.enclosure == evaluate(entry_az_zeta3(), n, digits=40).enclosure

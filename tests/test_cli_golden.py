@@ -57,6 +57,18 @@ GOLDEN = {
         "1c2a595c2204f0ad84ce3aee5bdbee59ca390e0ff96e3501c739eea2b84db58b",
     "compare zeta3 --digits 100":
         "7e80d2e72761f9bcbb8e9eb3ab9a3a704b0c4fbd65159f7ed1ffa8687988f5ad",
+    "compute zeta2-direct --digits 3":
+        "f078b8c918afd0f174eb14c89c824d2382947dd26884d5bfc3bd3f76ff4102f3",
+    "compute eta2-direct --digits 6":
+        "e10c5e4504b955c0608f368d33350da74e26ea9d81efa1f0870599f4c0995ccd",
+    "compute eta3-direct --digits 6":
+        "5dfe5fcc8355313ef9ca713746c25a3a50131497e520a36820b9bc43913e1b66",
+    "compute hurwitz3-direct --a 1/2 --digits 3 --max-terms 512":
+        "f8ede4776c6edd54432cb2eeab823d0b1e18bd96746a0175b74bb3c61ce2ce09",
+    "compare zeta2 --digits 10":
+        "0368bbdd35f43aeecbacbd35c3bf2d726e5cf0a50d366468ca5c644631969552",
+    "compute kummer --digits 1 --max-terms 300":
+        "22d66ba67a563d0289a93cc4118f46b69cee08cc9b7370157d9c3389b1e1282e",
 }
 
 

@@ -1,3 +1,6 @@
+import random
+from decimal import ROUND_05UP, ROUND_DOWN, Context, Decimal
+from decimal import ROUND_HALF_EVEN as DECIMAL_HALF_EVEN
 from fractions import Fraction as Q
 
 import pytest
@@ -146,6 +149,57 @@ class TestRenderingGuarantee:
                        enclosure.lower + width * Q(6, 7)]
             for x in samples:
                 assert abs(x - parsed) < ulp, (enclosure, digits, mode, x)
+
+
+def decimal_digits(x, k, rounding):
+    """(sign, integer part, k fraction digits) of x rounded by the stdlib decimal module.
+
+    x is first rounded with ROUND_05UP to at least k + 2 fraction digits,
+    which makes the second rounding, to k digits, exact in either mode.
+    """
+    integer_digits = len(str(abs(x.numerator) // x.denominator))
+    context = Context(prec=integer_digits + k + 4, rounding=ROUND_05UP)
+    coarse = context.divide(Decimal(x.numerator), Decimal(x.denominator))
+    mode = ROUND_DOWN if rounding == ROUND_TRUNCATE else DECIMAL_HALF_EVEN
+    rounded = coarse.quantize(Decimal(1).scaleb(-k), rounding=mode, context=context)
+    integer, _, fraction = format(rounded.copy_abs(), "f").partition(".")
+    return ("-" if rounded < 0 else "+"), integer, fraction
+
+
+def random_enclosure(rng, k):
+    scale = 10 ** rng.randint(0, 12)
+    lower = Q(rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, scale))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Enclosure.point(lower)
+    if kind == 1:  # a point on or next to a tie at k digits
+        tie = Q(rng.randint(-10 ** 6, 10 ** 6) * 2 + 1, 2 * 10 ** k)
+        return Enclosure.point(tie + rng.choice((-1, 0, 1)) * Q(1, 10 ** (k + 30)))
+    width = Q(rng.randint(0, 10 ** 4), scale * 10 ** rng.randint(0, 8))
+    return Enclosure(lower, lower + width)
+
+
+class TestRenderingAgainstDecimal:
+    def test_seeded_enclosures_in_both_modes(self):
+        rng = random.Random(20040505)
+        points = 0
+        for _ in range(400):
+            k = rng.randint(1, 30)
+            enclosure = random_enclosure(rng, k)
+            points += enclosure.width == 0
+            for rounding in (ROUND_TRUNCATE, ROUND_HALF_EVEN):
+                rendering = to_decimal(enclosure, k, rounding)
+                low = decimal_digits(enclosure.lower, k, rounding)
+                high = decimal_digits(enclosure.upper, k, rounding)
+                if low[:2] != high[:2]:
+                    assert (rendering.integer_part, rendering.digits_proven) == ("", 0)
+                    continue
+                proven = 0
+                while proven < k and low[2][proven] == high[2][proven]:
+                    proven += 1
+                assert (rendering.sign, rendering.integer_part, rendering.fraction_digits) \
+                    == (low[0], low[1], low[2][:proven]), (enclosure, k, rounding)
+        assert points >= 100
 
 
 class TestDigitsCapacity:

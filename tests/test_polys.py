@@ -14,7 +14,9 @@ from markovsum.polys import (
     poly_pow,
     poly_scale,
     poly_shift,
+    unit_interval_nonneg,
 )
+from markovsum.markov import SAMPLE_TUPLES
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
                  "zeta2-27", "schellbach-zeta2")
@@ -77,13 +79,42 @@ class TestNonnegFrom:
         assert nonneg_from(p, 6) == 6
         assert eventually_nonneg(p, 0) is None
 
-    def test_bounded_from(self):
+    def test_margin_nonneg_from(self):
         # (n + 3)/(4n + 4) <= 1/2 exactly for n >= 1
         ratio = RationalFunction(poly(3, 1), poly(4, 4))
         assert ratio.bounded_by(Q(1, 2), 0) is None
-        assert ratio.bounded_from(Q(1, 2), 0) == 1
-        assert ratio.bounded_from(Q(1, 5), 0) is None
+        assert nonneg_from(ratio.margin(Q(1, 2)), 0) == 1
+        assert nonneg_from(ratio.margin(Q(1, 5)), 0) is None
 
     def test_integer_coefficients(self):
         ratio = RationalFunction(poly(Q(1, 2), Q(1, 3)), poly(Q(5, 6)))
         assert ratio.integer_coefficients() == ([3, 2], [5])
+
+
+class TestUnitIntervalNonneg:
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_accepts_source_margin_in_the_ordered_regime(self, params):
+        # 0 < c <= a < 1, 0 < d <= b < 1: (1-cy)(1-dy) - (1-ay)(1-by) >= 0
+        a, b, c, d, _ = params
+        margin = poly_mul(poly(1, -c), poly(1, -d))
+        margin = [m - p for m, p in zip(margin, poly_mul(poly(1, -a), poly(1, -b)))]
+        assert unit_interval_nonneg(margin)
+
+    def test_rejects_a_dip_below_zero(self):
+        # (2y - 1)^2 - 1/100 < 0 at y = 1/2
+        p = poly_mul(poly(-1, 2), poly(-1, 2))
+        p[0] -= Q(1, 100)
+        assert poly_eval(p, Q(1, 2)) < 0
+        assert not unit_interval_nonneg(p)
+
+    def test_touching_zero_at_the_ends(self):
+        assert unit_interval_nonneg(poly(0, 1))  # y: zero only at the excluded end 0
+        assert unit_interval_nonneg(poly(1, -1))  # 1 - y: zero at y = 1
+        assert not unit_interval_nonneg(poly(-1, 1))  # y - 1 < 0 on (0, 1)
+
+    def test_grid_of_products(self):
+        # every (1 - u y) with u <= 1 is certified, and so is any product of them
+        for u in (Q(-3), Q(0), Q(1, 2), Q(1)):
+            for v in (Q(-1, 2), Q(1, 3), Q(1)):
+                assert unit_interval_nonneg(poly_mul(poly(1, -u), poly(1, -v)))
+        assert not unit_interval_nonneg(poly(1, Q(-11, 10)))
