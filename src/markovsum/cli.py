@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -46,6 +47,7 @@ EXIT_USAGE = 64
 EXIT_SINGULAR = 65
 
 _CANONICAL = ("1/3", "1/5", "1/7", "1/11", "1/2")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 class _UsageError(Exception):
@@ -53,7 +55,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 64."""
+    """argparse with usage errors mapped to exit code 64.
+
+    A negative rational such as -1/2 is read as an option's value, as
+    argparse already does for -1 and -0.5, so ``--a -1/2`` means ``--a=-1/2``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _UsageError(message)
@@ -273,13 +283,18 @@ def _cmd_compare(args, out: _Out) -> int:
 
 
 def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
+    """The certificate pair with V_{x,z} = (M_{x,z} + 1) F_{x,z} in column 0.
+
+    On the pair's scale A_x F_{x,z} the bump adds 1/A_x to V's reduced part.
+    """
     base = engine.pair()
 
     def v(x: int, z: int) -> Fraction:
-        bump = Fraction(1) if x == 0 else Fraction(0)
-        return (engine.m(x, z) + bump) * engine.f(x, z)
+        reduced = base.v.reduced(x, z)
+        return reduced + 1 / engine.A(x) if x == 0 else reduced
 
-    return MarkovPair(base.u, GridFunction(v, "V[fuzzed]"), provenance="fuzzed")
+    return MarkovPair(base.u, GridFunction(v, "V[fuzzed]", scale=base.v.scale),
+                      provenance="fuzzed")
 
 
 def _cmd_verify_pair(args, out: _Out) -> int:

@@ -12,6 +12,10 @@ reported as proven only when both bounds agree on it after rounding.  No
 floating point is used anywhere in this module; the logarithm helpers at
 the bottom work on integer bit lengths.
 
+Integers are converted to and from base 10 in pieces no longer than the
+interpreter's int/str digit limit (4300 digits by default), so a value of
+any size can be printed and read back without raising the limit.
+
 Every value here is immutable and every operation pure, so concurrent use
 needs no coordination.
 """
@@ -19,6 +23,7 @@ needs no coordination.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -37,23 +42,52 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d*))?$")
 
 
+def _max_str_digits() -> int:
+    """Digits that str() and int() convert at once; 0 when there is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _int_to_str(n: int) -> str:
+    """str(n), split into pieces within the interpreter's digit limit."""
+    limit = _max_str_digits()
+    # floor(bits * 0.302) + 1 bounds the number of decimal digits from above
+    if not limit or n.bit_length() * 302 // 1000 < limit:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    half = n.bit_length() * 301 // 2000
+    high, low = divmod(n, 10 ** half)
+    return _int_to_str(high) + _int_to_str(low).rjust(half, "0")
+
+
+def _str_to_int(text: str) -> int:
+    """int(text) for an optionally signed digit string of any length."""
+    limit = _max_str_digits()
+    if not limit or len(text) <= limit:
+        return int(text)
+    if text[0] == "-":
+        return -_str_to_int(text[1:])
+    half = len(text) // 2
+    return _str_to_int(text[:-half]) * 10 ** half + _str_to_int(text[-half:])
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'n/d' or a plain integer string (no decimals, no whitespace)."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    den = int(m.group(2)) if m.group(2) else 1
+    den = _str_to_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(_str_to_int(m.group(1)), den)
 
 
 def format_rational(x: RationalLike) -> str:
     """Serialize as 'n/d' in base 10 ('n' alone when the denominator is 1)."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -62,9 +96,9 @@ def parse_decimal(text: str) -> Fraction:
     if not m:
         raise ValueError(f"not a decimal literal: {text!r}")
     sign, intpart, frac = m.group(1), m.group(2), m.group(3) or ""
-    value = Fraction(int(intpart))
+    value = Fraction(_str_to_int(intpart))
     if frac:
-        value += Fraction(int(frac), 10 ** len(frac))
+        value += Fraction(_str_to_int(frac), 10 ** len(frac))
     return -value if sign == "-" else value
 
 
@@ -123,9 +157,9 @@ class DecimalRendering:
         """The rendered digits as an exact rational."""
         if not self.integer_part:
             raise ValueError("rendering proves no digits")
-        v = Fraction(int(self.integer_part))
+        v = Fraction(_str_to_int(self.integer_part))
         if self.fraction_digits:
-            v += Fraction(int(self.fraction_digits), 10 ** len(self.fraction_digits))
+            v += Fraction(_str_to_int(self.fraction_digits), 10 ** len(self.fraction_digits))
         return -v if self.sign == "-" else v
 
 
@@ -144,7 +178,7 @@ def _scale_round(x: Fraction, k: int, rounding: str) -> int:
 
 def _split_scaled(m: int, k: int) -> tuple[str, str, str]:
     sign = "-" if m < 0 else "+"
-    digits = str(abs(m)).rjust(k + 1, "0")
+    digits = _int_to_str(abs(m)).rjust(k + 1, "0")
     return sign, digits[: len(digits) - k], digits[len(digits) - k:]
 
 

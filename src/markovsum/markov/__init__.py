@@ -8,6 +8,7 @@ from .pairs import (
     MarkovPair,
     PairCheck,
     RectangleSums,
+    Scale,
     TransformSums,
     check_pair_condition,
     green_rectangle,
@@ -56,7 +57,7 @@ from .sampling import Lcg, sample_parameter_tuples
 __all__ = [
     "Certificate", "EvaluationError", "FailurePoint", "FAMILIES", "FORM_U1",
     "FORM_U2", "FORM_U3", "GridFunction", "Lcg", "MarkovPair", "MultiplierData",
-    "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "SchellbachParams",
+    "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "Scale", "SchellbachParams",
     "SolveResult", "SolverFamily", "ThreePhiTwo",
     "TransformSums", "Verdict", "check_pair_condition", "coefficient_residuals",
     "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",

@@ -10,15 +10,30 @@ recurrence operator side as P + Q X; matching the identity against the
 multiplier construction below forces the relative minus sign on P used
 here, and the built-in fixture only verifies under this convention.)
 
+The identity is checked on F's reduced form.  With F = S F~ for a scale S
+of shift ratios sx = S_{x+1,z}/S_{x,z} and sz = S_{x,z+1}/S_{x,z} (see
+:class:`~markovsum.markov.pairs.Scale`), the defect is S_{x,z} times
+
+    Q(x) F~_{x+1,z} sx - P(x) F~_{x,z} - R(x,z+1) F~_{x,z+1} sz + R(x,z) F~_{x,z}.
+
+For the 3phi2 extension F~ = 1 and S = F, whose ratios are small rational
+functions of q^x and q^z, so the bracket is Q rx - P - R(x,z+1) rz + R(x,z)
+on small operands; a black-box extension has S = 1 and F~ = F.  The
+bracket is multiplied by S_{x,z} only when it is nonzero, and the product
+is exactly the defect of the values, so a reported residual is the same
+number either way.
+
 Given such data, an undetermined factor per column turns the identity into
 a telescoping pair: with A_0 = 1,
 
     A_{x+1} = A_x Q(x)/P(x),     M_{x,z} = A_x R(x,z)/P(x),
     U_{x,z} = A_x F_{x,z},       V_{x,z} = M_{x,z} F_{x,z}.
 
-The recurrence for A is accumulated by :func:`column_multipliers` alone;
-the worked q-series engine uses the same loop for its own A_x, so a pair
-and its certificate are two views of one set of evaluators.
+The recurrence for A is accumulated by :class:`ColumnMultipliers` alone;
+the worked q-series engine uses the same class for its own A_x, so a pair
+and its certificate are two views of one set of evaluators.  The induced
+pair lives on the scale A_x S_{x,z}, whose x-ratio is (Q(x)/P(x)) sx, with
+reduced parts U~ = F~ and V~ = (R/P) F~.
 
 Certificates are consumed as black-box exact evaluators, not symbolic
 expressions; verification combines exhaustive small-grid checking with
@@ -28,12 +43,13 @@ supplied.  Certificate *discovery* is out of scope.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from ..exact import format_rational
-from .pairs import EvaluationError, GridFunction, MarkovPair
+from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale
 
 
 @dataclass(frozen=True)
@@ -47,13 +63,20 @@ class Certificate:
     label: str = ""
 
     def residual(self, x: int, z: int) -> Fraction:
-        """Defect of the certificate identity at one lattice point."""
+        """Defect of the certificate identity at one lattice point.
+
+        Formed on the reduced form of F and scaled by S_{x,z} only when
+        nonzero; the result is the defect of the values.
+        """
+        f, scale = self.extension.reduced, self.extension.scale
         try:
-            lhs = self.q(x) * self.extension(x + 1, z) - self.p(x) * self.extension(x, z)
-            rhs = self.r(x, z + 1) * self.extension(x, z + 1) - self.r(x, z) * self.extension(x, z)
+            res = self.q(x) * f(x + 1, z) * scale.sx(x, z) - self.p(x) * f(x, z) \
+                - self.r(x, z + 1) * f(x, z + 1) * scale.sz(x, z) + self.r(x, z) * f(x, z)
+            if res:
+                res *= scale.value(x, z)
         except ZeroDivisionError as exc:
             raise EvaluationError(f"certificate undefined at (x={x}, z={z}): {exc}", x, z) from exc
-        return lhs - rhs
+        return res
 
 
 @dataclass(frozen=True)
@@ -120,45 +143,67 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
     return Verdict(True, checks)
 
 
-def column_multipliers(p: Callable[[int], Fraction], q: Callable[[int], Fraction],
-                       x_cap: int = 512) -> Callable[[int], Fraction]:
-    """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x), as x -> A_x.
+class ColumnMultipliers:
+    """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x).
 
-    Values are accumulated once and memoized.  P(x) must not vanish on the
-    working range; ``x_cap`` bounds the range because the grid values grow
-    super-exponentially in representation size.
+    Calling it gives A_x; ``ratio(x)`` gives the step A_{x+1}/A_x.  Both
+    are memoized; the list of A values is extended under a lock.  P(x) must
+    not vanish on the working range; ``x_cap`` bounds the range because
+    the grid values grow super-exponentially in representation size.
     """
-    values = [Fraction(1)]
 
-    def a(x: int) -> Fraction:
-        if x > x_cap:
-            raise EvaluationError(f"x={x} beyond cap {x_cap}", x=x)
+    def __init__(self, p: Callable[[int], Fraction], q: Callable[[int], Fraction],
+                 x_cap: int = 512):
+        self._p, self._q, self.x_cap = p, q, x_cap
+        self._values = [ONE]
+        self._ratios: dict[int, Fraction] = {}  # a pure function of x: no lock needed
+        self._lock = threading.Lock()
+
+    def _check(self, x: int):
+        if x > self.x_cap:
+            raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
         if x < 0:
             raise ValueError("x must be >= 0")
-        while len(values) <= x:
-            k = len(values) - 1
-            pk = p(k)
-            if pk == 0:
-                raise EvaluationError(f"certificate singular at x={k}", x=k)
-            values.append(values[-1] * q(k) / pk)
-        return values[x]
 
-    return a
+    def ratio(self, x: int) -> Fraction:
+        """A_{x+1}/A_x = Q(x)/P(x)."""
+        cached = self._ratios.get(x)
+        if cached is None:
+            self._check(x + 1)
+            px = self._p(x)
+            if px == 0:
+                raise EvaluationError(f"certificate singular at x={x}", x=x)
+            cached = self._ratios[x] = self._q(x) / px
+        return cached
+
+    def __call__(self, x: int) -> Fraction:
+        self._check(x)
+        values = self._values
+        if len(values) <= x:
+            with self._lock:
+                while len(values) <= x:
+                    values.append(values[-1] * self.ratio(len(values) - 1))
+        return values[x]
 
 
 def pair_from_certificate(cert: Certificate, x_cap: int = 512) -> MarkovPair:
-    """Build the telescoping pair induced by a certificate (A_0 = 1)."""
-    a = column_multipliers(cert.p, cert.q, x_cap)
+    """Build the telescoping pair induced by a certificate (A_0 = 1).
 
-    def u(x: int, z: int) -> Fraction:
-        return a(x) * cert.extension(x, z)
+    The pair lives on the scale A_x S_{x,z}, with S the extension's scale.
+    """
+    a = ColumnMultipliers(cert.p, cert.q, x_cap)
+    ext = cert.extension
+    f, s = ext.reduced, ext.scale
 
     def v(x: int, z: int) -> Fraction:
         px = cert.p(x)
         if px == 0:
             raise EvaluationError(f"certificate singular at x={x}", x=x)
-        return a(x) * cert.r(x, z) / px * cert.extension(x, z)
+        return cert.r(x, z) / px * f(x, z)
 
+    scale = Scale(lambda x, z: a(x) * s.value(x, z),
+                  lambda x, z: a.ratio(x) * s.sx(x, z), s.sz)
     name = cert.label or "certificate"
-    return MarkovPair(GridFunction(u, f"U[{name}]"), GridFunction(v, f"V[{name}]"),
+    return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
+                      GridFunction(v, f"V[{name}]", scale=scale),
                       provenance=f"certificate:{name}")

@@ -13,7 +13,23 @@ Everything here is exact; residuals are rationals, equality means equality.
 
 One wrapper, :class:`GridFunction`, carries every lattice function of the
 package: a pair's U and V, and the term extension F that certificates and
-the stepwise solver work on.
+the stepwise solver work on.  A grid function is a scale S times a reduced
+part, where S is known by its value and its two shift ratios
+S_{x+1,z}/S_{x,z} and S_{x,z+1}/S_{x,z} (see :class:`Scale`).  The 3phi2
+extension is all scale (reduced part 1); a bare evaluator is all reduced
+part, on the unit scale S = 1 with ratios (1, 1).
+
+The pair condition is checked on the reduced parts.  When U and V share
+the scale S, with reduced parts u~ and v~,
+
+    U_{x,z} - U_{x+1,z} - V_{x,z} + V_{x,z+1}
+        = S_{x,z} (u~_{x,z} - u~_{x+1,z} sx - v~_{x,z} + v~_{x,z+1} sz),
+
+where sx and sz are S's shift ratios at (x, z).  The bracket is formed from
+small operands, and only when it is nonzero is it multiplied by S_{x,z},
+which gives the residual of the values exactly.  A pair whose U and V do
+not share a scale is put on the unit scale, where the bracket is the
+residual of the values themselves.
 """
 
 from __future__ import annotations
@@ -34,36 +50,83 @@ class EvaluationError(ArithmeticError):
         self.z = z
 
 
+ONE = Fraction(1)
+
+
+def one(x: int, z: int) -> Fraction:
+    """The constant 1: the reduced part of a grid function that is all scale."""
+    return ONE
+
+
+@dataclass(frozen=True)
+class Scale:
+    """A lattice function S known by its value and its two shift ratios.
+
+    ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z}.
+    Ratios that are rational in q^x and q^z stay small where the values
+    of S grow without bound.
+    """
+
+    value: Callable[[int, int], Fraction]
+    sx: Callable[[int, int], Fraction]
+    sz: Callable[[int, int], Fraction]
+
+
+#: S = 1, shift ratios (1, 1): the scale of a grid function given by its values
+UNIT_SCALE = Scale(one, one, one)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Deterministic exact evaluator on lattice points (x, z).
 
-    The same wrapper carries a pair's U and V and a term extension F, whose
-    row F_{0,z} is the z-th series term.  ``params`` records the parameters
-    the evaluator closes over (e.g. the base q), which downstream consumers
-    such as the stepwise solver need.
+    The value at (x, z) is ``scale.value(x, z) * evaluator(x, z)``: the
+    evaluator gives the reduced part, and on the default unit scale it
+    gives the value itself.  The same wrapper carries a pair's U and V and
+    a term extension F, whose row F_{0,z} is the z-th series term.
+    ``params`` records the parameters the evaluator closes over (e.g. the
+    base q), which downstream consumers such as the stepwise solver need.
     """
 
     evaluator: Callable[[int, int], Fraction]
     label: str = ""
     params: Mapping[str, Fraction] = field(default_factory=dict)
+    scale: Scale = UNIT_SCALE
 
-    def __call__(self, x: int, z: int) -> Fraction:
+    def reduced(self, x: int, z: int) -> Fraction:
+        """The reduced part at (x, z): the value divided by the scale."""
         try:
             return self.evaluator(x, z)
         except ZeroDivisionError as exc:
-            raise EvaluationError(
-                f"{self.label or 'grid function'} undefined at (x={x}, z={z}): {exc}", x, z
-            ) from exc
+            raise self._undefined(x, z, exc) from exc
+
+    def __call__(self, x: int, z: int) -> Fraction:
+        try:
+            return self.scale.value(x, z) * self.evaluator(x, z)
+        except ZeroDivisionError as exc:
+            raise self._undefined(x, z, exc) from exc
+
+    def _undefined(self, x: int, z: int, exc: ZeroDivisionError) -> EvaluationError:
+        return EvaluationError(
+            f"{self.label or 'grid function'} undefined at (x={x}, z={z}): {exc}", x, z)
 
 
 @dataclass(frozen=True)
 class MarkovPair:
-    """A (U, V) pair expected to satisfy the telescoping condition."""
+    """A (U, V) pair expected to satisfy the telescoping condition.
+
+    U and V that do not share a scale are rewrapped on the unit scale, so
+    ``u.scale is v.scale`` always holds.
+    """
 
     u: GridFunction
     v: GridFunction
     provenance: str = ""
+
+    def __post_init__(self):
+        if self.u.scale is not self.v.scale:
+            object.__setattr__(self, "u", GridFunction(self.u, self.u.label, self.u.params))
+            object.__setattr__(self, "v", GridFunction(self.v, self.v.label, self.v.params))
 
 
 @dataclass(frozen=True)
@@ -76,8 +139,18 @@ class PairCheck:
 
 
 def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
-    """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point."""
-    residual = (pair.u(x, z) - pair.u(x + 1, z)) - (pair.v(x, z) - pair.v(x, z + 1))
+    """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point.
+
+    Formed on the reduced parts and scaled by S_{x,z} only when nonzero.
+    """
+    u, v, scale = pair.u.reduced, pair.v.reduced, pair.u.scale
+    try:
+        residual = u(x, z) - u(x + 1, z) * scale.sx(x, z) \
+            - v(x, z) + v(x, z + 1) * scale.sz(x, z)
+        if residual:
+            residual *= scale.value(x, z)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"pair undefined at (x={x}, z={z}): {exc}", x, z) from exc
     return PairCheck(residual == 0, residual)
 
 

@@ -1,21 +1,32 @@
 """The worked q-series transformation: 3phi2(a,b,1; c,d; q, t), t = cd/(abq).
 
 This is the fully explicit instance of the engine, and the one place where
-its algebra is written.  The extension
+its algebra is written.  The extension F is given by F_{0,0} = 1 and its
+two shift ratios, rational in X = q^x and Z = q^z:
+
+    rx = F_{x+1,z}/F_{x,z} = cd X^2 Z^2 / ((1-cXZ)(1-dXZ)),
+    rz = F_{x,z+1}/F_{x,z} = t X^2 (1-aZ)(1-bZ) / ((1-cXZ)(1-dXZ)).
+
+Stepping from the origin gives the product form
 
     F_{x,z} = (a;q)_z (b;q)_z t^z / ((c;q)_{x+z} (d;q)_{x+z})
-              * (c d q^(2z))^x * q^(x(x-1))
+              * (c d q^(2z))^x * q^(x(x-1)),
 
-satisfies the certificate identity with
+which is kept as a test oracle, not evaluated here.  F satisfies the
+certificate identity with
 
     P(x) = 1 - t q^(2x),
     Q(x) = (1-(c/a)q^x)(1-(c/b)q^x)(1-(d/a)q^x)(1-(d/b)q^x) / (q(1-tq^(2x+1))),
     R(x,z) = 1 + t q^(2x+z) ((c+d)q^x - (a+b)) / (1 - t q^(2x+1)),
 
 for any nonzero parameters away from poles: the identity is algebraic.
-Everything else is derived from F, P, Q and R.  The column multipliers
-follow the certificate recurrence A_{x+1} = A_x Q(x)/P(x), A_0 = 1, and the
-row multipliers are M_{x,z} = A_x R(x,z)/P(x) = B_x + C_x q^z with
+Everything else is derived from F, P, Q and R, and all of them read one
+per-engine table of powers of q.  F is the scale of the extension (its
+reduced part is 1), so certificate and pair checks run on the ratios
+rx, rz and on P, Q, R, all small, and touch an F value only to report a
+nonzero residual.  The column multipliers follow the certificate
+recurrence A_{x+1} = A_x Q(x)/P(x), A_0 = 1, and the row multipliers are
+M_{x,z} = A_x R(x,z)/P(x) = B_x + C_x q^z with
 
     B_x / A_x = 1 / (1 - t q^(2x)),
     C_x / A_x = t q^(2x) ((c+d) q^x - (a+b))
@@ -28,16 +39,22 @@ much faster than the original t^z.  The product form
 A_x = (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x}), the closed forms of
 M_{x,0} and V_{x,0}, and the coefficient equations are kept as independent
 checks of the derived values.
+
+The power table, the F table and the column multipliers are extended
+under a lock and never change a stored value, so one engine may be shared
+between threads.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from typing import Callable
 
 from ..exact import format_rational
 from ..hgterm import BHGSpec, q_pochhammer
-from .certificates import Certificate, column_multipliers, pair_from_certificate
-from .pairs import EvaluationError, GridFunction, MarkovPair
+from .certificates import Certificate, ColumnMultipliers, pair_from_certificate
+from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale, one
 
 DEFAULT_X_CAP = 512
 
@@ -88,12 +105,28 @@ def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
 FIXTURE_NAME = "markov-3phi2"
 
 
+def _memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
+    """table[key], storing value() on a miss.
+
+    Each entry is a pure function of its key, so threads racing on a miss
+    store the same value; a value() that raises stores nothing.
+    """
+    cached = table.get(key)
+    if cached is None:
+        cached = table[key] = value()
+    return cached
+
+
+# guards the power and F tables; reentrant because stepping F reads powers
+_extend_lock = threading.RLock()
+
+
 class _ThreePhiTwoAlgebra:
     """The extension F, its certificate (P, Q, R) and the induced multipliers.
 
     Nothing here needs convergence, so any nonzero rational parameters are
     accepted, whatever t is.  A_x comes from the certificate through the
-    shared column-step loop.
+    shared column-step class.
     """
 
     def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
@@ -101,56 +134,106 @@ class _ThreePhiTwoAlgebra:
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d), ("q", self.q)):
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
-        self.t = self.c * self.d / (self.a * self.b * self.q)
+        self._cd = self.c * self.d
+        self.t = self._cd / (self.a * self.b * self.q)
         self.x_cap = x_cap
-        self._f_cache: dict[tuple[int, int], Fraction] = {}
+        #: q^k at index k
+        self._powers = [ONE]
+        #: F_{x,0..} at index x: F_{x,0} stepped by rx along row 0, then by rz
+        self._columns: list[list[Fraction]] = []
+        # one-index values, each a pure function of its key: k -> (1-cq^k)(1-dq^k),
+        # z -> (1-aq^z)(1-bq^z), x -> Q(x) and x -> the slope K(x) of R(x, z) in q^z
+        self._poles: dict[int, Fraction] = {}
+        self._uppers: dict[int, Fraction] = {}
+        self._q_values: dict[int, Fraction] = {}
+        self._r_slopes: dict[int, Fraction] = {}
         #: column multiplier A_x, A_0 = 1
-        self.A = column_multipliers(self.P, self.Q, x_cap)
+        self.A = ColumnMultipliers(self.P, self.Q, x_cap)
 
     @property
     def params(self) -> tuple[Fraction, ...]:
         return (self.a, self.b, self.c, self.d, self.q)
 
-    def f(self, x: int, z: int) -> Fraction:
-        """The extension F_{x,z}; F_{0,z} is the series term."""
-        cached = self._f_cache.get((x, z))
-        if cached is not None:
-            return cached
-        a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
-        den = q_pochhammer(c, q, x + z) * q_pochhammer(d, q, x + z)
+    def _power(self, k: int) -> Fraction:
+        """q^k, k >= 0."""
+        powers = self._powers
+        if len(powers) <= k:
+            with _extend_lock:
+                while len(powers) <= k:
+                    powers.append(powers[-1] * self.q)
+        return powers[k]
+
+    # -- the extension, by its shift ratios --------------------------------------
+
+    def _pole(self, x: int, z: int) -> Fraction:
+        """(1 - c q^(x+z-1)) (1 - d q^(x+z-1)), the last factor of F_{x,z}'s denominator."""
+        k = x + z - 1
+        den = _memo(self._poles, k, lambda: (1 - self.c * self._power(k))
+                    * (1 - self.d * self._power(k)))
         if den == 0:
             raise EvaluationError(
-                f"(c,d;q)_{x + z} vanishes for c={format_rational(c)}, d={format_rational(d)}", x, z)
-        num = q_pochhammer(a, q, z) * q_pochhammer(b, q, z) * t ** z
-        value = num / den * (c * d * q ** (2 * z)) ** x * q ** (x * (x - 1))
-        self._f_cache[(x, z)] = value
-        return value
+                f"(c,d;q)_{x + z} vanishes for c={format_rational(self.c)}, "
+                f"d={format_rational(self.d)}", x, z)
+        return den
+
+    def rx(self, x: int, z: int) -> Fraction:
+        """F_{x+1,z}/F_{x,z} = cd X^2 Z^2 / ((1-cXZ)(1-dXZ))."""
+        return self._cd * self._power(2 * (x + z)) / self._pole(x + 1, z)
+
+    def rz(self, x: int, z: int) -> Fraction:
+        """F_{x,z+1}/F_{x,z} = t X^2 (1-aZ)(1-bZ) / ((1-cXZ)(1-dXZ))."""
+        upper = _memo(self._uppers, z, lambda: (1 - self.a * self._power(z))
+                      * (1 - self.b * self._power(z)))
+        return self.t * self._power(2 * x) * upper / self._pole(x, z + 1)
+
+    def f(self, x: int, z: int) -> Fraction:
+        """The extension F_{x,z}; F_{0,z} is the series term."""
+        if x < 0 or z < 0:
+            raise ValueError("lattice points need x, z >= 0")
+        columns = self._columns
+        if x >= len(columns) or z >= len(columns[x]):
+            with _extend_lock:
+                while len(columns) <= x:
+                    k = len(columns)
+                    columns.append([columns[k - 1][0] * self.rx(k - 1, 0) if k else ONE])
+                column = columns[x]
+                while len(column) <= z:
+                    column.append(column[-1] * self.rz(x, len(column) - 1))
+        return columns[x][z]
 
     def extension(self) -> GridFunction:
-        return GridFunction(self.f, "3phi2 extension", params={
+        """F as a grid function that is all scale: value F, ratios rx and rz."""
+        return GridFunction(one, "3phi2 extension", params={
             "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "q": self.q, "t": self.t})
+            "q": self.q, "t": self.t}, scale=Scale(self.f, self.rx, self.rz))
 
     # -- certificate -----------------------------------------------------------
 
     def _d1(self, x: int) -> Fraction:
-        d1 = 1 - self.t * self.q ** (2 * x + 1)
+        d1 = 1 - self.t * self._power(2 * x + 1)
         if d1 == 0:
             raise EvaluationError(f"(1 - t q^(2x+1)) vanishes at x={x}", x=x)
         return d1
 
     def P(self, x: int) -> Fraction:
-        return 1 - self.t * self.q ** (2 * x)
+        return 1 - self.t * self._power(2 * x)
 
     def Q(self, x: int) -> Fraction:
         """The column step: A_{x+1}/A_x = Q(x)/P(x)."""
-        a, b, c, d, q = self.params
-        return (1 - (c / a) * q ** x) * (1 - (c / b) * q ** x) \
-            * (1 - (d / a) * q ** x) * (1 - (d / b) * q ** x) / (q * self._d1(x))
+        def value():
+            a, b, c, d, q = self.params
+            y = self._power(x)
+            return (1 - (c / a) * y) * (1 - (c / b) * y) \
+                * (1 - (d / a) * y) * (1 - (d / b) * y) / (q * self._d1(x))
+        return _memo(self._q_values, x, value)
 
     def R(self, x: int, z: int) -> Fraction:
-        a, b, c, d, q = self.params
-        return 1 + self.t * q ** (2 * x + z) * ((c + d) * q ** x - (a + b)) / self._d1(x)
+        """R(x, z) = 1 + K(x) q^z, K(x) = t q^(2x) ((c+d)q^x - (a+b)) / (1 - tq^(2x+1))."""
+        def slope():
+            a, b, c, d, _ = self.params
+            return self.t * self._power(2 * x) * ((c + d) * self._power(x) - (a + b)) \
+                / self._d1(x)
+        return 1 + _memo(self._r_slopes, x, slope) * self._power(z)
 
     def certificate(self) -> Certificate:
         return Certificate(self.extension(), self.P, self.Q, self.R, label=FIXTURE_NAME)

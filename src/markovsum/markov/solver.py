@@ -69,15 +69,16 @@ class MultiplierData:
         def u(x: int, z: int) -> Fraction:
             if x > x_max + 1:
                 raise ValueError(f"multipliers solved only through x={x_max}")
-            return self.u_multiplier(x, z) * extension(x, z)
+            return self.u_multiplier(x, z) * extension.reduced(x, z)
 
         def v(x: int, z: int) -> Fraction:
             if x > x_max:
                 raise ValueError(f"multipliers solved only through x={x_max}")
-            return self.v_multiplier(x, z) * extension(x, z)
+            return self.v_multiplier(x, z) * extension.reduced(x, z)
 
-        return MarkovPair(GridFunction(u, f"U[solved {self.form}]"),
-                          GridFunction(v, f"V[solved {self.form}]"),
+        # U and V are multipliers times F, so they share F's scale
+        return MarkovPair(GridFunction(u, f"U[solved {self.form}]", scale=extension.scale),
+                          GridFunction(v, f"V[solved {self.form}]", scale=extension.scale),
                           provenance=f"stepwise:{self.form}")
 
 

@@ -53,6 +53,8 @@ def poly_pow(p: Sequence[Fraction], e: int) -> Poly:
 def poly_shift(p: Sequence[Fraction], s) -> Poly:
     """Coefficients of p(x + s)."""
     s = Fraction(s)
+    if s == 0:
+        return [Fraction(a) for a in p]
     out = [Fraction(0)] * len(p)
     for i, a in enumerate(p):
         if a:

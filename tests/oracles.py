@@ -1,0 +1,33 @@
+"""Independent evaluations that the engine's stepped values are checked against."""
+
+from markovsum.hgterm import q_pochhammer
+
+
+def f_product(engine, x: int, z: int):
+    """The 3phi2 extension in q-Pochhammer product form:
+
+    F_{x,z} = (a;q)_z (b;q)_z t^z / ((c;q)_{x+z} (d;q)_{x+z}) (c d q^(2z))^x q^(x(x-1)).
+    """
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    num = q_pochhammer(a, q, z) * q_pochhammer(b, q, z) * t ** z
+    den = q_pochhammer(c, q, x + z) * q_pochhammer(d, q, x + z)
+    return num / den * (c * d * q ** (2 * z)) ** x * q ** (x * (x - 1))
+
+
+def certificate_value_residual(engine, p, q, r, x: int, z: int):
+    """Q(x) F_{x+1,z} - P(x) F_{x,z} - R(x,z+1) F_{x,z+1} + R(x,z) F_{x,z}, F in product form."""
+    f00, f10, f01 = (f_product(engine, x + i, z + j) for i, j in ((0, 0), (1, 0), (0, 1)))
+    return q(x) * f10 - p(x) * f00 - r(x, z + 1) * f01 + r(x, z) * f00
+
+
+def pair_value_residual(u, v, x: int, z: int):
+    """U_{x,z} - U_{x+1,z} - V_{x,z} + V_{x,z+1} from value evaluators u and v."""
+    return u(x, z) - u(x + 1, z) - v(x, z) + v(x, z + 1)
+
+
+def column_products(p, q, count: int) -> list:
+    """A_0 = 1, A_{x+1} = A_x Q(x)/P(x) for x < count, as a plain running product."""
+    values = [1]
+    for x in range(count):
+        values.append(values[-1] * q(x) / p(x))
+    return values

@@ -1,7 +1,10 @@
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
+from markovsum import cli, hgterm
+from markovsum.cli import _fuzzed_pair
 from markovsum.markov import (
     Certificate,
     EvaluationError,
@@ -14,6 +17,12 @@ from markovsum.markov import (
     verify_certificate,
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
+from oracles import (
+    certificate_value_residual,
+    column_products,
+    f_product,
+    pair_value_residual,
+)
 
 CANONICAL = SAMPLE_TUPLES[0]
 
@@ -100,3 +109,76 @@ class TestPairFromCertificate:
         pair = pair_from_certificate(cert)
         with pytest.raises(EvaluationError, match="singular at x=2"):
             pair.u(5, 0)
+
+
+GRID = 12
+
+
+def _certificates() -> dict:
+    """Every certificate whose reduced residual must match the value residual, by name."""
+    cases = {f"sample-{i}": ThreePhiTwo(*params).certificate()
+             for i, params in enumerate(SAMPLE_TUPLES)}
+    cases.update((f"random-{i}", make_certificate(*params))
+                 for i, params in enumerate(sample_parameter_tuples(20, seed=5)))
+    good = make_certificate(*CANONICAL)
+    cases["R+1"] = Certificate(good.extension, good.p, good.q, lambda x, z: good.r(x, z) + 1)
+    cases["R=0"] = Certificate(good.extension, good.p, good.q, lambda x, z: Q(0))
+    return cases
+
+
+CERTIFICATES = _certificates()
+
+
+class TestReducedResidual:
+    """Reduced residual times scale equals the residual of the product-form values."""
+
+    @pytest.mark.parametrize("name", CERTIFICATES)
+    def test_certificate_residual_equals_value_residual(self, name):
+        cert = CERTIFICATES[name]
+        engine = SimpleNamespace(**cert.extension.params)
+        for x in range(GRID):
+            for z in range(GRID):
+                assert cert.residual(x, z) == certificate_value_residual(
+                    engine, cert.p, cert.q, cert.r, x, z), (x, z)
+
+    @pytest.mark.parametrize("name", CERTIFICATES)
+    def test_pair_residual_equals_value_residual(self, name):
+        cert = CERTIFICATES[name]
+        engine = SimpleNamespace(**cert.extension.params)
+        a = column_products(cert.p, cert.q, GRID + 1)
+        pair = pair_from_certificate(cert)
+
+        def u(x, z):
+            return a[x] * f_product(engine, x, z)
+
+        def v(x, z):
+            return a[x] * cert.r(x, z) / cert.p(x) * f_product(engine, x, z)
+
+        for x in range(GRID):
+            for z in range(GRID):
+                assert check_pair_condition(pair, x, z).residual \
+                    == pair_value_residual(u, v, x, z), (x, z)
+
+    def test_fuzzed_pair_residual_equals_value_residual(self):
+        engine = ThreePhiTwo(*CANONICAL)
+        pair = _fuzzed_pair(engine)
+
+        def u(x, z):
+            return engine.A(x) * f_product(engine, x, z)
+
+        def v(x, z):
+            return (engine.m(x, z) + (1 if x == 0 else 0)) * f_product(engine, x, z)
+
+        failures = 0
+        for x in range(GRID):
+            for z in range(GRID):
+                residual = check_pair_condition(pair, x, z).residual
+                assert residual == pair_value_residual(u, v, x, z), (x, z)
+                failures += residual != 0
+        assert failures == GRID  # the bump breaks column 0 only
+
+    def test_random_certificate_checks_leave_qpochhammer_cache_empty(self, capsys):
+        hgterm.clear_caches()
+        assert cli.main(["verify-certificate", "--random-points", "200"]) == 0
+        assert "passed: True" in capsys.readouterr().out
+        assert not hgterm._qpoch_cache

@@ -33,6 +33,14 @@ class TestCompute:
         terms = int(next(l for l in out.splitlines() if l.startswith("terms used")).split(": ")[1])
         assert terms <= 13
 
+    def test_negative_rational_parameter_may_follow_a_space(self, capsys):
+        spaced = run(capsys, "compute", "hurwitz3-direct", "--a", "-1/2", "--digits", "2",
+                     "--max-terms", "512")
+        joined = run(capsys, "compute", "hurwitz3-direct", "--a=-1/2", "--digits", "2",
+                     "--max-terms", "512")
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
     def test_unknown_formula_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "nosuch")
         assert code == 64
@@ -100,6 +108,14 @@ class TestVerifyPair:
         assert code == 0
         assert "residual_failures: 0" in out
         assert "boundary_equal: True" in out
+
+    def test_boundary_sums_past_the_digit_limit(self, capsys):
+        # the 50x50 boundary sums have numerators of more than 4300 digits
+        code, out, _ = run(capsys, "verify-pair", "3phi2", "--grid", "50x50")
+        assert code == 0
+        assert "residual_failures: 0" in out and "boundary_equal: True" in out
+        lhs = next(line for line in out.splitlines() if line.startswith("boundary_lhs: "))
+        assert len(lhs) > 4300
 
     def test_big_base_rejected(self, capsys):
         code, _, err = run(capsys, "verify-pair", "3phi2", "--q", "2")

@@ -3,8 +3,9 @@
 Four threads extend the same cold cache at once while the interpreter
 switches threads every microsecond, which interleaves the extension loops
 as finely as CPython allows.  Every cached value must still equal the
-product computed directly, and threads evaluating one shared catalog
-entry must all get the enclosures of its closed-form terms.
+product computed directly, threads evaluating one shared catalog entry
+must all get the enclosures of its closed-form terms, and threads sharing
+one 3phi2 engine must all get its product-form values.
 """
 
 import sys
@@ -15,7 +16,9 @@ import pytest
 
 from markovsum import catalog, hgterm
 from markovsum.hgterm import TermSequence
+from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
 from markovsum.polys import RationalFunction, poly
+from oracles import f_product
 
 THREADS = 4
 TRIALS = 10
@@ -89,3 +92,27 @@ def test_threads_evaluating_one_shared_entry_agree():
         results = _race(lambda k: catalog.evaluate(entry, k + 1).enclosure, span)
         expected = [entry.enclosure_after(sum(truth[:k + 1]), k) for k in range(span + 1)]
         assert all(values == expected for values in results), f"trial {trial}"
+
+
+def test_threads_sharing_one_3phi2_engine_agree():
+    side = 11  # lattice points k -> (k % side, k // side), 0 <= k <= LENGTH
+
+    def point(k):
+        return k % side, k // side
+
+    for trial in range(TRIALS):
+        engine = ThreePhiTwo(*SAMPLE_TUPLES[trial % len(SAMPLE_TUPLES)])  # cold tables
+
+        def values(k):
+            x, z = point(k)
+            return (engine.f(x, z), engine.rx(x, z), engine.rz(x, z),
+                    engine._power(k), engine.A(x))
+
+        truth = []
+        for k in range(LENGTH + 1):
+            x, z = point(k)
+            f = f_product(engine, x, z)
+            truth.append((f, f_product(engine, x + 1, z) / f, f_product(engine, x, z + 1) / f,
+                          engine.q ** k, engine.A_closed(x)))
+        results = _race(values, LENGTH)
+        assert all(result == truth for result in results), f"trial {trial}"

@@ -48,6 +48,18 @@ class TestSerialization:
         for text in ("3/4", "-7/5", "12", "-3", "0"):
             assert format_rational(parse_rational(text)) == text
 
+    def test_5000_digit_round_trip(self):
+        # past the interpreter's default 4300-digit int/str limit
+        for x in (Q(10 ** 4999 + 7, 3 ** 10000), Q(-(7 ** 6000)), Q(1, 10 ** 5000)):
+            text = format_rational(x)
+            assert len(text) > 5000
+            assert parse_rational(text) == x
+
+    def test_ordinary_sizes_render_as_str(self):
+        for x in (Q(-10 ** 4000 + 1, 3), Q(2 ** 13000 + 1), Q(5, 7)):
+            assert format_rational(x) == (str(x.numerator) if x.denominator == 1
+                                          else f"{x.numerator}/{x.denominator}")
+
     def test_rejects_decimal(self):
         with pytest.raises(ValueError):
             parse_rational("1.5")
@@ -123,6 +135,18 @@ class TestToDecimal:
         for mode in (ROUND_TRUNCATE, ROUND_HALF_EVEN):
             assert (to_decimal(narrow, 3, mode).digits_proven
                     >= to_decimal(wide, 3, mode).digits_proven)
+
+
+class TestLongRendering:
+    def test_to_decimal_at_4400_digits(self):
+        third = Q(1, 3)
+        r = to_decimal(Enclosure(third - Q(1, 10 ** 4405), third + Q(1, 10 ** 4405)), 4400)
+        assert r.digits_proven == 4400
+        assert str(r) == "0." + "3" * 4400
+        assert r.value() == Q(10 ** 4400 // 3, 10 ** 4400)
+
+    def test_parse_decimal_past_the_limit(self):
+        assert parse_decimal("1." + "0" * 4999 + "1") == 1 + Q(1, 10 ** 5000)
 
 
 class TestRenderingGuarantee:

@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
 from markovsum.hgterm import bhg_term, q_pochhammer
 from markovsum.markov import (
+    EvaluationError,
     Lcg,
     ThreePhiTwo,
     coefficient_residuals,
@@ -15,6 +17,7 @@ from markovsum.markov import (
     sample_parameter_tuples,
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
+from oracles import f_product
 
 CANONICAL = SAMPLE_TUPLES[0]
 
@@ -174,3 +177,41 @@ class TestFixtureSerialization:
     def test_unknown_fixture_rejected(self):
         with pytest.raises(ValueError, match="unknown fixture"):
             fixture_from_json({"fixture": "other", "params": {}})
+
+
+class TestSteppedExtension:
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES, ids=lambda p: str(p[4]))
+    def test_stepped_f_equals_product_form(self, params):
+        engine = ThreePhiTwo(*params)
+        for x in range(30):
+            for z in range(30):
+                assert engine.f(x, z) == f_product(engine, x, z), (x, z)
+
+    def test_shift_ratios_are_ratios_of_f(self, engine):
+        for x in range(10):
+            for z in range(10):
+                assert engine.rx(x, z) == f_product(engine, x + 1, z) / f_product(engine, x, z)
+                assert engine.rz(x, z) == f_product(engine, x, z + 1) / f_product(engine, x, z)
+
+    def test_extension_is_all_scale(self, engine):
+        ext = engine.extension()
+        for x, z in ((0, 0), (3, 7), (9, 2)):
+            assert ext.reduced(x, z) == 1
+            assert ext(x, z) == ext.scale.value(x, z) == engine.f(x, z)
+
+    def test_singular_point_is_named(self):
+        # c = q^-2: (c;q)_n vanishes from n = 3 on, so F is undefined at x + z = 3
+        ext = make_certificate(Q(1, 3), Q(1, 5), Q(4), Q(1, 11), Q(1, 2)).extension
+        assert ext(2, 0) == f_product(SimpleNamespace(**ext.params), 2, 0)
+        for evaluate in (ext, ext.scale.value):
+            with pytest.raises(EvaluationError, match=r"\(c,d;q\)_3 vanishes") as info:
+                evaluate(1, 2)
+            assert (info.value.x, info.value.z) == (1, 2)
+        for ratio, point in ((ext.scale.sx, (0, 2)), (ext.scale.sz, (1, 1))):
+            with pytest.raises(EvaluationError) as info:
+                ratio(*point)
+            assert (info.value.x, info.value.z) == (1, 2)
+
+    def test_negative_point_rejected(self, engine):
+        with pytest.raises(ValueError, match="x, z >= 0"):
+            engine.f(-1, 3)

@@ -46,6 +46,20 @@ def hurwitz_certificate_polys(a):
     return certificate_polys(num, den, Q(1, 4))
 
 
+class TestPolyShift:
+    def test_shift_zero_returns_the_coefficients(self):
+        p = poly(3, Q(-1, 2), 0, 7)
+        shifted = poly_shift(p, 0)
+        assert shifted == p and shifted is not p
+        assert all(isinstance(c, Q) for c in poly_shift([1, 2], 0))
+
+    def test_shift_moves_the_argument(self):
+        p = poly(3, Q(-1, 2), 0, 7)
+        for s in (Q(-2), Q(1, 3), Q(5)):
+            shifted = poly_shift(p, s)
+            assert all(poly_eval(shifted, x) == poly_eval(p, x + s) for x in range(-3, 4))
+
+
 class TestEventuallyNonneg:
     @pytest.mark.parametrize("p", [poly(1, 0, -1), poly(100, 5, -1, 0), poly(-3)])
     def test_negative_leading_coefficient_gives_none(self, p):
