@@ -20,25 +20,19 @@ from .exact import (
     to_decimal,
 )
 from .hgterm import (
-    BHGSpec,
-    HGSpec,
     TermError,
     TermSequence,
-    bhg_term,
-    hg_term,
     q_limit_check,
     q_pochhammer,
     rising_factorial,
-    term_sequence,
 )
 from . import catalog, markov
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BHGSpec", "DecimalRendering", "Enclosure", "HGSpec", "Rational",
-    "ROUND_HALF_EVEN", "ROUND_TRUNCATE", "TermError", "TermSequence",
-    "bhg_term", "catalog", "format_rational", "hg_term", "markov",
-    "parse_decimal", "parse_rational", "q_limit_check",
-    "q_pochhammer", "rising_factorial", "term_sequence", "to_decimal",
+    "DecimalRendering", "Enclosure", "Rational", "ROUND_HALF_EVEN",
+    "ROUND_TRUNCATE", "TermError", "TermSequence", "catalog",
+    "format_rational", "markov", "parse_decimal", "parse_rational",
+    "q_limit_check", "q_pochhammer", "rising_factorial", "to_decimal",
 ]

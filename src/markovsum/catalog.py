@@ -13,19 +13,24 @@ else is derived by positivity certificates that hold for every index
 (0, 1]), never by a scan:
 
 * the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
-* geometric: a claimed rate rho < 1, |term(n+1)| <= rho |term(n)|, holds
-  from ``valid_from``, the first index the certificate covers;
+* the rate: rho is the ratio's limit L when |term(n+1)| <= L |term(n)| is
+  certified, else the first certified rung of L + (1-L)/8, L + (1-L)/4,
+  L + (1-L)/2; it holds from ``valid_from``, the first index the
+  certificate covers, and an entry with L > 1 or no certified rung is
+  refused;
+* geometric: rho < 1 bounds the remainder by |term(N+1)|/(1 - rho);
 * alternating: alternating terms with rho <= 1 decrease in magnitude, so
   the remainder is bounded by the first omitted term and has its sign, a
   bracket tighter than the geometric bound;
-* custom tails: integral comparison for the direct series and the slow
-  n^(-3/2) entry; for the transformed q-series a one-term-plus-geometric
-  bound, its ratio certified below K q^(2x).
+* custom tails, which take no rate: integral comparison for the direct
+  series and the slow n^(-3/2) entry; for the transformed q-series a
+  one-term-plus-geometric bound, its ratio certified below K q^(2x).
 
-A 64-term exact scan at registration cross-checks the derived bounds; the
-closed-form terms are independent checks only (``CLOSED_FORMS``).  The
-term sequence keeps its furthest prefix sum, so ``evaluate`` after
-``terms_needed`` adds no term twice.
+A 64-step exact scan of term(n+1)/term(n) at registration cross-checks
+the derived bounds without computing a term; the closed-form terms are
+independent checks only (``CLOSED_FORMS``).  The term sequence keeps its
+furthest prefix sum, so ``evaluate`` after ``terms_needed`` adds no term
+twice.
 
 All arithmetic is rational; nothing rounds until rendering.  Entries are
 immutable after registration and evaluation is pure; the memoized terms
@@ -50,12 +55,11 @@ from .exact import (
     parse_rational,
     to_decimal,
 )
-from .hgterm import RatioSequence, TermError, TermSequence, rising_factorial
+from .hgterm import TermError, TermSequence, rising_factorial
 from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
 from .polys import (
     RationalFunction,
-    leading_coefficient,
     nonneg_from,
     poly,
     poly_eval,
@@ -82,12 +86,18 @@ class RatioBound:
         return {"rho": format_rational(self.rho), "valid_from": self.valid_from}
 
 
+#: rungs above a ratio limit L < 1 that has no certificate: rho = L + (1 - L) w
+RATE_LADDER = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+
+
 @dataclass
 class FormulaEntry:
-    """A catalog series: its description, an optional rate rho in [0, 1], and
-    the bounds derived from both at registration: ``alternating`` and
-    ``remainder_nonneg`` from the sign of the ratio, ``ratio_bound`` (rho < 1)
-    and ``leibniz_from`` (alternating, rho <= 1) from the rate.
+    """A catalog series, described by its term sequence, and the bounds derived
+    from that description at registration: ``alternating`` and
+    ``remainder_nonneg`` from the sign of the ratio and, unless the entry
+    brings its own tail bound, a certified rate rho <= 1: the ratio's limit L
+    or the first certified rung above it.  ``ratio_bound`` (rho < 1) and
+    ``leibniz_from`` (alternating) hold from where rho is certified.
 
     ``offset`` is added to every partial sum.  ``tail_extra(last)`` is a
     certified bound on |sum of terms beyond index last|, or None when not
@@ -97,8 +107,7 @@ class FormulaEntry:
     entry_id: str
     constant: str
     description: str
-    terms: RatioSequence
-    rho: Optional[Fraction] = None
+    terms: TermSequence
     offset: Fraction = Fraction(0)
     tail_extra: Optional[Callable[[int], Optional[Fraction]]] = None
     slow: bool = False
@@ -111,12 +120,12 @@ class FormulaEntry:
     def __post_init__(self):
         self.alternating, self.remainder_nonneg = self._signs()
         self.leibniz_from = self.ratio_bound = None
-        if self.rho is not None:
-            rho = self.rho = Fraction(self.rho)
-            valid_from = self._rate_from(rho)
+        rate = valid_from = None
+        if self.tail_extra is None:
+            rate, valid_from = self._rate()
             self.leibniz_from = valid_from if self.alternating else None
-            self.ratio_bound = RatioBound(rho, valid_from) if rho < 1 else None
-        self._validate()
+            self.ratio_bound = RatioBound(rate, valid_from) if rate < 1 else None
+        self._validate(rate, valid_from)
 
     @property
     def n0(self) -> int:
@@ -124,7 +133,18 @@ class FormulaEntry:
 
     @property
     def asymptotic_ratio(self) -> Optional[Fraction]:
-        return self.rho
+        """L = lim |term(n+1)/term(n)|, or None when it is not finite.
+
+        In n, L = lead(num)/lead(den), 0 when deg num < deg den; in
+        y = q^n, which tends to 0, L = num(0)/den(0).
+        """
+        num, den = self.terms.ratio.num, self.terms.ratio.den
+        if self.terms.base is None:
+            degree = max((i for p in (num, den) for i, c in enumerate(p) if c), default=0)
+            top, bottom = (p[degree] if degree < len(p) else 0 for p in (num, den))
+        else:
+            top, bottom = num[0], den[0]
+        return abs(Fraction(top) / bottom) if bottom else None
 
     def term(self, n: int) -> Fraction:
         return self.terms.term(n)
@@ -146,39 +166,33 @@ class FormulaEntry:
                 return True, False
         raise CatalogError(f"{self.entry_id}: terms not certified to keep a sign or alternate")
 
-    def _rate_from(self, rho: Fraction) -> int:
-        """valid_from: where |term(n+1)/term(n)| <= rho is certified from."""
-        if not 0 <= rho <= 1:
-            raise CatalogError(f"{self.entry_id}: rate must lie in [0, 1]")
+    def _rate(self) -> tuple[Fraction, int]:
+        """(rho, valid_from): L if it is certified, else the first certified rung."""
+        limit = self.asymptotic_ratio
+        if limit is None or limit > 1:
+            raise CatalogError(f"{self.entry_id}: |term(n+1)/term(n)| does not tend "
+                               f"to a limit <= 1")
         ratio = self.terms.ratio
         num = poly_scale(ratio.num, -1) if self.alternating else ratio.num
-        margin = RationalFunction(num, ratio.den).margin(rho)
-        valid_from = self._nonneg_from(margin)
-        if valid_from is None:
-            rate = format_rational(rho)
-            # large n is the top coefficient in n, the bottom one in y = q^n
-            at_infinity = margin if self.terms.base is None else margin[::-1]
-            reason = (f"exists: |term(n+1)/term(n)| > {rate} for all large n"
-                      if leading_coefficient(at_infinity) < 0 else "found")
-            raise CatalogError(f"{self.entry_id}: no rho = {rate} certificate {reason}")
-        return valid_from
+        for rho in (limit, *(limit + (1 - limit) * w for w in RATE_LADDER)):
+            valid_from = self._nonneg_from(RationalFunction(num, ratio.den).margin(rho))
+            if valid_from is not None:
+                return rho, valid_from
+        raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
+                           f"{format_rational(limit)} or at a rung above it")
 
-    def _validate(self, check_span: int = 64):
-        """Registration cross-check of the derived bounds, exactly, on a prefix."""
-        n0 = self.n0
-        rate_from = self.ratio_bound.valid_from if self.ratio_bound else self.leibniz_from
+    def _validate(self, rate: Optional[Fraction], rate_from: Optional[int],
+                  check_span: int = 64):
+        """Registration cross-check of the derived bounds, exactly, on the first steps."""
         try:
-            previous = self.term(n0)
-            for n in range(n0, n0 + check_span):
-                nxt = self.term(n + 1)
-                if rate_from is not None and n >= rate_from \
-                        and abs(nxt) > self.rho * abs(previous):
-                    raise CatalogError(f"{self.entry_id}: rate {self.rho} fails at n={n}")
-                if self.alternating and nxt * previous >= 0:
+            for n in range(self.n0, self.n0 + check_span):
+                step = self.terms.step(n)
+                if rate is not None and n >= rate_from and abs(step) > rate:
+                    raise CatalogError(f"{self.entry_id}: rate {rate} fails at n={n}")
+                if self.alternating and step >= 0:
                     raise CatalogError(f"{self.entry_id}: terms do not alternate at n={n}")
-                if self.remainder_nonneg and previous < 0:
-                    raise CatalogError(f"{self.entry_id}: negative term at n={n}")
-                previous = nxt
+                if self.remainder_nonneg and step < 0:
+                    raise CatalogError(f"{self.entry_id}: terms change sign at n={n}")
         except TermError as exc:
             raise CatalogError(f"{self.entry_id}: {exc}") from None
 
@@ -291,7 +305,7 @@ def _entry(entry_id: str, constant: str, description: str, first, ratio: Rationa
            n0: int = 0, base=None, **kwargs) -> FormulaEntry:
     """The entry described by n0, its first term and its signed term ratio."""
     return FormulaEntry(entry_id, constant, description,
-                        TermSequence.from_ratio(first, ratio, n0, base=base), **kwargs)
+                        TermSequence(first, ratio, n0, base=base), **kwargs)
 
 
 def entry_apery() -> FormulaEntry:
@@ -304,16 +318,17 @@ def entry_apery() -> FormulaEntry:
     return _entry(
         "apery", "zeta3",
         "alternating central-binomial series for zeta(3), geometric rate 1/4",
-        Fraction(5, 4), ratio, 1, rho=Fraction(1, 4),
+        Fraction(5, 4), ratio, 1,
         provenance="Markov (1890); popularized by Apery (1978)")
 
 
 def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
-    """sum_{n>=0} (a+n)^(-3) as an alternating series of rate 1/4.
+    """sum_{n>=0} (a+n)^(-3) as an alternating series whose ratio tends to -1/4.
 
     term(0) = p_a(0) / (4 a^4) and
     term(n+1)/term(n) = -(n+1)^6 p_a(n+1) / ((2n+2)(2n+3)(n+1+a)^4 p_a(n)),
-    with p_a(n) = 5(n+1)^2 + 6(a-1)(n+1) + 2(a-1)^2.
+    with p_a(n) = 5(n+1)^2 + 6(a-1)(n+1) + 2(a-1)^2.  Where the ratio tends
+    to 1/4 in magnitude from above, as for a = 1/3, the rate is a rung above.
     """
     a = Fraction(a)
     if a.denominator == 1 and a.numerator <= 0:
@@ -325,7 +340,7 @@ def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
     return _entry(
         "markov-hurwitz", "zeta3" if a == 1 else f"hurwitz3({format_rational(a)})",
         f"rate-1/4 alternating series for sum 1/({format_rational(a)}+n)^3",
-        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0, rho=Fraction(1, 4),
+        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0,
         provenance="Markov (1890)")
 
 
@@ -342,7 +357,7 @@ def entry_ratio27_zeta3() -> FormulaEntry:
     return _entry(
         "ratio27-zeta3", "zeta3",
         "rate-1/27 alternating series for zeta(3)",
-        Fraction(29, 24), RationalFunction(num, den), 1, rho=Fraction(1, 27),
+        Fraction(29, 24), RationalFunction(num, den), 1,
         provenance="Markov (1889/1890); rederived via telescoping certificates "
                    "by Amdeberhan (1996)")
 
@@ -359,7 +374,7 @@ def entry_az_zeta3() -> FormulaEntry:
     return _entry(
         "az-zeta3", "zeta3",
         "rate-2^-10 alternating series for zeta(3)",
-        Fraction(77, 64), RationalFunction(num, den), 0, rho=Fraction(1, 1024),
+        Fraction(77, 64), RationalFunction(num, den), 0,
         provenance="Amdeberhan-Zeilberger (1997)")
 
 
@@ -376,7 +391,7 @@ def entry_zeta2_27() -> FormulaEntry:
     return _entry(
         "zeta2-27", "zeta2",
         "rate-1/27 alternating series for zeta(2), constant offset 5/3",
-        Fraction(-83, 3780), RationalFunction(num, den), 1, rho=Fraction(1, 27),
+        Fraction(-83, 3780), RationalFunction(num, den), 1,
         offset=Fraction(5, 3), provenance="Markov (1889)")
 
 
@@ -393,7 +408,6 @@ def entry_schellbach_zeta2() -> FormulaEntry:
         "schellbach-zeta2", "zeta2",
         "transformed 3F2(1,1,1;2,2) series for zeta(2), geometric rate 1/4",
         schellbach_term(ZETA2_SCHELLBACH, 0), ratio_function(ZETA2_SCHELLBACH), 0,
-        rho=Fraction(1, 4),
         provenance="Schellbach (1864); limit case of the q-series transformation")
 
 
@@ -465,7 +479,7 @@ def entry_direct(kind: str, a=None) -> FormulaEntry:
     if kind in ("eta2", "eta3"):
         k = int(kind[-1])
         return _entry(f"{kind}-direct", kind, f"alternating sum of (-1)^(n-1) n^-{k}",
-                      1, _power_ratio(k, 0, -1), 1, rho=Fraction(1),
+                      1, _power_ratio(k, 0, -1), 1,
                       provenance="definition")
     if kind == "hurwitz3":
         a = Fraction(a if a is not None else 1)
@@ -521,8 +535,9 @@ def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
 
     term(0) = 1 and term(z+1)/term(z) = t (1-ay)(1-by) / ((1-cy)(1-dy)) with
     y = q^z.  Any 0 < q < 1 (and |t| < 1) is accepted for which the sign of
-    the ratio and the rate |t| are certified on y in (0, 1]; the ordered
-    regime 0 < c <= a < 1, 0 < d <= b < 1 is one such case.
+    the ratio and a rate, |t| or a rung above it, are certified on y in
+    (0, 1]; the ordered regime 0 < c <= a < 1, 0 < d <= b < 1 is one such
+    case, with rate |t|.
     """
     engine = ThreePhiTwo(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
@@ -534,7 +549,7 @@ def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
     return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
         "source q-series of the transformation, geometric rate t",
-        1, ratio, 0, base=q, rho=abs(t), provenance="q-series 3phi2(a,b,1;c,d)")
+        1, ratio, 0, base=q, provenance="q-series 3phi2(a,b,1;c,d)")
 
 
 def _contraction(a, b, c, d, q, t) -> Fraction:
@@ -569,7 +584,7 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
     if not unit_interval_nonneg(RationalFunction(h_num, h_den).margin(big_k)):
         raise CatalogError(f"transformed series: term(x+1)/term(x) <= "
                            f"{format_rational(big_k)} q^(2x) is not certified")
-    terms = TermSequence.from_ratio(
+    terms = TermSequence(
         poly_eval(g, 1) / ((1 - t) * (1 - t * q)),
         RationalFunction(poly_mul(poly(0, 0, 1), h_num), h_den), base=q)
 

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ..exact import format_rational
-from ..hgterm import BHGSpec, q_pochhammer
+from ..hgterm import q_pochhammer
 from .certificates import Certificate, ColumnMultipliers, pair_from_certificate
 from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale, one
 
@@ -275,11 +275,6 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
             raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
         if x < 0:
             raise ValueError("x must be >= 0")
-
-    def series_spec(self) -> BHGSpec:
-        """The source series as a q-series spec (upper 1 listed literally)."""
-        return BHGSpec(upper=(self.a, self.b, Fraction(1)),
-                       lower=(self.c, self.d), q=self.q, z_arg=self.t)
 
     def series_term(self, z: int) -> Fraction:
         """Term z of the source series: (a,b;q)_z / (c,d;q)_z * t^z."""

@@ -25,14 +25,7 @@ from markovsum.exact import (
     parse_rational,
     to_decimal,
 )
-from markovsum.hgterm import (
-    BHGSpec,
-    HGSpec,
-    bhg_term,
-    q_pochhammer,
-    rising_factorial,
-    term_sequence,
-)
+from markovsum.hgterm import TermSequence, q_pochhammer, rising_factorial
 from markovsum.markov import (
     Lcg,
     SchellbachParams,
@@ -46,6 +39,7 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
+from markovsum.polys import RationalFunction, poly, poly_pow
 
 CASES = 200
 
@@ -139,25 +133,19 @@ def hgterm_integer_rising_is_factorial_quotient():
 
 
 def hgterm_series_terms_decay_monotonically():
-    # balanced specs at z=1 with positive lower-minus-upper parameter sum
-    specs = [
-        HGSpec((Q(9, 2), Q(9, 2), Q(9, 2), Q(1)), (Q(5), Q(5), Q(5))),
-        HGSpec((Q(1), Q(1), Q(1)), (Q(2), Q(2))),
+    # balanced series at z=1 with positive lower-minus-upper parameter sum:
+    # 4F3(9/2,9/2,9/2,1; 5,5,5) and 3F2(1,1,1; 2,2)
+    ratios = [
+        RationalFunction(poly_pow(poly(9, 2), 3), poly_pow(poly(10, 2), 3)),
+        RationalFunction(poly_pow(poly(1, 1), 2), poly_pow(poly(2, 1), 2)),
     ]
     cases = 0
-    for spec in specs:
-        seq = term_sequence(spec)
+    for ratio in ratios:
+        seq = TermSequence(1, ratio)
         for n in range(200):
             assert abs(seq.term(n + 1)) <= abs(seq.term(n))
             cases += 1
     assert cases >= CASES
-
-
-def hgterm_upper_one_truncates():
-    spec = BHGSpec((Q(1), Q(1)), (), Q(1, 3), Q(1, 2))
-    assert bhg_term(spec, 0) == 1
-    for n in range(1, 12):
-        assert bhg_term(spec, n) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +375,6 @@ ALL_SUITES = [
     ("hgterm: q-Pochhammer recurrence", hgterm_qpoch_recurrence),
     ("hgterm: integer rising factorial", hgterm_integer_rising_is_factorial_quotient),
     ("hgterm: balanced terms decay", hgterm_series_terms_decay_monotonically),
-    ("hgterm: upper 1 truncates q-series", hgterm_upper_one_truncates),
     ("markov: discrete Green identity", markov_green_identity_exhaustive),
     ("markov: certificate equals closed forms", markov_certificate_matches_closed_forms),
     ("markov: cubic coefficient vanishes", markov_cubic_coefficient_always_vanishes),

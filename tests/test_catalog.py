@@ -24,8 +24,8 @@ from markovsum.catalog import (
     reports_to_csv,
     terms_needed,
 )
-from markovsum.exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, parse_decimal
-from markovsum.hgterm import HGSpec, TermSequence, hg_term
+from markovsum.exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, Enclosure, parse_decimal
+from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
 from markovsum.polys import RationalFunction, poly
 
@@ -193,8 +193,8 @@ class TestPhi32Entries:
 
     def test_conditions_enforced(self):
         # t = 19/25 < 1, but a + b < c + d: the term ratio exceeds t for all
-        # large z, so no rate-t certificate exists
-        with pytest.raises(CatalogError, match="certificate exists"):
+        # large z, and at z = 0 it exceeds 1, so neither t nor a rung certifies
+        with pytest.raises(CatalogError, match="no rate certificate at the ratio's limit 19/25"):
             entry_phi32_series(Q(1, 2), Q(1, 2), Q(19, 20), Q(1, 10), Q(1, 2))
 
 
@@ -219,28 +219,38 @@ class TestEvaluate:
         assert report.enclosure.width <= geometric
 
     def test_vanishing_tail_gives_point_enclosure(self):
-        # term ratio 0: every term after the first vanishes
+        # term ratio 0: every term after the first vanishes, and the rate is 0
         entry = FormulaEntry(
             "finite", "other", "one nonzero term",
-            TermSequence.from_ratio(Q(3, 2), RationalFunction(poly(0), poly(1))), rho=Q(1, 2))
-        assert entry.remainder_nonneg and entry.ratio_bound == RatioBound(Q(1, 2), 0)
+            TermSequence(Q(3, 2), RationalFunction(poly(0), poly(1))))
+        assert entry.remainder_nonneg and entry.ratio_bound == RatioBound(Q(0), 0)
         report = evaluate(entry, 10)
         assert report.enclosure.width == 0
         assert report.enclosure.lower == Q(3, 2)
 
     def test_registration_rejects_bad_ratio(self):
-        with pytest.raises(CatalogError, match="no rho = 1/3 certificate exists"):
+        # term ratio (3n + 1)/(2n + 1) tends to 3/2: the terms grow
+        with pytest.raises(CatalogError, match="does not tend to a limit <= 1"):
             FormulaEntry(
-                "bogus", "zeta3", "ratio claimed too small",
-                TermSequence.from_ratio(1, RationalFunction(poly(1), poly(2))), rho=Q(1, 3))
+                "bogus", "zeta3", "ratio limit above one",
+                TermSequence(1, RationalFunction(poly(1, 3), poly(1, 2))))
+
+    def test_registration_scan_catches_a_wrong_certificate(self, monkeypatch):
+        # (n+1)^2/(2(n^2+10)) tends to 1/2 from above only from n = 5 on; a
+        # certifier that claims every polynomial nonnegative from n0 passes
+        # rate 1/2 from n = 0, and the scan of the steps refuses it
+        monkeypatch.setattr(catalog, "nonneg_from", lambda p, n0: n0)
+        with pytest.raises(CatalogError, match=r"rate 1/2 fails at n=5\b"):
+            FormulaEntry(
+                "bogus", "other", "rate 1/2 broken at n = 5",
+                TermSequence(1, RationalFunction(poly(1, 2, 1), poly(20, 0, 2))))
 
     def test_registration_rejects_wrong_alternation(self):
         # term ratio (n - 3)/(n + 1) changes sign at n = 3
         with pytest.raises(CatalogError, match="alternate"):
             FormulaEntry(
                 "bogus", "zeta3", "neither one sign nor alternating",
-                TermSequence.from_ratio(1, RationalFunction(poly(-3, 1), poly(1, 1))),
-                rho=Q(1, 2))
+                TermSequence(1, RationalFunction(poly(-3, 1), poly(1, 1))))
 
 
 class TestTermsNeeded:
@@ -315,9 +325,13 @@ class TestRegistryAndReports:
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
                  "zeta2-27", "schellbach-zeta2")
 HURWITZ_VALUES = [Q(n, d) for n in range(1, 13) for d in range(1, 13) if gcd(n, d) == 1]
-#: a <= 12 whose term ratio exceeds 1/4 for every large n
-HURWITZ_UNCERTIFIABLE = {Q(1, d) for d in range(3, 13)} | {
-    Q(2, 7), Q(2, 9), Q(2, 11), Q(3, 8), Q(3, 10), Q(3, 11), Q(4, 11)}
+#: a <= 12 whose term ratio tends to 1/4 from above, so rate 1/4 has no
+#: certificate: a -> valid_from of the first rung, 1/4 + (1 - 1/4)/8 = 11/32
+HURWITZ_RUNG = Q(11, 32)
+HURWITZ_RUNG_FROM = {
+    Q(1, 3): 1, Q(1, 4): 1, Q(1, 5): 2, Q(1, 6): 2, Q(1, 7): 3, Q(1, 8): 3,
+    Q(1, 9): 3, Q(1, 10): 3, Q(1, 11): 3, Q(1, 12): 3, Q(2, 7): 1, Q(2, 9): 2,
+    Q(2, 11): 2, Q(3, 8): 0, Q(3, 10): 1, Q(3, 11): 1, Q(4, 11): 0}
 
 
 def quadratic_terms_needed(entry, digits, rounding):
@@ -361,12 +375,12 @@ class TestRecurrenceTerms:
 class TestHurwitzValidFrom:
     def test_every_value_up_to_twelve(self):
         for a in HURWITZ_VALUES:
-            if a in HURWITZ_UNCERTIFIABLE:
-                with pytest.raises(CatalogError, match="no rho = 1/4 certificate exists"):
-                    entry_markov_hurwitz(a)
+            entry = entry_markov_hurwitz(a)
+            if a in HURWITZ_RUNG_FROM:
+                assert entry.ratio_bound == RatioBound(HURWITZ_RUNG, HURWITZ_RUNG_FROM[a]), a
                 continue
             expected = 1 if a in (Q(2, 5), Q(5, 12)) else 0
-            assert entry_markov_hurwitz(a).ratio_bound.valid_from == expected, a
+            assert entry.ratio_bound == RatioBound(Q(1, 4), expected), a
 
     @pytest.mark.parametrize("a", [Q(2, 5), Q(5, 12)])
     def test_ratio_above_quarter_only_at_zero(self, a):
@@ -379,6 +393,54 @@ class TestHurwitzValidFrom:
         assert direct.enclosure.lower <= report.enclosure.upper
 
 
+def proven(entry, digits=40) -> Enclosure:
+    report = evaluate(entry, terms_needed(entry, digits), digits=digits)
+    assert report.digits_proven >= digits, entry.constant
+    return report.enclosure
+
+
+def hurwitz_zeta(a) -> Enclosure:
+    return proven(entry_markov_hurwitz(a))
+
+
+def residual(terms, constant=0) -> Enclosure:
+    """The enclosure of constant + sum of c * x over the (c, enclosure of x) terms."""
+    lower = upper = Q(constant)
+    for c, x in terms:
+        lower += min(c * x.lower, c * x.upper)
+        upper += max(c * x.lower, c * x.upper)
+    return Enclosure(lower, upper)
+
+
+def assert_identity(terms, constant=0):
+    enclosure = residual(terms, constant)
+    assert enclosure.contains(0) and enclosure.width < Q(1, 10 ** 37), enclosure
+
+
+class TestHurwitzIdentities:
+    """The values certified at a rung above 1/4, against identities of zeta(3, a)
+    whose other side is computed at rate 1/4 or by the apery series."""
+
+    @pytest.mark.parametrize("a", sorted(HURWITZ_RUNG_FROM))
+    def test_shift(self, a):
+        # zeta(3, a) - zeta(3, a + 1) = a^-3
+        assert_identity([(1, hurwitz_zeta(a)), (-1, hurwitz_zeta(a + 1))], -a ** -3)
+
+    def test_multiplication_formula(self):
+        # sum_{k<m} zeta(3, a + k/m) = m^3 zeta(3, m a) at a = 1/m, m = 3 and 4
+        zeta3 = proven(entry_apery())
+        assert_identity([(1, hurwitz_zeta(Q(1, 3))), (1, hurwitz_zeta(Q(2, 3))), (-26, zeta3)])
+        assert_identity([(1, hurwitz_zeta(Q(1, 4))), (1, hurwitz_zeta(Q(1, 2))),
+                         (1, hurwitz_zeta(Q(3, 4))), (-63, zeta3)])
+
+    def test_negative_a(self):
+        # zeta(3, -1/2) = -8 + zeta(3, 1/2) = 7 zeta(3) - 8
+        assert_identity([(1, hurwitz_zeta(Q(-1, 2))), (-7, proven(entry_apery()))], 8)
+        # zeta(3, -7/3) = (-7/3)^-3 + (-4/3)^-3 + (-1/3)^-3 + zeta(3, 2/3)
+        shifts = sum((Q(-7, 3) + k) ** -3 for k in range(3))
+        assert_identity([(1, hurwitz_zeta(Q(-7, 3))), (-1, hurwitz_zeta(Q(2, 3)))], -shifts)
+
+
 class TestSinglePassTermsNeeded:
     @pytest.mark.parametrize("rounding", [ROUND_TRUNCATE, ROUND_HALF_EVEN])
     @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
@@ -389,19 +451,17 @@ class TestSinglePassTermsNeeded:
                 quadratic_terms_needed(entry, digits, rounding), digits
 
     def test_unprovable_ratio_bound_is_refused(self):
-        # 1001/(2n+2) <= 1/2 only from n = 1000 on, past the certificate's reach
-        with pytest.raises(CatalogError, match="no rho = 1/2 certificate found"):
+        # 1001/(2n+2) tends to 0, but is <= 1/2, the top rung, only from
+        # n = 1000 on, past the certificate's reach
+        with pytest.raises(CatalogError, match="no rate certificate at the ratio's limit 0"):
             FormulaEntry(
                 "late-rate", "other", "ratio 1/2 only from n = 1000",
-                TermSequence.from_ratio(1, RationalFunction(poly(1001), poly(2, 2))),
-                rho=Q(1, 2))
+                TermSequence(1, RationalFunction(poly(1001), poly(2, 2))))
 
 
 # ---------------------------------------------------------------------------
 # One description per entry: the remaining eight entries and the derived fields
 # ---------------------------------------------------------------------------
-
-KUMMER_SPEC = HGSpec((Q(9, 2), Q(9, 2), Q(9, 2), Q(1)), (Q(5), Q(5), Q(5)))
 
 #: entry -> closed form of its terms, the oracle of its recurrence
 DIRECT_ORACLES = {
@@ -410,7 +470,7 @@ DIRECT_ORACLES = {
     "eta2-direct": lambda n: Q((-1) ** (n - 1), n * n),
     "eta3-direct": lambda n: Q((-1) ** (n - 1), n ** 3),
     "hurwitz3-direct": lambda n: 1 / (1 + Q(n)) ** 3,
-    "kummer": lambda n: hg_term(KUMMER_SPEC, n),
+    "kummer": lambda n: (rising_factorial(Q(9, 2), n) / rising_factorial(5, n)) ** 3,
 }
 
 #: (alternating, remainder_nonneg, Leibniz start, valid_from) as hand-set
@@ -463,9 +523,8 @@ class TestDescriptions:
 
     def test_hurwitz_fields_equal_hand_set_ones(self):
         for a in HURWITZ_VALUES:
-            if a not in HURWITZ_UNCERTIFIABLE:
-                start = 1 if a in (Q(2, 5), Q(5, 12)) else 0
-                assert derived(entry_markov_hurwitz(a)) == (True, False, start, start), a
+            start = HURWITZ_RUNG_FROM.get(a, 1 if a in (Q(2, 5), Q(5, 12)) else 0)
+            assert derived(entry_markov_hurwitz(a)) == (True, False, start, start), a
 
     @pytest.mark.parametrize("params", SAMPLE_TUPLES)
     def test_q_fields_equal_hand_set_ones(self, params):

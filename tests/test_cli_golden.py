@@ -17,6 +17,10 @@ GOLDEN = {
         "18476d6d36b9d04366dc6bb202d198e9fa0daf7e22033530c05744bd57b9c5b2",
     "compute markov-hurwitz --a 1/2 --digits 20":
         "3c382d7ea835913c04471cd083460c0811a1209dcc60cf9e4f1b02300281b2ee",
+    "compute markov-hurwitz --a 1/3 --digits 25":
+        "78725f5d297eb0bef1df3b6b4baeed186bc250f55731fc8dc53044b1402eee8c",
+    "compute markov-hurwitz --a=-1/2 --digits 25":
+        "599bccd55adfecf620296c90c2e15db6ef9cb513e3a58bd5c12e2f0d7bef33aa",
     "verify-pair 3phi2":
         "a3cbb87bfc410f089220caba2f8784e6d6ef9a4522edaf0562010844e77eb37c",
     "verify-pair 3phi2 --a 3/4 --b 1/2 --c 1/3 --d 1/4 --q 2/5":

@@ -69,7 +69,7 @@ def _qpoch(trial: int):
 
 def _term_recurrence(trial: int):
     # a fresh sequence per trial: term(n+1) = term(n) (n+1)/(trial+2)
-    seq = TermSequence.from_ratio(Q(1), RationalFunction(poly(1, 1), poly(trial + 2)))
+    seq = TermSequence(Q(1), RationalFunction(poly(1, 1), poly(trial + 2)))
     return seq.term, _running_products(Q(1), (Q(k + 1, trial + 2) for k in range(LENGTH)))
 
 

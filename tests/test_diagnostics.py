@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,11 +11,12 @@ CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
 
 def geometric_row(first, ratio):
-    return TermSequence.from_ratio(first, RationalFunction(poly(ratio), poly(1)))
+    return TermSequence(first, RationalFunction(poly(ratio), poly(1)))
 
 
 def term_row(term):
-    return TermSequence(term, lambda n: term(n + 1) / term(n))
+    """A row given by a term function, with the two members the diagnostics read."""
+    return SimpleNamespace(n0=0, term=term)
 
 
 def test_zero_rows():

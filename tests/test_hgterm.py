@@ -2,17 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from markovsum.hgterm import (
-    BHGSpec,
-    HGSpec,
-    TermError,
-    bhg_term,
-    hg_term,
-    q_limit_check,
-    q_pochhammer,
-    rising_factorial,
-    term_sequence,
-)
+from markovsum.hgterm import q_limit_check, q_pochhammer, rising_factorial
 
 
 class TestRisingFactorial:
@@ -45,123 +35,6 @@ class TestQPochhammer:
         a, q = Q(2, 3), Q(1, 5)
         for n in range(10):
             assert q_pochhammer(a, q, n + 1) == q_pochhammer(a, q, n) * (1 - q ** n * a)
-
-
-class TestHGTerm:
-    def test_n_zero(self):
-        spec = HGSpec((Q(1), Q(1), Q(1)), (Q(2), Q(2)))
-        assert hg_term(spec, 0) == 1
-
-    def test_hand_evaluation(self):
-        # (1)_2^3 / ((2)_2^2 * 2!) = 8/72
-        spec = HGSpec((Q(1), Q(1), Q(1)), (Q(2), Q(2)))
-        assert hg_term(spec, 2) == Q(1, 9)
-
-    def test_single_upper(self):
-        # (1)_3 (1/2)^3 / 3! = 1/8
-        spec = HGSpec((Q(1),), (), Q(1, 2))
-        assert hg_term(spec, 3) == Q(1, 8)
-
-    def test_lower_validation(self):
-        with pytest.raises(ValueError):
-            HGSpec((Q(1),), (Q(-2),))
-        with pytest.raises(ValueError):
-            HGSpec((Q(1),), (Q(0),))
-
-    def test_json_round_trip(self):
-        spec = HGSpec((Q(9, 2), Q(1)), (Q(5),), Q(-1))
-        assert HGSpec.from_json(spec.to_json()) == spec
-
-
-class TestBHGTerm:
-    def test_n_zero(self):
-        spec = BHGSpec((Q(1, 3), Q(1, 5)), (Q(1, 7),), Q(1, 2), Q(2, 3))
-        assert bhg_term(spec, 0) == 1
-
-    def test_balanced_has_no_correction(self):
-        # r = s+1: correction exponent is zero; term is the plain quotient
-        spec = BHGSpec((Q(1, 3), Q(1)), (Q(1, 7),), Q(1, 2), Q(2, 3))
-        n = 2
-        expected = (q_pochhammer(Q(1, 3), Q(1, 2), n)
-                    / q_pochhammer(Q(1, 7), Q(1, 2), n) * Q(2, 3) ** n)
-        assert bhg_term(spec, n) == expected
-
-    def test_missing_upper_one_is_degenerate(self):
-        # without a literal upper 1 the implicit lower 1 cannot cancel and
-        # its q-Pochhammer vanishes from n = 1 on
-        spec = BHGSpec((Q(1, 3), Q(1, 5)), (Q(1, 7),), Q(1, 2), Q(2, 3))
-        assert bhg_term(spec, 0) == 1
-        with pytest.raises(TermError, match="vanishes"):
-            bhg_term(spec, 1)
-
-    def test_explicit_upper_one_folds(self):
-        # the literal upper 1 cancels the implicit lower 1, so term 1 of the
-        # 3phi2(a,b,1;c,d) series is [(1-a)(1-b)/((1-c)(1-d))] * z
-        spec = BHGSpec((Q(1, 3), Q(1, 5), Q(1)), (Q(1, 7), Q(1, 11)), Q(1, 2), Q(30, 77))
-        expected = (1 - Q(1, 3)) * (1 - Q(1, 5)) / ((1 - Q(1, 7)) * (1 - Q(1, 11))) * Q(30, 77)
-        assert bhg_term(spec, 1) == expected == Q(4, 15)
-
-    def test_second_upper_one_truncates(self):
-        # with the fold consumed, a remaining upper 1 zeroes all terms n >= 1
-        spec = BHGSpec((Q(1), Q(1)), (), Q(1, 3), Q(1, 2))
-        assert bhg_term(spec, 0) == 1
-        assert bhg_term(spec, 1) == 0
-        assert bhg_term(spec, 4) == 0
-
-    def test_correction_factor(self):
-        # r=2 (with the folded 1), s=2: exponent 1+s-r = 1, so term n gains
-        # (-1)^n q^(n(n-1)/2)
-        spec = BHGSpec((Q(1, 2), Q(1)), (Q(1, 3), Q(1, 5)), Q(1, 2), Q(1))
-        n = 3
-        plain = (q_pochhammer(Q(1, 2), Q(1, 2), n)
-                 / (q_pochhammer(Q(1, 3), Q(1, 2), n) * q_pochhammer(Q(1, 5), Q(1, 2), n)))
-        assert bhg_term(spec, n) == plain * (-1) ** n * Q(1, 2) ** 3
-
-    def test_base_validation(self):
-        with pytest.raises(ValueError):
-            BHGSpec((Q(1),), (), Q(2))
-
-    def test_vanishing_lower_detected_lazily(self):
-        # lower parameter q^-1 = 2 kills the factor (1 - q*2) at n >= 2
-        spec = BHGSpec((Q(1, 3), Q(1)), (Q(2),), Q(1, 2))
-        bhg_term(spec, 1)
-        with pytest.raises(TermError, match="vanishes"):
-            bhg_term(spec, 2)
-
-    def test_json_round_trip(self):
-        spec = BHGSpec((Q(1, 3), Q(1)), (Q(1, 7),), Q(1, 2), Q(30, 77))
-        assert BHGSpec.from_json(spec.to_json()) == spec
-
-
-class TestTermSequence:
-    def test_hg_ratio_consistency(self):
-        spec = HGSpec((Q(9, 2), Q(9, 2), Q(9, 2), Q(1)), (Q(5), Q(5), Q(5)))
-        seq = term_sequence(spec)
-        for n in range(51):
-            assert seq.term(n + 1) == seq.term(n) * seq.ratio(n)
-
-    def test_geometric_ratio(self):
-        seq = term_sequence(HGSpec((Q(1),), (), Q(1, 2)))
-        for n in range(20):
-            assert seq.ratio(n) == Q(1, 2)
-
-    def test_bhg_ratio_consistency(self):
-        spec = BHGSpec((Q(1, 3), Q(1, 5), Q(1)), (Q(1, 7), Q(1, 11)), Q(1, 2), Q(30, 77))
-        seq = term_sequence(spec)
-        for n in range(30):
-            assert seq.term(n + 1) == seq.term(n) * seq.ratio(n)
-
-    def test_bhg_unbalanced_ratio(self):
-        spec = BHGSpec((Q(1, 2), Q(1)), (Q(1, 3), Q(1, 5)), Q(1, 2), Q(1))
-        seq = term_sequence(spec)
-        for n in range(15):
-            assert seq.term(n + 1) == seq.term(n) * seq.ratio(n)
-
-    def test_zero_term_ratio_error(self):
-        spec = BHGSpec((Q(1), Q(1)), (), Q(1, 3), Q(1, 2))
-        seq = term_sequence(spec)
-        with pytest.raises(TermError, match="ratio undefined"):
-            seq.ratio(1)
 
 
 class TestQLimitCheck:
