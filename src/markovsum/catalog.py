@@ -7,7 +7,8 @@ by that enclosure.
 
 Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, polynomials in n or, for the two q-series
-sides, in y = q^n; the terms follow by memoized recurrence.  Everything
+sides, in y = q^n; the terms and prefix sums follow on one unreduced
+integer state (``hgterm.TermSequence``).  Everything
 else is derived by positivity certificates that hold for every index
 (``polys.nonneg_from`` in n, ``polys.unit_interval_nonneg`` for y in
 (0, 1]), never by a scan:
@@ -28,13 +29,16 @@ else is derived by positivity certificates that hold for every index
 
 A 64-step exact scan of term(n+1)/term(n) at registration cross-checks
 the derived bounds without computing a term; the closed-form terms are
-independent checks only (``CLOSED_FORMS``).  The term sequence keeps its
-furthest prefix sum, so ``evaluate`` after ``terms_needed`` adds no term
-twice.
+independent checks only (``CLOSED_FORMS``).  ``terms_needed`` steps the
+integer state forward and skips an index on bit lengths alone while the
+term two past it exceeds 10^-digits; only the indices past that test get
+a ``Fraction``, an enclosure and a rendering.  The sequence keeps the
+states of its last three indices, so ``evaluate`` after ``terms_needed``
+steps no further.
 
-All arithmetic is rational; nothing rounds until rendering.  Entries are
-immutable after registration and evaluation is pure; the memoized terms
-and the kept prefix sum only ever grow, under the sequence's lock.
+All arithmetic is exact; nothing rounds until rendering.  Entries are
+immutable after registration and evaluation is pure; the kept states
+change only under the sequence's lock.
 """
 
 from __future__ import annotations
@@ -276,23 +280,32 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
     """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
     Only allowed for entries with a geometric ratio bound.  One forward
-    pass: the enclosure width does not depend on the partial sum, so the sum
-    is read, and the rendering checked, only where it is <= 10^-digits.
+    pass on the integer state of the terms.  Every enclosure of such an
+    entry holds the next two partial sums, so its width is at least
+    |term(last+2)| = |A|/|B|.  While that exceeds 10^-digits the index is
+    skipped unread: bit lengths decide the test unless they fall within two
+    bits of the boundary, and one exact product decides it there.  The
+    other indices get one enclosure, and a rendering where it is
+    <= 10^-digits.
     """
     if entry.ratio_bound is None:
         raise CatalogError(f"{entry.entry_id}: no geometric bound")
     if digits <= 0:
         return 1
-    target = Fraction(1, 10 ** digits)
-    n0 = entry.n0
+    scale = 10 ** digits
+    target, scale_bits = Fraction(1, scale), scale.bit_length()
+    n0, terms = entry.n0, entry.terms
     for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
         last = n0 + n - 1
-        relative = entry.enclosure_after(Fraction(0), last)
-        if relative is None or relative.width > target:
+        a, b, _ = terms.state(last + 2)
+        # |a| scale is in [2^(bits(a)+bits(scale)-2), 2^(bits(a)+bits(scale))),
+        # |b| in [2^(bits(b)-1), 2^bits(b)): the bit lengths decide unless gap is -1 or 0
+        gap = b.bit_length() - a.bit_length() - scale_bits
+        if a and (gap <= -2 or gap <= 0 and abs(a) * scale > abs(b)):
             continue
-        partial = entry.offset + entry.terms.partial_sum(last)
-        if to_decimal(entry.enclosure_after(partial, last), digits,
-                      rounding).digits_proven >= digits:
+        enclosure = entry.enclosure_after(entry.offset + terms.partial_sum(last), last)
+        if enclosure.width <= target and \
+                to_decimal(enclosure, digits, rounding).digits_proven >= digits:
             return n
     raise CatalogError(f"{entry.entry_id}: {digits} digits not reached within {n_cap} terms")
 

@@ -1,9 +1,12 @@
 """Series terms from one description, and the Pochhammer symbols of closed forms.
 
 A ``TermSequence`` is a series described by its first term and its signed
-term ratio, rational in the index n or, for a q-series, in y = q^n.  Its
-terms follow by memoized recurrence, and it keeps its furthest prefix sum;
-both only ever grow, under a lock of the sequence's own.
+term ratio, rational in the index n or, for a q-series, in y = q^n.  It
+sums on one unreduced integer state (A, B, T), with term = A/B and prefix
+sum = T/B: a step multiplies by the integer p(n), q(n) of the ratio, with
+no gcd, and only a reader of a term or a sum forms a ``Fraction``.  It
+keeps the states of the last three indices it reached, under a lock of the
+sequence's own; an earlier index is stepped again from n0.
 
 Rising factorials (a)_n = a(a+1)...(a+n-1) and q-rising factorials
 (a;q)_n = (1-a)(1-qa)...(1-q^(n-1)a), |q| < 1, serve the closed forms: the
@@ -81,9 +84,13 @@ class TermSequence:
     term(n+1) = term(n) * ratio(n), or term(n) * ratio(base^n) for a
     q-series, whose ratio is rational in y = q^n; the ratio's polynomials
     are scaled to integers and evaluated at the integer numerator and
-    denominator of n or base^n.  The terms, and the furthest prefix sum as
-    one (index, value) pair, only ever grow; a shorter sum starts at n0.
+    denominator of n or base^n.  The state (n, A, B, T) of index n has
+    term(n) = A/B and term(n0) + ... + term(n) = T/B; stepping it by
+    p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
     """
+
+    #: states kept: an enclosure reads the sum at ``last`` and the next two terms
+    WINDOW = 3
 
     def __init__(self, first, ratio: RationalFunction, n0: int = 0, *, base=None):
         self.ratio = ratio
@@ -92,40 +99,49 @@ class TermSequence:
         coeffs = ratio.integer_coefficients()
         width = max(map(len, coeffs))  # one degree for both: base^(n degree) cancels
         self._num, self._den = (c + [0] * (width - len(c)) for c in coeffs)
-        self._values = [Fraction(first)]
-        self._sum = (n0, self._values[0])
+        first = Fraction(first)
+        self._start = (n0, first.numerator, first.denominator, first.numerator)
+        self._window = [self._start]
         self._lock = threading.Lock()
+
+    def factors(self, n: int) -> tuple[int, int]:
+        """Integers p, q != 0 with term(n+1)/term(n) = p/q."""
+        base = self.base
+        y, w = (n, 1) if base is None else (base.numerator ** n, base.denominator ** n)
+        q = _eval_int(self._den, y, w)
+        if q == 0:
+            raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
+        return _eval_int(self._num, y, w), q
 
     def step(self, n: int) -> Fraction:
         """term(n+1)/term(n), from the ratio alone."""
-        base = self.base
-        y, w = (n, 1) if base is None else (base.numerator ** n, base.denominator ** n)
-        d = _eval_int(self._den, y, w)
-        if d == 0:
-            raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
-        return Fraction(_eval_int(self._num, y, w), d)
+        return Fraction(*self.factors(n))
+
+    def state(self, n: int) -> tuple[int, int, int]:
+        """(A, B, T) of index n: term(n) = A/B and the prefix sum through n is T/B."""
+        if n < self.n0:
+            raise ValueError(f"n must be >= {self.n0}")
+        with self._lock:
+            window = self._window
+            if n < window[0][0]:
+                window[:] = [self._start]
+            while window[-1][0] < n:
+                index, a, b, t = window[-1]
+                p, q = self.factors(index)
+                a, b = a * p, b * q
+                window.append((index + 1, a, b, t * q + a))
+                if len(window) > self.WINDOW:
+                    del window[0]
+            return window[n - window[0][0]][1:]
 
     def term(self, n: int) -> Fraction:
-        k = n - self.n0
-        if k < 0:
-            raise ValueError(f"n must be >= {self.n0}")
-        values = self._values
-        if k >= len(values):
-            with self._lock:
-                while len(values) <= k:
-                    values.append(values[-1] * self.step(self.n0 + len(values) - 1))
-        return values[k]
+        a, b, _ = self.state(n)
+        return Fraction(a, b)
 
     def partial_sum(self, last: int) -> Fraction:
         """term(n0) + ... + term(last)."""
-        self.term(last)
-        with self._lock:
-            index, value = self._sum
-            if index <= last:
-                value = sum(self._values[index - self.n0 + 1:last - self.n0 + 1], value)
-                self._sum = (last, value)
-                return value
-        return sum(self._values[:last - self.n0 + 1], Fraction(0))
+        _, b, t = self.state(last)
+        return Fraction(t, b)
 
 
 def _eval_int(coeffs: Sequence[int], y: int, w: int) -> int:

@@ -12,7 +12,7 @@ Coefficient lists are ordered low degree first.  This backs two needs:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm
 from typing import Optional, Sequence
 
 Poly = list[Fraction]
@@ -76,38 +76,58 @@ def leading_coefficient(p: Sequence[Fraction]) -> Fraction:
     return next((c for c in reversed(p) if c), Fraction(0))
 
 
-def _certificate_shift(p: Sequence[Fraction], n0: int, max_shift: int) -> Optional[int]:
-    """Smallest s <= max_shift with every coefficient of p(n0 + s + m) nonnegative."""
-    if leading_coefficient(p) < 0:
-        return None  # p tends to -infinity: no shift can work
-    for s in range(max_shift + 1):
-        if all(c >= 0 for c in poly_shift(p, n0 + s)):
-            return s
-    return None
+def _certificate_shift(p: Sequence[Fraction], n0: int) -> Optional[int]:
+    """Smallest s >= 0 with every coefficient of p(n0 + s + m) nonnegative.
+
+    Such coefficients stay nonnegative at every larger shift, and they are
+    nonnegative once n0 + s is at least the real part of every root of p:
+    each linear or quadratic real factor of p(n0 + s + m) then has them.
+    The Cauchy bound 1 + max |p_i / lead(p)| exceeds every root's modulus,
+    so the shift is bisected between 0 and that bound.  None when p tends
+    to -infinity, where no shift can work.
+    """
+    lead = leading_coefficient(p)
+    if lead < 0:
+        return None
+
+    def certifies(s: int) -> bool:
+        return all(c >= 0 for c in poly_shift(p, n0 + s))
+
+    if certifies(0):
+        return 0
+    failing, certified = 0, max(1, ceil(1 + max(abs(c) for c in p) / lead) - n0)
+    while certified - failing > 1:
+        middle = (failing + certified) // 2
+        if certifies(middle):
+            certified = middle
+        else:
+            failing = middle
+    return certified
 
 
-def eventually_nonneg(p: Sequence[Fraction], n0: int, max_shift: int = 256) -> Optional[int]:
+def eventually_nonneg(p: Sequence[Fraction], n0: int) -> Optional[int]:
     """Certify p(n) >= 0 for every integer n >= n0.
 
-    Looks for a shift s such that all coefficients of p(n0 + s + m) are
-    nonnegative (then p >= 0 for n >= n0 + s follows termwise) and checks
-    the finitely many gap points n0 .. n0+s-1 exactly.  Returns the shift
-    used, or None when no certificate was found within max_shift.  A
-    negative leading coefficient gives None at once.
+    Finds the smallest shift s such that all coefficients of p(n0 + s + m)
+    are nonnegative (then p >= 0 for n >= n0 + s follows termwise) and
+    checks the finitely many gap points n0 .. n0+s-1 exactly.  Returns the
+    shift used, or None when p has a negative leading coefficient or a
+    gap point where it is negative.
     """
-    s = _certificate_shift(p, n0, max_shift)
+    s = _certificate_shift(p, n0)
     if s is None or any(poly_eval(p, n0 + j) < 0 for j in range(s)):
         return None
     return s
 
 
-def nonneg_from(p: Sequence[Fraction], n0: int, max_shift: int = 256) -> Optional[int]:
+def nonneg_from(p: Sequence[Fraction], n0: int) -> Optional[int]:
     """The first index v >= n0 with p(n) >= 0 certified for every integer n >= v.
 
     Same certificate as ``eventually_nonneg``; the gap points below the
     shifted start are checked exactly, downwards, for as long as they hold.
+    None only when p has a negative leading coefficient.
     """
-    s = _certificate_shift(p, n0, max_shift)
+    s = _certificate_shift(p, n0)
     if s is None:
         return None
     start = n0 + s
@@ -141,18 +161,18 @@ class RationalFunction:
             raise ZeroDivisionError(f"rational function denominator vanishes at {n}")
         return poly_eval(self.num, n) / d
 
-    def bounded_by(self, rho, n0: int, max_shift: int = 256) -> Optional[int]:
+    def bounded_by(self, rho, n0: int) -> Optional[int]:
         """Certify num(n)/den(n) <= rho for all integers n >= n0.
 
         Assumes both num and den are eventually positive (each is checked
         with its own nonnegativity certificate first).  Returns the shift
         of the main certificate, or None.
         """
-        if eventually_nonneg(self.num, n0, max_shift) is None:
+        if eventually_nonneg(self.num, n0) is None:
             return None
-        if eventually_nonneg(self.den, n0, max_shift) is None:
+        if eventually_nonneg(self.den, n0) is None:
             return None
-        return eventually_nonneg(self.margin(rho), n0, max_shift)
+        return eventually_nonneg(self.margin(rho), n0)
 
     def margin(self, rho) -> Poly:
         """rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""

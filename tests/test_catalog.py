@@ -24,7 +24,13 @@ from markovsum.catalog import (
     reports_to_csv,
     terms_needed,
 )
-from markovsum.exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, Enclosure, parse_decimal
+from markovsum.exact import (
+    ROUND_HALF_EVEN,
+    ROUND_TRUNCATE,
+    Enclosure,
+    parse_decimal,
+    to_decimal,
+)
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
 from markovsum.polys import RationalFunction, poly
@@ -334,19 +340,25 @@ HURWITZ_RUNG_FROM = {
     Q(2, 11): 2, Q(3, 8): 0, Q(3, 10): 1, Q(3, 11): 1, Q(4, 11): 0}
 
 
-def quadratic_terms_needed(entry, digits, rounding):
-    """The term search before the single pass: it re-sums every prefix."""
-    target = Q(1, 10 ** digits)
+def scanned_terms_needed(entry, max_digits, rounding) -> list[int]:
+    """terms_needed at 1..max_digits digits by the search before the single pass.
+
+    One enclosure at every index, from a running sum of the terms read one
+    by one rather than the sequence's own sums, and no bit-length test.
+    """
+    found = {}
     n = max(1, entry.ratio_bound.valid_from - entry.n0 + 1)
-    while True:
-        partial = entry.offset
-        for k in range(entry.n0, entry.n0 + n):
-            partial += entry.term(k)
-        enclosure = entry.enclosure_after(partial, entry.n0 + n - 1)
-        if enclosure is not None and enclosure.width <= target:
-            if evaluate(entry, n, digits=digits, rounding=rounding).digits_proven >= digits:
-                return n
+    partial = sum((entry.term(k) for k in range(entry.n0, entry.n0 + n - 1)), entry.offset)
+    while len(found) < max_digits:
+        last = entry.n0 + n - 1
+        partial += entry.term(last)
+        enclosure = entry.enclosure_after(partial, last)
+        for digits in range(1, max_digits + 1):
+            if digits not in found and enclosure.width <= Q(1, 10 ** digits) \
+                    and to_decimal(enclosure, digits, rounding).digits_proven >= digits:
+                found[digits] = n
         n += 1
+    return [found[digits] for digits in range(1, max_digits + 1)]
 
 
 class TestRecurrenceTerms:
@@ -433,6 +445,13 @@ class TestHurwitzIdentities:
         assert_identity([(1, hurwitz_zeta(Q(1, 4))), (1, hurwitz_zeta(Q(1, 2))),
                          (1, hurwitz_zeta(Q(3, 4))), (-63, zeta3)])
 
+    @pytest.mark.parametrize("a", [Q(-301, 2), Q(-299, 2)])
+    def test_shift_far_below_zero(self, a):
+        # the rate certificate of either side holds only from n = 1958 or later
+        left, right = (proven(entry_markov_hurwitz(b), digits=20) for b in (a, a + 1))
+        enclosure = residual([(1, left), (-1, right)], -a ** -3)
+        assert enclosure.contains(0) and enclosure.width < Q(1, 10 ** 19), enclosure
+
     def test_negative_a(self):
         # zeta(3, -1/2) = -8 + zeta(3, 1/2) = 7 zeta(3) - 8
         assert_identity([(1, hurwitz_zeta(Q(-1, 2))), (-7, proven(entry_apery()))], 8)
@@ -441,22 +460,46 @@ class TestHurwitzIdentities:
         assert_identity([(1, hurwitz_zeta(Q(-7, 3))), (-1, hurwitz_zeta(Q(2, 3)))], -shifts)
 
 
+#: case -> (entry builder, top digits): the geometric registry entries, the
+#: source q-series at every sample tuple to the 20 digits the benchmark asks
+#: (its integers grow like q^(-n^2)), and markov-hurwitz at negative a
+SEARCH_CASES = {
+    **{entry_id: (lambda entry_id=entry_id: get_entry(entry_id), 60)
+       for entry_id in GEOMETRIC_IDS},
+    **{f"qsh-{i}": (lambda params=params: entry_phi32_series(*params), 20)
+       for i, params in enumerate(SAMPLE_TUPLES)},
+    "markov-hurwitz(-1/2)": (lambda: entry_markov_hurwitz(Q(-1, 2)), 60),
+    "markov-hurwitz(-7/3)": (lambda: entry_markov_hurwitz(Q(-7, 3)), 60),
+}
+
+
 class TestSinglePassTermsNeeded:
     @pytest.mark.parametrize("rounding", [ROUND_TRUNCATE, ROUND_HALF_EVEN])
-    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    @pytest.mark.parametrize("entry_id", sorted(SEARCH_CASES))
     def test_equals_quadratic_search(self, entry_id, rounding):
-        entry = get_entry(entry_id)
-        for digits in range(1, 61):
-            assert terms_needed(entry, digits, rounding) == \
-                quadratic_terms_needed(entry, digits, rounding), digits
+        build, max_digits = SEARCH_CASES[entry_id]
+        entry = build()
+        assert [terms_needed(entry, digits, rounding) for digits in range(1, max_digits + 1)] \
+            == scanned_terms_needed(entry, max_digits, rounding)
 
-    def test_unprovable_ratio_bound_is_refused(self):
-        # 1001/(2n+2) tends to 0, but is <= 1/2, the top rung, only from
-        # n = 1000 on, past the certificate's reach
-        with pytest.raises(CatalogError, match="no rate certificate at the ratio's limit 0"):
-            FormulaEntry(
-                "late-rate", "other", "ratio 1/2 only from n = 1000",
-                TermSequence(1, RationalFunction(poly(1001), poly(2, 2))))
+    def test_late_rate_is_certified_where_it_holds(self):
+        # 1001/(2n+2) tends to 0; the first rung, 1/8, holds exactly from n = 4003 on
+        entry = FormulaEntry(
+            "late-rate", "other", "ratio 1/8 only from n = 4003",
+            TermSequence(1, RationalFunction(poly(1001), poly(2, 2))))
+        assert entry.ratio_bound == RatioBound(Q(1, 8), 4003)
+        assert entry.terms.step(4002) > Q(1, 8) >= entry.terms.step(4003)
+        assert evaluate(entry, terms_needed(entry, 20), digits=20).digits_proven == 20
+
+    @pytest.mark.parametrize("rounding", [ROUND_TRUNCATE, ROUND_HALF_EVEN])
+    def test_zeta3_formulas_agree_at_1000_digits(self, rounding):
+        renderings = {entry_id: evaluate(entry, terms_needed(entry, 1000, rounding),
+                                         digits=1000, rounding=rounding).rendering
+                      for entry_id, entry in (("apery", entry_apery()),
+                                              ("ratio27-zeta3", entry_ratio27_zeta3()),
+                                              ("az-zeta3", entry_az_zeta3()))}
+        assert all(r.digits_proven == 1000 for r in renderings.values())
+        assert len({str(r) for r in renderings.values()}) == 1, renderings
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +607,12 @@ class TestPrefixSums:
         for last in (5, 40, 12, 40, 41, 1, 90):
             assert entry.terms.partial_sum(last) == sum(closed(n) for n in range(1, last + 1))
 
-    def test_evaluate_reads_the_sum_of_terms_needed(self):
+    def test_evaluate_after_terms_needed_steps_no_further(self, monkeypatch):
         entry = entry_az_zeta3()
         n = terms_needed(entry, 40)
-        last, value = entry.terms._sum
-        assert last == entry.n0 + n - 1
+        factors = entry.terms.factors
+        calls = []
+        monkeypatch.setattr(entry.terms, "factors", lambda k: calls.append(k) or factors(k))
         report = evaluate(entry, n, digits=40)
-        assert entry.terms._sum == (last, value)
+        assert calls == []
         assert report.enclosure == evaluate(entry_az_zeta3(), n, digits=40).enclosure

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,17 @@ class TestCompute:
                            "--digits", "33")
         assert code == 0
         assert f"value: {MARKOV_33}" in out
+
+    def test_thousand_digits_in_bounded_memory(self, capsys):
+        # the terms are summed on the integer states of the last three indices
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "compute", "apery", "--digits", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "digits proven: 1000" in out
+        assert peak < 1_000_000, peak
 
     def test_ratio27_twenty_digits_within_13_terms(self, capsys):
         code, out, _ = run(capsys, "compute", "ratio27-zeta3", "--digits", "20")

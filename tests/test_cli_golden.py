@@ -59,6 +59,10 @@ GOLDEN = {
         "4a444b090b530950bf2d0ac5d95a8f26cbf15c981c0368246acdcc21da672475",
     "compute schellbach-zeta2 --digits 150":
         "1c2a595c2204f0ad84ce3aee5bdbee59ca390e0ff96e3501c739eea2b84db58b",
+    "compute apery --digits 1000":
+        "ae3d19e2d4eda7659d8473a1dba54179691f1c6df039a0f817036715470ef6ec",
+    "compute ratio27-zeta3 --digits 1000":
+        "769eec75cff2d9cbc848ce5110faa9dd4dea5499c5d0916c51651333f58304c8",
     "compare zeta3 --digits 100":
         "7e80d2e72761f9bcbb8e9eb3ab9a3a704b0c4fbd65159f7ed1ffa8687988f5ad",
     "compute zeta2-direct --digits 3":
