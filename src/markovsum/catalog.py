@@ -6,10 +6,11 @@ contain the limit, and decimal digits are only ever reported when proven
 by that enclosure.
 
 Each entry is described once, by its first index n0, its first term and
-its signed term ratio p/q, polynomials in n or, for the two q-series
-sides, in y = q^n; the terms and prefix sums follow on one unreduced
-integer state (``hgterm.TermSequence``).  Everything
-else is derived by positivity certificates that hold for every index
+its signed term ratio p/q, integer polynomials in n or, for the two
+q-series sides, in y = q^n (``polys.RationalFunction`` clears rational
+coefficients once); the terms and prefix sums follow on one unreduced
+integer state (``hgterm.TermSequence``).  Everything else is derived by
+positivity certificates on integer polynomials that hold for every index
 (``polys.nonneg_from`` in n, ``polys.unit_interval_nonneg`` for y in
 (0, 1]), never by a scan:
 
@@ -27,7 +28,7 @@ else is derived by positivity certificates that hold for every index
   series and the slow n^(-3/2) entry; for the transformed q-series a
   one-term-plus-geometric bound, its ratio certified below K q^(2x).
 
-A 64-step exact scan of term(n+1)/term(n) at registration cross-checks
+A 64-step scan of the integers p(n), q(n) at registration cross-checks
 the derived bounds without computing a term; the closed-form terms are
 independent checks only (``CLOSED_FORMS``).  ``terms_needed`` steps the
 integer state forward and skips an index on bit lengths alone while the
@@ -148,7 +149,7 @@ class FormulaEntry:
             top, bottom = (p[degree] if degree < len(p) else 0 for p in (num, den))
         else:
             top, bottom = num[0], den[0]
-        return abs(Fraction(top) / bottom) if bottom else None
+        return Fraction(abs(top), abs(bottom)) if bottom else None
 
     def term(self, n: int) -> Fraction:
         return self.terms.term(n)
@@ -187,15 +188,17 @@ class FormulaEntry:
 
     def _validate(self, rate: Optional[Fraction], rate_from: Optional[int],
                   check_span: int = 64):
-        """Registration cross-check of the derived bounds, exactly, on the first steps."""
+        """Registration cross-check of the derived bounds on the first steps,
+        on the integers p, q of term(n+1)/term(n) = p/q."""
         try:
             for n in range(self.n0, self.n0 + check_span):
-                step = self.terms.step(n)
-                if rate is not None and n >= rate_from and abs(step) > rate:
+                p, q = self.terms.factors(n)
+                if rate is not None and n >= rate_from and \
+                        abs(p) * rate.denominator > rate.numerator * abs(q):
                     raise CatalogError(f"{self.entry_id}: rate {rate} fails at n={n}")
-                if self.alternating and step >= 0:
+                if self.alternating and p * q >= 0:
                     raise CatalogError(f"{self.entry_id}: terms do not alternate at n={n}")
-                if self.remainder_nonneg and step < 0:
+                if self.remainder_nonneg and p * q < 0:
                     raise CatalogError(f"{self.entry_id}: terms change sign at n={n}")
         except TermError as exc:
             raise CatalogError(f"{self.entry_id}: {exc}") from None

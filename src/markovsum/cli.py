@@ -47,7 +47,8 @@ EXIT_USAGE = 64
 EXIT_SINGULAR = 65
 
 _CANONICAL = ("1/3", "1/5", "1/7", "1/11", "1/2")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_RATIONAL = r"\d+(/\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_RATIONAL}(,-?{_RATIONAL})*$|^-\d*\.\d+$")
 
 
 class _UsageError(Exception):
@@ -57,8 +58,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 64.
 
-    A negative rational such as -1/2 is read as an option's value, as
-    argparse already does for -1 and -0.5, so ``--a -1/2`` means ``--a=-1/2``.
+    A negative rational such as -1/2, or a comma-separated list of
+    rationals that starts with one, is read as an option's value, as
+    argparse already does for -1 and -0.5: ``--a -1/2`` means ``--a=-1/2``
+    and ``--params -2,1/3,2`` means ``--params=-2,1/3,2``.
     """
 
     def __init__(self, *args, **kwargs):
@@ -271,7 +274,6 @@ def _cmd_compare(args, out: _Out) -> int:
                                or si[2][:shared] != sj[2][:shared]):
                 out.emit(f"DISAGREEMENT: {reports[i].entry_id} vs {reports[j].entry_id} "
                          f"on {shared} shared digits")
-                out.flush()
                 return EXIT_DISAGREE
     if args.format == "json":
         out.emit(json.dumps({"schema": "1", "constant": args.constant,
@@ -367,7 +369,6 @@ def _cmd_solve(args, out: _Out) -> int:
                                             z_samples=args.z_samples)
     if not result.ok:
         out.emit(f"failure: {result.reason}")
-        out.flush()
         return EXIT_VERIFY_FAIL
     data = result.data
     if args.format == "json":

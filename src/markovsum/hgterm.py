@@ -1,12 +1,13 @@
 """Series terms from one description, and the Pochhammer symbols of closed forms.
 
 A ``TermSequence`` is a series described by its first term and its signed
-term ratio, rational in the index n or, for a q-series, in y = q^n.  It
-sums on one unreduced integer state (A, B, T), with term = A/B and prefix
-sum = T/B: a step multiplies by the integer p(n), q(n) of the ratio, with
-no gcd, and only a reader of a term or a sum forms a ``Fraction``.  It
-keeps the states of the last three indices it reached, under a lock of the
-sequence's own; an earlier index is stepped again from n0.
+term ratio, a quotient of integer polynomials in the index n or, for a
+q-series, in y = q^n.  It sums on one unreduced integer state (A, B, T),
+with term = A/B and prefix sum = T/B: a step multiplies by the integer
+p(n), q(n) of the ratio, with no gcd, and only a reader of a term or a sum
+forms a ``Fraction``.  It keeps the states of the last three indices it
+reached, under a lock of the sequence's own; an earlier index is stepped
+again from n0.
 
 Rising factorials (a)_n = a(a+1)...(a+n-1) and q-rising factorials
 (a;q)_n = (1-a)(1-qa)...(1-q^(n-1)a), |q| < 1, serve the closed forms: the
@@ -82,11 +83,11 @@ class TermSequence:
     """A series described by its first term and its signed term ratio.
 
     term(n+1) = term(n) * ratio(n), or term(n) * ratio(base^n) for a
-    q-series, whose ratio is rational in y = q^n; the ratio's polynomials
-    are scaled to integers and evaluated at the integer numerator and
-    denominator of n or base^n.  The state (n, A, B, T) of index n has
-    term(n) = A/B and term(n0) + ... + term(n) = T/B; stepping it by
-    p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
+    q-series, whose ratio is rational in y = q^n; the ratio's integer
+    polynomials are evaluated at the integer numerator and denominator of
+    n or base^n.  The state (n, A, B, T) of index n has term(n) = A/B and
+    term(n0) + ... + term(n) = T/B; stepping it by p/q = ratio(n) gives
+    (n+1, A p, B q, T q + A p).
     """
 
     #: states kept: an enclosure reads the sum at ``last`` and the next two terms
@@ -96,9 +97,9 @@ class TermSequence:
         self.ratio = ratio
         self.n0 = n0
         self.base = None if base is None else Fraction(base)
-        coeffs = ratio.integer_coefficients()
-        width = max(map(len, coeffs))  # one degree for both: base^(n degree) cancels
-        self._num, self._den = (c + [0] * (width - len(c)) for c in coeffs)
+        # one degree for both: base^(n degree) cancels
+        width = max(len(ratio.num), len(ratio.den))
+        self._num, self._den = (c + [0] * (width - len(c)) for c in (ratio.num, ratio.den))
         first = Fraction(first)
         self._start = (n0, first.numerator, first.denominator, first.numerator)
         self._window = [self._start]
@@ -112,10 +113,6 @@ class TermSequence:
         if q == 0:
             raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
         return _eval_int(self._num, y, w), q
-
-    def step(self, n: int) -> Fraction:
-        """term(n+1)/term(n), from the ratio alone."""
-        return Fraction(*self.factors(n))
 
     def state(self, n: int) -> tuple[int, int, int]:
         """(A, B, T) of index n: term(n) = A/B and the prefix sum through n is T/B."""

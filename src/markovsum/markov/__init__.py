@@ -9,10 +9,8 @@ from .pairs import (
     PairCheck,
     RectangleSums,
     Scale,
-    TransformSums,
     check_pair_condition,
     green_rectangle,
-    transform_check,
 )
 from .certificates import (
     Certificate,
@@ -59,12 +57,12 @@ __all__ = [
     "FORM_U2", "FORM_U3", "GridFunction", "Lcg", "MarkovPair", "MultiplierData",
     "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "Scale", "SchellbachParams",
     "SolveResult", "SolverFamily", "ThreePhiTwo",
-    "TransformSums", "Verdict", "check_pair_condition", "coefficient_residuals",
+    "Verdict", "check_pair_condition", "coefficient_residuals",
     "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",
     "green_rectangle", "make_certificate",
     "markov_form_term", "markov_param_map", "pair_from_certificate",
     "phi32_family", "ratio_function", "remainder_diagnostics",
     "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
-    "solve_multipliers_stepwise", "transform_check", "verify_certificate",
+    "solve_multipliers_stepwise", "verify_certificate",
     "well_poised_family",
 ]

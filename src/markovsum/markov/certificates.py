@@ -143,33 +143,37 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
     return Verdict(True, checks)
 
 
+#: the largest column index evaluated: grid values grow super-exponentially in size
+X_CAP = 512
+
+
+def check_column(x: int):
+    """Refuse a column index outside 0..X_CAP."""
+    if x > X_CAP:
+        raise EvaluationError(f"x={x} beyond cap {X_CAP}", x=x)
+    if x < 0:
+        raise ValueError("x must be >= 0")
+
+
 class ColumnMultipliers:
-    """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x).
+    """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x), for x <= X_CAP.
 
     Calling it gives A_x; ``ratio(x)`` gives the step A_{x+1}/A_x.  Both
     are memoized; the list of A values is extended under a lock.  P(x) must
-    not vanish on the working range; ``x_cap`` bounds the range because
-    the grid values grow super-exponentially in representation size.
+    not vanish on the working range.
     """
 
-    def __init__(self, p: Callable[[int], Fraction], q: Callable[[int], Fraction],
-                 x_cap: int = 512):
-        self._p, self._q, self.x_cap = p, q, x_cap
+    def __init__(self, p: Callable[[int], Fraction], q: Callable[[int], Fraction]):
+        self._p, self._q = p, q
         self._values = [ONE]
         self._ratios: dict[int, Fraction] = {}  # a pure function of x: no lock needed
         self._lock = threading.Lock()
-
-    def _check(self, x: int):
-        if x > self.x_cap:
-            raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
-        if x < 0:
-            raise ValueError("x must be >= 0")
 
     def ratio(self, x: int) -> Fraction:
         """A_{x+1}/A_x = Q(x)/P(x)."""
         cached = self._ratios.get(x)
         if cached is None:
-            self._check(x + 1)
+            check_column(x + 1)
             px = self._p(x)
             if px == 0:
                 raise EvaluationError(f"certificate singular at x={x}", x=x)
@@ -177,7 +181,7 @@ class ColumnMultipliers:
         return cached
 
     def __call__(self, x: int) -> Fraction:
-        self._check(x)
+        check_column(x)
         values = self._values
         if len(values) <= x:
             with self._lock:
@@ -186,12 +190,12 @@ class ColumnMultipliers:
         return values[x]
 
 
-def pair_from_certificate(cert: Certificate, x_cap: int = 512) -> MarkovPair:
+def pair_from_certificate(cert: Certificate) -> MarkovPair:
     """Build the telescoping pair induced by a certificate (A_0 = 1).
 
     The pair lives on the scale A_x S_{x,z}, with S the extension's scale.
     """
-    a = ColumnMultipliers(cert.p, cert.q, x_cap)
+    a = ColumnMultipliers(cert.p, cert.q)
     ext = cert.extension
     f, s = ext.reduced, ext.scale
 

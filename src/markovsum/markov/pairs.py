@@ -156,10 +156,22 @@ def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
 
 @dataclass(frozen=True)
 class RectangleSums:
-    """Both sides of the boundary identity over [0,i] x [0,j]."""
+    """The edge sums over [0,i] x [0,j]: the series' partial sums u_sum =
+    sum_{z<j} U_{0,z}, v_sum = sum_{x<i} V_{x,0} and the far edges u_edge =
+    sum_{z<j} U_{i,z}, v_edge = sum_{x<i} V_{x,j}."""
 
-    lhs: Fraction
-    rhs: Fraction
+    u_sum: Fraction
+    u_edge: Fraction
+    v_sum: Fraction
+    v_edge: Fraction
+
+    @property
+    def lhs(self) -> Fraction:
+        return self.u_sum - self.u_edge
+
+    @property
+    def rhs(self) -> Fraction:
+        return self.v_sum - self.v_edge
 
     @property
     def equal(self) -> bool:
@@ -167,42 +179,8 @@ class RectangleSums:
 
 
 def green_rectangle(pair: MarkovPair, i: int, j: int) -> RectangleSums:
-    """Exact boundary sums; lhs == rhs whenever the pair telescopes there."""
+    """Exact edge sums; lhs == rhs whenever the pair telescopes there."""
     if i < 1 or j < 1:
         raise ValueError("rectangle requires i, j >= 1")
-    lhs = sum(pair.u(0, z) for z in range(j)) - sum(pair.u(i, z) for z in range(j))
-    rhs = sum(pair.v(x, 0) for x in range(i)) - sum(pair.v(x, j) for x in range(i))
-    return RectangleSums(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class TransformSums:
-    """Partial sums of both series plus the edge sums bounding their gap."""
-
-    u_sum: Fraction
-    v_sum: Fraction
-    u_edge: Fraction
-    v_edge: Fraction
-
-    @property
-    def discrepancy(self) -> Fraction:
-        return self.u_sum - self.v_sum
-
-    @property
-    def edge_discrepancy(self) -> Fraction:
-        return self.u_edge - self.v_edge
-
-
-def transform_check(pair: MarkovPair, i: int, j: int) -> TransformSums:
-    """Compare sum_{z<j} U_{0,z} with sum_{x<i} V_{x,0}.
-
-    By the rectangle identity the gap equals u_edge - v_edge exactly, so
-    the returned edge sums bound how far the two partial sums may differ.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("transform check requires i, j >= 1")
-    u_sum = sum(pair.u(0, z) for z in range(j))
-    v_sum = sum(pair.v(x, 0) for x in range(i))
-    u_edge = sum(pair.u(i, z) for z in range(j))
-    v_edge = sum(pair.v(x, j) for x in range(i))
-    return TransformSums(u_sum, v_sum, u_edge, v_edge)
+    return RectangleSums(sum(pair.u(0, z) for z in range(j)), sum(pair.u(i, z) for z in range(j)),
+                         sum(pair.v(x, 0) for x in range(i)), sum(pair.v(x, j) for x in range(i)))

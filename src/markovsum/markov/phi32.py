@@ -53,10 +53,8 @@ from typing import Callable
 
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
-from .certificates import Certificate, ColumnMultipliers, pair_from_certificate
+from .certificates import Certificate, ColumnMultipliers, check_column, pair_from_certificate
 from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale, one
-
-DEFAULT_X_CAP = 512
 
 #: Parameter tuples (a, b, c, d, q) used across tests and fixtures; all have
 #: 0 < t < 1 and poles nowhere near the working grids.
@@ -129,14 +127,13 @@ class _ThreePhiTwoAlgebra:
     shared column-step class.
     """
 
-    def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
+    def __init__(self, a, b, c, d, q):
         self.a, self.b, self.c, self.d, self.q = (Fraction(v) for v in (a, b, c, d, q))
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d), ("q", self.q)):
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
         self._cd = self.c * self.d
         self.t = self._cd / (self.a * self.b * self.q)
-        self.x_cap = x_cap
         #: q^k at index k
         self._powers = [ONE]
         #: F_{x,0..} at index x: F_{x,0} stepped by rx along row 0, then by rz
@@ -148,7 +145,7 @@ class _ThreePhiTwoAlgebra:
         self._q_values: dict[int, Fraction] = {}
         self._r_slopes: dict[int, Fraction] = {}
         #: column multiplier A_x, A_0 = 1
-        self.A = ColumnMultipliers(self.P, self.Q, x_cap)
+        self.A = ColumnMultipliers(self.P, self.Q)
 
     @property
     def params(self) -> tuple[Fraction, ...]:
@@ -263,31 +260,25 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
     in which both series converge.
     """
 
-    def __init__(self, a, b, c, d, q, x_cap: int = DEFAULT_X_CAP):
-        super().__init__(a, b, c, d, q, x_cap)
+    def __init__(self, a, b, c, d, q):
+        super().__init__(a, b, c, d, q)
         if not abs(self.q) < 1:
             raise ValueError(f"|q| < 1 required, got q = {format_rational(self.q)}")
         if not abs(self.t) < 1:
             raise ValueError(f"|t| < 1 required, got t = {format_rational(self.t)}")
-
-    def _check_cap(self, x: int):
-        if x > self.x_cap:
-            raise EvaluationError(f"x={x} beyond cap {self.x_cap}", x=x)
-        if x < 0:
-            raise ValueError("x must be >= 0")
 
     def series_term(self, z: int) -> Fraction:
         """Term z of the source series: (a,b;q)_z / (c,d;q)_z * t^z."""
         return self.f(0, z)
 
     def pair(self) -> MarkovPair:
-        return pair_from_certificate(self.certificate(), self.x_cap)
+        return pair_from_certificate(self.certificate())
 
     # -- closed forms, independent of the certificate ----------------------------
 
     def A_closed(self, x: int) -> Fraction:
         """Product form (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x})."""
-        self._check_cap(x)
+        check_column(x)
         a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
         num = q_pochhammer(c / a, q, x) * q_pochhammer(c / b, q, x) \
             * q_pochhammer(d / a, q, x) * q_pochhammer(d / b, q, x)
@@ -304,7 +295,7 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
 
     def v0(self, x: int) -> Fraction:
         """Term x of the transformed series, in fully reduced closed form."""
-        self._check_cap(x)
+        check_column(x)
         a, b, c, d, q, t = self.a, self.b, self.c, self.d, self.q, self.t
         num = q_pochhammer(c / a, q, x) * q_pochhammer(c / b, q, x) \
             * q_pochhammer(d / a, q, x) * q_pochhammer(d / b, q, x)

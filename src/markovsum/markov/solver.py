@@ -91,14 +91,12 @@ class SolveResult:
 
 
 def solve_multipliers_stepwise(extension: GridFunction, form: str,
-                               x_max: int, z_samples: Optional[int] = None,
-                               q: Optional[Fraction] = None) -> SolveResult:
+                               x_max: int, z_samples: Optional[int] = None) -> SolveResult:
     """Solve the multiplier tables column by column.
 
     ``z_samples`` defaults to (unknowns + 2); at least that many samples
     are required so every solve is checked on two extra consistency
-    points.  For form u1 the base q is taken from the extension's recorded
-    parameters unless given explicitly.
+    points.  For form u1 the base q is the extension's recorded parameter q.
     """
     if form not in _SHAPE:
         raise ValueError(f"unknown ansatz form {form!r}")
@@ -108,11 +106,9 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
         z_samples = unknowns + 2
     if z_samples < unknowns + 2:
         raise ValueError(f"form {form} needs z_samples >= {unknowns + 2}")
-    if form == FORM_U1:
-        q = q if q is not None else extension.params.get("q")
-        if q is None:
-            raise ValueError("form u1 needs the base q (extension params or argument)")
-        q = Fraction(q)
+    q = extension.params.get("q")
+    if form == FORM_U1 and q is None:
+        raise ValueError("form u1 needs the base q in the extension params")
 
     u_coeffs: list[list[Fraction]] = [[Fraction(1)] + [Fraction(0)] * (deg_u - 1)]
     v_coeffs: list[list[Fraction]] = []

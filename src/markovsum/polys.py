@@ -1,6 +1,8 @@
-"""Small exact-polynomial toolkit over rationals.
+"""Small exact-polynomial toolkit over the integers and the rationals.
 
-Coefficient lists are ordered low degree first.  This backs two needs:
+Coefficient lists are ordered low degree first; integer coefficients stay
+``int``, and a ``Fraction`` input gives ``Fraction`` results.  This backs
+two needs:
 
 * certifying that a rational function of the summation index stays below a
   geometric ratio for *all* indices past some point (tail-bound rigor in
@@ -12,25 +14,24 @@ Coefficient lists are ordered low degree first.  This backs two needs:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, lcm
+from math import comb, lcm
 from typing import Optional, Sequence
 
-Poly = list[Fraction]
+Poly = list
 
 
 def poly(*coeffs) -> Poly:
     """Build a polynomial from low-degree-first coefficients."""
-    return [Fraction(c) for c in coeffs]
+    return list(coeffs)
 
 
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+def poly_add(p: Sequence, q: Sequence) -> Poly:
     n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-            for i in range(n)]
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def poly_mul(p: Sequence, q: Sequence) -> Poly:
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -38,24 +39,22 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     return out
 
 
-def poly_scale(p: Sequence[Fraction], c) -> Poly:
-    c = Fraction(c)
+def poly_scale(p: Sequence, c) -> Poly:
     return [a * c for a in p]
 
 
-def poly_pow(p: Sequence[Fraction], e: int) -> Poly:
-    out = [Fraction(1)]
+def poly_pow(p: Sequence, e: int) -> Poly:
+    out = [1]
     for _ in range(e):
         out = poly_mul(out, p)
     return out
 
 
-def poly_shift(p: Sequence[Fraction], s) -> Poly:
+def poly_shift(p: Sequence, s) -> Poly:
     """Coefficients of p(x + s)."""
-    s = Fraction(s)
     if s == 0:
-        return [Fraction(a) for a in p]
-    out = [Fraction(0)] * len(p)
+        return list(p)
+    out = [0] * len(p)
     for i, a in enumerate(p):
         if a:
             for j in range(i + 1):
@@ -63,30 +62,24 @@ def poly_shift(p: Sequence[Fraction], s) -> Poly:
     return out
 
 
-def poly_eval(p: Sequence[Fraction], x) -> Fraction:
-    x = Fraction(x)
-    v = Fraction(0)
+def poly_eval(p: Sequence, x):
+    v = 0
     for a in reversed(p):
         v = v * x + a
     return v
 
 
-def leading_coefficient(p: Sequence[Fraction]) -> Fraction:
-    """The highest nonzero coefficient (0 for the zero polynomial)."""
-    return next((c for c in reversed(p) if c), Fraction(0))
-
-
-def _certificate_shift(p: Sequence[Fraction], n0: int) -> Optional[int]:
+def _certificate_shift(p: Sequence, n0: int) -> Optional[int]:
     """Smallest s >= 0 with every coefficient of p(n0 + s + m) nonnegative.
 
     Such coefficients stay nonnegative at every larger shift, and they are
     nonnegative once n0 + s is at least the real part of every root of p:
     each linear or quadratic real factor of p(n0 + s + m) then has them.
     The Cauchy bound 1 + max |p_i / lead(p)| exceeds every root's modulus,
-    so the shift is bisected between 0 and that bound.  None when p tends
-    to -infinity, where no shift can work.
+    so the shift is bisected between 0 and its ceiling, formed by floor
+    division.  None when p tends to -infinity, where no shift can work.
     """
-    lead = leading_coefficient(p)
+    lead = next((c for c in reversed(p) if c), 0)
     if lead < 0:
         return None
 
@@ -95,7 +88,7 @@ def _certificate_shift(p: Sequence[Fraction], n0: int) -> Optional[int]:
 
     if certifies(0):
         return 0
-    failing, certified = 0, max(1, ceil(1 + max(abs(c) for c in p) / lead) - n0)
+    failing, certified = 0, max(1, 1 - (-max(map(abs, p)) // lead) - n0)
     while certified - failing > 1:
         middle = (failing + certified) // 2
         if certifies(middle):
@@ -105,7 +98,7 @@ def _certificate_shift(p: Sequence[Fraction], n0: int) -> Optional[int]:
     return certified
 
 
-def eventually_nonneg(p: Sequence[Fraction], n0: int) -> Optional[int]:
+def eventually_nonneg(p: Sequence, n0: int) -> Optional[int]:
     """Certify p(n) >= 0 for every integer n >= n0.
 
     Finds the smallest shift s such that all coefficients of p(n0 + s + m)
@@ -120,7 +113,7 @@ def eventually_nonneg(p: Sequence[Fraction], n0: int) -> Optional[int]:
     return s
 
 
-def nonneg_from(p: Sequence[Fraction], n0: int) -> Optional[int]:
+def nonneg_from(p: Sequence, n0: int) -> Optional[int]:
     """The first index v >= n0 with p(n) >= 0 certified for every integer n >= v.
 
     Same certificate as ``eventually_nonneg``; the gap points below the
@@ -136,7 +129,7 @@ def nonneg_from(p: Sequence[Fraction], n0: int) -> Optional[int]:
     return start
 
 
-def unit_interval_nonneg(p: Sequence[Fraction]) -> bool:
+def unit_interval_nonneg(p: Sequence) -> bool:
     """Certify p(y) >= 0 for every y in (0, 1].
 
     y = 1/(1+s) maps s >= 0 onto (0, 1], and (1+s)^deg p(1/(1+s)) =
@@ -149,17 +142,22 @@ def unit_interval_nonneg(p: Sequence[Fraction]) -> bool:
 
 
 class RationalFunction:
-    """Quotient of two exact polynomials in one integer variable."""
+    """Quotient num/den of two integer polynomials in one variable.
 
-    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction]):
-        self.num = list(num)
-        self.den = list(den)
+    Rational coefficients are cleared once: num and den are multiplied by
+    the lcm of their coefficients' denominators.
+    """
+
+    def __init__(self, num: Sequence, den: Sequence):
+        scale = lcm(*(c.denominator for c in (*num, *den)))
+        self.num, self.den = ([c.numerator * (scale // c.denominator) for c in p]
+                              for p in (num, den))
 
     def __call__(self, n) -> Fraction:
         d = poly_eval(self.den, n)
         if d == 0:
             raise ZeroDivisionError(f"rational function denominator vanishes at {n}")
-        return poly_eval(self.num, n) / d
+        return Fraction(poly_eval(self.num, n), d)
 
     def bounded_by(self, rho, n0: int) -> Optional[int]:
         """Certify num(n)/den(n) <= rho for all integers n >= n0.
@@ -175,13 +173,10 @@ class RationalFunction:
         return eventually_nonneg(self.margin(rho), n0)
 
     def margin(self, rho) -> Poly:
-        """rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""
-        return poly_add(poly_scale(self.den, Fraction(rho)), poly_scale(self.num, -1))
-
-    def integer_coefficients(self) -> tuple[list[int], list[int]]:
-        """num and den scaled by one positive integer to integer coefficients."""
-        scale = lcm(*(c.denominator for c in self.num + self.den))
-        return ([int(c * scale) for c in self.num], [int(c * scale) for c in self.den])
+        """rho.numerator den - rho.denominator num: a positive multiple of
+        rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""
+        return poly_add(poly_scale(self.den, rho.numerator),
+                        poly_scale(self.num, -rho.denominator))
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

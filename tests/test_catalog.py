@@ -488,7 +488,7 @@ class TestSinglePassTermsNeeded:
             "late-rate", "other", "ratio 1/8 only from n = 4003",
             TermSequence(1, RationalFunction(poly(1001), poly(2, 2))))
         assert entry.ratio_bound == RatioBound(Q(1, 8), 4003)
-        assert entry.terms.step(4002) > Q(1, 8) >= entry.terms.step(4003)
+        assert entry.terms.ratio(4002) > Q(1, 8) >= entry.terms.ratio(4003)
         assert evaluate(entry, terms_needed(entry, 20), digits=20).digits_proven == 20
 
     @pytest.mark.parametrize("rounding", [ROUND_TRUNCATE, ROUND_HALF_EVEN])
@@ -616,3 +616,43 @@ class TestPrefixSums:
         report = evaluate(entry, n, digits=40)
         assert calls == []
         assert report.enclosure == evaluate(entry_az_zeta3(), n, digits=40).enclosure
+
+
+def integer_ratio(entry) -> bool:
+    ratio = entry.terms.ratio
+    return all(type(c) is int for c in ratio.num + ratio.den)
+
+
+class TestIntegerDescription:
+    @pytest.mark.parametrize("entry_id", sorted(catalog.REGISTRY))
+    def test_registry_ratios_are_integer_polynomials(self, entry_id):
+        assert integer_ratio(get_entry(entry_id))
+
+    def test_hurwitz_sweep_ratios_are_integer_polynomials(self):
+        assert len(HURWITZ_VALUES) == 91
+        assert all(integer_ratio(entry_markov_hurwitz(a)) for a in HURWITZ_VALUES)
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_q_side_ratios_are_integer_polynomials(self, params):
+        assert integer_ratio(entry_phi32_series(*params))
+        assert integer_ratio(entry_phi32_transformed(*params))
+
+    def test_values_are_fractions(self):
+        entry = get_entry("zeta3-direct")  # term(1) = 1, ratio n^3/(n+1)^3
+        assert type(entry.terms.ratio(1)) is Q and entry.terms.ratio(1) == Q(1, 8)
+        assert type(entry.term(1)) is Q and type(entry.terms.partial_sum(1)) is Q
+        assert entry.terms.partial_sum(2) == Q(9, 8)
+
+    def test_a_step_equal_to_the_rate_passes(self):
+        # every step is exactly -1/2, so the rate 1/2 holds with equality
+        entry = FormulaEntry("halving", "other", "sum of (-1/2)^n",
+                             TermSequence(1, RationalFunction(poly(-1), poly(2))))
+        assert entry.alternating and entry.ratio_bound == RatioBound(Q(1, 2), 0)
+        assert evaluate(entry, terms_needed(entry, 20), digits=20).enclosure.contains(Q(2, 3))
+
+    def test_a_zero_step_on_an_alternating_entry_fails(self):
+        # -(n-3)^2/(4(n+1)^2) is certified <= 0 and below 1/4 in magnitude from
+        # n = 1, with equality there, but it vanishes at n = 3
+        ratio = RationalFunction(poly(-9, 6, -1), poly(4, 8, 4))
+        with pytest.raises(CatalogError, match=r"terms do not alternate at n=3\b"):
+            FormulaEntry("bogus", "other", "zero step at n = 3", TermSequence(1, ratio))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from markovsum import cli
+from markovsum import catalog, cli
 from markovsum.catalog import parse_reports_csv
 
 MARKOV_33 = "1.202056903159594285399738161511450"
@@ -45,11 +45,16 @@ class TestCompute:
         terms = int(next(l for l in out.splitlines() if l.startswith("terms used")).split(": ")[1])
         assert terms <= 13
 
-    def test_negative_rational_parameter_may_follow_a_space(self, capsys):
-        spaced = run(capsys, "compute", "hurwitz3-direct", "--a", "-1/2", "--digits", "2",
-                     "--max-terms", "512")
-        joined = run(capsys, "compute", "hurwitz3-direct", "--a=-1/2", "--digits", "2",
-                     "--max-terms", "512")
+    @pytest.mark.parametrize("argv", [
+        "compute hurwitz3-direct --digits 2 --max-terms 512 --a -1/2",
+        "solve 4f3-u2 --x-max 2 --params -2,1/3,2",
+        "solve 4f3-u2 --x-max 2 --params -1/2,1/3,2",
+        "solve 4f3-u2 --x-max 2 --params -1/2,-1/3,3",
+    ])
+    def test_negative_rational_parameter_may_follow_a_space(self, capsys, argv):
+        *head, option, value = argv.split()
+        spaced = run(capsys, *head, option, value)
+        joined = run(capsys, *head, f"{option}={value}")
         assert spaced == joined
         assert "expected one argument" not in spaced[2]
 
@@ -98,6 +103,12 @@ class TestCompare:
         assert code == 0
         rows = parse_reports_csv(out)
         assert [r["entry"] for r in rows] == ["zeta2-direct", "schellbach-zeta2", "zeta2-27"]
+
+    def test_disagreement_is_printed_once(self, capsys, monkeypatch):
+        monkeypatch.setitem(catalog.CONSTANT_GROUPS, "zeta3", ("apery", "schellbach-zeta2"))
+        code, out, _ = run(capsys, "compare", "zeta3", "--digits", "10")
+        assert code == cli.EXIT_DISAGREE
+        assert out == "DISAGREEMENT: apery vs schellbach-zeta2 on 10 shared digits\n"
 
     def test_zero_digits_trivial(self, capsys):
         code, out, _ = run(capsys, "compare", "zeta3", "--digits", "0",
@@ -183,6 +194,10 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "3phi2-u1", "--form", "u3", "--x-max", "3")
         assert code == 1
         assert "does not close at x=0" in out
+
+    def test_failure_is_printed_once(self, capsys):
+        _, out, _ = run(capsys, "solve", "3phi2-u1", "--form", "u3", "--x-max", "3")
+        assert out == "failure: ansatz does not close at x=0\n"
 
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "solve", "not-a-family")

@@ -42,7 +42,7 @@ GOLDEN = {
     "--format json solve 4f3-wp-u3 --x-max 6":
         "1569bd2e3000942dc4c258b62ee728182ddb30d47068e7d71d53fe88984ed3cc",
     "solve 3phi2-u1 --form u3 --x-max 3":
-        "99473e42c6eee927ac357769ee8cccb28cb02bd80f104de6b998e7203efb5623",
+        "60a5bffe7c81cc3dd3f016458a69706634a71cbc3437cf2c1af1f6892c81d866",
     "compare zeta3 --digits 10":
         "99c0c82f807b6f02c4809a7980e301d625c3edb31f91b5fa244628544ceeb49e",
     "list":

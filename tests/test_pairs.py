@@ -9,7 +9,6 @@ from markovsum.markov import (
     ThreePhiTwo,
     check_pair_condition,
     green_rectangle,
-    transform_check,
 )
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
@@ -78,20 +77,21 @@ class TestGreenRectangle:
             green_rectangle(pair, 0, 3)
 
 
-class TestTransformCheck:
+class TestEdgeSums:
     def test_identity_restatement(self, pair):
-        sums = transform_check(pair, 12, 12)
-        assert sums.discrepancy == sums.edge_discrepancy
+        sums = green_rectangle(pair, 12, 12)
+        assert sums.u_sum - sums.v_sum == sums.u_edge - sums.v_edge
 
     def test_edges_shrink(self, pair):
         widths = []
         for k in (10, 20, 40):
-            sums = transform_check(pair, k, k)
+            sums = green_rectangle(pair, k, k)
             widths.append(abs(sums.u_edge) + abs(sums.v_edge))
         assert widths[0] > widths[1] > widths[2]
 
-    def test_degenerate_consistent_with_rectangle(self, pair):
-        sums = transform_check(pair, 1, 1)
-        rect = green_rectangle(pair, 1, 1)
-        assert sums.u_sum - sums.u_edge == rect.lhs
-        assert sums.v_sum - sums.v_edge == rect.rhs
+    def test_sides_are_derived_from_the_edge_sums(self, pair):
+        sums = green_rectangle(pair, 3, 2)
+        assert sums.lhs == sums.u_sum - sums.u_edge
+        assert sums.rhs == sums.v_sum - sums.v_edge
+        assert sums.u_sum == pair.u(0, 0) + pair.u(0, 1)
+        assert sums.v_edge == pair.v(0, 2) + pair.v(1, 2) + pair.v(2, 2)

@@ -16,6 +16,7 @@ from markovsum.markov import (
     markov_param_map,
     sample_parameter_tuples,
 )
+from markovsum.markov import certificates
 from markovsum.markov.phi32 import SAMPLE_TUPLES
 from oracles import f_product
 
@@ -88,10 +89,15 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="nonzero"):
             ThreePhiTwo(Q(0), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
-    def test_x_cap_enforced(self):
-        e = ThreePhiTwo(*CANONICAL, x_cap=8)
-        e.A(8)
-        with pytest.raises(Exception, match="cap"):
+    def test_x_cap_enforced(self, monkeypatch):
+        e = ThreePhiTwo(*CANONICAL)
+        for column in (e.A, e.A_closed, e.v0, lambda x: e.A.ratio(x - 1)):
+            with pytest.raises(EvaluationError, match=f"beyond cap {certificates.X_CAP}"):
+                column(certificates.X_CAP + 1)
+        monkeypatch.setattr(certificates, "X_CAP", 8)
+        e = ThreePhiTwo(*CANONICAL)
+        assert e.A(8) == e.A_closed(8)
+        with pytest.raises(EvaluationError, match="cap"):
             e.A(9)
 
 

@@ -9,6 +9,7 @@ from markovsum.polys import (
     eventually_nonneg,
     nonneg_from,
     poly,
+    poly_add,
     poly_eval,
     poly_mul,
     poly_pow,
@@ -51,7 +52,14 @@ class TestPolyShift:
         p = poly(3, Q(-1, 2), 0, 7)
         shifted = poly_shift(p, 0)
         assert shifted == p and shifted is not p
-        assert all(isinstance(c, Q) for c in poly_shift([1, 2], 0))
+
+    def test_helpers_keep_the_coefficient_type(self):
+        p = poly(3, -1, 0, 7)
+        for result in (p, poly_shift(p, 0), poly_shift(p, 2), poly_mul(p, p), poly_pow(p, 3),
+                       poly_add(p, poly(1, 1)), poly_scale(p, -2), [poly_eval(p, 5)]):
+            assert all(type(c) is int for c in result), result
+        assert all(type(c) is Q for c in poly_shift(p, Q(1, 2)))
+        assert type(poly_eval(p, Q(1, 3))) is Q
 
     def test_shift_moves_the_argument(self):
         p = poly(3, Q(-1, 2), 0, 7)
@@ -100,9 +108,14 @@ class TestNonnegFrom:
         assert nonneg_from(ratio.margin(Q(1, 2)), 0) == 1
         assert nonneg_from(ratio.margin(Q(1, 5)), 0) is None
 
-    def test_integer_coefficients(self):
+    def test_construction_clears_denominators(self):
+        # (1/2 + n/3)/(5/6), both sides times 6
         ratio = RationalFunction(poly(Q(1, 2), Q(1, 3)), poly(Q(5, 6)))
-        assert ratio.integer_coefficients() == ([3, 2], [5])
+        assert (ratio.num, ratio.den) == ([3, 2], [5])
+        assert all(type(c) is int for c in ratio.num + ratio.den)
+        assert type(ratio(1)) is Q and ratio(1) == 1
+        # 2 den - 3 num = 1 - 6n: 18 times 2/3 (5/6) - (1/2 + n/3)
+        assert ratio.margin(Q(2, 3)) == [1, -6]
 
 
 class TestUnitIntervalNonneg:

@@ -6,6 +6,7 @@ from markovsum.markov import (
     FORM_U1,
     FORM_U2,
     FORM_U3,
+    GridFunction,
     ThreePhiTwo,
     check_pair_condition,
     f4f3_family,
@@ -92,8 +93,9 @@ class TestU3Closes:
 
 class TestFailures:
     def test_u1_wrong_family(self):
-        result = solve_multipliers_stepwise(well_poised_family(Q(1), Q(2)), FORM_U1,
-                                            3, q=Q(1, 2))
+        ext = well_poised_family(Q(1), Q(2))
+        ext = GridFunction(ext.evaluator, ext.label, params={**ext.params, "q": Q(1, 2)})
+        result = solve_multipliers_stepwise(ext, FORM_U1, 3)
         assert not result.ok
         assert "does not close at x=0" in result.reason
         assert result.failed_x == 0
