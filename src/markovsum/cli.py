@@ -10,7 +10,16 @@ Exit codes: 0 success, 1 verification failure, 2 precision shortfall,
 3 cross-formula disagreement, 64 usage error, 65 evaluation singularity.
 Identical invocations with identical seeds and options produce
 byte-identical output.  The environment variable MARKOVSUM_FORMAT
-selects the default output format (text, json or csv).
+selects the default output format (text, json or csv); it is read on
+every call of :func:`main`, and an explicit ``--format`` wins.
+
+The argument parser is built once, when this module is imported, and
+every :func:`main` call parses with it.  Parsing only reads the parser
+(each call gets its own namespace and output buffer), and nothing keyed
+on a request outlives the call, so :func:`main` may run in several
+threads at once.  Each such call should pass ``--output``: without it
+the result, like any error message, goes to the process-wide
+``sys.stdout`` or ``sys.stderr``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, format_rational, parse_ratio
 from .markov import (
     EvaluationError,
     ThreePhiTwo,
+    certificates,
     check_pair_condition,
     green_rectangle,
     make_certificate,
@@ -101,8 +111,7 @@ def _count_arg(text: str) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="markovsum", description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default=os.environ.get("MARKOVSUM_FORMAT", "text"),
+    parser.add_argument("--format", choices=("text", "json", "csv"), default=None,
                         help="output format (default from MARKOVSUM_FORMAT, else text)")
     parser.add_argument("--output", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -175,6 +184,13 @@ def _resolve_params(args) -> tuple[Fraction, ...]:
         entry = table[args.preset]
         return tuple(parse_rational(entry[k]) for k in "abcdq")
     return (args.a, args.b, args.c, args.d, args.q)
+
+
+def _check_last_column(option: str, x_max: int):
+    """Refuse an option whose checks read column x_max + 1 past the column cap."""
+    if x_max + 1 > certificates.X_CAP:
+        raise _UsageError(f"{option} reads column x={x_max + 1}, "
+                          f"beyond cap {certificates.X_CAP}")
 
 
 def _build_engine(args, factory):
@@ -302,9 +318,10 @@ def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
 def _cmd_verify_pair(args, out: _Out) -> int:
     if args.fixture != "3phi2":
         raise _UsageError(f"unknown pair fixture {args.fixture!r}")
+    i, j = args.grid
+    _check_last_column("--grid", i)
     params, engine = _build_engine(args, ThreePhiTwo)
     pair = _fuzzed_pair(engine) if args.fuzz else engine.pair()
-    i, j = args.grid
     failures = 0
     first = None
     for x in range(i + 1):
@@ -355,6 +372,7 @@ def _cmd_verify_certificate(args, out: _Out) -> int:
 def _cmd_solve(args, out: _Out) -> int:
     if args.family not in FAMILIES:
         raise _UsageError(f"unknown family {args.family!r}")
+    _check_last_column("--x-max", args.x_max)
     family = FAMILIES[args.family]
     params = family.defaults
     with _usage_errors(f"bad parameters for {args.family}: "):
@@ -413,11 +431,15 @@ _HANDLERS = {
 }
 
 
+#: the one parser of the process; parsing reads it and never changes it
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    out = None
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if args.format is None:
+            args.format = os.environ.get("MARKOVSUM_FORMAT", "text")
         out = _Out(args.output)
         code = _HANDLERS[args.verb](args, out)
         out.flush()

@@ -136,8 +136,8 @@ class _ThreePhiTwoAlgebra:
         self.t = self._cd / (self.a * self.b * self.q)
         #: q^k at index k
         self._powers = [ONE]
-        #: F_{x,0..} at index x: F_{x,0} stepped by rx along row 0, then by rz
-        self._columns: list[list[Fraction]] = []
+        #: F_{x,z} at the points read so far, and at the points stepped through to them
+        self._f: dict[tuple[int, int], Fraction] = {(0, 0): ONE}
         # one-index values, each a pure function of its key: k -> (1-cq^k)(1-dq^k),
         # z -> (1-aq^z)(1-bq^z), x -> Q(x) and x -> the slope K(x) of R(x, z) in q^z
         self._poles: dict[int, Fraction] = {}
@@ -184,19 +184,32 @@ class _ThreePhiTwoAlgebra:
         return self.t * self._power(2 * x) * upper / self._pole(x, z + 1)
 
     def f(self, x: int, z: int) -> Fraction:
-        """The extension F_{x,z}; F_{0,z} is the series term."""
+        """The extension F_{x,z}; F_{0,z} is the series term.
+
+        An unknown F_{x,z} is stepped by rz from F_{x,z-1} when that is
+        stored, else by rx from F_{x-1,z} (by rz from F_{0,z-1} in column
+        0), so the table holds only the points read and a path to them:
+        the edges of a rectangle cost about 2(i+j) steps, not (i+1)(j+1).
+        """
         if x < 0 or z < 0:
             raise ValueError("lattice points need x, z >= 0")
-        columns = self._columns
-        if x >= len(columns) or z >= len(columns[x]):
+        table = self._f
+        value = table.get((x, z))
+        if value is None:
             with _extend_lock:
-                while len(columns) <= x:
-                    k = len(columns)
-                    columns.append([columns[k - 1][0] * self.rx(k - 1, 0) if k else ONE])
-                column = columns[x]
-                while len(column) <= z:
-                    column.append(column[-1] * self.rz(x, len(column) - 1))
-        return columns[x][z]
+                path = []  # unknown points back from (x, z) to a stored one
+                while (x, z) not in table:
+                    path.append((x, z))
+                    if x and (z == 0 or (x, z - 1) not in table):
+                        x -= 1
+                    else:
+                        z -= 1
+                value = table[x, z]
+                for nx, nz in reversed(path):
+                    value *= self.rz(x, z) if nx == x else self.rx(x, z)
+                    x, z = nx, nz
+                    table[x, z] = value
+        return value
 
     def extension(self) -> GridFunction:
         """F as a grid function that is all scale: value F, ratios rx and rz."""

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from markovsum import catalog, cli
 from markovsum.catalog import parse_reports_csv
+from markovsum.markov import certificates
 
 MARKOV_33 = "1.202056903159594285399738161511450"
 
@@ -154,6 +159,18 @@ class TestVerifyPair:
         code, _, _ = run(capsys, "verify-pair", "2phi1")
         assert code == 64
 
+    def test_grid_past_the_column_cap_refused_before_any_work(self, capsys):
+        # the checks at column x read A_{x+1}; unrefused, this ran 512 columns, then exited 65
+        code, out, err = run(capsys, "verify-pair", "3phi2", "--grid", "600x2")
+        assert (code, out) == (64, "")
+        assert err == "error: --grid reads column x=601, beyond cap 512\n"
+
+    def test_largest_grid_under_the_column_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(certificates, "X_CAP", 8)
+        code, out, _ = run(capsys, "verify-pair", "3phi2", "--grid", "7x2")
+        assert code == 0 and "residual_failures: 0" in out
+        assert run(capsys, "verify-pair", "3phi2", "--grid", "8x2")[0] == 64
+
     def test_preset_file(self, capsys, tmp_path):
         presets = tmp_path / "presets.json"
         presets.write_text(json.dumps({
@@ -170,6 +187,10 @@ class TestVerifyCertificate:
                            "--random-points", "5", "--seed", "3")
         assert code == 0
         assert "passed: True" in out
+
+    def test_grid_past_the_column_cap_needs_no_column_multiplier(self, capsys):
+        code, out, _ = run(capsys, "verify-certificate", "--grid", "600x1")
+        assert code == 0 and "passed: True" in out
 
     def test_singular_evaluation_exit_code(self, capsys):
         # c = q^-2 makes the extension denominator vanish inside the grid
@@ -202,6 +223,18 @@ class TestSolve:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "solve", "not-a-family")
         assert code == 64
+
+    def test_x_max_past_the_column_cap_refused_before_any_work(self, capsys):
+        # unrefused, --x-max 600 ran for minutes
+        code, out, err = run(capsys, "solve", "3phi2-u1", "--x-max", "600")
+        assert (code, out) == (64, "")
+        assert err == "error: --x-max reads column x=601, beyond cap 512\n"
+
+    def test_largest_x_max_under_the_column_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(certificates, "X_CAP", 8)
+        code, out, _ = run(capsys, "solve", "3phi2-u1", "--x-max", "7")
+        assert code == 0 and out.splitlines()[-1].startswith("x=7 ")
+        assert run(capsys, "solve", "3phi2-u1", "--x-max", "8")[0] == 64
 
 
 class TestUsageErrors:
@@ -257,3 +290,45 @@ class TestInfrastructure:
     def test_missing_verb_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 64
+
+
+def _fresh_process(*argv) -> str:
+    """Stdout of ``python -m markovsum.cli argv`` in a new interpreter, MARKOVSUM_FORMAT unset."""
+    env = {k: v for k, v in os.environ.items() if k != "MARKOVSUM_FORMAT"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "markovsum.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestSharedParser:
+    """Every main call parses with the one parser built at import."""
+
+    def test_format_env_is_read_on_every_call(self, capsys, monkeypatch):
+        request = ("compute", "apery", "--digits", "5")
+        monkeypatch.setenv("MARKOVSUM_FORMAT", "json")
+        assert json.loads(run(capsys, *request)[1])["schema"] == "1"
+        monkeypatch.setenv("MARKOVSUM_FORMAT", "csv")
+        assert parse_reports_csv(run(capsys, *request)[1])[0]["entry"] == "apery"
+        monkeypatch.delenv("MARKOVSUM_FORMAT")
+        assert run(capsys, *request)[1].startswith("entry: apery\n")
+        monkeypatch.setenv("MARKOVSUM_FORMAT", "json")
+        assert run(capsys, "--format", "text", *request)[1].startswith("entry: apery\n")
+
+    @pytest.mark.parametrize("before, request_", [
+        (("compute", "markov-hurwitz", "--a", "1/3", "--digits", "12"), ("compute", "apery")),
+        (("verify-pair", "3phi2", "--a", "2/3", "--grid", "3x3", "--fuzz"),
+         ("verify-pair", "3phi2", "--grid", "3x3")),
+    ])
+    def test_no_value_leaks_into_the_next_call(self, capsys, monkeypatch, before, request_):
+        monkeypatch.delenv("MARKOVSUM_FORMAT", raising=False)
+        run(capsys, *before)
+        assert run(capsys, *request_)[1] == _fresh_process(*request_)
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, "compute", "apery", "--digits", "5")[0] == 0

@@ -4,8 +4,10 @@ Four threads extend the same cold cache at once while the interpreter
 switches threads every microsecond, which interleaves the extension loops
 as finely as CPython allows.  Every cached value must still equal the
 product computed directly, threads evaluating one shared catalog entry
-must all get the enclosures of its closed-form terms, and threads sharing
-one 3phi2 engine must all get its product-form values.
+must all get the enclosures of its closed-form terms, threads sharing
+one 3phi2 engine must all get its product-form values, and threads calling
+``cli.main`` on its one shared parser must write what a sequential run
+writes.
 """
 
 import sys
@@ -14,7 +16,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from markovsum import catalog, hgterm
+from markovsum import catalog, cli, hgterm
 from markovsum.hgterm import TermSequence
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
 from markovsum.polys import RationalFunction, poly
@@ -25,14 +27,21 @@ TRIALS = 10
 LENGTH = 120
 
 
-def _race(fn, length: int) -> list:
-    """Run fn(0..length) in THREADS threads at once; return each thread's values."""
+def _race(fn, length: int, stagger: int = 0) -> list:
+    """Run fn(0..length) in THREADS threads at once; return each thread's values.
+
+    With a stagger, thread s makes the same calls starting from
+    k = s * stagger (cyclically), so that different calls overlap; its
+    values are still listed in the order of k.
+    """
     barrier = threading.Barrier(THREADS)
     results = [None] * THREADS
 
     def worker(slot: int):
         barrier.wait(timeout=30)
-        results[slot] = [fn(k) for k in range(length + 1)]
+        order = [(k + slot * stagger) % (length + 1) for k in range(length + 1)]
+        values = {k: fn(k) for k in order}
+        results[slot] = [values[k] for k in range(length + 1)]
 
     threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(THREADS)]
     interval = sys.getswitchinterval()
@@ -115,4 +124,29 @@ def test_threads_sharing_one_3phi2_engine_agree():
             truth.append((f, f_product(engine, x + 1, z) / f, f_product(engine, x, z + 1) / f,
                           engine.q ** k, engine.A_closed(x)))
         results = _race(values, LENGTH)
+        assert all(result == truth for result in results), f"trial {trial}"
+
+
+#: requests of every verb that computes, each small; thread s starts at the s-th
+CLI_REQUESTS = (
+    ("compute", "apery", "--digits", "20"),
+    ("verify-pair", "3phi2", "--grid", "4x4"),
+    ("solve", "3phi2-u1", "--x-max", "3"),
+    ("--format", "json", "compute", "markov-hurwitz", "--a", "1/3", "--digits", "15"),
+    ("--format", "json", "verify-pair", "3phi2", "--grid", "3x3", "--fuzz"),
+    ("--format", "json", "solve", "4f3-u2", "--x-max", "3"),
+)
+
+
+def test_threads_calling_cli_main_write_what_a_sequential_run_writes(tmp_path):
+    def request(k):
+        # threads alive at once have distinct idents, so each call has its own file
+        path = tmp_path / f"{threading.get_ident()}-{k}.out"
+        code = cli.main(["--output", str(path), *CLI_REQUESTS[k]])
+        return code, path.read_bytes()
+
+    truth = [request(k) for k in range(len(CLI_REQUESTS))]
+    assert [code for code, _ in truth] == [0, 0, 0, 0, 1, 0]
+    for trial in range(3):
+        results = _race(request, len(CLI_REQUESTS) - 1, stagger=1)
         assert all(result == truth for result in results), f"trial {trial}"

@@ -11,6 +11,7 @@ from markovsum.markov import (
     coefficient_residuals,
     fixture_from_json,
     fixture_to_json,
+    green_rectangle,
     make_certificate,
     markov_form_term,
     markov_param_map,
@@ -191,6 +192,23 @@ class TestSteppedExtension:
         for x in range(30):
             for z in range(30):
                 assert engine.f(x, z) == f_product(engine, x, z), (x, z)
+
+    def test_f_read_in_any_order_equals_product_form(self):
+        # each read steps from whatever points earlier reads left in the table
+        engine = ThreePhiTwo(*SAMPLE_TUPLES[3])
+        points = [(x, z) for x in range(16) for z in range(16)]
+        rng = Lcg(5)
+        for k in range(len(points) - 1, 0, -1):
+            swap = rng.randint(0, k)
+            points[k], points[swap] = points[swap], points[k]
+        for x, z in points:
+            assert engine.f(x, z) == f_product(engine, x, z), (x, z)
+
+    def test_rectangle_steps_f_along_its_edges_only(self):
+        engine = ThreePhiTwo(*CANONICAL)
+        i, j = 20, 12
+        assert green_rectangle(engine.pair(), i, j).equal
+        assert len(engine._f) <= 2 * (i + j)  # not the (i + 1)(j + 1) points inside
 
     def test_shift_ratios_are_ratios_of_f(self, engine):
         for x in range(10):
