@@ -57,7 +57,6 @@ from .exact import (
     Enclosure,
     digits_capacity,
     format_rational,
-    parse_rational,
     to_decimal,
 )
 from .hgterm import TermError, TermSequence, rising_factorial
@@ -693,19 +692,3 @@ def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:
         row.update(report_csv_row(report))
         writer.writerow(row)
     return buf.getvalue()
-
-
-def parse_reports_csv(text: str) -> list[dict]:
-    """Parse report CSV back into typed rows (lossless round-trip)."""
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        rows.append({
-            "schema": raw["schema"],
-            "entry": raw["entry"],
-            "constant": raw["constant"],
-            "ratio_bound": parse_rational(raw["ratio_bound"]) if raw["ratio_bound"] else None,
-            "terms_used": int(raw["terms_used"]),
-            "digits_proven": int(raw["digits_proven"]),
-            "rendering": raw["rendering"],
-        })
-    return rows

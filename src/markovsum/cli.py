@@ -12,6 +12,8 @@ Identical invocations with identical seeds and options produce
 byte-identical output.  The environment variable MARKOVSUM_FORMAT
 selects the default output format (text, json or csv); it is read on
 every call of :func:`main`, and an explicit ``--format`` wins.
+``--format`` and ``--output`` may go before or after the verb; after it
+wins.
 
 The argument parser is built once, when this module is imported, and
 every :func:`main` call parses with it.  Parsing only reads the parser
@@ -109,11 +111,17 @@ def _count_arg(text: str) -> int:
     return value
 
 
+def _add_output_options(parser, default):
+    """--format and --output; the top-level parser and every verb take them."""
+    parser.add_argument("--format", choices=("text", "json", "csv"), default=default,
+                        help="output format (default from MARKOVSUM_FORMAT, else text)")
+    parser.add_argument("--output", default=default,
+                        help="write output to this path instead of stdout")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="markovsum", description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None,
-                        help="output format (default from MARKOVSUM_FORMAT, else text)")
-    parser.add_argument("--output", help="write output to this path instead of stdout")
+    _add_output_options(parser, None)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("compute", help="evaluate a catalog formula to N proven digits")
@@ -154,6 +162,9 @@ def build_parser() -> _Parser:
                    help="comma-separated n/d values replacing the family defaults")
 
     sub.add_parser("list", help="list catalog entries")
+    # after the verb too; SUPPRESS keeps a value given before the verb unless repeated after it
+    for verb in sub.choices.values():
+        _add_output_options(verb, argparse.SUPPRESS)
     return parser
 
 

@@ -117,9 +117,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def contains(self, x: RationalLike) -> bool:
-        return self.lower <= x <= self.upper
-
     @staticmethod
     def point(x: RationalLike) -> "Enclosure":
         x = Fraction(x)

@@ -35,32 +35,49 @@ and its certificate are two views of one set of evaluators.  The induced
 pair lives on the scale A_x S_{x,z}, whose x-ratio is (Q(x)/P(x)) sx, with
 reduced parts U~ = F~ and V~ = (R/P) F~.
 
-Certificates are consumed as black-box exact evaluators, not symbolic
-expressions; verification combines exhaustive small-grid checking with
-seeded random parameter instantiation when a parameterized family is
-supplied.  Certificate *discovery* is out of scope.
+A certificate is a set of exact evaluators.  One built by the 3phi2
+engine also carries a proof (:class:`~markovsum.markov.phi32.BracketProof`):
+at the engine's parameters, the bracket above, formed by those same
+evaluators on X = q^x and Z = q^z, expands to the zero polynomial, so the
+identity holds at every point where none of the bracket's denominators
+vanishes.  :func:`verify_certificate` answers a grid from the proof when
+a check along x, and along x + z, finds no denominator vanishing on it;
+otherwise, and for every certificate without a proof (one built from
+parts, copied by ``dataclasses.replace``, or a black-box extension), it
+scans the grid point by point.  With a parameterized family it repeats
+this at seeded random parameter tuples.  Certificate *discovery* is out
+of scope.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..exact import format_rational
 from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale
 
+if TYPE_CHECKING:
+    from .phi32 import BracketProof
+
 
 @dataclass(frozen=True)
 class Certificate:
-    """Extension F with telescoping data (P, Q, R)."""
+    """Extension F with telescoping data (P, Q, R).
+
+    ``proof`` is set only by the engine that owns these evaluators (see
+    ``phi32._ThreePhiTwoAlgebra.certificate``).  A certificate built from
+    parts, or copied by ``dataclasses.replace``, has none.
+    """
 
     extension: GridFunction
     p: Callable[[int], Fraction]
     q: Callable[[int], Fraction]
     r: Callable[[int, int], Fraction]
     label: str = ""
+    proof: Optional[BracketProof] = field(default=None, init=False, repr=False, compare=False)
 
     def residual(self, x: int, z: int) -> Fraction:
         """Defect of the certificate identity at one lattice point.
@@ -95,15 +112,39 @@ class FailurePoint:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of ``verify_certificate``: ``checks`` counts the lattice
+    points covered, and ``proved`` says that every grid was answered by its
+    certificate's proof rather than scanned.  ``proved`` is not serialized."""
+
     passed: bool
     checks: int
     first_failure: Optional[FailurePoint] = None
+    proved: bool = False
 
     def to_json(self) -> dict:
         out = {"passed": self.passed, "checks": self.checks}
         if self.first_failure is not None:
             out["first_failure"] = self.first_failure.to_json()
         return out
+
+
+def _check_grid(cert: Certificate, x_max: int, z_max: int
+                ) -> tuple[Optional[FailurePoint], int, bool]:
+    """(first failing point, points covered, whether the proof answered).
+
+    A certificate whose proof covers the grid is answered by it; any other
+    is scanned point by point in row order, up to the first failure.
+    """
+    if cert.proof is not None and cert.proof.covers(x_max, z_max):
+        return None, (x_max + 1) * (z_max + 1), True
+    checks = 0
+    for x in range(x_max + 1):
+        for z in range(z_max + 1):
+            res = cert.residual(x, z)
+            checks += 1
+            if res != 0:
+                return FailurePoint(x, z, res), checks, False
+    return None, checks, False
 
 
 def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
@@ -114,33 +155,28 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
 
     With a ``family`` (a parameter tuple -> Certificate factory) the check
     is repeated at ``random_points`` seeded pseudo-random rational
-    parameter tuples, each on a ``random_grid`` lattice.  The verdict
-    carries the first failing point, if any.
+    parameter tuples, each on a ``random_grid`` lattice.  Each grid is
+    answered by its certificate's proof when that covers it, and scanned
+    otherwise; either way ``checks`` counts the points covered, up to the
+    first failing point, which the verdict carries.
     """
     if x_max < 0 or z_max < 0:
         raise ValueError("grid must be nonempty")
-    checks = 0
-    for x in range(x_max + 1):
-        for z in range(z_max + 1):
-            res = cert.residual(x, z)
-            checks += 1
-            if res != 0:
-                return Verdict(False, checks, FailurePoint(x, z, res))
+    failure, checks, proved = _check_grid(cert, x_max, z_max)
+    if failure is not None:
+        return Verdict(False, checks, failure)
     if random_points:
         if family is None:
             raise ValueError("random parameter checks need a certificate family")
         from .sampling import sample_parameter_tuples
-        rx, rz = random_grid
         for params in sample_parameter_tuples(random_points, seed):
-            instance = ",".join(format_rational(p) for p in params)
-            inst_cert = family(*params)
-            for x in range(rx + 1):
-                for z in range(rz + 1):
-                    res = inst_cert.residual(x, z)
-                    checks += 1
-                    if res != 0:
-                        return Verdict(False, checks, FailurePoint(x, z, res, instance))
-    return Verdict(True, checks)
+            failure, covered, instance_proved = _check_grid(family(*params), *random_grid)
+            checks += covered
+            proved = proved and instance_proved
+            if failure is not None:
+                instance = ",".join(format_rational(p) for p in params)
+                return Verdict(False, checks, replace(failure, instance=instance))
+    return Verdict(True, checks, proved=proved)
 
 
 #: the largest column index evaluated: grid values grow super-exponentially in size

@@ -19,7 +19,15 @@ certificate identity with
     Q(x) = (1-(c/a)q^x)(1-(c/b)q^x)(1-(d/a)q^x)(1-(d/b)q^x) / (q(1-tq^(2x+1))),
     R(x,z) = 1 + t q^(2x+z) ((c+d)q^x - (a+b)) / (1 - t q^(2x+1)),
 
-for any nonzero parameters away from poles: the identity is algebraic.
+for any nonzero parameters away from poles.  That is proved in code, one
+parameter tuple at a time: :class:`BracketProof` runs the evaluators of
+rx, rz, P, Q and R on X and Z as symbols, expands the bracket
+Q rx - P - R(X, qZ) rz + R(X, Z) over Q[X, Z] and finds the zero
+polynomial, with the denominator q (1-cXZ)(1-dXZ)(1-tqX^2) and degrees
+(6, 3) in (X, Z) read off the expansion.  A grid on which one of those
+factors vanishes is scanned point by point instead, and raises at the
+first point where an evaluator is undefined.
+
 Everything else is derived from F, P, Q and R, and all of them read one
 per-engine table of powers of q.  F is the scale of the extension (its
 reduced part is 1), so certificate and pair checks run on the ratios
@@ -47,12 +55,22 @@ between threads.
 
 from __future__ import annotations
 
+import copy
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
+from ..polys import (
+    BivariateFraction,
+    bi_add,
+    bi_degrees,
+    clear_denominators,
+    vanishes_at_powers,
+)
 from .certificates import Certificate, ColumnMultipliers, check_column, pair_from_certificate
 from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale, one
 
@@ -146,6 +164,8 @@ class _ThreePhiTwoAlgebra:
         self._r_slopes: dict[int, Fraction] = {}
         #: column multiplier A_x, A_0 = 1
         self.A = ColumnMultipliers(self.P, self.Q)
+        #: the certificate identity at these parameters, expanded on first use
+        self.proof = BracketProof(self)
 
     @property
     def params(self) -> tuple[Fraction, ...]:
@@ -245,8 +265,28 @@ class _ThreePhiTwoAlgebra:
                 / self._d1(x)
         return 1 + _memo(self._r_slopes, x, slope) * self._power(z)
 
+    def _symbolic(self) -> "_ThreePhiTwoAlgebra":
+        """A copy of this engine whose evaluators run on symbols.
+
+        The bracket's evaluators P, Q, R, rx and rz read x and z only
+        through q's powers, with exponents linear in x and z, and never
+        branch on them.  The copy
+        takes ``_Exponent``s for x and z and gives q^(ix + jz + k) as the
+        monomial q^k X^i Z^j, so each evaluator returns its rational
+        function of X = q^x and Z = q^z, and R at (x, z + 1) is R at
+        (X, qZ).  A vanishing test of a denominator is then false, since
+        none is the zero polynomial.  The copy has its own one-index tables.
+        """
+        twin = copy.copy(self)
+        twin._poles, twin._uppers, twin._q_values, twin._r_slopes = {}, {}, {}, {}
+        twin._power = lambda k: BivariateFraction.monomial(k.i, k.j, self.q ** k.k)
+        return twin
+
     def certificate(self) -> Certificate:
-        return Certificate(self.extension(), self.P, self.Q, self.R, label=FIXTURE_NAME)
+        """P, Q and R on the extension, carrying this engine's proof."""
+        cert = Certificate(self.extension(), self.P, self.Q, self.R, label=FIXTURE_NAME)
+        object.__setattr__(cert, "proof", self.proof)
+        return cert
 
     # -- row multipliers, M = A R / P ------------------------------------------
 
@@ -262,6 +302,98 @@ class _ThreePhiTwoAlgebra:
     def m(self, x: int, z: int) -> Fraction:
         """Row multiplier M_{x,z} = B_x + C_x q^z."""
         return self.B(x) * self.R(x, z)
+
+
+@dataclass(frozen=True)
+class _Exponent:
+    """i x + j z + k with x and z symbols: q^(ix + jz + k) = q^k X^i Z^j."""
+
+    i: int
+    j: int
+    k: int = 0
+
+    def __add__(self, other) -> "_Exponent":
+        if isinstance(other, _Exponent):
+            return _Exponent(self.i + other.i, self.j + other.j, self.k + other.k)
+        return _Exponent(self.i, self.j, self.k + other)
+
+    def __sub__(self, other: int) -> "_Exponent":
+        return self + -other
+
+    def __rmul__(self, n: int) -> "_Exponent":
+        return _Exponent(n * self.i, n * self.j, n * self.k)
+
+
+class BracketProof:
+    """The certificate identity of one engine, proved by expanding its bracket.
+
+    The bracket Q(x) rx - P(x) - R(x, z+1) rz + R(x, z) is formed over
+    Q[X, Z] by the engine's own evaluators, run on symbols (see
+    ``_ThreePhiTwoAlgebra._symbolic``), and cleared of its denominator.  When the
+    cleared numerator is the zero polynomial, the identity holds at every
+    lattice point where no divisor met on the way vanishes at X = q^x,
+    Z = q^z, because each evaluator there returns its rational function's
+    value.  This is the rational-function certification of Wilf and
+    Zeilberger, done at one parameter tuple.  The expansion is formed on
+    first use.
+    """
+
+    def __init__(self, engine: _ThreePhiTwoAlgebra):
+        self._engine = engine
+
+    @cached_property
+    def _expansion(self) -> tuple[tuple, tuple, dict]:
+        """(divisors, the four cleared terms, their sum)."""
+        e = self._engine._symbolic()
+        x, z = _Exponent(1, 0), _Exponent(0, 1)
+        divisors, terms = clear_denominators(
+            (e.Q(x) * e.rx(x, z), -e.P(x), -e.R(x, z + 1) * e.rz(x, z), e.R(x, z)))
+        numerator: dict = {}
+        for term in terms:
+            numerator = bi_add(numerator, term)
+        return divisors, terms, numerator
+
+    @property
+    def factors(self) -> tuple[dict, ...]:
+        """The divisors, each {(i, j): coefficient of X^i Z^j} with 1 at its
+        lowest monomial; the cleared denominator is their product times a
+        constant."""
+        return self._expansion[0]
+
+    @property
+    def degrees(self) -> tuple[int, int]:
+        """(d_X, d_Z): the largest degrees in X and in Z of the cleared terms."""
+        found = [bi_degrees(term) for term in self._expansion[1] if term]
+        return max(dx for dx, _ in found), max(dz for _, dz in found)
+
+    @property
+    def holds(self) -> bool:
+        """Whether the cleared numerator is the zero polynomial."""
+        return not self._expansion[2]
+
+    def covers(self, x_max: int, z_max: int) -> bool:
+        """Whether the identity is proved at every point of [0, x_max] x [0, z_max].
+
+        It is when the numerator is zero and no divisor vanishes at
+        X = q^x, Z = q^z on the grid.  A divisor in X alone is read along
+        x <= x_max and one in XZ alone along x + z <= x_max + z_max; any
+        other is not decided, and the grid is left to a scan.
+        """
+        if not self.holds:
+            return False
+        for factor in self.factors:
+            if all(j == 0 for _, j in factor):
+                span = x_max
+            elif all(i == j for i, j in factor):
+                span = x_max + z_max
+            else:
+                return False
+            coeffs = [0] * (1 + max(i for i, _ in factor))
+            for (i, _), c in factor.items():
+                coeffs[i] = c
+            if vanishes_at_powers(coeffs, self._engine.q, span):
+                return False
+        return True
 
 
 class ThreePhiTwo(_ThreePhiTwoAlgebra):
@@ -339,9 +471,8 @@ def fixture_from_json(obj: dict) -> ThreePhiTwo:
 def make_certificate(a, b, c, d, q) -> Certificate:
     """The built-in certificate fixture for the 3phi2 extension.
 
-    Valid for any nonzero rational parameters away from poles; unlike the
-    transformation object it does not require |t| < 1, since the identity
-    it certifies is algebraic.
+    Any nonzero rational parameters are accepted, whatever t is, and the
+    certificate carries the engine's proof of its identity at them.
     """
     return _ThreePhiTwoAlgebra(a, b, c, d, q).certificate()
 

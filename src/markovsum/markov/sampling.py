@@ -68,10 +68,19 @@ def sample_parameter_tuples(count: int, seed: int = 0,
 
 
 def _hits_pole(value: Fraction, q: Fraction, span: int = 64) -> bool:
-    """True when value == q^-k for some 0 <= k < span."""
-    probe = Fraction(1)
+    """True when value == q^-k for some 0 <= k < span; needs 0 < q < 1.
+
+    With q = n/d in lowest terms, q^-k = d^k/n^k is in lowest terms too,
+    so the test compares value's numerator and denominator with d^k and
+    n^k.  d^k grows with k (d >= 2), so the search stops once it passes
+    the numerator.
+    """
+    n, d = q.numerator, q.denominator
+    n_k = d_k = 1
     for _ in range(span):
-        if value == 1 / probe:
+        if d_k > value.numerator:
+            return False
+        if d_k == value.numerator and n_k == value.denominator:
             return True
-        probe *= q
+        n_k, d_k = n_k * n, d_k * d
     return False

@@ -2,13 +2,17 @@
 
 Coefficient lists are ordered low degree first; integer coefficients stay
 ``int``, and a ``Fraction`` input gives ``Fraction`` results.  This backs
-two needs:
+three needs:
 
 * certifying that a rational function of the summation index stays below a
   geometric ratio for *all* indices past some point (tail-bound rigor in
   the series catalog), via a shift-and-inspect positivity certificate, and
   the same for a rational function of y = q^n on the interval (0, 1];
-* solving the small exact linear systems of the stepwise multiplier solver.
+* solving the small exact linear systems of the stepwise multiplier solver;
+* expanding the 3phi2 certificate identity over Q[X, Z]
+  (:class:`BivariateFraction`, whose polynomials are dicts
+  {(i, j): coefficient of X^i Z^j}), and checking its denominators at the
+  powers of q (:func:`vanishes_at_powers`).
 """
 
 from __future__ import annotations
@@ -141,6 +145,24 @@ def unit_interval_nonneg(p: Sequence) -> bool:
                for j in range(degree + 1))
 
 
+def vanishes_at_powers(p: Sequence, q: Fraction, span: int) -> bool:
+    """Whether p(q^k) = 0 for some integer 0 <= k <= span, q a nonzero rational.
+
+    With q = n/d, d^(k deg p) p(q^k) = sum_i p_i n^(ik) d^(k(deg p - i)),
+    formed in integers once the coefficients are cleared of denominators.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in p))
+    coeffs = [c.numerator * (scale // c.denominator) for c in p]
+    degree = len(coeffs) - 1
+    n, d = q.numerator, q.denominator
+    n_k = d_k = 1
+    for _ in range(span + 1):
+        if not sum(c * n_k ** i * d_k ** (degree - i) for i, c in enumerate(coeffs) if c):
+            return True
+        n_k, d_k = n_k * n, d_k * d
+    return False
+
+
 class RationalFunction:
     """Quotient num/den of two integer polynomials in one variable.
 
@@ -215,3 +237,129 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     for i, col in enumerate(pivots):
         sol[col] = m[i][n_cols]
     return sol, "unique"
+
+
+# -- rational functions of two variables, for expanding an identity -----------
+
+def _bi_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i, j), a in p.items():
+        for (k, m), b in q.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
+    return {key: c for key, c in out.items() if c}
+
+
+def bi_add(p: dict, q: dict) -> dict:
+    """Sum of two bivariate polynomials {(i, j): coefficient of X^i Z^j}."""
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def bi_degrees(p: dict) -> tuple[int, int]:
+    """(degree in X, degree in Z) of a nonzero bivariate polynomial."""
+    return max(i for i, _ in p), max(j for _, j in p)
+
+
+def _bi_product(factors) -> dict:
+    out = {(0, 0): 1}
+    for factor in factors:
+        out = _bi_mul(out, factor)
+    return out
+
+
+def _lcm(p: tuple, q: tuple) -> tuple:
+    """The least common multiple of two divisor lists, as a divisor list."""
+    unmatched, out = list(p), list(p)
+    for divisor in q:
+        if divisor in unmatched:
+            unmatched.remove(divisor)
+        else:
+            out.append(divisor)
+    return tuple(out)
+
+
+class BivariateFraction:
+    """num(X, Z) / (d_1(X, Z) ... d_k(X, Z)) with rational coefficients.
+
+    It lets a formula written once for values be expanded symbolically:
+    the same code runs on Fractions and on these.  ``num`` maps (i, j) to
+    the nonzero coefficient of X^i Z^j.  ``den`` lists every polynomial
+    divided by on the way, each scaled to coefficient 1 at its lowest
+    monomial; divisors are never cancelled, so they include every factor
+    whose zeros make the formula's evaluation divide by zero.  A sum is
+    formed over the lcm of the two divisor lists.  Only a polynomial (an
+    operand with no divisors) may divide.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict, den: tuple = ()):
+        self.num, self.den = num, den
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coefficient=1) -> "BivariateFraction":
+        """coefficient X^i Z^j."""
+        return cls({(i, j): coefficient})
+
+    @staticmethod
+    def _lift(value) -> "BivariateFraction":
+        if isinstance(value, BivariateFraction):
+            return value
+        return BivariateFraction({(0, 0): value} if value else {})
+
+    def over(self, den: tuple) -> dict:
+        """The numerator over ``den``, a multiple of this fraction's divisor list."""
+        rest = list(den)
+        for divisor in self.den:
+            rest.remove(divisor)
+        return _bi_mul(self.num, _bi_product(rest)) if rest else self.num
+
+    def __add__(self, other) -> "BivariateFraction":
+        other = self._lift(other)
+        den = _lcm(self.den, other.den)
+        return BivariateFraction(bi_add(self.over(den), other.over(den)), den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "BivariateFraction":
+        return BivariateFraction({key: -c for key, c in self.num.items()}, self.den)
+
+    def __sub__(self, other) -> "BivariateFraction":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "BivariateFraction":
+        return -self + other
+
+    def __mul__(self, other) -> "BivariateFraction":
+        other = self._lift(other)
+        return BivariateFraction(_bi_mul(self.num, other.num), self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "BivariateFraction":
+        other = self._lift(other)
+        if other.den:
+            raise ValueError("only a polynomial may divide a BivariateFraction")
+        if not other.num:
+            raise ZeroDivisionError("division by the zero polynomial")
+        scale = 1 / Fraction(other.num[min(other.num)])
+        num = {key: c * scale for key, c in self.num.items()}
+        divisor = {key: c * scale for key, c in other.num.items()}
+        return BivariateFraction(num, self.den if divisor == {(0, 0): 1}
+                                 else self.den + (divisor,))
+
+    def __eq__(self, other) -> bool:
+        """Equality as rational functions."""
+        return not (self - other).num
+
+    __hash__ = None
+
+
+def clear_denominators(fractions: Sequence[BivariateFraction]) -> tuple[tuple, tuple]:
+    """The lcm of the fractions' divisor lists, and each numerator over it."""
+    den: tuple = ()
+    for fraction in fractions:
+        den = _lcm(den, fraction.den)
+    return den, tuple(fraction.over(den) for fraction in fractions)

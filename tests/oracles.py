@@ -1,5 +1,7 @@
 """Independent evaluations that the engine's stepped values are checked against."""
 
+from fractions import Fraction
+
 from markovsum.hgterm import q_pochhammer
 
 
@@ -31,3 +33,13 @@ def column_products(p, q, count: int) -> list:
     for x in range(count):
         values.append(values[-1] * q(x) / p(x))
     return values
+
+
+def hits_pole_loop(value, q, span: int = 64) -> bool:
+    """value == q^-k for some 0 <= k < span, by comparing value with 1/q^k as Fractions."""
+    probe = Fraction(1)
+    for _ in range(span):
+        if value == 1 / probe:
+            return True
+        probe *= q
+    return False

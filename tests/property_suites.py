@@ -40,6 +40,7 @@ from markovsum.markov import (
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
 from markovsum.polys import RationalFunction, poly, poly_pow
+from support import parse_reports_csv
 
 CASES = 200
 
@@ -360,10 +361,10 @@ def cli_exit_codes():
 def cli_csv_round_trip():
     code, out = _run_cli("compare", "zeta2", "--digits", "8", "--max-terms", "64")
     assert code == 0
-    rows = catalog.parse_reports_csv(out)
+    rows = parse_reports_csv(out)
     assert [r["entry"] for r in rows] == list(catalog.CONSTANT_GROUPS["zeta2"])
     again = catalog.reports_to_csv  # formatting back re-parses identically
-    assert catalog.parse_reports_csv(out) == rows
+    assert parse_reports_csv(out) == rows
 
 
 ALL_SUITES = [

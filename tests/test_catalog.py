@@ -20,7 +20,6 @@ from markovsum.catalog import (
     entry_zeta2_27,
     evaluate,
     get_entry,
-    parse_reports_csv,
     reports_to_csv,
     terms_needed,
 )
@@ -34,6 +33,7 @@ from markovsum.exact import (
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
 from markovsum.polys import RationalFunction, poly
+from support import contains, parse_reports_csv
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -53,7 +53,7 @@ class TestAperyEntry:
 
     def test_one_term_enclosure_brackets_limit(self):
         report = evaluate(entry_apery(), 1)
-        assert report.enclosure.contains(parse_decimal("1.202056903"))
+        assert contains(report.enclosure, parse_decimal("1.202056903"))
 
 
 class TestMarkovHurwitzEntry:
@@ -152,7 +152,7 @@ class TestDirectEntries:
 
     def test_integral_bound_brackets(self):
         report = evaluate(entry_direct("zeta3"), 400)
-        assert report.enclosure.contains(parse_decimal("1.2020569"))
+        assert contains(report.enclosure, parse_decimal("1.2020569"))
         assert report.digits_proven >= 4
 
 
@@ -179,7 +179,7 @@ class TestKummerEntry:
         # 9.04658676497... is an independently computed reference value for
         # this sum; the 300-term enclosure is wide (~1.3) but must contain it
         report = evaluate(entry_kummer(), 300)
-        assert report.enclosure.contains(parse_decimal("9.0465867"))
+        assert contains(report.enclosure, parse_decimal("9.0465867"))
         assert report.enclosure.width < 2
 
 
@@ -426,7 +426,7 @@ def residual(terms, constant=0) -> Enclosure:
 
 def assert_identity(terms, constant=0):
     enclosure = residual(terms, constant)
-    assert enclosure.contains(0) and enclosure.width < Q(1, 10 ** 37), enclosure
+    assert contains(enclosure, 0) and enclosure.width < Q(1, 10 ** 37), enclosure
 
 
 class TestHurwitzIdentities:
@@ -450,7 +450,7 @@ class TestHurwitzIdentities:
         # the rate certificate of either side holds only from n = 1958 or later
         left, right = (proven(entry_markov_hurwitz(b), digits=20) for b in (a, a + 1))
         enclosure = residual([(1, left), (-1, right)], -a ** -3)
-        assert enclosure.contains(0) and enclosure.width < Q(1, 10 ** 19), enclosure
+        assert contains(enclosure, 0) and enclosure.width < Q(1, 10 ** 19), enclosure
 
     def test_negative_a(self):
         # zeta(3, -1/2) = -8 + zeta(3, 1/2) = 7 zeta(3) - 8
@@ -588,7 +588,7 @@ class TestDescriptions:
         report = evaluate(entry, terms_needed(entry, 20), digits=20)
         assert report.digits_proven == 20
         pair = ThreePhiTwo(*params).pair()
-        assert report.enclosure.contains(sum(pair.v(x, 0) for x in range(60)))
+        assert contains(report.enclosure, sum(pair.v(x, 0) for x in range(60)))
 
     def test_halved_contraction_is_refused(self, monkeypatch):
         # small c, d and t: term(x+1)/(q^(2x) term(x)) tends to cd/q > K/2
@@ -648,7 +648,7 @@ class TestIntegerDescription:
         entry = FormulaEntry("halving", "other", "sum of (-1/2)^n",
                              TermSequence(1, RationalFunction(poly(-1), poly(2))))
         assert entry.alternating and entry.ratio_bound == RatioBound(Q(1, 2), 0)
-        assert evaluate(entry, terms_needed(entry, 20), digits=20).enclosure.contains(Q(2, 3))
+        assert contains(evaluate(entry, terms_needed(entry, 20), digits=20).enclosure, Q(2, 3))
 
     def test_a_zero_step_on_an_alternating_entry_fails(self):
         # -(n-3)^2/(4(n+1)^2) is certified <= 0 and below 1/4 in magnitude from

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from markovsum.cli import _fuzzed_pair
 from markovsum.markov import (
     Certificate,
     EvaluationError,
+    FailurePoint,
     GridFunction,
     ThreePhiTwo,
     check_pair_condition,
@@ -16,11 +18,13 @@ from markovsum.markov import (
     sample_parameter_tuples,
     verify_certificate,
 )
-from markovsum.markov.phi32 import SAMPLE_TUPLES
+from markovsum.markov.phi32 import SAMPLE_TUPLES, _ThreePhiTwoAlgebra
+from markovsum.markov.sampling import _hits_pole
 from oracles import (
     certificate_value_residual,
     column_products,
     f_product,
+    hits_pole_loop,
     pair_value_residual,
 )
 
@@ -182,3 +186,163 @@ class TestReducedResidual:
         assert cli.main(["verify-certificate", "--random-points", "200"]) == 0
         assert "passed: True" in capsys.readouterr().out
         assert not hgterm._qpoch_cache
+
+
+def _scanned(cert: Certificate) -> Certificate:
+    """The same evaluators without the proof: ``dataclasses.replace`` drops it."""
+    return dataclasses.replace(cert)
+
+
+def _scanned_family(*params) -> Certificate:
+    return _scanned(make_certificate(*params))
+
+
+def _outcome(verdict):
+    return verdict.passed, verdict.checks, verdict.first_failure
+
+
+class _PerturbedP(_ThreePhiTwoAlgebra):
+    """The engine with P raised by 1/7; its proof expands the perturbed P."""
+
+    def P(self, x):
+        return super().P(x) + Q(1, 7)
+
+
+class TestProofAndScanAgree:
+    """A proved grid gives the verdict a point-by-point scan gives."""
+
+    @pytest.mark.parametrize("params", list(SAMPLE_TUPLES)
+                             + list(sample_parameter_tuples(20, seed=9)), ids=str)
+    def test_same_verdict(self, params):
+        cert = make_certificate(*params)
+        proved = verify_certificate(cert, 8, 8)
+        assert proved.proved and cert.proof.holds
+        scanned = verify_certificate(_scanned(cert), 8, 8)
+        assert not scanned.proved
+        assert _outcome(proved) == _outcome(scanned) == (True, 81, None)
+
+    def test_golden_random_request(self):
+        # the golden `verify-certificate --grid 8x8 --random-points 10 --seed 3`
+        cert = make_certificate(*CANONICAL)
+        proved = verify_certificate(cert, 8, 8, family=make_certificate,
+                                    random_points=10, seed=3)
+        scanned = verify_certificate(_scanned(cert), 8, 8, family=_scanned_family,
+                                     random_points=10, seed=3)
+        assert proved.proved and not scanned.proved
+        assert _outcome(proved) == _outcome(scanned) == (True, 571, None)
+
+    def test_every_sample_and_seed0_instance_proved(self):
+        for params in SAMPLE_TUPLES:
+            verdict = verify_certificate(make_certificate(*params), 20, 20)
+            assert verdict.proved and verdict.checks == 441
+        verdict = verify_certificate(make_certificate(*CANONICAL), 20, 20,
+                                     family=make_certificate, random_points=50, seed=0)
+        assert (verdict.passed, verdict.checks, verdict.proved) == (True, 2891, True)
+        assert verdict.to_json() == {"passed": True, "checks": 2891}
+
+    def test_unproved_instance_makes_the_verdict_unproved(self):
+        def family(*params):
+            cert = make_certificate(*params)
+            return _scanned(cert) if params == first else cert
+
+        first = next(sample_parameter_tuples(1, seed=0))
+        verdict = verify_certificate(make_certificate(*CANONICAL), 4, 4, family=family,
+                                     random_points=3, seed=0)
+        assert (verdict.passed, verdict.checks, verdict.proved) == (True, 25 + 3 * 49, False)
+
+
+GOOD = make_certificate(*CANONICAL)
+
+
+class TestUnprovedCertificatesAreScanned:
+    """Wrong certificates report the first failing point of the scan."""
+
+    @pytest.mark.parametrize("name, cert, failure", [
+        ("R+1", Certificate(GOOD.extension, GOOD.p, GOOD.q, lambda x, z: GOOD.r(x, z) + 1),
+         (1, (0, 0, Q(11, 15)))),
+        ("R=0", Certificate(GOOD.extension, GOOD.p, GOOD.q, lambda x, z: Q(0)),
+         (1, (0, 0, Q(-7253, 11935)))),
+        ("P+1/7", Certificate(GOOD.extension, lambda x: GOOD.p(x) + Q(1, 7), GOOD.q, GOOD.r),
+         (1, (0, 0, Q(-1, 7)))),
+        ("replaced R", dataclasses.replace(
+            GOOD, r=lambda x, z: GOOD.r(x, z) * (1 + Q(x * z, 1000))),
+         (10, (1, 0, Q(-736, 769894125)))),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_first_failure(self, name, cert, failure):
+        assert cert.proof is None
+        verdict = verify_certificate(cert, 8, 8)
+        point = verdict.first_failure
+        assert not verdict.passed and not verdict.proved
+        assert (verdict.checks, (point.x, point.z, point.residual)) == failure
+
+    def test_failing_instance_is_named(self):
+        def broken(*params):
+            cert = make_certificate(*params)
+            return Certificate(cert.extension, cert.p, cert.q, lambda x, z: cert.r(x, z) + 1)
+
+        first = next(sample_parameter_tuples(1, seed=0))
+        verdict = verify_certificate(GOOD, 4, 4, family=broken, random_points=3, seed=0)
+        assert (verdict.passed, verdict.checks, verdict.proved) == (False, 26, False)
+        assert verdict.first_failure.instance == ",".join(map(str, first))
+        assert (verdict.first_failure.x, verdict.first_failure.z) == (0, 0)
+
+    def test_perturbed_engine_expands_to_a_nonzero_numerator(self):
+        cert = _PerturbedP(*CANONICAL).certificate()
+        assert not cert.proof.holds and not cert.proof.covers(8, 8)
+        verdict = verify_certificate(cert, 8, 8)
+        assert not verdict.proved
+        assert (verdict.checks, verdict.first_failure) == (1, FailurePoint(0, 0, Q(-1, 7)))
+
+
+class TestSingularGrids:
+    """A grid on which a denominator vanishes is scanned, and raises where the scan does."""
+
+    @pytest.mark.parametrize("params, message, where", [
+        # c = q^-2: (1 - cq^k) vanishes at k = x + z = 2
+        ((Q(1, 3), Q(1, 5), Q(4), Q(1, 11), Q(1, 2)),
+         "(c,d;q)_3 vanishes for c=4, d=1/11", (1, 2)),
+        # t = cd/(abq) = 8 = q^-3: (1 - tq^(2x+1)) vanishes at x = 1
+        ((Q(1, 3), Q(1, 5), Q(2, 3), Q(2, 5), Q(1, 2)),
+         "(1 - t q^(2x+1)) vanishes at x=1", (1, None)),
+    ])
+    def test_same_error_as_the_scan(self, params, message, where):
+        cert = make_certificate(*params)
+        assert cert.proof.holds and not cert.proof.covers(6, 6)
+        for candidate in (cert, _scanned(cert)):
+            with pytest.raises(EvaluationError) as info:
+                verify_certificate(candidate, 6, 6)
+            assert (str(info.value), (info.value.x, info.value.z)) == (message, where)
+
+    def test_grid_short_of_the_pole_is_proved(self):
+        cert = make_certificate(Q(1, 3), Q(1, 5), Q(2, 3), Q(2, 5), Q(1, 2))
+        verdict = verify_certificate(cert, 0, 6)
+        assert verdict.passed and verdict.proved and verdict.checks == 7
+
+
+class TestProofMatchesTheProductForm:
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES, ids=lambda p: str(p[4]))
+    def test_value_residual_vanishes_where_proved(self, params):
+        engine = ThreePhiTwo(*params)
+        cert = engine.certificate()
+        assert cert.proof.covers(6, 6)
+        for x, z in ((0, 0), (1, 3), (4, 2), (6, 6)):
+            assert certificate_value_residual(engine, cert.p, cert.q, cert.r, x, z) == 0
+
+
+class TestHitsPole:
+    """The integer test decides as the Fraction loop it replaced."""
+
+    QS = [Q(n, d) for d in range(2, 10) for n in range(1, d)]
+
+    def test_agrees_with_the_loop_on_small_values(self):
+        values = {Q(n, d) for n in range(-12, 13) for d in range(1, 13)}
+        for q in self.QS:
+            for value in values:
+                assert _hits_pole(value, q) == hits_pole_loop(value, q), (value, q)
+
+    def test_span_edges(self):
+        for q in self.QS:
+            assert _hits_pole(Q(1), q) and hits_pole_loop(Q(1), q)  # k = 0
+            assert _hits_pole(q ** -63, q) and hits_pole_loop(q ** -63, q)
+            assert not _hits_pole(q ** -64, q) and not hits_pole_loop(q ** -64, q)
+            assert _hits_pole(q ** -64, q, span=65)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from markovsum import catalog, cli
-from markovsum.catalog import parse_reports_csv
 from markovsum.markov import certificates
+from support import parse_reports_csv
 
 MARKOV_33 = "1.202056903159594285399738161511450"
 
@@ -199,6 +199,21 @@ class TestVerifyCertificate:
         assert code == 65
         assert "singularity" in err and "x=1, z=2" in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (("--c", "4", "--q", "1/2"),
+         "evaluation singularity at (x=1, z=2): (c,d;q)_3 vanishes for c=4, d=1/11\n"),
+        # t = cd/(abq) = 8 = q^-3
+        (("--c", "2/3", "--d", "2/5"),
+         "evaluation singularity at (x=1, z=None): (1 - t q^(2x+1)) vanishes at x=1\n"),
+    ])
+    def test_singular_grid_is_scanned_to_its_first_singular_point(self, capsys, argv, err):
+        assert run(capsys, "verify-certificate", *argv, "--grid", "6x6") == (65, "", err)
+
+    def test_proved_request_prints_the_scanned_output(self, capsys):
+        code, out, _ = run(capsys, "verify-certificate", "--grid", "20x20",
+                           "--random-points", "50", "--seed", "0")
+        assert (code, out) == (0, "passed: True\nchecks: 2891\n")
+
 
 class TestSolve:
     def test_u1_closed_forms(self, capsys):
@@ -290,6 +305,25 @@ class TestInfrastructure:
     def test_missing_verb_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("request_", [
+        ("compute", "apery", "--digits", "5"),
+        ("verify-pair", "3phi2", "--grid", "3x3"),
+    ])
+    def test_output_options_before_or_after_the_verb(self, capsys, monkeypatch, tmp_path,
+                                                      request_):
+        monkeypatch.setenv("MARKOVSUM_FORMAT", "csv")
+        before = run(capsys, "--format", "json", *request_)
+        assert before[0] == 0 and json.loads(before[1])["schema"] == "1"
+        assert run(capsys, *request_, "--format", "json") == before
+        # the option after the verb wins over the one before it
+        assert run(capsys, "--format", "text", *request_, "--format", "json") == before
+        assert run(capsys, "--format", "json", *request_, "--format", "text")[1] \
+            == run(capsys, "--format", "text", *request_)[1]
+        path = tmp_path / "out.json"
+        assert run(capsys, *request_, "--format", "json", "--output", str(path)) \
+            == (0, "", "")
+        assert path.read_text() == before[1]
 
 
 def _fresh_process(*argv) -> str:

@@ -17,6 +17,7 @@ from markovsum.exact import (
     parse_rational,
     to_decimal,
 )
+from support import contains
 
 
 class TestNormalize:
@@ -78,8 +79,8 @@ class TestEnclosure:
     def test_width_and_contains(self):
         e = Enclosure(Q(1, 3), Q(1, 2))
         assert e.width == Q(1, 6)
-        assert e.contains(Q(2, 5))
-        assert not e.contains(Q(3, 5))
+        assert contains(e, Q(2, 5))
+        assert not contains(e, Q(3, 5))
 
 
 class TestToDecimal:

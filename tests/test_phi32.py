@@ -18,8 +18,9 @@ from markovsum.markov import (
     sample_parameter_tuples,
 )
 from markovsum.markov import certificates
-from markovsum.markov.phi32 import SAMPLE_TUPLES
+from markovsum.markov.phi32 import SAMPLE_TUPLES, _Exponent
 from oracles import f_product
+from support import bivariate_value
 
 CANONICAL = SAMPLE_TUPLES[0]
 
@@ -238,3 +239,50 @@ class TestSteppedExtension:
     def test_negative_point_rejected(self, engine):
         with pytest.raises(ValueError, match="x, z >= 0"):
             engine.f(-1, 3)
+
+
+class TestBracketProof:
+    """The proof expands the evaluators themselves, run on X = q^x and Z = q^z."""
+
+    @pytest.mark.parametrize("params", list(SAMPLE_TUPLES) + list(sample_parameter_tuples(10)),
+                             ids=str)
+    def test_zero_numerator_and_derived_degrees(self, params):
+        proof = make_certificate(*params).proof
+        assert proof.holds
+        assert proof.degrees == (6, 3)
+        # (1 - tqX^2) and (1 - cXZ)(1 - dXZ), each with 1 at its lowest monomial
+        a, b, c, d, q = params
+        t = c * d / (a * b * q)
+        assert sorted(proof.factors, key=len) == [
+            {(0, 0): 1, (2, 0): -t * q},
+            {(0, 0): 1, (1, 1): -(c + d), (2, 2): c * d}]
+
+    def test_symbolic_evaluators_are_the_evaluators(self, engine):
+        twin = engine._symbolic()
+        x, z = _Exponent(1, 0), _Exponent(0, 1)
+        symbolic = {"P": twin.P(x), "Q": twin.Q(x), "R": twin.R(x, z),
+                    "R+": twin.R(x, z + 1), "rx": twin.rx(x, z), "rz": twin.rz(x, z)}
+        for i, j in ((0, 0), (1, 4), (5, 2), (7, 7)):
+            numeric = {"P": engine.P(i), "Q": engine.Q(i), "R": engine.R(i, j),
+                       "R+": engine.R(i, j + 1), "rx": engine.rx(i, j), "rz": engine.rz(i, j)}
+            qx, qz = engine.q ** i, engine.q ** j
+            assert {k: bivariate_value(f, qx, qz) for k, f in symbolic.items()} == numeric, (i, j)
+
+    def test_symbolic_run_leaves_the_engine_tables_alone(self):
+        engine = ThreePhiTwo(*CANONICAL)
+        assert engine.proof.holds
+        assert not (engine._poles or engine._uppers or engine._q_values or engine._r_slopes)
+        assert engine._powers == [1]
+
+    def test_perturbed_description_is_not_proved(self):
+        class Perturbed(ThreePhiTwo):
+            def R(self, x, z):
+                return super().R(x, z) + Q(1, 10 ** 6)
+
+        assert not Perturbed(*CANONICAL).proof.holds
+
+    def test_exponent_arithmetic(self):
+        x, z = _Exponent(1, 0), _Exponent(0, 1)
+        assert 2 * (x + z) - 1 == _Exponent(2, 2, -1)
+        assert z + 1 == _Exponent(0, 1, 1)
+        assert 2 * x + 1 == _Exponent(2, 0, 1)

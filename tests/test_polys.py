@@ -5,7 +5,10 @@ import pytest
 
 from markovsum import catalog
 from markovsum.polys import (
+    BivariateFraction,
     RationalFunction,
+    bi_degrees,
+    clear_denominators,
     eventually_nonneg,
     nonneg_from,
     poly,
@@ -16,8 +19,10 @@ from markovsum.polys import (
     poly_scale,
     poly_shift,
     unit_interval_nonneg,
+    vanishes_at_powers,
 )
 from markovsum.markov import SAMPLE_TUPLES
+from support import bivariate_value
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
                  "zeta2-27", "schellbach-zeta2")
@@ -145,3 +150,64 @@ class TestUnitIntervalNonneg:
             for v in (Q(-1, 2), Q(1, 3), Q(1)):
                 assert unit_interval_nonneg(poly_mul(poly(1, -u), poly(1, -v)))
         assert not unit_interval_nonneg(poly(1, Q(-11, 10)))
+
+
+ONE = BivariateFraction.monomial(0, 0)
+X = BivariateFraction.monomial(1, 0)
+Z = BivariateFraction.monomial(0, 1)
+
+
+class TestBivariateFraction:
+    def test_divisors_are_kept_and_scaled(self):
+        f = (1 - X) / (2 - 2 * X)
+        assert f.num == {(0, 0): Q(1, 2), (1, 0): Q(-1, 2)}
+        assert f.den == ({(0, 0): 1, (1, 0): -1},)
+        assert f == Q(1, 2) and f != 1
+
+    def test_sums_over_the_lcm(self):
+        one_over = ONE / (1 - X * Z)
+        assert (one_over + one_over).den == one_over.den
+        assert len((one_over + ONE / (1 + X)).den) == 2
+        assert ((one_over * one_over) + one_over).den == one_over.den * 2
+
+    def test_values_match_rational_arithmetic(self):
+        f = (Q(1, 3) - X * Z) * (1 + Q(2, 5) * Z) / (1 - Q(1, 7) * X * X) \
+            - Q(3, 2) * ONE / (1 - X * Z)
+        for x, z in ((Q(1, 2), Q(1, 3)), (Q(-2), Q(5, 7)), (Q(0), Q(4))):
+            expected = (Q(1, 3) - x * z) * (1 + Q(2, 5) * z) / (1 - Q(1, 7) * x * x) \
+                - Q(3, 2) / (1 - x * z)
+            assert bivariate_value(f, x, z) == expected
+
+    def test_only_a_nonzero_polynomial_divides(self):
+        with pytest.raises(ValueError):
+            X / (ONE / (1 - X))
+        with pytest.raises(ZeroDivisionError):
+            X / (Z - Z)
+
+    def test_cleared_numerators_and_degrees(self):
+        # X/(1-X) - Z/(1-Z) = (X-Z)/((1-X)(1-Z))
+        terms = (X / (1 - X), -Z / (1 - Z), -(X - Z) / (1 - X) / (1 - Z))
+        den, numerators = clear_denominators(terms)
+        assert len(den) == 2
+        assert len(clear_denominators([(X - Z) / ((1 - X) * (1 - Z))])[0]) == 1
+        assert [bi_degrees(n) for n in numerators] == [(1, 1), (1, 1), (1, 1)]
+        total = {}
+        for n in numerators:
+            for key, c in n.items():
+                total[key] = total.get(key, 0) + c
+        assert not any(total.values())
+
+
+class TestVanishesAtPowers:
+    def test_first_power_at_a_root(self):
+        # 1 - 8y vanishes at y = q^3 for q = 1/2, and 1 + 8y at q = -1/2
+        assert not vanishes_at_powers([1, -8], Q(1, 2), 2)
+        assert vanishes_at_powers([1, -8], Q(1, 2), 3)
+        assert vanishes_at_powers([1, 8], Q(-1, 2), 3)
+        assert not vanishes_at_powers([1, 8], Q(1, 2), 50)
+
+    def test_agrees_with_evaluation(self):
+        for p in ([Q(1), Q(-18, 77), Q(1, 77)], [1, 0, Q(-4, 1)], [Q(1, 3), -1], [-1, 0, 0, 8]):
+            for q in (Q(1, 2), Q(1, 3), Q(-2, 3), Q(3, 2)):
+                expected = any(poly_eval(p, q ** k) == 0 for k in range(9))
+                assert vanishes_at_powers(p, q, 8) == expected, (p, q)
