@@ -197,11 +197,10 @@ def _resolve_params(args) -> tuple[Fraction, ...]:
     return (args.a, args.b, args.c, args.d, args.q)
 
 
-def _check_last_column(option: str, x_max: int):
-    """Refuse an option whose checks read column x_max + 1 past the column cap."""
-    if x_max + 1 > certificates.X_CAP:
-        raise _UsageError(f"{option} reads column x={x_max + 1}, "
-                          f"beyond cap {certificates.X_CAP}")
+def _check_cap(option: str, index: int, axis: str = "column x"):
+    """Refuse an option whose checks read a column (or a row) past the cap."""
+    if index > certificates.X_CAP:
+        raise _UsageError(f"{option} reads {axis}={index}, beyond cap {certificates.X_CAP}")
 
 
 def _build_engine(args, factory):
@@ -330,7 +329,7 @@ def _cmd_verify_pair(args, out: _Out) -> int:
     if args.fixture != "3phi2":
         raise _UsageError(f"unknown pair fixture {args.fixture!r}")
     i, j = args.grid
-    _check_last_column("--grid", i)
+    _check_cap("--grid", i + 1)
     params, engine = _build_engine(args, ThreePhiTwo)
     pair = _fuzzed_pair(engine) if args.fuzz else engine.pair()
     failures = 0
@@ -365,6 +364,9 @@ def _cmd_verify_pair(args, out: _Out) -> int:
 
 
 def _cmd_verify_certificate(args, out: _Out) -> int:
+    if args.random_points > certificates.RANDOM_POINTS_CAP:
+        raise _UsageError(f"--random-points {args.random_points} beyond cap "
+                          f"{certificates.RANDOM_POINTS_CAP}")
     _, cert = _build_engine(args, make_certificate)
     x_max, z_max = args.grid
     with _usage_errors():
@@ -383,7 +385,9 @@ def _cmd_verify_certificate(args, out: _Out) -> int:
 def _cmd_solve(args, out: _Out) -> int:
     if args.family not in FAMILIES:
         raise _UsageError(f"unknown family {args.family!r}")
-    _check_last_column("--x-max", args.x_max)
+    _check_cap("--x-max", args.x_max + 1)
+    if args.z_samples is not None:
+        _check_cap("--z-samples", args.z_samples, "row z")  # sample z reads row z + 1
     family = FAMILIES[args.family]
     params = family.defaults
     with _usage_errors(f"bad parameters for {args.family}: "):

@@ -11,8 +11,8 @@ again from n0.
 
 Rising factorials (a)_n = a(a+1)...(a+n-1) and q-rising factorials
 (a;q)_n = (1-a)(1-qa)...(1-q^(n-1)a), |q| < 1, serve the closed forms: the
-Schellbach terms, the solver's grid functions and the oracles that check
-the recurrences.  Their prefixes are memoized as running products
+Schellbach terms and the oracles that check the recurrences and the
+stepped lattice extensions.  Their prefixes are memoized as running products
 keyed by the parameter (and base), so evaluating thousands of consecutive
 values stays linear.  A cache is only extended under a module lock, and a
 stored value never changes afterwards, so lookups need no lock and

@@ -51,13 +51,12 @@ of scope.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..exact import format_rational
-from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale
+from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, one
 
 if TYPE_CHECKING:
     from .phi32 import BracketProof
@@ -182,6 +181,9 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
 #: the largest column index evaluated: grid values grow super-exponentially in size
 X_CAP = 512
 
+#: the most random parameter tuples one command checks, each costing about 1.4 ms
+RANDOM_POINTS_CAP = 1000
+
 
 def check_column(x: int):
     """Refuse a column index outside 0..X_CAP."""
@@ -195,15 +197,14 @@ class ColumnMultipliers:
     """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x), for x <= X_CAP.
 
     Calling it gives A_x; ``ratio(x)`` gives the step A_{x+1}/A_x.  Both
-    are memoized; the list of A values is extended under a lock.  P(x) must
-    not vanish on the working range.
+    are memoized; A is stepped along z = 0 as a scale with ratios
+    (ratio(x), 1).  P(x) must not vanish on the working range.
     """
 
     def __init__(self, p: Callable[[int], Fraction], q: Callable[[int], Fraction]):
         self._p, self._q = p, q
-        self._values = [ONE]
         self._ratios: dict[int, Fraction] = {}  # a pure function of x: no lock needed
-        self._lock = threading.Lock()
+        self._values = Scale(lambda x, z: self.ratio(x), one)
 
     def ratio(self, x: int) -> Fraction:
         """A_{x+1}/A_x = Q(x)/P(x)."""
@@ -218,12 +219,7 @@ class ColumnMultipliers:
 
     def __call__(self, x: int) -> Fraction:
         check_column(x)
-        values = self._values
-        if len(values) <= x:
-            with self._lock:
-                while len(values) <= x:
-                    values.append(values[-1] * self.ratio(len(values) - 1))
-        return values[x]
+        return self._values.value(x, 0)
 
 
 def pair_from_certificate(cert: Certificate) -> MarkovPair:
@@ -241,8 +237,7 @@ def pair_from_certificate(cert: Certificate) -> MarkovPair:
             raise EvaluationError(f"certificate singular at x={x}", x=x)
         return cert.r(x, z) / px * f(x, z)
 
-    scale = Scale(lambda x, z: a(x) * s.value(x, z),
-                  lambda x, z: a.ratio(x) * s.sx(x, z), s.sz)
+    scale = Scale(lambda x, z: a.ratio(x) * s.sx(x, z), s.sz)
     name = cert.label or "certificate"
     return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
                       GridFunction(v, f"V[{name}]", scale=scale),

@@ -14,10 +14,11 @@ Everything here is exact; residuals are rationals, equality means equality.
 One wrapper, :class:`GridFunction`, carries every lattice function of the
 package: a pair's U and V, and the term extension F that certificates and
 the stepwise solver work on.  A grid function is a scale S times a reduced
-part, where S is known by its value and its two shift ratios
-S_{x+1,z}/S_{x,z} and S_{x,z+1}/S_{x,z} (see :class:`Scale`).  The 3phi2
-extension is all scale (reduced part 1); a bare evaluator is all reduced
-part, on the unit scale S = 1 with ratios (1, 1).
+part, where S is known by S_{0,0} = 1 and its two shift ratios
+S_{x+1,z}/S_{x,z} and S_{x,z+1}/S_{x,z}, and its values are stepped from
+them (see :class:`Scale`).  Every built-in extension is all scale
+(reduced part 1); a bare evaluator is all reduced part, on the unit scale
+S = 1 with ratios (1, 1).
 
 The pair condition is checked on the reduced parts.  When U and V share
 the scale S, with reduced parts u~ and v~,
@@ -34,6 +35,7 @@ residual of the values themselves.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -58,22 +60,62 @@ def one(x: int, z: int) -> Fraction:
     return ONE
 
 
-@dataclass(frozen=True)
 class Scale:
-    """A lattice function S known by its value and its two shift ratios.
+    """A lattice function S with S_{0,0} = 1, known by its two shift ratios.
 
     ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z}.
     Ratios that are rational in q^x and q^z stay small where the values
-    of S grow without bound.
+    of S grow without bound.  This is the package's one stepper: a value
+    is stepped from the origin, an unknown S_{x,z} by sz from S_{x,z-1}
+    when that is stored, else by sx from S_{x-1,z} (by sz from S_{0,z-1}
+    in column 0).  So the table holds only the points read and a path to
+    them: the edges of a rectangle cost about 2(i+j) steps, not
+    (i+1)(j+1).  The table is extended under the scale's own lock and
+    never changes a stored value, so one scale may be shared between
+    threads.
     """
 
-    value: Callable[[int, int], Fraction]
-    sx: Callable[[int, int], Fraction]
-    sz: Callable[[int, int], Fraction]
+    def __init__(self, sx: Callable[[int, int], Fraction], sz: Callable[[int, int], Fraction]):
+        self.sx, self.sz = sx, sz
+        self._table: dict[tuple[int, int], Fraction] = {(0, 0): ONE}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """The number of values stored."""
+        return len(self._table)
+
+    def value(self, x: int, z: int) -> Fraction:
+        """S_{x,z}; a ratio that raises on a step raises for every point stepped through it."""
+        if x < 0 or z < 0:
+            raise ValueError("lattice points need x, z >= 0")
+        table = self._table
+        value = table.get((x, z))
+        if value is None:
+            with self._lock:
+                path = []  # unknown points back from (x, z) to a stored one
+                while (x, z) not in table:
+                    path.append((x, z))
+                    if x and (z == 0 or (x, z - 1) not in table):
+                        x -= 1
+                    else:
+                        z -= 1
+                value = table[x, z]
+                for nx, nz in reversed(path):
+                    value *= self.sz(x, z) if nx == x else self.sx(x, z)
+                    x, z = nx, nz
+                    table[x, z] = value
+        return value
+
+
+class _UnitScale(Scale):
+    """S = 1, whose values need no table."""
+
+    def value(self, x: int, z: int) -> Fraction:
+        return ONE
 
 
 #: S = 1, shift ratios (1, 1): the scale of a grid function given by its values
-UNIT_SCALE = Scale(one, one, one)
+UNIT_SCALE = _UnitScale(one, one)
 
 
 @dataclass(frozen=True)
@@ -98,17 +140,11 @@ class GridFunction:
         try:
             return self.evaluator(x, z)
         except ZeroDivisionError as exc:
-            raise self._undefined(x, z, exc) from exc
+            raise EvaluationError(f"{self.label or 'grid function'} undefined at "
+                                  f"(x={x}, z={z}): {exc}", x, z) from exc
 
     def __call__(self, x: int, z: int) -> Fraction:
-        try:
-            return self.scale.value(x, z) * self.evaluator(x, z)
-        except ZeroDivisionError as exc:
-            raise self._undefined(x, z, exc) from exc
-
-    def _undefined(self, x: int, z: int, exc: ZeroDivisionError) -> EvaluationError:
-        return EvaluationError(
-            f"{self.label or 'grid function'} undefined at (x={x}, z={z}): {exc}", x, z)
+        return self.scale.value(x, z) * self.reduced(x, z)
 
 
 @dataclass(frozen=True)

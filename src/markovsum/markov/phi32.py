@@ -30,7 +30,8 @@ first point where an evaluator is undefined.
 
 Everything else is derived from F, P, Q and R, and all of them read one
 per-engine table of powers of q.  F is the scale of the extension (its
-reduced part is 1), so certificate and pair checks run on the ratios
+reduced part is 1), stepped from F_{0,0} = 1 by the package's one stepper,
+``pairs.Scale``, so certificate and pair checks run on the ratios
 rx, rz and on P, Q, R, all small, and touch an F value only to report a
 nonzero residual.  The column multipliers follow the certificate
 recurrence A_{x+1} = A_x Q(x)/P(x), A_0 = 1, and the row multipliers are
@@ -49,7 +50,7 @@ M_{x,0} and V_{x,0}, and the coefficient equations are kept as independent
 checks of the derived values.
 
 The power table, the F table and the column multipliers are extended
-under a lock and never change a stored value, so one engine may be shared
+under locks and never change a stored value, so one engine may be shared
 between threads.
 """
 
@@ -133,8 +134,8 @@ def _memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
     return cached
 
 
-# guards the power and F tables; reentrant because stepping F reads powers
-_extend_lock = threading.RLock()
+# guards the power tables
+_extend_lock = threading.Lock()
 
 
 class _ThreePhiTwoAlgebra:
@@ -154,8 +155,8 @@ class _ThreePhiTwoAlgebra:
         self.t = self._cd / (self.a * self.b * self.q)
         #: q^k at index k
         self._powers = [ONE]
-        #: F_{x,z} at the points read so far, and at the points stepped through to them
-        self._f: dict[tuple[int, int], Fraction] = {(0, 0): ONE}
+        #: F, stepped from F_{0,0} = 1 by rx and rz
+        self._f = Scale(self.rx, self.rz)
         # one-index values, each a pure function of its key: k -> (1-cq^k)(1-dq^k),
         # z -> (1-aq^z)(1-bq^z), x -> Q(x) and x -> the slope K(x) of R(x, z) in q^z
         self._poles: dict[int, Fraction] = {}
@@ -204,38 +205,14 @@ class _ThreePhiTwoAlgebra:
         return self.t * self._power(2 * x) * upper / self._pole(x, z + 1)
 
     def f(self, x: int, z: int) -> Fraction:
-        """The extension F_{x,z}; F_{0,z} is the series term.
-
-        An unknown F_{x,z} is stepped by rz from F_{x,z-1} when that is
-        stored, else by rx from F_{x-1,z} (by rz from F_{0,z-1} in column
-        0), so the table holds only the points read and a path to them:
-        the edges of a rectangle cost about 2(i+j) steps, not (i+1)(j+1).
-        """
-        if x < 0 or z < 0:
-            raise ValueError("lattice points need x, z >= 0")
-        table = self._f
-        value = table.get((x, z))
-        if value is None:
-            with _extend_lock:
-                path = []  # unknown points back from (x, z) to a stored one
-                while (x, z) not in table:
-                    path.append((x, z))
-                    if x and (z == 0 or (x, z - 1) not in table):
-                        x -= 1
-                    else:
-                        z -= 1
-                value = table[x, z]
-                for nx, nz in reversed(path):
-                    value *= self.rz(x, z) if nx == x else self.rx(x, z)
-                    x, z = nx, nz
-                    table[x, z] = value
-        return value
+        """The extension F_{x,z}; F_{0,z} is the series term."""
+        return self._f.value(x, z)
 
     def extension(self) -> GridFunction:
         """F as a grid function that is all scale: value F, ratios rx and rz."""
         return GridFunction(one, "3phi2 extension", params={
             "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "q": self.q, "t": self.t}, scale=Scale(self.f, self.rx, self.rz))
+            "q": self.q, "t": self.t}, scale=self._f)
 
     # -- certificate -----------------------------------------------------------
 

@@ -16,6 +16,14 @@ at least two more z-samples than unknowns.  The elimination runs over every
 sample row, so the extra samples check the solution: an ansatz that cannot
 close is reported with the first failing column, never silently
 extrapolated.
+
+Each row is the condition at (x, z) divided by F's scale S_{x,z}: its
+columns z^k F~_{x+1,z} sx and z^k F~_{x,z} - (z+1)^k F~_{x,z+1} sz (q^z for
+z^k in V's form u1) and right side U_x(z) F~_{x,z} read F's reduced part F~
+and the shift ratios sx, sz of S, never a value of S.  The built-in
+families are all scale (F~ = 1), described by their shift ratios; an
+extension given by its values is on the unit scale, so its rows are rows
+of values.  Where S_{x,z} = 0 the row is all zero, as the row of values is.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Optional
 
 from ..exact import format_rational
 from ..polys import solve_linear
-from .pairs import GridFunction, MarkovPair
+from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, one
 
 FORM_U1 = "u1"
 FORM_U2 = "u2"
@@ -112,13 +120,21 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
 
     u_coeffs: list[list[Fraction]] = [[Fraction(1)] + [Fraction(0)] * (deg_u - 1)]
     v_coeffs: list[list[Fraction]] = []
+    reduced, sx, sz = extension.reduced, extension.scale.sx, extension.scale.sz
 
     for x in range(x_max + 1):
         rows, rhs = [], []
+        # S_{x,z} != 0; at z = 0 it holds, since S_{x,0} = 0 would have made every
+        # U column of column x - 1 zero, and its solve would have failed
+        nonzero = True
         for z in range(z_samples):
-            f_xz = extension(x, z)
-            f_xz1 = extension(x, z + 1)
-            f_x1z = extension(x + 1, z)
+            # both ratios are read at every sample, sz (towards F_{x,z+1}) first, so the
+            # first undefined point raises where reading F_{x,z+1}, F_{x+1,z} would
+            step_z, step_x = sz(x, z), sx(x, z)
+            # F_{x,z}, F_{x,z+1} and F_{x+1,z} over S_{x,z}; all 0 where S_{x,z} = 0
+            f_xz, f_xz1, f_x1z = (reduced(x, z), reduced(x, z + 1) * step_z,
+                                  reduced(x + 1, z) * step_x) if nonzero else (0, 0, 0)
+            nonzero = nonzero and step_z != 0
             # unknown order: U(x+1) coefficients, then V(x) coefficients
             row = [z ** k * f_x1z for k in range(deg_u)]
             if form == FORM_U1:
@@ -152,39 +168,43 @@ def phi32_family(a, b, c, d, q) -> GridFunction:
     return ThreePhiTwo(a, b, c, d, q).extension()
 
 
+def _stepped_family(label: str, params: dict, upper, lower) -> GridFunction:
+    """F_{0,0} = 1, rx = 1/lower(x+z) and rz = upper(z)/lower(x+z), all scale."""
+    def last_lower(x: int, z: int) -> Fraction:
+        """lower(x+z-1), the last factor of F_{x,z}'s denominator, read on the step to (x, z)."""
+        value = lower(x + z - 1)
+        if value == 0:
+            raise EvaluationError(f"{label} undefined at (x={x}, z={z}): lower rising "
+                                  f"factorial vanishes at (x={x}, z={z})", x, z)
+        return value
+
+    return GridFunction(one, label, params, Scale(
+        lambda x, z: 1 / last_lower(x + 1, z), lambda x, z: upper(z) / last_lower(x, z + 1)))
+
+
 def f4f3_family(a, h, b) -> GridFunction:
     """Extension of the 4F3(a, a+h, a-h, 1; b, b+h, b-h) series, form u2.
 
-    F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}).
+    F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}), so
+    rx = 1/((b+x+z)(b+h+x+z)(b-h+x+z)) and rz = (a+z)(a+h+z)(a-h+z) rx.
     """
-    from ..hgterm import rising_factorial
     a, h, b = Fraction(a), Fraction(h), Fraction(b)
-
-    def f(x: int, z: int) -> Fraction:
-        num = rising_factorial(a, z) * rising_factorial(a + h, z) * rising_factorial(a - h, z)
-        den = rising_factorial(b, x + z) * rising_factorial(b + h, x + z) \
-            * rising_factorial(b - h, x + z)
-        if den == 0:
-            raise ZeroDivisionError(f"lower rising factorial vanishes at (x={x}, z={z})")
-        return num / den
-
-    return GridFunction(f, f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
-                        params={"a": a, "h": h, "b": b})
+    return _stepped_family(
+        f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
+        {"a": a, "h": h, "b": b},
+        lambda z: (a + z) * (a + h + z) * (a - h + z),
+        lambda k: (b + k) * (b + h + k) * (b - h + k))
 
 
 def well_poised_family(a, b) -> GridFunction:
-    """Extension of the alternating well-poised 4F3(a,a,a,1; b,b,b; -1), form u3."""
-    from ..hgterm import rising_factorial
+    """Extension of the alternating well-poised 4F3(a,a,a,1; b,b,b; -1), form u3.
+
+    F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3, so rx = 1/(b+x+z)^3 and
+    rz = -(a+z)^3 rx.
+    """
     a, b = Fraction(a), Fraction(b)
-
-    def f(x: int, z: int) -> Fraction:
-        den = rising_factorial(b, x + z) ** 3
-        if den == 0:
-            raise ZeroDivisionError(f"lower rising factorial vanishes at (x={x}, z={z})")
-        return rising_factorial(a, z) ** 3 * (-1) ** z / den
-
-    return GridFunction(f, f"well-poised({format_rational(a)},{format_rational(b)})",
-                        params={"a": a, "b": b})
+    return _stepped_family(f"well-poised({format_rational(a)},{format_rational(b)})",
+                           {"a": a, "b": b}, lambda z: -(a + z) ** 3, lambda k: (b + k) ** 3)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from markovsum.hgterm import q_pochhammer
+from markovsum.hgterm import q_pochhammer, rising_factorial
 
 
 def f_product(engine, x: int, z: int):
@@ -14,6 +14,21 @@ def f_product(engine, x: int, z: int):
     num = q_pochhammer(a, q, z) * q_pochhammer(b, q, z) * t ** z
     den = q_pochhammer(c, q, x + z) * q_pochhammer(d, q, x + z)
     return num / den * (c * d * q ** (2 * z)) ** x * q ** (x * (x - 1))
+
+
+def f4f3_product(a, h, b, x: int, z: int):
+    """The 4F3 extension in product form:
+
+    F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}).
+    """
+    num = rising_factorial(a, z) * rising_factorial(a + h, z) * rising_factorial(a - h, z)
+    return num / (rising_factorial(b, x + z) * rising_factorial(b + h, x + z)
+                  * rising_factorial(b - h, x + z))
+
+
+def well_poised_product(a, b, x: int, z: int):
+    """The well-poised extension in product form: F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3."""
+    return rising_factorial(a, z) ** 3 * (-1) ** z / rising_factorial(b, x + z) ** 3
 
 
 def certificate_value_residual(engine, p, q, r, x: int, z: int):

@@ -209,6 +209,15 @@ class TestVerifyCertificate:
     def test_singular_grid_is_scanned_to_its_first_singular_point(self, capsys, argv, err):
         assert run(capsys, "verify-certificate", *argv, "--grid", "6x6") == (65, "", err)
 
+    def test_random_points_past_the_cap_refused_before_any_work(self, capsys, monkeypatch):
+        assert run(capsys, "verify-certificate", "--grid", "1x1", "--random-points",
+                   str(certificates.RANDOM_POINTS_CAP + 1))[:2] == (64, "")
+        monkeypatch.setattr(certificates, "RANDOM_POINTS_CAP", 3)
+        code, out, _ = run(capsys, "verify-certificate", "--grid", "1x1", "--random-points", "3")
+        assert (code, out) == (0, "passed: True\nchecks: 151\n")
+        assert run(capsys, "verify-certificate", "--grid", "1x1", "--random-points", "4") \
+            == (64, "", "error: --random-points 4 beyond cap 3\n")
+
     def test_proved_request_prints_the_scanned_output(self, capsys):
         code, out, _ = run(capsys, "verify-certificate", "--grid", "20x20",
                            "--random-points", "50", "--seed", "0")
@@ -250,6 +259,19 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "3phi2-u1", "--x-max", "7")
         assert code == 0 and out.splitlines()[-1].startswith("x=7 ")
         assert run(capsys, "solve", "3phi2-u1", "--x-max", "8")[0] == 64
+
+    def test_z_samples_past_the_cap_refused_before_any_work(self, capsys):
+        # sample z reads row z + 1; unrefused, --z-samples 300 took about a minute
+        code, out, err = run(capsys, "solve", "3phi2-u1", "--z-samples",
+                             str(certificates.X_CAP + 1))
+        assert (code, out) == (64, "")
+        assert err == "error: --z-samples reads row z=513, beyond cap 512\n"
+
+    def test_largest_z_samples_under_the_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(certificates, "X_CAP", 8)
+        code, out, _ = run(capsys, "solve", "3phi2-u1", "--x-max", "2", "--z-samples", "8")
+        assert code == 0 and out.splitlines()[-1].startswith("x=2 ")
+        assert run(capsys, "solve", "3phi2-u1", "--z-samples", "9")[0] == 64
 
 
 class TestUsageErrors:

@@ -77,6 +77,19 @@ GOLDEN = {
         "0368bbdd35f43aeecbacbd35c3bf2d726e5cf0a50d366468ca5c644631969552",
     "compute kummer --digits 1 --max-terms 300":
         "22d66ba67a563d0289a93cc4118f46b69cee08cc9b7370157d9c3389b1e1282e",
+    "solve 3phi2-u1 --x-max 60":
+        "13fe20dd0601aa1be706bf8fd7378f9ff17d3de16056ffa59b2781e5a2554ff0",
+    "solve 4f3-u2 --x-max 60":
+        "c154b667e2dc03681ec9ffb9172dc790c78fa39aff312d8768a6eb018496a5f4",
+    "solve 4f3-wp-u3 --x-max 60":
+        "0bbfdbe67f9a1c9d65caa57871c843ba3a02f806a38e3dcfb2ab7a546a9933c6",
+    # an upper parameter at a nonpositive integer: F = 0 past it, all-zero rows
+    "solve 4f3-u2 --params=-1,1/3,2":
+        "b9e5d0b6bff6534bce770379d81fff86a3ee8e2a162dcb78085da5f315da75a9",
+    "solve 4f3-wp-u3 --params=-2,2":
+        "b9e5d0b6bff6534bce770379d81fff86a3ee8e2a162dcb78085da5f315da75a9",
+    "solve 3phi2-u1 --params 1,1/5,1/7,1/11,1/2":
+        "b9e5d0b6bff6534bce770379d81fff86a3ee8e2a162dcb78085da5f315da75a9",
 }
 
 
@@ -89,3 +102,16 @@ def digest(capsys, argv: str) -> str:
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_golden_output(capsys, argv):
     assert digest(capsys, argv) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv, point, label", [
+    # a lower parameter at a nonpositive integer: F is undefined from x + z = 1 - b on
+    ("solve 4f3-u2 --params=1,1/3,-1", "(x=0, z=2)", "4F3(1,1/3,-1)"),
+    ("solve 4f3-wp-u3 --params=1,-3", "(x=0, z=4)", "well-poised(1,-3)"),
+])
+def test_first_singular_point_and_message(capsys, argv, point, label):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert captured.err == (f"evaluation singularity at {point}: {label} undefined at "
+                            f"{point}: lower rising factorial vanishes at {point}\n")

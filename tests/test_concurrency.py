@@ -5,7 +5,8 @@ switches threads every microsecond, which interleaves the extension loops
 as finely as CPython allows.  Every cached value must still equal the
 product computed directly, threads evaluating one shared catalog entry
 must all get the enclosures of its closed-form terms, threads sharing
-one 3phi2 engine must all get its product-form values, and threads calling
+one 3phi2 engine, or one stepped 4F3 or well-poised extension, must all
+get its product-form values, and threads calling
 ``cli.main`` on its one shared parser must write what a sequential run
 writes.
 """
@@ -18,9 +19,9 @@ import pytest
 
 from markovsum import catalog, cli, hgterm
 from markovsum.hgterm import TermSequence
-from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
+from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, f4f3_family, well_poised_family
 from markovsum.polys import RationalFunction, poly
-from oracles import f_product
+from oracles import f4f3_product, f_product, well_poised_product
 
 THREADS = 4
 TRIALS = 10
@@ -125,6 +126,21 @@ def test_threads_sharing_one_3phi2_engine_agree():
                           engine.q ** k, engine.A_closed(x)))
         results = _race(values, LENGTH)
         assert all(result == truth for result in results), f"trial {trial}"
+
+        # the 4F3 and well-poised extensions step on the same stepper, cold per trial
+        for build, product, params in (
+                (f4f3_family, f4f3_product, (Q(2 * trial + 1, 7), Q(1, 3), Q(2))),
+                (well_poised_family, well_poised_product, (Q(2 * trial + 1, 7), Q(2)))):
+            scale = build(*params).scale
+            truth = []
+            for k in range(LENGTH + 1):
+                x, z = point(k)
+                f = product(*params, x, z)
+                truth.append((f, product(*params, x + 1, z) / f,
+                              product(*params, x, z + 1) / f))
+            results = _race(lambda k: (scale.value(*point(k)), scale.sx(*point(k)),
+                                       scale.sz(*point(k))), LENGTH)
+            assert all(result == truth for result in results), f"trial {trial}, {params}"
 
 
 #: requests of every verb that computes, each small; thread s starts at the s-th

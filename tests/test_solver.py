@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -6,6 +7,7 @@ from markovsum.markov import (
     FORM_U1,
     FORM_U2,
     FORM_U3,
+    EvaluationError,
     GridFunction,
     ThreePhiTwo,
     check_pair_condition,
@@ -15,6 +17,7 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
     well_poised_family,
 )
+from oracles import f4f3_product, well_poised_product
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -91,10 +94,50 @@ class TestU3Closes:
                 assert check_pair_condition(pair, x, z).holds
 
 
+class TestSteppedFamilies:
+    """Both product families are stepped from their shift ratios."""
+
+    @pytest.mark.parametrize("build, product, params", [
+        (f4f3_family, f4f3_product, (Q(1), Q(1, 3), Q(2))),
+        (f4f3_family, f4f3_product, (Q(-1), Q(1, 3), Q(2))),  # (a)_z = 0 from z = 2 on
+        (f4f3_family, f4f3_product, (Q(1), Q(0), Q(2))),
+        (well_poised_family, well_poised_product, (Q(1), Q(2))),
+        (well_poised_family, well_poised_product, (Q(-2), Q(2))),  # (a)_z = 0 from z = 3 on
+    ], ids=["4f3", "4f3-a=-1", "4f3-h=0", "well-poised", "well-poised-a=-2"])
+    def test_stepped_f_equals_product_form(self, build, product, params):
+        ext = build(*params)
+        for x in range(30):
+            for z in range(30):
+                assert ext(x, z) == product(*params, x, z), (x, z)
+                assert ext.reduced(x, z) == 1
+
+    @pytest.mark.parametrize("ext, point", [
+        (f4f3_family(Q(1), Q(1, 3), Q(-1)), (0, 2)),  # (b)_n = 0 from n = 2 on
+        (well_poised_family(Q(1), Q(-3)), (0, 4)),
+    ], ids=["4f3-b=-1", "well-poised-b=-3"])
+    def test_first_undefined_point_is_named(self, ext, point):
+        x, z = point
+        ext(x, z - 1)
+        with pytest.raises(EvaluationError, match="lower rising factorial vanishes") as info:
+            ext(x, z)
+        assert (info.value.x, info.value.z) == point
+        with pytest.raises(EvaluationError) as info:
+            ext.scale.sx(x, z - 1)
+        assert (info.value.x, info.value.z) == (x + 1, z - 1)
+
+    def test_unit_scale_extension_solves_like_the_described_one(self):
+        # the same F given by its values: rows of values, the same unknowns
+        params = (Q(1), Q(1, 3), Q(2))
+        described = solve_multipliers_stepwise(f4f3_family(*params), FORM_U2, 6)
+        values = GridFunction(lambda x, z: f4f3_product(*params, x, z), params=dict(
+            zip("ahb", params)))
+        assert solve_multipliers_stepwise(values, FORM_U2, 6).data == described.data
+
+
 class TestFailures:
     def test_u1_wrong_family(self):
         ext = well_poised_family(Q(1), Q(2))
-        ext = GridFunction(ext.evaluator, ext.label, params={**ext.params, "q": Q(1, 2)})
+        ext = dataclasses.replace(ext, params={**ext.params, "q": Q(1, 2)})
         result = solve_multipliers_stepwise(ext, FORM_U1, 3)
         assert not result.ok
         assert "does not close at x=0" in result.reason
