@@ -197,10 +197,10 @@ def _resolve_params(args) -> tuple[Fraction, ...]:
     return (args.a, args.b, args.c, args.d, args.q)
 
 
-def _check_cap(option: str, index: int, axis: str = "column x"):
-    """Refuse an option whose checks read a column (or a row) past the cap."""
-    if index > certificates.X_CAP:
-        raise _UsageError(f"{option} reads {axis}={index}, beyond cap {certificates.X_CAP}")
+def _check_cap(option: str, reads: str, index: int, cap: int):
+    """Refuse an option that reads ``reads`` up to ``index``, past ``cap``."""
+    if index > cap:
+        raise _UsageError(f"{option} reads {reads}={index}, beyond cap {cap}")
 
 
 def _build_engine(args, factory):
@@ -329,7 +329,7 @@ def _cmd_verify_pair(args, out: _Out) -> int:
     if args.fixture != "3phi2":
         raise _UsageError(f"unknown pair fixture {args.fixture!r}")
     i, j = args.grid
-    _check_cap("--grid", i + 1)
+    _check_cap("--grid", "column x", i + 1, certificates.X_CAP)
     params, engine = _build_engine(args, ThreePhiTwo)
     pair = _fuzzed_pair(engine) if args.fuzz else engine.pair()
     failures = 0
@@ -364,9 +364,7 @@ def _cmd_verify_pair(args, out: _Out) -> int:
 
 
 def _cmd_verify_certificate(args, out: _Out) -> int:
-    if args.random_points > certificates.RANDOM_POINTS_CAP:
-        raise _UsageError(f"--random-points {args.random_points} beyond cap "
-                          f"{certificates.RANDOM_POINTS_CAP}")
+    _check_cap("--random-points", "tuples", args.random_points, certificates.RANDOM_POINTS_CAP)
     _, cert = _build_engine(args, make_certificate)
     x_max, z_max = args.grid
     with _usage_errors():
@@ -385,9 +383,9 @@ def _cmd_verify_certificate(args, out: _Out) -> int:
 def _cmd_solve(args, out: _Out) -> int:
     if args.family not in FAMILIES:
         raise _UsageError(f"unknown family {args.family!r}")
-    _check_cap("--x-max", args.x_max + 1)
-    if args.z_samples is not None:
-        _check_cap("--z-samples", args.z_samples, "row z")  # sample z reads row z + 1
+    _check_cap("--x-max", "column x", args.x_max + 1, certificates.X_CAP)
+    # sample z reads row z + 1
+    _check_cap("--z-samples", "row z", args.z_samples or 0, certificates.X_CAP)
     family = FAMILIES[args.family]
     params = family.defaults
     with _usage_errors(f"bad parameters for {args.family}: "):

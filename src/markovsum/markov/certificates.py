@@ -10,18 +10,13 @@ recurrence operator side as P + Q X; matching the identity against the
 multiplier construction below forces the relative minus sign on P used
 here, and the built-in fixture only verifies under this convention.)
 
-The identity is checked on F's reduced form.  With F = S F~ for a scale S
-of shift ratios sx = S_{x+1,z}/S_{x,z} and sz = S_{x,z+1}/S_{x,z} (see
-:class:`~markovsum.markov.pairs.Scale`), the defect is S_{x,z} times
+The identity is checked on F's reduced part F~ = F/S, with S the scale of
+F and sx, sz its shift ratios (see :class:`~markovsum.markov.pairs.Scale`):
+the defect is S_{x,z} times the bracket of small operands
 
-    Q(x) F~_{x+1,z} sx - P(x) F~_{x,z} - R(x,z+1) F~_{x,z+1} sz + R(x,z) F~_{x,z}.
+    Q(x) F~_{x+1,z} sx - P(x) F~_{x,z} - R(x,z+1) F~_{x,z+1} sz + R(x,z) F~_{x,z},
 
-For the 3phi2 extension F~ = 1 and S = F, whose ratios are small rational
-functions of q^x and q^z, so the bracket is Q rx - P - R(x,z+1) rz + R(x,z)
-on small operands; a black-box extension has S = 1 and F~ = F.  The
-bracket is multiplied by S_{x,z} only when it is nonzero, and the product
-is exactly the defect of the values, so a reported residual is the same
-number either way.
+which is multiplied by S_{x,z}, giving the defect exactly, only when nonzero.
 
 Given such data, an undetermined factor per column turns the identity into
 a telescoping pair: with A_0 = 1,
@@ -79,11 +74,7 @@ class Certificate:
     proof: Optional[BracketProof] = field(default=None, init=False, repr=False, compare=False)
 
     def residual(self, x: int, z: int) -> Fraction:
-        """Defect of the certificate identity at one lattice point.
-
-        Formed on the reduced form of F and scaled by S_{x,z} only when
-        nonzero; the result is the defect of the values.
-        """
+        """Defect of the certificate identity at one lattice point."""
         f, scale = self.extension.reduced, self.extension.scale
         try:
             res = self.q(x) * f(x + 1, z) * scale.sx(x, z) - self.p(x) * f(x, z) \
@@ -223,13 +214,9 @@ class ColumnMultipliers:
 
 
 def pair_from_certificate(cert: Certificate) -> MarkovPair:
-    """Build the telescoping pair induced by a certificate (A_0 = 1).
-
-    The pair lives on the scale A_x S_{x,z}, with S the extension's scale.
-    """
+    """Build the telescoping pair induced by a certificate (A_0 = 1)."""
     a = ColumnMultipliers(cert.p, cert.q)
-    ext = cert.extension
-    f, s = ext.reduced, ext.scale
+    f, s = cert.extension.reduced, cert.extension.scale
 
     def v(x: int, z: int) -> Fraction:
         px = cert.p(x)

@@ -13,12 +13,10 @@ Everything here is exact; residuals are rationals, equality means equality.
 
 One wrapper, :class:`GridFunction`, carries every lattice function of the
 package: a pair's U and V, and the term extension F that certificates and
-the stepwise solver work on.  A grid function is a scale S times a reduced
-part, where S is known by S_{0,0} = 1 and its two shift ratios
-S_{x+1,z}/S_{x,z} and S_{x,z+1}/S_{x,z}, and its values are stepped from
-them (see :class:`Scale`).  Every built-in extension is all scale
-(reduced part 1); a bare evaluator is all reduced part, on the unit scale
-S = 1 with ratios (1, 1).
+the stepwise solver work on.  A grid function is a scale S, stepped from
+its shift ratios (see :class:`Scale`), times a reduced part.  Every
+built-in extension is all scale (reduced part 1); a bare evaluator is all
+reduced part, on the unit scale S = 1 with ratios (1, 1).
 
 The pair condition is checked on the reduced parts.  When U and V share
 the scale S, with reduced parts u~ and v~,
@@ -64,25 +62,19 @@ class Scale:
     """A lattice function S with S_{0,0} = 1, known by its two shift ratios.
 
     ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z}.
-    Ratios that are rational in q^x and q^z stay small where the values
-    of S grow without bound.  This is the package's one stepper: a value
-    is stepped from the origin, an unknown S_{x,z} by sz from S_{x,z-1}
-    when that is stored, else by sx from S_{x-1,z} (by sz from S_{0,z-1}
-    in column 0).  So the table holds only the points read and a path to
-    them: the edges of a rectangle cost about 2(i+j) steps, not
-    (i+1)(j+1).  The table is extended under the scale's own lock and
-    never changes a stored value, so one scale may be shared between
-    threads.
+    This is the package's one stepper: an unknown S_{x,z} is stepped by sz
+    from S_{x,z-1} in column 0 or when that is stored, else by sx from
+    S_{x-1,z}, so the table holds only the points read and a path to them:
+    the edges of a rectangle cost about 2(i+j) steps, not (i+1)(j+1).  The
+    table grows under the scale's own lock and never changes a stored
+    value, so threads may share a scale.  A ZeroDivisionError in a ratio is
+    reported as an EvaluationError at the point stepped to.
     """
 
     def __init__(self, sx: Callable[[int, int], Fraction], sz: Callable[[int, int], Fraction]):
         self.sx, self.sz = sx, sz
         self._table: dict[tuple[int, int], Fraction] = {(0, 0): ONE}
         self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        """The number of values stored."""
-        return len(self._table)
 
     def value(self, x: int, z: int) -> Fraction:
         """S_{x,z}; a ratio that raises on a step raises for every point stepped through it."""
@@ -100,10 +92,14 @@ class Scale:
                     else:
                         z -= 1
                 value = table[x, z]
-                for nx, nz in reversed(path):
-                    value *= self.sz(x, z) if nx == x else self.sx(x, z)
-                    x, z = nx, nz
-                    table[x, z] = value
+                try:
+                    for nx, nz in reversed(path):
+                        value *= self.sz(x, z) if nx == x else self.sx(x, z)
+                        x, z = nx, nz
+                        table[x, z] = value
+                except ZeroDivisionError as exc:
+                    raise EvaluationError(f"scale undefined at (x={nx}, z={nz}): {exc}",
+                                          nx, nz) from exc
         return value
 
 
@@ -124,10 +120,8 @@ class GridFunction:
 
     The value at (x, z) is ``scale.value(x, z) * evaluator(x, z)``: the
     evaluator gives the reduced part, and on the default unit scale it
-    gives the value itself.  The same wrapper carries a pair's U and V and
-    a term extension F, whose row F_{0,z} is the z-th series term.
-    ``params`` records the parameters the evaluator closes over (e.g. the
-    base q), which downstream consumers such as the stepwise solver need.
+    gives the value itself.  ``params`` records the parameters the
+    evaluator closes over (e.g. the base q), which the stepwise solver needs.
     """
 
     evaluator: Callable[[int, int], Fraction]
@@ -175,10 +169,7 @@ class PairCheck:
 
 
 def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
-    """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point.
-
-    Formed on the reduced parts and scaled by S_{x,z} only when nonzero.
-    """
+    """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point."""
     u, v, scale = pair.u.reduced, pair.v.reduced, pair.u.scale
     try:
         residual = u(x, z) - u(x + 1, z) * scale.sx(x, z) \

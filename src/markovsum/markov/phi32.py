@@ -29,10 +29,9 @@ factors vanishes is scanned point by point instead, and raises at the
 first point where an evaluator is undefined.
 
 Everything else is derived from F, P, Q and R, and all of them read one
-per-engine table of powers of q.  F is the scale of the extension (its
-reduced part is 1), stepped from F_{0,0} = 1 by the package's one stepper,
-``pairs.Scale``, so certificate and pair checks run on the ratios
-rx, rz and on P, Q, R, all small, and touch an F value only to report a
+per-engine table of powers of q.  F is the extension's scale (its reduced
+part is 1), stepped by ``pairs.Scale``, so certificate and pair checks run
+on rx, rz, P, Q and R, all small, and touch an F value only to report a
 nonzero residual.  The column multipliers follow the certificate
 recurrence A_{x+1} = A_x Q(x)/P(x), A_0 = 1, and the row multipliers are
 M_{x,z} = A_x R(x,z)/P(x) = B_x + C_x q^z with

@@ -17,13 +17,8 @@ sample row, so the extra samples check the solution: an ansatz that cannot
 close is reported with the first failing column, never silently
 extrapolated.
 
-Each row is the condition at (x, z) divided by F's scale S_{x,z}: its
-columns z^k F~_{x+1,z} sx and z^k F~_{x,z} - (z+1)^k F~_{x,z+1} sz (q^z for
-z^k in V's form u1) and right side U_x(z) F~_{x,z} read F's reduced part F~
-and the shift ratios sx, sz of S, never a value of S.  The built-in
-families are all scale (F~ = 1), described by their shift ratios; an
-extension given by its values is on the unit scale, so its rows are rows
-of values.  Where S_{x,z} = 0 the row is all zero, as the row of values is.
+Each row is the condition at (x, z) divided by F's scale S_{x,z}: it
+reads F's reduced part and the shift ratios of S, never a value of S.
 """
 
 from __future__ import annotations
@@ -124,13 +119,13 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
 
     for x in range(x_max + 1):
         rows, rhs = [], []
-        # S_{x,z} != 0; at z = 0 it holds, since S_{x,0} = 0 would have made every
-        # U column of column x - 1 zero, and its solve would have failed
-        nonzero = True
+        nonzero = True  # S_{x,z} != 0; S_{x,0} = 0 would have failed column x - 1's solve
         for z in range(z_samples):
-            # both ratios are read at every sample, sz (towards F_{x,z+1}) first, so the
-            # first undefined point raises where reading F_{x,z+1}, F_{x+1,z} would
-            step_z, step_x = sz(x, z), sx(x, z)
+            try:  # sz first: the first undefined point is F_{x,z+1}'s, then F_{x+1,z}'s
+                step_z, step_x = sz(x, z), sx(x, z)
+            except ZeroDivisionError as exc:
+                raise EvaluationError(f"{extension.label or 'extension'} undefined on a step "
+                                      f"from (x={x}, z={z}): {exc}", x, z) from exc
             # F_{x,z}, F_{x,z+1} and F_{x+1,z} over S_{x,z}; all 0 where S_{x,z} = 0
             f_xz, f_xz1, f_x1z = (reduced(x, z), reduced(x, z + 1) * step_z,
                                   reduced(x + 1, z) * step_x) if nonzero else (0, 0, 0)
@@ -138,8 +133,7 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
             # unknown order: U(x+1) coefficients, then V(x) coefficients
             row = [z ** k * f_x1z for k in range(deg_u)]
             if form == FORM_U1:
-                row += [f_xz - f_xz1,
-                        q ** z * f_xz - q ** (z + 1) * f_xz1]
+                row += [f_xz - f_xz1, q ** z * f_xz - q ** (z + 1) * f_xz1]
             else:
                 row += [z ** k * f_xz - (z + 1) ** k * f_xz1 for k in range(deg_v)]
             rows.append(row)
@@ -185,8 +179,7 @@ def _stepped_family(label: str, params: dict, upper, lower) -> GridFunction:
 def f4f3_family(a, h, b) -> GridFunction:
     """Extension of the 4F3(a, a+h, a-h, 1; b, b+h, b-h) series, form u2.
 
-    F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}), so
-    rx = 1/((b+x+z)(b+h+x+z)(b-h+x+z)) and rz = (a+z)(a+h+z)(a-h+z) rx.
+    F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}).
     """
     a, h, b = Fraction(a), Fraction(h), Fraction(b)
     return _stepped_family(
@@ -199,8 +192,7 @@ def f4f3_family(a, h, b) -> GridFunction:
 def well_poised_family(a, b) -> GridFunction:
     """Extension of the alternating well-poised 4F3(a,a,a,1; b,b,b; -1), form u3.
 
-    F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3, so rx = 1/(b+x+z)^3 and
-    rz = -(a+z)^3 rx.
+    F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3.
     """
     a, b = Fraction(a), Fraction(b)
     return _stepped_family(f"well-poised({format_rational(a)},{format_rational(b)})",

@@ -216,7 +216,7 @@ class TestVerifyCertificate:
         code, out, _ = run(capsys, "verify-certificate", "--grid", "1x1", "--random-points", "3")
         assert (code, out) == (0, "passed: True\nchecks: 151\n")
         assert run(capsys, "verify-certificate", "--grid", "1x1", "--random-points", "4") \
-            == (64, "", "error: --random-points 4 beyond cap 3\n")
+            == (64, "", "error: --random-points reads tuples=4, beyond cap 3\n")
 
     def test_proved_request_prints_the_scanned_output(self, capsys):
         code, out, _ = run(capsys, "verify-certificate", "--grid", "20x20",

@@ -6,10 +6,12 @@ from markovsum.markov import (
     EvaluationError,
     GridFunction,
     MarkovPair,
+    Scale,
     ThreePhiTwo,
     check_pair_condition,
     green_rectangle,
 )
+from markovsum.markov.pairs import one
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -95,3 +97,13 @@ class TestEdgeSums:
         assert sums.rhs == sums.v_sum - sums.v_edge
         assert sums.u_sum == pair.u(0, 0) + pair.u(0, 1)
         assert sums.v_edge == pair.v(0, 2) + pair.v(1, 2) + pair.v(2, 2)
+
+class TestScale:
+    def test_ratio_dividing_by_zero_reports_the_point_stepped_to(self):
+        # sx(2, z) = 1/0: the scale is undefined from column 3 on
+        scale = Scale(lambda x, z: Q(1, x - 2), lambda x, z: Q(1))
+        assert scale.value(2, 4) == Q(1, 2)
+        for read in (scale.value, GridFunction(one, "F", scale=scale)):
+            with pytest.raises(EvaluationError, match=r"undefined at \(x=3, z=1\)") as info:
+                read(5, 1)
+            assert (info.value.x, info.value.z) == (3, 1)

@@ -207,9 +207,15 @@ class TestSteppedExtension:
 
     def test_rectangle_steps_f_along_its_edges_only(self):
         engine = ThreePhiTwo(*CANONICAL)
-        i, j = 20, 12
-        assert green_rectangle(engine.pair(), i, j).equal
-        assert len(engine._f) <= 2 * (i + j)  # not the (i + 1)(j + 1) points inside
+        pair, i, j = engine.pair(), 20, 12
+        assert green_rectangle(pair, i, j).equal
+        # the pair's scale A_x F is stepped on its own table, not engine.f's
+        assert len(pair.u.scale._table) <= 2 * (i + j)  # not the (i + 1)(j + 1) points inside
+        edges = [(x, z) for x in (0, i) for z in range(j)] + \
+            [(x, z) for z in (0, j) for x in range(i)]
+        for x, z in edges:
+            assert engine.f(x, z) == f_product(engine, x, z)
+        assert len(engine._f._table) <= 2 * (i + j)
 
     def test_shift_ratios_are_ratios_of_f(self, engine):
         for x in range(10):

@@ -9,6 +9,7 @@ from markovsum.markov import (
     FORM_U3,
     EvaluationError,
     GridFunction,
+    Scale,
     ThreePhiTwo,
     check_pair_condition,
     f4f3_family,
@@ -17,6 +18,7 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
     well_poised_family,
 )
+from markovsum.markov.pairs import one
 from oracles import f4f3_product, well_poised_product
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
@@ -135,6 +137,14 @@ class TestSteppedFamilies:
 
 
 class TestFailures:
+    def test_ratio_dividing_by_zero_is_an_evaluation_error(self):
+        # sz(x, 1) = 1/0: the row of sample z = 1 cannot be formed
+        ext = GridFunction(one, "F", scale=Scale(lambda x, z: Q(1, 2), lambda x, z: Q(1, z - 1)))
+        with pytest.raises(EvaluationError, match=r"F undefined on a step from \(x=0, z=1\)") \
+                as info:
+            solve_multipliers_stepwise(ext, FORM_U2, 3)
+        assert (info.value.x, info.value.z) == (0, 1)
+
     def test_u1_wrong_family(self):
         ext = well_poised_family(Q(1), Q(2))
         ext = dataclasses.replace(ext, params={**ext.params, "q": Q(1, 2)})
