@@ -7,14 +7,19 @@ by that enclosure.
 
 Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, integer polynomials in n or, for the two
-q-series sides, in y = q^n (``polys.RationalFunction`` clears rational
-coefficients once); the terms and prefix sums follow on one unreduced
-integer state (``hgterm.TermSequence``).  Everything else is derived by
-positivity certificates on integer polynomials that hold for every index
-(``polys.nonneg_from`` in n, ``polys.unit_interval_nonneg`` for y in
-(0, 1]), never by a scan:
+q-series sides, in y = q^n, in the one canonical form of
+``polys.RationalFunction`` (the parameterized builders form their factors
+over the integers from a = u/v); the terms and prefix sums follow on one
+unreduced integer state (``hgterm.TermSequence``).  Everything else is
+derived by positivity certificates on integer polynomials that hold for
+every index (``polys.nonneg_walk`` in n, ``polys.unit_interval_nonneg`` for
+y in (0, 1]), never by a scan:
 
 * the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
+* the zero steps: q(n) = 0 leaves the ratio undefined and, for alternating
+  terms, p(n) = 0 ends the alternation; a certificate confines the zeros
+  of its polynomial to the points its own walk evaluates (in y, to y = 1),
+  so the first of them refuses the entry;
 * the rate: rho is the ratio's limit L when |term(n+1)| <= L |term(n)| is
   certified, else the first certified rung of L + (1-L)/8, L + (1-L)/4,
   L + (1-L)/2; it holds from ``valid_from``, the first index the
@@ -28,14 +33,12 @@ positivity certificates on integer polynomials that hold for every index
   series and the slow n^(-3/2) entry; for the transformed q-series a
   one-term-plus-geometric bound, its ratio certified below K q^(2x).
 
-A 64-step scan of the integers p(n), q(n) at registration cross-checks
-the derived bounds without computing a term; the closed-form terms are
-independent checks only (``CLOSED_FORMS``).  ``terms_needed`` steps the
-integer state forward and skips an index on bit lengths alone while the
-term two past it exceeds 10^-digits; only the indices past that test get
-a ``Fraction``, an enclosure and a rendering.  The sequence keeps the
-states of its last three indices, so ``evaluate`` after ``terms_needed``
-steps no further.
+The closed-form terms are independent checks only (``CLOSED_FORMS``).
+``terms_needed`` steps the integer state forward and skips an index on bit
+lengths alone while the term two past it exceeds 10^-digits; only the
+indices past that test get a ``Fraction``, an enclosure and a rendering.
+The sequence keeps the states of its last three indices, so ``evaluate``
+after ``terms_needed`` steps no further.
 
 All arithmetic is exact; nothing rounds until rendering.  Entries are
 immutable after registration and evaluation is pure; the kept states
@@ -59,12 +62,12 @@ from .exact import (
     format_rational,
     to_decimal,
 )
-from .hgterm import TermError, TermSequence, rising_factorial
+from .hgterm import TermSequence, rising_factorial
 from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
 from .polys import (
     RationalFunction,
-    nonneg_from,
+    nonneg_walk,
     poly,
     poly_eval,
     poly_mul,
@@ -122,14 +125,14 @@ class FormulaEntry:
     ratio_bound: Optional[RatioBound] = field(init=False)
 
     def __post_init__(self):
-        self.alternating, self.remainder_nonneg = self._signs()
+        self.alternating, self.remainder_nonneg, zero_step = self._signs()
         self.leibniz_from = self.ratio_bound = None
-        rate = valid_from = None
         if self.tail_extra is None:
             rate, valid_from = self._rate()
             self.leibniz_from = valid_from if self.alternating else None
             self.ratio_bound = RatioBound(rate, valid_from) if rate < 1 else None
-        self._validate(rate, valid_from)
+        if zero_step is not None:
+            raise CatalogError(f"{self.entry_id}: {zero_step}")
 
     @property
     def n0(self) -> int:
@@ -153,21 +156,29 @@ class FormulaEntry:
     def term(self, n: int) -> Fraction:
         return self.terms.term(n)
 
-    def _nonneg_from(self, p) -> Optional[int]:
-        """The first index from which p >= 0 is certified at every later index."""
-        base = self.terms.base
+    def _nonneg_walk(self, p) -> tuple[Optional[int], Optional[int]]:
+        """(v, z): the first index v from which p >= 0 is certified at every
+        later index, and the first index z >= v with p(z) = 0; None where
+        there is none.  In y = q^n a nonzero p certified on (0, 1] is positive
+        below y = 1, so its only possible zero is at n = 0, which is n0."""
+        base, n0 = self.terms.base, self.n0
         if base is None:
-            return nonneg_from(p, self.n0)
-        return self.n0 if 0 < base < 1 and unit_interval_nonneg(p) else None
+            return nonneg_walk(p, n0) or (None, None)
+        if not (0 < base < 1 and unit_interval_nonneg(p)):
+            return None, None
+        return n0, n0 if poly_eval(p, base ** n0) == 0 else None
 
-    def _signs(self) -> tuple[bool, bool]:
-        """(alternating, remainder_nonneg), from the sign of the ratio from n0 on."""
+    def _signs(self) -> tuple[bool, bool, Optional[str]]:
+        """(alternating, remainder_nonneg, the first zero step), from the sign
+        of the ratio from n0 on; a vanishing denominator is named first."""
         ratio, n0 = self.terms.ratio, self.n0
-        if self._nonneg_from(ratio.den) == n0:
-            if self._nonneg_from(ratio.num) == n0:
-                return False, self.term(n0) >= 0
-            if self._nonneg_from(poly_scale(ratio.num, -1)) == n0:
-                return True, False
+        den_from, den_zero = self._nonneg_walk(ratio.den)
+        if den_from == n0:
+            if self._nonneg_walk(ratio.num)[0] == n0:
+                return False, self.term(n0) >= 0, _zero_step(den_zero, None)
+            num_from, num_zero = self._nonneg_walk(poly_scale(ratio.num, -1))
+            if num_from == n0:
+                return True, False, _zero_step(den_zero, num_zero)
         raise CatalogError(f"{self.entry_id}: terms not certified to keep a sign or alternate")
 
     def _rate(self) -> tuple[Fraction, int]:
@@ -179,28 +190,11 @@ class FormulaEntry:
         ratio = self.terms.ratio
         num = poly_scale(ratio.num, -1) if self.alternating else ratio.num
         for rho in (limit, *(limit + (1 - limit) * w for w in RATE_LADDER)):
-            valid_from = self._nonneg_from(RationalFunction(num, ratio.den).margin(rho))
+            valid_from = self._nonneg_walk(RationalFunction(num, ratio.den).margin(rho))[0]
             if valid_from is not None:
                 return rho, valid_from
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
                            f"{format_rational(limit)} or at a rung above it")
-
-    def _validate(self, rate: Optional[Fraction], rate_from: Optional[int],
-                  check_span: int = 64):
-        """Registration cross-check of the derived bounds on the first steps,
-        on the integers p, q of term(n+1)/term(n) = p/q."""
-        try:
-            for n in range(self.n0, self.n0 + check_span):
-                p, q = self.terms.factors(n)
-                if rate is not None and n >= rate_from and \
-                        abs(p) * rate.denominator > rate.numerator * abs(q):
-                    raise CatalogError(f"{self.entry_id}: rate {rate} fails at n={n}")
-                if self.alternating and p * q >= 0:
-                    raise CatalogError(f"{self.entry_id}: terms do not alternate at n={n}")
-                if self.remainder_nonneg and p * q < 0:
-                    raise CatalogError(f"{self.entry_id}: terms change sign at n={n}")
-        except TermError as exc:
-            raise CatalogError(f"{self.entry_id}: {exc}") from None
 
     # -- tail bounds --------------------------------------------------------
 
@@ -232,6 +226,15 @@ class FormulaEntry:
         if not lows:
             return None
         return Enclosure(max(lows), min(highs))
+
+
+def _zero_step(den_zero: Optional[int], num_zero: Optional[int]) -> Optional[str]:
+    """Why the first zero step refuses an entry, the denominator's first at a tie."""
+    if den_zero is not None and (num_zero is None or den_zero <= num_zero):
+        return f"ratio undefined at n={den_zero}: its denominator vanishes"
+    if num_zero is not None:
+        return f"terms do not alternate at n={num_zero}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -348,14 +351,18 @@ def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
     a = Fraction(a)
     if a.denominator == 1 and a.numerator <= 0:
         raise CatalogError("pole in a: must not be a nonpositive integer")
-    p_a = poly(5 + 6 * (a - 1) + 2 * (a - 1) ** 2, 10 + 6 * (a - 1), 5)
-    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -1), 1))
+    # over the integers, with a = u/v and w = v (a-1): p_a holds v^2 p_a(n),
+    # v (n+1+a) = vn + v + u, and num takes the remaining v^4
+    u, v = a.numerator, a.denominator
+    w = u - v
+    p_a = poly(5 * v * v + 6 * v * w + 2 * w * w, 10 * v * v + 6 * v * w, 5 * v * v)
+    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -v ** 4), 1))
     den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
-                            poly_pow(poly(1 + a, 1), 4)), p_a)
+                            poly_pow(poly(v + u, v), 4)), p_a)
     return _entry(
         "markov-hurwitz", "zeta3" if a == 1 else f"hurwitz3({format_rational(a)})",
         f"rate-1/4 alternating series for sum 1/({format_rational(a)}+n)^3",
-        p_a[0] / (4 * a ** 4), RationalFunction(num, den), 0,
+        Fraction(p_a[0] * v * v, 4 * u ** 4), RationalFunction(num, den), 0,
         provenance="Markov (1890)")
 
 
@@ -472,9 +479,12 @@ CLOSED_FORMS: dict[str, Callable[[int], Fraction]] = {
 
 
 def _power_ratio(k: int, shift, sign: int = 1) -> RationalFunction:
-    """sign (n+shift)^k / (n+shift+1)^k."""
-    return RationalFunction(poly_scale(poly_pow(poly(shift, 1), k), sign),
-                            poly_pow(poly(shift + 1, 1), k))
+    """sign (n+shift)^k / (n+shift+1)^k, over the integers: shift = u/v gives
+    sign (vn+u)^k / (vn+u+v)^k."""
+    shift = Fraction(shift)
+    u, v = shift.numerator, shift.denominator
+    return RationalFunction(poly_scale(poly_pow(poly(u, v), k), sign),
+                            poly_pow(poly(u + v, v), k))
 
 
 def entry_direct(kind: str, a=None) -> FormulaEntry:

@@ -3,9 +3,11 @@
 A ``TermSequence`` is a series described by its first term and its signed
 term ratio, a quotient of integer polynomials in the index n or, for a
 q-series, in y = q^n.  It sums on one unreduced integer state (A, B, T),
-with term = A/B and prefix sum = T/B: a step multiplies by the integer
+with term = A/B and prefix sum = T/B: a step multiplies by the integers
 p(n), q(n) of the ratio, with no gcd, and only a reader of a term or a sum
-forms a ``Fraction``.  It keeps the states of the last three indices it
+forms a ``Fraction``.  In n these are plain Horner evaluations; for a
+q-series the polynomials are evaluated homogeneously at the numerator and
+denominator of q^n.  It keeps the states of the last three indices it
 reached, under a lock of the sequence's own; an earlier index is stepped
 again from n0.
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import format_rational
-from .polys import RationalFunction
+from .polys import RationalFunction, poly_eval
 
 
 class TermError(ValueError):
@@ -84,10 +86,10 @@ class TermSequence:
 
     term(n+1) = term(n) * ratio(n), or term(n) * ratio(base^n) for a
     q-series, whose ratio is rational in y = q^n; the ratio's integer
-    polynomials are evaluated at the integer numerator and denominator of
-    n or base^n.  The state (n, A, B, T) of index n has term(n) = A/B and
-    term(n0) + ... + term(n) = T/B; stepping it by p/q = ratio(n) gives
-    (n+1, A p, B q, T q + A p).
+    polynomials are evaluated by Horner's rule at n, or homogeneously at
+    the integer numerator and denominator of base^n.  The state
+    (n, A, B, T) of index n has term(n) = A/B and term(n0) + ... + term(n)
+    = T/B; stepping it by p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
     """
 
     #: states kept: an enclosure reads the sum at ``last`` and the next two terms
@@ -97,7 +99,7 @@ class TermSequence:
         self.ratio = ratio
         self.n0 = n0
         self.base = None if base is None else Fraction(base)
-        # one degree for both: base^(n degree) cancels
+        # one degree for both in y: base^(n degree) cancels
         width = max(len(ratio.num), len(ratio.den))
         self._num, self._den = (c + [0] * (width - len(c)) for c in (ratio.num, ratio.den))
         first = Fraction(first)
@@ -108,11 +110,14 @@ class TermSequence:
     def factors(self, n: int) -> tuple[int, int]:
         """Integers p, q != 0 with term(n+1)/term(n) = p/q."""
         base = self.base
-        y, w = (n, 1) if base is None else (base.numerator ** n, base.denominator ** n)
-        q = _eval_int(self._den, y, w)
+        if base is None:
+            p, q = poly_eval(self.ratio.num, n), poly_eval(self.ratio.den, n)
+        else:
+            y, w = base.numerator ** n, base.denominator ** n
+            p, q = _eval_int(self._num, y, w), _eval_int(self._den, y, w)
         if q == 0:
             raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
-        return _eval_int(self._num, y, w), q
+        return p, q
 
     def state(self, n: int) -> tuple[int, int, int]:
         """(A, B, T) of index n: term(n) = A/B and the prefix sum through n is T/B."""

@@ -201,24 +201,18 @@ def well_poised_family(a, b) -> GridFunction:
 
 @dataclass(frozen=True)
 class SolverFamily:
-    name: str
     form: str
     build: object
     defaults: tuple
-    description: str
 
 
 FAMILIES = {
+    # q-series 3phi2(a,b,1;c,d), multipliers A_x and B_x + C_x q^z
     "3phi2-u1": SolverFamily(
-        "3phi2-u1", FORM_U1, phi32_family,
-        (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11), Fraction(1, 2)),
-        "q-series 3phi2(a,b,1;c,d), multipliers A_x and B_x + C_x q^z"),
-    "4f3-u2": SolverFamily(
-        "4f3-u2", FORM_U2, f4f3_family,
-        (Fraction(1), Fraction(1, 3), Fraction(2)),
-        "4F3(a,a+h,a-h,1;b,b+h,b-h), z-linear U and z-quadratic V multipliers"),
-    "4f3-wp-u3": SolverFamily(
-        "4f3-wp-u3", FORM_U3, well_poised_family,
-        (Fraction(1), Fraction(2)),
-        "alternating well-poised 4F3(a,a,a,1;b,b,b;-1), z-quadratic multipliers"),
+        FORM_U1, phi32_family,
+        (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11), Fraction(1, 2))),
+    # 4F3(a,a+h,a-h,1;b,b+h,b-h), z-linear U and z-quadratic V multipliers
+    "4f3-u2": SolverFamily(FORM_U2, f4f3_family, (Fraction(1), Fraction(1, 3), Fraction(2))),
+    # alternating well-poised 4F3(a,a,a,1;b,b,b;-1), z-quadratic multipliers
+    "4f3-wp-u3": SolverFamily(FORM_U3, well_poised_family, (Fraction(1), Fraction(2))),
 }

@@ -4,10 +4,13 @@ Coefficient lists are ordered low degree first; integer coefficients stay
 ``int``, and a ``Fraction`` input gives ``Fraction`` results.  This backs
 three needs:
 
-* certifying that a rational function of the summation index stays below a
-  geometric ratio for *all* indices past some point (tail-bound rigor in
-  the series catalog), via a shift-and-inspect positivity certificate, and
-  the same for a rational function of y = q^n on the interval (0, 1];
+* describing a term ratio in one canonical integer form
+  (:class:`RationalFunction`: cleared of denominators, divided by its
+  content), and certifying that it stays below a geometric ratio for *all*
+  indices past some point (tail-bound rigor in the series catalog), via a
+  shift-and-inspect positivity certificate whose walk over the gap points
+  also finds the polynomial's first zero (:func:`nonneg_walk`), and the
+  same for a rational function of y = q^n on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver;
 * expanding the 3phi2 certificate identity over Q[X, Z]
   (:class:`BivariateFraction`, whose polynomials are dicts
@@ -18,7 +21,7 @@ three needs:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 Poly = list
@@ -124,13 +127,32 @@ def nonneg_from(p: Sequence, n0: int) -> Optional[int]:
     shifted start are checked exactly, downwards, for as long as they hold.
     None only when p has a negative leading coefficient.
     """
+    walk = nonneg_walk(p, n0)
+    return None if walk is None else walk[0]
+
+
+def nonneg_walk(p: Sequence, n0: int) -> Optional[tuple[int, Optional[int]]]:
+    """(v, z): v as ``nonneg_from`` gives it, and the first integer z >= v with
+    p(z) = 0, None when p has no zero there.
+
+    p(n0 + s + m) has nonnegative coefficients, so a nonzero p is positive
+    past n0 + s: every zero at or past v is one of the points the walk down
+    from n0 + s evaluates.  None only when p has a negative leading
+    coefficient.
+    """
     s = _certificate_shift(p, n0)
     if s is None:
         return None
     start = n0 + s
-    while start > n0 and poly_eval(p, start - 1) >= 0:
-        start -= 1
-    return start
+    zero = start if poly_eval(p, start) == 0 else None
+    for n in range(start - 1, n0 - 1, -1):
+        value = poly_eval(p, n)
+        if value <= 0:
+            if value:
+                break
+            zero = n
+        start = n
+    return start, zero
 
 
 def unit_interval_nonneg(p: Sequence) -> bool:
@@ -164,16 +186,20 @@ def vanishes_at_powers(p: Sequence, q: Fraction, span: int) -> bool:
 
 
 class RationalFunction:
-    """Quotient num/den of two integer polynomials in one variable.
+    """Quotient num/den of two integer polynomials in one variable, in one
+    canonical form.
 
     Rational coefficients are cleared once: num and den are multiplied by
-    the lcm of their coefficients' denominators.
+    the lcm of their coefficients' denominators, then divided by the gcd of
+    all their coefficients.  Any positive multiple of the same pair of
+    polynomials therefore gives the same integers.
     """
 
     def __init__(self, num: Sequence, den: Sequence):
         scale = lcm(*(c.denominator for c in (*num, *den)))
-        self.num, self.den = ([c.numerator * (scale // c.denominator) for c in p]
-                              for p in (num, den))
+        num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
+        content = gcd(*num, *den) or 1
+        self.num, self.den = ([c // content for c in p] for p in (num, den))
 
     def __call__(self, n) -> Fraction:
         d = poly_eval(self.den, n)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from markovsum.hgterm import q_pochhammer, rising_factorial
+from markovsum.polys import RationalFunction, poly, poly_mul, poly_pow, poly_scale, poly_shift
 
 
 def f_product(engine, x: int, z: int):
@@ -58,3 +59,22 @@ def hits_pole_loop(value, q, span: int = 64) -> bool:
             return True
         probe *= q
     return False
+
+
+def markov_hurwitz_ratio(a) -> RationalFunction:
+    """The markov-hurwitz term ratio built on Fraction coefficients:
+
+    -(n+1)^6 p_a(n+1) / ((2n+2)(2n+3)(n+1+a)^4 p_a(n)), p_a(n) = 5(n+1)^2 + 6(a-1)(n+1) + 2(a-1)^2.
+    """
+    a = Fraction(a)
+    p_a = poly(5 + 6 * (a - 1) + 2 * (a - 1) ** 2, 10 + 6 * (a - 1), 5)
+    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -1), 1))
+    den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
+                            poly_pow(poly(1 + a, 1), 4)), p_a)
+    return RationalFunction(num, den)
+
+
+def hurwitz3_ratio(a) -> RationalFunction:
+    """The hurwitz3-direct term ratio (n+a)^3/(n+a+1)^3 built on Fraction coefficients."""
+    a = Fraction(a)
+    return RationalFunction(poly_pow(poly(a, 1), 3), poly_pow(poly(a + 1, 1), 3))

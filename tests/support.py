@@ -1,10 +1,13 @@
 """Readers that only tests use: report CSV back to rows, enclosure membership,
-and the value of a bivariate rational function."""
+the value of a bivariate rational function, and a step-by-step check of a
+catalog entry's derived claims."""
 
 import csv
 import io
+from fractions import Fraction
 
 from markovsum.exact import parse_rational
+from markovsum.hgterm import TermError
 
 
 def parse_reports_csv(text: str) -> list[dict]:
@@ -36,3 +39,29 @@ def bivariate_value(fraction, x, z):
     for divisor in fraction.den:
         den *= at(divisor)
     return at(fraction.num) / den
+
+
+def claims_failure(entry, span: int = 200):
+    """The first of a catalog entry's claims that its first ``span`` steps
+    contradict, or None.
+
+    Each step term(n+1)/term(n) = p/q is read as the integers p(n), q(n):
+    q must not vanish, the rate (rho below one, or one for an alternating
+    entry without a geometric bound) must hold from where it is claimed,
+    and the terms must alternate or keep their sign as claimed.
+    """
+    bound = entry.ratio_bound
+    rho, rate_from = (bound.rho, bound.valid_from) if bound else (Fraction(1), entry.leibniz_from)
+    for n in range(entry.n0, entry.n0 + span):
+        try:
+            p, q = entry.terms.factors(n)
+        except TermError as exc:
+            return f"{entry.entry_id}: {exc}"
+        if rate_from is not None and n >= rate_from and \
+                abs(p) * rho.denominator > rho.numerator * abs(q):
+            return f"{entry.entry_id}: rate {rho} fails at n={n}"
+        if entry.alternating and p * q >= 0:
+            return f"{entry.entry_id}: terms do not alternate at n={n}"
+        if entry.remainder_nonneg and p * q < 0:
+            return f"{entry.entry_id}: terms change sign at n={n}"
+    return None

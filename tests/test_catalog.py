@@ -32,8 +32,9 @@ from markovsum.exact import (
 )
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
-from markovsum.polys import RationalFunction, poly
-from support import contains, parse_reports_csv
+from markovsum.polys import RationalFunction, poly, poly_mul
+from oracles import hurwitz3_ratio, markov_hurwitz_ratio
+from support import claims_failure, contains, parse_reports_csv
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -243,13 +244,14 @@ class TestEvaluate:
 
     def test_registration_scan_catches_a_wrong_certificate(self, monkeypatch):
         # (n+1)^2/(2(n^2+10)) tends to 1/2 from above only from n = 5 on; a
-        # certifier that claims every polynomial nonnegative from n0 passes
-        # rate 1/2 from n = 0, and the scan of the steps refuses it
-        monkeypatch.setattr(catalog, "nonneg_from", lambda p, n0: n0)
-        with pytest.raises(CatalogError, match=r"rate 1/2 fails at n=5\b"):
-            FormulaEntry(
-                "bogus", "other", "rate 1/2 broken at n = 5",
-                TermSequence(1, RationalFunction(poly(1, 2, 1), poly(20, 0, 2))))
+        # certifier that claims every polynomial nonnegative from n0, with no
+        # zero, passes rate 1/2 from n = 0, and the step-by-step check refuses it
+        monkeypatch.setattr(catalog, "nonneg_walk", lambda p, n0: (n0, None))
+        entry = FormulaEntry(
+            "bogus", "other", "rate 1/2 broken at n = 5",
+            TermSequence(1, RationalFunction(poly(1, 2, 1), poly(20, 0, 2))))
+        assert entry.ratio_bound == RatioBound(Q(1, 2), 0)
+        assert claims_failure(entry) == "bogus: rate 1/2 fails at n=5"
 
     def test_registration_rejects_wrong_alternation(self):
         # term ratio (n - 3)/(n + 1) changes sign at n = 3
@@ -656,3 +658,90 @@ class TestIntegerDescription:
         ratio = RationalFunction(poly(-9, 6, -1), poly(4, 8, 4))
         with pytest.raises(CatalogError, match=r"terms do not alternate at n=3\b"):
             FormulaEntry("bogus", "other", "zero step at n = 3", TermSequence(1, ratio))
+
+    def test_a_denominator_vanishing_past_the_first_steps_is_refused(self):
+        # 1/((n-100)^2 ((n-200)^2 + 1)) keeps its sign and is below 1/8 from
+        # n = 101, but it is undefined at n = 100
+        ratio = RationalFunction(poly(1), poly_mul(poly(10000, -200, 1), poly(40001, -400, 1)))
+        with pytest.raises(CatalogError, match=r"ratio undefined at n=100: its denominator "
+                                               r"vanishes$"):
+            FormulaEntry("bogus", "other", "pole at n = 100", TermSequence(1, ratio))
+
+    def test_the_denominator_is_named_where_both_vanish(self):
+        # -(n-3)^2/((n-3)^2 (4n+4)): alternating, but p and q both vanish at n = 3
+        ratio = RationalFunction(poly(-9, 6, -1), poly_mul(poly(9, -6, 1), poly(4, 4)))
+        with pytest.raises(CatalogError, match=r"ratio undefined at n=3: its denominator"):
+            FormulaEntry("bogus", "other", "zero step at n = 3", TermSequence(1, ratio))
+
+    def test_a_vanishing_numerator_on_a_one_sign_entry_passes(self):
+        # (n-3)^2/(4(n+1)^2) >= 0: term(4) and every later term are 0
+        ratio = RationalFunction(poly(9, -6, 1), poly(4, 8, 4))
+        entry = FormulaEntry("finite", "other", "zero step at n = 3", TermSequence(1, ratio))
+        assert entry.remainder_nonneg and entry.ratio_bound == RatioBound(Q(1, 4), 1)
+        assert evaluate(entry, 5).enclosure == Enclosure(Q(245, 64), Q(245, 64))
+
+    @pytest.mark.parametrize("n0, refused", [(0, True), (1, False)])
+    def test_a_q_series_denominator_vanishes_only_at_y_one(self, n0, refused):
+        # 1/(2 - 2y), y = (1/2)^n: a zero at y = 1, which is n = 0
+        def build():
+            return FormulaEntry("bogus", "other", "pole at y = 1",
+                                TermSequence(1, RationalFunction(poly(1), poly(2, -2)), n0,
+                                             base=Q(1, 2)),
+                                tail_extra=lambda last: None)
+        if refused:
+            with pytest.raises(CatalogError, match=r"ratio undefined at n=0: its denominator"):
+                build()
+        else:
+            assert build().remainder_nonneg
+
+
+#: the nine a at which the benchmark's hurwitz-sweep samples hurwitz3-direct (seed 0)
+DIRECT_SAMPLED = [Q(7, 4), Q(7, 9), Q(1, 6), Q(5, 2), Q(9, 4), Q(8, 11), Q(7, 6), Q(5, 8),
+                  Q(8, 9)]
+NEGATIVE_AND_EXTRA = [Q(-1, 2), Q(-7, 3), Q(-101, 2), Q(7, 2), Q(12, 7)]
+
+
+def same_description(entry, oracle_ratio) -> bool:
+    """The entry's ratio has the oracle's integers, and an entry built on the
+    oracle's ratio derives the same signs and bounds."""
+    ratio = entry.terms.ratio
+    rebuilt = FormulaEntry(entry.entry_id, entry.constant, entry.description,
+                           TermSequence(entry.term(entry.n0), oracle_ratio, entry.n0),
+                           tail_extra=entry.tail_extra)
+    return (ratio.num, ratio.den) == (oracle_ratio.num, oracle_ratio.den) \
+        and derived(rebuilt) == derived(entry) and rebuilt.ratio_bound == entry.ratio_bound
+
+
+class TestCanonicalIntegers:
+    def test_canonical_form_is_independent_of_the_route(self):
+        # (n + 1/2)/(2n + 3) as halves, as integers, and as a multiple of 6
+        routes = (RationalFunction(poly(Q(1, 2), 1), poly(3, 2)),
+                  RationalFunction(poly(1, 2), poly(6, 4)),
+                  RationalFunction(poly(6, 12), poly(36, 24)))
+        assert {(tuple(r.num), tuple(r.den)) for r in routes} == {((1, 2), (6, 4))}
+        assert RationalFunction(poly(-2, 4), poly(6)).num == [-1, 2]  # the sign stays
+
+    @pytest.mark.parametrize("a", HURWITZ_VALUES + NEGATIVE_AND_EXTRA, ids=str)
+    def test_markov_hurwitz_equals_the_fraction_construction(self, a):
+        assert same_description(entry_markov_hurwitz(a), markov_hurwitz_ratio(a))
+
+    @pytest.mark.parametrize("a", DIRECT_SAMPLED, ids=str)
+    def test_hurwitz3_direct_equals_the_fraction_construction(self, a):
+        assert same_description(entry_direct("hurwitz3", a), hurwitz3_ratio(a))
+
+
+class TestClaims:
+    """Every derived claim holds on the first 200 steps, read one by one."""
+
+    @pytest.mark.parametrize("entry_id", sorted(catalog.REGISTRY))
+    def test_registry(self, entry_id):
+        assert claims_failure(get_entry(entry_id)) is None
+
+    def test_hurwitz_values(self):
+        for a in HURWITZ_VALUES + NEGATIVE_AND_EXTRA:
+            assert claims_failure(entry_markov_hurwitz(a)) is None, a
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_q_sides(self, params):
+        assert claims_failure(entry_phi32_series(*params)) is None
+        assert claims_failure(entry_phi32_transformed(*params)) is None

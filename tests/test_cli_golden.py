@@ -21,6 +21,15 @@ GOLDEN = {
         "78725f5d297eb0bef1df3b6b4baeed186bc250f55731fc8dc53044b1402eee8c",
     "compute markov-hurwitz --a=-1/2 --digits 25":
         "599bccd55adfecf620296c90c2e15db6ef9cb513e3a58bd5c12e2f0d7bef33aa",
+    # the JSON output pins rho and valid_from of the derived rate
+    "--format json compute markov-hurwitz --a=-101/2 --digits 20":
+        "755d32bcb83d845f36aaa48faa503f49087253f7b7ebd2743cb762bf44583fe2",
+    "--format json compute markov-hurwitz --a=-7/3 --digits 20":
+        "c5c45252d4e664cb3999f9c8977de9641eecc83141e14b67ab1ac7d58b21d919",
+    "--format json compute markov-hurwitz --a 7/2 --digits 20":
+        "7ccb7833dccf68cd43916596919cda3c8a25a85cfc76b94fea9fec4c4666133c",
+    "compute hurwitz3-direct --a 7/9 --digits 4 --max-terms 512 --rounding truncate":
+        "81fa8848bf1b61754a7a2202ba9f82fe78b62851cf63c8b74a83b76cc3d4f775",
     "verify-pair 3phi2":
         "a3cbb87bfc410f089220caba2f8784e6d6ef9a4522edaf0562010844e77eb37c",
     "verify-pair 3phi2 --a 3/4 --b 1/2 --c 1/3 --d 1/4 --q 2/5":

@@ -11,6 +11,7 @@ from markovsum.polys import (
     clear_denominators,
     eventually_nonneg,
     nonneg_from,
+    nonneg_walk,
     poly,
     poly_add,
     poly_eval,
@@ -105,6 +106,16 @@ class TestNonnegFrom:
         assert nonneg_from(p, 0) == 5
         assert nonneg_from(p, 6) == 6
         assert eventually_nonneg(p, 0) is None
+
+    def test_walk_finds_the_first_zero(self):
+        # (n - 2)^2 ((n - 10)^2 + 1): shift 10, and the walk down passes n = 2
+        p = poly_mul(poly(4, -4, 1), poly(101, -20, 1))
+        assert nonneg_walk(p, 0) == (0, 2)
+        assert nonneg_walk(p, 3) == (3, None)
+        # (n - 2)(n - 5): the walk stops below 5, its zero
+        assert nonneg_walk(poly(10, -7, 1), 0) == (5, 5)
+        assert nonneg_walk(poly(0, 0), 4) == (4, 4)  # zero everywhere
+        assert nonneg_walk(poly(1, 0, -1), 0) is None
 
     def test_margin_nonneg_from(self):
         # (n + 3)/(4n + 4) <= 1/2 exactly for n >= 1
