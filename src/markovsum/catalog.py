@@ -34,11 +34,14 @@ y in (0, 1]), never by a scan:
   one-term-plus-geometric bound, its ratio certified below K q^(2x).
 
 The closed-form terms are independent checks only (``CLOSED_FORMS``).
-``terms_needed`` steps the integer state forward and skips an index on bit
-lengths alone while the term two past it exceeds 10^-digits; only the
-indices past that test get a ``Fraction``, an enclosure and a rendering.
-The sequence keeps the states of its last three indices, so ``evaluate``
-after ``terms_needed`` steps no further.
+``terms_needed`` finds the first index whose term two indices on is at most
+10^-digits by galloping and bisecting on binary-splitting spans of the
+integer state (past ``valid_from`` that test is monotone), then tests one
+enclosure per index from there.  An enclosure is two integer numerators
+over one denominator, rendered by floor division, so the search reduces no
+``Fraction``; ``evaluate`` reduces only what its report prints, when it is
+read.  The sequence keeps the states of its last three indices, so
+``evaluate`` after ``terms_needed`` steps no further.
 
 All arithmetic is exact; nothing rounds until rendering.  Entries are
 immutable after registration and evaluation is pure; the kept states
@@ -58,6 +61,7 @@ from .exact import (
     ROUND_TRUNCATE,
     DecimalRendering,
     Enclosure,
+    Quotient,
     digits_capacity,
     format_rational,
     to_decimal,
@@ -67,6 +71,7 @@ from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
 from .polys import (
     RationalFunction,
+    integer_ratio,
     nonneg_walk,
     poly,
     poly_eval,
@@ -196,36 +201,67 @@ class FormulaEntry:
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
                            f"{format_rational(limit)} or at a rung above it")
 
+    def sum_through(self, last: int) -> Quotient:
+        """offset + term(n0) + ... + term(last), on the sequence's unreduced state."""
+        _, b, t = self.terms.state(last)
+        offset = self.offset
+        return Quotient(offset.numerator * b + t * offset.denominator, offset.denominator * b)
+
     # -- tail bounds --------------------------------------------------------
 
-    def enclosure_after(self, partial: Fraction, last: int) -> Optional[Enclosure]:
-        """An enclosure of the limit from the partial sum through index ``last``.
+    def enclosure_after(self, partial, last: int) -> Optional[Enclosure]:
+        """An enclosure of the limit from ``partial``, the sum through index
+        ``last`` (a Fraction, or a Quotient read off the state).
 
-        Each bound is ``partial`` plus a quantity that depends only on the
-        terms, so the width does not depend on ``partial``.
+        Alternating terms past ``leibniz_from`` are bracketed by the next two
+        partial sums, which lie inside the first omitted term's bracket and
+        so inside the geometric bound; otherwise the geometric remainder
+        bound applies, else the entry's own tail.  Each bound is ``partial``
+        plus a quantity that depends only on the terms, so the width does
+        not depend on ``partial``.  The bounds are formed as integers over
+        one denominator, with no gcd; the width is reduced from the terms
+        themselves when it is read.
         """
-        lows, highs = [], []
+        terms, od = self.terms, self.offset.denominator
         if self.leibniz_from is not None and last + 1 >= self.leibniz_from:
-            nxt = self.term(last + 1)
-            lo, hi = sorted((partial, partial + nxt))
-            lows.append(lo)
-            highs.append(hi)
-            # the next two partial sums bracket the limit even more tightly
-            lo, hi = sorted((partial + nxt, partial + nxt + self.term(last + 2)))
-            lows.append(lo)
-            highs.append(hi)
-        if self.ratio_bound and last + 1 >= self.ratio_bound.valid_from:
-            bound = abs(self.term(last + 1)) / (1 - self.ratio_bound.rho)
-            lows.append(partial if self.remainder_nonneg else partial - bound)
-            highs.append(partial + bound)
-        if self.tail_extra is not None:
-            bound = self.tail_extra(last)
-            if bound is not None:
-                lows.append(partial if self.remainder_nonneg else partial - bound)
-                highs.append(partial + bound)
-        if not lows:
+            a1, b1, _ = terms.state(last + 1)
+            a2, b2, _ = terms.state(last + 2)
+            # partial + term(last+1) and the next partial sum; b2 = b1 q(last+1)
+            s, den, f = _over(partial, od * b2)
+            nearer = s + f * od * a1 * (b2 // b1)
+            low, high = sorted((nearer, nearer + f * od * a2))
+            return Enclosure.over(low, high, den, lambda: abs(self.term(last + 2)))
+        if self.ratio_bound is not None and last + 1 >= self.ratio_bound.valid_from:
+            a1, b1, _ = terms.state(last + 1)
+            rho = self.ratio_bound.rho
+            # |term(last+1)|/(1 - rho) = |a1| rho.den / (b1 (rho.den - rho.num))
+            s, den, f = _over(partial, od * b1 * (rho.denominator - rho.numerator))
+            return self._around(s, f * od * abs(a1) * rho.denominator, den,
+                                lambda: abs(self.term(last + 1)) / (1 - rho))
+        bound = self.tail_extra(last) if self.tail_extra is not None else None
+        if bound is None:
             return None
-        return Enclosure(max(lows), min(highs))
+        s, d = partial.numerator, partial.denominator
+        return self._around(s * bound.denominator, d * bound.numerator,
+                            d * bound.denominator, lambda: bound)
+
+    def _around(self, center: int, radius: int, den: int,
+                bound: Callable[[], Fraction]) -> Enclosure:
+        """[center, center + radius]/den when the remainder is nonnegative,
+        else [center - radius, center + radius]/den; ``bound()`` = radius/den."""
+        if self.remainder_nonneg:
+            return Enclosure.over(center, center + radius, den, bound)
+        return Enclosure.over(center - radius, center + radius, den, lambda: 2 * bound())
+
+
+def _over(partial, den: int) -> tuple[int, int, int]:
+    """(s, D, f) with partial = s/D and D = den f: f = 1 when den is a multiple
+    of the partial's denominator, as for a sum read off the same state, else
+    f is that denominator."""
+    k, r = divmod(den, partial.denominator)
+    if r:
+        return partial.numerator * den, den * partial.denominator, partial.denominator
+    return partial.numerator * k, den, 1
 
 
 def _zero_step(den_zero: Optional[int], num_zero: Optional[int]) -> Optional[str]:
@@ -270,7 +306,7 @@ def evaluate(entry: FormulaEntry, n_terms: int, digits: Optional[int] = None,
     if n_terms < 1:
         raise CatalogError("n_terms must be >= 1")
     last = entry.n0 + n_terms - 1
-    enclosure = entry.enclosure_after(entry.offset + entry.terms.partial_sum(last), last)
+    enclosure = entry.enclosure_after(entry.sum_through(last), last)
     if enclosure is None:
         return EvaluationReport(entry.entry_id, entry.constant, n_terms, None, None, 0,
                                 entry.ratio_bound)
@@ -284,34 +320,40 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
                  n_cap: int = 100000) -> int:
     """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
-    Only allowed for entries with a geometric ratio bound.  One forward
-    pass on the integer state of the terms.  Every enclosure of such an
-    entry holds the next two partial sums, so its width is at least
-    |term(last+2)| = |A|/|B|.  While that exceeds 10^-digits the index is
-    skipped unread: bit lengths decide the test unless they fall within two
-    bits of the boundary, and one exact product decides it there.  The
-    other indices get one enclosure, and a rendering where it is
-    <= 10^-digits.
+    Only allowed for entries with a geometric ratio bound.  Every enclosure
+    of such an entry holds the next two partial sums, so its width is at
+    least |term(last+2)| = |A|/|B|, and no index where that exceeds
+    10^-digits can do.  Past ``valid_from`` the terms shrink, so the indices
+    where it does not form a tail: the sequence finds the first of them by
+    galloping and bisecting on spans (bit lengths decide the test unless
+    they fall within two bits of the boundary, and one exact product
+    decides it there).  From that index on, each index gets one enclosure,
+    on integers, and a rendering where it is <= 10^-digits.
     """
     if entry.ratio_bound is None:
         raise CatalogError(f"{entry.entry_id}: no geometric bound")
     if digits <= 0:
         return 1
     scale = 10 ** digits
-    target, scale_bits = Fraction(1, scale), scale.bit_length()
-    n0, terms = entry.n0, entry.terms
-    for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
-        last = n0 + n - 1
-        a, b, _ = terms.state(last + 2)
-        # |a| scale is in [2^(bits(a)+bits(scale)-2), 2^(bits(a)+bits(scale))),
-        # |b| in [2^(bits(b)-1), 2^bits(b)): the bit lengths decide unless gap is -1 or 0
-        gap = b.bit_length() - a.bit_length() - scale_bits
-        if a and (gap <= -2 or gap <= 0 and abs(a) * scale > abs(b)):
-            continue
-        enclosure = entry.enclosure_after(entry.offset + terms.partial_sum(last), last)
-        if enclosure.width <= target and \
+    scale_bits = scale.bit_length()
+
+    def excess(a: int, b: int) -> int:
+        """About log2(|a/b| 10^digits), and positive exactly when |a/b| > 10^-digits."""
+        # |a| scale is in [2^(gap+bits(b)-2), 2^(gap+bits(b))), |b| in
+        # [2^(bits(b)-1), 2^bits(b)): the bit lengths decide unless gap is 0 or 1
+        gap = a.bit_length() + scale_bits - b.bit_length()
+        if not a or gap < 0 or gap < 2 and abs(a) * scale <= abs(b):
+            return min(gap, 0)
+        return max(gap, 1)
+
+    n0 = entry.n0
+    start, stop = max(n0, entry.ratio_bound.valid_from), n0 + n_cap - 1
+    first = entry.terms.first_index(start, stop, excess)
+    for last in range(stop + 1 if first is None else first, stop + 1):
+        enclosure = entry.enclosure_after(entry.sum_through(last), last)
+        if (enclosure.high - enclosure.low) * scale <= enclosure.den and \
                 to_decimal(enclosure, digits, rounding).digits_proven >= digits:
-            return n
+            return last - n0 + 1
     raise CatalogError(f"{entry.entry_id}: {digits} digits not reached within {n_cap} terms")
 
 
@@ -568,13 +610,34 @@ def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
     if not 0 < q < 1:
         raise CatalogError("certified source-series bound needs 0 < q < 1")
-    ratio = RationalFunction(poly_scale(poly_mul(poly(1, -a), poly(1, -b)), t),
-                             poly_mul(poly(1, -c), poly(1, -d)))
     label = ",".join(format_rational(v) for v in engine.params)
     return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
         "source q-series of the transformation, geometric rate t",
-        1, ratio, 0, base=q, provenance="q-series 3phi2(a,b,1;c,d)")
+        1, series_ratio(engine), 0, base=q, provenance="q-series 3phi2(a,b,1;c,d)")
+
+
+def series_ratio(engine: ThreePhiTwo) -> RationalFunction:
+    """t (1-ay)(1-by) / ((1-cy)(1-dy)), the source series' ratio in y = q^z."""
+    a, b, c, d, t = engine.a, engine.b, engine.c, engine.d, engine.t
+    return integer_ratio(t, (poly(1, -a), poly(1, -b)), (poly(1, -c), poly(1, -d)))
+
+
+def _g(engine: ThreePhiTwo) -> list:
+    """g(y) = 1 - t(a+b+q) y^2 + t(c+d) y^3."""
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    return poly(1, 0, -t * (a + b + q), t * (c + d))
+
+
+def transformed_h(engine: ThreePhiTwo) -> RationalFunction:
+    """h(y), with term(x+1)/term(x) = y^2 h(y) on the transformed series."""
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    g = _g(engine)
+    return integer_ratio(c * d / q,
+                         ([coeff * q ** i for i, coeff in enumerate(g)],  # g(qy)
+                          *(poly(1, -ratio) for ratio in (c / a, c / b, d / a, d / b))),
+                         (poly(1, -c), poly(1, -d), poly(1, 0, -t * q ** 2),
+                          poly(1, 0, -t * q ** 3), g))
 
 
 def _contraction(a, b, c, d, q, t) -> Fraction:
@@ -599,19 +662,14 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
             and max(c, d, t) < 1 - q and t * (a + b + q) < 1):
         raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
                            "min(a,b), a, b < 1, 0 < q < 1, c, d, t < 1-q and t(a+b+q) < 1")
-    g = poly(1, 0, -t * (a + b + q), t * (c + d))
-    h_num = [c * d * coeff * q ** i for i, coeff in enumerate(g)]  # cd g(qy)
-    for ratio in (c / a, c / b, d / a, d / b):
-        h_num = poly_mul(h_num, poly(1, -ratio))
-    h_den = poly_mul(poly_mul(poly_scale(poly(1, -c), q), poly(1, -d)),
-                     poly_mul(poly_mul(poly(1, 0, -t * q ** 2), poly(1, 0, -t * q ** 3)), g))
+    h = transformed_h(engine)
     big_k = _contraction(a, b, c, d, q, t)
-    if not unit_interval_nonneg(RationalFunction(h_num, h_den).margin(big_k)):
+    if not unit_interval_nonneg(h.margin(big_k)):
         raise CatalogError(f"transformed series: term(x+1)/term(x) <= "
                            f"{format_rational(big_k)} q^(2x) is not certified")
     terms = TermSequence(
-        poly_eval(g, 1) / ((1 - t) * (1 - t * q)),
-        RationalFunction(poly_mul(poly(0, 0, 1), h_num), h_den), base=q)
+        poly_eval(_g(engine), 1) / ((1 - t) * (1 - t * q)),
+        RationalFunction(poly_mul(poly(0, 0, 1), h.num), h.den), base=q)
 
     def tail(last: int) -> Optional[Fraction]:
         contraction = big_k * q ** (2 * (last + 1))

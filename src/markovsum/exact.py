@@ -1,33 +1,39 @@
 """Exact rational arithmetic and digit-certified decimal rendering.
 
 The universal scalar of this package is the arbitrary-precision rational
-number.  We use :class:`fractions.Fraction` as the carrier: it keeps the
-canonical form (positive denominator, gcd-reduced) after every operation,
-which is exactly the invariant the rest of the package relies on when
-telescoping sums cancel massively.
+number.  :class:`fractions.Fraction` carries every value that is read or
+printed: it keeps the canonical form (positive denominator, gcd-reduced)
+after every operation, which is exactly the invariant the rest of the
+package relies on when telescoping sums cancel massively.  A sum formed on
+an unreduced integer state is carried instead as an integer numerator over
+a positive denominator (:class:`Quotient`, :meth:`Enclosure.over`): a gcd of
+such a state costs time quadratic in its size, so it is reduced only where
+it is printed.
 
 Decimal output never guesses digits.  A value is always rendered from an
 :class:`Enclosure` (a pair of rational bounds), and a fraction digit is
-reported as proven only when both bounds agree on it after rounding.  No
-floating point is used anywhere in this module; the logarithm helpers at
-the bottom work on integer bit lengths.
+reported as proven only when both bounds agree on it after rounding; each
+bound is rounded by one floor division of integers.  No floating point is
+used anywhere in this module; the logarithm helpers at the bottom work on
+integer bit lengths.
 
 Integers are converted to and from base 10 in pieces no longer than the
 interpreter's int/str digit limit (4300 digits by default), so a value of
 any size can be printed and read back without raising the limit.
 
 Every value here is immutable and every operation pure, so concurrent use
-needs no coordination.
+needs no coordination; an enclosure forms its reduced bounds when first
+read, and two threads reading at once at most form the same value twice.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Union
+from math import isqrt, lcm
+from typing import Callable, NamedTuple, Optional, Union
 
 Rational = Fraction
 
@@ -102,20 +108,81 @@ def parse_decimal(text: str) -> Fraction:
     return -value if sign == "-" else value
 
 
-@dataclass(frozen=True)
+class Quotient(NamedTuple):
+    """A rational as an integer numerator over a positive integer denominator,
+    in no particular lowest terms: a sum read off an unreduced state."""
+
+    numerator: int
+    denominator: int
+
+
 class Enclosure:
-    """A pair of rational bounds lower <= true value <= upper."""
+    """A pair of rational bounds lower <= true value <= upper.
 
-    lower: Fraction
-    upper: Fraction
+    The bounds are held as two integer numerators over one positive
+    denominator, ``low/den`` and ``high/den``, not necessarily in lowest
+    terms, so an enclosure formed on an unreduced state (``over``) takes no
+    gcd, and ``to_decimal`` renders it by floor division.  ``lower``,
+    ``upper`` and ``width`` are reduced Fractions, formed when first read;
+    ``over`` may be given a function that forms the width from integers far
+    smaller than these.  The attributes are not to be changed.
+    """
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    __slots__ = ("low", "high", "den", "_width_of", "_lower", "_upper", "_width")
+
+    def __init__(self, lower: RationalLike, upper: RationalLike):
+        lower, upper = Fraction(lower), Fraction(upper)
+        den = lcm(lower.denominator, upper.denominator)
+        self._set(lower.numerator * (den // lower.denominator),
+                  upper.numerator * (den // upper.denominator), den, None)
+        self._lower, self._upper = lower, upper
+
+    @classmethod
+    def over(cls, low: int, high: int, den: int,
+             width: Optional[Callable[[], Fraction]] = None) -> "Enclosure":
+        """[low/den, high/den]; ``width()``, when given, must equal (high - low)/den."""
+        enclosure = cls.__new__(cls)
+        enclosure._set(low, high, den, width)
+        return enclosure
+
+    def _set(self, low: int, high: int, den: int, width):
+        if den <= 0:
+            raise ValueError("enclosure denominator must be positive")
+        if low > high:
             raise ValueError("enclosure requires lower <= upper")
+        self.low, self.high, self.den, self._width_of = low, high, den, width
+        self._lower = self._upper = self._width = None
+
+    @property
+    def lower(self) -> Fraction:
+        if self._lower is None:
+            self._lower = Fraction(self.low, self.den)
+        return self._lower
+
+    @property
+    def upper(self) -> Fraction:
+        if self._upper is None:
+            self._upper = Fraction(self.high, self.den)
+        return self._upper
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
+        if self._width is None:
+            self._width = self._width_of() if self._width_of is not None \
+                else Fraction(self.high - self.low, self.den)
+        return self._width
+
+    def __eq__(self, other):
+        if not isinstance(other, Enclosure):
+            return NotImplemented
+        return self.low * other.den == other.low * self.den \
+            and self.high * other.den == other.high * self.den
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
+
+    def __repr__(self):
+        return f"Enclosure(lower={self.lower!r}, upper={self.upper!r})"
 
     @staticmethod
     def point(x: RationalLike) -> "Enclosure":
@@ -140,7 +207,11 @@ class DecimalRendering:
     fraction_digits: str
     digits_proven: int
     rounding: str
-    width: Fraction
+    enclosure: Enclosure = field(repr=False)
+
+    @property
+    def width(self) -> Fraction:
+        return self.enclosure.width
 
     def __str__(self) -> str:
         if not self.integer_part:
@@ -160,14 +231,33 @@ class DecimalRendering:
         return -v if self.sign == "-" else v
 
 
-def _scale_round(x: Fraction, k: int, rounding: str) -> int:
-    """Round x * 10^k to an integer under the given mode."""
-    scaled = x * 10 ** k
-    n, d = scaled.numerator, scaled.denominator
+def _divmod(n: int, d: int) -> tuple[int, int]:
+    """divmod(n, d) for d > 0.
+
+    Long division costs the quotient's length times the divisor's.  When the
+    quotient is much shorter than d, the leading bits of n and d (64 more
+    than the quotient needs) give it to within one, and one product of the
+    quotient with d corrects it.
+    """
+    shift = d.bit_length() - max(n.bit_length() - d.bit_length(), 0) - 64
+    if shift < 1024:
+        return divmod(n, d)
+    q = (n >> shift) // (d >> shift)
+    r = n - q * d
+    while r < 0:
+        q, r = q - 1, r + d
+    while r >= d:
+        q, r = q + 1, r - d
+    return q, r
+
+
+def _round(n: int, d: int, rounding: str) -> int:
+    """Round n/d, d > 0, to an integer under the given mode."""
+    q, r = _divmod(n, d)  # floor semantics
     if rounding == ROUND_TRUNCATE:
         # toward zero
-        return -((-n) // d) if n < 0 else n // d
-    q, r = divmod(n, d)  # floor semantics; half-even on the remainder
+        return q + 1 if q < 0 and r else q
+    # half-even on the remainder
     if 2 * r > d or (2 * r == d and q % 2):
         q += 1
     return q
@@ -183,30 +273,32 @@ def to_decimal(enclosure: Enclosure, requested_digits: int,
                rounding: str = ROUND_TRUNCATE) -> DecimalRendering:
     """Render the decimal digits certified by an enclosure.
 
-    Both bounds are rounded to ``requested_digits`` fraction digits; the
-    reported digits are the common prefix.  Truncation is toward zero, so
-    for a nonnegative enclosure agreement on p digits means both bounds lie
-    in the same half-open cell of width 10^(-p).  An enclosure too wide to
-    prove even the integer part yields ``digits_proven == 0`` together with
-    the width, never an error.
+    Both bounds are rounded to ``requested_digits`` fraction digits, each by
+    one floor division of its numerator times 10^digits by the enclosure's
+    denominator; the reported digits are the common prefix.  Truncation is
+    toward zero, so for a nonnegative enclosure agreement on p digits means
+    both bounds lie in the same half-open cell of width 10^(-p).  An
+    enclosure too wide to prove even the integer part yields
+    ``digits_proven == 0`` together with the width, never an error.
     """
     if requested_digits < 1:
         raise ValueError("requested_digits must be >= 1")
     if rounding not in _ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
     k = requested_digits
-    ml = _scale_round(enclosure.lower, k, rounding)
-    mh = _scale_round(enclosure.upper, k, rounding)
+    scale = 10 ** k
+    ml = _round(enclosure.low * scale, enclosure.den, rounding)
+    mh = _round(enclosure.high * scale, enclosure.den, rounding)
     sl, il, fl = _split_scaled(ml, k)
     sh, ih, fh = _split_scaled(mh, k)
     if ml == 0 and mh == 0:
         sl = sh = "+"
     if sl != sh or il != ih:
-        return DecimalRendering("+", "", "", 0, rounding, enclosure.width)
+        return DecimalRendering("+", "", "", 0, rounding, enclosure)
     p = 0
     while p < k and fl[p] == fh[p]:
         p += 1
-    return DecimalRendering(sl, il, fl[:p], p, rounding, enclosure.width)
+    return DecimalRendering(sl, il, fl[:p], p, rounding, enclosure)
 
 
 def digits_capacity(width: Fraction, cap: int = 4096) -> int:

@@ -7,9 +7,16 @@ with term = A/B and prefix sum = T/B: a step multiplies by the integers
 p(n), q(n) of the ratio, with no gcd, and only a reader of a term or a sum
 forms a ``Fraction``.  In n these are plain Horner evaluations; for a
 q-series the polynomials are evaluated homogeneously at the numerator and
-denominator of q^n.  It keeps the states of the last three indices it
-reached, under a lock of the sequence's own; an earlier index is stepped
-again from n0.
+denominator of q^n, both carried from step to step by one multiplication.
+
+Many steps at once form a span (P, Q, T) by binary splitting (Haible and
+Papanikolaou, 1998): two halves merge by three products, so reaching index
+N costs a few multiplications of N-step integers instead of N steps on an
+ever larger state.  A span is pure.  The sequence keeps the states of the
+last three indices it reached, under a lock of its own, and reaches any
+other index by one span from the nearest kept state at or below it (or
+from n0).  ``first_index`` finds the first index that passes a monotone
+test on its term by galloping on spans and bisecting the last one.
 
 Rising factorials (a)_n = a(a+1)...(a+n-1) and q-rising factorials
 (a;q)_n = (1-a)(1-qa)...(1-q^(n-1)a), |q| < 1, serve the closed forms: the
@@ -25,10 +32,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Callable, Optional, Sequence
 
 from .exact import format_rational
-from .polys import RationalFunction, poly_eval
+from .polys import RationalFunction
 
 
 class TermError(ValueError):
@@ -81,6 +89,15 @@ def _is_nonpositive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x.numerator <= 0
 
 
+#: indices a span steps in one loop; a longer span is split in halves
+LEAF = 32
+
+#: bits of a state's denominator past which a term is reduced on a product
+#: tree of its ratio's factors rather than by one gcd of the state; near it,
+#: on the catalog's zeta(3) series, both take about 10 ms on a 2-vCPU VM
+REDUCE_BITS = 1 << 19
+
+
 class TermSequence:
     """A series described by its first term and its signed term ratio.
 
@@ -90,6 +107,9 @@ class TermSequence:
     the integer numerator and denominator of base^n.  The state
     (n, A, B, T) of index n has term(n) = A/B and term(n0) + ... + term(n)
     = T/B; stepping it by p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
+
+    The states are canonical: A = A(n0) p(n0) ... p(n-1), B likewise, and
+    T = the sum of A(j) B/B(j) over j <= n, whatever route reached them.
     """
 
     #: states kept: an enclosure reads the sum at ``last`` and the next two terms
@@ -99,60 +119,211 @@ class TermSequence:
         self.ratio = ratio
         self.n0 = n0
         self.base = None if base is None else Fraction(base)
-        # one degree for both in y: base^(n degree) cancels
-        width = max(len(ratio.num), len(ratio.den))
-        self._num, self._den = (c + [0] * (width - len(c)) for c in (ratio.num, ratio.den))
+        num, den = ratio.num, ratio.den
+        if base is not None:
+            # one degree for both in y: base^(n degree) cancels
+            width = max(len(num), len(den))
+            num, den = (c + [0] * (width - len(c)) for c in (num, den))
+        # highest degree first, as Horner's rule reads them
+        self._num, self._den = tuple(reversed(num)), tuple(reversed(den))
         first = Fraction(first)
         self._start = (n0, first.numerator, first.denominator, first.numerator)
         self._window = [self._start]
         self._lock = threading.Lock()
 
+    def _leaf(self, m: int, n: int, steps: Optional[list] = None) -> tuple[int, int, int]:
+        """``span(m, n)``, stepped index by index; each step's (p, q) is
+        appended to ``steps`` when it is given."""
+        num, den = self._num, self._den
+        big_p, big_q, big_t = 1, 1, 0
+        if self.base is None:
+            for i in range(m, n):
+                p = q = 0
+                for c in num:
+                    p = p * i + c
+                for c in den:
+                    q = q * i + c
+                if not q:
+                    raise TermError(f"ratio undefined at n={i}: its denominator vanishes")
+                big_t = big_t * q + big_p * p
+                big_p *= p
+                big_q *= q
+                if steps is not None:
+                    steps.append((p, q))
+            return big_p, big_q, big_t
+        step_y, step_w = self.base.numerator, self.base.denominator
+        y, w = step_y ** m, step_w ** m
+        for i in range(m, n):
+            p = q = 0
+            w_power = 1
+            for a, b in zip(num, den):
+                p = p * y + a * w_power
+                q = q * y + b * w_power
+                w_power *= w
+            if not q:
+                raise TermError(f"ratio undefined at n={i}: its denominator vanishes")
+            big_t = big_t * q + big_p * p
+            big_p *= p
+            big_q *= q
+            if steps is not None:
+                steps.append((p, q))
+            y *= step_y
+            w *= step_w
+        return big_p, big_q, big_t
+
+    def _node(self, m: int, n: int, keep: bool = False) -> tuple:
+        """(P, Q, T, halves, steps) over [m, n), split at (m + n) // 2 down to
+        ``LEAF`` indices.  When ``keep``, a split node holds its two halves'
+        nodes and a leaf the (p, q) of its steps; otherwise both are None."""
+        if n - m <= LEAF:
+            steps = [] if keep else None
+            return (*self._leaf(m, n, steps), None, steps)
+        middle = (m + n) // 2
+        left, right = self._node(m, middle, keep), self._node(middle, n, keep)
+        p1, q1, t1 = left[:3]
+        p2, q2, t2 = right[:3]
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2, (left, right) if keep else None, None
+
+    def span(self, m: int, n: int) -> tuple[int, int, int]:
+        """(P, Q, T) over the steps m, ..., n-1: the state (A, B, S) of index m
+        becomes (A P, B Q, S Q + A T) at index n.
+
+        Binary splitting: the halves' spans merge as P = P1 P2, Q = Q1 Q2,
+        T = T1 Q2 + P1 T2, and below ``LEAF`` indices the steps run in one
+        loop.  Pure: it reads only the description.
+        """
+        if not self.n0 <= m <= n:
+            raise ValueError(f"need {self.n0} <= m <= n")
+        return self._node(m, n)[:3]
+
     def factors(self, n: int) -> tuple[int, int]:
         """Integers p, q != 0 with term(n+1)/term(n) = p/q."""
-        base = self.base
-        if base is None:
-            p, q = poly_eval(self.ratio.num, n), poly_eval(self.ratio.den, n)
-        else:
-            y, w = base.numerator ** n, base.denominator ** n
-            p, q = _eval_int(self._num, y, w), _eval_int(self._den, y, w)
-        if q == 0:
-            raise TermError(f"ratio undefined at n={n}: its denominator vanishes")
-        return p, q
+        return self.span(n, n + 1)[:2]
 
     def state(self, n: int) -> tuple[int, int, int]:
-        """(A, B, T) of index n: term(n) = A/B and the prefix sum through n is T/B."""
+        """(A, B, T) of index n: term(n) = A/B and the prefix sum through n is T/B.
+
+        One span from the nearest kept state at or below n (or from n0).
+        """
         if n < self.n0:
             raise ValueError(f"n must be >= {self.n0}")
         with self._lock:
-            window = self._window
-            if n < window[0][0]:
-                window[:] = [self._start]
-            while window[-1][0] < n:
-                index, a, b, t = window[-1]
-                p, q = self.factors(index)
-                a, b = a * p, b * q
-                window.append((index + 1, a, b, t * q + a))
-                if len(window) > self.WINDOW:
-                    del window[0]
-            return window[n - window[0][0]][1:]
+            kept = max((s for s in self._window if s[0] <= n), default=self._start)
+            if kept[0] != n:
+                kept = self._keep(self._apply(kept, n))
+            return kept[1:]
+
+    def _apply(self, state: tuple, n: int) -> tuple:
+        index, a, b, t = state
+        p, q, s = self.span(index, n)
+        return n, a * p, b * q, t * q + a * s
+
+    def _keep(self, state: tuple) -> tuple:
+        """Keep a state as the last one reached; the caller holds the lock."""
+        window = self._window
+        window[:] = [s for s in window if s[0] != state[0]]
+        window.append(state)
+        if len(window) > self.WINDOW:
+            del window[0]
+        return state
+
+    def first_index(self, start: int, stop: int,
+                    excess: Callable[[int, int], int]) -> Optional[int]:
+        """The least e in [start, stop] with excess(A, B) <= 0 for the term
+        A/B = term(e + 2), the last one an enclosure after e reads, given a
+        test that holds at every index past one where it holds; None when it
+        fails at stop.
+
+        ``excess`` is about the number of bits by which the term must still
+        shrink.  The search gallops from ``start`` on spans of doubling
+        length, each cut short where the last span's shrinkage, carried on,
+        meets the test; it bisects the first span whose end passes on that
+        span's own split tree, and keeps the state of the index found.
+        """
+        lead = self.WINDOW - 1
+
+        def need(e, a, b):
+            p, q, _ = self._leaf(e, e + lead)
+            return excess(a * p, b * q)
+
+        if start > stop:
+            return None
+        cursor = (start, *self.state(start))
+        behind, length = need(*cursor[:3]), 1
+        while behind > 0:
+            index, a, b, t = cursor
+            if index >= stop:
+                return None
+            end = min(index + length, stop)
+            node = self._node(index, end, keep=True)
+            p, q, s = node[:3]
+            ahead = need(end, a * p, b * q)
+            if ahead <= 0:
+                cursor = self._bisect(node, cursor, end, excess)
+                break
+            cursor = (end, a * p, b * q, t * q + a * s)
+            length = 2 * (end - index)
+            if behind > ahead:
+                length = min(length, -(-ahead * (end - index) // (behind - ahead)))
+            behind = ahead
+        with self._lock:
+            self._keep(cursor)
+        return cursor[0]
+
+    def _bisect(self, node: tuple, state: tuple, n: int, excess) -> tuple:
+        """The first state past ``state`` in the node's span [m, n) whose term
+        two indices on passes, given that n passes and m does not."""
+        m, lead = state[0], self.WINDOW - 1
+        while node[3] is not None:
+            left, right = node[3]
+            middle = (m + n) // 2
+            _, a, b, t = state
+            p, q, s = left[:3]
+            ahead = self._leaf(middle, middle + lead)
+            if excess(a * p * ahead[0], b * q * ahead[1]) <= 0:
+                node, n = left, middle
+            else:
+                node, state, m = right, (middle, a * p, b * q, t * q + a * s), middle
+        # a leaf: its steps, and the ``lead`` after it, one by one
+        steps = list(node[4])
+        self._leaf(n, n + lead, steps)
+        _, a, b, t = state
+        for k, (p, q) in enumerate(steps[:n - m], 1):
+            a, b, t = a * p, b * q, t * q + a * p
+            ahead_p = ahead_q = 1
+            for p_ahead, q_ahead in steps[k:k + lead]:
+                ahead_p, ahead_q = ahead_p * p_ahead, ahead_q * q_ahead
+            if m + k == n or excess(a * ahead_p, b * ahead_q) <= 0:
+                return m + k, a, b, t
 
     def term(self, n: int) -> Fraction:
+        """term(n) in lowest terms.
+
+        Past ``REDUCE_BITS`` the gcd of the state would cost time quadratic
+        in its size; the ratio's factors are then reduced on a product tree,
+        where each merge takes gcds of reduced halves only.
+        """
         a, b, _ = self.state(n)
-        return Fraction(a, b)
+        if b.bit_length() <= REDUCE_BITS:
+            return Fraction(a, b)
+        p, q = self._reduced_ratio(self.n0, n)
+        return Fraction(self._start[1] * p, self._start[2] * q)
+
+    def _reduced_ratio(self, m: int, n: int) -> tuple[int, int]:
+        """Coprime p, q with p/q = ratio(m) ... ratio(n-1)."""
+        if n - m <= LEAF:
+            p, q, _ = self._leaf(m, n)
+            g = gcd(p, q)
+            return p // g, q // g
+        middle = (m + n) // 2
+        (p1, q1), (p2, q2) = self._reduced_ratio(m, middle), self._reduced_ratio(middle, n)
+        g1, g2 = gcd(p1, q2), gcd(p2, q1)
+        return (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1)
 
     def partial_sum(self, last: int) -> Fraction:
         """term(n0) + ... + term(last)."""
         _, b, t = self.state(last)
         return Fraction(t, b)
-
-
-def _eval_int(coeffs: Sequence[int], y: int, w: int) -> int:
-    """w^(len(coeffs)-1) p(y/w), for the integer coefficients of p."""
-    v, w_power = 0, 1
-    for c in reversed(coeffs):
-        v = v * y + c * w_power
-        w_power *= w
-    return v
 
 
 def q_limit_check(a, b, n: int, q_sequence: Sequence[Fraction]) -> list[Fraction]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ..exact import exp2_approx, format_rational, log2_approx
 from ..hgterm import _is_nonpositive_integer, rising_factorial
-from ..polys import RationalFunction, poly, poly_mul, poly_shift
+from ..polys import RationalFunction, integer_ratio, poly, poly_mul, poly_shift
 from .pairs import EvaluationError
 
 
@@ -88,13 +88,9 @@ def ratio_function(params: SchellbachParams) -> RationalFunction:
     p_poly = poly_mul(poly(s - a, 2), poly(s - b, 2))
     p_poly = [pi - qi for pi, qi in
               zip(p_poly, poly_mul(poly(c - 1, 1), poly(d - 1, 1)))]
-    num = poly_mul(poly(c - a, 1), poly(c - b, 1))
-    num = poly_mul(num, poly_mul(poly(d - a, 1), poly(d - b, 1)))
-    num = poly_mul(num, poly_shift(p_poly, 1))
-    den = poly_mul(poly(c, 1), poly(d, 1))
-    den = poly_mul(den, poly_mul(poly(t + 2, 2), poly(t + 3, 2)))
-    den = poly_mul(den, p_poly)
-    return RationalFunction(num, den)
+    return integer_ratio(1, (poly(c - a, 1), poly(c - b, 1), poly(d - a, 1), poly(d - b, 1),
+                             poly_shift(p_poly, 1)),
+                         (poly(c, 1), poly(d, 1), poly(t + 2, 2), poly(t + 3, 2), p_poly))
 
 
 def schellbach_asymptotics(params: SchellbachParams, x: int,

@@ -120,20 +120,13 @@ def eventually_nonneg(p: Sequence, n0: int) -> Optional[int]:
     return s
 
 
-def nonneg_from(p: Sequence, n0: int) -> Optional[int]:
-    """The first index v >= n0 with p(n) >= 0 certified for every integer n >= v.
+def nonneg_walk(p: Sequence, n0: int) -> Optional[tuple[int, Optional[int]]]:
+    """(v, z): the first index v >= n0 with p(n) >= 0 certified for every
+    integer n >= v, and the first integer z >= v with p(z) = 0, None when p
+    has no zero there.
 
     Same certificate as ``eventually_nonneg``; the gap points below the
     shifted start are checked exactly, downwards, for as long as they hold.
-    None only when p has a negative leading coefficient.
-    """
-    walk = nonneg_walk(p, n0)
-    return None if walk is None else walk[0]
-
-
-def nonneg_walk(p: Sequence, n0: int) -> Optional[tuple[int, Optional[int]]]:
-    """(v, z): v as ``nonneg_from`` gives it, and the first integer z >= v with
-    p(z) = 0, None when p has no zero there.
 
     p(n0 + s + m) has nonnegative coefficients, so a nonzero p is positive
     past n0 + s: every zero at or past v is one of the points the walk down
@@ -225,6 +218,26 @@ class RationalFunction:
         rho den - num, nonnegative exactly where num/den <= rho (den > 0)."""
         return poly_add(poly_scale(self.den, rho.numerator),
                         poly_scale(self.num, -rho.denominator))
+
+
+def integer_ratio(scale, num_factors: Sequence[Sequence],
+                  den_factors: Sequence[Sequence]) -> RationalFunction:
+    """scale * prod(num_factors) / prod(den_factors), formed over the integers.
+
+    Each factor is cleared of its coefficients' denominators on its own, and
+    the other side takes the same positive multiple, so no product is taken
+    on ``Fraction`` coefficients; the result is the canonical form that any
+    other route to the same quotient gives.
+    """
+    scale = Fraction(scale)
+    sides = [[scale.numerator], [scale.denominator]]
+    for side, factors in enumerate((num_factors, den_factors)):
+        for factor in factors:
+            multiple = lcm(*(c.denominator for c in factor))
+            sides[side] = poly_mul(sides[side],
+                                   [c.numerator * (multiple // c.denominator) for c in factor])
+            sides[1 - side] = poly_scale(sides[1 - side], multiple)
+    return RationalFunction(*sides)
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

@@ -2,8 +2,18 @@
 
 from fractions import Fraction
 
+from markovsum.catalog import CatalogError
+from markovsum.exact import ROUND_TRUNCATE, Enclosure, to_decimal
 from markovsum.hgterm import q_pochhammer, rising_factorial
-from markovsum.polys import RationalFunction, poly, poly_mul, poly_pow, poly_scale, poly_shift
+from markovsum.polys import (
+    RationalFunction,
+    poly,
+    poly_eval,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    poly_shift,
+)
 
 
 def f_product(engine, x: int, z: int):
@@ -78,3 +88,104 @@ def hurwitz3_ratio(a) -> RationalFunction:
     """The hurwitz3-direct term ratio (n+a)^3/(n+a+1)^3 built on Fraction coefficients."""
     a = Fraction(a)
     return RationalFunction(poly_pow(poly(a, 1), 3), poly_pow(poly(a + 1, 1), 3))
+
+
+def phi32_series_ratio(engine) -> RationalFunction:
+    """The qsh-3phi2 term ratio t (1-ay)(1-by) / ((1-cy)(1-dy)) built on Fraction coefficients."""
+    a, b, c, d, t = engine.a, engine.b, engine.c, engine.d, engine.t
+    return RationalFunction(poly_scale(poly_mul(poly(1, -a), poly(1, -b)), t),
+                            poly_mul(poly(1, -c), poly(1, -d)))
+
+
+def phi32_transformed_h(engine) -> RationalFunction:
+    """h(y) of the transformed series built on Fraction coefficients:
+
+    cd (1-(c/a)y)(1-(c/b)y)(1-(d/a)y)(1-(d/b)y) g(qy) / (q (1-cy)(1-dy)(1-tq^2 y^2)(1-tq^3 y^2) g(y)),
+    g(y) = 1 - t(a+b+q) y^2 + t(c+d) y^3.
+    """
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    g = poly(1, 0, -t * (a + b + q), t * (c + d))
+    h_num = [c * d * coeff * q ** i for i, coeff in enumerate(g)]
+    for ratio in (c / a, c / b, d / a, d / b):
+        h_num = poly_mul(h_num, poly(1, -ratio))
+    h_den = poly_mul(poly_mul(poly_scale(poly(1, -c), q), poly(1, -d)),
+                     poly_mul(poly_mul(poly(1, 0, -t * q ** 2), poly(1, 0, -t * q ** 3)), g))
+    return RationalFunction(h_num, h_den)
+
+
+def schellbach_ratio(params) -> RationalFunction:
+    """Schellbach's term ratio built on Fraction coefficients:
+
+    (c-a+x)(c-b+x)(d-a+x)(d-b+x) p(x+1) / ((c+x)(d+x)(t+2x+2)(t+2x+3) p(x)).
+    """
+    a, b, c, d, t = params.a, params.b, params.c, params.d, params.t
+    s = c + d - 1
+    p_poly = poly_mul(poly(s - a, 2), poly(s - b, 2))
+    p_poly = [pi - qi for pi, qi in zip(p_poly, poly_mul(poly(c - 1, 1), poly(d - 1, 1)))]
+    num = poly_mul(poly_mul(poly(c - a, 1), poly(c - b, 1)), poly_mul(poly(d - a, 1), poly(d - b, 1)))
+    num = poly_mul(num, poly_shift(p_poly, 1))
+    den = poly_mul(poly_mul(poly(c, 1), poly(d, 1)), poly_mul(poly(t + 2, 2), poly(t + 3, 2)))
+    return RationalFunction(num, poly_mul(den, p_poly))
+
+
+def stepped_factors(seq, n: int) -> tuple[int, int]:
+    """The integers p(n), q(n) of a TermSequence, read off its ratio's polynomials
+    directly: at n, or for a q-series as w^deg num(y/w), w^deg den(y/w) at
+    y/w = base^n, deg the larger degree."""
+    num, den = seq.ratio.num, seq.ratio.den
+    if seq.base is None:
+        return poly_eval(num, n), poly_eval(den, n)
+    degree = max(len(num), len(den)) - 1
+    power, scale = seq.base ** n, seq.base.denominator ** (n * degree)
+    return (int(poly_eval(num, power) * scale), int(poly_eval(den, power) * scale))
+
+
+def fraction_enclosure(entry, partial: Fraction, last: int):
+    """The enclosure of an entry's limit from the partial sum through ``last``,
+    on Fractions: the tightest of every bound that applies (the two Leibniz
+    brackets, the geometric remainder, the entry's own tail)."""
+    lows, highs = [], []
+    if entry.leibniz_from is not None and last + 1 >= entry.leibniz_from:
+        nxt = entry.term(last + 1)
+        for lo, hi in (sorted((partial, partial + nxt)),
+                       sorted((partial + nxt, partial + nxt + entry.term(last + 2)))):
+            lows.append(lo)
+            highs.append(hi)
+    bounds = []
+    if entry.ratio_bound and last + 1 >= entry.ratio_bound.valid_from:
+        bounds.append(abs(entry.term(last + 1)) / (1 - entry.ratio_bound.rho))
+    if entry.tail_extra is not None and entry.tail_extra(last) is not None:
+        bounds.append(entry.tail_extra(last))
+    for bound in bounds:
+        lows.append(partial if entry.remainder_nonneg else partial - bound)
+        highs.append(partial + bound)
+    return Enclosure(max(lows), min(highs)) if lows else None
+
+
+def linear_terms_needed(entry, digits: int, rounding: str = ROUND_TRUNCATE,
+                        n_cap: int = 100000) -> int:
+    """terms_needed by one forward pass over every index, on Fractions.
+
+    An index is skipped while the term two past it exceeds 10^-digits
+    (bit lengths decide unless they fall within two bits of the boundary);
+    every other index gets a Fraction enclosure and, when it is at most
+    10^-digits wide, a rendering.
+    """
+    if entry.ratio_bound is None:
+        raise CatalogError(f"{entry.entry_id}: no geometric bound")
+    if digits <= 0:
+        return 1
+    scale = 10 ** digits
+    target, scale_bits = Fraction(1, scale), scale.bit_length()
+    n0, terms = entry.n0, entry.terms
+    for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
+        last = n0 + n - 1
+        a, b, _ = terms.state(last + 2)
+        gap = b.bit_length() - a.bit_length() - scale_bits
+        if a and (gap <= -2 or gap <= 0 and abs(a) * scale > abs(b)):
+            continue
+        enclosure = fraction_enclosure(entry, entry.offset + terms.partial_sum(last), last)
+        if enclosure.width <= target and \
+                to_decimal(enclosure, digits, rounding).digits_proven >= digits:
+            return n
+    raise CatalogError(f"{entry.entry_id}: {digits} digits not reached within {n_cap} terms")

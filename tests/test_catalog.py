@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction as Q
 from math import gcd
 
 import pytest
 
-from markovsum import catalog
+from markovsum import catalog, hgterm
 from markovsum.catalog import (
     CatalogError,
     FormulaEntry,
@@ -31,9 +32,18 @@ from markovsum.exact import (
     to_decimal,
 )
 from markovsum.hgterm import TermSequence, rising_factorial
-from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo
+from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, sample_parameter_tuples
+from markovsum.markov.schellbach import ratio_function
 from markovsum.polys import RationalFunction, poly, poly_mul
-from oracles import hurwitz3_ratio, markov_hurwitz_ratio
+from oracles import (
+    fraction_enclosure,
+    hurwitz3_ratio,
+    linear_terms_needed,
+    markov_hurwitz_ratio,
+    phi32_series_ratio,
+    phi32_transformed_h,
+    schellbach_ratio,
+)
 from support import claims_failure, contains, parse_reports_csv
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
@@ -745,3 +755,126 @@ class TestClaims:
     def test_q_sides(self, params):
         assert claims_failure(entry_phi32_series(*params)) is None
         assert claims_failure(entry_phi32_transformed(*params)) is None
+
+
+# ---------------------------------------------------------------------------
+# The spanned search and the integer enclosures against the linear pass
+# ---------------------------------------------------------------------------
+
+ORACLE_DIGITS = (*range(1, 61), 100, 150, 1000)
+SWEEP_DIGITS = (1, 2, 3, 5, 10, 20, 33, 60)
+
+
+def assert_same_n(build, digit_counts):
+    """terms_needed on one shared entry, whose kept states move from count to
+    count, equals the linear pass on a fresh entry, in both roundings."""
+    shared = build()
+    for rounding in (ROUND_TRUNCATE, ROUND_HALF_EVEN):
+        for digits in digit_counts:
+            assert terms_needed(shared, digits, rounding) == \
+                linear_terms_needed(build(), digits, rounding), (digits, rounding)
+
+
+class TestSearchEqualsLinearPass:
+    @pytest.mark.parametrize("entry_id", GEOMETRIC_IDS)
+    def test_registry_entries(self, entry_id):
+        assert_same_n(lambda: get_entry(entry_id), ORACLE_DIGITS)
+
+    @pytest.mark.parametrize("entry_id", sorted(catalog.REGISTRY) + ["qsh", "transformed"])
+    def test_enclosures_equal_the_fraction_bounds(self, entry_id):
+        q_sides = {"qsh": entry_phi32_series, "transformed": entry_phi32_transformed}
+
+        def build():
+            return q_sides[entry_id](*CANONICAL) if entry_id in q_sides else get_entry(entry_id)
+
+        entry, fresh = build(), build()
+        for n in (1, 2, 5, 40, 120):
+            last = entry.n0 + n - 1
+            oracle = fraction_enclosure(fresh, fresh.offset + fresh.terms.partial_sum(last), last)
+            report = evaluate(entry, n)
+            if oracle is None:
+                assert report.enclosure is None
+                continue
+            assert report.enclosure == oracle
+            assert (report.enclosure.lower, report.enclosure.upper, report.enclosure.width) \
+                == (oracle.lower, oracle.upper, oracle.width)
+
+    def test_hurwitz_sweep_values(self):
+        for a in HURWITZ_VALUES:
+            assert_same_n(lambda: entry_markov_hurwitz(a), SWEEP_DIGITS)
+
+    @pytest.mark.parametrize("a", [Q(-1, 2), Q(-7, 3), Q(-51, 2), Q(-101, 2)], ids=str)
+    def test_negative_hurwitz_values(self, a):
+        assert_same_n(lambda: entry_markov_hurwitz(a), ORACLE_DIGITS)
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_source_q_series(self, params):
+        # a q-series state grows quadratically in the index, so fewer digits
+        assert_same_n(lambda: entry_phi32_series(*params), range(1, 26))
+
+    def test_n_cap_is_kept(self):
+        for search in (terms_needed, linear_terms_needed):
+            with pytest.raises(CatalogError, match="not reached within 42 terms"):
+                search(entry_apery(), 30, n_cap=42)
+            assert search(entry_apery(), 30, n_cap=43) == 43
+
+    def test_evaluate_after_terms_needed_forms_no_span(self, monkeypatch):
+        entry = entry_apery()
+        n = terms_needed(entry, 300)
+        span = entry.terms.span
+        calls = []
+        monkeypatch.setattr(entry.terms, "span", lambda m, k: calls.append((m, k)) or span(m, k))
+        report = evaluate(entry, n, digits=300)
+        assert calls == [] and report.digits_proven == 300
+
+
+class TestIntegerEnclosures:
+    @pytest.mark.parametrize("entry_id", sorted(catalog.REGISTRY))
+    def test_widths_formed_from_the_terms_equal_the_bounds(self, entry_id):
+        entry = get_entry(entry_id)
+        for n in (1, 2, 7, 40):
+            enclosure = evaluate(entry, n).enclosure
+            if enclosure is not None:
+                assert enclosure.width == enclosure.upper - enclosure.lower, n
+
+    def test_a_fraction_partial_and_the_state_give_one_enclosure(self):
+        entry = entry_zeta2_27()  # offset 5/3
+        for last in (1, 2, 9, 30):
+            from_state = entry.enclosure_after(entry.sum_through(last), last)
+            partial = entry.offset + entry.terms.partial_sum(last)
+            assert from_state == entry.enclosure_after(partial, last)
+            assert (from_state.lower, from_state.upper) == \
+                (entry.enclosure_after(partial, last).lower,
+                 entry.enclosure_after(partial, last).upper)
+
+    def test_a_term_past_the_gcd_limit_is_reduced_on_the_product_tree(self, monkeypatch):
+        monkeypatch.setattr(hgterm, "REDUCE_BITS", 1 << 10)
+        for entry, n in ((entry_apery(), 1200), (entry_phi32_series(*CANONICAL), 100),
+                         (entry_markov_hurwitz(Q(-51, 2)), 400)):
+            a, b, _ = entry.terms.state(n)
+            assert b.bit_length() > hgterm.REDUCE_BITS
+            assert entry.term(n) == Q(a, b)
+        assert entry_apery().term(1200) == catalog.apery_term(1200)
+
+
+def seeded_pair_tuples(count: int = 5) -> list:
+    """The first seed-0 tuples with |t| < 1, the regime of the 3phi2 pair."""
+    def converges(params):
+        a, b, c, d, q = params
+        return abs(c * d / (a * b * q)) < 1
+    return list(itertools.islice(filter(converges, sample_parameter_tuples(10 ** 6, 0)), count))
+
+
+class TestIntegerBuilders:
+    @pytest.mark.parametrize("params", list(SAMPLE_TUPLES) + seeded_pair_tuples())
+    def test_q_sides_equal_the_fraction_construction(self, params):
+        engine = ThreePhiTwo(*params)
+        for built, oracle in ((catalog.series_ratio(engine), phi32_series_ratio(engine)),
+                              (catalog.transformed_h(engine), phi32_transformed_h(engine))):
+            assert (built.num, built.den) == (oracle.num, oracle.den)
+
+    def test_schellbach_equals_the_fraction_construction(self):
+        for params in (catalog.ZETA2_SCHELLBACH,
+                       catalog.SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))):
+            built, oracle = ratio_function(params), schellbach_ratio(params)
+            assert (built.num, built.den) == (oracle.num, oracle.den)

@@ -102,6 +102,23 @@ GOLDEN = {
 }
 
 
+#: deep requests, recorded from the search that stepped one index at a time;
+#: each takes about a second or more
+DEEP_GOLDEN = {
+    "compute apery --digits 4000":
+        "11355daf29a0cdbc2be4b4b09b33cca2644f513b888e0b5288d9ab2eecd2215e",
+    "compute apery --digits 10000":
+        "bc67b3e7eae94588816060876d4ffb7d343574dfeb12be8b13eb25a091918058",
+    "--format json compute apery --digits 10000 --rounding truncate":
+        "2b1e18ec8892ac88215a4d55bd12eb15eec15e478f7880c3a1dfe7b32603a606",
+    "--format json compute apery --digits 10000 --rounding round-half-even":
+        "d5d960c7c6effae8b349b6f866bcb7cc2397531ea52468d5b82efc0bc20bd772",
+    # valid_from = 15679: the first span reaches it in one split
+    "compute markov-hurwitz --a=-2399/2 --digits 20":
+        "17ae532a57b5569496c88238b7e1dc9caec2a1b048c72d36ccb0a3b1527a1776",
+}
+
+
 def digest(capsys, argv: str) -> str:
     code = cli.main(argv.split())
     out = capsys.readouterr().out
@@ -111,6 +128,16 @@ def digest(capsys, argv: str) -> str:
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_golden_output(capsys, argv):
     assert digest(capsys, argv) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_GOLDEN))
+def test_deep_golden_output(capsys, argv):
+    assert digest(capsys, argv) == DEEP_GOLDEN[argv]
+
+
+def test_zeta3_formulas_agree_at_10000_digits(capsys):
+    assert cli.main("compare zeta3 --digits 10000".split()) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, point, label", [

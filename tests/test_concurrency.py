@@ -4,9 +4,10 @@ Four threads extend the same cold cache at once while the interpreter
 switches threads every microsecond, which interleaves the extension loops
 as finely as CPython allows.  Every cached value must still equal the
 product computed directly, threads evaluating one shared catalog entry
-must all get the enclosures of its closed-form terms, threads sharing
-one 3phi2 engine, or one stepped 4F3 or well-poised extension, must all
-get its product-form values, and threads calling
+must all get the enclosures of its closed-form terms, threads searching
+one shared entry for mixed digit counts must find what one thread finds,
+threads sharing one 3phi2 engine, or one stepped 4F3 or well-poised
+extension, must all get its product-form values, and threads calling
 ``cli.main`` on its one shared parser must write what a sequential run
 writes.
 """
@@ -102,6 +103,23 @@ def test_threads_evaluating_one_shared_entry_agree():
         results = _race(lambda k: catalog.evaluate(entry, k + 1).enclosure, span)
         expected = [entry.enclosure_after(sum(truth[:k + 1]), k) for k in range(span + 1)]
         assert all(values == expected for values in results), f"trial {trial}"
+
+
+def test_threads_searching_one_shared_entry_agree():
+    digit_counts = (3, 40, 17, 90, 8, 150, 25, 60, 1, 120)
+
+    def search(entry, k):
+        digits = digit_counts[k % len(digit_counts)]
+        n = catalog.terms_needed(entry, digits)
+        report = catalog.evaluate(entry, n, digits=digits)
+        return n, str(report.rendering), report.enclosure
+
+    for trial in range(3):
+        a = Q(trial + 1, 3)  # a cold entry per trial, valid_from > 0 at a = 1/3
+        sequential = [search(catalog.entry_markov_hurwitz(a), k) for k in range(LENGTH // 4 + 1)]
+        entry = catalog.entry_markov_hurwitz(a)
+        results = _race(lambda k: search(entry, k), LENGTH // 4, stagger=7)
+        assert all(values == sequential for values in results), f"trial {trial}"
 
 
 def test_threads_sharing_one_3phi2_engine_agree():

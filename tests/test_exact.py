@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from markovsum import exact
 from markovsum.exact import (
     ROUND_HALF_EVEN,
     ROUND_TRUNCATE,
@@ -81,6 +82,48 @@ class TestEnclosure:
         assert e.width == Q(1, 6)
         assert contains(e, Q(2, 5))
         assert not contains(e, Q(3, 5))
+
+    def test_unreduced_integers_give_the_reduced_bounds(self):
+        e = Enclosure.over(-6 * 7, 9 * 7, 18 * 7)  # [-1/3, 1/2] over 126
+        assert (e.low, e.high, e.den) == (-42, 63, 126)
+        assert (e.lower, e.upper, e.width) == (Q(-1, 3), Q(1, 2), Q(5, 6))
+        assert e == Enclosure(Q(-1, 3), Q(1, 2)) and hash(e) == hash(Enclosure(Q(-1, 3), Q(1, 2)))
+        assert e != Enclosure(Q(-1, 3), Q(1, 3))
+        assert repr(e) == "Enclosure(lower=Fraction(-1, 3), upper=Fraction(1, 2))"
+
+    def test_a_given_width_is_read_only_when_asked(self):
+        calls = []
+        e = Enclosure.over(2, 8, 12, lambda: calls.append(1) or Q(1, 2))
+        r = to_decimal(e, 3)
+        assert calls == [] and r.digits_proven == 0
+        assert (r.width, e.width, calls) == (Q(1, 2), Q(1, 2), [1])
+
+    def test_unreduced_rendering_equals_the_reduced_one(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            lower = Q(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 6))
+            upper = lower + Q(rng.randrange(0, 10 ** 4), rng.randrange(1, 10 ** 9))
+            scale = rng.randrange(1, 10 ** 12)
+            den = lower.denominator * upper.denominator * scale
+            e = Enclosure.over(int(lower * den), int(upper * den), den)
+            for rounding in (ROUND_TRUNCATE, ROUND_HALF_EVEN):
+                for k in (1, 4, 9):
+                    assert to_decimal(e, k, rounding) == to_decimal(Enclosure(lower, upper), k,
+                                                                     rounding)
+
+    def test_division_from_the_leading_bits_is_exact(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            d = rng.getrandbits(rng.choice((10, 3000, 40000))) + 1
+            n = rng.getrandbits(d.bit_length() + rng.choice((0, 1, 64, 900))) \
+                * rng.choice((1, -1)) + rng.choice((0, -1, 1))
+            assert exact._divmod(n, d) == divmod(n, d)
+            assert exact._divmod(n // d * d, d) == divmod(n // d * d, d)
+
+    @pytest.mark.parametrize("low, high, den", [(1, 0, 3), (0, 1, 0), (0, 1, -2)])
+    def test_unreduced_bounds_are_checked(self, low, high, den):
+        with pytest.raises(ValueError):
+            Enclosure.over(low, high, den)
 
 
 class TestToDecimal:

@@ -2,7 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from markovsum.hgterm import q_limit_check, q_pochhammer, rising_factorial
+from markovsum.hgterm import LEAF, TermSequence, q_limit_check, q_pochhammer, rising_factorial
+from markovsum.polys import RationalFunction, poly, poly_mul, poly_pow
+from oracles import stepped_factors
 
 
 class TestRisingFactorial:
@@ -63,3 +65,66 @@ class TestQLimitCheck:
     def test_q_range_validated(self):
         with pytest.raises(ValueError):
             q_limit_check(2, 3, 1, [Q(3, 2)])
+
+
+#: an n-series (the apery ratio) and a q-series with a factor in y and one in y^2
+SEQUENCES = {
+    "n-series": lambda: TermSequence(Q(5, 4), RationalFunction(
+        poly(0, 0, 0, -1), poly_mul(poly_pow(poly(1, 1), 2), poly(2, 4))), 1),
+    "q-series": lambda: TermSequence(Q(3, 7), RationalFunction(
+        poly_mul(poly(3, -1), poly(2, 0, -1)), poly(5, -2)), base=Q(1, 2)),
+}
+
+
+def stepped_spans(seq, m: int, count: int) -> list:
+    """(P, Q, T) over [m, m + k) for k = 0..count, one step per index."""
+    spans = [(1, 1, 0)]
+    for i in range(m, m + count):
+        p, q = stepped_factors(seq, i)
+        big_p, big_q, t = spans[-1]
+        spans.append((big_p * p, big_q * q, t * q + big_p * p))
+    return spans
+
+
+class TestSpans:
+    @pytest.mark.parametrize("kind", sorted(SEQUENCES))
+    def test_every_length_equals_linear_stepping(self, kind):
+        seq = SEQUENCES[kind]()
+        assert 300 > 8 * LEAF
+        m = seq.n0 + 3
+        expected = stepped_spans(seq, m, 300)
+        assert [seq.span(m, m + k) for k in range(301)] == expected
+        assert [seq.factors(i) for i in range(m, m + 40)] == \
+            [stepped_factors(seq, i) for i in range(m, m + 40)]
+
+    @pytest.mark.parametrize("kind", sorted(SEQUENCES))
+    def test_states_by_any_route_are_one_state(self, kind):
+        seq = SEQUENCES[kind]()
+        n0, first = seq.n0, seq.term(seq.n0)
+        a, b = first.numerator, first.denominator
+        for n in (n0 + 250, n0 + 3, n0 + 97, n0 + 98, n0 + 251, n0):
+            p, q, t = seq.span(n0, n)
+            assert seq.state(n) == (a * p, b * q, a * q + a * t)
+
+    def test_spans_reject_indices_before_n0(self):
+        with pytest.raises(ValueError):
+            SEQUENCES["n-series"]().span(0, 5)
+        with pytest.raises(ValueError):
+            SEQUENCES["n-series"]().span(6, 5)
+
+
+class TestFirstIndex:
+    @pytest.mark.parametrize("bits", [0, 1, 5, 63, 64, 65, 700, 2999])
+    def test_first_index_equals_a_linear_scan(self, bits):
+        # the ratio (n+1)/(6n+8) stays below 1/6, so the terms shrink
+        seq = TermSequence(1, RationalFunction(poly(1, 1), poly(8, 6)))
+
+        def excess(a, b):
+            return a.bit_length() + bits - b.bit_length() + (a << bits > b)
+
+        found = seq.first_index(0, 10 ** 5, excess)
+        linear = next(e for e in range(10 ** 5)
+                      if seq.term(e + 2) <= Q(1, 2 ** bits))
+        assert found == linear
+        if linear:
+            assert seq.first_index(0, linear - 1, excess) is None

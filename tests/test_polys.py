@@ -10,7 +10,6 @@ from markovsum.polys import (
     bi_degrees,
     clear_denominators,
     eventually_nonneg,
-    nonneg_from,
     nonneg_walk,
     poly,
     poly_add,
@@ -78,7 +77,7 @@ class TestEventuallyNonneg:
     @pytest.mark.parametrize("p", [poly(1, 0, -1), poly(100, 5, -1, 0), poly(-3)])
     def test_negative_leading_coefficient_gives_none(self, p):
         assert eventually_nonneg(p, 0) is None
-        assert nonneg_from(p, 0) is None
+        assert nonneg_walk(p, 0) is None
 
     def test_zero_polynomial(self):
         assert eventually_nonneg(poly(0, 0), 3) == 0
@@ -103,8 +102,8 @@ class TestNonnegFrom:
     def test_first_index_of_a_certified_tail(self):
         # (n - 2)(n - 5) is negative exactly at n = 3, 4
         p = poly(10, -7, 1)
-        assert nonneg_from(p, 0) == 5
-        assert nonneg_from(p, 6) == 6
+        assert nonneg_walk(p, 0)[0] == 5
+        assert nonneg_walk(p, 6)[0] == 6
         assert eventually_nonneg(p, 0) is None
 
     def test_walk_finds_the_first_zero(self):
@@ -121,8 +120,8 @@ class TestNonnegFrom:
         # (n + 3)/(4n + 4) <= 1/2 exactly for n >= 1
         ratio = RationalFunction(poly(3, 1), poly(4, 4))
         assert ratio.bounded_by(Q(1, 2), 0) is None
-        assert nonneg_from(ratio.margin(Q(1, 2)), 0) == 1
-        assert nonneg_from(ratio.margin(Q(1, 5)), 0) is None
+        assert nonneg_walk(ratio.margin(Q(1, 2)), 0)[0] == 1
+        assert nonneg_walk(ratio.margin(Q(1, 5)), 0) is None
 
     def test_construction_clears_denominators(self):
         # (1/2 + n/3)/(5/6), both sides times 6
