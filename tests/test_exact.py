@@ -5,7 +5,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from markovsum import exact
 from markovsum.exact import (
     ROUND_HALF_EVEN,
     ROUND_TRUNCATE,
@@ -110,15 +109,6 @@ class TestEnclosure:
                 for k in (1, 4, 9):
                     assert to_decimal(e, k, rounding) == to_decimal(Enclosure(lower, upper), k,
                                                                      rounding)
-
-    def test_division_from_the_leading_bits_is_exact(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            d = rng.getrandbits(rng.choice((10, 3000, 40000))) + 1
-            n = rng.getrandbits(d.bit_length() + rng.choice((0, 1, 64, 900))) \
-                * rng.choice((1, -1)) + rng.choice((0, -1, 1))
-            assert exact._divmod(n, d) == divmod(n, d)
-            assert exact._divmod(n // d * d, d) == divmod(n // d * d, d)
 
     @pytest.mark.parametrize("low, high, den", [(1, 0, 3), (0, 1, 0), (0, 1, -2)])
     def test_unreduced_bounds_are_checked(self, low, high, den):

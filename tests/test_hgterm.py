@@ -94,8 +94,6 @@ class TestSpans:
         m = seq.n0 + 3
         expected = stepped_spans(seq, m, 300)
         assert [seq.span(m, m + k) for k in range(301)] == expected
-        assert [seq.factors(i) for i in range(m, m + 40)] == \
-            [stepped_factors(seq, i) for i in range(m, m + 40)]
 
     @pytest.mark.parametrize("kind", sorted(SEQUENCES))
     def test_states_by_any_route_are_one_state(self, kind):
