@@ -8,8 +8,9 @@ by that enclosure.
 Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, integer polynomials in n or, for the two
 q-series sides, in y = q^n, in the one canonical form of
-``polys.RationalFunction`` (the parameterized builders form their factors
-over the integers from a = u/v); the terms and prefix sums follow on one
+``polys.RationalFunction`` (the Hurwitz builders form their factors over
+the integers from a = u/v, the q-series sides read theirs off the engine);
+the terms and prefix sums follow on one
 unreduced integer state (``hgterm.TermSequence``).  Everything else is
 derived by positivity certificates on integer polynomials that hold for
 every index (``polys.nonneg_walk`` in n, ``polys.unit_interval_nonneg`` for
@@ -70,7 +71,6 @@ from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
 from .polys import (
     RationalFunction,
-    integer_ratio,
     nonneg_walk,
     poly,
     poly_eval,
@@ -582,46 +582,22 @@ def entry_kummer() -> FormulaEntry:
 # -- parameterized q-series entries (both sides of the transformation) ------
 
 def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
-    """The source series sum_z (a,b;q)_z/(c,d;q)_z t^z with a certified tail.
+    """The source series sum_z F_{0,z} = sum_z (a,b;q)_z/(c,d;q)_z t^z, certified.
 
-    term(0) = 1 and term(z+1)/term(z) = t (1-ay)(1-by) / ((1-cy)(1-dy)) with
-    y = q^z.  Any 0 < q < 1 (and |t| < 1) is accepted for which the sign of
-    the ratio and a rate, |t| or a rung above it, are certified on y in
-    (0, 1]; the ordered regime 0 < c <= a < 1, 0 < d <= b < 1 is one such
-    case, with rate |t|.
+    term(0) = F_{0,0} = 1 and the ratio is the engine's rz(0, z) in y = q^z.
+    Any 0 < q < 1 (and |t| < 1) is accepted for which the sign of the ratio
+    and a rate, |t| or a rung above it, are certified on y in (0, 1]; the
+    ordered regime 0 < c <= a < 1, 0 < d <= b < 1 is one such case, with
+    rate |t|.
     """
     engine = ThreePhiTwo(a, b, c, d, q)
-    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    if not 0 < q < 1:
+    if not 0 < engine.q < 1:
         raise CatalogError("certified source-series bound needs 0 < q < 1")
     label = ",".join(format_rational(v) for v in engine.params)
     return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
         "source q-series of the transformation, geometric rate t",
-        1, series_ratio(engine), 0, base=q, provenance="q-series 3phi2(a,b,1;c,d)")
-
-
-def series_ratio(engine: ThreePhiTwo) -> RationalFunction:
-    """t (1-ay)(1-by) / ((1-cy)(1-dy)), the source series' ratio in y = q^z."""
-    a, b, c, d, t = engine.a, engine.b, engine.c, engine.d, engine.t
-    return integer_ratio(t, (poly(1, -a), poly(1, -b)), (poly(1, -c), poly(1, -d)))
-
-
-def _g(engine: ThreePhiTwo) -> list:
-    """g(y) = 1 - t(a+b+q) y^2 + t(c+d) y^3."""
-    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    return poly(1, 0, -t * (a + b + q), t * (c + d))
-
-
-def transformed_h(engine: ThreePhiTwo) -> RationalFunction:
-    """h(y), with term(x+1)/term(x) = y^2 h(y) on the transformed series."""
-    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    g = _g(engine)
-    return integer_ratio(c * d / q,
-                         ([coeff * q ** i for i, coeff in enumerate(g)],  # g(qy)
-                          *(poly(1, -ratio) for ratio in (c / a, c / b, d / a, d / b))),
-                         (poly(1, -c), poly(1, -d), poly(1, 0, -t * q ** 2),
-                          poly(1, 0, -t * q ** 3), g))
+        1, engine.source_ratio(), 0, base=engine.q, provenance="q-series 3phi2(a,b,1;c,d)")
 
 
 def _contraction(a, b, c, d, q, t) -> Fraction:
@@ -631,14 +607,12 @@ def _contraction(a, b, c, d, q, t) -> Fraction:
 
 
 def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
-    """The transformed series sum_x V_{x,0}, decaying like q^(2x) per step.
+    """The transformed series sum_x V_{x,0}, the certificate pair's row series.
 
-    With y = q^x and g(y) = 1 - t(a+b+q) y^2 + t(c+d) y^3,
-    term(0) = g(1) / ((1-t)(1-tq)) and term(x+1)/term(x) = y^2 h(y) with
-    h(y) = cd (1-(c/a)y)(1-(c/b)y)(1-(d/a)y)(1-(d/b)y) g(qy)
-           / (q (1-cy)(1-dy)(1-tq^2 y^2)(1-tq^3 y^2) g(y)).
-    The conditions below make K finite and positive; h <= K on (0, 1] is
-    certified, which gives a one-term-plus-geometric tail.
+    term(0) = V_{0,0} = M_{0,0}, and the ratio is the engine's
+    V_{x+1,0}/V_{x,0} = y^2 h(y) in y = q^x.  The conditions below make K
+    finite and positive; h <= K on (0, 1] is certified, which gives a
+    one-term-plus-geometric tail.
     """
     engine = ThreePhiTwo(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
@@ -646,14 +620,12 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
             and max(c, d, t) < 1 - q and t * (a + b + q) < 1):
         raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
                            "min(a,b), a, b < 1, 0 < q < 1, c, d, t < 1-q and t(a+b+q) < 1")
-    h = transformed_h(engine)
+    ratio = engine.transformed_ratio()
     big_k = _contraction(a, b, c, d, q, t)
-    if not unit_interval_nonneg(h.margin(big_k)):
+    if not unit_interval_nonneg(RationalFunction(ratio.num[2:], ratio.den).margin(big_k)):
         raise CatalogError(f"transformed series: term(x+1)/term(x) <= "
                            f"{format_rational(big_k)} q^(2x) is not certified")
-    terms = TermSequence(
-        poly_eval(_g(engine), 1) / ((1 - t) * (1 - t * q)),
-        RationalFunction(poly_mul(poly(0, 0, 1), h.num), h.den), base=q)
+    terms = TermSequence(engine.m(0, 0), ratio, base=q)
 
     def tail(last: int) -> Optional[Fraction]:
         contraction = big_k * q ** (2 * (last + 1))

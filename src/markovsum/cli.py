@@ -185,14 +185,22 @@ def _usage_errors(prefix: str = ""):
 
 
 def _resolve_params(args) -> tuple[Fraction, ...]:
+    if args.presets and not args.preset:
+        raise _UsageError("--presets requires --preset NAME")
     if args.preset:
         if not args.presets:
             raise _UsageError("--preset requires --presets FILE")
-        with open(args.presets, encoding="utf-8") as handle:
-            table = json.load(handle)
-        if args.preset not in table:
+        try:
+            with open(args.presets, encoding="utf-8") as handle:
+                table = json.load(handle)
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.presets}: {exc.strerror}") from None
+        if not isinstance(table, dict) or args.preset not in table:
             raise _UsageError(f"preset {args.preset!r} not in {args.presets}")
         entry = table[args.preset]
+        for k in "abcdq":
+            if not isinstance(entry, dict) or not isinstance(entry.get(k), str):
+                raise _UsageError(f"preset {args.preset!r} needs {k} as a string like \"1/3\"")
         return tuple(parse_rational(entry[k]) for k in "abcdq")
     return (args.a, args.b, args.c, args.d, args.q)
 
@@ -212,6 +220,8 @@ def _build_engine(args, factory):
 
 class _Out:
     def __init__(self, path: Optional[str]):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):  # before any work
+            raise _UsageError(f"--output {path}: no such directory")
         self.path = path
         self.lines: list[str] = []
 
@@ -220,11 +230,14 @@ class _Out:
 
     def flush(self):
         payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
+        if not self.path:
+            sys.stdout.write(payload)
+            return
+        try:
             with open(self.path, "w", encoding="utf-8") as handle:
                 handle.write(payload)
-        else:
-            sys.stdout.write(payload)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {self.path}: {exc.strerror}") from None
 
 
 def _report_text(report: catalog.EvaluationReport) -> list[str]:

@@ -2,7 +2,7 @@
 
 Coefficient lists are ordered low degree first; integer coefficients stay
 ``int``, and a ``Fraction`` input gives ``Fraction`` results.  This backs
-three needs:
+four needs:
 
 * describing a term ratio in one canonical integer form
   (:class:`RationalFunction`: cleared of denominators, divided by its
@@ -15,7 +15,9 @@ three needs:
 * expanding the 3phi2 certificate identity over Q[X, Z]
   (:class:`BivariateFraction`, whose polynomials are dicts
   {(i, j): coefficient of X^i Z^j}), and checking its denominators at the
-  powers of q (:func:`vanishes_at_powers`).
+  powers of q (:func:`vanishes_at_powers`);
+* running those formulas on one symbol kept as integer factors, to read a
+  term ratio in y = q^n off them (:class:`Factors`, :func:`factored_ratio`).
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def integer_ratio(scale, num_factors: Sequence[Sequence],
     Each factor is cleared of its coefficients' denominators on its own, and
     the other side takes the same positive multiple, so no product is taken
     on ``Fraction`` coefficients; the result is the canonical form that any
-    other route to the same quotient gives.
+    other route to the same quotient gives.  Schellbach's ratio and
+    :func:`factored_ratio` are built by it.
     """
     scale = Fraction(scale)
     sides = [[scale.numerator], [scale.denominator]]
@@ -402,3 +405,94 @@ def clear_denominators(fractions: Sequence[BivariateFraction]) -> tuple[tuple, t
     for fraction in fractions:
         den = _lcm(den, fraction.den)
     return den, tuple(fraction.over(den) for fraction in fractions)
+
+
+class Factors:
+    """n/d * prod(num) / prod(den) in one variable y, each factor a primitive
+    integer polynomial (a tuple, low degree first, lowest nonzero coefficient
+    positive); a formula for values runs on it, with X^i Z^j read as y^(i+j).
+
+    A product joins factor lists; only a sum multiplies out, over the lcm of
+    the two divisor lists, into one new factor.  The scale n/d (d > 0) is
+    kept as two unreduced integers.  No factor is the zero polynomial, so
+    the value is zero exactly when n is.
+    """
+
+    __slots__ = ("n", "d", "num", "den")
+
+    def __init__(self, n: int, d: int = 1, num: tuple = (), den: tuple = ()):
+        self.n, self.d, self.num, self.den = n, d, num, den
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coefficient=1) -> "Factors":
+        return cls(coefficient.numerator, coefficient.denominator,
+                   ((0,) * (i + j) + (1,),) if i + j else ())
+
+    @staticmethod
+    def _lift(value) -> "Factors":
+        return value if isinstance(value, Factors) else Factors(value.numerator,
+                                                                value.denominator)
+
+    def _over(self, den: tuple) -> list:
+        rest = list(den)
+        for divisor in self.den:
+            rest.remove(divisor)
+        out = [1]
+        for factor in (*self.num, *rest):
+            out = poly_mul(out, factor)
+        return out
+
+    def __add__(self, other) -> "Factors":
+        other = self._lift(other)
+        if not (self.n and other.n):
+            return self if other.n == 0 else other
+        den = _lcm(self.den, other.den)
+        total = poly_add(poly_scale(self._over(den), self.n * other.d),
+                         poly_scale(other._over(den), other.n * self.d))
+        lowest = next((c for c in total if c), 0)
+        if not lowest:
+            return Factors(0)
+        content = gcd(*total) if lowest > 0 else -gcd(*total)
+        return Factors(content, self.d * other.d, (tuple(c // content for c in total),), den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Factors":
+        return Factors(-self.n, self.d, self.num, self.den)
+
+    def __sub__(self, other) -> "Factors":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "Factors":
+        return -self + other
+
+    def __mul__(self, other) -> "Factors":
+        other = self._lift(other)
+        return Factors(self.n * other.n, self.d * other.d, self.num + other.num,
+                       self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Factors":
+        other = self._lift(other)
+        if not other.n:
+            raise ZeroDivisionError("division by zero")
+        sign = 1 if other.n > 0 else -1
+        return Factors(sign * self.n * other.d, sign * self.d * other.n,
+                       self.num + other.den, self.den + other.num)
+
+    def __eq__(self, other) -> bool:
+        return not (self - other).n
+
+
+def factored_ratio(top: Factors, bottom=1) -> RationalFunction:
+    """top / bottom as the canonical :class:`RationalFunction`; only divisors of both cancel."""
+    bottom = Factors._lift(bottom)
+    top_den, bottom_den = list(top.den), []
+    for divisor in bottom.den:
+        if divisor in top_den:
+            top_den.remove(divisor)
+        else:
+            bottom_den.append(divisor)
+    return integer_ratio(Fraction(top.n * bottom.d, top.d * bottom.n), (*top.num, *bottom_den),
+                         (*bottom.num, *top_den))

@@ -1,12 +1,13 @@
 """Readers that only tests use: report CSV back to rows, enclosure membership,
-the value of a bivariate rational function, and a step-by-step check of a
-catalog entry's derived claims."""
+the value of a bivariate or factored rational function, and a step-by-step
+check of a catalog entry's derived claims."""
 
 import csv
 import io
 from fractions import Fraction
 
 from markovsum.exact import parse_rational
+from markovsum.polys import poly_eval
 from oracles import stepped_factors
 
 
@@ -39,6 +40,16 @@ def bivariate_value(fraction, x, z):
     for divisor in fraction.den:
         den *= at(divisor)
     return at(fraction.num) / den
+
+
+def factors_value(value, y):
+    """A polys.Factors value at the point y."""
+    out = Fraction(value.n, value.d)
+    for factor in value.num:
+        out *= poly_eval(factor, y)
+    for divisor in value.den:
+        out /= poly_eval(divisor, y)
+    return out
 
 
 def claims_failure(entry, span: int = 200):

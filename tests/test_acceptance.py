@@ -28,6 +28,7 @@ from markovsum.markov import (
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
 from markovsum.markov.solver import f4f3_family
+from oracles import m0
 from support import contains
 
 MARKOV_33 = "202056903159594285399738161511450"  # zeta(3) to 33 decimals, rounded
@@ -141,7 +142,7 @@ def test_c06_certificate_bridge():
             pair = pair_from_certificate(engine.certificate())
             for x in range(16):
                 assert pair.u(x, 0) == engine.A(x) * engine.f(x, 0)
-                assert pair.v(x, 0) == engine.m0(x) * engine.f(x, 0)
+                assert pair.v(x, 0) == m0(engine, x) * engine.f(x, 0)
         verdict = verify_certificate(make_certificate(*SAMPLE_TUPLES[0]), 20, 20,
                                      family=make_certificate,
                                      random_points=50, seed=0)

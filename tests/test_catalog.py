@@ -569,7 +569,7 @@ class TestDescriptions:
     def test_q_sides_equal_closed_forms(self, params):
         engine = ThreePhiTwo(*params)
         source, transformed = entry_phi32_series(*params), entry_phi32_transformed(*params)
-        assert all(source.term(z) == engine.series_term(z) for z in range(61))
+        assert all(source.term(z) == engine.f(0, z) for z in range(61))
         assert all(transformed.term(x) == engine.v0(x) for x in range(61))
 
     def test_registry_fields_equal_hand_set_ones(self):
@@ -846,13 +846,55 @@ def seeded_pair_tuples(count: int = 5) -> list:
     return list(itertools.islice(filter(converges, sample_parameter_tuples(10 ** 6, 0)), count))
 
 
+def phi32_oracle_ratios(engine) -> dict:
+    """Each q-series builder's term ratio built on Fraction coefficients; the
+    transformed ratio is y^2 h(y)."""
+    h = phi32_transformed_h(engine)
+    return {entry_phi32_series: phi32_series_ratio(engine),
+            entry_phi32_transformed: RationalFunction(poly_mul(poly(0, 0, 1), h.num), h.den)}
+
+
+#: the signed sweep: a, b, c, d from SIGNED_VALUES, q from SIGNED_BASES
+SIGNED_VALUES = (Q(-1, 3), Q(1, 5), Q(2, 3))
+SIGNED_BASES = (Q(1, 2), Q(9, 10))
+
+
 class TestIntegerBuilders:
     @pytest.mark.parametrize("params", list(SAMPLE_TUPLES) + seeded_pair_tuples())
     def test_q_sides_equal_the_fraction_construction(self, params):
         engine = ThreePhiTwo(*params)
-        for built, oracle in ((catalog.series_ratio(engine), phi32_series_ratio(engine)),
-                              (catalog.transformed_h(engine), phi32_transformed_h(engine))):
-            assert (built.num, built.den) == (oracle.num, oracle.den)
+        oracles = phi32_oracle_ratios(engine)
+        for build, derived in ((entry_phi32_series, engine.source_ratio()),
+                               (entry_phi32_transformed, engine.transformed_ratio())):
+            oracle = oracles[build]
+            assert (derived.num, derived.den) == (oracle.num, oracle.den)
+            try:
+                ratio = build(*params).terms.ratio
+            except CatalogError:
+                continue
+            assert (ratio.num, ratio.den) == (oracle.num, oracle.den)
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_transformed_terms_are_the_pair_row_series(self, params):
+        entry, pair = entry_phi32_transformed(*params), ThreePhiTwo(*params).pair()
+        assert all(entry.term(x) == pair.v(x, 0) for x in range(61))
+
+    def test_signed_sweep_accepts_the_oracle_ratios(self):
+        accepted = {entry_phi32_series: 0, entry_phi32_transformed: 0}
+        for params in itertools.product(*[SIGNED_VALUES] * 4, SIGNED_BASES):
+            for build in accepted:
+                try:
+                    entry = build(*params)
+                except ValueError:
+                    continue
+                engine = ThreePhiTwo(*params)
+                oracle = phi32_oracle_ratios(engine)[build]
+                assert (entry.terms.ratio.num, entry.terms.ratio.den) \
+                    == (oracle.num, oracle.den), params
+                first = engine.v0(0) if build is entry_phi32_transformed else 1
+                assert entry.term(0) == first, params
+                accepted[build] += 1
+        assert list(accepted.values()) == [38, 3]
 
     def test_schellbach_equals_the_fraction_construction(self):
         for params in (catalog.ZETA2_SCHELLBACH,

@@ -25,6 +25,7 @@ from oracles import (
     column_products,
     f_product,
     hits_pole_loop,
+    m0,
     pair_value_residual,
 )
 
@@ -81,7 +82,7 @@ class TestPairFromCertificate:
         pair = pair_from_certificate(engine.certificate())
         for x in range(16):
             assert pair.u(x, 0) == engine.A(x) * engine.f(x, 0)
-            assert pair.v(x, 0) == engine.m0(x) * engine.f(x, 0)
+            assert pair.v(x, 0) == m0(engine, x) * engine.f(x, 0)
 
     def test_normalization(self):
         pair = pair_from_certificate(make_certificate(*CANONICAL))

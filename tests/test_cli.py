@@ -180,6 +180,30 @@ class TestVerifyPair:
         assert code == 0
         assert "'q': '1/3'" in out
 
+    def test_presets_without_a_preset_name_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-pair", "3phi2", "--presets", str(tmp_path / "p.json"))
+        assert (code, out, err) == (64, "", "error: --presets requires --preset NAME\n")
+
+    def test_missing_preset_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "verify-pair", "3phi2", "--presets", str(missing),
+                             "--preset", "small")
+        assert (code, out) == (64, "")
+        assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("preset, message", [
+        ({"a": "1/2", "b": "1/3", "c": "1/5", "d": "1/7"}, "needs q as a string"),
+        ({"a": 1, "b": "1/3", "c": "1/5", "d": "1/7", "q": "1/3"}, "needs a as a string"),
+    ], ids=["missing-q", "integer-a"])
+    def test_malformed_preset_is_a_usage_error(self, capsys, tmp_path, preset, message):
+        presets = tmp_path / "presets.json"
+        presets.write_text(json.dumps({"small": preset}))
+        code, out, err = run(capsys, "verify-pair", "3phi2", "--presets", str(presets),
+                             "--preset", "small")
+        assert (code, out) == (64, "")
+        assert err.startswith("error: preset 'small' ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestVerifyCertificate:
     def test_grid_plus_random(self, capsys):
@@ -317,6 +341,20 @@ class TestInfrastructure:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["digits_proven"] >= 8
+
+    def test_output_into_a_missing_directory_is_a_usage_error(self, capsys, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "missing" / "report.json"
+        monkeypatch.setattr(cli, "_HANDLERS", {})  # refused before any verb runs
+        code, out, err = run(capsys, "--output", str(path), "compute", "apery")
+        assert (code, out) == (64, "")
+        assert err == f"error: --output {path}: no such directory\n"
+        assert not path.parent.exists()
+
+    def test_output_that_cannot_be_written_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--output", str(tmp_path), "compute", "apery", "--digits", "5")
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and len(err.splitlines()) == 1
 
     def test_format_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MARKOVSUM_FORMAT", "json")

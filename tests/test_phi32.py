@@ -8,19 +8,21 @@ from markovsum.markov import (
     EvaluationError,
     Lcg,
     ThreePhiTwo,
-    coefficient_residuals,
-    fixture_from_json,
-    fixture_to_json,
     green_rectangle,
     make_certificate,
-    markov_form_term,
-    markov_param_map,
     sample_parameter_tuples,
 )
 from markovsum.markov import certificates
 from markovsum.markov.phi32 import SAMPLE_TUPLES, _Exponent
-from oracles import f_product
-from support import bivariate_value
+from markovsum.polys import Factors
+from oracles import (
+    coefficient_residuals,
+    f_product,
+    m0,
+    markov_form_term,
+    markov_param_map,
+)
+from support import bivariate_value, factors_value
 
 CANONICAL = SAMPLE_TUPLES[0]
 
@@ -65,15 +67,15 @@ class TestClosedForms:
 
     def test_v0_equals_m0_times_f(self, engine):
         for x in range(10):
-            assert engine.v0(x) == engine.m0(x) * engine.f(x, 0)
+            assert engine.v0(x) == m0(engine, x) * engine.f(x, 0)
 
     def test_m0_is_m_at_z_zero(self, engine):
         for x in range(8):
-            assert engine.m0(x) == engine.m(x, 0)
+            assert m0(engine, x) == engine.m(x, 0)
 
     def test_series_spec_matches_terms(self, engine):
         for n in range(12):
-            assert f_product(engine, 0, n) == engine.series_term(n) == engine.f(0, n)
+            assert f_product(engine, 0, n) == engine.f(0, n)
 
     def test_t_geq_one_rejected(self):
         with pytest.raises(ValueError, match=r"\|t\| < 1"):
@@ -158,7 +160,7 @@ class TestParamMap:
     def test_termwise_equality(self):
         engine = ThreePhiTwo(*CANONICAL)
         for n in range(11):
-            assert markov_form_term(3, 5, 7, 11, 2, n) == engine.series_term(n)
+            assert markov_form_term(3, 5, 7, 11, 2, n) == engine.f(0, n)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -167,23 +169,6 @@ class TestParamMap:
     def test_base_magnitude_validated(self):
         with pytest.raises(ValueError):
             markov_param_map(3, 5, 7, 11, Q(1, 2))
-
-
-class TestFixtureSerialization:
-    def test_round_trip(self, engine):
-        payload = fixture_to_json(engine)
-        assert payload == {
-            "fixture": "markov-3phi2",
-            "form": "u1",
-            "params": {"a": "1/3", "b": "1/5", "c": "1/7", "d": "1/11", "q": "1/2"},
-        }
-        restored = fixture_from_json(payload)
-        assert restored.params == engine.params
-        assert restored.t == engine.t
-
-    def test_unknown_fixture_rejected(self):
-        with pytest.raises(ValueError, match="unknown fixture"):
-            fixture_from_json({"fixture": "other", "params": {}})
 
 
 class TestSteppedExtension:
@@ -274,9 +259,21 @@ class TestBracketProof:
             qx, qz = engine.q ** i, engine.q ** j
             assert {k: bivariate_value(f, qx, qz) for k, f in symbolic.items()} == numeric, (i, j)
 
+    def test_one_variable_twin_runs_the_evaluators(self, engine):
+        twin = engine._symbolic(Factors)
+        x, z, zero = _Exponent(1, 0), _Exponent(0, 1), _Exponent(0, 0)
+        along_x = {"P": twin.P(x), "Q": twin.Q(x), "R": twin.R(x, zero), "rx": twin.rx(x, zero)}
+        along_z = twin.rz(zero, z)
+        for i in (0, 1, 5, 9):
+            y = engine.q ** i
+            assert {k: factors_value(f, y) for k, f in along_x.items()} == {
+                "P": engine.P(i), "Q": engine.Q(i), "R": engine.R(i, 0), "rx": engine.rx(i, 0)}
+            assert factors_value(along_z, y) == engine.rz(0, i)
+
     def test_symbolic_run_leaves_the_engine_tables_alone(self):
         engine = ThreePhiTwo(*CANONICAL)
         assert engine.proof.holds
+        assert engine.source_ratio().den and engine.transformed_ratio().den
         assert not (engine._poles or engine._uppers or engine._q_values or engine._r_slopes)
         assert engine._powers == [1]
 

@@ -6,10 +6,12 @@ import pytest
 from markovsum import catalog
 from markovsum.polys import (
     BivariateFraction,
+    Factors,
     RationalFunction,
     bi_degrees,
     clear_denominators,
     eventually_nonneg,
+    factored_ratio,
     nonneg_walk,
     poly,
     poly_add,
@@ -22,7 +24,7 @@ from markovsum.polys import (
     vanishes_at_powers,
 )
 from markovsum.markov import SAMPLE_TUPLES
-from support import bivariate_value
+from support import bivariate_value, factors_value
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
                  "zeta2-27", "schellbach-zeta2")
@@ -206,6 +208,36 @@ class TestBivariateFraction:
             for key, c in n.items():
                 total[key] = total.get(key, 0) + c
         assert not any(total.values())
+
+
+Y = Factors.monomial(1, 0)
+
+
+class TestFactors:
+    def test_products_keep_their_factors(self):
+        f = (1 - Q(1, 2) * Y) * (3 - 6 * Y) / (2 * Y)
+        assert f.num == ((2, -1), (1, -2)) and f.den == ((0, 1),)
+        assert Q(f.n, f.d) == Q(3, 4)
+        assert factors_value(f, Q(1, 3)) == (1 - Q(1, 6)) * (3 - 2) / Q(2, 3)
+
+    def test_a_sum_multiplies_out_over_the_lcm(self):
+        f = 1 + Y / (1 - Y)
+        assert f.num == ((1, 0),) and f.den == ((1, -1),)
+        g = Q(1, 3) * Y - Q(1, 2)
+        assert g.num == ((3, -2),) and Q(g.n, g.d) == Q(-1, 6)
+        assert factors_value(g + f, 3) == 0 and factors_value(g + f, 2) == Q(-5, 6)
+
+    def test_zero_is_a_zero_scale(self):
+        assert Y - Y == 0 and (Y - Y).n == 0
+        assert (1 - Y) * (1 + Y) != 0
+        with pytest.raises(ZeroDivisionError):
+            Y / (Y - Y)
+
+    def test_only_divisors_of_both_sides_cancel(self):
+        ratio = factored_ratio(Y / (1 - Y), 2 * Y / (1 - Y))
+        assert (ratio.num, ratio.den) == ([0, 1], [0, 2])
+        ratio = factored_ratio((1 - Y) / (1 - Y))
+        assert (ratio.num, ratio.den) == ([1, -1], [1, -1])
 
 
 class TestVanishesAtPowers:
