@@ -621,6 +621,8 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
         raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
                            "min(a,b), a, b < 1, 0 < q < 1, c, d, t < 1-q and t(a+b+q) < 1")
     ratio = engine.transformed_ratio()
+    if ratio.num[:2] != [0, 0]:
+        raise CatalogError("transformed series: the derived term ratio is not y^2 h(y)")
     big_k = _contraction(a, b, c, d, q, t)
     if not unit_interval_nonneg(RationalFunction(ratio.num[2:], ratio.den).margin(big_k)):
         raise CatalogError(f"transformed series: term(x+1)/term(x) <= "

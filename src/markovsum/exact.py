@@ -280,8 +280,8 @@ def digits_capacity(width: Fraction, cap: int = 4096) -> int:
     if width == 0:
         return cap
     p = 0
-    scaled, den = width.numerator * 10, width.denominator  # width 10^(p+1) = scaled/den
-    while p < cap and scaled <= den:
+    scaled = width * 10
+    while p < cap and scaled <= 1:
         p += 1
         scaled *= 10
     return p

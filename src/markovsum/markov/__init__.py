@@ -22,7 +22,12 @@ from .certificates import (
 from .phi32 import (
     SAMPLE_TUPLES,
     ThreePhiTwo,
+    coefficient_residuals,
+    fixture_from_json,
+    fixture_to_json,
     make_certificate,
+    markov_form_term,
+    markov_param_map,
 )
 from .schellbach import (
     SchellbachParams,
@@ -52,9 +57,10 @@ __all__ = [
     "FORM_U2", "FORM_U3", "GridFunction", "Lcg", "MarkovPair", "MultiplierData",
     "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "Scale", "SchellbachParams",
     "SolveResult", "SolverFamily", "ThreePhiTwo",
-    "Verdict", "check_pair_condition",
-    "direct_term", "f4f3_family", "green_rectangle", "make_certificate",
-    "pair_from_certificate",
+    "Verdict", "check_pair_condition", "coefficient_residuals",
+    "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",
+    "green_rectangle", "make_certificate",
+    "markov_form_term", "markov_param_map", "pair_from_certificate",
     "phi32_family", "ratio_function", "remainder_diagnostics",
     "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
     "solve_multipliers_stepwise", "verify_certificate",

@@ -46,8 +46,10 @@ V_{x,0} = M_{x,0} F_{x,0}, whose step-to-step decay is of order q^(2x),
 much faster than the original t^z.  The catalog reads both series' term
 ratios off the evaluators, run on a symbol as in the proof: ``source_ratio``
 is rz(0, z) in y = q^z, and ``transformed_ratio`` is V_{x+1,0}/V_{x,0} =
-Q(x) R(x+1,0) rx(x,0) / (P(x+1) R(x,0)) in y = q^x.  The product form of
-A_x and the closed form of V_{x,0} are independent checks of them.
+Q(x) R(x+1,0) rx(x,0) / (P(x+1) R(x,0)) in y = q^x.  The product form
+A_x = (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x}), the closed form of
+V_{x,0} and the coefficient equations are kept as independent checks of
+the derived values.
 
 The power table, the F table and the column multipliers are extended
 under locks and never change a stored value, so one engine may be shared
@@ -58,9 +60,10 @@ from __future__ import annotations
 
 import copy
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
@@ -86,6 +89,39 @@ SAMPLE_TUPLES = (
     (Fraction(3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)),
     (Fraction(2, 3), Fraction(3, 5), Fraction(1, 6), Fraction(1, 7), Fraction(1, 2)),
 )
+
+
+def markov_param_map(r, rp, s, sp, qq) -> tuple[Fraction, ...]:
+    """Map the historical parameterization (r, r', s, s', q with |q|>1).
+
+    Returns (a, b, c, d, q, t) in the modern |q| < 1 convention:
+    a=1/r, b=1/r', c=1/s, d=1/s', q = 1/qq, t = r r' qq / (s s').
+    """
+    r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
+    for name, v in (("r", r), ("r'", rp), ("s", s), ("s'", sp), ("q", qq)):
+        if v == 0:
+            raise ValueError(f"parameter {name} must be nonzero")
+    if not abs(qq) > 1:
+        raise ValueError("historical base must satisfy |q| > 1")
+    return (1 / r, 1 / rp, 1 / s, 1 / sp, 1 / qq, r * rp * qq / (s * sp))
+
+
+def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
+    """Term n of the series in the historical form.
+
+    term = q^n * prod_{i<n} (r q^i - 1)(r' q^i - 1) / ((s q^i - 1)(s' q^i - 1))
+    with |q| > 1; termwise equal to the |q| < 1 form under markov_param_map.
+    """
+    r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
+    prod = Fraction(1)
+    power = Fraction(1)
+    for _ in range(n):
+        den = (s * power - 1) * (sp * power - 1)
+        if den == 0:
+            raise ZeroDivisionError(f"historical form denominator vanishes at step {n}")
+        prod *= (r * power - 1) * (rp * power - 1) / den
+        power *= qq
+    return prod * qq ** n
 
 
 FIXTURE_NAME = "markov-3phi2"
@@ -217,11 +253,12 @@ class _ThreePhiTwoAlgebra:
         The evaluators P, Q, R, rx and rz read x and z only through q's
         powers, with exponents linear in x and z, and never branch on them.
         The copy takes ``_Exponent``s for x and z and gives q^(ix + jz + k)
-        as the monomial q^k X^i Z^j of ``kind`` (``polys.Factors`` when only
-        one of X and Z appears), so each evaluator returns its rational
-        function of X = q^x and Z = q^z, and R at (x, z + 1) is R at (X, qZ).
-        A vanishing test of a denominator is then false, since none is the
-        zero polynomial.  The copy has its own one-index tables.
+        as the monomial q^k X^i Z^j of ``kind``, so each evaluator returns
+        its rational function of X = q^x and Z = q^z, and R at (x, z + 1) is
+        R at (X, qZ).  A vanishing test of a denominator is then false, since
+        none is the zero polynomial.  The copy has its own one-index tables.
+        The bracket proof runs on ``BivariateFraction``; the two series' term
+        ratios, each in one of X and Z, on ``polys.Factors``.
         """
         twin = copy.copy(self)
         twin._poles, twin._uppers, twin._q_values, twin._r_slopes = {}, {}, {}, {}
@@ -250,7 +287,8 @@ class _ThreePhiTwoAlgebra:
         return self.B(x) * self.R(x, z)
 
 
-class _Exponent(NamedTuple):
+@dataclass(frozen=True)
+class _Exponent:
     """i x + j z + k with x and z symbols: q^(ix + jz + k) = q^k X^i Z^j."""
 
     i: int
@@ -395,6 +433,23 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
             * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d))
 
 
+def fixture_to_json(engine: ThreePhiTwo) -> dict:
+    """Serialize the built-in pair/certificate fixture: name, form, parameters."""
+    return {
+        "fixture": FIXTURE_NAME,
+        "form": "u1",
+        "params": {name: format_rational(value)
+                   for name, value in zip("abcdq", engine.params)},
+    }
+
+
+def fixture_from_json(obj: dict) -> ThreePhiTwo:
+    from ..exact import parse_rational
+    if obj.get("fixture") != FIXTURE_NAME:
+        raise ValueError(f"unknown fixture {obj.get('fixture')!r}")
+    return ThreePhiTwo(*(parse_rational(obj["params"][name]) for name in "abcdq"))
+
+
 def make_certificate(a, b, c, d, q) -> Certificate:
     """The built-in certificate fixture for the 3phi2 extension.
 
@@ -402,3 +457,29 @@ def make_certificate(a, b, c, d, q) -> Certificate:
     certificate carries the engine's proof of its identity at them.
     """
     return _ThreePhiTwoAlgebra(a, b, c, d, q).certificate()
+
+
+def coefficient_residuals(a, b, c, d, q, x: int, *,
+                          A_x=None, A_next=None, B_x=None, C_x=None) -> tuple[Fraction, ...]:
+    """Residuals of the four coefficient equations at column x.
+
+    The telescoping condition for the 3phi2 ansatz reduces to a degree-3
+    polynomial identity in q^z; its four coefficients give, with the
+    closed-form A, B, C substituted (the defaults), four vanishing
+    residuals.  The cubic coefficient vanishes identically in C_x because
+    t = cd/(abq); override A_x/B_x/C_x to probe soundness.
+    """
+    engine = ThreePhiTwo(a, b, c, d, q)
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    A0 = engine.A(x) if A_x is None else Fraction(A_x)
+    A1 = engine.A(x + 1) if A_next is None else Fraction(A_next)
+    B0 = engine.B(x) if B_x is None else Fraction(B_x)
+    C0 = engine.C(x) if C_x is None else Fraction(C_x)
+    r0 = A0 - B0 * (1 - t * q ** (2 * x))
+    r1 = -A0 * (c + d) * q ** x - (
+        C0 - B0 * (c + d) * q ** x + B0 * (a + b) * q ** (2 * x) * t - C0 * q ** (2 * x + 1) * t)
+    r2 = (A0 - A1) * c * d * q ** (2 * x) - (
+        B0 * (c * d - a * b * t) * q ** (2 * x)
+        + C0 * ((a + b) * q ** (2 * x + 1) * t - (c + d) * q ** x))
+    r3 = C0 * (c * d * q ** (2 * x) - a * b * q ** (2 * x + 1) * t)
+    return (r0, r1, r2, r3)

@@ -311,15 +311,18 @@ def _bi_product(factors) -> dict:
     return out
 
 
+def _without(den: Sequence, divisors: Sequence) -> list:
+    """The divisor list ``den`` less one copy of each of ``divisors`` it holds."""
+    rest = list(den)
+    for divisor in divisors:
+        if divisor in rest:
+            rest.remove(divisor)
+    return rest
+
+
 def _lcm(p: tuple, q: tuple) -> tuple:
     """The least common multiple of two divisor lists, as a divisor list."""
-    unmatched, out = list(p), list(p)
-    for divisor in q:
-        if divisor in unmatched:
-            unmatched.remove(divisor)
-        else:
-            out.append(divisor)
-    return tuple(out)
+    return (*p, *_without(q, p))
 
 
 class BivariateFraction:
@@ -353,9 +356,7 @@ class BivariateFraction:
 
     def over(self, den: tuple) -> dict:
         """The numerator over ``den``, a multiple of this fraction's divisor list."""
-        rest = list(den)
-        for divisor in self.den:
-            rest.remove(divisor)
+        rest = _without(den, self.den)
         return _bi_mul(self.num, _bi_product(rest)) if rest else self.num
 
     def __add__(self, other) -> "BivariateFraction":
@@ -412,10 +413,11 @@ class Factors:
     integer polynomial (a tuple, low degree first, lowest nonzero coefficient
     positive); a formula for values runs on it, with X^i Z^j read as y^(i+j).
 
-    A product joins factor lists; only a sum multiplies out, over the lcm of
-    the two divisor lists, into one new factor.  The scale n/d (d > 0) is
-    kept as two unreduced integers.  No factor is the zero polynomial, so
-    the value is zero exactly when n is.
+    It is the one-variable counterpart of :class:`BivariateFraction` that
+    keeps products unexpanded: a product joins factor lists, and only a sum
+    multiplies out, over the lcm of the two divisor lists, into one new
+    factor.  The scale n/d (d > 0) is kept as two unreduced integers.  No
+    factor is the zero polynomial, so the value is zero exactly when n is.
     """
 
     __slots__ = ("n", "d", "num", "den")
@@ -434,11 +436,8 @@ class Factors:
                                                                 value.denominator)
 
     def _over(self, den: tuple) -> list:
-        rest = list(den)
-        for divisor in self.den:
-            rest.remove(divisor)
         out = [1]
-        for factor in (*self.num, *rest):
+        for factor in (*self.num, *_without(den, self.den)):
             out = poly_mul(out, factor)
         return out
 
@@ -486,13 +485,13 @@ class Factors:
 
 
 def factored_ratio(top: Factors, bottom=1) -> RationalFunction:
-    """top / bottom as the canonical :class:`RationalFunction`; only divisors of both cancel."""
+    """top / bottom as the canonical :class:`RationalFunction`.
+
+    Only a divisor of both sides (like 1 - tqX^2 in the transformed ratio)
+    cancels; the rest are multiplied out over the integers by
+    :func:`integer_ratio`.
+    """
     bottom = Factors._lift(bottom)
-    top_den, bottom_den = list(top.den), []
-    for divisor in bottom.den:
-        if divisor in top_den:
-            top_den.remove(divisor)
-        else:
-            bottom_den.append(divisor)
-    return integer_ratio(Fraction(top.n * bottom.d, top.d * bottom.n), (*top.num, *bottom_den),
-                         (*bottom.num, *top_den))
+    return integer_ratio(Fraction(top.n * bottom.d, top.d * bottom.n),
+                         (*top.num, *_without(bottom.den, top.den)),
+                         (*bottom.num, *_without(top.den, bottom.den)))

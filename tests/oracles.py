@@ -5,7 +5,6 @@ from fractions import Fraction
 from markovsum.catalog import CatalogError
 from markovsum.exact import ROUND_TRUNCATE, Enclosure, to_decimal
 from markovsum.hgterm import q_pochhammer, rising_factorial
-from markovsum.markov import ThreePhiTwo
 from markovsum.polys import (
     RationalFunction,
     poly,
@@ -33,65 +32,6 @@ def m0(engine, x: int):
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
     return engine.A(x) * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d)) \
         / ((1 - t * q ** (2 * x)) * (1 - t * q ** (2 * x + 1)))
-
-
-def markov_param_map(r, rp, s, sp, qq) -> tuple[Fraction, ...]:
-    """Map the historical parameterization (r, r', s, s', q with |q|>1).
-
-    Returns (a, b, c, d, q, t) in the modern |q| < 1 convention:
-    a=1/r, b=1/r', c=1/s, d=1/s', q = 1/qq, t = r r' qq / (s s').
-    """
-    r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
-    for name, v in (("r", r), ("r'", rp), ("s", s), ("s'", sp), ("q", qq)):
-        if v == 0:
-            raise ValueError(f"parameter {name} must be nonzero")
-    if not abs(qq) > 1:
-        raise ValueError("historical base must satisfy |q| > 1")
-    return (1 / r, 1 / rp, 1 / s, 1 / sp, 1 / qq, r * rp * qq / (s * sp))
-
-
-def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
-    """Term n of the series in the historical form.
-
-    term = q^n * prod_{i<n} (r q^i - 1)(r' q^i - 1) / ((s q^i - 1)(s' q^i - 1))
-    with |q| > 1; termwise equal to the |q| < 1 form under markov_param_map.
-    """
-    r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
-    prod = Fraction(1)
-    power = Fraction(1)
-    for _ in range(n):
-        den = (s * power - 1) * (sp * power - 1)
-        if den == 0:
-            raise ZeroDivisionError(f"historical form denominator vanishes at step {n}")
-        prod *= (r * power - 1) * (rp * power - 1) / den
-        power *= qq
-    return prod * qq ** n
-
-
-def coefficient_residuals(a, b, c, d, q, x: int, *,
-                          A_x=None, A_next=None, B_x=None, C_x=None) -> tuple[Fraction, ...]:
-    """Residuals of the four coefficient equations at column x.
-
-    The telescoping condition for the 3phi2 ansatz reduces to a degree-3
-    polynomial identity in q^z; its four coefficients give, with the
-    closed-form A, B, C substituted (the defaults), four vanishing
-    residuals.  The cubic coefficient vanishes identically in C_x because
-    t = cd/(abq); override A_x/B_x/C_x to probe soundness.
-    """
-    engine = ThreePhiTwo(a, b, c, d, q)
-    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    A0 = engine.A(x) if A_x is None else Fraction(A_x)
-    A1 = engine.A(x + 1) if A_next is None else Fraction(A_next)
-    B0 = engine.B(x) if B_x is None else Fraction(B_x)
-    C0 = engine.C(x) if C_x is None else Fraction(C_x)
-    r0 = A0 - B0 * (1 - t * q ** (2 * x))
-    r1 = -A0 * (c + d) * q ** x - (
-        C0 - B0 * (c + d) * q ** x + B0 * (a + b) * q ** (2 * x) * t - C0 * q ** (2 * x + 1) * t)
-    r2 = (A0 - A1) * c * d * q ** (2 * x) - (
-        B0 * (c * d - a * b * t) * q ** (2 * x)
-        + C0 * ((a + b) * q ** (2 * x + 1) * t - (c + d) * q ** x))
-    r3 = C0 * (c * d * q ** (2 * x) - a * b * q ** (2 * x + 1) * t)
-    return (r0, r1, r2, r3)
 
 
 def f4f3_product(a, h, b, x: int, z: int):

@@ -30,7 +30,9 @@ from markovsum.markov import (
     Lcg,
     SchellbachParams,
     ThreePhiTwo,
+    coefficient_residuals,
     green_rectangle,
+    markov_form_term,
     pair_from_certificate,
     ratio_function,
     schellbach_term,
@@ -38,7 +40,6 @@ from markovsum.markov import (
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
 from markovsum.polys import RationalFunction, poly, poly_pow
-from oracles import coefficient_residuals, markov_form_term
 from support import parse_reports_csv
 
 CASES = 200

@@ -896,6 +896,12 @@ class TestIntegerBuilders:
                 accepted[build] += 1
         assert list(accepted.values()) == [38, 3]
 
+    def test_transformed_ratio_without_its_y2_factor_is_refused(self, monkeypatch):
+        monkeypatch.setattr(ThreePhiTwo, "transformed_ratio",
+                            lambda self: RationalFunction([0, 1, 1], [1]))
+        with pytest.raises(CatalogError, match=r"not y\^2 h\(y\)"):
+            entry_phi32_transformed(*SAMPLE_TUPLES[0])
+
     def test_schellbach_equals_the_fraction_construction(self):
         for params in (catalog.ZETA2_SCHELLBACH,
                        catalog.SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))):

@@ -8,20 +8,19 @@ from markovsum.markov import (
     EvaluationError,
     Lcg,
     ThreePhiTwo,
+    coefficient_residuals,
+    fixture_from_json,
+    fixture_to_json,
     green_rectangle,
     make_certificate,
+    markov_form_term,
+    markov_param_map,
     sample_parameter_tuples,
 )
 from markovsum.markov import certificates
 from markovsum.markov.phi32 import SAMPLE_TUPLES, _Exponent
 from markovsum.polys import Factors
-from oracles import (
-    coefficient_residuals,
-    f_product,
-    m0,
-    markov_form_term,
-    markov_param_map,
-)
+from oracles import f_product, m0
 from support import bivariate_value, factors_value
 
 CANONICAL = SAMPLE_TUPLES[0]
@@ -169,6 +168,23 @@ class TestParamMap:
     def test_base_magnitude_validated(self):
         with pytest.raises(ValueError):
             markov_param_map(3, 5, 7, 11, Q(1, 2))
+
+
+class TestFixtureSerialization:
+    def test_round_trip(self, engine):
+        payload = fixture_to_json(engine)
+        assert payload == {
+            "fixture": "markov-3phi2",
+            "form": "u1",
+            "params": {"a": "1/3", "b": "1/5", "c": "1/7", "d": "1/11", "q": "1/2"},
+        }
+        restored = fixture_from_json(payload)
+        assert restored.params == engine.params
+        assert restored.t == engine.t
+
+    def test_unknown_fixture_rejected(self):
+        with pytest.raises(ValueError, match="unknown fixture"):
+            fixture_from_json({"fixture": "other", "params": {}})
 
 
 class TestSteppedExtension:
