@@ -279,11 +279,14 @@ def digits_capacity(width: Fraction, cap: int = 4096) -> int:
         raise ValueError("width must be nonnegative")
     if width == 0:
         return cap
-    p = 0
-    scaled = width * 10
-    while p < cap and scaled <= 1:
+    # n 10^p <= d: estimate p from the bit lengths (1233/4096 ~ log10 2), then
+    # correct it by exact integer comparisons
+    n, d = width.numerator, width.denominator
+    p = min(cap, max(0, (d.bit_length() - n.bit_length()) * 1233 >> 12))
+    while p > 0 and n * 10 ** p > d:
+        p -= 1
+    while p < cap and n * 10 ** (p + 1) <= d:
         p += 1
-        scaled *= 10
     return p
 
 

@@ -21,12 +21,12 @@ certificate identity with
 
 for any nonzero parameters away from poles.  That is proved in code, one
 parameter tuple at a time: :class:`BracketProof` runs the evaluators of
-rx, rz, P, Q and R on X and Z as symbols, expands the bracket
-Q rx - P - R(X, qZ) rz + R(X, Z) over Q[X, Z] and finds the zero
-polynomial, with the denominator q (1-cXZ)(1-dXZ)(1-tqX^2) and degrees
-(6, 3) in (X, Z) read off the expansion.  A grid on which one of those
-factors vanishes is scanned point by point instead, and raises at the
-first point where an evaluator is undefined.
+rx, rz, P, Q and R on X and Z as symbols, keeps their results as integer
+factors, multiplies the bracket Q rx - P - R(X, qZ) rz + R(X, Z) out over
+the integers and finds the zero polynomial, with the divisors (1-tqX^2),
+(1-cXZ) and (1-dXZ) and degrees (6, 3) in (X, Z) read off the factors.
+A grid on which one of those divisors vanishes is scanned point by point
+instead, and raises at the first point where an evaluator is undefined.
 
 Everything else is derived from F, P, Q and R, and all of them read one
 per-engine table of powers of q.  F is the extension's scale (its reduced
@@ -68,12 +68,10 @@ from typing import Callable
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
 from ..polys import (
-    BivariateFraction,
     Factors,
     RationalFunction,
-    bi_add,
-    bi_degrees,
-    clear_denominators,
+    degrees,
+    divisor_lcm,
     factored_ratio,
     vanishes_at_powers,
 )
@@ -247,22 +245,22 @@ class _ThreePhiTwoAlgebra:
                 / self._d1(x)
         return 1 + _memo(self._r_slopes, x, slope) * self._power(z)
 
-    def _symbolic(self, kind=BivariateFraction) -> "_ThreePhiTwoAlgebra":
+    def _symbolic(self) -> "_ThreePhiTwoAlgebra":
         """A copy of this engine whose evaluators run on symbols.
 
         The evaluators P, Q, R, rx and rz read x and z only through q's
         powers, with exponents linear in x and z, and never branch on them.
         The copy takes ``_Exponent``s for x and z and gives q^(ix + jz + k)
-        as the monomial q^k X^i Z^j of ``kind``, so each evaluator returns
-        its rational function of X = q^x and Z = q^z, and R at (x, z + 1) is
-        R at (X, qZ).  A vanishing test of a denominator is then false, since
-        none is the zero polynomial.  The copy has its own one-index tables.
-        The bracket proof runs on ``BivariateFraction``; the two series' term
-        ratios, each in one of X and Z, on ``polys.Factors``.
+        as the ``polys.Factors`` monomial q^k X^i Z^j, so each evaluator
+        returns its rational function of X = q^x and Z = q^z, kept as
+        integer factors, and R at (x, z + 1) is R at (X, qZ).  A vanishing
+        test of a denominator is then false, since none is the zero
+        polynomial.  The copy has its own one-index tables.  The bracket
+        proof and the two series' term ratios all run on it.
         """
         twin = copy.copy(self)
         twin._poles, twin._uppers, twin._q_values, twin._r_slopes = {}, {}, {}, {}
-        twin._power = lambda k: kind.monomial(k.i, k.j, self.q ** k.k)
+        twin._power = lambda k: Factors.monomial(k.i, k.j, self.q ** k.k)
         return twin
 
     def certificate(self) -> Certificate:
@@ -310,49 +308,47 @@ class _Exponent:
 class BracketProof:
     """The certificate identity of one engine, proved by expanding its bracket.
 
-    The bracket Q(x) rx - P(x) - R(x, z+1) rz + R(x, z) is formed over
-    Q[X, Z] by the engine's own evaluators, run on symbols (see
-    ``_ThreePhiTwoAlgebra._symbolic``), and cleared of its denominator.  When the
-    cleared numerator is the zero polynomial, the identity holds at every
-    lattice point where no divisor met on the way vanishes at X = q^x,
-    Z = q^z, because each evaluator there returns its rational function's
-    value.  This is the rational-function certification of Wilf and
-    Zeilberger, done at one parameter tuple.  The expansion is formed on
-    first use.
+    The four terms of the bracket Q(x) rx - P(x) - R(x, z+1) rz + R(x, z)
+    are formed by the engine's own evaluators, run on X = q^x and Z = q^z
+    (see ``_ThreePhiTwoAlgebra._symbolic``), as integer factors over
+    divisor lists, and their sum is multiplied out over the integers.  When
+    the sum is zero, the identity holds at every lattice point where no
+    divisor met on the way vanishes at X = q^x, Z = q^z, because each
+    evaluator there returns its rational function's value.  This is the
+    rational-function certification of Wilf and Zeilberger, done at one
+    parameter tuple.  The expansion is formed on first use.
     """
 
     def __init__(self, engine: _ThreePhiTwoAlgebra):
         self._engine = engine
 
     @cached_property
-    def _expansion(self) -> tuple[tuple, tuple, dict]:
-        """(divisors, the four cleared terms, their sum)."""
+    def _terms(self) -> tuple[Factors, ...]:
+        """Q rx, -P, -R(X, qZ) rz and R(X, Z)."""
         e = self._engine._symbolic()
         x, z = _Exponent(1, 0), _Exponent(0, 1)
-        divisors, terms = clear_denominators(
-            (e.Q(x) * e.rx(x, z), -e.P(x), -e.R(x, z + 1) * e.rz(x, z), e.R(x, z)))
-        numerator: dict = {}
-        for term in terms:
-            numerator = bi_add(numerator, term)
-        return divisors, terms, numerator
+        return e.Q(x) * e.rx(x, z), -e.P(x), -e.R(x, z + 1) * e.rz(x, z), e.R(x, z)
 
     @property
     def factors(self) -> tuple[dict, ...]:
-        """The divisors, each {(i, j): coefficient of X^i Z^j} with 1 at its
-        lowest monomial; the cleared denominator is their product times a
-        constant."""
-        return self._expansion[0]
+        """The lcm of the four terms' divisor lists, each divisor a primitive
+        integer polynomial {(i, j): coefficient of X^i Z^j} with a positive
+        coefficient at its lowest monomial; the cleared denominator is their
+        product times a constant."""
+        return divisor_lcm(self._terms)
 
     @property
     def degrees(self) -> tuple[int, int]:
-        """(d_X, d_Z): the largest degrees in X and in Z of the cleared terms."""
-        found = [bi_degrees(term) for term in self._expansion[1] if term]
+        """(d_X, d_Z): the largest degrees in X and in Z of the terms cleared
+        over ``factors``, summed from the degrees of their factors."""
+        den = self.factors
+        found = [degrees(term.cleared(den)) for term in self._terms if term.n]
         return max(dx for dx, _ in found), max(dz for _, dz in found)
 
-    @property
+    @cached_property
     def holds(self) -> bool:
-        """Whether the cleared numerator is the zero polynomial."""
-        return not self._expansion[2]
+        """Whether the bracket's sum is zero: its scale is 0."""
+        return not sum(self._terms).n
 
     def covers(self, x_max: int, z_max: int) -> bool:
         """Whether the identity is proved at every point of [0, x_max] x [0, z_max].
@@ -400,11 +396,11 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
 
     def source_ratio(self) -> RationalFunction:
         """F_{0,z+1}/F_{0,z} = rz(0, z), a rational function of y = q^z."""
-        return factored_ratio(self._symbolic(Factors).rz(_Exponent(0, 0), _Exponent(0, 1)))
+        return factored_ratio(self._symbolic().rz(_Exponent(0, 0), _Exponent(0, 1)))
 
     def transformed_ratio(self) -> RationalFunction:
         """V_{x+1,0}/V_{x,0} in y = q^x, from V_{x,0} = A_x R(x, 0) F_{x,0} / P(x)."""
-        e, x, z = self._symbolic(Factors), _Exponent(1, 0), _Exponent(0, 0)
+        e, x, z = self._symbolic(), _Exponent(1, 0), _Exponent(0, 0)
         return factored_ratio(e.Q(x) * e.R(x + 1, z) * e.rx(x, z), e.P(x + 1) * e.R(x, z))
 
     # -- closed forms, independent of the certificate ----------------------------

@@ -2,7 +2,7 @@
 
 Coefficient lists are ordered low degree first; integer coefficients stay
 ``int``, and a ``Fraction`` input gives ``Fraction`` results.  This backs
-four needs:
+three needs:
 
 * describing a term ratio in one canonical integer form
   (:class:`RationalFunction`: cleared of denominators, divided by its
@@ -12,12 +12,12 @@ four needs:
   also finds the polynomial's first zero (:func:`nonneg_walk`), and the
   same for a rational function of y = q^n on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver;
-* expanding the 3phi2 certificate identity over Q[X, Z]
-  (:class:`BivariateFraction`, whose polynomials are dicts
-  {(i, j): coefficient of X^i Z^j}), and checking its denominators at the
-  powers of q (:func:`vanishes_at_powers`);
-* running those formulas on one symbol kept as integer factors, to read a
-  term ratio in y = q^n off them (:class:`Factors`, :func:`factored_ratio`).
+* running the 3phi2 engine's formulas on X and Z as symbols, kept as
+  integer factors {(i, j): coefficient of X^i Z^j} (:class:`Factors`):
+  to expand its certificate identity to zero over the integers, to check
+  that identity's denominators at the powers of q
+  (:func:`vanishes_at_powers`), and to read a term ratio in y = q^n off
+  the formulas (:func:`factored_ratio`).
 """
 
 from __future__ import annotations
@@ -281,33 +281,15 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return sol, "unique"
 
 
-# -- rational functions of two variables, for expanding an identity -----------
+# -- rational functions of X and Z, kept as integer factors ------------------
 
-def _bi_mul(p: dict, q: dict) -> dict:
+def _mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials {(i, j): coefficient of X^i Z^j}; a
+    coefficient that cancels stays in as 0."""
     out: dict = {}
     for (i, j), a in p.items():
         for (k, m), b in q.items():
             out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
-    return {key: c for key, c in out.items() if c}
-
-
-def bi_add(p: dict, q: dict) -> dict:
-    """Sum of two bivariate polynomials {(i, j): coefficient of X^i Z^j}."""
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def bi_degrees(p: dict) -> tuple[int, int]:
-    """(degree in X, degree in Z) of a nonzero bivariate polynomial."""
-    return max(i for i, _ in p), max(j for _, j in p)
-
-
-def _bi_product(factors) -> dict:
-    out = {(0, 0): 1}
-    for factor in factors:
-        out = _bi_mul(out, factor)
     return out
 
 
@@ -325,99 +307,33 @@ def _lcm(p: tuple, q: tuple) -> tuple:
     return (*p, *_without(q, p))
 
 
-class BivariateFraction:
-    """num(X, Z) / (d_1(X, Z) ... d_k(X, Z)) with rational coefficients.
-
-    It lets a formula written once for values be expanded symbolically:
-    the same code runs on Fractions and on these.  ``num`` maps (i, j) to
-    the nonzero coefficient of X^i Z^j.  ``den`` lists every polynomial
-    divided by on the way, each scaled to coefficient 1 at its lowest
-    monomial; divisors are never cancelled, so they include every factor
-    whose zeros make the formula's evaluation divide by zero.  A sum is
-    formed over the lcm of the two divisor lists.  Only a polynomial (an
-    operand with no divisors) may divide.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict, den: tuple = ()):
-        self.num, self.den = num, den
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coefficient=1) -> "BivariateFraction":
-        """coefficient X^i Z^j."""
-        return cls({(i, j): coefficient})
-
-    @staticmethod
-    def _lift(value) -> "BivariateFraction":
-        if isinstance(value, BivariateFraction):
-            return value
-        return BivariateFraction({(0, 0): value} if value else {})
-
-    def over(self, den: tuple) -> dict:
-        """The numerator over ``den``, a multiple of this fraction's divisor list."""
-        rest = _without(den, self.den)
-        return _bi_mul(self.num, _bi_product(rest)) if rest else self.num
-
-    def __add__(self, other) -> "BivariateFraction":
-        other = self._lift(other)
-        den = _lcm(self.den, other.den)
-        return BivariateFraction(bi_add(self.over(den), other.over(den)), den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BivariateFraction":
-        return BivariateFraction({key: -c for key, c in self.num.items()}, self.den)
-
-    def __sub__(self, other) -> "BivariateFraction":
-        return self + -self._lift(other)
-
-    def __rsub__(self, other) -> "BivariateFraction":
-        return -self + other
-
-    def __mul__(self, other) -> "BivariateFraction":
-        other = self._lift(other)
-        return BivariateFraction(_bi_mul(self.num, other.num), self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "BivariateFraction":
-        other = self._lift(other)
-        if other.den:
-            raise ValueError("only a polynomial may divide a BivariateFraction")
-        if not other.num:
-            raise ZeroDivisionError("division by the zero polynomial")
-        scale = 1 / Fraction(other.num[min(other.num)])
-        num = {key: c * scale for key, c in self.num.items()}
-        divisor = {key: c * scale for key, c in other.num.items()}
-        return BivariateFraction(num, self.den if divisor == {(0, 0): 1}
-                                 else self.den + (divisor,))
-
-    def __eq__(self, other) -> bool:
-        """Equality as rational functions."""
-        return not (self - other).num
-
-    __hash__ = None
-
-
-def clear_denominators(fractions: Sequence[BivariateFraction]) -> tuple[tuple, tuple]:
-    """The lcm of the fractions' divisor lists, and each numerator over it."""
+def divisor_lcm(values: Sequence[Factors]) -> tuple:
+    """The least common multiple of the values' divisor lists."""
     den: tuple = ()
-    for fraction in fractions:
-        den = _lcm(den, fraction.den)
-    return den, tuple(fraction.over(den) for fraction in fractions)
+    for value in values:
+        den = _lcm(den, value.den)
+    return den
+
+
+def degrees(factors: Sequence[dict]) -> tuple[int, int]:
+    """(degree in X, degree in Z) of the product of nonzero polynomials."""
+    return (sum(max(i for i, _ in factor) for factor in factors),
+            sum(max(j for _, j in factor) for factor in factors))
 
 
 class Factors:
-    """n/d * prod(num) / prod(den) in one variable y, each factor a primitive
-    integer polynomial (a tuple, low degree first, lowest nonzero coefficient
-    positive); a formula for values runs on it, with X^i Z^j read as y^(i+j).
+    """n/d * prod(num) / prod(den): a rational function of X and Z kept as
+    integer factors, on which a formula written once for values runs.
 
-    It is the one-variable counterpart of :class:`BivariateFraction` that
-    keeps products unexpanded: a product joins factor lists, and only a sum
+    Each factor is a primitive integer polynomial {(i, j): coefficient of
+    X^i Z^j} whose lowest monomial has a positive coefficient, so equal
+    factors compare equal.  A product joins factor lists, and only a sum
     multiplies out, over the lcm of the two divisor lists, into one new
-    factor.  The scale n/d (d > 0) is kept as two unreduced integers.  No
-    factor is the zero polynomial, so the value is zero exactly when n is.
+    factor.  No divisor is ever cancelled, so ``den`` holds every
+    polynomial divided by on the way: every factor whose zeros make the
+    formula's evaluation divide by zero.  The scale n/d (d > 0) is kept as
+    two unreduced integers.  No factor is the zero polynomial, so the value
+    is zero exactly when n is.
     """
 
     __slots__ = ("n", "d", "num", "den")
@@ -427,32 +343,40 @@ class Factors:
 
     @classmethod
     def monomial(cls, i: int, j: int, coefficient=1) -> "Factors":
+        """coefficient X^i Z^j."""
         return cls(coefficient.numerator, coefficient.denominator,
-                   ((0,) * (i + j) + (1,),) if i + j else ())
+                   ({(i, j): 1},) if i or j else ())
 
     @staticmethod
     def _lift(value) -> "Factors":
         return value if isinstance(value, Factors) else Factors(value.numerator,
                                                                 value.denominator)
 
-    def _over(self, den: tuple) -> list:
-        out = [1]
-        for factor in (*self.num, *_without(den, self.den)):
-            out = poly_mul(out, factor)
-        return out
+    def cleared(self, den: tuple) -> tuple:
+        """The factors of this value's numerator over ``den``, a multiple of
+        its divisor list."""
+        return (*self.num, *_without(den, self.den))
 
     def __add__(self, other) -> "Factors":
         other = self._lift(other)
         if not (self.n and other.n):
             return self if other.n == 0 else other
         den = _lcm(self.den, other.den)
-        total = poly_add(poly_scale(self._over(den), self.n * other.d),
-                         poly_scale(other._over(den), other.n * self.d))
-        lowest = next((c for c in total if c), 0)
-        if not lowest:
+        total: dict = {}
+        for term, scale in ((self, self.n * other.d), (other, other.n * self.d)):
+            product = {(0, 0): scale}
+            for factor in term.cleared(den):
+                product = _mul(product, factor)
+            for key, c in product.items():
+                total[key] = total.get(key, 0) + c
+        total = {key: c for key, c in total.items() if c}
+        if not total:
             return Factors(0)
-        content = gcd(*total) if lowest > 0 else -gcd(*total)
-        return Factors(content, self.d * other.d, (tuple(c // content for c in total),), den)
+        content = gcd(*total.values())
+        if total[min(total)] < 0:
+            content = -content
+        return Factors(content, self.d * other.d,
+                       ({key: c // content for key, c in total.items()},), den)
 
     __radd__ = __add__
 
@@ -481,11 +405,21 @@ class Factors:
                        self.num + other.den, self.den + other.num)
 
     def __eq__(self, other) -> bool:
+        """Equality as rational functions."""
         return not (self - other).n
 
 
+def _in_y(factor: dict) -> list:
+    """A factor's coefficients in y, low degree first, with X^i Z^j read as y^(i+j)."""
+    out = [0] * (1 + max(i + j for i, j in factor))
+    for (i, j), c in factor.items():
+        out[i + j] += c
+    return out
+
+
 def factored_ratio(top: Factors, bottom=1) -> RationalFunction:
-    """top / bottom as the canonical :class:`RationalFunction`.
+    """top / bottom as the canonical :class:`RationalFunction` of y, with
+    X^i Z^j read as y^(i+j).
 
     Only a divisor of both sides (like 1 - tqX^2 in the transformed ratio)
     cancels; the rest are multiplied out over the integers by
@@ -493,5 +427,5 @@ def factored_ratio(top: Factors, bottom=1) -> RationalFunction:
     """
     bottom = Factors._lift(bottom)
     return integer_ratio(Fraction(top.n * bottom.d, top.d * bottom.n),
-                         (*top.num, *_without(bottom.den, top.den)),
-                         (*bottom.num, *_without(top.den, bottom.den)))
+                         [_in_y(f) for f in (*top.num, *_without(bottom.den, top.den))],
+                         [_in_y(f) for f in (*bottom.num, *_without(top.den, bottom.den))])

@@ -1,5 +1,5 @@
 """Readers that only tests use: report CSV back to rows, enclosure membership,
-the value of a bivariate or factored rational function, and a step-by-step
+the value of a rational function kept as integer factors, and a step-by-step
 check of a catalog entry's derived claims."""
 
 import csv
@@ -7,7 +7,6 @@ import io
 from fractions import Fraction
 
 from markovsum.exact import parse_rational
-from markovsum.polys import poly_eval
 from oracles import stepped_factors
 
 
@@ -32,23 +31,15 @@ def contains(enclosure, x) -> bool:
     return enclosure.lower <= x <= enclosure.upper
 
 
-def bivariate_value(fraction, x, z):
-    """A polys.BivariateFraction's value at the point (X, Z) = (x, z)."""
-    def at(p):
-        return sum(c * x ** i * z ** j for (i, j), c in p.items())
-    den = 1
-    for divisor in fraction.den:
-        den *= at(divisor)
-    return at(fraction.num) / den
-
-
-def factors_value(value, y):
-    """A polys.Factors value at the point y."""
+def factors_value(value, x, z):
+    """A polys.Factors value at the point (X, Z) = (x, z)."""
+    def at(factor):
+        return sum(c * x ** i * z ** j for (i, j), c in factor.items())
     out = Fraction(value.n, value.d)
     for factor in value.num:
-        out *= poly_eval(factor, y)
+        out *= at(factor)
     for divisor in value.den:
-        out /= poly_eval(divisor, y)
+        out /= at(divisor)
     return out
 
 

@@ -270,6 +270,24 @@ class TestDigitsCapacity:
     def test_zero_width_capped(self):
         assert digits_capacity(Q(0), cap=50) == 50
 
+    def test_edge_widths_match_scaling_by_ten(self):
+        def scaled(width, cap):
+            p, n = 0, width.numerator * 10
+            while p < cap and n <= width.denominator:
+                p, n = p + 1, n * 10
+            return p
+
+        widths = [Q(7, 2), Q(10), Q(1, 10 ** 5000), Q(3, 10 ** 4097),
+                  Q(10 ** 4096 - 1, 10 ** 8192)]
+        for k in (1, 2, 16, 17, 99, 100, 101, 1000, 4095, 4096):
+            widths += [Q(1, 10 ** k + delta) for delta in (-1, 1)]
+            widths += [Q(10 ** k + delta, 10 ** (2 * k)) for delta in (-1, 1)]
+        for width in widths:
+            for cap in (0, 50, 4096):
+                assert digits_capacity(width, cap) == scaled(width, cap), (width, cap)
+        assert digits_capacity(Q(1, 10 ** 5000)) == 4096
+        assert digits_capacity(Q(1, 10 ** 4096 - 1)) == 4095
+
 
 class TestIntegerLogs:
     def test_log2_accuracy(self):

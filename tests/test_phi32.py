@@ -21,9 +21,10 @@ from markovsum.markov import certificates
 from markovsum.markov.phi32 import SAMPLE_TUPLES, _Exponent
 from markovsum.polys import Factors
 from oracles import f_product, m0
-from support import bivariate_value, factors_value
+from support import factors_value
 
 CANONICAL = SAMPLE_TUPLES[0]
+ONE, X, Z = Factors(1), Factors.monomial(1, 0), Factors.monomial(0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +258,15 @@ class TestBracketProof:
         proof = make_certificate(*params).proof
         assert proof.holds
         assert proof.degrees == (6, 3)
-        # (1 - tqX^2) and (1 - cXZ)(1 - dXZ), each with 1 at its lowest monomial
+        # the divisors multiply to (1 - tqX^2)(1 - cXZ)(1 - dXZ), up to a constant
         a, b, c, d, q = params
         t = c * d / (a * b * q)
-        assert sorted(proof.factors, key=len) == [
-            {(0, 0): 1, (2, 0): -t * q},
-            {(0, 0): 1, (1, 1): -(c + d), (2, 2): c * d}]
+        expected = (1 - t * q * X * X) * (1 - c * X * Z) * (1 - d * X * Z)
+        product = ONE
+        for divisor in proof.factors:
+            product *= Factors(1, 1, (divisor,))
+        ratio = product / expected
+        assert ratio == Q(ratio.n, ratio.d)
 
     def test_symbolic_evaluators_are_the_evaluators(self, engine):
         twin = engine._symbolic()
@@ -273,18 +277,18 @@ class TestBracketProof:
             numeric = {"P": engine.P(i), "Q": engine.Q(i), "R": engine.R(i, j),
                        "R+": engine.R(i, j + 1), "rx": engine.rx(i, j), "rz": engine.rz(i, j)}
             qx, qz = engine.q ** i, engine.q ** j
-            assert {k: bivariate_value(f, qx, qz) for k, f in symbolic.items()} == numeric, (i, j)
+            assert {k: factors_value(f, qx, qz) for k, f in symbolic.items()} == numeric, (i, j)
 
     def test_one_variable_twin_runs_the_evaluators(self, engine):
-        twin = engine._symbolic(Factors)
+        twin = engine._symbolic()
         x, z, zero = _Exponent(1, 0), _Exponent(0, 1), _Exponent(0, 0)
         along_x = {"P": twin.P(x), "Q": twin.Q(x), "R": twin.R(x, zero), "rx": twin.rx(x, zero)}
         along_z = twin.rz(zero, z)
         for i in (0, 1, 5, 9):
             y = engine.q ** i
-            assert {k: factors_value(f, y) for k, f in along_x.items()} == {
+            assert {k: factors_value(f, y, 1) for k, f in along_x.items()} == {
                 "P": engine.P(i), "Q": engine.Q(i), "R": engine.R(i, 0), "rx": engine.rx(i, 0)}
-            assert factors_value(along_z, y) == engine.rz(0, i)
+            assert factors_value(along_z, 1, y) == engine.rz(0, i)
 
     def test_symbolic_run_leaves_the_engine_tables_alone(self):
         engine = ThreePhiTwo(*CANONICAL)

@@ -2,14 +2,15 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovsum import catalog
 from markovsum.polys import (
-    BivariateFraction,
     Factors,
     RationalFunction,
-    bi_degrees,
-    clear_denominators,
+    degrees,
+    divisor_lcm,
     eventually_nonneg,
     factored_ratio,
     nonneg_walk,
@@ -24,7 +25,7 @@ from markovsum.polys import (
     vanishes_at_powers,
 )
 from markovsum.markov import SAMPLE_TUPLES
-from support import bivariate_value, factors_value
+from support import factors_value
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
                  "zeta2-27", "schellbach-zeta2")
@@ -164,17 +165,40 @@ class TestUnitIntervalNonneg:
         assert not unit_interval_nonneg(poly(1, Q(-11, 10)))
 
 
-ONE = BivariateFraction.monomial(0, 0)
-X = BivariateFraction.monomial(1, 0)
-Z = BivariateFraction.monomial(0, 1)
+ONE = Factors.monomial(0, 0)
+X = Factors.monomial(1, 0)
+Z = Factors.monomial(0, 1)
+
+COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+POINTS = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+DRAWS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-class TestBivariateFraction:
+def _bracket_like(one, x, z, u, v, w, s, r):
+    """One formula, run on Fractions and on Factors alike."""
+    return (u - x * z) * (1 + v * z) / (1 - w * x * x) - s * one / (1 - r * x * z)
+
+
+class TestFactors:
+    def test_products_keep_their_factors(self):
+        f = (1 - Q(1, 2) * X) * (3 - 6 * X) / (2 * X)
+        assert f.num == ({(0, 0): 2, (1, 0): -1}, {(0, 0): 1, (1, 0): -2})
+        assert f.den == ({(1, 0): 1},)
+        assert Q(f.n, f.d) == Q(3, 4)
+        assert factors_value(f, Q(1, 3), 5) == (1 - Q(1, 6)) * (3 - 2) / Q(2, 3)
+
     def test_divisors_are_kept_and_scaled(self):
         f = (1 - X) / (2 - 2 * X)
-        assert f.num == {(0, 0): Q(1, 2), (1, 0): Q(-1, 2)}
-        assert f.den == ({(0, 0): 1, (1, 0): -1},)
+        assert f.num == f.den == ({(0, 0): 1, (1, 0): -1},)
+        assert Q(f.n, f.d) == Q(1, 2)
         assert f == Q(1, 2) and f != 1
+
+    def test_a_sum_multiplies_out_over_the_lcm(self):
+        f = 1 + X / (1 - X)
+        assert f.num == ({(0, 0): 1},) and f.den == ({(0, 0): 1, (1, 0): -1},)
+        g = Q(1, 3) * X - Q(1, 2)
+        assert g.num == ({(0, 0): 3, (1, 0): -2},) and Q(g.n, g.d) == Q(-1, 6)
+        assert factors_value(g + f, 3, 0) == 0 and factors_value(g + f, 2, 0) == Q(-5, 6)
 
     def test_sums_over_the_lcm(self):
         one_over = ONE / (1 - X * Z)
@@ -182,61 +206,67 @@ class TestBivariateFraction:
         assert len((one_over + ONE / (1 + X)).den) == 2
         assert ((one_over * one_over) + one_over).den == one_over.den * 2
 
-    def test_values_match_rational_arithmetic(self):
-        f = (Q(1, 3) - X * Z) * (1 + Q(2, 5) * Z) / (1 - Q(1, 7) * X * X) \
-            - Q(3, 2) * ONE / (1 - X * Z)
-        for x, z in ((Q(1, 2), Q(1, 3)), (Q(-2), Q(5, 7)), (Q(0), Q(4))):
-            expected = (Q(1, 3) - x * z) * (1 + Q(2, 5) * z) / (1 - Q(1, 7) * x * x) \
-                - Q(3, 2) / (1 - x * z)
-            assert bivariate_value(f, x, z) == expected
+    @DRAWS
+    @given(st.lists(COEFFICIENTS, min_size=5, max_size=5), POINTS, POINTS)
+    @example([Q(1, 3), Q(2, 5), Q(1, 7), Q(3, 2), Q(1)], Q(1, 2), Q(1, 3))
+    @example([Q(1, 3), Q(2, 5), Q(1, 7), Q(3, 2), Q(1)], Q(-2), Q(5, 7))
+    @example([Q(1, 3), Q(2, 5), Q(1, 7), Q(3, 2), Q(1)], Q(0), Q(4))
+    def test_values_match_rational_arithmetic(self, coefficients, x, z):
+        f = _bracket_like(ONE, X, Z, *coefficients)
+        _, _, w, _, r = coefficients
+        if (1 - w * x * x) and (1 - r * x * z):
+            assert factors_value(f, x, z) == _bracket_like(1, x, z, *coefficients)
+        # sums that cancel to zero, over divisor lists that differ
+        assert (f - _bracket_like(ONE, X, Z, *coefficients)).n == 0
+        u, v, _, s, _ = coefficients
+        rest = (u - X * Z) * (1 + v * Z) - s * (1 - w * X * X) / (1 - r * X * Z)
+        assert f * (1 - w * X * X) - rest == 0
+        assert f - (f + X * Z) + X * Z == 0
 
-    def test_only_a_nonzero_polynomial_divides(self):
-        with pytest.raises(ValueError):
-            X / (ONE / (1 - X))
+    @DRAWS
+    @given(st.lists(COEFFICIENTS, min_size=3, max_size=3), POINTS)
+    def test_factored_ratio_matches_evaluation(self, coefficients, y):
+        u, v, w = coefficients
+
+        def top(s):
+            return (u - s) * (1 + v * s) / (1 - w * s * s)
+
+        def bottom(s):
+            return (1 + s * s) / (1 - w * s * s) + v * s
+
+        if not ((1 - w * y * y) and bottom(y)):
+            return
+        # X^i Z^j reads as y^(i+j), so XZ reads as y^2
+        for symbol in (X, Z):
+            assert factored_ratio(top(symbol), bottom(symbol))(y) == top(y) / bottom(y)
+        assert factored_ratio(top(X) * X * Z)(y) == top(y) * y * y
+
+    def test_any_nonzero_value_divides(self):
+        f = X / (ONE / (1 - X))
+        assert f.num == ({(1, 0): 1}, {(0, 0): 1, (1, 0): -1}) and f.den == ()
+        assert factors_value(f, 3, 1) == -6
         with pytest.raises(ZeroDivisionError):
             X / (Z - Z)
+
+    def test_zero_is_a_zero_scale(self):
+        assert X - X == 0 and (X - X).n == 0
+        assert (1 - X) * (1 + X) != 0
+        with pytest.raises(ZeroDivisionError):
+            X / (X - X)
 
     def test_cleared_numerators_and_degrees(self):
         # X/(1-X) - Z/(1-Z) = (X-Z)/((1-X)(1-Z))
         terms = (X / (1 - X), -Z / (1 - Z), -(X - Z) / (1 - X) / (1 - Z))
-        den, numerators = clear_denominators(terms)
+        den = divisor_lcm(terms)
         assert len(den) == 2
-        assert len(clear_denominators([(X - Z) / ((1 - X) * (1 - Z))])[0]) == 1
-        assert [bi_degrees(n) for n in numerators] == [(1, 1), (1, 1), (1, 1)]
-        total = {}
-        for n in numerators:
-            for key, c in n.items():
-                total[key] = total.get(key, 0) + c
-        assert not any(total.values())
-
-
-Y = Factors.monomial(1, 0)
-
-
-class TestFactors:
-    def test_products_keep_their_factors(self):
-        f = (1 - Q(1, 2) * Y) * (3 - 6 * Y) / (2 * Y)
-        assert f.num == ((2, -1), (1, -2)) and f.den == ((0, 1),)
-        assert Q(f.n, f.d) == Q(3, 4)
-        assert factors_value(f, Q(1, 3)) == (1 - Q(1, 6)) * (3 - 2) / Q(2, 3)
-
-    def test_a_sum_multiplies_out_over_the_lcm(self):
-        f = 1 + Y / (1 - Y)
-        assert f.num == ((1, 0),) and f.den == ((1, -1),)
-        g = Q(1, 3) * Y - Q(1, 2)
-        assert g.num == ((3, -2),) and Q(g.n, g.d) == Q(-1, 6)
-        assert factors_value(g + f, 3) == 0 and factors_value(g + f, 2) == Q(-5, 6)
-
-    def test_zero_is_a_zero_scale(self):
-        assert Y - Y == 0 and (Y - Y).n == 0
-        assert (1 - Y) * (1 + Y) != 0
-        with pytest.raises(ZeroDivisionError):
-            Y / (Y - Y)
+        assert divisor_lcm([(X - Z) / ((1 - X) * (1 - Z))]) == den
+        assert [degrees(term.cleared(den)) for term in terms] == [(1, 1), (1, 1), (1, 1)]
+        assert sum(terms).n == 0
 
     def test_only_divisors_of_both_sides_cancel(self):
-        ratio = factored_ratio(Y / (1 - Y), 2 * Y / (1 - Y))
+        ratio = factored_ratio(X / (1 - X), 2 * X / (1 - X))
         assert (ratio.num, ratio.den) == ([0, 1], [0, 2])
-        ratio = factored_ratio((1 - Y) / (1 - Y))
+        ratio = factored_ratio((1 - X) / (1 - X))
         assert (ratio.num, ratio.den) == ([1, -1], [1, -1])
 
 
