@@ -10,11 +10,11 @@ its signed term ratio p/q, integer polynomials in n or, for the two
 q-series sides, in y = q^n, in the one canonical form of
 ``polys.RationalFunction`` (the Hurwitz builders form their factors over
 the integers from a = u/v, the q-series sides read theirs off the engine);
-the terms and prefix sums follow on one
-unreduced integer state (``hgterm.TermSequence``).  Everything else is
-derived by positivity certificates on integer polynomials that hold for
-every index (``polys.nonneg_walk`` in n, ``polys.unit_interval_nonneg`` for
-y in (0, 1]), never by a scan:
+the terms and prefix sums follow on one unreduced integer state
+(``hgterm.TermSequence``), stepped on the ratio in lowest terms.
+Everything else is derived by positivity certificates on integer
+polynomials that hold for every index (``polys.nonneg_walk`` in n,
+``polys.unit_interval_nonneg`` for y in (0, 1]), never by a scan:
 
 * the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
 * the zero steps: q(n) = 0 leaves the ratio undefined and, for alternating
@@ -55,6 +55,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, isqrt, prod
 from typing import Callable, Optional, Sequence
 
@@ -149,7 +150,7 @@ class FormulaEntry:
         In n, L = lead(num)/lead(den), 0 when deg num < deg den; in
         y = q^n, which tends to 0, L = num(0)/den(0).
         """
-        num, den = self.terms.ratio.num, self.terms.ratio.den
+        num, den = self.terms.stepped.num, self.terms.stepped.den
         if self.terms.base is None:
             degree = max((i for p in (num, den) for i, c in enumerate(p) if c), default=0)
             top, bottom = (p[degree] if degree < len(p) else 0 for p in (num, den))
@@ -164,7 +165,12 @@ class FormulaEntry:
         """(v, z): the first index v from which p >= 0 is certified at every
         later index, and the first index z >= v with p(z) = 0; None where
         there is none.  In y = q^n a nonzero p certified on (0, 1] is positive
-        below y = 1, so its only possible zero is at n = 0, which is n0."""
+        below y = 1, so its only possible zero is at n = 0, which is n0.
+
+        The walks read the sequence's stepped ratio.  In n, (v, z) depend
+        only on the signs of p at the indices from n0 on, and a cancelled
+        factor is positive at each of them, so they are those of the
+        described ratio's polynomials."""
         base, n0 = self.terms.base, self.n0
         if base is None:
             return nonneg_walk(p, n0) or (None, None)
@@ -175,7 +181,7 @@ class FormulaEntry:
     def _signs(self) -> tuple[bool, bool, Optional[str]]:
         """(alternating, remainder_nonneg, the first zero step), from the sign
         of the ratio from n0 on; a vanishing denominator is named first."""
-        ratio, n0 = self.terms.ratio, self.n0
+        ratio, n0 = self.terms.stepped, self.n0
         den_from, den_zero = self._nonneg_walk(ratio.den)
         if den_from == n0:
             if self._nonneg_walk(ratio.num)[0] == n0:
@@ -191,10 +197,11 @@ class FormulaEntry:
         if limit is None or limit > 1:
             raise CatalogError(f"{self.entry_id}: |term(n+1)/term(n)| does not tend "
                                f"to a limit <= 1")
-        ratio = self.terms.ratio
-        num = poly_scale(ratio.num, -1) if self.alternating else ratio.num
-        for rho in (limit, *(limit + (1 - limit) * w for w in RATE_LADDER)):
-            valid_from = self._nonneg_walk(RationalFunction(num, ratio.den).margin(rho))[0]
+        ratio = self.terms.stepped
+        if self.alternating:
+            ratio = RationalFunction.canonical(poly_scale(ratio.num, -1), ratio.den)
+        for rho in chain((limit,), (limit + (1 - limit) * w for w in RATE_LADDER)):
+            valid_from = self._nonneg_walk(ratio.margin(rho))[0]
             if valid_from is not None:
                 return rho, valid_from
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "

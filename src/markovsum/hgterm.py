@@ -2,12 +2,16 @@
 
 A ``TermSequence`` is a series described by its first term and its signed
 term ratio, a quotient of integer polynomials in the index n or, for a
-q-series, in y = q^n.  It sums on one unreduced integer state (A, B, T),
-with term = A/B and prefix sum = T/B: a step multiplies by the integers
-p(n), q(n) of the ratio, with no gcd, and only a reader of a term or a sum
-forms a ``Fraction``.  In n these are plain Horner evaluations; for a
-q-series the polynomials are evaluated homogeneously at the numerator and
-denominator of q^n, both carried from step to step by one multiplication.
+q-series, in y = q^n.  It steps the ratio in lowest terms: in n the two
+polynomials' gcd g is cancelled once, when the sequence is made, wherever
+g is certified positive at every index from n0 on, so the steps keep
+their signs and zeros.  It sums on one unreduced integer state (A, B, T),
+formed from that lowest-terms pair, with term = A/B and prefix sum = T/B:
+a step multiplies by the integers p(n), q(n) of the pair, with no gcd,
+and only a reader of a term or a sum forms a ``Fraction``.  In n these
+are plain Horner evaluations; for a q-series the polynomials are
+evaluated homogeneously at the numerator and denominator of q^n, both
+carried from step to step by one multiplication.
 
 Many steps at once form a span (P, Q, T) by binary splitting (Haible and
 Papanikolaou, 1998): two halves merge by three products, so reaching index
@@ -36,7 +40,7 @@ from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .exact import format_rational
-from .polys import RationalFunction
+from .polys import RationalFunction, gcd_cofactors, nonneg_walk
 
 
 class TermError(ValueError):
@@ -94,11 +98,12 @@ LEAF = 32
 
 #: bits of a state's denominator past which a term is reduced on a product
 #: tree of its ratio's factors rather than by one gcd of the state.  Timed
-#: on a 2-vCPU VM on apery and markov-hurwitz (a = 1): below 2^15 bits the
-#: gcd is 5 to 20 times faster (the tree steps every factor again), the two
-#: cross between 2^18 and 2^19 bits, and at 1.3 M bits the tree is 2.5 times
-#: faster.  The shallow side serves every request below about 3000 digits.
-REDUCE_BITS = 1 << 19
+#: on a 2-vCPU VM on the states of apery, markov-hurwitz (a = 1, whose
+#: ratio in lowest terms is Apery's shifted by one index), ratio27-zeta3 and
+#: az-zeta3: below 2^15 bits the gcd is 3 to 7 times faster (the tree steps
+#: every factor again), the two cross between 150 000 and 300 000 bits,
+#: and at 2^20 bits the tree is 3 to 4 times faster.
+REDUCE_BITS = 1 << 18
 
 
 class TermSequence:
@@ -111,7 +116,9 @@ class TermSequence:
     (n, A, B, T) of index n has term(n) = A/B and term(n0) + ... + term(n)
     = T/B; stepping it by p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
 
-    The states are canonical: A = A(n0) p(n0) ... p(n-1), B likewise, and
+    p/q is ``stepped``: ``ratio`` in lowest terms where an n-series' shared
+    factor is certified positive from n0 on, else ``ratio`` itself.  The
+    states are canonical: A = A(n0) p(n0) ... p(n-1), B likewise, and
     T = the sum of A(j) B/B(j) over j <= n, whatever route reached them.
     """
 
@@ -122,7 +129,8 @@ class TermSequence:
         self.ratio = ratio
         self.n0 = n0
         self.base = None if base is None else Fraction(base)
-        num, den = ratio.num, ratio.den
+        self.stepped = self._lowest_terms(ratio)
+        num, den = self.stepped.num, self.stepped.den
         if base is not None:
             # one degree for both in y: base^(n degree) cancels
             width = max(len(num), len(den))
@@ -133,6 +141,20 @@ class TermSequence:
         self._start = (n0, first.numerator, first.denominator, first.numerator)
         self._window = [self._start]
         self._lock = threading.Lock()
+
+    def _lowest_terms(self, ratio: RationalFunction) -> RationalFunction:
+        """An n-series' ratio as num/g over den/g, g = gcd(num, den), when
+        ``nonneg_walk`` certifies g > 0 at every index from n0 on; else the
+        ratio itself, so a step where g vanishes still finds its denominator
+        zero.  A q-series keeps its ratio: in the catalog its gcd cost more
+        than the smaller steps saved."""
+        if self.base is not None or not any(ratio.num):
+            return ratio
+        g, num, den = gcd_cofactors(ratio.num, ratio.den)
+        if len(g) == 1 or nonneg_walk(g, self.n0) != (self.n0, None):
+            return ratio
+        # the cofactors' content is the ratio's, by Gauss's lemma: 1
+        return RationalFunction.canonical(num, den)
 
     def _leaf(self, m: int, n: int, steps: Optional[list] = None) -> tuple[int, int, int]:
         """``span(m, n)``, stepped index by index; each step's (p, q) is

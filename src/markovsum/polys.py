@@ -6,11 +6,13 @@ three needs:
 
 * describing a term ratio in one canonical integer form
   (:class:`RationalFunction`: cleared of denominators, divided by its
-  content), and certifying that it stays below a geometric ratio for *all*
-  indices past some point (tail-bound rigor in the series catalog), via a
-  shift-and-inspect positivity certificate whose walk over the gap points
-  also finds the polynomial's first zero (:func:`nonneg_walk`), and the
-  same for a rational function of y = q^n on the interval (0, 1];
+  content), cancelling the factor its two polynomials share
+  (:func:`gcd_cofactors`), and certifying that it stays below a geometric
+  ratio for *all* indices past some point (tail-bound rigor in the series
+  catalog), via a shift-and-inspect positivity certificate whose walk over
+  the gap points also finds the polynomial's first zero
+  (:func:`nonneg_walk`), and the same for a rational function of y = q^n
+  on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver;
 * running the 3phi2 engine's formulas on X and Z as symbols, kept as
   integer factors {(i, j): coefficient of X^i Z^j} (:class:`Factors`):
@@ -76,6 +78,83 @@ def poly_eval(p: Sequence, x):
     for a in reversed(p):
         v = v * x + a
     return v
+
+
+def _trimmed(p: Sequence) -> Poly:
+    """p without zero coefficients above its degree."""
+    top = len(p)
+    while top > 1 and not p[top - 1]:
+        top -= 1
+    return list(p[:top])
+
+
+def poly_quotient(p: Sequence, d: Sequence) -> Optional[Poly]:
+    """The integer polynomial p/d when d divides p in Z[x], else None; d nonzero."""
+    rest, d = _trimmed(p), _trimmed(d)
+    lead, m = d[-1], len(d) - 1
+    if len(rest) <= m:
+        return None if any(rest) else [0]
+    lower = d[-2::-1]
+    out = []
+    for k in range(len(rest) - 1, m - 1, -1):
+        c, r = divmod(rest[k], lead)
+        if r:
+            return None
+        out.append(c)
+        if c:
+            for b in lower:
+                k -= 1
+                rest[k] -= c * b
+    if any(rest[:m]):
+        return None
+    out.reverse()
+    return out
+
+
+def _primitive(p: Sequence) -> Poly:
+    content = gcd(*p)
+    return [c // content for c in _trimmed(p)]
+
+
+def gcd_cofactors(p: Sequence, q: Sequence) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g), g the primitive greatest common divisor of two nonzero
+    integer polynomials with a positive leading coefficient.
+
+    Heuristic gcd (Char, Geddes and Gonnet, 1989).  At an integer
+    xi >= 2 B + 2, B the largest coefficient of p and q, every root r of
+    either has |r| < B + 1, and the balanced xi-adic digits of
+    gamma = gcd(p(xi), q(xi)) form a polynomial G with G(xi) = gamma > 0,
+    whose leading digit is then positive.  The gcd d has d(xi) | gamma.
+    When G's primitive part g divides both, g is d: d = g h, h(xi) divides
+    the content of G, which is at most xi/2, and a nonconstant h has
+    |h(xi)| > (xi - B - 1)^deg h >= xi/2.  So gamma <= xi/2 (G a constant)
+    proves d = 1 with no division.  Otherwise xi is squared and the test
+    repeated; it ends, since gamma / |d(xi)| divides the resultant of the
+    cofactors, and once xi exceeds twice that times d's coefficients, G is
+    a constant multiple of d.  The cofactors come from exact divisions, so
+    p = g (p/g) and q = g (q/g) hold whatever the argument above; it only
+    makes g the greatest.
+    """
+    p, q = _trimmed(p), _trimmed(q)
+    xi = 2 * max(map(abs, (*p, *q))) + 2
+    while True:
+        gamma = gcd(poly_eval(p, xi), poly_eval(q, xi))
+        if 2 * gamma <= xi:
+            return [1], p, q
+        digits = []
+        while gamma:
+            digit = gamma % xi
+            if 2 * digit > xi:
+                digit -= xi
+            digits.append(digit)
+            gamma = (gamma - digit) // xi
+        g = _primitive(digits)
+        p_cofactor = poly_quotient(p, g)
+        if p_cofactor is not None:
+            q_cofactor = poly_quotient(q, g)
+            if q_cofactor is not None:
+                return g, p_cofactor, q_cofactor
+        xi *= xi
 
 
 def _certificate_shift(p: Sequence, n0: int) -> Optional[int]:
@@ -195,6 +274,13 @@ class RationalFunction:
         num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
         content = gcd(*num, *den) or 1
         self.num, self.den = ([c // content for c in p] for p in (num, den))
+
+    @classmethod
+    def canonical(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """num/den as given: integer lists already in the canonical form."""
+        ratio = cls.__new__(cls)
+        ratio.num, ratio.den = num, den
+        return ratio
 
     def __call__(self, n) -> Fraction:
         d = poly_eval(self.den, n)

@@ -196,3 +196,24 @@ def linear_terms_needed(entry, digits: int, rounding: str = ROUND_TRUNCATE,
                 to_decimal(enclosure, digits, rounding).digits_proven >= digits:
             return n
     raise CatalogError(f"{entry.entry_id}: {digits} digits not reached within {n_cap} terms")
+
+
+def monic_gcd(p, q) -> list:
+    """The monic greatest common divisor of two polynomials over the
+    rationals, by Euclid's algorithm on ``Fraction`` coefficients."""
+    def trimmed(r):
+        r = [Fraction(c) for c in r]
+        while len(r) > 1 and not r[-1]:
+            r.pop()
+        return r
+
+    p, q = trimmed(p), trimmed(q)
+    while any(q):
+        r = list(p)
+        while len(r) >= len(q) and any(r):
+            c, shift = r[-1] / q[-1], len(r) - len(q)
+            for i, b in enumerate(q):
+                r[i + shift] -= c * b
+            r = trimmed(r)
+        p, q = q, r
+    return [c / p[-1] for c in p]

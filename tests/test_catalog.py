@@ -34,7 +34,7 @@ from markovsum.exact import (
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, sample_parameter_tuples
 from markovsum.markov.schellbach import ratio_function
-from markovsum.polys import RationalFunction, poly, poly_mul
+from markovsum.polys import RationalFunction, gcd_cofactors, poly, poly_mul, poly_shift
 from oracles import (
     fraction_enclosure,
     hurwitz3_ratio,
@@ -907,3 +907,61 @@ class TestIntegerBuilders:
                        catalog.SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))):
             built, oracle = ratio_function(params), schellbach_ratio(params)
             assert (built.num, built.den) == (oracle.num, oracle.den)
+
+
+# ---------------------------------------------------------------------------
+# Steps in lowest terms
+# ---------------------------------------------------------------------------
+
+def _degrees(ratio) -> tuple[int, int]:
+    return tuple(max((i for i, c in enumerate(p) if c), default=0) for p in (ratio.num, ratio.den))
+
+
+def _claims(build) -> tuple:
+    """What registration derives from a description, or its refusal."""
+    try:
+        entry = build()
+    except CatalogError as error:
+        return str(error)
+    return (entry.alternating, entry.remainder_nonneg, entry.leibniz_from, entry.ratio_bound,
+            entry.asymptotic_ratio)
+
+
+class TestLowestTermsSteps:
+    @pytest.mark.parametrize("entry_id, described, stepped", [
+        ("markov-hurwitz", (8, 8), (3, 3)), ("schellbach-zeta2", (6, 6), (2, 2)),
+        ("az-zeta3", (12, 12), (7, 7)), ("apery", (3, 3), (3, 3)),
+        ("ratio27-zeta3", (7, 7), (7, 7)), ("zeta2-27", (7, 7), (7, 7))])
+    def test_stepped_degrees(self, entry_id, described, stepped):
+        terms = get_entry(entry_id).terms
+        assert (_degrees(terms.ratio), _degrees(terms.stepped)) == (described, stepped)
+
+    def test_hurwitz_at_one_steps_aperys_ratio_shifted_by_one(self):
+        apery, stepped = entry_apery().terms.ratio, entry_markov_hurwitz(1).terms.stepped
+        assert (stepped.num, stepped.den) == (poly_shift(apery.num, 1), poly_shift(apery.den, 1))
+
+    def test_registration_derives_the_same_claims_from_either_pair(self, monkeypatch):
+        builds = [lambda entry_id=entry_id: get_entry(entry_id) for entry_id in catalog.REGISTRY]
+        builds += [lambda a=a: entry_markov_hurwitz(a)
+                   for a in HURWITZ_VALUES + [Q(-1, 2), Q(-7, 3), Q(-101, 2), Q(-2399, 2), Q(0)]]
+        builds += [lambda params=params, side=side: side(*params) for params in SAMPLE_TUPLES
+                   for side in (entry_phi32_series, entry_phi32_transformed)]
+        stepped = [_claims(build) for build in builds]
+        monkeypatch.setattr(TermSequence, "_lowest_terms", lambda self, ratio: ratio)
+        terms = get_entry("markov-hurwitz").terms
+        assert terms.stepped is terms.ratio
+        assert stepped == [_claims(build) for build in builds]
+
+    def test_transformed_side_whose_ratio_shares_a_factor_in_y(self):
+        # the ratio shares y - 3, negative on (0, 1]: a q-series steps its
+        # described pair, and every state keeps a positive denominator
+        entry, fresh = (entry_phi32_transformed(*SAMPLE_TUPLES[3]) for _ in range(2))
+        ratio = entry.terms.ratio
+        assert gcd_cofactors(ratio.num, ratio.den)[0] == [-3, 1]
+        assert entry.terms.stepped is ratio
+        for n in (1, 2, 5, 40):
+            last = n - 1
+            assert entry.terms.state(last + 1)[1] > 0
+            oracle = fraction_enclosure(fresh, fresh.terms.partial_sum(last), last)
+            assert evaluate(entry, n).enclosure == oracle
+        assert evaluate(entry, 40, digits=20).digits_proven == 20

@@ -1,9 +1,18 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovsum.hgterm import LEAF, TermSequence, q_limit_check, q_pochhammer, rising_factorial
-from markovsum.polys import RationalFunction, poly, poly_mul, poly_pow
+from markovsum.hgterm import (
+    LEAF,
+    TermError,
+    TermSequence,
+    q_limit_check,
+    q_pochhammer,
+    rising_factorial,
+)
+from markovsum.polys import RationalFunction, poly, poly_add, poly_mul, poly_pow, poly_scale
 from oracles import stepped_factors
 
 
@@ -126,3 +135,96 @@ class TestFirstIndex:
         assert found == linear
         if linear:
             assert seq.first_index(0, linear - 1, excess) is None
+
+
+class TestLowestTerms:
+    def test_a_step_where_both_sides_vanish_is_still_undefined(self):
+        # -(n-3)^2 (n+2) / ((n-3)^2 (4n+4)): the shared factor vanishes at n = 3
+        shared = poly_pow(poly(-3, 1), 2)
+        seq = TermSequence(1, RationalFunction(poly_mul(shared, poly(-2, -1)),
+                                               poly_mul(shared, poly(4, 4))))
+        assert seq.stepped is seq.ratio
+        assert seq.term(3) == Q(-1, 2) * Q(-3, 8) * Q(-1, 3)
+        for stepped_across in (lambda: seq.term(4), lambda: seq.span(0, 40),
+                               lambda: seq.partial_sum(70)):
+            with pytest.raises(TermError, match=r"ratio undefined at n=3: its denominator"):
+                stepped_across()
+
+    @pytest.mark.parametrize("n0, cancelled", [(0, False), (1, True)])
+    def test_a_factor_that_changes_sign_is_kept(self, n0, cancelled):
+        # (2n-1)(n+1) / ((2n-1)^2 (n+2)): the shared 2n-1 is -1 at n = 0
+        ratio = RationalFunction(poly_mul(poly(-1, 2), poly(1, 1)),
+                                 poly_mul(poly_pow(poly(-1, 2), 2), poly(2, 1)))
+        seq = TermSequence(Q(3, 5), ratio, n0)
+        assert (seq.stepped is not ratio) == cancelled
+        if cancelled:
+            assert (seq.stepped.num, seq.stepped.den) == ([1, 1], [-2, 3, 2])
+        term = Q(3, 5)
+        for n in range(n0, n0 + 80):
+            _, b, _ = seq.state(n)
+            assert b > 0 and seq.term(n) == term, n
+            term *= ratio(n)
+
+
+def degree(p) -> int:
+    return max((i for i, c in enumerate(p) if c), default=0)
+
+
+def _integer_polys(max_size: int = 3):
+    return st.lists(st.integers(0, 5), min_size=1, max_size=max_size)
+
+
+@st.composite
+def shared_factor_series(draw):
+    """(first, p, q, g, n0, base): p/q a term ratio below 1/2 in size, q > 0,
+    and g > 0 at every index from n0 on (in n) or on (0, 1] (in y)."""
+    base = draw(st.sampled_from([None, Q(1, 2), Q(2, 3), Q(1, 5)]))
+    n0 = draw(st.integers(0, 3)) if base is None else 0
+    p = draw(_integer_polys())
+    q = poly_add(poly_scale(p, 2), [c + 1 for c in draw(_integer_polys())])
+    if draw(st.booleans()):
+        p = poly_scale(p, -1)
+    g = [draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(1, 3))):
+        if base is None:
+            factor = draw(st.sampled_from([[1, 1], [3, 2], [1 - n0, 1], [5, -2, 1], [2, 0, 1]]))
+        else:
+            factor = draw(st.sampled_from([[1, 1], [3, -1], [2, -1], [1, 0, 1], [4, 1, -2]]))
+        g = poly_mul(g, factor)
+    first = Q(draw(st.integers(-50, 50)), draw(st.integers(1, 50)))
+    return first, p, q, g, n0, base
+
+
+class TestSteppingInLowestTerms:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(shared_factor_series(), st.sampled_from([3, 40, 200]))
+    def test_a_shared_factor_changes_no_value(self, series, bits):
+        first, p, q, g, n0, base = series
+        shared = TermSequence(first, RationalFunction(poly_mul(g, p), poly_mul(g, q)), n0,
+                              base=base)
+        plain = TermSequence(first, RationalFunction(p, q), n0, base=base)
+        if base is None and any(p):
+            # q > 0 from n0 on, so each sequence cancels every shared factor
+            stepped = shared.stepped
+            assert stepped is not shared.ratio
+            assert degree(stepped.den) == degree(plain.stepped.den)
+            canonical = RationalFunction(stepped.num, stepped.den)
+            assert (stepped.num, stepped.den) == (canonical.num, canonical.den)
+        elif base is not None:
+            assert shared.stepped is shared.ratio
+        for n in (n0, n0 + 1, n0 + 5, n0 + 33, n0 + 70):
+            assert shared.term(n) == plain.term(n)
+            assert shared.partial_sum(n) == plain.partial_sum(n)
+            assert shared.state(n)[1] > 0
+        for m, n in ((n0, n0 + 1), (n0 + 2, n0 + 40), (n0 + 7, n0 + 75)):
+            (p1, q1, t1), (p2, q2, t2) = shared.span(m, n), plain.span(m, n)
+            assert (Q(p1, q1), Q(t1, q1)) == (Q(p2, q2), Q(t2, q2))
+
+        def excess(a, b):
+            # positive exactly when |a/b| > 2^-bits, like the catalog's test
+            a = abs(a)
+            return a.bit_length() + bits - b.bit_length() + (a << bits > b) if a else -1
+
+        for start in (n0, n0 + 3):
+            assert shared.first_index(start, n0 + 400, excess) == \
+                plain.first_index(start, n0 + 400, excess)

@@ -13,18 +13,21 @@ from markovsum.polys import (
     divisor_lcm,
     eventually_nonneg,
     factored_ratio,
+    gcd_cofactors,
     nonneg_walk,
     poly,
     poly_add,
     poly_eval,
     poly_mul,
     poly_pow,
+    poly_quotient,
     poly_scale,
     poly_shift,
     unit_interval_nonneg,
     vanishes_at_powers,
 )
 from markovsum.markov import SAMPLE_TUPLES
+from oracles import monic_gcd
 from support import factors_value
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
@@ -283,3 +286,78 @@ class TestVanishesAtPowers:
             for q in (Q(1, 2), Q(1, 3), Q(-2, 3), Q(3, 2)):
                 expected = any(poly_eval(p, q ** k) == 0 for k in range(9))
                 assert vanishes_at_powers(p, q, 8) == expected, (p, q)
+
+
+def _trim(p) -> list:
+    p = list(p)
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
+
+
+@st.composite
+def positive_from(draw, n0: int) -> list:
+    """An integer polynomial positive at every integer n >= n0: a positive
+    constant times linear factors positive there and quadratics with no
+    real root."""
+    g = [draw(st.integers(1, 4))]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            slope = draw(st.integers(1, 3))
+            factor = [1 - slope * n0 + draw(st.integers(0, 5)), slope]
+        else:
+            center = draw(st.integers(-5, 5))
+            factor = [center * center + draw(st.integers(1, 4)), -2 * center, 1]
+        g = poly_mul(g, factor)
+    return g
+
+
+SMALL_POLYS = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+
+
+class TestGcdCofactors:
+    @DRAWS
+    @given(SMALL_POLYS, SMALL_POLYS, SMALL_POLYS)
+    # the first xi's digits give (x + 3)(x^2 - 1), which does not divide
+    # 3 - 15x^2 + 12x^4: xi is squared once
+    @example([3, 0, -3], [1, 0, -4], [-3, -1])
+    def test_the_gcd_and_its_cofactors(self, g, a, b):
+        p, q = poly_mul(g, a), poly_mul(g, b)
+        if not (any(p) and any(q)):
+            return
+        d, p_cofactor, q_cofactor = gcd_cofactors(p, q)
+        assert _trim(poly_mul(d, p_cofactor)) == _trim(p)
+        assert _trim(poly_mul(d, q_cofactor)) == _trim(q)
+        assert gcd(*d) == 1 and d[-1] > 0
+        assert [Q(c, d[-1]) for c in d] == monic_gcd(p, q)
+
+    def test_coprime_pairs_give_one(self):
+        assert gcd_cofactors([0, 0, 0, -1], [2, 8, 10, 4]) == ([1], [0, 0, 0, -1], [2, 8, 10, 4])
+
+    @pytest.mark.parametrize("entry_id, shared", [
+        ("markov-hurwitz", [4, 16, 25, 19, 7, 1]),  # (n+1)^3 (n+2)^2
+        ("schellbach-zeta2", [4, 12, 13, 6, 1]),  # (n+1)^2 (n+2)^2
+        ("az-zeta3", [1, 5, 10, 10, 5, 1]),  # (n+1)^5
+        ("apery", [1]), ("ratio27-zeta3", [1]), ("zeta2-27", [1])])
+    def test_catalog_ratios(self, entry_id, shared):
+        ratio = catalog.get_entry(entry_id).terms.ratio
+        assert gcd_cofactors(ratio.num, ratio.den)[0] == shared
+
+    def test_quotient(self):
+        assert poly_quotient([2, 3, 1], [1, 1]) == [2, 1]
+        assert poly_quotient([2, 3, 1, 0], [2, 2]) is None
+        assert poly_quotient([1, 3, 1], [1, 1]) is None
+        assert poly_quotient([0], [1, 1]) == [0]
+        assert poly_quotient([5], [1, 1]) is None
+
+
+class TestWalkUnderPositiveFactors:
+    @DRAWS
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(-3, 3), st.data())
+    # negative between its zeros 2 and 5: v = 5 = z; and the zero polynomial
+    @example([10, -7, 1], 0, None)
+    @example([0], 1, None)
+    def test_a_factor_positive_on_the_indices_keeps_the_walk(self, p, n0, data):
+        # nonneg_walk's (v, z) depend only on the signs of p at n >= n0
+        g = data.draw(positive_from(n0)) if data is not None else [3, 1]
+        assert nonneg_walk(poly_mul(g, p), n0) == nonneg_walk(p, n0)
