@@ -14,9 +14,13 @@ The identity is checked on F's reduced part F~ = F/S, with S the scale of
 F and sx, sz its shift ratios (see :class:`~markovsum.markov.pairs.Scale`):
 the defect is S_{x,z} times the bracket of small operands
 
-    Q(x) F~_{x+1,z} sx - P(x) F~_{x,z} - R(x,z+1) F~_{x,z+1} sz + R(x,z) F~_{x,z},
+    Q(x) F~_{x+1,z} sx - P(x) F~_{x,z} - R(x,z+1) F~_{x,z+1} sz + R(x,z) F~_{x,z}.
 
-which is multiplied by S_{x,z}, giving the defect exactly, only when nonzero.
+The bracket is formed as the pair condition's is, by
+:func:`~markovsum.markov.pairs.bracket_residual`: one integer numerator
+over the product of the operands' denominators, tested for zero before
+any gcd, and reduced and multiplied by S_{x,z}, giving the defect
+exactly, only when nonzero.
 
 Given such data, an undetermined factor per column turns the identity into
 a telescoping pair: with A_0 = 1,
@@ -51,7 +55,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..exact import format_rational
-from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, one
+from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, one
 
 if TYPE_CHECKING:
     from .phi32 import BracketProof
@@ -77,13 +81,11 @@ class Certificate:
         """Defect of the certificate identity at one lattice point."""
         f, scale = self.extension.reduced, self.extension.scale
         try:
-            res = self.q(x) * f(x + 1, z) * scale.sx(x, z) - self.p(x) * f(x, z) \
-                - self.r(x, z + 1) * f(x, z + 1) * scale.sz(x, z) + self.r(x, z) * f(x, z)
-            if res:
-                res *= scale.value(x, z)
+            return bracket_residual(
+                scale, x, z, (self.q(x), f(x + 1, z), scale.sx(x, z)), (self.p(x), f(x, z)),
+                (self.r(x, z + 1), f(x, z + 1), scale.sz(x, z)), (self.r(x, z), f(x, z)))
         except ZeroDivisionError as exc:
             raise EvaluationError(f"certificate undefined at (x={x}, z={z}): {exc}", x, z) from exc
-        return res
 
 
 @dataclass(frozen=True)

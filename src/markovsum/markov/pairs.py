@@ -25,8 +25,10 @@ the scale S, with reduced parts u~ and v~,
         = S_{x,z} (u~_{x,z} - u~_{x+1,z} sx - v~_{x,z} + v~_{x,z+1} sz),
 
 where sx and sz are S's shift ratios at (x, z).  The bracket is formed from
-small operands, and only when it is nonzero is it multiplied by S_{x,z},
-which gives the residual of the values exactly.  A pair whose U and V do
+small operands, as one integer numerator over the product of their
+denominators (:func:`bracket_residual`), and tested for zero before any
+gcd; only a nonzero bracket is reduced and multiplied by S_{x,z}, which
+gives the residual of the values exactly.  A pair whose U and V do
 not share a scale is put on the unit scale, where the bracket is the
 residual of the values themselves.
 """
@@ -50,7 +52,7 @@ class EvaluationError(ArithmeticError):
         self.z = z
 
 
-ONE = Fraction(1)
+ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def one(x: int, z: int) -> Fraction:
@@ -168,14 +170,38 @@ class PairCheck:
         return {"holds": self.holds, "residual": format_rational(self.residual)}
 
 
+def _over(factors: tuple) -> tuple[int, int]:
+    """The product of rational factors as (numerator, positive denominator), unreduced."""
+    n, d = 1, 1
+    for factor in factors:
+        n *= factor.numerator
+        d *= factor.denominator
+    return n, d
+
+
+def bracket_residual(scale: Scale, x: int, z: int, a: tuple, b: tuple, c: tuple,
+                     d: tuple) -> Fraction:
+    """S_{x,z} (a - b - c + d), each term given as a tuple of rational factors.
+
+    The four terms are put over the product of their denominators as one
+    integer numerator, which is tested for zero before any gcd; only a
+    nonzero numerator is reduced, as a ``Fraction``, and multiplied by
+    S_{x,z}, the one value of the scale read.
+    """
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = _over(a), _over(b), _over(c), _over(d)
+    lower, upper = ad * bd, cd * dd
+    numerator = (an * bd - bn * ad) * upper + (dn * cd - cn * dd) * lower
+    if not numerator:
+        return ZERO
+    return Fraction(numerator, lower * upper) * scale.value(x, z)
+
+
 def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
     """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point."""
     u, v, scale = pair.u.reduced, pair.v.reduced, pair.u.scale
     try:
-        residual = u(x, z) - u(x + 1, z) * scale.sx(x, z) \
-            - v(x, z) + v(x, z + 1) * scale.sz(x, z)
-        if residual:
-            residual *= scale.value(x, z)
+        residual = bracket_residual(scale, x, z, (u(x, z),), (u(x + 1, z), scale.sx(x, z)),
+                                    (v(x, z),), (v(x, z + 1), scale.sz(x, z)))
     except ZeroDivisionError as exc:
         raise EvaluationError(f"pair undefined at (x={x}, z={z}): {exc}", x, z) from exc
     return PairCheck(residual == 0, residual)

@@ -15,7 +15,11 @@ and A_0 = 1 always.  Each step solves for the new column coefficients of U
 at least two more z-samples than unknowns.  The elimination runs over every
 sample row, so the extra samples check the solution: an ansatz that cannot
 close is reported with the first failing column, never silently
-extrapolated.
+extrapolated.  It is fraction-free (Bareiss, see ``polys.solve_linear``):
+each row's coefficients are cleared to primitive integers and divided only
+exactly, while the right-hand sides, U at the known column x over S, whose
+denominators grow with x, stay rational (integer numerators over one shared
+denominator) and never enter a coefficient.
 
 Each row is the condition at (x, z) divided by F's scale S_{x,z}: it
 reads F's reduced part and the shift ratios of S, never a value of S.

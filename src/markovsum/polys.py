@@ -13,7 +13,8 @@ three needs:
   the gap points also finds the polynomial's first zero
   (:func:`nonneg_walk`), and the same for a rational function of y = q^n
   on the interval (0, 1];
-* solving the small exact linear systems of the stepwise multiplier solver;
+* solving the small exact linear systems of the stepwise multiplier solver
+  by fraction-free (Bareiss) elimination over the integers;
 * running the 3phi2 engine's formulas on X and Z as symbols, kept as
   integer factors {(i, j): coefficient of X^i Z^j} (:class:`Factors`):
   to expand its certificate identity to zero over the integers, to check
@@ -330,41 +331,67 @@ def integer_ratio(scale, num_factors: Sequence[Sequence],
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Exact Gaussian elimination.
+    """Exact fraction-free (Bareiss) elimination over every row.
+
+    Each row's coefficients are cleared to primitive integers, and its
+    right-hand side takes the same positive scale.  The right-hand sides
+    stay rational: they are kept as integer numerators over one shared
+    denominator, which never enters a coefficient.  A pivot step replaces
+    each entry of a lower row, right-hand side included, by
+    (pv a - f b) // prev, prev the pivot of the step before: a minor of
+    the cleared system, so every division is exact, and a remainder raises
+    ``ArithmeticError``.  Back-substitution finds det x, det the last
+    pivot, on the integers and divides once per unknown.
 
     Returns ``(solution, "unique")`` when the system has exactly one
     solution, ``(None, "underdetermined")`` when consistent but rank
     deficient, and ``(None, "inconsistent")`` otherwise.
     """
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    n_rows = len(m)
-    n_cols = len(m[0]) - 1
-    pivots = []
-    r = 0
+    m, contents, den = [], [], 1
+    for row, value in zip(rows, rhs):
+        multiple = lcm(*(c.denominator for c in row))
+        cleared = [c.numerator * (multiple // c.denominator) for c in row]
+        content = gcd(*cleared) or 1
+        m.append([c // content for c in cleared] + [multiple])
+        contents.append(content)
+        if den % value.denominator:
+            den = lcm(den, value.denominator)
+    common = lcm(*contents)  # row i's right-hand side is m[i][-1] / (den common)
+    for row, value, content in zip(m, rhs, contents):
+        row[-1] *= value.numerator * (den // value.denominator) * (common // content)
+    n_rows, n_cols = len(m), len(m[0]) - 1
+    r, prev = 0, 1
     for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
-        pivots.append(col)
+        top, pv = m[r], m[r][col]
+        for i in range(r + 1, n_rows):
+            row, f = m[i], m[i][col]
+            row[col] = 0
+            for j in range(col + 1, n_cols + 1):
+                row[j], remainder = divmod(pv * row[j] - f * top[j], prev)
+                if remainder:
+                    raise ArithmeticError("fraction-free elimination left a remainder")
+        prev = pv
         r += 1
         if r == n_rows:
             break
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            return None, "inconsistent"
-    if len(pivots) < n_cols:
+    if any(row[n_cols] for row in m[r:]):
+        return None, "inconsistent"
+    if r < n_cols:
         return None, "underdetermined"
-    sol = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][n_cols]
-    return sol, "unique"
+    # every column has its pivot, on the diagonal; det x is integral (Cramer)
+    det, scaled = prev, [0] * n_cols
+    for i in reversed(range(n_cols)):
+        row = m[i]
+        scaled[i], remainder = divmod(det * row[n_cols] - sum(
+            row[j] * scaled[j] for j in range(i + 1, n_cols)), row[i])
+        if remainder:
+            raise ArithmeticError("fraction-free back-substitution left a remainder")
+    den *= det * common
+    return [Fraction(s, den) for s in scaled], "unique"
 
 
 # -- rational functions of X and Z, kept as integer factors ------------------

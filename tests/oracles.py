@@ -60,6 +60,41 @@ def pair_value_residual(u, v, x: int, z: int):
     return u(x, z) - u(x + 1, z) - v(x, z) + v(x, z + 1)
 
 
+def gauss_jordan(rows, rhs):
+    """Exact Gauss-Jordan elimination on Fractions: the same (solution, status)
+    contract as ``polys.solve_linear`` ("unique", "underdetermined" or
+    "inconsistent", solution None unless unique)."""
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    n_rows = len(m)
+    n_cols = len(m[0]) - 1
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = Fraction(m[r][col])
+        m[r] = [v / pv for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if m[i][n_cols] != 0:
+            return None, "inconsistent"
+    if len(pivots) < n_cols:
+        return None, "underdetermined"
+    sol = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivots):
+        sol[col] = m[i][n_cols]
+    return sol, "unique"
+
+
 def column_products(p, q, count: int) -> list:
     """A_0 = 1, A_{x+1} = A_x Q(x)/P(x) for x < count, as a plain running product."""
     values = [1]

@@ -11,6 +11,7 @@ from markovsum.markov import (
     EvaluationError,
     FailurePoint,
     GridFunction,
+    Scale,
     ThreePhiTwo,
     check_pair_condition,
     make_certificate,
@@ -18,6 +19,7 @@ from markovsum.markov import (
     sample_parameter_tuples,
     verify_certificate,
 )
+from markovsum.markov.pairs import bracket_residual, one
 from markovsum.markov.phi32 import SAMPLE_TUPLES, _ThreePhiTwoAlgebra
 from markovsum.markov.sampling import _hits_pole
 from oracles import (
@@ -116,13 +118,14 @@ class TestPairFromCertificate:
             pair.u(5, 0)
 
 
-GRID = 12
+GRID = 20
 
 
 def _certificates() -> dict:
     """Every certificate whose reduced residual must match the value residual, by name."""
     cases = {f"sample-{i}": ThreePhiTwo(*params).certificate()
              for i, params in enumerate(SAMPLE_TUPLES)}
+    cases["sample-0-unproved"] = dataclasses.replace(cases["sample-0"])
     cases.update((f"random-{i}", make_certificate(*params))
                  for i, params in enumerate(sample_parameter_tuples(20, seed=5)))
     good = make_certificate(*CANONICAL)
@@ -135,7 +138,9 @@ CERTIFICATES = _certificates()
 
 
 class TestReducedResidual:
-    """Reduced residual times scale equals the residual of the product-form values."""
+    """Reduced residual times scale equals the residual of the product-form values
+    at every point of the grid, so a failing pair or certificate fails first
+    where the values do, with the same residual."""
 
     @pytest.mark.parametrize("name", CERTIFICATES)
     def test_certificate_residual_equals_value_residual(self, name):
@@ -187,6 +192,33 @@ class TestReducedResidual:
         assert cli.main(["verify-certificate", "--random-points", "200"]) == 0
         assert "passed: True" in capsys.readouterr().out
         assert not hgterm._qpoch_cache
+
+
+class TestOneBracket:
+    """Certificate.residual and check_pair_condition form one integer bracket,
+    pairs.bracket_residual."""
+
+    def test_zero_bracket_reads_no_scale_value(self):
+        class Unread(Scale):
+            def value(self, x, z):
+                raise AssertionError("a zero bracket read S")
+
+        half = Q(1, 2)
+        assert bracket_residual(Unread(one, one), 0, 0, (half, Q(4)), (Q(2),), (Q(1, 3),),
+                                (Q(2, 3), half)) == 0
+        scale = Scale(lambda x, z: Q(3), one)  # S(1, 0) = 3
+        assert bracket_residual(scale, 1, 0, (half,), (Q(1, 3),), (Q(0),), (Q(1, 3), half)) \
+            == 3 * (half - Q(1, 3) + Q(1, 6))
+
+    def test_singular_grid_without_proof_raises_at_its_first_singular_point(self):
+        # the grid of `verify-certificate --c 4 --q 1/2 --grid 6x6`: c = q^-2
+        a, b, _, d, _ = CANONICAL
+        cert = make_certificate(a, b, Q(4), d, Q(1, 2))
+        for scanned in (cert, _scanned(cert)):
+            with pytest.raises(EvaluationError) as info:
+                verify_certificate(scanned, 6, 6)
+            assert (info.value.x, info.value.z) == (1, 2)
+            assert str(info.value) == "(c,d;q)_3 vanishes for c=4, d=1/11"
 
 
 def _scanned(cert: Certificate) -> Certificate:

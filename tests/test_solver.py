@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovsum.markov import (
     FORM_U1,
@@ -18,8 +20,10 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
     well_poised_family,
 )
+from markovsum.markov import solver
 from markovsum.markov.pairs import one
-from oracles import f4f3_product, well_poised_product
+from markovsum.polys import solve_linear
+from oracles import f4f3_product, gauss_jordan, well_poised_product
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -175,3 +179,81 @@ class TestFailures:
         ext = f4f3_family(Q(1), Q(1, 3), Q(2))  # no q among its params
         with pytest.raises(ValueError, match="base q"):
             solve_multipliers_stepwise(ext, FORM_U1, 2)
+
+
+def _systems(monkeypatch, family: str, x_max: int) -> list:
+    """Every (rows, rhs) the solver builds for a family's defaults through column x_max."""
+    systems = []
+
+    def capture(rows, rhs):
+        systems.append((rows, rhs))
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(solver, "solve_linear", capture)
+    family = solver.FAMILIES[family]
+    assert solve_multipliers_stepwise(family.build(*family.defaults), family.form, x_max).ok
+    return systems
+
+
+_ENTRIES = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _systems_drawn(draw):
+    """A rational system with some zero columns, repeated (scaled) rows, and
+    right-hand sides from a solution, drawn at random, or broken on an extra row."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=1)) if draw(st.booleans()) else ()
+    rows = [[Q(0) if j in zero else draw(_ENTRIES) for j in range(n)]
+            for _ in range(draw(st.integers(max(1, n - 1), n + 2)))]
+    solution = [draw(_ENTRIES) for _ in range(n)]
+    rhs = [sum(c * x for c, x in zip(row, solution)) for row in rows]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        k = draw(st.sampled_from([Q(1), Q(-2), Q(3, 5)]))
+        rows.append([k * c for c in rows[i]])
+        rhs.append(k * rhs[i])
+    mode = draw(st.sampled_from(["consistent", "drawn", "extra"]))
+    if mode == "drawn":
+        rhs = [draw(_ENTRIES) for _ in rows]
+    elif mode == "extra":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] + draw(_ENTRIES.filter(bool)))
+    return rows, rhs
+
+
+class TestFractionFreeElimination:
+    """The solver's fraction-free elimination against Gauss-Jordan on Fractions."""
+
+    @pytest.mark.parametrize("family, x_max", [
+        ("3phi2-u1", 20), ("4f3-u2", 20), ("4f3-wp-u3", 20),  # the 63 systems of `solve`
+        ("3phi2-u1", 150)])
+    def test_the_solve_systems(self, monkeypatch, family, x_max):
+        systems = _systems(monkeypatch, family, x_max)
+        assert len(systems) == x_max + 1
+        for rows, rhs in systems:
+            assert solve_linear(rows, rhs) == gauss_jordan(rows, rhs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_systems_drawn())
+    def test_drawn_systems(self, system):
+        rows, rhs = system
+        solution, status = solve_linear(rows, rhs)
+        assert (solution, status) == gauss_jordan(rows, rhs)
+        if status == "unique":
+            assert all(type(c) is Q for c in solution)
+            assert all(sum(c * x for c, x in zip(row, solution)) == b
+                       for row, b in zip(rows, rhs))
+
+    @pytest.mark.parametrize("rows, rhs, expected", [
+        ([[Q(0), Q(1)], [Q(0), Q(2)]], [Q(1), Q(2)], (None, "underdetermined")),
+        ([[Q(1), Q(1)], [Q(2), Q(2)], [Q(1), Q(-1)]], [Q(1), Q(3), Q(0)], (None, "inconsistent")),
+        ([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(-1, 6)], [Q(3, 4), Q(1, 6)]], [Q(1), Q(0), Q(1)],
+         ([Q(1), Q(3, 2)], "unique")),
+        ([[Q(0)], [Q(0)]], [Q(0), Q(0)], (None, "underdetermined")),
+        ([[Q(0)], [Q(0)]], [Q(0), Q(1)], (None, "inconsistent")),
+        ([[Q(2), Q(0)], [Q(0), Q(-3)]], [0, 1], ([Q(0), Q(-1, 3)], "unique")),
+    ], ids=["zero-column", "repeated-row-inconsistent", "cleared-rows", "zero-rows",
+            "zero-row-nonzero-rhs", "integer-rhs"])
+    def test_small_systems(self, rows, rhs, expected):
+        assert solve_linear(rows, rhs) == gauss_jordan(rows, rhs) == expected
