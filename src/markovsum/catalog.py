@@ -9,7 +9,8 @@ Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, integer polynomials in n or, for the two
 q-series sides, in y = q^n, in the one canonical form of
 ``polys.RationalFunction`` (the Hurwitz builders form their factors over
-the integers from a = u/v, the q-series sides read theirs off the engine);
+the integers from a = u/v; the q-series sides and Schellbach's series read
+their first term and ratio off the transformation engines' evaluators);
 the terms and prefix sums follow on one unreduced integer state
 (``hgterm.TermSequence``), stepped on the ratio in lowest terms.
 Everything else is derived by positivity certificates on integer
@@ -69,7 +70,7 @@ from .exact import (
 )
 from .hgterm import TermSequence, rising_factorial
 from .markov.phi32 import ThreePhiTwo
-from .markov.schellbach import SchellbachParams, ratio_function, schellbach_term
+from .markov.schellbach import SchellbachParams, schellbach_term
 from .polys import (
     RationalFunction,
     nonneg_walk,
@@ -457,12 +458,13 @@ ZETA2_SCHELLBACH = SchellbachParams(Fraction(1), Fraction(1), Fraction(2), Fract
 def entry_schellbach_zeta2() -> FormulaEntry:
     """zeta(2) via the transformed 3F2(1,1,1;2,2): terms 3 x!^2/(2x+2)!, rate 1/4.
 
-    The first term and the term ratio are Schellbach's, at (1, 1, 2, 2).
+    term(0) = V_{0,0} = M_{0,0}, and the ratio is the classical engine's
+    V_{x+1,0}/V_{x,0}, both read off its evaluators at (1, 1, 2, 2).
     """
     return _entry(
         "schellbach-zeta2", "zeta2",
         "transformed 3F2(1,1,1;2,2) series for zeta(2), geometric rate 1/4",
-        schellbach_term(ZETA2_SCHELLBACH, 0), ratio_function(ZETA2_SCHELLBACH), 0,
+        ZETA2_SCHELLBACH.m(0, 0), ZETA2_SCHELLBACH.transformed_ratio(), 0,
         provenance="Schellbach (1864); limit case of the q-series transformation")
 
 

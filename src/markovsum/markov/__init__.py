@@ -32,7 +32,6 @@ from .phi32 import (
 from .schellbach import (
     SchellbachParams,
     direct_term,
-    ratio_function,
     schellbach_asymptotics,
     schellbach_term,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",
     "green_rectangle", "make_certificate",
     "markov_form_term", "markov_param_map", "pair_from_certificate",
-    "phi32_family", "ratio_function", "remainder_diagnostics",
+    "phi32_family", "remainder_diagnostics",
     "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
     "solve_multipliers_stepwise", "verify_certificate",
     "well_poised_family",

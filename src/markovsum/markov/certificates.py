@@ -29,18 +29,20 @@ a telescoping pair: with A_0 = 1,
     U_{x,z} = A_x F_{x,z},       V_{x,z} = M_{x,z} F_{x,z}.
 
 The recurrence for A is accumulated by :class:`ColumnMultipliers` alone;
-the worked q-series engine uses the same class for its own A_x, so a pair
-and its certificate are two views of one set of evaluators.  The induced
-pair lives on the scale A_x S_{x,z}, whose x-ratio is (Q(x)/P(x)) sx, with
-reduced parts U~ = F~ and V~ = (R/P) F~.
+every transformation engine (:class:`Transformation`) uses the same class
+for its own A_x, so a pair and its certificate are two views of one set of
+evaluators.  The induced pair lives on the scale A_x S_{x,z}, whose
+x-ratio is (Q(x)/P(x)) sx, with reduced parts U~ = F~ and V~ = (R/P) F~.
 
-A certificate is a set of exact evaluators.  One built by the 3phi2
-engine also carries a proof (:class:`~markovsum.markov.phi32.BracketProof`):
-at the engine's parameters, the bracket above, formed by those same
-evaluators on X = q^x and Z = q^z, expands to the zero polynomial, so the
-identity holds at every point where none of the bracket's denominators
-vanishes.  :func:`verify_certificate` answers a grid from the proof when
-a check along x, and along x + z, finds no denominator vanishing on it;
+A certificate is a set of exact evaluators.  One built by a transformation
+engine (:class:`Transformation`: the 3phi2 engine, or Schellbach's
+classical one) also carries a proof (:class:`BracketProof`): at the
+engine's parameters, the bracket above, formed by those same evaluators
+on symbols for x and z, expands to the zero polynomial, so the identity
+holds at every point where none of the bracket's denominators vanishes.
+:func:`verify_certificate` answers a grid from the proof when the engine
+decides that no denominator vanishes on it (the 3phi2 engine decides this
+along x and along x + z; the classical engine decides nothing);
 otherwise, and for every certificate without a proof (one built from
 parts, copied by ``dataclasses.replace``, or a black-box extension), it
 scans the grid point by point.  With a parameterized family it repeats
@@ -52,13 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from ..exact import format_rational
+from ..polys import Factors, RationalFunction, degrees, divisor_lcm, factored_ratio
 from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, one
-
-if TYPE_CHECKING:
-    from .phi32 import BracketProof
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Certificate:
     """Extension F with telescoping data (P, Q, R).
 
     ``proof`` is set only by the engine that owns these evaluators (see
-    ``phi32._ThreePhiTwoAlgebra.certificate``).  A certificate built from
+    ``Transformation.certificate``).  A certificate built from
     parts, or copied by ``dataclasses.replace``, has none.
     """
 
@@ -231,3 +232,136 @@ def pair_from_certificate(cert: Certificate) -> MarkovPair:
     return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
                       GridFunction(v, f"V[{name}]", scale=scale),
                       provenance=f"certificate:{name}")
+
+
+class Transformation:
+    """A series transformation, given by five evaluators: the shift ratios
+    rx(x, z) = F_{x+1,z}/F_{x,z} and rz(x, z) = F_{x,z+1}/F_{x,z} of its
+    extension F, and its certificate data P(x), Q(x) and R(x, z).
+
+    Everything else is derived from them here, once for every engine: F,
+    stepped from F_{0,0} = 1 as a ``pairs.Scale``; the column multipliers A;
+    the row multipliers M = A R / P; the certificate with its proof
+    (:class:`BracketProof`); and the term ratio of the transformed series
+    sum_x V_{x,0}, V = M F.  The proof and the ratio run the evaluators on
+    the symbols that ``_symbols`` gives: by default ``polys.Factors`` X = x
+    and Z = z, on which evaluators written with +, -, * and / on x and z run
+    unchanged.  A subclass names itself (``NAME``) and the parameters its
+    extension records (``PARAMS``), and calls ``Transformation.__init__``
+    once its parameters are set.
+    """
+
+    NAME = ""
+    PARAMS = ""
+
+    def __init__(self):
+        # set through object, so that a frozen dataclass can be an engine
+        object.__setattr__(self, "_f", Scale(self.rx, self.rz))
+        #: column multiplier A_x, A_0 = 1
+        object.__setattr__(self, "A", ColumnMultipliers(self.P, self.Q))
+        #: the certificate identity at these parameters, expanded on first use
+        object.__setattr__(self, "proof", BracketProof(self))
+
+    def f(self, x: int, z: int) -> Fraction:
+        """The extension F_{x,z}; F_{0,z} is the source series' term."""
+        return self._f.value(x, z)
+
+    def extension(self) -> GridFunction:
+        """F as a grid function that is all scale: value F, ratios rx and rz."""
+        return GridFunction(one, f"{self.NAME} extension",
+                            params={name: getattr(self, name) for name in self.PARAMS},
+                            scale=self._f)
+
+    def certificate(self) -> Certificate:
+        """P, Q and R on the extension, carrying this engine's proof."""
+        cert = Certificate(self.extension(), self.P, self.Q, self.R, label=f"markov-{self.NAME}")
+        object.__setattr__(cert, "proof", self.proof)
+        return cert
+
+    def B(self, x: int) -> Fraction:
+        """A_x / P(x), the row multiplier's factor free of z: M_{x,z} = B_x R(x, z)."""
+        p = self.P(x)
+        if p == 0:
+            raise EvaluationError(f"P(x) vanishes at x={x}", x=x)
+        return self.A(x) / p
+
+    def m(self, x: int, z: int) -> Fraction:
+        """Row multiplier M_{x,z} = A_x R(x, z) / P(x)."""
+        return self.B(x) * self.R(x, z)
+
+    def _symbols(self) -> tuple:
+        """(engine, x, z): an engine whose evaluators run on the symbols x and z."""
+        return self, Factors.monomial(1, 0), Factors.monomial(0, 1)
+
+    def _divisor_vanishes(self, factor: dict, x_max: int, z_max: int) -> Optional[bool]:
+        """Whether a divisor of the bracket, a polynomial {(i, j): coefficient}
+        in the symbols, vanishes at a point of [0, x_max] x [0, z_max]; None
+        when that is not decided, as here, so the grid is scanned."""
+        return None
+
+    def transformed_ratio(self) -> RationalFunction:
+        """V_{x+1,0}/V_{x,0} = Q(x) R(x+1, 0) rx(x, 0) / (P(x+1) R(x, 0)).
+
+        It follows from V_{x,0} = A_x R(x, 0) F_{x,0} / P(x), and is read off
+        the evaluators run on the symbol x, with X^i Z^j read as y^(i+j): a
+        rational function of x, or of y = q^x for the 3phi2 engine.
+        """
+        e, x, z = self._symbols()
+        zero = 0 * z
+        return factored_ratio(e.Q(x) * e.R(x + 1, zero) * e.rx(x, zero),
+                              e.P(x + 1) * e.R(x, zero))
+
+
+class BracketProof:
+    """The certificate identity of one engine, proved by expanding its bracket.
+
+    The four terms of the bracket Q(x) rx - P(x) - R(x, z+1) rz + R(x, z)
+    are formed by the engine's own evaluators, run on its symbols (see
+    ``Transformation._symbols``), as integer factors over divisor lists,
+    and their sum is multiplied out over the integers.  When the sum is
+    zero, the identity holds at every lattice point where no divisor met on
+    the way vanishes, because each evaluator there returns its rational
+    function's value.  This is the rational-function certification of Wilf
+    and Zeilberger, done at one parameter tuple.  The expansion is formed
+    on first use.
+    """
+
+    def __init__(self, engine: Transformation):
+        self._engine = engine
+
+    @cached_property
+    def _terms(self) -> tuple[Factors, ...]:
+        """Q rx, -P, -R(x, z+1) rz and R(x, z)."""
+        e, x, z = self._engine._symbols()
+        return e.Q(x) * e.rx(x, z), -e.P(x), -e.R(x, z + 1) * e.rz(x, z), e.R(x, z)
+
+    @property
+    def factors(self) -> tuple[dict, ...]:
+        """The lcm of the four terms' divisor lists, each divisor a primitive
+        integer polynomial {(i, j): coefficient of X^i Z^j} with a positive
+        coefficient at its lowest monomial; the cleared denominator is their
+        product times a constant."""
+        return divisor_lcm(self._terms)
+
+    @property
+    def degrees(self) -> tuple[int, int]:
+        """(d_X, d_Z): the largest degrees in X and in Z of the terms cleared
+        over ``factors``, summed from the degrees of their factors."""
+        den = self.factors
+        found = [degrees(term.cleared(den)) for term in self._terms if term.n]
+        return max(dx for dx, _ in found), max(dz for _, dz in found)
+
+    @cached_property
+    def holds(self) -> bool:
+        """Whether the bracket's sum is zero: its scale is 0."""
+        return not sum(self._terms).n
+
+    def covers(self, x_max: int, z_max: int) -> bool:
+        """Whether the identity is proved at every point of [0, x_max] x [0, z_max].
+
+        It is when the numerator is zero and the engine decides that no
+        divisor vanishes on the grid; an undecided divisor leaves the grid
+        to a scan.
+        """
+        return self.holds and all(self._engine._divisor_vanishes(factor, x_max, z_max) is False
+                                  for factor in self.factors)

@@ -1,8 +1,12 @@
 """The worked q-series transformation: 3phi2(a,b,1; c,d; q, t), t = cd/(abq).
 
-This is the fully explicit instance of the engine, and the one place where
-its algebra is written.  The extension F is given by F_{0,0} = 1 and its
-two shift ratios, rational in X = q^x and Z = q^z:
+This module holds the five evaluators of the transformation, the only
+place where its algebra is written; everything derived from them (F, A,
+M, the certificate, its proof and the transformed series' ratio) is
+derived once, for this engine and for its q -> 1 limit, Schellbach's
+classical one, by :class:`~markovsum.markov.certificates.Transformation`.
+The extension F is given by F_{0,0} = 1 and its two shift ratios,
+rational in X = q^x and Z = q^z:
 
     rx = F_{x+1,z}/F_{x,z} = cd X^2 Z^2 / ((1-cXZ)(1-dXZ)),
     rz = F_{x,z+1}/F_{x,z} = t X^2 (1-aZ)(1-bZ) / ((1-cXZ)(1-dXZ)).
@@ -20,13 +24,15 @@ certificate identity with
     R(x,z) = 1 + t q^(2x+z) ((c+d)q^x - (a+b)) / (1 - t q^(2x+1)),
 
 for any nonzero parameters away from poles.  That is proved in code, one
-parameter tuple at a time: :class:`BracketProof` runs the evaluators of
-rx, rz, P, Q and R on X and Z as symbols, keeps their results as integer
+parameter tuple at a time: ``certificates.BracketProof`` runs the
+evaluators of rx, rz, P, Q and R on X and Z as symbols (the engine's
+symbolic twin, which ``_symbols`` hands it), keeps their results as integer
 factors, multiplies the bracket Q rx - P - R(X, qZ) rz + R(X, Z) out over
 the integers and finds the zero polynomial, with the divisors (1-tqX^2),
 (1-cXZ) and (1-dXZ) and degrees (6, 3) in (X, Z) read off the factors.
-A grid on which one of those divisors vanishes is scanned point by point
-instead, and raises at the first point where an evaluator is undefined.
+The engine tests those divisors at the powers of q for the proof; a grid
+on which one of them vanishes is scanned point by point instead, and
+raises at the first point where an evaluator is undefined.
 
 Everything else is derived from F, P, Q and R, and all of them read one
 per-engine table of powers of q.  F is the extension's scale (its reduced
@@ -62,21 +68,13 @@ import copy
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
-from ..polys import (
-    Factors,
-    RationalFunction,
-    degrees,
-    divisor_lcm,
-    factored_ratio,
-    vanishes_at_powers,
-)
-from .certificates import Certificate, ColumnMultipliers, check_column, pair_from_certificate
-from .pairs import ONE, EvaluationError, GridFunction, MarkovPair, Scale, one
+from ..polys import Factors, RationalFunction, factored_ratio, vanishes_at_powers
+from .certificates import Certificate, Transformation, check_column, pair_from_certificate
+from .pairs import ONE, EvaluationError, MarkovPair
 
 #: Parameter tuples (a, b, c, d, q) used across tests and fixtures; all have
 #: 0 < t < 1 and poles nowhere near the working grids.
@@ -141,13 +139,18 @@ def _memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
 _extend_lock = threading.Lock()
 
 
-class _ThreePhiTwoAlgebra:
-    """The extension F, its certificate (P, Q, R) and the induced multipliers.
+class _ThreePhiTwoAlgebra(Transformation):
+    """The five evaluators of the 3phi2 transformation: rx, rz, P, Q and R.
 
     Nothing here needs convergence, so any nonzero rational parameters are
-    accepted, whatever t is.  A_x comes from the certificate through the
-    shared column-step class.
+    accepted, whatever t is.  F, A, M, the certificate and its proof are
+    derived by :class:`~markovsum.markov.certificates.Transformation`; this
+    part adds the evaluators' symbolic twin and the test of the proof's
+    divisors at the powers of q.
     """
+
+    NAME = "3phi2"
+    PARAMS = "abcdqt"
 
     def __init__(self, a, b, c, d, q):
         self.a, self.b, self.c, self.d, self.q = (Fraction(v) for v in (a, b, c, d, q))
@@ -158,18 +161,13 @@ class _ThreePhiTwoAlgebra:
         self.t = self._cd / (self.a * self.b * self.q)
         #: q^k at index k
         self._powers = [ONE]
-        #: F, stepped from F_{0,0} = 1 by rx and rz
-        self._f = Scale(self.rx, self.rz)
         # one-index values, each a pure function of its key: k -> (1-cq^k)(1-dq^k),
         # z -> (1-aq^z)(1-bq^z), x -> Q(x) and x -> the slope K(x) of R(x, z) in q^z
         self._poles: dict[int, Fraction] = {}
         self._uppers: dict[int, Fraction] = {}
         self._q_values: dict[int, Fraction] = {}
         self._r_slopes: dict[int, Fraction] = {}
-        #: column multiplier A_x, A_0 = 1
-        self.A = ColumnMultipliers(self.P, self.Q)
-        #: the certificate identity at these parameters, expanded on first use
-        self.proof = BracketProof(self)
+        super().__init__()
 
     @property
     def params(self) -> tuple[Fraction, ...]:
@@ -207,16 +205,6 @@ class _ThreePhiTwoAlgebra:
                       * (1 - self.b * self._power(z)))
         return self.t * self._power(2 * x) * upper / self._pole(x, z + 1)
 
-    def f(self, x: int, z: int) -> Fraction:
-        """The extension F_{x,z}; F_{0,z} is the series term."""
-        return self._f.value(x, z)
-
-    def extension(self) -> GridFunction:
-        """F as a grid function that is all scale: value F, ratios rx and rz."""
-        return GridFunction(one, "3phi2 extension", params={
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "q": self.q, "t": self.t}, scale=self._f)
-
     # -- certificate -----------------------------------------------------------
 
     def _d1(self, x: int) -> Fraction:
@@ -245,6 +233,12 @@ class _ThreePhiTwoAlgebra:
                 / self._d1(x)
         return 1 + _memo(self._r_slopes, x, slope) * self._power(z)
 
+    def C(self, x: int) -> Fraction:
+        """C_x in the row multiplier M_{x,z} = B_x + C_x q^z."""
+        return self.B(x) * (self.R(x, 0) - 1)
+
+    # -- the evaluators on symbols -----------------------------------------------
+
     def _symbolic(self) -> "_ThreePhiTwoAlgebra":
         """A copy of this engine whose evaluators run on symbols.
 
@@ -255,34 +249,34 @@ class _ThreePhiTwoAlgebra:
         returns its rational function of X = q^x and Z = q^z, kept as
         integer factors, and R at (x, z + 1) is R at (X, qZ).  A vanishing
         test of a denominator is then false, since none is the zero
-        polynomial.  The copy has its own one-index tables.  The bracket
-        proof and the two series' term ratios all run on it.
+        polynomial.  The copy has its own one-index tables.
         """
         twin = copy.copy(self)
         twin._poles, twin._uppers, twin._q_values, twin._r_slopes = {}, {}, {}, {}
         twin._power = lambda k: Factors.monomial(k.i, k.j, self.q ** k.k)
         return twin
 
-    def certificate(self) -> Certificate:
-        """P, Q and R on the extension, carrying this engine's proof."""
-        cert = Certificate(self.extension(), self.P, self.Q, self.R, label=FIXTURE_NAME)
-        object.__setattr__(cert, "proof", self.proof)
-        return cert
+    def _symbols(self) -> tuple:
+        """The symbolic twin, with x and z as the exponents of X = q^x and Z = q^z."""
+        return self._symbolic(), _Exponent(1, 0), _Exponent(0, 1)
 
-    # -- row multipliers, M = A R / P ------------------------------------------
+    def _divisor_vanishes(self, factor: dict, x_max: int, z_max: int) -> Optional[bool]:
+        """Whether a divisor in X = q^x and Z = q^z vanishes on the grid.
 
-    def B(self, x: int) -> Fraction:
-        p = self.P(x)
-        if p == 0:
-            raise EvaluationError(f"(1 - t q^(2x)) vanishes at x={x}", x=x)
-        return self.A(x) / p
-
-    def C(self, x: int) -> Fraction:
-        return self.B(x) * (self.R(x, 0) - 1)
-
-    def m(self, x: int, z: int) -> Fraction:
-        """Row multiplier M_{x,z} = B_x + C_x q^z."""
-        return self.B(x) * self.R(x, z)
+        One in X alone is read along x <= x_max and one in XZ alone along
+        x + z <= x_max + z_max, by ``polys.vanishes_at_powers``; any other
+        is not decided.
+        """
+        if all(j == 0 for _, j in factor):
+            span = x_max
+        elif all(i == j for i, j in factor):
+            span = x_max + z_max
+        else:
+            return None
+        coeffs = [0] * (1 + max(i for i, _ in factor))
+        for (i, _), c in factor.items():
+            coeffs[i] = c
+        return vanishes_at_powers(coeffs, self.q, span)
 
 
 @dataclass(frozen=True)
@@ -303,76 +297,6 @@ class _Exponent:
 
     def __rmul__(self, n: int) -> "_Exponent":
         return _Exponent(n * self.i, n * self.j, n * self.k)
-
-
-class BracketProof:
-    """The certificate identity of one engine, proved by expanding its bracket.
-
-    The four terms of the bracket Q(x) rx - P(x) - R(x, z+1) rz + R(x, z)
-    are formed by the engine's own evaluators, run on X = q^x and Z = q^z
-    (see ``_ThreePhiTwoAlgebra._symbolic``), as integer factors over
-    divisor lists, and their sum is multiplied out over the integers.  When
-    the sum is zero, the identity holds at every lattice point where no
-    divisor met on the way vanishes at X = q^x, Z = q^z, because each
-    evaluator there returns its rational function's value.  This is the
-    rational-function certification of Wilf and Zeilberger, done at one
-    parameter tuple.  The expansion is formed on first use.
-    """
-
-    def __init__(self, engine: _ThreePhiTwoAlgebra):
-        self._engine = engine
-
-    @cached_property
-    def _terms(self) -> tuple[Factors, ...]:
-        """Q rx, -P, -R(X, qZ) rz and R(X, Z)."""
-        e = self._engine._symbolic()
-        x, z = _Exponent(1, 0), _Exponent(0, 1)
-        return e.Q(x) * e.rx(x, z), -e.P(x), -e.R(x, z + 1) * e.rz(x, z), e.R(x, z)
-
-    @property
-    def factors(self) -> tuple[dict, ...]:
-        """The lcm of the four terms' divisor lists, each divisor a primitive
-        integer polynomial {(i, j): coefficient of X^i Z^j} with a positive
-        coefficient at its lowest monomial; the cleared denominator is their
-        product times a constant."""
-        return divisor_lcm(self._terms)
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        """(d_X, d_Z): the largest degrees in X and in Z of the terms cleared
-        over ``factors``, summed from the degrees of their factors."""
-        den = self.factors
-        found = [degrees(term.cleared(den)) for term in self._terms if term.n]
-        return max(dx for dx, _ in found), max(dz for _, dz in found)
-
-    @cached_property
-    def holds(self) -> bool:
-        """Whether the bracket's sum is zero: its scale is 0."""
-        return not sum(self._terms).n
-
-    def covers(self, x_max: int, z_max: int) -> bool:
-        """Whether the identity is proved at every point of [0, x_max] x [0, z_max].
-
-        It is when the numerator is zero and no divisor vanishes at
-        X = q^x, Z = q^z on the grid.  A divisor in X alone is read along
-        x <= x_max and one in XZ alone along x + z <= x_max + z_max; any
-        other is not decided, and the grid is left to a scan.
-        """
-        if not self.holds:
-            return False
-        for factor in self.factors:
-            if all(j == 0 for _, j in factor):
-                span = x_max
-            elif all(i == j for i, j in factor):
-                span = x_max + z_max
-            else:
-                return False
-            coeffs = [0] * (1 + max(i for i, _ in factor))
-            for (i, _), c in factor.items():
-                coeffs[i] = c
-            if vanishes_at_powers(coeffs, self._engine.q, span):
-                return False
-        return True
 
 
 class ThreePhiTwo(_ThreePhiTwoAlgebra):
@@ -396,12 +320,8 @@ class ThreePhiTwo(_ThreePhiTwoAlgebra):
 
     def source_ratio(self) -> RationalFunction:
         """F_{0,z+1}/F_{0,z} = rz(0, z), a rational function of y = q^z."""
-        return factored_ratio(self._symbolic().rz(_Exponent(0, 0), _Exponent(0, 1)))
-
-    def transformed_ratio(self) -> RationalFunction:
-        """V_{x+1,0}/V_{x,0} in y = q^x, from V_{x,0} = A_x R(x, 0) F_{x,0} / P(x)."""
-        e, x, z = self._symbolic(), _Exponent(1, 0), _Exponent(0, 0)
-        return factored_ratio(e.Q(x) * e.R(x + 1, z) * e.rx(x, z), e.P(x + 1) * e.R(x, z))
+        e, x, z = self._symbols()
+        return factored_ratio(e.rz(0 * x, z))
 
     # -- closed forms, independent of the certificate ----------------------------
 

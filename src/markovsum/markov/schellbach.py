@@ -1,11 +1,37 @@
 """Schellbach's geometrically convergent form of 3F2(a,b,1; c,d).
 
-The q -> 1 limit of the q-series transformation: with t = c+d-a-b-1 > 0,
+The q -> 1 limit of the q-series transformation, as a transformation
+engine of its own (:class:`~markovsum.markov.certificates.Transformation`),
+on the extension
 
-    3F2(a,b,1; c,d) = sum_x  (c-a, c-b, d-a, d-b)_x p(a,b,c,d,x)
-                             / ((c,d)_x (t)_{2x+2}),
+    F_{x,z} = (a)_z (b)_z / ((c)_{x+z} (d)_{x+z}),
 
-    p(a,b,c,d,x) = (c+d-a-1+2x)(c+d-b-1+2x) - (c-1+x)(d-1+x).
+whose column x = 0 is the source series 3F2(a,b,1; c,d) = sum_z F_{0,z}.
+F is stepped from F_{0,0} = 1 by its shift ratios
+
+    rx = F_{x+1,z}/F_{x,z} = 1 / ((c+x+z)(d+x+z)),
+    rz = F_{x,z+1}/F_{x,z} = (a+z)(b+z) / ((c+x+z)(d+x+z)),
+
+and, with t = c+d-a-b-1, the certificate identity holds with
+
+    P(x) = (t+2x)(t+2x+1),
+    Q(x) = (c-a+x)(c-b+x)(d-a+x)(d-b+x),
+    R(x,z) = p(x) + (t+2x+1) z,
+    p(x) = (c+d-a-1+2x)(c+d-b-1+2x) - (c-1+x)(d-1+x).
+
+This is the q = 1 case of the WZ pairs of the 3phi2 engine (Wilf and
+Zeilberger, 1990; Mohammed and Zeilberger, 2004).  The five evaluators
+are written once, for values, and run unchanged on ``polys.Factors``
+symbols x and z, so the engine's ``BracketProof`` expands the bracket to
+zero over Q[x, z] at each parameter tuple.  For t > 0 the row series of
+the induced pair is Schellbach's:
+
+    3F2(a,b,1; c,d) = sum_x V_{x,0},
+    V_{x,0} = A_x R(x,0) F_{x,0} / P(x)
+            = (c-a, c-b, d-a, d-b)_x p(x) / ((c,d)_x (t)_{2x+2}).
+
+The catalog reads its first term and term ratio off the engine; the
+closed form ``schellbach_term`` is kept as an independent check.
 
 The left side converges like sum n^(-t-1); the right side geometrically
 with limit ratio 1/4 (terms behave like 4^(-x) times a power of x).  The
@@ -21,13 +47,23 @@ from fractions import Fraction
 
 from ..exact import exp2_approx, format_rational, log2_approx
 from ..hgterm import _is_nonpositive_integer, rising_factorial
-from ..polys import RationalFunction, integer_ratio, poly, poly_mul, poly_shift
+from .certificates import Transformation
 from .pairs import EvaluationError
 
 
 @dataclass(frozen=True)
-class SchellbachParams:
-    """Parameters (a, b, c, d) with the convergence exponent t = c+d-a-b-1."""
+class SchellbachParams(Transformation):
+    """Parameters (a, b, c, d) with the convergence exponent t = c+d-a-b-1,
+    and the classical transformation on them.
+
+    t <= 0 and a nonpositive integer c or d are refused.  A nonpositive
+    integer c-a, c-b, d-a or d-b is a zero of Q, not a pole: the
+    transformed series then ends, and the identity still holds.  Equality
+    and hashing read the four parameters only.
+    """
+
+    NAME = "3F2"
+    PARAMS = "abcdt"
 
     a: Fraction
     b: Fraction
@@ -39,29 +75,46 @@ class SchellbachParams:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.t <= 0:
             raise ValueError(f"need c+d-a-b-1 > 0, got {format_rational(self.t)}")
-        for name, v in (("c", self.c), ("d", self.d),
-                        ("c-a", self.c - self.a), ("c-b", self.c - self.b),
-                        ("d-a", self.d - self.a), ("d-b", self.d - self.b)):
+        for name, v in (("c", self.c), ("d", self.d)):
             if _is_nonpositive_integer(v):
                 raise ValueError(f"{name} must not be a nonpositive integer")
+        super().__init__()
 
     @property
     def t(self) -> Fraction:
         return self.c + self.d - self.a - self.b - 1
 
-    def p(self, x: int) -> Fraction:
-        """The quadratic numerator polynomial."""
+    def rx(self, x, z):
+        """F_{x+1,z}/F_{x,z} = 1/((c+x+z)(d+x+z))."""
+        return 1 / ((self.c + x + z) * (self.d + x + z))
+
+    def rz(self, x, z):
+        """F_{x,z+1}/F_{x,z} = (a+z)(b+z)/((c+x+z)(d+x+z))."""
+        return (self.a + z) * (self.b + z) * self.rx(x, z)
+
+    def P(self, x):
+        return (self.t + 2 * x) * (self.t + 2 * x + 1)
+
+    def Q(self, x):
+        """The column step: A_{x+1}/A_x = Q(x)/P(x)."""
         a, b, c, d = self.a, self.b, self.c, self.d
-        return (c + d - a - 1 + 2 * x) * (c + d - b - 1 + 2 * x) - (c - 1 + x) * (d - 1 + x)
+        return (c - a + x) * (c - b + x) * (d - a + x) * (d - b + x)
+
+    def R(self, x, z):
+        """R(x, z) = p(x) + (t+2x+1) z, with p Schellbach's quadratic."""
+        a, b, c, d, t = self.a, self.b, self.c, self.d, self.t
+        return (c + d - a - 1 + 2 * x) * (c + d - b - 1 + 2 * x) - (c - 1 + x) * (d - 1 + x) \
+            + (t + 2 * x + 1) * z
 
 
 def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
-    """Exact term x of the transformed series."""
+    """Exact term x of the transformed series, in closed form:
+    (c-a, c-b, d-a, d-b)_x p(x) / ((c,d)_x (t)_{2x+2}), p(x) = R(x, 0)."""
     if x < 0:
         raise ValueError("x must be >= 0")
     a, b, c, d = params.a, params.b, params.c, params.d
     num = rising_factorial(c - a, x) * rising_factorial(c - b, x) \
-        * rising_factorial(d - a, x) * rising_factorial(d - b, x) * params.p(x)
+        * rising_factorial(d - a, x) * rising_factorial(d - b, x) * params.R(x, 0)
     den = rising_factorial(c, x) * rising_factorial(d, x) * rising_factorial(params.t, 2 * x + 2)
     if den == 0:
         raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
@@ -69,28 +122,8 @@ def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
 
 
 def direct_term(params: SchellbachParams, n: int) -> Fraction:
-    """Term n of the source series: (a)_n (b)_n / ((c)_n (d)_n)."""
-    den = rising_factorial(params.c, n) * rising_factorial(params.d, n)
-    if den == 0:
-        raise EvaluationError(f"source-term denominator vanishes at n={n}", z=n)
-    return rising_factorial(params.a, n) * rising_factorial(params.b, n) / den
-
-
-def ratio_function(params: SchellbachParams) -> RationalFunction:
-    """term(x+1)/term(x) as an exact rational function of x.
-
-    ratio = (c-a+x)(c-b+x)(d-a+x)(d-b+x) p(x+1)
-            / ((c+x)(d+x)(t+2x+2)(t+2x+3) p(x)).
-    """
-    a, b, c, d, t = params.a, params.b, params.c, params.d, params.t
-    s = c + d - 1
-    # p as a polynomial in x
-    p_poly = poly_mul(poly(s - a, 2), poly(s - b, 2))
-    p_poly = [pi - qi for pi, qi in
-              zip(p_poly, poly_mul(poly(c - 1, 1), poly(d - 1, 1)))]
-    return integer_ratio(1, (poly(c - a, 1), poly(c - b, 1), poly(d - a, 1), poly(d - b, 1),
-                             poly_shift(p_poly, 1)),
-                         (poly(c, 1), poly(d, 1), poly(t + 2, 2), poly(t + 3, 2), p_poly))
+    """Term n of the source series: F_{0,n} = (a)_n (b)_n / ((c)_n (d)_n)."""
+    return params.f(0, n)
 
 
 def schellbach_asymptotics(params: SchellbachParams, x: int,

@@ -15,12 +15,13 @@ three needs:
   on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver
   by fraction-free (Bareiss) elimination over the integers;
-* running the 3phi2 engine's formulas on X and Z as symbols, kept as
-  integer factors {(i, j): coefficient of X^i Z^j} (:class:`Factors`):
-  to expand its certificate identity to zero over the integers, to check
-  that identity's denominators at the powers of q
-  (:func:`vanishes_at_powers`), and to read a term ratio in y = q^n off
-  the formulas (:func:`factored_ratio`).
+* running a transformation engine's formulas on X and Z as symbols, kept
+  as integer factors {(i, j): coefficient of X^i Z^j} (:class:`Factors`):
+  X = q^x and Z = q^z for the 3phi2 engine, X = x and Z = z for
+  Schellbach's classical one; to expand its certificate identity to zero
+  over the integers, to check the 3phi2 identity's denominators at the
+  powers of q (:func:`vanishes_at_powers`), and to read a term ratio in
+  x or in y = q^x off the formulas (:func:`factored_ratio`).
 """
 
 from __future__ import annotations
@@ -316,8 +317,8 @@ def integer_ratio(scale, num_factors: Sequence[Sequence],
     Each factor is cleared of its coefficients' denominators on its own, and
     the other side takes the same positive multiple, so no product is taken
     on ``Fraction`` coefficients; the result is the canonical form that any
-    other route to the same quotient gives.  Schellbach's ratio and
-    :func:`factored_ratio` are built by it.
+    other route to the same quotient gives.  :func:`factored_ratio`, which
+    reads every engine-derived ratio off the evaluators, is built by it.
     """
     scale = Fraction(scale)
     sides = [[scale.numerator], [scale.denominator]]
@@ -516,6 +517,9 @@ class Factors:
         sign = 1 if other.n > 0 else -1
         return Factors(sign * self.n * other.d, sign * self.d * other.n,
                        self.num + other.den, self.den + other.num)
+
+    def __rtruediv__(self, other) -> "Factors":
+        return self._lift(other) / self
 
     def __eq__(self, other) -> bool:
         """Equality as rational functions."""

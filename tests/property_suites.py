@@ -34,7 +34,6 @@ from markovsum.markov import (
     green_rectangle,
     markov_form_term,
     pair_from_certificate,
-    ratio_function,
     schellbach_term,
     solve_multipliers_stepwise,
 )
@@ -193,7 +192,7 @@ def markov_cubic_coefficient_always_vanishes():
 
 
 def _certified_rho(params):
-    ratio = ratio_function(params)
+    ratio = params.transformed_ratio()
     for rho in (Q(1, 4), Q(3, 10), Q(1, 3), Q(2, 5), Q(1, 2)):
         for n0 in (0, 4, 8, 16):
             if ratio.bounded_by(rho, n0) is not None:

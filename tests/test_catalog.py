@@ -33,7 +33,6 @@ from markovsum.exact import (
 )
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, sample_parameter_tuples
-from markovsum.markov.schellbach import ratio_function
 from markovsum.polys import RationalFunction, gcd_cofactors, poly, poly_mul, poly_shift
 from oracles import (
     fraction_enclosure,
@@ -905,7 +904,7 @@ class TestIntegerBuilders:
     def test_schellbach_equals_the_fraction_construction(self):
         for params in (catalog.ZETA2_SCHELLBACH,
                        catalog.SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))):
-            built, oracle = ratio_function(params), schellbach_ratio(params)
+            built, oracle = params.transformed_ratio(), schellbach_ratio(params)
             assert (built.num, built.den) == (oracle.num, oracle.den)
 
 

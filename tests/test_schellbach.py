@@ -2,16 +2,34 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovsum.markov import (
     SchellbachParams,
+    check_pair_condition,
     direct_term,
-    ratio_function,
+    green_rectangle,
+    pair_from_certificate,
     schellbach_asymptotics,
     schellbach_term,
+    verify_certificate,
 )
+from oracles import schellbach_ratio
 
 ZETA2_PARAMS = SchellbachParams(Q(1), Q(1), Q(2), Q(2))
+GENERAL_PARAMS = SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))
+
+
+def _accepted(params) -> bool:
+    a, b, c, d = params
+    return c + d - a - b - 1 > 0 and not any(v.denominator == 1 and v <= 0 for v in (c, d))
+
+
+#: (a, b, c, d) with t > 0 and c, d off the poles; nonpositive integers c-a, ... are drawn
+TUPLES = st.tuples(*[st.fractions(-6, 6, max_denominator=6)] * 4).filter(_accepted) \
+    .map(lambda params: SchellbachParams(*params))
+DRAWS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 class TestParams:
@@ -24,10 +42,22 @@ class TestParams:
             SchellbachParams(Q(1), Q(1), Q(1), Q(2))
 
     def test_pochhammer_poles_rejected(self):
-        with pytest.raises(ValueError):
-            SchellbachParams(Q(2), Q(-3), Q(2), Q(4))  # c-a = 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="c must not"):
             SchellbachParams(Q(1), Q(1), Q(-1), Q(6))  # c nonpositive integer
+        with pytest.raises(ValueError, match="d must not"):
+            SchellbachParams(Q(1), Q(1), Q(6), Q(0))
+
+    def test_numerator_zeros_accepted(self):
+        # c = a is a zero of Q(0): the transformed series is its first term,
+        # V(0,0) = (d-1)/(d-b-1), Gauss's sum of 2F1(b, 1; d; 1)
+        params = SchellbachParams(Q(2), Q(-3), Q(2), Q(4))
+        assert [schellbach_term(params, x) for x in range(4)] == [Q(1, 2), 0, 0, 0]
+        assert sum(direct_term(params, n) for n in range(8)) == Q(1, 2)  # (-3)_n ends it
+        assert params.proof.holds
+        gauss = SchellbachParams(Q(2), Q(1, 2), Q(2), Q(4))
+        assert gauss.m(0, 0) == schellbach_term(gauss, 0) == Q(6, 5)
+        assert schellbach_term(gauss, 1) == 0
+        assert 0 < Q(6, 5) - sum(direct_term(gauss, n) for n in range(200)) < Q(1, 10 ** 4)
 
 
 class TestTerm:
@@ -57,13 +87,81 @@ class TestTerm:
 
 class TestRatioFunction:
     def test_matches_term_quotient(self):
-        for params in (ZETA2_PARAMS, SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))):
-            ratio = ratio_function(params)
+        for params in (ZETA2_PARAMS, GENERAL_PARAMS):
+            ratio = params.transformed_ratio()
             for x in range(12):
                 assert ratio(x) == schellbach_term(params, x + 1) / schellbach_term(params, x)
 
     def test_quarter_bound_certificate(self):
-        assert ratio_function(ZETA2_PARAMS).bounded_by(Q(1, 4), 0) is not None
+        assert ZETA2_PARAMS.transformed_ratio().bounded_by(Q(1, 4), 0) is not None
+
+
+class _PerturbedR(SchellbachParams):
+    """The classical engine with R raised by x z; its proof expands the perturbed R."""
+
+    def R(self, x, z):
+        return super().R(x, z) + x * z
+
+
+class TestClassicalEngine:
+    """Schellbach's series read off the five classical evaluators."""
+
+    @DRAWS
+    @given(TUPLES)
+    def test_bracket_proved(self, params):
+        assert params.proof.holds
+        assert params.proof.degrees == (4, 3)
+        assert len(params.proof.factors) == 2  # (c+x+z)(d+x+z)
+
+    def test_perturbed_r_not_proved(self):
+        for params in (ZETA2_PARAMS, GENERAL_PARAMS):
+            assert not _PerturbedR(params.a, params.b, params.c, params.d).proof.holds
+
+    @DRAWS
+    @given(TUPLES)
+    def test_transformed_ratio_is_schellbachs(self, params):
+        # the canonical form fixes the integers up to one common sign: the
+        # engine's factors keep a positive constant term, the oracle's a
+        # positive leading one, so a negative c, d or p(0) flips both sides
+        derived, oracle = params.transformed_ratio(), schellbach_ratio(params)
+        sign = 1 if derived.den[-1] > 0 else -1
+        assert ([sign * c for c in derived.num], [sign * c for c in derived.den]) \
+            == (oracle.num, oracle.den)
+
+    def test_transformed_ratio_integers_at_positive_parameters(self):
+        for params in (ZETA2_PARAMS, GENERAL_PARAMS, SchellbachParams(1, 1, 2, 3)):
+            derived, oracle = params.transformed_ratio(), schellbach_ratio(params)
+            assert (derived.num, derived.den) == (oracle.num, oracle.den)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(TUPLES)
+    def test_row_terms_are_the_closed_form(self, params):
+        for x in range(65):
+            assert params.m(x, 0) * params.f(x, 0) == schellbach_term(params, x)
+
+    def test_pair_telescopes(self):
+        for params in (ZETA2_PARAMS, GENERAL_PARAMS, SchellbachParams(Q(2), Q(-3), Q(2), Q(4))):
+            pair = pair_from_certificate(params.certificate())
+            assert all(check_pair_condition(pair, x, z).holds
+                       for x in range(12) for z in range(12))
+            assert green_rectangle(pair, 12, 12).equal
+
+    def test_certificate_verified_by_a_scan(self):
+        # the classical engine decides no divisor, so its grids are scanned
+        for params in (ZETA2_PARAMS, GENERAL_PARAMS):
+            cert = params.certificate()
+            assert cert.proof is params.proof and cert.label == "markov-3F2"
+            verdict = verify_certificate(cert, 12, 12)
+            assert (verdict.passed, verdict.checks, verdict.proved) == (True, 169, False)
+
+    def test_equality_and_hash_read_the_fields(self):
+        used = SchellbachParams(1, 1, 2, 2)
+        assert used.proof.holds and used.f(3, 4) and used.m(2, 0)
+        assert used == ZETA2_PARAMS and hash(used) == hash(ZETA2_PARAMS)
+        assert used != GENERAL_PARAMS
+        assert {used: 1}[SchellbachParams(Q(1), Q(1), Q(2), Q(2))] == 1
+        assert repr(used) == "SchellbachParams(a=Fraction(1, 1), b=Fraction(1, 1), " \
+            "c=Fraction(2, 1), d=Fraction(2, 1))"
 
 
 class TestDirectSide:
@@ -77,10 +175,10 @@ class TestDirectSide:
     def test_general_parameters_bracket(self):
         # rational non-integer parameters: both sides of the identity agree
         # within the sum of their tail bounds
-        params = SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))
+        params = GENERAL_PARAMS
         s_trans = sum(schellbach_term(params, x) for x in range(40))
         s_direct = sum(direct_term(params, n) for n in range(3000))
-        ratio = ratio_function(params)
+        ratio = params.transformed_ratio()
         assert ratio.bounded_by(Q(3, 10), 8) is not None  # rho certified past x=8
         trans_tail = abs(schellbach_term(params, 40)) / (1 - Q(3, 10))
         # direct term ratio (n+1/2)(n+1/3)/((n+2)(n+5/2)) <= (n+1)^2/(n+2)^2,
