@@ -15,24 +15,33 @@ and A_0 = 1 always.  Each step solves for the new column coefficients of U
 at least two more z-samples than unknowns.  The elimination runs over every
 sample row, so the extra samples check the solution: an ansatz that cannot
 close is reported with the first failing column, never silently
-extrapolated.  It is fraction-free (Bareiss, see ``polys.solve_linear``):
-each row's coefficients are cleared to primitive integers and divided only
-exactly, while the right-hand sides, U at the known column x over S, whose
-denominators grow with x, stay rational (integer numerators over one shared
-denominator) and never enter a coefficient.
+extrapolated.
 
-Each row is the condition at (x, z) divided by F's scale S_{x,z}: it
-reads F's reduced part and the shift ratios of S, never a value of S.
+The solver is fraction-free from end to end.  Each row is the condition at
+(x, z) divided by F's scale S_{x,z}: it reads F's reduced part and the
+shift ratios of S, never a value of S, and is formed on the integers from
+their numerators and denominators, multiplied through by the product of
+those denominators (for u1 also by qd^(z+1), q = qn/qd, which makes q^z
+and q^(z+1) integers).  Its right-hand side, U_{x,z} over S_{x,z} at the
+known column x, takes the same factor and is an integer numerator over
+the column's one denominator, which grows with x and never enters a
+coefficient.  The elimination is Bareiss's (``polys.solve_linear``): it
+divides only exactly and gives the solution as integer numerators over
+one denominator.  ``Fraction``s are made only for :class:`MultiplierData`,
+and the next column is read off them, reduced once, as integer
+numerators over one denominator.  The built-in 4F3 families form each
+shift ratio as one ``Fraction`` from integer polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from ..exact import format_rational
-from ..polys import solve_linear
+from ..polys import poly_eval, poly_mul, solve_linear
 from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, one
 
 FORM_U1 = "u1"
@@ -114,11 +123,15 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
     if z_samples < unknowns + 2:
         raise ValueError(f"form {form} needs z_samples >= {unknowns + 2}")
     q = extension.params.get("q")
-    if form == FORM_U1 and q is None:
-        raise ValueError("form u1 needs the base q in the extension params")
+    if form == FORM_U1:
+        if q is None:
+            raise ValueError("form u1 needs the base q in the extension params")
+        qn, qd = q.numerator, q.denominator
 
     u_coeffs: list[list[Fraction]] = [[Fraction(1)] + [Fraction(0)] * (deg_u - 1)]
     v_coeffs: list[list[Fraction]] = []
+    # U's multiplier at the known column: integer numerators over one denominator
+    column, column_den = [1] + [0] * (deg_u - 1), 1
     reduced, sx, sz = extension.reduced, extension.scale.sx, extension.scale.sz
 
     for x in range(x_max + 1):
@@ -130,27 +143,45 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
             except ZeroDivisionError as exc:
                 raise EvaluationError(f"{extension.label or 'extension'} undefined on a step "
                                       f"from (x={x}, z={z}): {exc}", x, z) from exc
-            # F_{x,z}, F_{x,z+1} and F_{x+1,z} over S_{x,z}; all 0 where S_{x,z} = 0
-            f_xz, f_xz1, f_x1z = (reduced(x, z), reduced(x, z + 1) * step_z,
-                                  reduced(x + 1, z) * step_x) if nonzero else (0, 0, 0)
-            nonzero = nonzero and step_z != 0
-            # unknown order: U(x+1) coefficients, then V(x) coefficients
-            row = [z ** k * f_x1z for k in range(deg_u)]
+            # F_{x,z}, F_{x,z+1} and F_{x+1,z} over S_{x,z}, as f0, f1 and f2 over one
+            # denominator, the product of the five denominators; all 0 where S_{x,z} = 0
+            f0 = f1 = f2 = 0
+            if nonzero:
+                r0, r1, r2 = reduced(x, z), reduced(x, z + 1), reduced(x + 1, z)
+                n0, d0, n1, d1, n2, d2 = (r0.numerator, r0.denominator, r1.numerator,
+                                          r1.denominator, r2.numerator, r2.denominator)
+                nz, dz, nx, dx = (step_z.numerator, step_z.denominator,
+                                  step_x.numerator, step_x.denominator)
+                f0 = n0 * d1 * dz * d2 * dx
+                f1 = n1 * nz * d0 * d2 * dx
+                f2 = n2 * nx * d0 * d1 * dz
+                nonzero = nz != 0
+            # unknown order: U(x+1) coefficients, then V(x) coefficients; the row is
+            # the condition times that denominator, and for u1 also times qd^(z+1),
+            # which turns q^z and q^(z+1) into qn^z qd and qn^(z+1); the right-hand
+            # side U_x(z) F_{x,z} takes the same factor, over column_den
+            known = sum(c * z ** k for k, c in enumerate(column)) * f0
             if form == FORM_U1:
-                row += [f_xz - f_xz1, q ** z * f_xz - q ** (z + 1) * f_xz1]
+                lift, power = qd ** (z + 1), qn ** z
+                rows.append([f2 * lift, (f0 - f1) * lift, (f0 * qd - f1 * qn) * power])
+                rhs.append(known * lift)
             else:
-                row += [z ** k * f_xz - (z + 1) ** k * f_xz1 for k in range(deg_v)]
-            rows.append(row)
-            rhs.append(sum(c * z ** k for k, c in enumerate(u_coeffs[x])) * f_xz)
+                rows.append([z ** k * f2 for k in range(deg_u)]
+                            + [z ** k * f0 - (z + 1) ** k * f1 for k in range(deg_v)])
+                rhs.append(known)
         # eliminate over all samples at once: the extra rows either confirm
         # the solution or surface an inconsistency
-        solution, status = solve_linear(rows, rhs)
+        solution, status = solve_linear(rows, rhs, column_den)
         if status == "underdetermined":
             return SolveResult(False, reason=f"ansatz underdetermined at x={x}", failed_x=x)
         if solution is None:
             return SolveResult(False, reason=f"ansatz does not close at x={x}", failed_x=x)
-        u_coeffs.append(list(solution[:deg_u]))
-        v_coeffs.append(list(solution[deg_u:]))
+        numerators, den = solution
+        u_coeffs.append([Fraction(c, den) for c in numerators[:deg_u]])
+        v_coeffs.append([Fraction(c, den) for c in numerators[deg_u:]])
+        # the next right-hand sides read U(x+1) over its reduced coefficients' lcm
+        column_den = lcm(*(c.denominator for c in u_coeffs[-1]))
+        column = [c.numerator * (column_den // c.denominator) for c in u_coeffs[-1]]
 
     data = MultiplierData(form, u_coeffs, v_coeffs, q=q if form == FORM_U1 else None)
     return SolveResult(True, data=data)
@@ -161,23 +192,46 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
 # ---------------------------------------------------------------------------
 
 def phi32_family(a, b, c, d, q) -> GridFunction:
-    """The q-series family solved exactly by form u1."""
-    from .phi32 import ThreePhiTwo
-    return ThreePhiTwo(a, b, c, d, q).extension()
+    """The q-series family solved exactly by form u1.
+
+    Any nonzero rational parameters are accepted, whatever q and t are, as
+    by ``phi32.make_certificate``: the solver needs no convergence.
+    """
+    from .phi32 import _ThreePhiTwoAlgebra
+    return _ThreePhiTwoAlgebra(a, b, c, d, q).extension()
 
 
-def _stepped_family(label: str, params: dict, upper, lower) -> GridFunction:
-    """F_{0,0} = 1, rx = 1/lower(x+z) and rz = upper(z)/lower(x+z), all scale."""
-    def last_lower(x: int, z: int) -> Fraction:
-        """lower(x+z-1), the last factor of F_{x,z}'s denominator, read on the step to (x, z)."""
-        value = lower(x + z - 1)
+def _over_one_denominator(roots, sign: int = 1) -> tuple[list[int], int]:
+    """sign * prod (k + r) over the rational roots r, as integer coefficients
+    in k (low degree first) over one positive denominator."""
+    coeffs, den = [sign], 1
+    for r in roots:
+        coeffs, den = poly_mul(coeffs, [r.numerator, r.denominator]), den * r.denominator
+    return coeffs, den
+
+
+def _stepped_family(label: str, params: dict, upper: tuple, lower: tuple) -> GridFunction:
+    """F_{0,0} = 1, rx = 1/lower(x+z) and rz = upper(z)/lower(x+z), all scale.
+
+    ``upper`` and ``lower`` are each an integer polynomial with one
+    denominator, ``(coefficients, denominator)``, so each ratio is formed
+    from integers as one ``Fraction``.
+    """
+    (upper, upper_den), (lower, lower_den) = upper, lower
+
+    def last_lower(x: int, z: int) -> int:
+        """lower(x+z-1) times its denominator, for the last factor of F_{x,z}'s
+        denominator, read on the step to (x, z)."""
+        value = poly_eval(lower, x + z - 1)
         if value == 0:
             raise EvaluationError(f"{label} undefined at (x={x}, z={z}): lower rising "
                                   f"factorial vanishes at (x={x}, z={z})", x, z)
         return value
 
     return GridFunction(one, label, params, Scale(
-        lambda x, z: 1 / last_lower(x + 1, z), lambda x, z: upper(z) / last_lower(x, z + 1)))
+        lambda x, z: Fraction(lower_den, last_lower(x + 1, z)),
+        lambda x, z: Fraction(poly_eval(upper, z) * lower_den,
+                              upper_den * last_lower(x, z + 1))))
 
 
 def f4f3_family(a, h, b) -> GridFunction:
@@ -189,8 +243,7 @@ def f4f3_family(a, h, b) -> GridFunction:
     return _stepped_family(
         f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
         {"a": a, "h": h, "b": b},
-        lambda z: (a + z) * (a + h + z) * (a - h + z),
-        lambda k: (b + k) * (b + h + k) * (b - h + k))
+        _over_one_denominator((a, a + h, a - h)), _over_one_denominator((b, b + h, b - h)))
 
 
 def well_poised_family(a, b) -> GridFunction:
@@ -200,7 +253,8 @@ def well_poised_family(a, b) -> GridFunction:
     """
     a, b = Fraction(a), Fraction(b)
     return _stepped_family(f"well-poised({format_rational(a)},{format_rational(b)})",
-                           {"a": a, "b": b}, lambda z: -(a + z) ** 3, lambda k: (b + k) ** 3)
+                           {"a": a, "b": b}, _over_one_denominator((a, a, a), -1),
+                           _over_one_denominator((b, b, b)))
 
 
 @dataclass(frozen=True)

@@ -331,35 +331,35 @@ def integer_ratio(scale, num_factors: Sequence[Sequence],
     return RationalFunction(*sides)
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int], den: int):
     """Exact fraction-free (Bareiss) elimination over every row.
 
-    Each row's coefficients are cleared to primitive integers, and its
-    right-hand side takes the same positive scale.  The right-hand sides
-    stay rational: they are kept as integer numerators over one shared
-    denominator, which never enters a coefficient.  A pivot step replaces
+    The system is given on the integers: integer rows, and right-hand
+    sides as integer numerators over one positive denominator ``den``.
+    Each row is divided by its content, and its right-hand side by the
+    same content, in lowest terms against it: the right-hand sides stay
+    integer numerators, over ``den`` times the lcm of what is left of the
+    contents, which never enters a coefficient.  A pivot step replaces
     each entry of a lower row, right-hand side included, by
     (pv a - f b) // prev, prev the pivot of the step before: a minor of
     the cleared system, so every division is exact, and a remainder raises
     ``ArithmeticError``.  Back-substitution finds det x, det the last
     pivot, on the integers and divides once per unknown.
 
-    Returns ``(solution, "unique")`` when the system has exactly one
-    solution, ``(None, "underdetermined")`` when consistent but rank
-    deficient, and ``(None, "inconsistent")`` otherwise.
+    Returns ``((numerators, denominator), "unique")`` when the system has
+    exactly one solution, given as integer numerators over one positive
+    denominator, not reduced; ``(None, "underdetermined")`` when it is
+    consistent but rank deficient, and ``(None, "inconsistent")`` otherwise.
     """
-    m, contents, den = [], [], 1
+    m, scales = [], []
     for row, value in zip(rows, rhs):
-        multiple = lcm(*(c.denominator for c in row))
-        cleared = [c.numerator * (multiple // c.denominator) for c in row]
-        content = gcd(*cleared) or 1
-        m.append([c // content for c in cleared] + [multiple])
-        contents.append(content)
-        if den % value.denominator:
-            den = lcm(den, value.denominator)
-    common = lcm(*contents)  # row i's right-hand side is m[i][-1] / (den common)
-    for row, value, content in zip(m, rhs, contents):
-        row[-1] *= value.numerator * (den // value.denominator) * (common // content)
+        content = gcd(*row) or 1
+        shared = gcd(content, value)
+        m.append([c // content for c in row] + [value // shared])
+        scales.append(content // shared)
+    common = lcm(*scales)  # row i's right-hand side is m[i][-1] / (den common)
+    for row, scale in zip(m, scales):
+        row[-1] *= common // scale
     n_rows, n_cols = len(m), len(m[0]) - 1
     r, prev = 0, 1
     for col in range(n_cols):
@@ -392,7 +392,9 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         if remainder:
             raise ArithmeticError("fraction-free back-substitution left a remainder")
     den *= det * common
-    return [Fraction(s, den) for s in scaled], "unique"
+    if den < 0:
+        den, scaled = -den, [-s for s in scaled]
+    return (scaled, den), "unique"
 
 
 # -- rational functions of X and Z, kept as integer factors ------------------

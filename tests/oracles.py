@@ -5,6 +5,8 @@ from fractions import Fraction
 from markovsum.catalog import CatalogError
 from markovsum.exact import ROUND_TRUNCATE, Enclosure, to_decimal
 from markovsum.hgterm import q_pochhammer, rising_factorial
+from markovsum.markov.pairs import EvaluationError
+from markovsum.markov.solver import _SHAPE, FORM_U1, MultiplierData, SolveResult
 from markovsum.polys import (
     RationalFunction,
     poly,
@@ -93,6 +95,57 @@ def gauss_jordan(rows, rhs):
     for i, col in enumerate(pivots):
         sol[col] = m[i][n_cols]
     return sol, "unique"
+
+
+def fraction_stepwise(extension, form: str, x_max: int, z_samples=None) -> SolveResult:
+    """The stepwise solver with every row, right-hand side and column kept as
+    ``Fraction``s and eliminated by :func:`gauss_jordan`: the same
+    ``SolveResult``, or the same ``EvaluationError`` at the same point, as
+    ``solver.solve_multipliers_stepwise``."""
+    if form not in _SHAPE:
+        raise ValueError(f"unknown ansatz form {form!r}")
+    deg_u, deg_v = _SHAPE[form]
+    unknowns = deg_u + deg_v
+    if z_samples is None:
+        z_samples = unknowns + 2
+    if z_samples < unknowns + 2:
+        raise ValueError(f"form {form} needs z_samples >= {unknowns + 2}")
+    q = extension.params.get("q")
+    if form == FORM_U1 and q is None:
+        raise ValueError("form u1 needs the base q in the extension params")
+
+    u_coeffs = [[Fraction(1)] + [Fraction(0)] * (deg_u - 1)]
+    v_coeffs = []
+    reduced, sx, sz = extension.reduced, extension.scale.sx, extension.scale.sz
+    for x in range(x_max + 1):
+        rows, rhs = [], []
+        nonzero = True
+        for z in range(z_samples):
+            try:
+                step_z, step_x = sz(x, z), sx(x, z)
+            except ZeroDivisionError as exc:
+                raise EvaluationError(f"{extension.label or 'extension'} undefined on a step "
+                                      f"from (x={x}, z={z}): {exc}", x, z) from exc
+            # F_{x,z}, F_{x,z+1} and F_{x+1,z} over S_{x,z}
+            f_xz, f_xz1, f_x1z = (reduced(x, z), reduced(x, z + 1) * step_z,
+                                  reduced(x + 1, z) * step_x) if nonzero else (0, 0, 0)
+            nonzero = nonzero and step_z != 0
+            row = [z ** k * f_x1z for k in range(deg_u)]
+            if form == FORM_U1:
+                row += [f_xz - f_xz1, q ** z * f_xz - q ** (z + 1) * f_xz1]
+            else:
+                row += [z ** k * f_xz - (z + 1) ** k * f_xz1 for k in range(deg_v)]
+            rows.append(row)
+            rhs.append(sum(c * z ** k for k, c in enumerate(u_coeffs[x])) * f_xz)
+        solution, status = gauss_jordan(rows, rhs)
+        if status == "underdetermined":
+            return SolveResult(False, reason=f"ansatz underdetermined at x={x}", failed_x=x)
+        if solution is None:
+            return SolveResult(False, reason=f"ansatz does not close at x={x}", failed_x=x)
+        u_coeffs.append(list(solution[:deg_u]))
+        v_coeffs.append(list(solution[deg_u:]))
+    return SolveResult(True, data=MultiplierData(form, u_coeffs, v_coeffs,
+                                                 q=q if form == FORM_U1 else None))
 
 
 def column_products(p, q, count: int) -> list:

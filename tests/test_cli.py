@@ -312,6 +312,8 @@ class TestUsageErrors:
         "verify-pair 3phi2 --grid 2x-1",
         "verify-pair 3phi2 --q 2",
         "solve 4f3-u2 --x-max -1",
+        "solve 3phi2-u1 --params=0,1/5,1/7,1/11,1/2",
+        "solve 3phi2-u1 --params=1/3,1/5,1/7,1/11,0",
         "verify-certificate --random-points -3",
     ])
     def test_bad_input_exits_64_with_one_line(self, capsys, argv):

@@ -99,6 +99,17 @@ GOLDEN = {
         "b9e5d0b6bff6534bce770379d81fff86a3ee8e2a162dcb78085da5f315da75a9",
     "solve 3phi2-u1 --params 1,1/5,1/7,1/11,1/2":
         "b9e5d0b6bff6534bce770379d81fff86a3ee8e2a162dcb78085da5f315da75a9",
+    # any nonzero parameters, whatever q and t are: the solver needs no convergence
+    "solve 3phi2-u1 --params=1/3,1/5,1/7,1/11,2":
+        "456a9fdf074a8f080908ad0cb127fbc517049b86adba81887e187aac4276a389",
+    "solve 3phi2-u1 --params=1/3,1/5,3,5,1/2":
+        "7f69cbaeadc89a3e0dde6918ac3925c091754bd3ca502df32eb15bad19083bd6",
+    # c q^2 = 1: exit 65, nothing on stdout
+    "solve 3phi2-u1 --params=1/3,1/5,4,1/11,1/2":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    # a zero parameter is still a usage error
+    "solve 3phi2-u1 --params=0,1/5,1/7,1/11,1/2":
+        "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc",
     # recorded on the described ratios, before their shared polynomial factor
     # was cancelled; the JSON holds ratio_bound and both enclosure bounds
     "compute markov-hurwitz --digits 4000":
@@ -173,3 +184,12 @@ def test_first_singular_point_and_message(capsys, argv, point, label):
     assert (code, captured.out) == (65, "")
     assert captured.err == (f"evaluation singularity at {point}: {label} undefined at "
                             f"{point}: lower rising factorial vanishes at {point}\n")
+
+
+def test_q_series_singularity_names_the_vanishing_pochhammer(capsys):
+    # c q^2 = 1 at c = 4, q = 1/2: (c,d;q)_3 vanishes, first read on the step to (0, 3)
+    code = cli.main("solve 3phi2-u1 --params=1/3,1/5,4,1/11,1/2".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert captured.err == ("evaluation singularity at (x=0, z=3): (c,d;q)_3 vanishes for "
+                            "c=4, d=1/11\n")

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,9 @@ from markovsum.markov import (
 )
 from markovsum.markov import solver
 from markovsum.markov.pairs import one
+from markovsum.markov.phi32 import _ThreePhiTwoAlgebra
 from markovsum.polys import solve_linear
-from oracles import f4f3_product, gauss_jordan, well_poised_product
+from oracles import f4f3_product, fraction_stepwise, gauss_jordan, well_poised_product
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -37,6 +39,20 @@ class TestU1RecoversClosedForms:
         for x in range(11):
             assert data.a(x) == engine.A(x)
             assert data.v_coeffs[x] == [engine.B(x), engine.C(x)]
+
+    @pytest.mark.parametrize("params", [
+        (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2)),
+        (Q(1, 3), Q(1, 5), Q(3), Q(5), Q(1, 2)),
+        (Q(-1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(-2, 3)),
+    ], ids=["q=2", "t=450", "negative-a-and-q"])
+    def test_exact_match_whatever_q_and_t(self, params):
+        # the family needs no convergence, as the certificate does not
+        engine = _ThreePhiTwoAlgebra(*params)
+        result = solve_multipliers_stepwise(phi32_family(*params), FORM_U1, 10)
+        assert result.ok
+        for x in range(11):
+            assert result.data.a(x) == engine.A(x)
+            assert result.data.v_coeffs[x] == [engine.B(x), engine.C(x)]
 
     def test_normalization_row(self):
         result = solve_multipliers_stepwise(phi32_family(*CANONICAL), FORM_U1, 2)
@@ -181,13 +197,63 @@ class TestFailures:
             solve_multipliers_stepwise(ext, FORM_U1, 2)
 
 
+_PARAMS = st.builds(Q, st.integers(-7, 7), st.integers(1, 5))
+_NONZERO = _PARAMS.filter(bool)
+_BASES = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 4))  # |numerator| up to 5
+
+
+@st.composite
+def _solver_cases(draw):
+    """A built-in family at drawn parameters, optionally given by its values on
+    the unit scale; its own or an overridden form; z_samples at or above the floor."""
+    name = draw(st.sampled_from(sorted(solver.FAMILIES)))
+    family = solver.FAMILIES[name]
+    if name == "3phi2-u1":
+        params = (*(draw(_NONZERO) for _ in range(4)), draw(_BASES))
+    else:
+        params = tuple(draw(_PARAMS) for _ in family.defaults)
+    form = draw(st.sampled_from([family.form, FORM_U1, FORM_U2, FORM_U3]))
+    floor = sum(solver._SHAPE[form]) + 2
+    z_samples = draw(st.one_of(st.none(), st.integers(floor, floor + 3)))
+    as_values = draw(st.booleans())
+    q = draw(_BASES)  # the base of form u1 on a family that records none
+
+    def build():
+        ext = family.build(*params)
+        ext = dataclasses.replace(ext, params={"q": q, **ext.params})
+        return GridFunction(ext, ext.label, ext.params) if as_values else ext
+
+    return build, form, draw(st.integers(0, 5)), z_samples
+
+
+def _outcome(solve, build, form, x_max, z_samples):
+    """A solve's result fields, or its error's type, text and point."""
+    try:
+        result = solve(build(), form, x_max, z_samples)
+    except (EvaluationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "x", None), getattr(exc, "z", None)
+    data = result.data
+    return (result.ok, result.reason, result.failed_x,
+            data and (data.u_coeffs, data.v_coeffs, data.q))
+
+
+class TestAgainstFractionRows:
+    """The integer rows, columns and family ratios give what the same method
+    on Fraction rows eliminated by Gauss-Jordan gives."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_solver_cases())
+    def test_drawn_cases(self, case):
+        assert _outcome(solve_multipliers_stepwise, *case) == _outcome(fraction_stepwise, *case)
+
+
 def _systems(monkeypatch, family: str, x_max: int) -> list:
-    """Every (rows, rhs) the solver builds for a family's defaults through column x_max."""
+    """Every (rows, rhs, den) the solver builds for a family's defaults through column x_max."""
     systems = []
 
-    def capture(rows, rhs):
-        systems.append((rows, rhs))
-        return solve_linear(rows, rhs)
+    def capture(rows, rhs, den):
+        systems.append((rows, rhs, den))
+        return solve_linear(rows, rhs, den)
 
     monkeypatch.setattr(solver, "solve_linear", capture)
     family = solver.FAMILIES[family]
@@ -195,31 +261,47 @@ def _systems(monkeypatch, family: str, x_max: int) -> list:
     return systems
 
 
+def _fractions(result):
+    """A ``solve_linear`` result with its solution read as Fractions."""
+    solution, status = result
+    if solution is not None:
+        numerators, den = solution
+        assert den > 0 and all(type(c) is int for c in (*numerators, den))
+        solution = [Q(c, den) for c in numerators]
+    return solution, status
+
+
+def _gauss_jordan(rows, rhs, den):
+    return gauss_jordan(rows, [Q(v, den) for v in rhs])
+
+
 _ENTRIES = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
 def _systems_drawn(draw):
-    """A rational system with some zero columns, repeated (scaled) rows, and
-    right-hand sides from a solution, drawn at random, or broken on an extra row."""
+    """An integer system with some zero columns and repeated (scaled) rows,
+    whose right-hand sides, over one drawn denominator, come from a rational
+    solution, are drawn at random, or are broken on an extra row."""
     n = draw(st.integers(1, 4))
     zero = draw(st.sets(st.integers(0, n - 1), max_size=1)) if draw(st.booleans()) else ()
-    rows = [[Q(0) if j in zero else draw(_ENTRIES) for j in range(n)]
+    rows = [[0 if j in zero else draw(st.integers(-6, 6)) for j in range(n)]
             for _ in range(draw(st.integers(max(1, n - 1), n + 2)))]
     solution = [draw(_ENTRIES) for _ in range(n)]
-    rhs = [sum(c * x for c, x in zip(row, solution)) for row in rows]
+    values = [sum(c * x for c, x in zip(row, solution)) for row in rows]
     for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
-        k = draw(st.sampled_from([Q(1), Q(-2), Q(3, 5)]))
+        k = draw(st.sampled_from([1, -2, 3]))
         rows.append([k * c for c in rows[i]])
-        rhs.append(k * rhs[i])
+        values.append(k * values[i])
     mode = draw(st.sampled_from(["consistent", "drawn", "extra"]))
     if mode == "drawn":
-        rhs = [draw(_ENTRIES) for _ in rows]
+        values = [draw(_ENTRIES) for _ in rows]
     elif mode == "extra":
         i = draw(st.integers(0, len(rows) - 1))
         rows.append(list(rows[i]))
-        rhs.append(rhs[i] + draw(_ENTRIES.filter(bool)))
-    return rows, rhs
+        values.append(values[i] + draw(_ENTRIES.filter(bool)))
+    den = lcm(*(Q(v).denominator for v in values)) * draw(st.integers(1, 3))
+    return rows, [int(v * den) for v in values], den
 
 
 class TestFractionFreeElimination:
@@ -231,29 +313,33 @@ class TestFractionFreeElimination:
     def test_the_solve_systems(self, monkeypatch, family, x_max):
         systems = _systems(monkeypatch, family, x_max)
         assert len(systems) == x_max + 1
-        for rows, rhs in systems:
-            assert solve_linear(rows, rhs) == gauss_jordan(rows, rhs)
+        assert any(den != 1 for _, _, den in systems)
+        for rows, rhs, den in systems:
+            assert all(type(c) is int for c in (*rhs, den, *(c for row in rows for c in row)))
+            assert _fractions(solve_linear(rows, rhs, den)) == _gauss_jordan(rows, rhs, den)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_systems_drawn())
     def test_drawn_systems(self, system):
-        rows, rhs = system
-        solution, status = solve_linear(rows, rhs)
-        assert (solution, status) == gauss_jordan(rows, rhs)
+        rows, rhs, den = system
+        result = solve_linear(rows, rhs, den)
+        solution, status = _fractions(result)
+        assert (solution, status) == _gauss_jordan(rows, rhs, den)
         if status == "unique":
-            assert all(type(c) is Q for c in solution)
-            assert all(sum(c * x for c, x in zip(row, solution)) == b
+            numerators, d = result[0]
+            assert all(sum(c * x for c, x in zip(row, numerators)) * den == b * d
                        for row, b in zip(rows, rhs))
 
-    @pytest.mark.parametrize("rows, rhs, expected", [
-        ([[Q(0), Q(1)], [Q(0), Q(2)]], [Q(1), Q(2)], (None, "underdetermined")),
-        ([[Q(1), Q(1)], [Q(2), Q(2)], [Q(1), Q(-1)]], [Q(1), Q(3), Q(0)], (None, "inconsistent")),
-        ([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(-1, 6)], [Q(3, 4), Q(1, 6)]], [Q(1), Q(0), Q(1)],
-         ([Q(1), Q(3, 2)], "unique")),
-        ([[Q(0)], [Q(0)]], [Q(0), Q(0)], (None, "underdetermined")),
-        ([[Q(0)], [Q(0)]], [Q(0), Q(1)], (None, "inconsistent")),
-        ([[Q(2), Q(0)], [Q(0), Q(-3)]], [0, 1], ([Q(0), Q(-1, 3)], "unique")),
+    @pytest.mark.parametrize("rows, rhs, den, expected", [
+        ([[0, 1], [0, 2]], [1, 2], 1, (None, "underdetermined")),
+        ([[1, 1], [2, 2], [1, -1]], [1, 3, 0], 1, (None, "inconsistent")),
+        ([[3, 2], [3, -2], [9, 2]], [12, 0, 24], 2, ([Q(1), Q(3, 2)], "unique")),
+        ([[0], [0]], [0, 0], 1, (None, "underdetermined")),
+        ([[0], [0]], [0, 1], 3, (None, "inconsistent")),
+        ([[2, 0], [0, -3]], [0, 1], 1, ([Q(0), Q(-1, 3)], "unique")),
+        ([[2, 0], [0, -3]], [0, 1], 5, ([Q(0), Q(-1, 15)], "unique")),
     ], ids=["zero-column", "repeated-row-inconsistent", "cleared-rows", "zero-rows",
-            "zero-row-nonzero-rhs", "integer-rhs"])
-    def test_small_systems(self, rows, rhs, expected):
-        assert solve_linear(rows, rhs) == gauss_jordan(rows, rhs) == expected
+            "zero-row-nonzero-rhs", "integer-rhs", "rhs-over-denominator"])
+    def test_small_systems(self, rows, rhs, den, expected):
+        assert _fractions(solve_linear(rows, rhs, den)) == _gauss_jordan(rows, rhs, den) \
+            == expected
