@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Mapping
 
 from ..exact import format_rational
@@ -114,6 +115,45 @@ class _UnitScale(Scale):
 
 #: S = 1, shift ratios (1, 1): the scale of a grid function given by its values
 UNIT_SCALE = _UnitScale(one, one)
+
+
+def _linear_product(roots: tuple, k):
+    """prod (d k + n) over the roots n/d, given as (d, n), by a loop (faster than math.prod)."""
+    value = 1
+    for d, n in roots:
+        value *= d * k + n
+    return value
+
+
+class Kernel:
+    """The hypergeometric kernel F_{x,z} = sign^z prod (u)_z / prod (l)_{x+z},
+    F_{0,0} = 1, by its shift ratios rx = 1/lower(x+z) and rz = sign
+    upper(z)/lower(x+z), with upper(k) = prod (k+u) and lower(k) = prod (k+l).
+    A root n/d is kept as the integer factor d k + n, and each side over the
+    product of its d: at integers a ratio is one ``Fraction`` of two integers,
+    and on ``polys.Factors`` symbols each lower root stays one divisor."""
+
+    def __init__(self, label: str, upper: tuple, lower: tuple, sign: int = 1):
+        self.label, self.sign = label, sign
+        self._upper = tuple((r.denominator, r.numerator) for r in map(Fraction, upper))
+        self._lower = tuple((r.denominator, r.numerator) for r in map(Fraction, lower))
+        self._upper_den = prod(d for d, _ in self._upper)
+        self._lower_den = prod(d for d, _ in self._lower)
+
+    def rx(self, x, z):
+        return self._over_lower(self._lower_den, 1, x + z, x + 1, z)
+
+    def rz(self, x, z):
+        top = self.sign * self._lower_den * _linear_product(self._upper, z)
+        return self._over_lower(top, self._upper_den, x + z, x, z + 1)
+
+    def _over_lower(self, top, den, k, x: int, z: int):
+        """top / (den prod (d k + n)) over the lower roots, F_{x,z}'s last lower factors."""
+        bottom = den * _linear_product(self._lower, k)
+        if not bottom:  # never on symbols: no lower factor is the zero polynomial
+            raise EvaluationError(f"{self.label} undefined at (x={x}, z={z}): lower rising "
+                                  f"factorial vanishes at (x={x}, z={z})", x, z)
+        return Fraction(top, bottom) if isinstance(bottom, int) else top / bottom
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ on the extension
     F_{x,z} = (a)_z (b)_z / ((c)_{x+z} (d)_{x+z}),
 
 whose column x = 0 is the source series 3F2(a,b,1; c,d) = sum_z F_{0,z}.
-F is stepped from F_{0,0} = 1 by its shift ratios
+F is the kernel ``pairs.Kernel`` on (a, b; c, d): F_{0,0} = 1 and the shift ratios
 
     rx = F_{x+1,z}/F_{x,z} = 1 / ((c+x+z)(d+x+z)),
     rz = F_{x,z+1}/F_{x,z} = (a+z)(b+z) / ((c+x+z)(d+x+z)),
@@ -48,7 +48,7 @@ from fractions import Fraction
 from ..exact import exp2_approx, format_rational, log2_approx
 from ..hgterm import _is_nonpositive_integer, rising_factorial
 from .certificates import Transformation
-from .pairs import EvaluationError
+from .pairs import Kernel
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class SchellbachParams(Transformation):
 
     t <= 0 and a nonpositive integer c or d are refused.  A nonpositive
     integer c-a, c-b, d-a or d-b is a zero of Q, not a pole: the
-    transformed series then ends, and the identity still holds.  Equality
-    and hashing read the four parameters only.
+    transformed series then ends, and the identity still holds.  Equality,
+    hashing and repr read the four parameters only.
     """
 
     NAME = "3F2"
@@ -78,19 +78,14 @@ class SchellbachParams(Transformation):
         for name, v in (("c", self.c), ("d", self.d)):
             if _is_nonpositive_integer(v):
                 raise ValueError(f"{name} must not be a nonpositive integer")
+        kernel = Kernel(f"{self.NAME} extension", (self.a, self.b), (self.c, self.d))
+        object.__setattr__(self, "rx", kernel.rx)
+        object.__setattr__(self, "rz", kernel.rz)
         super().__init__()
 
     @property
     def t(self) -> Fraction:
         return self.c + self.d - self.a - self.b - 1
-
-    def rx(self, x, z):
-        """F_{x+1,z}/F_{x,z} = 1/((c+x+z)(d+x+z))."""
-        return 1 / ((self.c + x + z) * (self.d + x + z))
-
-    def rz(self, x, z):
-        """F_{x,z+1}/F_{x,z} = (a+z)(b+z)/((c+x+z)(d+x+z))."""
-        return (self.a + z) * (self.b + z) * self.rx(x, z)
 
     def P(self, x):
         return (self.t + 2 * x) * (self.t + 2 * x + 1)
@@ -115,10 +110,8 @@ def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
     a, b, c, d = params.a, params.b, params.c, params.d
     num = rising_factorial(c - a, x) * rising_factorial(c - b, x) \
         * rising_factorial(d - a, x) * rising_factorial(d - b, x) * params.R(x, 0)
-    den = rising_factorial(c, x) * rising_factorial(d, x) * rising_factorial(params.t, 2 * x + 2)
-    if den == 0:
-        raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
-    return num / den
+    return num / (rising_factorial(c, x) * rising_factorial(d, x)
+                  * rising_factorial(params.t, 2 * x + 2))
 
 
 def direct_term(params: SchellbachParams, n: int) -> Fraction:

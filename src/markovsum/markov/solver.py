@@ -29,8 +29,8 @@ coefficient.  The elimination is Bareiss's (``polys.solve_linear``): it
 divides only exactly and gives the solution as integer numerators over
 one denominator.  ``Fraction``s are made only for :class:`MultiplierData`,
 and the next column is read off them, reduced once, as integer
-numerators over one denominator.  The built-in 4F3 families form each
-shift ratio as one ``Fraction`` from integer polynomials.
+numerators over one denominator.  The built-in 4F3 families are
+``pairs.Kernel``s, whose shift ratios are each one ``Fraction`` of two integers.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from math import lcm
 from typing import Optional
 
 from ..exact import format_rational
-from ..polys import poly_eval, poly_mul, solve_linear
-from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, one
+from ..polys import solve_linear
+from .pairs import EvaluationError, GridFunction, Kernel, MarkovPair, Scale, one
 
 FORM_U1 = "u1"
 FORM_U2 = "u2"
@@ -201,49 +201,15 @@ def phi32_family(a, b, c, d, q) -> GridFunction:
     return _ThreePhiTwoAlgebra(a, b, c, d, q).extension()
 
 
-def _over_one_denominator(roots, sign: int = 1) -> tuple[list[int], int]:
-    """sign * prod (k + r) over the rational roots r, as integer coefficients
-    in k (low degree first) over one positive denominator."""
-    coeffs, den = [sign], 1
-    for r in roots:
-        coeffs, den = poly_mul(coeffs, [r.numerator, r.denominator]), den * r.denominator
-    return coeffs, den
-
-
-def _stepped_family(label: str, params: dict, upper: tuple, lower: tuple) -> GridFunction:
-    """F_{0,0} = 1, rx = 1/lower(x+z) and rz = upper(z)/lower(x+z), all scale.
-
-    ``upper`` and ``lower`` are each an integer polynomial with one
-    denominator, ``(coefficients, denominator)``, so each ratio is formed
-    from integers as one ``Fraction``.
-    """
-    (upper, upper_den), (lower, lower_den) = upper, lower
-
-    def last_lower(x: int, z: int) -> int:
-        """lower(x+z-1) times its denominator, for the last factor of F_{x,z}'s
-        denominator, read on the step to (x, z)."""
-        value = poly_eval(lower, x + z - 1)
-        if value == 0:
-            raise EvaluationError(f"{label} undefined at (x={x}, z={z}): lower rising "
-                                  f"factorial vanishes at (x={x}, z={z})", x, z)
-        return value
-
-    return GridFunction(one, label, params, Scale(
-        lambda x, z: Fraction(lower_den, last_lower(x + 1, z)),
-        lambda x, z: Fraction(poly_eval(upper, z) * lower_den,
-                              upper_den * last_lower(x, z + 1))))
-
-
 def f4f3_family(a, h, b) -> GridFunction:
     """Extension of the 4F3(a, a+h, a-h, 1; b, b+h, b-h) series, form u2.
 
     F_{x,z} = (a)_z (a+h)_z (a-h)_z / ((b)_{x+z} (b+h)_{x+z} (b-h)_{x+z}).
     """
     a, h, b = Fraction(a), Fraction(h), Fraction(b)
-    return _stepped_family(
-        f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
-        {"a": a, "h": h, "b": b},
-        _over_one_denominator((a, a + h, a - h)), _over_one_denominator((b, b + h, b - h)))
+    kernel = Kernel(f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
+                    (a, a + h, a - h), (b, b + h, b - h))
+    return GridFunction(one, kernel.label, {"a": a, "h": h, "b": b}, Scale(kernel.rx, kernel.rz))
 
 
 def well_poised_family(a, b) -> GridFunction:
@@ -252,9 +218,9 @@ def well_poised_family(a, b) -> GridFunction:
     F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3.
     """
     a, b = Fraction(a), Fraction(b)
-    return _stepped_family(f"well-poised({format_rational(a)},{format_rational(b)})",
-                           {"a": a, "b": b}, _over_one_denominator((a, a, a), -1),
-                           _over_one_denominator((b, b, b)))
+    kernel = Kernel(f"well-poised({format_rational(a)},{format_rational(b)})", (a, a, a),
+                    (b, b, b), -1)
+    return GridFunction(one, kernel.label, {"a": a, "b": b}, Scale(kernel.rx, kernel.rz))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ def f4f3_product(a, h, b, x: int, z: int):
                   * rising_factorial(b - h, x + z))
 
 
+def schellbach_product(a, b, c, d, x: int, z: int):
+    """The classical extension in product form: F_{x,z} = (a)_z (b)_z / ((c)_{x+z} (d)_{x+z})."""
+    return rising_factorial(a, z) * rising_factorial(b, z) \
+        / (rising_factorial(c, x + z) * rising_factorial(d, x + z))
+
+
 def well_poised_product(a, b, x: int, z: int):
     """The well-poised extension in product form: F_{x,z} = (a)_z^3 (-1)^z / (b)_{x+z}^3."""
     return rising_factorial(a, z) ** 3 * (-1) ** z / rising_factorial(b, x + z) ** 3

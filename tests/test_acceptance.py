@@ -12,8 +12,6 @@ import io
 import time
 from fractions import Fraction as Q
 
-import pytest
-
 from property_suites import ALL_SUITES
 
 from markovsum import catalog, cli

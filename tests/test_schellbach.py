@@ -15,7 +15,9 @@ from markovsum.markov import (
     schellbach_term,
     verify_certificate,
 )
+from markovsum.polys import Factors
 from oracles import schellbach_ratio
+from support import factors_value
 
 ZETA2_PARAMS = SchellbachParams(Q(1), Q(1), Q(2), Q(2))
 GENERAL_PARAMS = SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))
@@ -112,6 +114,19 @@ class TestClassicalEngine:
         assert params.proof.holds
         assert params.proof.degrees == (4, 3)
         assert len(params.proof.factors) == 2  # (c+x+z)(d+x+z)
+
+    @pytest.mark.parametrize("params", [
+        ZETA2_PARAMS, GENERAL_PARAMS, SchellbachParams(Q(-1), Q(1, 3), Q(-1, 2), Q(11, 3)),
+    ], ids=["zeta2", "general", "negative-roots"])
+    def test_symbolic_evaluators_are_the_evaluators(self, params):
+        # the kernel's Factors path, which the proof expands, is its integer path
+        x, z = Factors.monomial(1, 0), Factors.monomial(0, 1)
+        symbolic = {"P": params.P(x), "Q": params.Q(x), "R": params.R(x, z),
+                    "R+": params.R(x, z + 1), "rx": params.rx(x, z), "rz": params.rz(x, z)}
+        for i, j in ((0, 0), (1, 4), (5, 2), (7, 7), (12, 3)):
+            numeric = {"P": params.P(i), "Q": params.Q(i), "R": params.R(i, j),
+                       "R+": params.R(i, j + 1), "rx": params.rx(i, j), "rz": params.rz(i, j)}
+            assert {k: factors_value(f, i, j) for k, f in symbolic.items()} == numeric, (i, j)
 
     def test_perturbed_r_not_proved(self):
         for params in (ZETA2_PARAMS, GENERAL_PARAMS):

@@ -21,11 +21,17 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
     well_poised_family,
 )
-from markovsum.markov import solver
+from markovsum.markov import SchellbachParams, solver
 from markovsum.markov.pairs import one
 from markovsum.markov.phi32 import _ThreePhiTwoAlgebra
 from markovsum.polys import solve_linear
-from oracles import f4f3_product, fraction_stepwise, gauss_jordan, well_poised_product
+from oracles import (
+    f4f3_product,
+    fraction_stepwise,
+    gauss_jordan,
+    schellbach_product,
+    well_poised_product,
+)
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -116,8 +122,13 @@ class TestU3Closes:
                 assert check_pair_condition(pair, x, z).holds
 
 
+def classical_family(a, b, c, d) -> GridFunction:
+    """The classical engine's extension, on the same kernel as the 4F3 families."""
+    return SchellbachParams(a, b, c, d).extension()
+
+
 class TestSteppedFamilies:
-    """Both product families are stepped from their shift ratios."""
+    """The product families and the classical engine's F are stepped from their shift ratios."""
 
     @pytest.mark.parametrize("build, product, params", [
         (f4f3_family, f4f3_product, (Q(1), Q(1, 3), Q(2))),
@@ -125,7 +136,13 @@ class TestSteppedFamilies:
         (f4f3_family, f4f3_product, (Q(1), Q(0), Q(2))),
         (well_poised_family, well_poised_product, (Q(1), Q(2))),
         (well_poised_family, well_poised_product, (Q(-2), Q(2))),  # (a)_z = 0 from z = 3 on
-    ], ids=["4f3", "4f3-a=-1", "4f3-h=0", "well-poised", "well-poised-a=-2"])
+        (classical_family, schellbach_product, (Q(1), Q(1), Q(2), Q(2))),
+        (classical_family, schellbach_product, (Q(1, 2), Q(1, 3), Q(2), Q(5, 2))),
+        # (a)_z = 0 from z = 2 on
+        (classical_family, schellbach_product, (Q(-1), Q(1, 3), Q(7, 2), Q(11, 3))),
+        (classical_family, schellbach_product, (Q(1, 3), Q(-5, 2), Q(-1, 2), Q(9, 4))),
+    ], ids=["4f3", "4f3-a=-1", "4f3-h=0", "well-poised", "well-poised-a=-2", "classical-zeta2",
+            "classical-general", "classical-a=-1", "classical-negative-roots"])
     def test_stepped_f_equals_product_form(self, build, product, params):
         ext = build(*params)
         for x in range(30):
