@@ -29,8 +29,9 @@ polynomials that hold for every index (``polys.nonneg_walk`` in n,
   refused;
 * geometric: rho < 1 bounds the remainder by |term(N+1)|/(1 - rho);
 * alternating: alternating terms with rho <= 1 decrease in magnitude, so
-  the remainder is bounded by the first omitted term and has its sign, a
-  bracket tighter than the geometric bound;
+  once they tend to 0 (at rho = 1, by Raabe's test in n) the remainder is
+  bounded by the first omitted term and has its sign, a bracket tighter
+  than the geometric bound;
 * custom tails, which take no rate: integral comparison for the direct
   series and the slow n^(-3/2) entry; for the transformed q-series a
   one-term-plus-geometric bound, its ratio certified below K q^(2x).
@@ -75,6 +76,7 @@ from .polys import (
     RationalFunction,
     nonneg_walk,
     poly,
+    poly_add,
     poly_eval,
     poly_mul,
     poly_pow,
@@ -110,7 +112,7 @@ class FormulaEntry:
     ``remainder_nonneg`` from the sign of the ratio and, unless the entry
     brings its own tail bound, a certified rate rho <= 1: the ratio's limit L
     or the first certified rung above it.  ``ratio_bound`` (rho < 1) and
-    ``leibniz_from`` (alternating) hold from where rho is certified.
+    ``leibniz_from`` (alternating, terms -> 0) hold from where rho is certified.
 
     ``offset`` is added to every partial sum.  ``tail_extra(last)`` is a
     certified bound on |sum of terms beyond index last|, or None when not
@@ -135,7 +137,8 @@ class FormulaEntry:
         self.leibniz_from = self.ratio_bound = None
         if self.tail_extra is None:
             rate, valid_from = self._rate()
-            self.leibniz_from = valid_from if self.alternating else None
+            if self.alternating and (rate < 1 or self._raabe()):
+                self.leibniz_from = valid_from
             self.ratio_bound = RatioBound(rate, valid_from) if rate < 1 else None
         if zero_step is not None:
             raise CatalogError(f"{self.entry_id}: {zero_step}")
@@ -208,6 +211,14 @@ class FormulaEntry:
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
                            f"{format_rational(limit)} or at a rung above it")
 
+    def _raabe(self) -> bool:
+        """Whether alternating terms at rate 1 tend to 0: in n, when den + num
+        (certified >= 0, num <= 0) has degree deg den - 1, |ratio| is
+        1 - c/n + O(n^-2) with c > 0 (Raabe); a lower degree leaves |term|
+        a nonzero limit.  In y = q^n nothing is decided."""
+        num, den = self.terms.stepped.num, self.terms.stepped.den
+        return self.terms.base is None and _degree(poly_add(den, num)) == _degree(den) - 1
+
     # -- tail bounds --------------------------------------------------------
 
     def enclosure_after(self, last: int) -> Optional[Enclosure]:
@@ -254,6 +265,11 @@ class FormulaEntry:
         if self.remainder_nonneg:
             return Enclosure.over(center, center + radius, den, bound)
         return Enclosure.over(center - radius, center + radius, den, lambda: 2 * bound())
+
+
+def _degree(p) -> Optional[int]:
+    """The degree of a polynomial; None for the zero polynomial."""
+    return max((i for i, c in enumerate(p) if c), default=None)
 
 
 def _zero_step(den_zero: Optional[int], num_zero: Optional[int]) -> Optional[str]:
@@ -590,18 +606,25 @@ def entry_kummer() -> FormulaEntry:
 
 # -- parameterized q-series entries (both sides of the transformation) ------
 
+def _convergent_engine(a, b, c, d, q) -> ThreePhiTwo:
+    """The 3phi2 engine at a tuple where its source series converges; either
+    side's sum is the value of 3phi2(a,b,1; c,d) only there."""
+    engine = ThreePhiTwo(a, b, c, d, q)
+    if not (0 < engine.q < 1 and abs(engine.t) < 1):
+        raise CatalogError("certified q-series bounds need 0 < q < 1 and |t| < 1")
+    return engine
+
+
 def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
     """The source series sum_z F_{0,z} = sum_z (a,b;q)_z/(c,d;q)_z t^z, certified.
 
     term(0) = F_{0,0} = 1 and the ratio is the engine's rz(0, z) in y = q^z.
-    Any 0 < q < 1 (and |t| < 1) is accepted for which the sign of the ratio
+    Any 0 < q < 1 and |t| < 1 is accepted for which the sign of the ratio
     and a rate, |t| or a rung above it, are certified on y in (0, 1]; the
     ordered regime 0 < c <= a < 1, 0 < d <= b < 1 is one such case, with
     rate |t|.
     """
-    engine = ThreePhiTwo(a, b, c, d, q)
-    if not 0 < engine.q < 1:
-        raise CatalogError("certified source-series bound needs 0 < q < 1")
+    engine = _convergent_engine(a, b, c, d, q)
     label = ",".join(format_rational(v) for v in engine.params)
     return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
@@ -623,12 +646,12 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
     finite and positive; h <= K on (0, 1] is certified, which gives a
     one-term-plus-geometric tail.
     """
-    engine = ThreePhiTwo(a, b, c, d, q)
+    engine = _convergent_engine(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
-    if not (0 < max(c, d) <= min(a, b) and max(a, b) < 1 and 0 < q < 1
-            and max(c, d, t) < 1 - q and t * (a + b + q) < 1):
+    if not (0 < max(c, d) <= min(a, b) and max(a, b) < 1 and max(c, d, t) < 1 - q
+            and t * (a + b + q) < 1):
         raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
-                           "min(a,b), a, b < 1, 0 < q < 1, c, d, t < 1-q and t(a+b+q) < 1")
+                           "min(a,b), a, b < 1, c, d, t < 1-q and t(a+b+q) < 1")
     ratio = engine.transformed_ratio()
     if ratio.num[:2] != [0, 0]:
         raise CatalogError("transformed series: the derived term ratio is not y^2 h(y)")

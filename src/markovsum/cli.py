@@ -39,6 +39,7 @@ from . import catalog
 from .catalog import CatalogError
 from .exact import ROUND_HALF_EVEN, ROUND_TRUNCATE, format_rational, parse_rational
 from .markov import (
+    SAMPLE_TUPLES,
     EvaluationError,
     ThreePhiTwo,
     certificates,
@@ -58,7 +59,6 @@ EXIT_DISAGREE = 3
 EXIT_USAGE = 64
 EXIT_SINGULAR = 65
 
-_CANONICAL = ("1/3", "1/5", "1/7", "1/11", "1/2")
 _RATIONAL = r"\d+(/\d+)?"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_RATIONAL}(,-?{_RATIONAL})*$|^-\d*\.\d+$")
 
@@ -169,8 +169,8 @@ def build_parser() -> _Parser:
 
 
 def _add_param_options(p):
-    for name, default in zip("abcdq", _CANONICAL):
-        p.add_argument(f"--{name}", type=_rational_arg, default=parse_rational(default))
+    for name, default in zip("abcdq", SAMPLE_TUPLES[0]):
+        p.add_argument(f"--{name}", type=_rational_arg, default=default)
     p.add_argument("--presets", help="JSON file of named parameter tuples")
     p.add_argument("--preset", help="tuple name to load from the presets file")
 

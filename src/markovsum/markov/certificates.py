@@ -278,6 +278,10 @@ class Transformation:
         object.__setattr__(cert, "proof", self.proof)
         return cert
 
+    def pair(self) -> MarkovPair:
+        """The telescoping pair induced by the certificate: U = A F, V = M F."""
+        return pair_from_certificate(self.certificate())
+
     def B(self, x: int) -> Fraction:
         """A_x / P(x), the row multiplier's factor free of z: M_{x,z} = B_x R(x, z)."""
         p = self.P(x)

@@ -41,8 +41,6 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping
 
-from ..exact import format_rational
-
 
 class EvaluationError(ArithmeticError):
     """A grid value is undefined; carries the lattice location."""
@@ -205,9 +203,6 @@ class MarkovPair:
 class PairCheck:
     holds: bool
     residual: Fraction
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "residual": format_rational(self.residual)}
 
 
 def _over(factors: tuple) -> tuple[int, int]:

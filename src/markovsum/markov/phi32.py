@@ -47,7 +47,7 @@ M_{x,z} = A_x R(x,z)/P(x) = B_x + C_x q^z with
                 / ((1 - t q^(2x)) (1 - t q^(2x+1))).
 
 The pair of the transformation is the pair induced by the certificate.
-When |t| < 1 both series converge; the transformed series then has terms
+When |q| < 1 and |t| < 1 both series converge; the transformed series has terms
 V_{x,0} = M_{x,0} F_{x,0}, whose step-to-step decay is of order q^(2x),
 much faster than the original t^z.  The catalog reads both series' term
 ratios off the evaluators, run on a symbol as in the proof: ``source_ratio``
@@ -73,8 +73,8 @@ from typing import Callable, Optional
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
 from ..polys import Factors, RationalFunction, factored_ratio, vanishes_at_powers
-from .certificates import Certificate, Transformation, check_column, pair_from_certificate
-from .pairs import ONE, EvaluationError, MarkovPair
+from .certificates import Certificate, Transformation, check_column
+from .pairs import ONE, EvaluationError
 
 #: Parameter tuples (a, b, c, d, q) used across tests and fixtures; all have
 #: 0 < t < 1 and poles nowhere near the working grids.
@@ -139,14 +139,35 @@ def _memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
 _extend_lock = threading.Lock()
 
 
-class _ThreePhiTwoAlgebra(Transformation):
-    """The five evaluators of the 3phi2 transformation: rx, rz, P, Q and R.
+@dataclass(frozen=True)
+class _Exponent:
+    """i x + j z + k with x and z symbols: q^(ix + jz + k) = q^k X^i Z^j."""
 
-    Nothing here needs convergence, so any nonzero rational parameters are
-    accepted, whatever t is.  F, A, M, the certificate and its proof are
-    derived by :class:`~markovsum.markov.certificates.Transformation`; this
-    part adds the evaluators' symbolic twin and the test of the proof's
-    divisors at the powers of q.
+    i: int
+    j: int
+    k: int = 0
+
+    def __add__(self, other) -> "_Exponent":
+        if isinstance(other, _Exponent):
+            return _Exponent(self.i + other.i, self.j + other.j, self.k + other.k)
+        return _Exponent(self.i, self.j, self.k + other)
+
+    def __sub__(self, other: int) -> "_Exponent":
+        return self + -other
+
+    def __rmul__(self, n: int) -> "_Exponent":
+        return _Exponent(n * self.i, n * self.j, n * self.k)
+
+
+class ThreePhiTwo(Transformation):
+    """The 3phi2(a,b,1; c,d) transformation at any nonzero rational parameters.
+
+    The five evaluators rx, rz, P, Q and R, their symbolic twin, the test of
+    the proof's divisors at the powers of q, the source series' ratio and
+    the closed forms; F, A, M, the certificate and its proof, the pair and
+    the transformed ratio are derived by
+    :class:`~markovsum.markov.certificates.Transformation`.  Nothing here
+    needs convergence: an undefined point raises ``EvaluationError``.
     """
 
     NAME = "3phi2"
@@ -239,7 +260,7 @@ class _ThreePhiTwoAlgebra(Transformation):
 
     # -- the evaluators on symbols -----------------------------------------------
 
-    def _symbolic(self) -> "_ThreePhiTwoAlgebra":
+    def _symbolic(self) -> "ThreePhiTwo":
         """A copy of this engine whose evaluators run on symbols.
 
         The evaluators P, Q, R, rx and rz read x and z only through q's
@@ -277,46 +298,6 @@ class _ThreePhiTwoAlgebra(Transformation):
         for (i, _), c in factor.items():
             coeffs[i] = c
         return vanishes_at_powers(coeffs, self.q, span)
-
-
-@dataclass(frozen=True)
-class _Exponent:
-    """i x + j z + k with x and z symbols: q^(ix + jz + k) = q^k X^i Z^j."""
-
-    i: int
-    j: int
-    k: int = 0
-
-    def __add__(self, other) -> "_Exponent":
-        if isinstance(other, _Exponent):
-            return _Exponent(self.i + other.i, self.j + other.j, self.k + other.k)
-        return _Exponent(self.i, self.j, self.k + other)
-
-    def __sub__(self, other: int) -> "_Exponent":
-        return self + -other
-
-    def __rmul__(self, n: int) -> "_Exponent":
-        return _Exponent(n * self.i, n * self.j, n * self.k)
-
-
-class ThreePhiTwo(_ThreePhiTwoAlgebra):
-    """The 3phi2(a,b,1; c,d) transformation at fixed rational parameters.
-
-    Exposes the extension F, the certificate, the multipliers A, B, C and
-    M, the induced pair and the term ratios of the two series.
-    Construction requires |q| < 1 and |t| < 1 with t = cd/(abq), the regime
-    in which both series converge.
-    """
-
-    def __init__(self, a, b, c, d, q):
-        super().__init__(a, b, c, d, q)
-        if not abs(self.q) < 1:
-            raise ValueError(f"|q| < 1 required, got q = {format_rational(self.q)}")
-        if not abs(self.t) < 1:
-            raise ValueError(f"|t| < 1 required, got t = {format_rational(self.t)}")
-
-    def pair(self) -> MarkovPair:
-        return pair_from_certificate(self.certificate())
 
     def source_ratio(self) -> RationalFunction:
         """F_{0,z+1}/F_{0,z} = rz(0, z), a rational function of y = q^z."""
@@ -369,10 +350,10 @@ def fixture_from_json(obj: dict) -> ThreePhiTwo:
 def make_certificate(a, b, c, d, q) -> Certificate:
     """The built-in certificate fixture for the 3phi2 extension.
 
-    Any nonzero rational parameters are accepted, whatever t is, and the
-    certificate carries the engine's proof of its identity at them.
+    Any nonzero rational parameters are accepted, whatever q and t are, and
+    the certificate carries the engine's proof of its identity at them.
     """
-    return _ThreePhiTwoAlgebra(a, b, c, d, q).certificate()
+    return ThreePhiTwo(a, b, c, d, q).certificate()
 
 
 def coefficient_residuals(a, b, c, d, q, x: int, *,

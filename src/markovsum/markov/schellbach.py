@@ -23,8 +23,8 @@ This is the q = 1 case of the WZ pairs of the 3phi2 engine (Wilf and
 Zeilberger, 1990; Mohammed and Zeilberger, 2004).  The five evaluators
 are written once, for values, and run unchanged on ``polys.Factors``
 symbols x and z, so the engine's ``BracketProof`` expands the bracket to
-zero over Q[x, z] at each parameter tuple.  For t > 0 the row series of
-the induced pair is Schellbach's:
+zero over Q[x, z] at each parameter tuple, which may be any; for t > 0
+the row series of the induced pair is Schellbach's:
 
     3F2(a,b,1; c,d) = sum_x V_{x,0},
     V_{x,0} = A_x R(x,0) F_{x,0} / P(x)
@@ -45,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exact import exp2_approx, format_rational, log2_approx
-from ..hgterm import _is_nonpositive_integer, rising_factorial
+from ..exact import exp2_approx, log2_approx
+from ..hgterm import rising_factorial
 from .certificates import Transformation
-from .pairs import Kernel
+from .pairs import EvaluationError, Kernel
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ class SchellbachParams(Transformation):
     """Parameters (a, b, c, d) with the convergence exponent t = c+d-a-b-1,
     and the classical transformation on them.
 
-    t <= 0 and a nonpositive integer c or d are refused.  A nonpositive
-    integer c-a, c-b, d-a or d-b is a zero of Q, not a pole: the
+    Any parameters are accepted: a nonpositive integer c or d, or t = 0, is
+    reported at the first point where an evaluator is undefined.  A
+    nonpositive integer c-a, c-b, d-a or d-b is a zero of Q, not a pole: the
     transformed series then ends, and the identity still holds.  Equality,
     hashing and repr read the four parameters only.
     """
@@ -73,11 +74,6 @@ class SchellbachParams(Transformation):
     def __post_init__(self):
         for name in "abcd":
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.t <= 0:
-            raise ValueError(f"need c+d-a-b-1 > 0, got {format_rational(self.t)}")
-        for name, v in (("c", self.c), ("d", self.d)):
-            if _is_nonpositive_integer(v):
-                raise ValueError(f"{name} must not be a nonpositive integer")
         kernel = Kernel(f"{self.NAME} extension", (self.a, self.b), (self.c, self.d))
         object.__setattr__(self, "rx", kernel.rx)
         object.__setattr__(self, "rz", kernel.rz)
@@ -110,8 +106,10 @@ def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
     a, b, c, d = params.a, params.b, params.c, params.d
     num = rising_factorial(c - a, x) * rising_factorial(c - b, x) \
         * rising_factorial(d - a, x) * rising_factorial(d - b, x) * params.R(x, 0)
-    return num / (rising_factorial(c, x) * rising_factorial(d, x)
-                  * rising_factorial(params.t, 2 * x + 2))
+    den = rising_factorial(c, x) * rising_factorial(d, x) * rising_factorial(params.t, 2 * x + 2)
+    if den == 0:
+        raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
+    return num / den
 
 
 def direct_term(params: SchellbachParams, n: int) -> Fraction:

@@ -43,6 +43,7 @@ from typing import Optional
 from ..exact import format_rational
 from ..polys import solve_linear
 from .pairs import EvaluationError, GridFunction, Kernel, MarkovPair, Scale, one
+from .phi32 import SAMPLE_TUPLES, ThreePhiTwo
 
 FORM_U1 = "u1"
 FORM_U2 = "u2"
@@ -192,13 +193,9 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
 # ---------------------------------------------------------------------------
 
 def phi32_family(a, b, c, d, q) -> GridFunction:
-    """The q-series family solved exactly by form u1.
-
-    Any nonzero rational parameters are accepted, whatever q and t are, as
-    by ``phi32.make_certificate``: the solver needs no convergence.
-    """
-    from .phi32 import _ThreePhiTwoAlgebra
-    return _ThreePhiTwoAlgebra(a, b, c, d, q).extension()
+    """The q-series family solved exactly by form u1: the 3phi2 engine's
+    extension, at any nonzero parameters, since the solver needs no convergence."""
+    return ThreePhiTwo(a, b, c, d, q).extension()
 
 
 def f4f3_family(a, h, b) -> GridFunction:
@@ -232,9 +229,7 @@ class SolverFamily:
 
 FAMILIES = {
     # q-series 3phi2(a,b,1;c,d), multipliers A_x and B_x + C_x q^z
-    "3phi2-u1": SolverFamily(
-        FORM_U1, phi32_family,
-        (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11), Fraction(1, 2))),
+    "3phi2-u1": SolverFamily(FORM_U1, phi32_family, SAMPLE_TUPLES[0]),
     # 4F3(a,a+h,a-h,1;b,b+h,b-h), z-linear U and z-quadratic V multipliers
     "4f3-u2": SolverFamily(FORM_U2, f4f3_family, (Fraction(1), Fraction(1, 3), Fraction(2))),
     # alternating well-poised 4F3(a,a,a,1;b,b,b;-1), z-quadratic multipliers

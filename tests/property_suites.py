@@ -353,7 +353,10 @@ def cli_exit_codes():
                         "--max-terms", "64")[0] == 2
         assert _run_cli("compute", "nosuch")[0] == 64
         assert _run_cli("verify-pair", "3phi2", "--grid", "2x2", "--fuzz")[0] == 1
-        assert _run_cli("verify-pair", "3phi2", "--q", "2")[0] == 64
+        assert _run_cli("verify-pair", "3phi2", "--q", "2")[0] == 0
+        assert _run_cli("verify-pair", "3phi2", "--a", "1/2", "--b", "1/3", "--c", "1/2",
+                        "--d", "1/3", "--q", "1/2")[0] == 65
+        assert _run_cli("verify-pair", "3phi2", "--q", "0")[0] == 64
         assert _run_cli("solve", "3phi2-u1", "--form", "u2", "--x-max", "1")[0] == 1
 
 

@@ -586,9 +586,40 @@ class TestDescriptions:
         assert derived(entry_phi32_transformed(*params)) == Q_TRANSFORMED_HAND_SET
 
     def test_eta_rate_one_certifies_the_decrease(self):
-        entry = entry_direct("eta2")
-        assert entry.asymptotic_ratio == 1 and entry.ratio_bound is None
-        assert entry.leibniz_from == entry.n0
+        # |ratio| = 1 - c/n + O(n^-2), c = 2 and 3: the terms tend to 0 (Raabe)
+        for kind in ("eta2", "eta3"):
+            entry = entry_direct(kind)
+            assert entry.asymptotic_ratio == 1 and entry.ratio_bound is None
+            assert entry.leibniz_from == entry.n0
+
+    @pytest.mark.parametrize("ratio, base", [
+        (RationalFunction(poly(0, -2, -1), poly(1, 2, 1)), None),  # 1 - 1/(n+1)^2
+        (RationalFunction(poly(-1), poly(1)), None),
+        (RationalFunction(poly(-1), poly(1)), Q(1, 2)),
+    ], ids=["n-series-1/n^2", "n-series-constant", "y-series"])
+    def test_rate_one_without_vanishing_terms_gets_no_bracket(self, ratio, base):
+        # the alternating terms keep a nonzero magnitude, 10^-8/2 or 10^-8,
+        # so the series diverges and no digit may be reported
+        entry = FormulaEntry("div", "div", "", TermSequence(Q(1, 10 ** 8), ratio, 1, base=base))
+        assert entry.alternating and entry.asymptotic_ratio == 1
+        assert entry.leibniz_from is None and entry.ratio_bound is None
+        report = evaluate(entry, 1000, digits=12)
+        assert (report.enclosure, report.digits_proven) == (None, 0)
+
+    @pytest.mark.parametrize("params", [
+        (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2)),  # q = 2
+        (Q(1, 3), Q(1, 5), Q(3), Q(5), Q(1, 2)),  # t = 450
+        (Q(1), Q(1), Q(1), Q(1), Q(1, 2)),  # t = 2
+        (Q(1, 2), Q(1, 2), Q(-100), Q(1, 10), Q(1, 2)),  # t = -80
+    ], ids=["q=2", "t=450", "t=2", "t=-80"])
+    def test_q_sides_refuse_a_divergent_source(self, params):
+        # the engine takes any nonzero tuple; the catalog sums only where the
+        # source series converges.  At t = -80 the transformed side's own
+        # conditions hold, and its series converges, to another value
+        ThreePhiTwo(*params)
+        for build in (entry_phi32_series, entry_phi32_transformed):
+            with pytest.raises(CatalogError, match=r"0 < q < 1 and \|t\| < 1"):
+                build(*params)
 
     def test_source_outside_the_ordered_regime(self):
         # c = 1/20 <= a but d = 7/10 > b = 1/2: refused before the rate-t

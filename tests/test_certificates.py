@@ -20,7 +20,7 @@ from markovsum.markov import (
     verify_certificate,
 )
 from markovsum.markov.pairs import bracket_residual, one
-from markovsum.markov.phi32 import SAMPLE_TUPLES, _ThreePhiTwoAlgebra
+from markovsum.markov.phi32 import SAMPLE_TUPLES
 from markovsum.markov.sampling import _hits_pole
 from oracles import (
     certificate_value_residual,
@@ -234,7 +234,7 @@ def _outcome(verdict):
     return verdict.passed, verdict.checks, verdict.first_failure
 
 
-class _PerturbedP(_ThreePhiTwoAlgebra):
+class _PerturbedP(ThreePhiTwo):
     """The engine with P raised by 1/7; its proof expands the perturbed P."""
 
     def P(self, x):

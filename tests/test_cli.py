@@ -145,10 +145,20 @@ class TestVerifyPair:
         lhs = next(line for line in out.splitlines() if line.startswith("boundary_lhs: "))
         assert len(lhs) > 4300
 
-    def test_big_base_rejected(self, capsys):
-        code, _, err = run(capsys, "verify-pair", "3phi2", "--q", "2")
-        assert code == 64
-        assert "|q| < 1" in err
+    @pytest.mark.parametrize("argv", [("--q", "2"), ("--c", "3", "--d", "5", "--q", "1/2")],
+                             ids=["q=2", "t=450"])
+    def test_tuple_outside_convergence_accepted(self, capsys, argv):
+        # the pair condition and the Green rectangle are exact finite identities
+        code, out, err = run(capsys, "verify-pair", "3phi2", *argv)
+        assert (code, err) == (0, "")
+        assert "residual_failures: 0" in out and "boundary_equal: True" in out
+
+    def test_first_singular_point_exits_65(self, capsys):
+        # tq = 1: the certificate's divisor 1 - t q^(2x+1) vanishes at x = 0
+        code, out, err = run(capsys, "verify-pair", "3phi2", "--a", "1/2", "--b", "1/3",
+                             "--c", "1/2", "--d", "1/3", "--q", "1/2")
+        assert (code, out) == (65, "")
+        assert "(1 - t q^(2x+1)) vanishes at x=0" in err
 
     def test_fuzz_detected(self, capsys):
         code, out, _ = run(capsys, "verify-pair", "3phi2", "--grid", "4x4", "--fuzz")
@@ -310,7 +320,7 @@ class TestUsageErrors:
         "verify-certificate --grid 2x-1",
         "verify-pair 3phi2 --a 0",
         "verify-pair 3phi2 --grid 2x-1",
-        "verify-pair 3phi2 --q 2",
+        "verify-pair 3phi2 --q 0",
         "solve 4f3-u2 --x-max -1",
         "solve 3phi2-u1 --params=0,1/5,1/7,1/11,1/2",
         "solve 3phi2-u1 --params=1/3,1/5,1/7,1/11,0",

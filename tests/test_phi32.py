@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from markovsum.catalog import CatalogError, entry_phi32_series, entry_phi32_transformed
 from markovsum.hgterm import q_pochhammer
 from markovsum.markov import (
     EvaluationError,
@@ -77,13 +78,18 @@ class TestClosedForms:
         for n in range(12):
             assert f_product(engine, 0, n) == engine.f(0, n)
 
-    def test_t_geq_one_rejected(self):
-        with pytest.raises(ValueError, match=r"\|t\| < 1"):
-            ThreePhiTwo(Q(1), Q(1), Q(1), Q(1), Q(1, 2))
+    def test_t_geq_one_accepted(self):
+        # no evaluator needs convergence; t = 450 and tq = 225 leave every divisor nonzero
+        e = ThreePhiTwo(Q(1, 3), Q(1, 5), Q(3), Q(5), Q(1, 2))
+        assert e.t == 450
+        assert all(e.A(x) == e.A_closed(x) for x in range(11))
+        assert all(e.v0(x) == m0(e, x) * e.f(x, 0) for x in range(8))
+        assert e.proof.holds
 
-    def test_base_outside_unit_disc_rejected(self):
-        with pytest.raises(ValueError, match=r"\|q\| < 1"):
-            ThreePhiTwo(Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2))
+    def test_base_outside_unit_disc_accepted(self):
+        e = ThreePhiTwo(Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2))
+        assert all(e.A(x) == e.A_closed(x) for x in range(11))
+        assert e.proof.holds
 
     def test_certificate_accepts_any_base(self):
         cert = make_certificate(Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(2))
@@ -147,10 +153,16 @@ class TestCoefficientEquations:
 
 class TestParamMap:
     def test_identity_tuple_rejected_downstream(self):
+        # the engine takes the mapped tuple; tq = 1 makes its certificate
+        # singular at x = 0, and the catalog refuses t = 2
         mapped = markov_param_map(1, 1, 1, 1, 2)
         assert mapped == (1, 1, 1, 1, Q(1, 2), 2)
-        with pytest.raises(ValueError):
-            ThreePhiTwo(*mapped[:5])
+        engine = ThreePhiTwo(*mapped[:5])
+        with pytest.raises(EvaluationError, match=r"\(1 - t q\^\(2x\+1\)\) vanishes at x=0"):
+            engine.A(1)
+        for build in (entry_phi32_series, entry_phi32_transformed):
+            with pytest.raises(CatalogError, match=r"\|t\| < 1"):
+                build(*mapped[:5])
 
     def test_canonical_mapping(self):
         a, b, c, d, q, t = markov_param_map(3, 5, 7, 11, 2)

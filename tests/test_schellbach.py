@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovsum.markov import (
+    EvaluationError,
     SchellbachParams,
     check_pair_condition,
     direct_term,
@@ -23,13 +24,14 @@ ZETA2_PARAMS = SchellbachParams(Q(1), Q(1), Q(2), Q(2))
 GENERAL_PARAMS = SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2))
 
 
-def _accepted(params) -> bool:
+def _regular(params) -> bool:
     a, b, c, d = params
     return c + d - a - b - 1 > 0 and not any(v.denominator == 1 and v <= 0 for v in (c, d))
 
 
-#: (a, b, c, d) with t > 0 and c, d off the poles; nonpositive integers c-a, ... are drawn
-TUPLES = st.tuples(*[st.fractions(-6, 6, max_denominator=6)] * 4).filter(_accepted) \
+#: (a, b, c, d) with t > 0 and c, d off the poles, so that every evaluator is defined
+#: on the lattice; nonpositive integers c-a, ... are drawn
+TUPLES = st.tuples(*[st.fractions(-6, 6, max_denominator=6)] * 4).filter(_regular) \
     .map(lambda params: SchellbachParams(*params))
 DRAWS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -39,15 +41,25 @@ class TestParams:
         assert ZETA2_PARAMS.t == 1
         assert SchellbachParams(Q(1, 2), Q(1, 3), Q(2), Q(5, 2)).t == Q(8, 3)
 
-    def test_nonconvergent_rejected(self):
-        with pytest.raises(ValueError, match="c\\+d-a-b-1"):
-            SchellbachParams(Q(1), Q(1), Q(1), Q(2))
+    def test_nonconvergent_accepted(self):
+        # t = 0: the identity is proved, and P(0) = t(t+1) = 0 is reported where it is met
+        params = SchellbachParams(Q(1), Q(1), Q(1), Q(2))
+        assert params.t == 0 and params.proof.holds
+        with pytest.raises(EvaluationError, match="certificate singular at x=0"):
+            params.A(1)
+        with pytest.raises(EvaluationError, match="vanishes at x=2"):
+            schellbach_term(params, 2)
 
-    def test_pochhammer_poles_rejected(self):
-        with pytest.raises(ValueError, match="c must not"):
-            SchellbachParams(Q(1), Q(1), Q(-1), Q(6))  # c nonpositive integer
-        with pytest.raises(ValueError, match="d must not"):
-            SchellbachParams(Q(1), Q(1), Q(6), Q(0))
+    @pytest.mark.parametrize("params, point", [
+        ((Q(1), Q(1), Q(-1), Q(6)), (1, 1)),  # (c)_{x+z} = 0 from x + z = 2
+        ((Q(1), Q(1), Q(6), Q(0)), (1, 0)),  # (d)_{x+z} = 0 from x + z = 1
+    ], ids=["c=-1", "d=0"])
+    def test_pochhammer_poles_accepted(self, params, point):
+        # a nonpositive integer c or d is reported at the first point a scan meets
+        cert = SchellbachParams(*params).certificate()
+        with pytest.raises(EvaluationError, match="lower rising factorial vanishes") as caught:
+            verify_certificate(cert, 4, 4)
+        assert (caught.value.x, caught.value.z) == point
 
     def test_numerator_zeros_accepted(self):
         # c = a is a zero of Q(0): the transformed series is its first term,

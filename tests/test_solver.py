@@ -23,7 +23,6 @@ from markovsum.markov import (
 )
 from markovsum.markov import SchellbachParams, solver
 from markovsum.markov.pairs import one
-from markovsum.markov.phi32 import _ThreePhiTwoAlgebra
 from markovsum.polys import solve_linear
 from oracles import (
     f4f3_product,
@@ -53,7 +52,7 @@ class TestU1RecoversClosedForms:
     ], ids=["q=2", "t=450", "negative-a-and-q"])
     def test_exact_match_whatever_q_and_t(self, params):
         # the family needs no convergence, as the certificate does not
-        engine = _ThreePhiTwoAlgebra(*params)
+        engine = ThreePhiTwo(*params)
         result = solve_multipliers_stepwise(phi32_family(*params), FORM_U1, 10)
         assert result.ok
         for x in range(11):
