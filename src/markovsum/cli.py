@@ -326,13 +326,13 @@ def _cmd_compare(args, out: _Out) -> int:
 def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
     """The certificate pair with V_{x,z} = (M_{x,z} + 1) F_{x,z} in column 0.
 
-    On the pair's scale A_x F_{x,z} the bump adds 1/A_x to V's reduced part.
+    On the pair's scale A_x F_{x,z} the bump adds F~/A_0 = 1 to V's reduced part.
     """
     base = engine.pair()
 
     def v(x: int, z: int) -> Fraction:
         reduced = base.v.reduced(x, z)
-        return reduced + 1 / engine.A(x) if x == 0 else reduced
+        return reduced + 1 if x == 0 else reduced
 
     return MarkovPair(base.u, GridFunction(v, "V[fuzzed]", scale=base.v.scale),
                       provenance="fuzzed")

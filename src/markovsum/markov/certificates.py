@@ -28,7 +28,8 @@ a telescoping pair: with A_0 = 1,
     A_{x+1} = A_x Q(x)/P(x),     M_{x,z} = A_x R(x,z)/P(x),
     U_{x,z} = A_x F_{x,z},       V_{x,z} = M_{x,z} F_{x,z}.
 
-The recurrence for A is accumulated by :class:`ColumnMultipliers` alone;
+The recurrence for A is accumulated by :class:`ColumnMultipliers` alone,
+which memoizes 1/P(x) for A, V and M and reports a zero of P there;
 every transformation engine (:class:`Transformation`) uses the same class
 for its own A_x, so a pair and its certificate are two views of one set of
 evaluators.  The induced pair lives on the scale A_x S_{x,z}, whose
@@ -59,7 +60,7 @@ from typing import Callable, Optional
 
 from ..exact import format_rational
 from ..polys import Factors, RationalFunction, degrees, divisor_lcm, factored_ratio
-from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, one
+from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, memo, one
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,12 @@ def _check_grid(cert: Certificate, x_max: int, z_max: int
 
 def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
                        family: Optional[Callable[..., Certificate]] = None,
-                       random_points: int = 0, seed: int = 0,
-                       random_grid: tuple[int, int] = (6, 6)) -> Verdict:
+                       random_points: int = 0, seed: int = 0) -> Verdict:
     """Check the certificate identity exactly on a grid.
 
     With a ``family`` (a parameter tuple -> Certificate factory) the check
     is repeated at ``random_points`` seeded pseudo-random rational
-    parameter tuples, each on a ``random_grid`` lattice.  Each grid is
+    parameter tuples, each on the ``RANDOM_GRID`` lattice.  Each grid is
     answered by its certificate's proof when that covers it, and scanned
     otherwise; either way ``checks`` counts the points covered, up to the
     first failing point, which the verdict carries.
@@ -163,7 +163,7 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
             raise ValueError("random parameter checks need a certificate family")
         from .sampling import sample_parameter_tuples
         for params in sample_parameter_tuples(random_points, seed):
-            failure, covered, instance_proved = _check_grid(family(*params), *random_grid)
+            failure, covered, instance_proved = _check_grid(family(*params), *RANDOM_GRID)
             checks += covered
             proved = proved and instance_proved
             if failure is not None:
@@ -178,6 +178,9 @@ X_CAP = 512
 #: the most random parameter tuples one command checks, each costing about 1.4 ms
 RANDOM_POINTS_CAP = 1000
 
+#: (x_max, z_max) of the grid checked at each random parameter tuple
+RANDOM_GRID = (6, 6)
+
 
 def check_column(x: int):
     """Refuse a column index outside 0..X_CAP."""
@@ -190,26 +193,34 @@ def check_column(x: int):
 class ColumnMultipliers:
     """The column multipliers A_0 = 1, A_{x+1} = A_x Q(x)/P(x), for x <= X_CAP.
 
-    Calling it gives A_x; ``ratio(x)`` gives the step A_{x+1}/A_x.  Both
-    are memoized; A is stepped along z = 0 as a scale with ratios
-    (ratio(x), 1).  P(x) must not vanish on the working range.
+    Calling it gives A_x, ``ratio(x)`` the step A_{x+1}/A_x and ``over_p(x)``
+    1/P(x), which V and the row multipliers read too.  1/P and the step are
+    memoized, so P is evaluated once per column; a zero of P is reported
+    here alone, as a singular certificate.  A is stepped along z = 0 as a
+    scale with ratios (ratio(x), 1).
     """
 
     def __init__(self, p: Callable[[int], Fraction], q: Callable[[int], Fraction]):
         self._p, self._q = p, q
-        self._ratios: dict[int, Fraction] = {}  # a pure function of x: no lock needed
+        self._over_p: dict[int, Fraction] = {}
+        self._ratios: dict[int, Fraction] = {}
         self._values = Scale(lambda x, z: self.ratio(x), one)
 
-    def ratio(self, x: int) -> Fraction:
-        """A_{x+1}/A_x = Q(x)/P(x)."""
-        cached = self._ratios.get(x)
-        if cached is None:
-            check_column(x + 1)
+    def over_p(self, x: int) -> Fraction:
+        """1/P(x)."""
+        def value():
             px = self._p(x)
             if px == 0:
                 raise EvaluationError(f"certificate singular at x={x}", x=x)
-            cached = self._ratios[x] = self._q(x) / px
-        return cached
+            return Fraction(1) / px
+        return memo(self._over_p, x, value)
+
+    def ratio(self, x: int) -> Fraction:
+        """A_{x+1}/A_x = Q(x)/P(x)."""
+        def value():
+            check_column(x + 1)
+            return self.over_p(x) * self._q(x)
+        return memo(self._ratios, x, value)
 
     def __call__(self, x: int) -> Fraction:
         check_column(x)
@@ -220,17 +231,11 @@ def pair_from_certificate(cert: Certificate) -> MarkovPair:
     """Build the telescoping pair induced by a certificate (A_0 = 1)."""
     a = ColumnMultipliers(cert.p, cert.q)
     f, s = cert.extension.reduced, cert.extension.scale
-
-    def v(x: int, z: int) -> Fraction:
-        px = cert.p(x)
-        if px == 0:
-            raise EvaluationError(f"certificate singular at x={x}", x=x)
-        return cert.r(x, z) / px * f(x, z)
-
     scale = Scale(lambda x, z: a.ratio(x) * s.sx(x, z), s.sz)
     name = cert.label or "certificate"
     return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
-                      GridFunction(v, f"V[{name}]", scale=scale),
+                      GridFunction(lambda x, z: a.over_p(x) * cert.r(x, z) * f(x, z),
+                                   f"V[{name}]", scale=scale),
                       provenance=f"certificate:{name}")
 
 
@@ -284,10 +289,7 @@ class Transformation:
 
     def B(self, x: int) -> Fraction:
         """A_x / P(x), the row multiplier's factor free of z: M_{x,z} = B_x R(x, z)."""
-        p = self.P(x)
-        if p == 0:
-            raise EvaluationError(f"P(x) vanishes at x={x}", x=x)
-        return self.A(x) / p
+        return self.A.over_p(x) * self.A(x)
 
     def m(self, x: int, z: int) -> Fraction:
         """Row multiplier M_{x,z} = A_x R(x, z) / P(x)."""

@@ -59,6 +59,18 @@ def one(x: int, z: int) -> Fraction:
     return ONE
 
 
+def memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
+    """table[key], storing value() on a miss: the memo of a one-index lattice value.
+
+    Each entry is a pure function of its key, so threads racing on a miss
+    store the same value and need no lock; a value() that raises stores nothing.
+    """
+    cached = table.get(key)
+    if cached is None:
+        cached = table[key] = value()
+    return cached
+
+
 class Scale:
     """A lattice function S with S_{0,0} = 1, known by its two shift ratios.
 

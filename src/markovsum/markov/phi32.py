@@ -57,24 +57,25 @@ A_x = (c/a, c/b, d/a, d/b; q)_x / (q^x (t;q)_{2x}), the closed form of
 V_{x,0} and the coefficient equations are kept as independent checks of
 the derived values.
 
-The power table, the F table and the column multipliers are extended
-under locks and never change a stored value, so one engine may be shared
-between threads.
+Every one-index table (the powers of q, the factors of F's shift ratios,
+Q, R's slope in q^z, and the column multipliers' 1/P and steps) holds pure
+values, stored by ``pairs.memo`` without a lock; only F's ``pairs.Scale``,
+which is stepped along a path, takes one.  No stored value ever changes,
+so one engine may be shared between threads.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from ..exact import format_rational
 from ..hgterm import q_pochhammer
 from ..polys import Factors, RationalFunction, factored_ratio, vanishes_at_powers
 from .certificates import Certificate, Transformation, check_column
-from .pairs import ONE, EvaluationError
+from .pairs import EvaluationError, memo
 
 #: Parameter tuples (a, b, c, d, q) used across tests and fixtures; all have
 #: 0 < t < 1 and poles nowhere near the working grids.
@@ -88,25 +89,23 @@ SAMPLE_TUPLES = (
 
 
 def markov_param_map(r, rp, s, sp, qq) -> tuple[Fraction, ...]:
-    """Map the historical parameterization (r, r', s, s', q with |q|>1).
+    """Map the historical parameterization (r, r', s, s', q), all nonzero.
 
-    Returns (a, b, c, d, q, t) in the modern |q| < 1 convention:
+    Returns (a, b, c, d, q, t) in the modern convention:
     a=1/r, b=1/r', c=1/s, d=1/s', q = 1/qq, t = r r' qq / (s s').
     """
     r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
     for name, v in (("r", r), ("r'", rp), ("s", s), ("s'", sp), ("q", qq)):
         if v == 0:
             raise ValueError(f"parameter {name} must be nonzero")
-    if not abs(qq) > 1:
-        raise ValueError("historical base must satisfy |q| > 1")
     return (1 / r, 1 / rp, 1 / s, 1 / sp, 1 / qq, r * rp * qq / (s * sp))
 
 
 def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
     """Term n of the series in the historical form.
 
-    term = q^n * prod_{i<n} (r q^i - 1)(r' q^i - 1) / ((s q^i - 1)(s' q^i - 1))
-    with |q| > 1; termwise equal to the |q| < 1 form under markov_param_map.
+    term = q^n * prod_{i<n} (r q^i - 1)(r' q^i - 1) / ((s q^i - 1)(s' q^i - 1)),
+    termwise equal to the modern form under markov_param_map.
     """
     r, rp, s, sp, qq = (Fraction(v) for v in (r, rp, s, sp, qq))
     prod = Fraction(1)
@@ -121,22 +120,6 @@ def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
 
 
 FIXTURE_NAME = "markov-3phi2"
-
-
-def _memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
-    """table[key], storing value() on a miss.
-
-    Each entry is a pure function of its key, so threads racing on a miss
-    store the same value; a value() that raises stores nothing.
-    """
-    cached = table.get(key)
-    if cached is None:
-        cached = table[key] = value()
-    return cached
-
-
-# guards the power tables
-_extend_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -180,10 +163,10 @@ class ThreePhiTwo(Transformation):
                 raise ValueError(f"parameter {name} must be nonzero")
         self._cd = self.c * self.d
         self.t = self._cd / (self.a * self.b * self.q)
-        #: q^k at index k
-        self._powers = [ONE]
-        # one-index values, each a pure function of its key: k -> (1-cq^k)(1-dq^k),
-        # z -> (1-aq^z)(1-bq^z), x -> Q(x) and x -> the slope K(x) of R(x, z) in q^z
+        # one-index values, each a pure function of its key: k -> q^k,
+        # k -> (1-cq^k)(1-dq^k), z -> (1-aq^z)(1-bq^z), x -> Q(x) and
+        # x -> the slope K(x) of R(x, z) in q^z
+        self._powers: dict[int, Fraction] = {}
         self._poles: dict[int, Fraction] = {}
         self._uppers: dict[int, Fraction] = {}
         self._q_values: dict[int, Fraction] = {}
@@ -196,20 +179,15 @@ class ThreePhiTwo(Transformation):
 
     def _power(self, k: int) -> Fraction:
         """q^k, k >= 0."""
-        powers = self._powers
-        if len(powers) <= k:
-            with _extend_lock:
-                while len(powers) <= k:
-                    powers.append(powers[-1] * self.q)
-        return powers[k]
+        return memo(self._powers, k, lambda: self.q ** k)
 
     # -- the extension, by its shift ratios --------------------------------------
 
     def _pole(self, x: int, z: int) -> Fraction:
         """(1 - c q^(x+z-1)) (1 - d q^(x+z-1)), the last factor of F_{x,z}'s denominator."""
         k = x + z - 1
-        den = _memo(self._poles, k, lambda: (1 - self.c * self._power(k))
-                    * (1 - self.d * self._power(k)))
+        den = memo(self._poles, k, lambda: (1 - self.c * self._power(k))
+                   * (1 - self.d * self._power(k)))
         if den == 0:
             raise EvaluationError(
                 f"(c,d;q)_{x + z} vanishes for c={format_rational(self.c)}, "
@@ -222,8 +200,8 @@ class ThreePhiTwo(Transformation):
 
     def rz(self, x: int, z: int) -> Fraction:
         """F_{x,z+1}/F_{x,z} = t X^2 (1-aZ)(1-bZ) / ((1-cXZ)(1-dXZ))."""
-        upper = _memo(self._uppers, z, lambda: (1 - self.a * self._power(z))
-                      * (1 - self.b * self._power(z)))
+        upper = memo(self._uppers, z, lambda: (1 - self.a * self._power(z))
+                     * (1 - self.b * self._power(z)))
         return self.t * self._power(2 * x) * upper / self._pole(x, z + 1)
 
     # -- certificate -----------------------------------------------------------
@@ -244,7 +222,7 @@ class ThreePhiTwo(Transformation):
             y = self._power(x)
             return (1 - (c / a) * y) * (1 - (c / b) * y) \
                 * (1 - (d / a) * y) * (1 - (d / b) * y) / (q * self._d1(x))
-        return _memo(self._q_values, x, value)
+        return memo(self._q_values, x, value)
 
     def R(self, x: int, z: int) -> Fraction:
         """R(x, z) = 1 + K(x) q^z, K(x) = t q^(2x) ((c+d)q^x - (a+b)) / (1 - tq^(2x+1))."""
@@ -252,7 +230,7 @@ class ThreePhiTwo(Transformation):
             a, b, c, d, _ = self.params
             return self.t * self._power(2 * x) * ((c + d) * self._power(x) - (a + b)) \
                 / self._d1(x)
-        return 1 + _memo(self._r_slopes, x, slope) * self._power(z)
+        return 1 + memo(self._r_slopes, x, slope) * self._power(z)
 
     def C(self, x: int) -> Fraction:
         """C_x in the row multiplier M_{x,z} = B_x + C_x q^z."""

@@ -39,24 +39,27 @@ class Lcg:
         return Fraction(self.randint(1, max_num), self.randint(1, max_den))
 
 
-def sample_parameter_tuples(count: int, seed: int = 0,
-                            max_component: int = 9) -> Iterator[tuple[Fraction, ...]]:
+#: the largest numerator and denominator of a sampled parameter
+MAX_COMPONENT = 9
+
+
+def sample_parameter_tuples(count: int, seed: int = 0) -> Iterator[tuple[Fraction, ...]]:
     """Yield (a, b, c, d, q) tuples safe for the q-series certificate.
 
     All five entries are positive rationals with numerator and denominator
-    in [1, max_component]; q is kept in (0, 1).  Tuples are rejected when a
+    in [1, MAX_COMPONENT] = [1, 9]; q is kept in (0, 1).  Tuples are rejected when a
     denominator factor of the certificate family could vanish on a small
     grid: c, d or t equal to a nonpositive power of q, or zero inputs.
     """
     rng = Lcg(seed)
     produced = 0
     while produced < count:
-        a = rng.rational(max_component, max_component)
-        b = rng.rational(max_component, max_component)
-        c = rng.rational(max_component, max_component)
-        d = rng.rational(max_component, max_component)
-        num = rng.randint(1, max_component)
-        den = rng.randint(1, max_component)
+        a = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
+        b = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
+        c = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
+        d = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
+        num = rng.randint(1, MAX_COMPONENT)
+        den = rng.randint(1, MAX_COMPONENT)
         if num >= den:
             continue
         q = Fraction(num, den)

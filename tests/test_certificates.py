@@ -14,6 +14,7 @@ from markovsum.markov import (
     Scale,
     ThreePhiTwo,
     check_pair_condition,
+    green_rectangle,
     make_certificate,
     pair_from_certificate,
     sample_parameter_tuples,
@@ -116,6 +117,19 @@ class TestPairFromCertificate:
         pair = pair_from_certificate(cert)
         with pytest.raises(EvaluationError, match="singular at x=2"):
             pair.u(5, 0)
+
+    def test_p_is_read_once_per_column(self):
+        engine = ThreePhiTwo(*CANONICAL)
+        calls = []
+
+        def p(x):
+            calls.append(x)
+            return engine.P(x)
+
+        pair = pair_from_certificate(Certificate(engine.extension(), p, engine.Q, engine.R))
+        assert all(check_pair_condition(pair, x, z).holds for x in range(7) for z in range(7))
+        assert green_rectangle(pair, 6, 6).equal
+        assert sorted(calls) == list(range(7))
 
 
 GRID = 20

@@ -134,14 +134,15 @@ def test_threads_sharing_one_3phi2_engine_agree():
         def values(k):
             x, z = point(k)
             return (engine.f(x, z), engine.rx(x, z), engine.rz(x, z),
-                    engine._power(k), engine.A(x))
+                    engine._power(k), engine.A(x), engine.B(x))
 
         truth = []
         for k in range(LENGTH + 1):
             x, z = point(k)
             f = f_product(engine, x, z)
+            a_x = engine.A_closed(x)
             truth.append((f, f_product(engine, x + 1, z) / f, f_product(engine, x, z + 1) / f,
-                          engine.q ** k, engine.A_closed(x)))
+                          engine.q ** k, a_x, a_x / (1 - engine.t * engine.q ** (2 * x))))
         results = _race(values, LENGTH)
         assert all(result == truth for result in results), f"trial {trial}"
 

@@ -169,18 +169,21 @@ class TestParamMap:
         assert (a, b, c, d, q) == CANONICAL
         assert t == Q(30, 77)
 
-    def test_termwise_equality(self):
-        engine = ThreePhiTwo(*CANONICAL)
-        for n in range(11):
-            assert markov_form_term(3, 5, 7, 11, 2, n) == engine.f(0, n)
+    @pytest.mark.parametrize("base", [2, Q(1, 2)], ids=["q=2", "q=1/2"])
+    def test_termwise_equality(self, base):
+        engine = ThreePhiTwo(*markov_param_map(3, 5, 7, 11, base)[:5])
+        for n in range(12):
+            assert markov_form_term(3, 5, 7, 11, base, n) == engine.f(0, n)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             markov_param_map(0, 1, 1, 1, 2)
+        with pytest.raises(ValueError, match="parameter q must be nonzero"):
+            markov_param_map(3, 5, 7, 11, 0)
 
-    def test_base_magnitude_validated(self):
-        with pytest.raises(ValueError):
-            markov_param_map(3, 5, 7, 11, Q(1, 2))
+    def test_base_inside_unit_disc_accepted(self):
+        # |q| > 1 is a convention of the historical form, not a condition of the algebra
+        assert markov_param_map(3, 5, 7, 11, Q(1, 2))[4] == 2
 
 
 class TestFixtureSerialization:
@@ -306,8 +309,8 @@ class TestBracketProof:
         engine = ThreePhiTwo(*CANONICAL)
         assert engine.proof.holds
         assert engine.source_ratio().den and engine.transformed_ratio().den
-        assert not (engine._poles or engine._uppers or engine._q_values or engine._r_slopes)
-        assert engine._powers == [1]
+        assert not (engine._powers or engine._poles or engine._uppers or engine._q_values
+                    or engine._r_slopes)
 
     def test_perturbed_description_is_not_proved(self):
         class Perturbed(ThreePhiTwo):

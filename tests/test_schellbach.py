@@ -45,8 +45,11 @@ class TestParams:
         # t = 0: the identity is proved, and P(0) = t(t+1) = 0 is reported where it is met
         params = SchellbachParams(Q(1), Q(1), Q(1), Q(2))
         assert params.t == 0 and params.proof.holds
-        with pytest.raises(EvaluationError, match="certificate singular at x=0"):
-            params.A(1)
+        for read in (lambda: params.B(0), lambda: params.m(0, 0), lambda: params.A(1),
+                     lambda: params.pair().v(0, 0)):
+            with pytest.raises(EvaluationError, match="certificate singular at x=0") as caught:
+                read()
+            assert caught.value.x == 0
         with pytest.raises(EvaluationError, match="vanishes at x=2"):
             schellbach_term(params, 2)
 
