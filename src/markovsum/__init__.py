@@ -13,9 +13,7 @@ from .exact import (
     ROUND_TRUNCATE,
     DecimalRendering,
     Enclosure,
-    Rational,
     format_rational,
-    parse_decimal,
     parse_rational,
     to_decimal,
 )
@@ -31,8 +29,8 @@ from . import catalog, markov
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecimalRendering", "Enclosure", "Rational", "ROUND_HALF_EVEN",
-    "ROUND_TRUNCATE", "TermError", "TermSequence", "catalog",
-    "format_rational", "markov", "parse_decimal", "parse_rational",
-    "q_limit_check", "q_pochhammer", "rising_factorial", "to_decimal",
+    "DecimalRendering", "Enclosure", "ROUND_HALF_EVEN", "ROUND_TRUNCATE",
+    "TermError", "TermSequence", "catalog", "format_rational", "markov",
+    "parse_rational", "q_limit_check", "q_pochhammer", "rising_factorial",
+    "to_decimal",
 ]

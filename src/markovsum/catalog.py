@@ -730,23 +730,18 @@ def list_entries() -> list[dict]:
 CSV_FIELDS = ("entry", "constant", "ratio_bound", "terms_used", "digits_proven", "rendering")
 
 
-def report_csv_row(report: EvaluationReport) -> dict:
-    return {
-        "entry": report.entry_id,
-        "constant": report.constant,
-        "ratio_bound": format_rational(report.ratio_bound.rho) if report.ratio_bound else "",
-        "terms_used": str(report.terms_used),
-        "digits_proven": str(report.digits_proven),
-        "rendering": str(report.rendering) if report.rendering else "",
-    }
-
-
 def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=("schema",) + CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for report in reports:
-        row = {"schema": "1"}
-        row.update(report_csv_row(report))
-        writer.writerow(row)
+        writer.writerow({
+            "schema": "1",
+            "entry": report.entry_id,
+            "constant": report.constant,
+            "ratio_bound": format_rational(report.ratio_bound.rho) if report.ratio_bound else "",
+            "terms_used": str(report.terms_used),
+            "digits_proven": str(report.digits_proven),
+            "rendering": str(report.rendering) if report.rendering else "",
+        })
     return buf.getvalue()

@@ -59,6 +59,8 @@ EXIT_DISAGREE = 3
 EXIT_USAGE = 64
 EXIT_SINGULAR = 65
 
+_FORMATS = ("text", "json", "csv")
+
 _RATIONAL = r"\d+(/\d+)?"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_RATIONAL}(,-?{_RATIONAL})*$|^-\d*\.\d+$")
 
@@ -113,7 +115,7 @@ def _count_arg(text: str) -> int:
 
 def _add_output_options(parser, default):
     """--format and --output; the top-level parser and every verb take them."""
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=default,
+    parser.add_argument("--format", choices=_FORMATS, default=default,
                         help="output format (default from MARKOVSUM_FORMAT, else text)")
     parser.add_argument("--output", default=default,
                         help="write output to this path instead of stdout")
@@ -334,8 +336,7 @@ def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
         reduced = base.v.reduced(x, z)
         return reduced + 1 if x == 0 else reduced
 
-    return MarkovPair(base.u, GridFunction(v, "V[fuzzed]", scale=base.v.scale),
-                      provenance="fuzzed")
+    return MarkovPair(base.u, GridFunction(v, "V[fuzzed]", scale=base.v.scale))
 
 
 def _cmd_verify_pair(args, out: _Out) -> int:
@@ -466,6 +467,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
         if args.format is None:
             args.format = os.environ.get("MARKOVSUM_FORMAT", "text")
+            if args.format not in _FORMATS:
+                raise _UsageError(f"MARKOVSUM_FORMAT: invalid choice: {args.format!r} "
+                                  f"(choose from {', '.join(map(repr, _FORMATS))})")
         out = _Out(args.output)
         code = _HANDLERS[args.verb](args, out)
         out.flush()

@@ -35,8 +35,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, Optional, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 ROUND_TRUNCATE = "truncate"
@@ -45,7 +43,6 @@ ROUND_HALF_EVEN = "round-half-even"
 _ROUNDINGS = (ROUND_TRUNCATE, ROUND_HALF_EVEN)
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-_DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d*))?$")
 
 
 def _max_str_digits() -> int:
@@ -94,18 +91,6 @@ def format_rational(x: RationalLike) -> str:
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
-
-
-def parse_decimal(text: str) -> Fraction:
-    """Parse a terminating decimal string like '-1.250' to an exact rational."""
-    m = _DECIMAL_RE.match(text)
-    if not m:
-        raise ValueError(f"not a decimal literal: {text!r}")
-    sign, intpart, frac = m.group(1), m.group(2), m.group(3) or ""
-    value = Fraction(_str_to_int(intpart))
-    if frac:
-        value += Fraction(_str_to_int(frac), 10 ** len(frac))
-    return -value if sign == "-" else value
 
 
 class Enclosure:

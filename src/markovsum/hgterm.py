@@ -89,10 +89,6 @@ def q_pochhammer(a, q, n: int) -> Fraction:
     return state[0][n]
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x.numerator <= 0
-
-
 #: indices a span steps in one loop; a longer span is split in halves
 LEAF = 32
 
@@ -359,7 +355,7 @@ def q_limit_check(a, b, n: int, q_sequence: Sequence[Fraction]) -> list[Fraction
     a, b = Fraction(a), Fraction(b)
     if a.denominator != 1 or b.denominator != 1:
         raise ValueError("limit check restricted to integer parameters")
-    if _is_nonpositive_integer(b):
+    if b <= 0:
         raise ValueError("b must not be a nonpositive integer")
     out = []
     for q in q_sequence:

@@ -1,6 +1,6 @@
 """The series-transformation engine: telescoping pairs, certificates,
-the worked q-series instance, Schellbach's limit form, the stepwise
-multiplier solver, and remainder diagnostics."""
+the worked q-series instance, Schellbach's limit form, and the stepwise
+multiplier solver."""
 
 from .pairs import (
     EvaluationError,
@@ -23,15 +23,12 @@ from .phi32 import (
     SAMPLE_TUPLES,
     ThreePhiTwo,
     coefficient_residuals,
-    fixture_from_json,
-    fixture_to_json,
     make_certificate,
     markov_form_term,
     markov_param_map,
 )
 from .schellbach import (
     SchellbachParams,
-    direct_term,
     schellbach_asymptotics,
     schellbach_term,
 )
@@ -48,7 +45,6 @@ from .solver import (
     solve_multipliers_stepwise,
     well_poised_family,
 )
-from .diagnostics import remainder_diagnostics
 from .sampling import Lcg, sample_parameter_tuples
 
 __all__ = [
@@ -57,11 +53,9 @@ __all__ = [
     "PairCheck", "RectangleSums", "SAMPLE_TUPLES", "Scale", "SchellbachParams",
     "SolveResult", "SolverFamily", "ThreePhiTwo",
     "Verdict", "check_pair_condition", "coefficient_residuals",
-    "direct_term", "f4f3_family", "fixture_from_json", "fixture_to_json",
-    "green_rectangle", "make_certificate",
+    "f4f3_family", "green_rectangle", "make_certificate",
     "markov_form_term", "markov_param_map", "pair_from_certificate",
-    "phi32_family", "remainder_diagnostics",
-    "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
+    "phi32_family", "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
     "solve_multipliers_stepwise", "verify_certificate",
     "well_poised_family",
 ]

@@ -235,8 +235,7 @@ def pair_from_certificate(cert: Certificate) -> MarkovPair:
     name = cert.label or "certificate"
     return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
                       GridFunction(lambda x, z: a.over_p(x) * cert.r(x, z) * f(x, z),
-                                   f"V[{name}]", scale=scale),
-                      provenance=f"certificate:{name}")
+                                   f"V[{name}]", scale=scale))
 
 
 class Transformation:

@@ -203,7 +203,6 @@ class MarkovPair:
 
     u: GridFunction
     v: GridFunction
-    provenance: str = ""
 
     def __post_init__(self):
         if self.u.scale is not self.v.scale:

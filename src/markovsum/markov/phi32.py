@@ -119,9 +119,6 @@ def markov_form_term(r, rp, s, sp, qq, n: int) -> Fraction:
     return prod * qq ** n
 
 
-FIXTURE_NAME = "markov-3phi2"
-
-
 @dataclass(frozen=True)
 class _Exponent:
     """i x + j z + k with x and z symbols: q^(ix + jz + k) = q^k X^i Z^j."""
@@ -306,23 +303,6 @@ class ThreePhiTwo(Transformation):
             raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
         return num / den * (c * d) ** x * q ** (x * (x - 2)) \
             * (1 - t * q ** (2 * x) * (a + b + q) + t * q ** (3 * x) * (c + d))
-
-
-def fixture_to_json(engine: ThreePhiTwo) -> dict:
-    """Serialize the built-in pair/certificate fixture: name, form, parameters."""
-    return {
-        "fixture": FIXTURE_NAME,
-        "form": "u1",
-        "params": {name: format_rational(value)
-                   for name, value in zip("abcdq", engine.params)},
-    }
-
-
-def fixture_from_json(obj: dict) -> ThreePhiTwo:
-    from ..exact import parse_rational
-    if obj.get("fixture") != FIXTURE_NAME:
-        raise ValueError(f"unknown fixture {obj.get('fixture')!r}")
-    return ThreePhiTwo(*(parse_rational(obj["params"][name]) for name in "abcdq"))
 
 
 def make_certificate(a, b, c, d, q) -> Certificate:

@@ -34,9 +34,9 @@ class Lcg:
         """Uniform integer in [lo, hi]."""
         return lo + self._step() % (hi - lo + 1)
 
-    def rational(self, max_num: int = 12, max_den: int = 12) -> Fraction:
-        """Positive rational with numerator/denominator in [1, max]."""
-        return Fraction(self.randint(1, max_num), self.randint(1, max_den))
+    def rational(self, bound: int) -> Fraction:
+        """Positive rational with numerator and denominator in [1, bound]."""
+        return Fraction(self.randint(1, bound), self.randint(1, bound))
 
 
 #: the largest numerator and denominator of a sampled parameter
@@ -54,17 +54,17 @@ def sample_parameter_tuples(count: int, seed: int = 0) -> Iterator[tuple[Fractio
     rng = Lcg(seed)
     produced = 0
     while produced < count:
-        a = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
-        b = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
-        c = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
-        d = rng.rational(MAX_COMPONENT, MAX_COMPONENT)
+        a = rng.rational(MAX_COMPONENT)
+        b = rng.rational(MAX_COMPONENT)
+        c = rng.rational(MAX_COMPONENT)
+        d = rng.rational(MAX_COMPONENT)
         num = rng.randint(1, MAX_COMPONENT)
         den = rng.randint(1, MAX_COMPONENT)
         if num >= den:
             continue
         q = Fraction(num, den)
         t = c * d / (a * b * q)
-        if _hits_pole(c, q) or _hits_pole(d, q) or _hits_pole(t, q) or t == 1:
+        if _hits_pole(c, q) or _hits_pole(d, q) or _hits_pole(t, q):
             continue
         produced += 1
         yield (a, b, c, d, q)

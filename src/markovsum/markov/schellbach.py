@@ -112,11 +112,6 @@ def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
     return num / den
 
 
-def direct_term(params: SchellbachParams, n: int) -> Fraction:
-    """Term n of the source series: F_{0,n} = (a)_n (b)_n / ((c)_n (d)_n)."""
-    return params.f(0, n)
-
-
 def schellbach_asymptotics(params: SchellbachParams, x: int,
                            frac_bits: int = 32) -> Fraction:
     """Diagnostic ratio term(x) * 4^x * x^(a+b-1/2), approximately.

@@ -95,8 +95,7 @@ class MultiplierData:
 
         # U and V are multipliers times F, so they share F's scale
         return MarkovPair(GridFunction(u, f"U[solved {self.form}]", scale=extension.scale),
-                          GridFunction(v, f"V[solved {self.form}]", scale=extension.scale),
-                          provenance=f"stepwise:{self.form}")
+                          GridFunction(v, f"V[solved {self.form}]", scale=extension.scale))
 
 
 @dataclass

@@ -186,8 +186,8 @@ def markov_cubic_coefficient_always_vanishes():
         params = SAMPLE_TUPLES[case % len(SAMPLE_TUPLES)]
         residuals = coefficient_residuals(
             *params, rng.randint(0, 6),
-            A_x=rng.rational(), A_next=rng.rational(),
-            B_x=rng.rational(), C_x=rng.rational())
+            A_x=rng.rational(12), A_next=rng.rational(12),
+            B_x=rng.rational(12), C_x=rng.rational(12))
         assert residuals[3] == 0
 
 

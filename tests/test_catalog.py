@@ -28,7 +28,6 @@ from markovsum.exact import (
     ROUND_HALF_EVEN,
     ROUND_TRUNCATE,
     Enclosure,
-    parse_decimal,
     to_decimal,
 )
 from markovsum.hgterm import TermSequence, rising_factorial
@@ -63,7 +62,7 @@ class TestAperyEntry:
 
     def test_one_term_enclosure_brackets_limit(self):
         report = evaluate(entry_apery(), 1)
-        assert contains(report.enclosure, parse_decimal("1.202056903"))
+        assert contains(report.enclosure, Q("1.202056903"))
 
 
 class TestMarkovHurwitzEntry:
@@ -162,7 +161,7 @@ class TestDirectEntries:
 
     def test_integral_bound_brackets(self):
         report = evaluate(entry_direct("zeta3"), 400)
-        assert contains(report.enclosure, parse_decimal("1.2020569"))
+        assert contains(report.enclosure, Q("1.2020569"))
         assert report.digits_proven >= 4
 
 
@@ -189,7 +188,7 @@ class TestKummerEntry:
         # 9.04658676497... is an independently computed reference value for
         # this sum; the 300-term enclosure is wide (~1.3) but must contain it
         report = evaluate(entry_kummer(), 300)
-        assert contains(report.enclosure, parse_decimal("9.0465867"))
+        assert contains(report.enclosure, Q("9.0465867"))
         assert report.enclosure.width < 2
 
 

@@ -393,3 +393,9 @@ class TestHitsPole:
             assert _hits_pole(q ** -63, q) and hits_pole_loop(q ** -63, q)
             assert not _hits_pole(q ** -64, q) and not hits_pole_loop(q ** -64, q)
             assert _hits_pole(q ** -64, q, span=65)
+
+    def test_sampler_refuses_t_one_as_the_k0_pole(self):
+        # 8 of the draws behind these 1000 tuples have t = 1 = q^0; only
+        # _hits_pole(t, q) rejects them
+        for a, b, c, d, q in sample_parameter_tuples(1000, seed=0):
+            assert c * d / (a * b * q) != 1

@@ -374,6 +374,17 @@ class TestInfrastructure:
         assert code == 0
         assert json.loads(out)["schema"] == "1"
 
+    @pytest.mark.parametrize("value", ["xml", "", "JSON"])
+    def test_invalid_format_env_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MARKOVSUM_FORMAT", value)
+        # an explicit --format wins, so the variable is not read
+        assert run(capsys, "--format", "json", "compute", "apery", "--digits", "5")[0] == 0
+        monkeypatch.setattr(cli, "_HANDLERS", {})  # refused before any verb runs
+        code, out, err = run(capsys, "compute", "apery", "--digits", "5")
+        assert (code, out) == (64, "")
+        assert err == (f"error: MARKOVSUM_FORMAT: invalid choice: {value!r} "
+                       "(choose from 'text', 'json', 'csv')\n")
+
     def test_missing_verb_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 64

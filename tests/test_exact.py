@@ -13,7 +13,6 @@ from markovsum.exact import (
     exp2_approx,
     format_rational,
     log2_approx,
-    parse_decimal,
     parse_rational,
     to_decimal,
 )
@@ -64,11 +63,6 @@ class TestSerialization:
     def test_rejects_decimal(self):
         with pytest.raises(ValueError):
             parse_rational("1.5")
-
-    def test_parse_decimal(self):
-        assert parse_decimal("0.33333") == Q(33333, 100000)
-        assert parse_decimal("-1.25") == Q(-5, 4)
-        assert parse_decimal("17") == 17
 
 
 class TestEnclosure:
@@ -178,9 +172,6 @@ class TestLongRendering:
         assert r.digits_proven == 4400
         assert str(r) == "0." + "3" * 4400
         assert r.value() == Q(10 ** 4400 // 3, 10 ** 4400)
-
-    def test_parse_decimal_past_the_limit(self):
-        assert parse_decimal("1." + "0" * 4999 + "1") == 1 + Q(1, 10 ** 5000)
 
 
 class TestRenderingGuarantee:

@@ -67,9 +67,10 @@ class TestQLimitCheck:
         with pytest.raises(ValueError, match="integer parameters"):
             q_limit_check(Q(1, 2), 3, 1, [Q(1, 2)])
 
-    def test_nonpositive_b_rejected(self):
-        with pytest.raises(ValueError):
-            q_limit_check(2, -1, 1, [Q(1, 2)])
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_nonpositive_b_rejected(self, b):
+        with pytest.raises(ValueError, match="nonpositive integer"):
+            q_limit_check(2, b, 1, [Q(1, 2)])
 
     def test_q_range_validated(self):
         with pytest.raises(ValueError):

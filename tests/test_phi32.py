@@ -10,8 +10,6 @@ from markovsum.markov import (
     Lcg,
     ThreePhiTwo,
     coefficient_residuals,
-    fixture_from_json,
-    fixture_to_json,
     green_rectangle,
     make_certificate,
     markov_form_term,
@@ -146,8 +144,8 @@ class TestCoefficientEquations:
             for _ in range(3):
                 res = coefficient_residuals(
                     *params, rng.randint(0, 5),
-                    A_x=rng.rational(), A_next=rng.rational(),
-                    B_x=rng.rational(), C_x=rng.rational())
+                    A_x=rng.rational(12), A_next=rng.rational(12),
+                    B_x=rng.rational(12), C_x=rng.rational(12))
                 assert res[3] == 0
 
 
@@ -184,23 +182,6 @@ class TestParamMap:
     def test_base_inside_unit_disc_accepted(self):
         # |q| > 1 is a convention of the historical form, not a condition of the algebra
         assert markov_param_map(3, 5, 7, 11, Q(1, 2))[4] == 2
-
-
-class TestFixtureSerialization:
-    def test_round_trip(self, engine):
-        payload = fixture_to_json(engine)
-        assert payload == {
-            "fixture": "markov-3phi2",
-            "form": "u1",
-            "params": {"a": "1/3", "b": "1/5", "c": "1/7", "d": "1/11", "q": "1/2"},
-        }
-        restored = fixture_from_json(payload)
-        assert restored.params == engine.params
-        assert restored.t == engine.t
-
-    def test_unknown_fixture_rejected(self):
-        with pytest.raises(ValueError, match="unknown fixture"):
-            fixture_from_json({"fixture": "other", "params": {}})
 
 
 class TestSteppedExtension:

@@ -9,7 +9,6 @@ from markovsum.markov import (
     EvaluationError,
     SchellbachParams,
     check_pair_condition,
-    direct_term,
     green_rectangle,
     pair_from_certificate,
     schellbach_asymptotics,
@@ -69,12 +68,12 @@ class TestParams:
         # V(0,0) = (d-1)/(d-b-1), Gauss's sum of 2F1(b, 1; d; 1)
         params = SchellbachParams(Q(2), Q(-3), Q(2), Q(4))
         assert [schellbach_term(params, x) for x in range(4)] == [Q(1, 2), 0, 0, 0]
-        assert sum(direct_term(params, n) for n in range(8)) == Q(1, 2)  # (-3)_n ends it
+        assert sum(params.f(0, n) for n in range(8)) == Q(1, 2)  # (-3)_n ends it
         assert params.proof.holds
         gauss = SchellbachParams(Q(2), Q(1, 2), Q(2), Q(4))
         assert gauss.m(0, 0) == schellbach_term(gauss, 0) == Q(6, 5)
         assert schellbach_term(gauss, 1) == 0
-        assert 0 < Q(6, 5) - sum(direct_term(gauss, n) for n in range(200)) < Q(1, 10 ** 4)
+        assert 0 < Q(6, 5) - sum(gauss.f(0, n) for n in range(200)) < Q(1, 10 ** 4)
 
 
 class TestTerm:
@@ -200,14 +199,14 @@ class TestDirectSide:
         n = 3
         expected = Q(1, 2) * Q(3, 2) * Q(5, 2) * Q(1, 3) * Q(4, 3) * Q(7, 3) \
             / (2 * 3 * 4 * Q(5, 2) * Q(7, 2) * Q(9, 2))
-        assert direct_term(params, n) == expected
+        assert params.f(0, n) == expected
 
     def test_general_parameters_bracket(self):
         # rational non-integer parameters: both sides of the identity agree
         # within the sum of their tail bounds
         params = GENERAL_PARAMS
         s_trans = sum(schellbach_term(params, x) for x in range(40))
-        s_direct = sum(direct_term(params, n) for n in range(3000))
+        s_direct = sum(params.f(0, n) for n in range(3000))
         ratio = params.transformed_ratio()
         assert ratio.bounded_by(Q(3, 10), 8) is not None  # rho certified past x=8
         trans_tail = abs(schellbach_term(params, 40)) / (1 - Q(3, 10))
@@ -215,7 +214,7 @@ class TestDirectSide:
         # so term(n) <= t0 (n0+1)^2/(n+1)^2 for n >= n0 and
         # tail <= t0 (n0+1)^2 sum_{n>n0} (n+1)^-2 <= t0 (n0+1)
         n0 = 3000
-        t0 = direct_term(params, n0)
+        t0 = params.f(0, n0)
         direct_tail = t0 * (n0 + 1)
         assert abs(s_trans - s_direct) <= trans_tail + direct_tail
 
