@@ -394,6 +394,13 @@ class TestHitsPole:
             assert not _hits_pole(q ** -64, q) and not hits_pole_loop(q ** -64, q)
             assert _hits_pole(q ** -64, q, span=65)
 
+    @pytest.mark.parametrize("q", [Q(1, 2), Q(2, 3), Q(8, 9)], ids=str)
+    def test_t_one_is_the_k0_pole(self, q):
+        # the sampler refuses t = 1 through this test alone; a span of one
+        # looks only at k = 0
+        assert _hits_pole(Q(1), q, span=1)
+        assert not _hits_pole(Q(1), q, span=0)
+
     def test_sampler_refuses_t_one_as_the_k0_pole(self):
         # 8 of the draws behind these 1000 tuples have t = 1 = q^0; only
         # _hits_pole(t, q) rejects them

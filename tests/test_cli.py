@@ -374,6 +374,13 @@ class TestInfrastructure:
         assert code == 0
         assert json.loads(out)["schema"] == "1"
 
+    @pytest.mark.parametrize("value", ["text", "json", "csv"])
+    def test_valid_format_env_matches_the_option(self, capsys, monkeypatch, value):
+        expected = run(capsys, "--format", value, "compute", "apery", "--digits", "5")
+        monkeypatch.setenv("MARKOVSUM_FORMAT", value)
+        assert run(capsys, "compute", "apery", "--digits", "5") == expected
+        assert expected[0] == 0 and expected[2] == ""
+
     @pytest.mark.parametrize("value", ["xml", "", "JSON"])
     def test_invalid_format_env_is_a_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("MARKOVSUM_FORMAT", value)

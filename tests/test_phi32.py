@@ -149,6 +149,17 @@ class TestCoefficientEquations:
                 assert res[3] == 0
 
 
+class TestSampling:
+    def test_rational_draws(self):
+        # one bound for numerator and denominator, drawn in that order
+        rng = Lcg(2024)
+        assert [rng.rational(12) for _ in range(6)] == [
+            Q(7, 4), Q(1, 3), Q(10, 11), Q(11, 8), Q(5, 2), Q(8, 5)]
+        rng = Lcg(2024)
+        assert [rng.rational(9) for _ in range(6)] == [
+            Q(1), Q(1), Q(1, 5), Q(5, 2), Q(1, 7), Q(1)]
+
+
 class TestParamMap:
     def test_identity_tuple_rejected_downstream(self):
         # the engine takes the mapped tuple; tq = 1 makes its certificate
