@@ -14,8 +14,7 @@ Decimal output never guesses digits.  A value is always rendered from an
 :class:`Enclosure` (a pair of rational bounds), and a fraction digit is
 reported as proven only when both bounds agree on it after rounding; each
 bound is rounded by one floor division of integers.  No floating point is
-used anywhere in this module; the logarithm helpers at the bottom work on
-integer bit lengths.
+used anywhere in this module.
 
 Integers are converted to and from base 10 in pieces no longer than the
 interpreter's int/str digit limit (4300 digits by default), so a value of
@@ -32,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Callable, Optional, Union
 
 RationalLike = Union[Fraction, int]
@@ -273,53 +272,3 @@ def digits_capacity(width: Fraction, cap: int = 4096) -> int:
     while p < cap and n * 10 ** (p + 1) <= d:
         p += 1
     return p
-
-
-# ---------------------------------------------------------------------------
-# Integer-arithmetic base-2 logarithm and power, for diagnostics elsewhere.
-# Precision is bounded (about frac_bits binary digits); no floats involved.
-# ---------------------------------------------------------------------------
-
-def log2_approx(x: RationalLike, frac_bits: int = 32) -> Fraction:
-    """Approximate log2(x) for x > 0 using bit lengths and fixed-point squaring."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log2_approx requires x > 0")
-    k = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** k
-    while m >= 2:
-        m /= 2
-        k += 1
-    while m < 1:
-        m *= 2
-        k -= 1
-    f = Fraction(0)
-    prec = 1 << (frac_bits + 64)
-    for j in range(1, frac_bits + 1):
-        m = m * m
-        m = Fraction(m.numerator * prec // m.denominator, prec)
-        if m >= 2:
-            m /= 2
-            f += Fraction(1, 1 << j)
-    return k + f
-
-
-def exp2_approx(exponent: RationalLike, frac_bits: int = 32) -> Fraction:
-    """Approximate 2**exponent as a rational, to about frac_bits binary digits."""
-    exponent = Fraction(exponent)
-    whole = exponent.numerator // exponent.denominator
-    frac = exponent - whole
-    base = 1 << 128
-    # roots[j] ~ 2^(1/2^(j+1)) * base, by iterated integer square roots
-    roots = []
-    current = isqrt(2 * base * base)
-    roots.append(current)
-    for _ in range(1, frac_bits):
-        current = isqrt(current * base)
-        roots.append(current)
-    p = frac.numerator * (1 << frac_bits) // frac.denominator
-    value = base
-    for j in range(frac_bits):
-        if (p >> (frac_bits - 1 - j)) & 1:
-            value = value * roots[j] // base
-    return Fraction(value, base) * Fraction(2) ** whole

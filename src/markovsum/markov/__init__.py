@@ -29,7 +29,6 @@ from .phi32 import (
 )
 from .schellbach import (
     SchellbachParams,
-    schellbach_asymptotics,
     schellbach_term,
 )
 from .solver import (
@@ -55,7 +54,7 @@ __all__ = [
     "Verdict", "check_pair_condition", "coefficient_residuals",
     "f4f3_family", "green_rectangle", "make_certificate",
     "markov_form_term", "markov_param_map", "pair_from_certificate",
-    "phi32_family", "sample_parameter_tuples", "schellbach_asymptotics", "schellbach_term",
+    "phi32_family", "sample_parameter_tuples", "schellbach_term",
     "solve_multipliers_stepwise", "verify_certificate",
     "well_poised_family",
 ]

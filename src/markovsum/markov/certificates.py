@@ -34,6 +34,9 @@ every transformation engine (:class:`Transformation`) uses the same class
 for its own A_x, so a pair and its certificate are two views of one set of
 evaluators.  The induced pair lives on the scale A_x S_{x,z}, whose
 x-ratio is (Q(x)/P(x)) sx, with reduced parts U~ = F~ and V~ = (R/P) F~.
+Both reach the pair condition's bracket as the factors they are made of,
+(A_{x+1}/A_x, sx) and (1/P(x), R(x, z), F~), so a checked point forms no
+product of them and no gcd beyond the evaluators' own.
 
 A certificate is a set of exact evaluators.  One built by a transformation
 engine (:class:`Transformation`: the 3phi2 engine, or Schellbach's
@@ -43,10 +46,11 @@ on symbols for x and z, expands to the zero polynomial, so the identity
 holds at every point where none of the bracket's denominators vanishes.
 :func:`verify_certificate` answers a grid from the proof when the engine
 decides that no denominator vanishes on it (the 3phi2 engine decides this
-along x and along x + z; the classical engine decides nothing);
-otherwise, and for every certificate without a proof (one built from
-parts, copied by ``dataclasses.replace``, or a black-box extension), it
-scans the grid point by point.  With a parameterized family it repeats
+along x and along x + z, the classical engine for its linear divisors
+n + d(x + z) by one integer test each); otherwise, and for every
+certificate without a proof (one built from parts, copied by
+``dataclasses.replace``, or a black-box extension), it scans the grid
+point by point.  With a parameterized family it repeats
 this at seeded random parameter tuples.  Certificate *discovery* is out
 of scope.
 """
@@ -60,7 +64,8 @@ from typing import Callable, Optional
 
 from ..exact import format_rational
 from ..polys import Factors, RationalFunction, degrees, divisor_lcm, factored_ratio
-from .pairs import EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, memo, one
+from .pairs import (EvaluationError, GridFunction, MarkovPair, Scale, bracket_residual, memo,
+                    no_factors, one)
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,11 @@ class Certificate:
 
     def residual(self, x: int, z: int) -> Fraction:
         """Defect of the certificate identity at one lattice point."""
-        f, scale = self.extension.reduced, self.extension.scale
+        f, scale = self.extension.factors, self.extension.scale
         try:
             return bracket_residual(
-                scale, x, z, (self.q(x), f(x + 1, z), scale.sx(x, z)), (self.p(x), f(x, z)),
-                (self.r(x, z + 1), f(x, z + 1), scale.sz(x, z)), (self.r(x, z), f(x, z)))
+                scale, x, z, (self.q(x), *f(x + 1, z), scale.sx(x, z)), (self.p(x), *f(x, z)),
+                (self.r(x, z + 1), *f(x, z + 1), scale.sz(x, z)), (self.r(x, z), *f(x, z)))
         except ZeroDivisionError as exc:
             raise EvaluationError(f"certificate undefined at (x={x}, z={z}): {exc}", x, z) from exc
 
@@ -228,13 +233,18 @@ class ColumnMultipliers:
 
 
 def pair_from_certificate(cert: Certificate) -> MarkovPair:
-    """Build the telescoping pair induced by a certificate (A_0 = 1)."""
+    """Build the telescoping pair induced by a certificate (A_0 = 1).
+
+    Its x-ratio is the factors (A_{x+1}/A_x, sx) and V's reduced part the
+    factors (1/P(x), R(x, z), F~), so the pair condition's bracket reads
+    them as they are, with no product formed.
+    """
     a = ColumnMultipliers(cert.p, cert.q)
-    f, s = cert.extension.reduced, cert.extension.scale
-    scale = Scale(lambda x, z: a.ratio(x) * s.sx(x, z), s.sz)
+    f, s = cert.extension.factors, cert.extension.scale
+    scale = Scale(lambda x, z: (a.ratio(x), s.sx(x, z)), s.sz)
     name = cert.label or "certificate"
     return MarkovPair(GridFunction(f, f"U[{name}]", scale=scale),
-                      GridFunction(lambda x, z: a.over_p(x) * cert.r(x, z) * f(x, z),
+                      GridFunction(lambda x, z: (a.over_p(x), cert.r(x, z), *f(x, z)),
                                    f"V[{name}]", scale=scale))
 
 
@@ -272,7 +282,7 @@ class Transformation:
 
     def extension(self) -> GridFunction:
         """F as a grid function that is all scale: value F, ratios rx and rz."""
-        return GridFunction(one, f"{self.NAME} extension",
+        return GridFunction(no_factors, f"{self.NAME} extension",
                             params={name: getattr(self, name) for name in self.PARAMS},
                             scale=self._f)
 

@@ -14,9 +14,12 @@ Everything here is exact; residuals are rationals, equality means equality.
 One wrapper, :class:`GridFunction`, carries every lattice function of the
 package: a pair's U and V, and the term extension F that certificates and
 the stepwise solver work on.  A grid function is a scale S, stepped from
-its shift ratios (see :class:`Scale`), times a reduced part.  Every
-built-in extension is all scale (reduced part 1); a bare evaluator is all
-reduced part, on the unit scale S = 1 with ratios (1, 1).
+its shift ratios (see :class:`Scale`), times a reduced part, which its
+evaluator gives as the tuple of small rational factors it is made of.
+Every built-in extension is all scale (no factors); a bare evaluator gives
+one factor, its value, on the unit scale S = 1 with ratios (1, 1).  A
+pair's shift ratio may be a factor tuple too.  Factors are multiplied
+only where a value is needed.
 
 The pair condition is checked on the reduced parts.  When U and V share
 the scale S, with reduced parts u~ and v~,
@@ -24,13 +27,14 @@ the scale S, with reduced parts u~ and v~,
     U_{x,z} - U_{x+1,z} - V_{x,z} + V_{x,z+1}
         = S_{x,z} (u~_{x,z} - u~_{x+1,z} sx - v~_{x,z} + v~_{x,z+1} sz),
 
-where sx and sz are S's shift ratios at (x, z).  The bracket is formed from
-small operands, as one integer numerator over the product of their
-denominators (:func:`bracket_residual`), and tested for zero before any
-gcd; only a nonzero bracket is reduced and multiplied by S_{x,z}, which
-gives the residual of the values exactly.  A pair whose U and V do
-not share a scale is put on the unit scale, where the bracket is the
-residual of the values themselves.
+where sx and sz are S's shift ratios at (x, z).  Each of the four terms
+reaches the bracket as its factors, never as a reduced product: the
+bracket is one integer numerator over the product of their denominators
+(:func:`bracket_residual`), tested for zero before any gcd; only a
+nonzero bracket is reduced and multiplied by S_{x,z}, which gives the
+residual of the values exactly.  A pair whose U and V do not share a
+scale is put on the unit scale, where the bracket is the residual of the
+values themselves.
 """
 
 from __future__ import annotations
@@ -55,8 +59,28 @@ ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def one(x: int, z: int) -> Fraction:
-    """The constant 1: the reduced part of a grid function that is all scale."""
+    """The constant 1: the shift ratio of a scale that does not move."""
     return ONE
+
+
+def no_factors(x: int, z: int) -> tuple:
+    """The reduced part of a grid function that is all scale: no factors."""
+    return ()
+
+
+def as_factors(value) -> tuple:
+    """A value, or a tuple of rational factors, as a tuple of factors."""
+    return value if type(value) is tuple else (value,)
+
+
+def product(factors: tuple) -> Fraction:
+    """The product of rational factors: 1 for none, the factor itself for one."""
+    if not factors:
+        return ONE
+    value = factors[0]
+    for factor in factors[1:]:
+        value *= factor
+    return value
 
 
 def memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
@@ -74,7 +98,8 @@ def memo(table: dict, key: int, value: Callable[[], Fraction]) -> Fraction:
 class Scale:
     """A lattice function S with S_{0,0} = 1, known by its two shift ratios.
 
-    ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z}.
+    ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z},
+    each a value, or for a pair's scale a tuple of rational factors.
     This is the package's one stepper: an unknown S_{x,z} is stepped by sz
     from S_{x,z-1} in column 0 or when that is stored, else by sx from
     S_{x-1,z}, so the table holds only the points read and a path to them:
@@ -107,7 +132,8 @@ class Scale:
                 value = table[x, z]
                 try:
                     for nx, nz in reversed(path):
-                        value *= self.sz(x, z) if nx == x else self.sx(x, z)
+                        value *= product(as_factors(self.sz(x, z) if nx == x
+                                                    else self.sx(x, z)))
                         x, z = nx, nz
                         table[x, z] = value
                 except ZeroDivisionError as exc:
@@ -170,24 +196,30 @@ class Kernel:
 class GridFunction:
     """Deterministic exact evaluator on lattice points (x, z).
 
-    The value at (x, z) is ``scale.value(x, z) * evaluator(x, z)``: the
-    evaluator gives the reduced part, and on the default unit scale it
-    gives the value itself.  ``params`` records the parameters the
-    evaluator closes over (e.g. the base q), which the stepwise solver needs.
+    The value at (x, z) is ``scale.value(x, z)`` times the reduced part,
+    which the evaluator gives as a value or as a tuple of rational factors
+    (none for a function that is all scale, :func:`no_factors`); on the
+    default unit scale the reduced part is the value itself.  ``params``
+    records the parameters the evaluator closes over (e.g. the base q),
+    which the stepwise solver needs.
     """
 
-    evaluator: Callable[[int, int], Fraction]
+    evaluator: Callable[[int, int], Fraction | tuple]
     label: str = ""
     params: Mapping[str, Fraction] = field(default_factory=dict)
     scale: Scale = UNIT_SCALE
 
-    def reduced(self, x: int, z: int) -> Fraction:
-        """The reduced part at (x, z): the value divided by the scale."""
+    def factors(self, x: int, z: int) -> tuple:
+        """The reduced part at (x, z) as a tuple of rational factors."""
         try:
-            return self.evaluator(x, z)
+            return as_factors(self.evaluator(x, z))
         except ZeroDivisionError as exc:
             raise EvaluationError(f"{self.label or 'grid function'} undefined at "
                                   f"(x={x}, z={z}): {exc}", x, z) from exc
+
+    def reduced(self, x: int, z: int) -> Fraction:
+        """The reduced part at (x, z): the value divided by the scale."""
+        return product(self.factors(x, z))
 
     def __call__(self, x: int, z: int) -> Fraction:
         return self.scale.value(x, z) * self.reduced(x, z)
@@ -216,7 +248,7 @@ class PairCheck:
     residual: Fraction
 
 
-def _over(factors: tuple) -> tuple[int, int]:
+def over(factors: tuple) -> tuple[int, int]:
     """The product of rational factors as (numerator, positive denominator), unreduced."""
     n, d = 1, 1
     for factor in factors:
@@ -234,7 +266,7 @@ def bracket_residual(scale: Scale, x: int, z: int, a: tuple, b: tuple, c: tuple,
     nonzero numerator is reduced, as a ``Fraction``, and multiplied by
     S_{x,z}, the one value of the scale read.
     """
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = _over(a), _over(b), _over(c), _over(d)
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = over(a), over(b), over(c), over(d)
     lower, upper = ad * bd, cd * dd
     numerator = (an * bd - bn * ad) * upper + (dn * cd - cn * dd) * lower
     if not numerator:
@@ -244,10 +276,10 @@ def bracket_residual(scale: Scale, x: int, z: int, a: tuple, b: tuple, c: tuple,
 
 def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
     """Residual of U_{x,z} - U_{x+1,z} = V_{x,z} - V_{x,z+1} at one point."""
-    u, v, scale = pair.u.reduced, pair.v.reduced, pair.u.scale
+    u, v, scale = pair.u.factors, pair.v.factors, pair.u.scale
     try:
-        residual = bracket_residual(scale, x, z, (u(x, z),), (u(x + 1, z), scale.sx(x, z)),
-                                    (v(x, z),), (v(x, z + 1), scale.sz(x, z)))
+        residual = bracket_residual(scale, x, z, u(x, z), u(x + 1, z) + as_factors(scale.sx(x, z)),
+                                    v(x, z), v(x, z + 1) + as_factors(scale.sz(x, z)))
     except ZeroDivisionError as exc:
         raise EvaluationError(f"pair undefined at (x={x}, z={z}): {exc}", x, z) from exc
     return PairCheck(residual == 0, residual)

@@ -23,8 +23,11 @@ This is the q = 1 case of the WZ pairs of the 3phi2 engine (Wilf and
 Zeilberger, 1990; Mohammed and Zeilberger, 2004).  The five evaluators
 are written once, for values, and run unchanged on ``polys.Factors``
 symbols x and z, so the engine's ``BracketProof`` expands the bracket to
-zero over Q[x, z] at each parameter tuple, which may be any; for t > 0
-the row series of the induced pair is Schellbach's:
+zero over Q[x, z] at each parameter tuple, which may be any.  Its only
+divisors are the kernel's lower factors c+x+z and d+x+z, so whether one
+vanishes on a grid is one integer test, and ``verify_certificate``
+answers every grid they miss from the proof.  For t > 0 the row series
+of the induced pair is Schellbach's:
 
     3F2(a,b,1; c,d) = sum_x V_{x,0},
     V_{x,0} = A_x R(x,0) F_{x,0} / P(x)
@@ -33,19 +36,17 @@ the row series of the induced pair is Schellbach's:
 The catalog reads its first term and term ratio off the engine; the
 closed form ``schellbach_term`` is kept as an independent check.
 
-The left side converges like sum n^(-t-1); the right side geometrically
-with limit ratio 1/4 (terms behave like 4^(-x) times a power of x).  The
-asymptotic prefactor involves Gamma values at rational points, which exact
-arithmetic cannot produce, so only the 4^(-x) power-law trend is exposed,
-as a bounded-precision diagnostic.
+The left side converges like sum n^(-t-1); the right side geometrically:
+its terms behave like C 4^(-x) x^(-(a+b-1/2)), and the limit ratio 1/4 and
+Gauss's exponent -(a+b-1/2) are read exactly off ``transformed_ratio``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from ..exact import exp2_approx, log2_approx
 from ..hgterm import rising_factorial
 from .certificates import Transformation
 from .pairs import EvaluationError, Kernel
@@ -97,6 +98,17 @@ class SchellbachParams(Transformation):
         return (c + d - a - 1 + 2 * x) * (c + d - b - 1 + 2 * x) - (c - 1 + x) * (d - 1 + x) \
             + (t + 2 * x + 1) * z
 
+    def _divisor_vanishes(self, factor: dict, x_max: int, z_max: int) -> Optional[bool]:
+        """Whether a divisor n + d (x + z), a lower factor of the kernel,
+        vanishes on the grid: whether -n/d is an integer in [0, x_max + z_max].
+        Any other divisor is not decided."""
+        d = factor.get((1, 0))
+        slopes = {key: c for key, c in factor.items() if key != (0, 0)}
+        if not d or slopes != {(1, 0): d, (0, 1): d}:
+            return None
+        k, rest = divmod(-factor.get((0, 0), 0), d)
+        return not rest and 0 <= k <= x_max + z_max
+
 
 def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
     """Exact term x of the transformed series, in closed form:
@@ -110,22 +122,3 @@ def schellbach_term(params: SchellbachParams, x: int) -> Fraction:
     if den == 0:
         raise EvaluationError(f"transformed-term denominator vanishes at x={x}", x=x)
     return num / den
-
-
-def schellbach_asymptotics(params: SchellbachParams, x: int,
-                           frac_bits: int = 32) -> Fraction:
-    """Diagnostic ratio term(x) * 4^x * x^(a+b-1/2), approximately.
-
-    Computed through bounded-precision base-2 logarithms of exact
-    rationals (integer arithmetic only); the sequence flattens to the
-    Gamma-product prefactor as x grows.  No exactness claim.
-    """
-    if x < 2:
-        raise ValueError("diagnostic needs x >= 2")
-    term = schellbach_term(params, x)
-    if term == 0:
-        return Fraction(0)
-    sign = 1 if term > 0 else -1
-    lg = log2_approx(abs(term), frac_bits) + 2 * x \
-        + (params.a + params.b - Fraction(1, 2)) * log2_approx(Fraction(x), frac_bits)
-    return sign * exp2_approx(lg, frac_bits)

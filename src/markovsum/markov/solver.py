@@ -18,9 +18,10 @@ close is reported with the first failing column, never silently
 extrapolated.
 
 The solver is fraction-free from end to end.  Each row is the condition at
-(x, z) divided by F's scale S_{x,z}: it reads F's reduced part and the
-shift ratios of S, never a value of S, and is formed on the integers from
-their numerators and denominators, multiplied through by the product of
+(x, z) divided by F's scale S_{x,z}: it reads F's reduced part, as the
+unreduced product of its factors (none for the built-in families), and
+the shift ratios of S, never a value of S, and is formed on the integers
+from their numerators and denominators, multiplied through by the product of
 those denominators (for u1 also by qd^(z+1), q = qn/qd, which makes q^z
 and q^(z+1) integers).  Its right-hand side, U_{x,z} over S_{x,z} at the
 known column x, takes the same factor and is an integer numerator over
@@ -42,7 +43,7 @@ from typing import Optional
 
 from ..exact import format_rational
 from ..polys import solve_linear
-from .pairs import EvaluationError, GridFunction, Kernel, MarkovPair, Scale, one
+from .pairs import EvaluationError, GridFunction, Kernel, MarkovPair, Scale, no_factors, over
 from .phi32 import SAMPLE_TUPLES, ThreePhiTwo
 
 FORM_U1 = "u1"
@@ -132,7 +133,7 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
     v_coeffs: list[list[Fraction]] = []
     # U's multiplier at the known column: integer numerators over one denominator
     column, column_den = [1] + [0] * (deg_u - 1), 1
-    reduced, sx, sz = extension.reduced, extension.scale.sx, extension.scale.sz
+    factors, sx, sz = extension.factors, extension.scale.sx, extension.scale.sz
 
     for x in range(x_max + 1):
         rows, rhs = [], []
@@ -147,9 +148,8 @@ def solve_multipliers_stepwise(extension: GridFunction, form: str,
             # denominator, the product of the five denominators; all 0 where S_{x,z} = 0
             f0 = f1 = f2 = 0
             if nonzero:
-                r0, r1, r2 = reduced(x, z), reduced(x, z + 1), reduced(x + 1, z)
-                n0, d0, n1, d1, n2, d2 = (r0.numerator, r0.denominator, r1.numerator,
-                                          r1.denominator, r2.numerator, r2.denominator)
+                (n0, d0), (n1, d1), (n2, d2) = (over(factors(x, z)), over(factors(x, z + 1)),
+                                                over(factors(x + 1, z)))
                 nz, dz, nx, dx = (step_z.numerator, step_z.denominator,
                                   step_x.numerator, step_x.denominator)
                 f0 = n0 * d1 * dz * d2 * dx
@@ -205,7 +205,8 @@ def f4f3_family(a, h, b) -> GridFunction:
     a, h, b = Fraction(a), Fraction(h), Fraction(b)
     kernel = Kernel(f"4F3({format_rational(a)},{format_rational(h)},{format_rational(b)})",
                     (a, a + h, a - h), (b, b + h, b - h))
-    return GridFunction(one, kernel.label, {"a": a, "h": h, "b": b}, Scale(kernel.rx, kernel.rz))
+    return GridFunction(no_factors, kernel.label, {"a": a, "h": h, "b": b},
+                        Scale(kernel.rx, kernel.rz))
 
 
 def well_poised_family(a, b) -> GridFunction:
@@ -216,7 +217,7 @@ def well_poised_family(a, b) -> GridFunction:
     a, b = Fraction(a), Fraction(b)
     kernel = Kernel(f"well-poised({format_rational(a)},{format_rational(b)})", (a, a, a),
                     (b, b, b), -1)
-    return GridFunction(one, kernel.label, {"a": a, "b": b}, Scale(kernel.rx, kernel.rz))
+    return GridFunction(no_factors, kernel.label, {"a": a, "b": b}, Scale(kernel.rx, kernel.rz))
 
 
 @dataclass(frozen=True)

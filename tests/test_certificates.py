@@ -11,6 +11,7 @@ from markovsum.markov import (
     EvaluationError,
     FailurePoint,
     GridFunction,
+    MarkovPair,
     Scale,
     ThreePhiTwo,
     check_pair_condition,
@@ -130,6 +131,65 @@ class TestPairFromCertificate:
         assert all(check_pair_condition(pair, x, z).holds for x in range(7) for z in range(7))
         assert green_rectangle(pair, 6, 6).equal
         assert sorted(calls) == list(range(7))
+
+
+class _FactorsOnly(GridFunction):
+    """A grid function whose composite value raises if it is formed."""
+
+    def reduced(self, x, z):
+        raise AssertionError(f"the composite {self.label} was formed at ({x}, {z})")
+
+    __call__ = reduced
+
+
+class TestFactoredPair:
+    """The induced pair reaches the bracket as factors: V~ as (1/P, R, F~)
+    and the x-ratio as (A_{x+1}/A_x, sx); no product of them is formed."""
+
+    def test_scan_reads_the_factors_only(self):
+        engine = ThreePhiTwo(*CANONICAL)
+        pair = engine.pair()
+        for x, z in ((0, 0), (3, 5), (7, 2)):
+            assert pair.u.factors(x, z) == ()
+            assert pair.v.factors(x, z) == (engine.A.over_p(x), engine.R(x, z))
+            assert pair.u.scale.sx(x, z) == (engine.A.ratio(x), engine.rx(x, z))
+        unformed = MarkovPair(_FactorsOnly(pair.u.evaluator, "U", scale=pair.u.scale),
+                              _FactorsOnly(pair.v.evaluator, "V", scale=pair.v.scale))
+        assert sum(not check_pair_condition(unformed, x, z).holds
+                   for x in range(11) for z in range(11)) == 0
+
+    def test_perturbed_r_residual_is_the_value_residual(self):
+        good = make_certificate(*CANONICAL)
+        pair = pair_from_certificate(
+            Certificate(good.extension, good.p, good.q, lambda x, z: good.r(x, z) + x * z))
+        nonzero = 0
+        for x in range(8):
+            for z in range(8):
+                residual = check_pair_condition(pair, x, z).residual
+                assert residual == pair.u(x, z) - pair.u(x + 1, z) - pair.v(x, z) \
+                    + pair.v(x, z + 1), (x, z)
+                nonzero += residual != 0
+        assert nonzero == 7 * 8  # R is raised off column 0
+
+    @pytest.mark.parametrize("params, first", [
+        (("1/3", "1/5", "2/3", "1/5", "1/2"), (1, None, "certificate singular at x=1")),
+        (("1/3", "1/5", "4", "1/11", "1/2"), (1, 2, "(c,d;q)_3 vanishes for c=4, d=1/11")),
+        (("1/3", "1/5", "2/3", "2/5", "1/2"), (1, None, "(1 - t q^(2x+1)) vanishes at x=1")),
+    ], ids=["P(1)=0", "(c,d;q)_3=0", "1-tq^3=0"])
+    def test_singular_tuple_raises_the_first_error(self, params, first, capsys):
+        pair = ThreePhiTwo(*map(Q, params)).pair()
+        with pytest.raises(EvaluationError) as info:
+            for x in range(11):
+                for z in range(11):
+                    check_pair_condition(pair, x, z)
+        assert (info.value.x, info.value.z, str(info.value)) == first
+        argv = ["verify-pair", "3phi2", "--grid", "10x10"]
+        for name, value in zip("abcdq", params):
+            argv += [f"--{name}", value]
+        assert cli.main(argv) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"evaluation singularity at (x={first[0]}, z={first[1]}): " \
+            f"{first[2]}\n"
 
 
 GRID = 20

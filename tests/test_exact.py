@@ -10,9 +10,7 @@ from markovsum.exact import (
     ROUND_TRUNCATE,
     Enclosure,
     digits_capacity,
-    exp2_approx,
     format_rational,
-    log2_approx,
     parse_rational,
     to_decimal,
 )
@@ -279,20 +277,3 @@ class TestDigitsCapacity:
         assert digits_capacity(Q(1, 10 ** 5000)) == 4096
         assert digits_capacity(Q(1, 10 ** 4096 - 1)) == 4095
 
-
-class TestIntegerLogs:
-    def test_log2_accuracy(self):
-        # frozen dyadic reference values: log2(8) = 3, log2(1/4) = -2
-        assert log2_approx(Q(8)) == 3
-        assert log2_approx(Q(1, 4)) == -2
-        # log2(3) = 1.58496250072... to at least 6 places
-        assert abs(log2_approx(Q(3)) - Q(1584962500, 10 ** 9)) < Q(1, 10 ** 6)
-
-    def test_exp2_inverts(self):
-        for v in (Q(3), Q(22, 7), Q(1, 1000), Q(10) ** 20):
-            back = exp2_approx(log2_approx(v))
-            assert abs(back - v) <= v * Q(1, 10 ** 6)
-
-    def test_log2_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log2_approx(Q(0))

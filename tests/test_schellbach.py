@@ -11,7 +11,6 @@ from markovsum.markov import (
     check_pair_condition,
     green_rectangle,
     pair_from_certificate,
-    schellbach_asymptotics,
     schellbach_term,
     verify_certificate,
 )
@@ -175,13 +174,33 @@ class TestClassicalEngine:
                        for x in range(12) for z in range(12))
             assert green_rectangle(pair, 12, 12).equal
 
-    def test_certificate_verified_by_a_scan(self):
-        # the classical engine decides no divisor, so its grids are scanned
-        for params in (ZETA2_PARAMS, GENERAL_PARAMS):
-            cert = params.certificate()
-            assert cert.proof is params.proof and cert.label == "markov-3F2"
-            verdict = verify_certificate(cert, 12, 12)
-            assert (verdict.passed, verdict.checks, verdict.proved) == (True, 169, False)
+    @pytest.mark.parametrize("params", [
+        ZETA2_PARAMS, SchellbachParams(Q(1, 3), Q(1, 5), Q(7, 2), Q(11, 3)),
+    ], ids=["zeta2", "thirds"])
+    def test_certificate_verified_by_the_proof(self, params):
+        # the divisors c+x+z and d+x+z miss the grid: one integer test each, no scan
+        cert = params.certificate()
+        assert cert.proof is params.proof and cert.label == "markov-3F2"
+        verdict = verify_certificate(cert, 40, 40)
+        assert (verdict.passed, verdict.checks, verdict.proved) == (True, 1681, True)
+
+    def test_grid_through_a_pole_is_scanned(self):
+        # c = -3: the divisor 3 - x - z vanishes where x + z = 3, so a grid
+        # that reaches it is scanned and raises where the scan first meets it
+        params = SchellbachParams(1, 1, -3, 2)
+        assert params.proof.holds and params.proof.covers(1, 1)
+        assert not params.proof.covers(3, 0) and not params.proof.covers(40, 40)
+        with pytest.raises(EvaluationError) as info:
+            verify_certificate(params.certificate(), 40, 40)
+        assert (info.value.x, info.value.z, str(info.value)) == (1, 3, (
+            "3F2 extension undefined at (x=1, z=3): lower rising factorial vanishes at (x=1, z=3)"))
+
+    def test_divisor_test(self):
+        # only n + d(x + z) is decided
+        assert ZETA2_PARAMS._divisor_vanishes({(0, 0): 1, (1, 0): 1, (0, 1): 2}, 4, 4) is None
+        assert ZETA2_PARAMS._divisor_vanishes({(0, 0): 1, (1, 0): 1}, 4, 4) is None
+        assert ZETA2_PARAMS._divisor_vanishes({(1, 0): 1, (0, 1): 1}, 0, 0) is True
+        assert ZETA2_PARAMS._divisor_vanishes({(0, 0): -9, (1, 0): 2, (0, 1): 2}, 9, 9) is False
 
     def test_equality_and_hash_read_the_fields(self):
         used = SchellbachParams(1, 1, 2, 2)
@@ -219,18 +238,37 @@ class TestDirectSide:
         assert abs(s_trans - s_direct) <= trans_tail + direct_tail
 
 
+#: the three tuples at which the transformed terms' trend is read
+ASYMPTOTIC_TUPLES = pytest.mark.parametrize("params", [
+    ZETA2_PARAMS, SchellbachParams(Q(1, 3), Q(1, 5), Q(7, 2), Q(11, 3)),
+    SchellbachParams(Q(1, 2), Q(2, 3), Q(5, 2), Q(9, 4)),
+], ids=["zeta2", "thirds", "halves"])
+
+
 class TestAsymptotics:
-    def test_trend_flattens(self):
-        values = [schellbach_asymptotics(ZETA2_PARAMS, x) for x in (8, 16, 32)]
-        assert all(v > 0 for v in values)
-        assert abs(values[1] - values[0]) <= values[0] / 10
-        assert abs(values[2] - values[1]) <= values[1] / 10
+    """The transformed terms behave like C 4^(-x) x^e, e = -(a+b-1/2): the
+    limit ratio and Gauss's exponent are read exactly off the derived ratio,
+    num(x)/den(x) = L (1 + e/x + O(x^-2))."""
 
-    def test_small_x_unasserted_but_defined(self):
-        # pre-asymptotic regime: values exist and differ; no flatness claim
-        early = [schellbach_asymptotics(ZETA2_PARAMS, x) for x in (2, 4)]
-        assert early[0] != early[1]
+    @ASYMPTOTIC_TUPLES
+    def test_limit_ratio_is_a_quarter(self, params):
+        ratio = params.transformed_ratio()
+        assert len(ratio.num) == len(ratio.den)
+        assert Q(ratio.num[-1], ratio.den[-1]) == Q(1, 4)
 
-    def test_x_floor(self):
-        with pytest.raises(ValueError):
-            schellbach_asymptotics(ZETA2_PARAMS, 1)
+    @ASYMPTOTIC_TUPLES
+    def test_gauss_exponent(self, params):
+        ratio = params.transformed_ratio()
+        num, den = ratio.num, ratio.den
+        exponent = Q(num[-2], num[-1]) - Q(den[-2], den[-1])
+        assert exponent == -(params.a + params.b - Q(1, 2))
+
+    @ASYMPTOTIC_TUPLES
+    def test_terms_follow_the_exponent(self, params):
+        # on the closed-form terms, 4 term(x+1)/term(x) = 1 + e/x + O(x^-2)
+        e = -(params.a + params.b - Q(1, 2))
+
+        def defect(x):
+            return abs(4 * schellbach_term(params, x + 1) / schellbach_term(params, x) - 1 - e / x)
+
+        assert 0 < defect(64) < defect(32) / 3 < defect(16) / 9
