@@ -329,12 +329,13 @@ def _fuzzed_pair(engine: ThreePhiTwo) -> MarkovPair:
     """The certificate pair with V_{x,z} = (M_{x,z} + 1) F_{x,z} in column 0.
 
     On the pair's scale A_x F_{x,z} the bump adds F~/A_0 = 1 to V's reduced part.
+    Only column 0 forms that part as a value; elsewhere V hands on the base
+    pair's factors.
     """
     base = engine.pair()
 
-    def v(x: int, z: int) -> Fraction:
-        reduced = base.v.reduced(x, z)
-        return reduced + 1 if x == 0 else reduced
+    def v(x: int, z: int) -> Fraction | tuple:
+        return base.v.reduced(x, z) + 1 if x == 0 else base.v.factors(x, z)
 
     return MarkovPair(base.u, GridFunction(v, "V[fuzzed]", scale=base.v.scale))
 

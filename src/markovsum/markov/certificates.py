@@ -180,7 +180,7 @@ def verify_certificate(cert: Certificate, x_max: int, z_max: int, *,
 #: the largest column index evaluated: grid values grow super-exponentially in size
 X_CAP = 512
 
-#: the most random parameter tuples one command checks, each costing about 1.4 ms
+#: the most random parameter tuples one command checks, each costing about 0.4 ms
 RANDOM_POINTS_CAP = 1000
 
 #: (x_max, z_max) of the grid checked at each random parameter tuple

@@ -35,6 +35,15 @@ nonzero bracket is reduced and multiplied by S_{x,z}, which gives the
 residual of the values exactly.  A pair whose U and V do not share a
 scale is put on the unit scale, where the bracket is the residual of the
 values themselves.
+
+The Green rectangle's four edge sums are formed the same way, on integers
+(:func:`green_rectangle`).  Each edge is walked once, as one unreduced
+integer state (sum numerator, scale numerator, common denominator), which
+each point multiplies by the small numerators and denominators of its
+reduced part's factors and of the scale's step ratio, as a term
+sequence's span does; no gcd of the state is taken on the way.  A sum is
+reduced only where it is read: ``verify-pair`` reads the two sides, one
+gcd each.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import gcd, prod
 from typing import Callable, Mapping
 
 
@@ -100,13 +110,14 @@ class Scale:
 
     ``sx(x, z)`` is S_{x+1,z}/S_{x,z} and ``sz(x, z)`` is S_{x,z+1}/S_{x,z},
     each a value, or for a pair's scale a tuple of rational factors.
-    This is the package's one stepper: an unknown S_{x,z} is stepped by sz
-    from S_{x,z-1} in column 0 or when that is stored, else by sx from
-    S_{x-1,z}, so the table holds only the points read and a path to them:
-    the edges of a rectangle cost about 2(i+j) steps, not (i+1)(j+1).  The
-    table grows under the scale's own lock and never changes a stored
-    value, so threads may share a scale.  A ZeroDivisionError in a ratio is
-    reported as an EvaluationError at the point stepped to.
+    ``value`` reads one point: an unknown S_{x,z} is stepped by sz from
+    S_{x,z-1} in column 0 or when that is stored, else by sx from S_{x-1,z},
+    so the table holds only the points read and a path to them.  The table
+    grows under the scale's own lock and never changes a stored value, so
+    threads may share a scale.  Every step, of ``value`` or of an edge walk
+    of :func:`green_rectangle` (which keeps its own integer state and no
+    table), takes its ratio from :meth:`ratio`, where a ZeroDivisionError
+    is reported as an EvaluationError at the point stepped to.
     """
 
     def __init__(self, sx: Callable[[int, int], Fraction], sz: Callable[[int, int], Fraction]):
@@ -130,16 +141,20 @@ class Scale:
                     else:
                         z -= 1
                 value = table[x, z]
-                try:
-                    for nx, nz in reversed(path):
-                        value *= product(as_factors(self.sz(x, z) if nx == x
-                                                    else self.sx(x, z)))
-                        x, z = nx, nz
-                        table[x, z] = value
-                except ZeroDivisionError as exc:
-                    raise EvaluationError(f"scale undefined at (x={nx}, z={nz}): {exc}",
-                                          nx, nz) from exc
+                for nx, nz in reversed(path):
+                    value *= product(self.ratio(x, z, nx, nz))
+                    x, z = nx, nz
+                    table[x, z] = value
         return value
+
+    def ratio(self, x: int, z: int, nx: int, nz: int) -> tuple:
+        """S_{nx,nz}/S_{x,z} as a tuple of factors, one step from (x, z): by sz
+        when nx == x, else by sx.  A ZeroDivisionError in the ratio is
+        reported as an EvaluationError at (nx, nz), the point stepped to."""
+        try:
+            return as_factors(self.sz(x, z) if nx == x else self.sx(x, z))
+        except ZeroDivisionError as exc:
+            raise EvaluationError(f"scale undefined at (x={nx}, z={nz}): {exc}", nx, nz) from exc
 
 
 class _UnitScale(Scale):
@@ -285,33 +300,101 @@ def check_pair_condition(pair: MarkovPair, x: int, z: int) -> PairCheck:
     return PairCheck(residual == 0, residual)
 
 
+def _difference(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b for (numerator, positive denominator) pairs, unreduced."""
+    (an, ad), (bn, bd) = a, b
+    return an * bd - bn * ad, ad * bd
+
+
 @dataclass(frozen=True)
 class RectangleSums:
     """The edge sums over [0,i] x [0,j]: the series' partial sums u_sum =
     sum_{z<j} U_{0,z}, v_sum = sum_{x<i} V_{x,0} and the far edges u_edge =
-    sum_{z<j} U_{i,z}, v_edge = sum_{x<i} V_{x,j}."""
+    sum_{z<j} U_{i,z}, v_edge = sum_{x<i} V_{x,j}.
 
-    u_sum: Fraction
-    u_edge: Fraction
-    v_sum: Fraction
-    v_edge: Fraction
+    ``unreduced`` holds the four sums in that order as the edge walks left
+    them, (numerator, positive denominator) pairs of integers.  A sum is
+    reduced to a ``Fraction`` only where it is read, with one gcd; each side
+    is reduced once, on first read, and ``equal`` compares the reduced sides.
+    """
+
+    unreduced: tuple[tuple[int, int], ...]
 
     @property
+    def u_sum(self) -> Fraction:
+        return Fraction(*self.unreduced[0])
+
+    @property
+    def u_edge(self) -> Fraction:
+        return Fraction(*self.unreduced[1])
+
+    @property
+    def v_sum(self) -> Fraction:
+        return Fraction(*self.unreduced[2])
+
+    @property
+    def v_edge(self) -> Fraction:
+        return Fraction(*self.unreduced[3])
+
+    @cached_property
     def lhs(self) -> Fraction:
-        return self.u_sum - self.u_edge
+        u_sum, u_edge = self.unreduced[:2]
+        return Fraction(*_difference(u_sum, u_edge))
 
-    @property
+    @cached_property
     def rhs(self) -> Fraction:
-        return self.v_sum - self.v_edge
+        v_sum, v_edge = self.unreduced[2:]
+        return Fraction(*_difference(v_sum, v_edge))
 
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
+def _walk(function: GridFunction, start: tuple[int, int], x: int, z: int, along_x: bool, n: int,
+          past: bool = False) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The sum of ``function`` over n points from (x, z) along one axis,
+    where the scale is S_{x,z} = start, an unreduced (numerator, denominator).
+
+    Returns the sum and the scale at the last point, or one step past it
+    when ``past``, each as an unreduced (numerator, positive denominator).
+    The state (t, a, b) holds the sum so far as t/b and S at the current
+    point as a/b.  A point's reduced part rn/rd and the scale's step sn/sd
+    to the next point are products of small factors (``over``); b grows by
+    the small lcm of rd and sd, so each point multiplies the big state by
+    small integers only, as a term sequence's span does, and nothing big is
+    reduced.
+    """
+    factors, ratio = function.factors, function.scale.ratio
+    (a, b), t = start, 0
+    for k in range(n):
+        rn, rd = over(factors(x, z))
+        sn = sd = 1  # no step past the last point unless asked
+        if past or k < n - 1:
+            nx, nz = (x + 1, z) if along_x else (x, z + 1)
+            sn, sd = over(ratio(x, z, nx, nz))
+            x, z = nx, nz
+        g = gcd(rd, sd)
+        t = t * (rd // g * sd) + a * (rn * (sd // g))
+        a *= rd // g * sn
+        b *= rd // g * sd
+    return (t, b), (a, b)
+
+
 def green_rectangle(pair: MarkovPair, i: int, j: int) -> RectangleSums:
-    """Exact edge sums; lhs == rhs whenever the pair telescopes there."""
+    """Exact edge sums; lhs == rhs whenever the pair telescopes there.
+
+    Each edge is walked once on the pair's scale (:func:`_walk`): column 0
+    and row 0 from S_{0,0} = 1, each one step past its end, to S_{0,j} and
+    S_{i,0}, where the walks of row j and column i start.  The scale's
+    table is neither read nor filled; an undefined ratio on a step raises
+    the EvaluationError that ``Scale.value`` raises for the point stepped to.
+    """
     if i < 1 or j < 1:
         raise ValueError("rectangle requires i, j >= 1")
-    return RectangleSums(sum(pair.u(0, z) for z in range(j)), sum(pair.u(i, z) for z in range(j)),
-                         sum(pair.v(x, 0) for x in range(i)), sum(pair.v(x, j) for x in range(i)))
+    u, v = pair.u, pair.v
+    u_sum, corner_0j = _walk(u, (1, 1), 0, 0, False, j, past=True)
+    v_sum, corner_i0 = _walk(v, (1, 1), 0, 0, True, i, past=True)
+    u_edge, _ = _walk(u, corner_i0, i, 0, False, j)
+    v_edge, _ = _walk(v, corner_0j, 0, j, True, i)
+    return RectangleSums((u_sum, u_edge, v_sum, v_edge))

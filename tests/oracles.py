@@ -68,6 +68,13 @@ def pair_value_residual(u, v, x: int, z: int):
     return u(x, z) - u(x + 1, z) - v(x, z) + v(x, z + 1)
 
 
+def green_rectangle_sums(pair, i: int, j: int) -> tuple:
+    """(u_sum, u_edge, v_sum, v_edge) over [0,i] x [0,j], one ``Fraction``
+    addition per edge term, each value read through ``Scale.value``."""
+    return (sum(pair.u(0, z) for z in range(j)), sum(pair.u(i, z) for z in range(j)),
+            sum(pair.v(x, 0) for x in range(i)), sum(pair.v(x, j) for x in range(i)))
+
+
 def gauss_jordan(rows, rhs):
     """Exact Gauss-Jordan elimination on Fractions: the same (solution, status)
     contract as ``polys.solve_linear`` ("unique", "underdetermined" or

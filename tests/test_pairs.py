@@ -2,16 +2,24 @@ from fractions import Fraction as Q
 
 import pytest
 
+from markovsum.cli import _fuzzed_pair
 from markovsum.markov import (
+    FORM_U2,
+    SAMPLE_TUPLES,
     EvaluationError,
     GridFunction,
     MarkovPair,
     Scale,
+    SchellbachParams,
     ThreePhiTwo,
     check_pair_condition,
+    f4f3_family,
     green_rectangle,
+    pairs,
+    solve_multipliers_stepwise,
 )
 from markovsum.markov.pairs import one
+from oracles import green_rectangle_sums
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
 
@@ -97,6 +105,104 @@ class TestEdgeSums:
         assert sums.rhs == sums.v_sum - sums.v_edge
         assert sums.u_sum == pair.u(0, 0) + pair.u(0, 1)
         assert sums.v_edge == pair.v(0, 2) + pair.v(1, 2) + pair.v(2, 2)
+
+def _bare_pair():
+    return MarkovPair(GridFunction(lambda x, z: Q(x - 2 * z, 3 + x * z), "u"),
+                      GridFunction(lambda x, z: Q(5 * x + z - 7, 2 + x + z * z), "v"))
+
+
+def _solved_4f3_pair():
+    extension = f4f3_family(Q(1), Q(1, 3), Q(2))
+    return solve_multipliers_stepwise(extension, FORM_U2, 10).data.pair(extension)
+
+
+def _zero_at_edge_points_pair():
+    """The 3phi2 pair with U's reduced part 0 at (0, 2) and V's at (3, 0) and (1, 4)."""
+    base = ThreePhiTwo(*CANONICAL).pair()
+
+    def u(x, z):
+        return Q(0) if (x, z) == (0, 2) else base.u.factors(x, z)
+
+    def v(x, z):
+        return (Q(0),) if (x, z) in ((3, 0), (1, 4)) else base.v.factors(x, z)
+
+    return MarkovPair(GridFunction(u, "u", scale=base.u.scale),
+                      GridFunction(v, "v", scale=base.v.scale))
+
+
+def _vanishing_scale_pair():
+    """A pair on a scale whose z-ratio is 0 from z = 3 on, reduced parts shared."""
+    scale = Scale(lambda x, z: Q(x + 2, 2 * x + 3), lambda x, z: Q(3 - z, z + 5))
+    return MarkovPair(GridFunction(lambda x, z: (Q(x + 1, z + 2), Q(-3, 7)), "u", scale=scale),
+                      GridFunction(lambda x, z: Q(z - x, x + 4), "v", scale=scale))
+
+
+EDGE_PAIRS = {
+    "bare": _bare_pair,
+    **{f"3phi2-{k}": (lambda k=k: ThreePhiTwo(*SAMPLE_TUPLES[k]).pair())
+       for k in range(len(SAMPLE_TUPLES))},
+    "schellbach": lambda: SchellbachParams(Q(1, 3), Q(1, 5), Q(7, 2), Q(11, 3)).pair(),
+    "solved-4f3": _solved_4f3_pair,
+    "fuzz": lambda: _fuzzed_pair(ThreePhiTwo(*CANONICAL)),
+    "zero-at-edge-points": _zero_at_edge_points_pair,
+    "vanishing-scale": _vanishing_scale_pair,
+}
+
+
+class TestEdgeWalks:
+    """The edge walks against the Fraction-at-a-time oracle, on every kind of pair."""
+
+    @pytest.mark.parametrize("name", EDGE_PAIRS)
+    @pytest.mark.parametrize("i, j", [(1, 1), (7, 5), (10, 1), (1, 9)])
+    def test_edge_sums_equal_the_oracle(self, name, i, j):
+        sums = green_rectangle(EDGE_PAIRS[name](), i, j)
+        expected = green_rectangle_sums(EDGE_PAIRS[name](), i, j)
+        assert (sums.u_sum, sums.u_edge, sums.v_sum, sums.v_edge) == expected
+        assert sums.lhs == expected[0] - expected[1]
+        assert sums.rhs == expected[2] - expected[3]
+        assert sums.equal == (sums.lhs == sums.rhs)
+        assert all(d > 0 for _, d in sums.unreduced)
+
+    def test_walks_leave_the_scale_table_alone(self):
+        pair = ThreePhiTwo(*CANONICAL).pair()
+        green_rectangle(pair, 6, 6)
+        assert pair.u.scale._table == {(0, 0): 1}
+
+    def test_no_fraction_is_formed_until_a_side_is_read(self, monkeypatch):
+        pair = ThreePhiTwo(*CANONICAL).pair()
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Q(*args)
+
+        monkeypatch.setattr(pairs, "Fraction", counted)
+        sums = green_rectangle(pair, 30, 30)
+        assert made == []
+        assert sums.equal and sums.lhs == sums.rhs
+        assert len(made) == 2  # each side reduced once
+
+    @pytest.mark.parametrize("sx, sz, i, j, point", [
+        (lambda x, z: Q(1, x - 2), one, 5, 2, (3, 0)),  # row 0, between its ends
+        (one, lambda x, z: Q(1, z - 3), 2, 6, (0, 4)),  # column 0
+        (lambda x, z: Q(1, x - 2) if z == 4 else Q(1), one, 5, 4, (3, 4)),  # row j
+        (one, lambda x, z: Q(1, z - 2) if x == 3 else Q(1), 3, 6, (3, 3)),  # column i
+    ], ids=["row-0", "column-0", "row-j", "column-i"])
+    def test_ratio_dividing_by_zero_raises_as_scale_value(self, sx, sz, i, j, point):
+        def pair():
+            scale = Scale(sx, sz)
+            return MarkovPair(GridFunction(lambda x, z: Q(x + 1), "U", scale=scale),
+                              GridFunction(lambda x, z: Q(z + 1), "V", scale=scale))
+
+        with pytest.raises(EvaluationError) as walked:
+            green_rectangle(pair(), i, j)
+        # the oracle reads each edge value through Scale.value
+        with pytest.raises(EvaluationError) as stepped:
+            green_rectangle_sums(pair(), i, j)
+        assert str(walked.value) == str(stepped.value)
+        assert str(walked.value).startswith(f"scale undefined at (x={point[0]}, z={point[1]}): ")
+        assert (walked.value.x, walked.value.z) == (stepped.value.x, stepped.value.z) == point
+
 
 class TestScale:
     def test_ratio_dividing_by_zero_reports_the_point_stepped_to(self):
