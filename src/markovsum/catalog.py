@@ -8,20 +8,22 @@ by that enclosure.
 Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, integer polynomials in n or, for the two
 q-series sides, in y = q^n, in the one canonical form of
-``polys.RationalFunction`` (the Hurwitz builders form their factors over
-the integers from a = u/v; the q-series sides and Schellbach's series read
-their first term and ratio off the transformation engines' evaluators);
-the terms and prefix sums follow on one unreduced integer state
+``polys.RationalFunction``, kept as its factors: a constant, linear
+factors and small polynomials such as p(n+1)/p(n) (the builders in n pass
+theirs to ``polys.integer_ratio``; the q-series sides and Schellbach's
+series read their first term and ratio off the engines' evaluators); the
+terms and prefix sums follow on one unreduced integer state
 (``hgterm.TermSequence``), stepped on the ratio in lowest terms.
-Everything else is derived by positivity certificates on integer
-polynomials that hold for every index (``polys.nonneg_walk`` in n,
-``polys.unit_interval_nonneg`` for y in (0, 1]), never by a scan:
+Everything else is derived for every index, never by a scan: in n the
+signs and zeros off the factors (``polys.factor_sign``) and the rate by a
+positivity certificate (``polys.nonneg_walk``), in y all by
+``polys.unit_interval_nonneg`` on (0, 1]:
 
 * the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
 * the zero steps: q(n) = 0 leaves the ratio undefined and, for alternating
-  terms, p(n) = 0 ends the alternation; a certificate confines the zeros
-  of its polynomial to the points its own walk evaluates (in y, to y = 1),
-  so the first of them refuses the entry;
+  terms, p(n) = 0 ends the alternation; in n they are the integer roots
+  of the linear factors from n0 on, in y only y = 1 can be one, and the
+  first of them refuses the entry;
 * the rate: rho is the ratio's limit L when |term(n+1)| <= L |term(n)| is
   certified, else the first certified rung of L + (1-L)/8, L + (1-L)/4,
   L + (1-L)/2; it holds from ``valid_from``, the first index the
@@ -74,14 +76,13 @@ from .markov.phi32 import ThreePhiTwo
 from .markov.schellbach import SchellbachParams, schellbach_term
 from .polys import (
     RationalFunction,
+    factor_sign,
+    integer_ratio,
     nonneg_walk,
     poly,
     poly_add,
     poly_eval,
-    poly_mul,
-    poly_pow,
     poly_scale,
-    poly_shift,
     unit_interval_nonneg,
 )
 
@@ -126,7 +127,6 @@ class FormulaEntry:
     offset: Fraction = Fraction(0)
     tail_extra: Optional[Callable[[int], Optional[Fraction]]] = None
     slow: bool = False
-    provenance: str = ""
     alternating: bool = field(init=False)
     remainder_nonneg: bool = field(init=False)
     leibniz_from: Optional[int] = field(init=False)
@@ -165,33 +165,34 @@ class FormulaEntry:
     def term(self, n: int) -> Fraction:
         return self.terms.term(n)
 
-    def _nonneg_walk(self, p) -> tuple[Optional[int], Optional[int]]:
-        """(v, z): the first index v from which p >= 0 is certified at every
-        later index, and the first index z >= v with p(z) = 0; None where
-        there is none.  In y = q^n a nonzero p certified on (0, 1] is positive
-        below y = 1, so its only possible zero is at n = 0, which is n0.
+    def _valid_from(self, p) -> Optional[int]:
+        """The first index from which p >= 0 is certified at every later
+        index: by ``nonneg_walk`` in n, and in y = q^n at n0 or never."""
+        if self.terms.base is None:
+            return (nonneg_walk(p, self.n0) or (None,))[0]
+        return self.n0 if 0 < self.terms.base < 1 and unit_interval_nonneg(p) else None
 
-        The walks read the sequence's stepped ratio.  In n, (v, z) depend
-        only on the signs of p at the indices from n0 on, and a cancelled
-        factor is positive at each of them, so they are those of the
-        described ratio's polynomials."""
-        base, n0 = self.terms.base, self.n0
+    def _sign(self, side: int) -> tuple[Optional[int], Optional[int]]:
+        """(s, z) as ``polys.factor_sign`` gives them for the stepped ratio's
+        numerator (side 0) or denominator (side 1); a cancelled factor is
+        positive from n0 on, so they are the described ratio's.  In y = q^n
+        a nonzero p certified on (0, 1] can vanish only at y = 1, n = n0."""
+        ratio, base, n0 = self.terms.stepped, self.terms.base, self.n0
         if base is None:
-            return nonneg_walk(p, n0) or (None, None)
-        if not (0 < base < 1 and unit_interval_nonneg(p)):
-            return None, None
-        return n0, n0 if poly_eval(p, base ** n0) == 0 else None
+            return factor_sign(ratio.factors[side], n0)
+        p = (ratio.num, ratio.den)[side]
+        sign = next((s for s in (1, -1) if self._valid_from(poly_scale(p, s)) == n0), None)
+        return sign, n0 if poly_eval(p, base ** n0) == 0 else None
 
     def _signs(self) -> tuple[bool, bool, Optional[str]]:
         """(alternating, remainder_nonneg, the first zero step), from the sign
         of the ratio from n0 on; a vanishing denominator is named first."""
-        ratio, n0 = self.terms.stepped, self.n0
-        den_from, den_zero = self._nonneg_walk(ratio.den)
-        if den_from == n0:
-            if self._nonneg_walk(ratio.num)[0] == n0:
-                return False, self.term(n0) >= 0, _zero_step(den_zero, None)
-            num_from, num_zero = self._nonneg_walk(poly_scale(ratio.num, -1))
-            if num_from == n0:
+        den_sign, den_zero = self._sign(1)
+        if den_sign == 1:
+            num_sign, num_zero = self._sign(0)
+            if num_sign == 1:
+                return False, self.term(self.n0) >= 0, _zero_step(den_zero, None)
+            if num_sign == -1:
                 return True, False, _zero_step(den_zero, num_zero)
         raise CatalogError(f"{self.entry_id}: terms not certified to keep a sign or alternate")
 
@@ -201,11 +202,10 @@ class FormulaEntry:
         if limit is None or limit > 1:
             raise CatalogError(f"{self.entry_id}: |term(n+1)/term(n)| does not tend "
                                f"to a limit <= 1")
-        ratio = self.terms.stepped
-        if self.alternating:
-            ratio = RationalFunction.canonical(poly_scale(ratio.num, -1), ratio.den)
+        # |ratio| = sign ratio from n0 on, whose margin at rho is sign margin(sign rho)
+        ratio, sign = self.terms.stepped, -1 if self.alternating else 1
         for rho in chain((limit,), (limit + (1 - limit) * w for w in RATE_LADDER)):
-            valid_from = self._nonneg_walk(ratio.margin(rho))[0]
+            valid_from = self._valid_from(poly_scale(ratio.margin(sign * rho), sign))
             if valid_from is not None:
                 return rho, valid_from
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
@@ -378,20 +378,19 @@ def _entry(entry_id: str, constant: str, description: str, first, ratio: Rationa
 
 def entry_apery() -> FormulaEntry:
     """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (binom(2n,n) n^3); rate 1/4.
+    Markov (1890); popularized by Apery (1978).
 
     term(1) = 5/4, term(n+1)/term(n) = -n^3 / (2 (n+1)^2 (2n+1)).
     """
-    ratio = RationalFunction(poly(0, 0, 0, -1),
-                             poly_mul(poly_pow(poly(1, 1), 2), poly(2, 4)))
     return _entry(
         "apery", "zeta3",
         "alternating central-binomial series for zeta(3), geometric rate 1/4",
-        Fraction(5, 4), ratio, 1,
-        provenance="Markov (1890); popularized by Apery (1978)")
+        Fraction(5, 4), integer_ratio(-1, [poly(0, 1)] * 3, [poly(1, 1)] * 2 + [poly(2, 4)]), 1)
 
 
 def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
-    """sum_{n>=0} (a+n)^(-3) as an alternating series whose ratio tends to -1/4.
+    """sum_{n>=0} (a+n)^(-3) as an alternating series whose ratio tends to -1/4
+    (Markov, 1890).
 
     term(0) = p_a(0) / (4 a^4) and
     term(n+1)/term(n) = -(n+1)^6 p_a(n+1) / ((2n+2)(2n+3)(n+1+a)^4 p_a(n)),
@@ -401,70 +400,71 @@ def entry_markov_hurwitz(a=Fraction(1)) -> FormulaEntry:
     a = Fraction(a)
     if a.denominator == 1 and a.numerator <= 0:
         raise CatalogError("pole in a: must not be a nonpositive integer")
-    # over the integers, with a = u/v and w = v (a-1): p_a holds v^2 p_a(n),
-    # v (n+1+a) = vn + v + u, and num takes the remaining v^4
+    # over the integers, with a = u/v and w = v (a-1): p_a(s) holds
+    # v^2 p_a(n+s), v (n+1+a) = vn + v + u, and num takes the remaining v^4
     u, v = a.numerator, a.denominator
     w = u - v
-    p_a = poly(5 * v * v + 6 * v * w + 2 * w * w, 10 * v * v + 6 * v * w, 5 * v * v)
-    num = poly_mul(poly_pow(poly(1, 1), 6), poly_shift(poly_scale(p_a, -v ** 4), 1))
-    den = poly_mul(poly_mul(poly_mul(poly(2, 2), poly(3, 2)),
-                            poly_pow(poly(v + u, v), 4)), p_a)
+
+    def p_a(s: int) -> list:
+        m = s + 1  # v^2 p_a(n+s) = 5 v^2 (n+m)^2 + 6 v w (n+m) + 2 w^2
+        return poly(5 * v * v * m * m + 6 * v * w * m + 2 * w * w, 10 * v * v * m + 6 * v * w,
+                    5 * v * v)
+
+    ratio = integer_ratio(-v ** 4, [poly(1, 1)] * 6 + [p_a(1)],
+                          [poly(2, 2), poly(3, 2)] + [poly(v + u, v)] * 4 + [p_a(0)])
     return _entry(
         "markov-hurwitz", "zeta3" if a == 1 else f"hurwitz3({format_rational(a)})",
         f"rate-1/4 alternating series for sum 1/({format_rational(a)}+n)^3",
-        Fraction(p_a[0] * v * v, 4 * u ** 4), RationalFunction(num, den), 0,
-        provenance="Markov (1890)")
+        Fraction(p_a(0)[0] * v * v, 4 * u ** 4), ratio, 0)
 
 
 def entry_ratio27_zeta3() -> FormulaEntry:
     """zeta(3) = (1/4) sum_{n>=1} (-1)^(n-1) (56n^2-32n+5)/((2n-1)^2 n^3) n!^3/(3n)!.
+    Markov (1889/1890); rederived via telescoping certificates by Amdeberhan (1996).
 
     term(1) = 29/24, term(n+1)/term(n)
-    = -p(n+1) (2n-1)^2 n^3 / (p(n) (2n+1)^2 (3n+1)(3n+2)(3n+3)), p = 56n^2-32n+5.
+    = -p(n+1) (2n-1)^2 n^3 / (p(n) (2n+1)^2 (3n+1)(3n+2)(3n+3)), p = 56n^2-32n+5,
+    p(n+1) = 56n^2+80n+29.
     """
-    p = poly(5, -32, 56)
-    num = poly_mul(poly_mul(poly_shift(p, 1), poly_pow(poly(-1, 2), 2)), poly(0, 0, 0, -1))
-    den = poly_mul(poly_mul(p, poly_pow(poly(1, 2), 2)),
-                   poly_mul(poly_mul(poly(1, 3), poly(2, 3)), poly(3, 3)))
+    ratio = integer_ratio(-1, [poly(29, 80, 56)] + [poly(-1, 2)] * 2 + [poly(0, 1)] * 3,
+                          [poly(5, -32, 56)] + [poly(1, 2)] * 2
+                          + [poly(1, 3), poly(2, 3), poly(3, 3)])
     return _entry(
         "ratio27-zeta3", "zeta3",
         "rate-1/27 alternating series for zeta(3)",
-        Fraction(29, 24), RationalFunction(num, den), 1,
-        provenance="Markov (1889/1890); rederived via telescoping certificates "
-                   "by Amdeberhan (1996)")
+        Fraction(29, 24), ratio, 1)
 
 
 def entry_az_zeta3() -> FormulaEntry:
-    """zeta(3) = sum_{n>=0} (-1)^n n!^10 (205n^2+250n+77) / (64 (2n+1)!^5).
+    """zeta(3) = sum_{n>=0} (-1)^n n!^10 (205n^2+250n+77) / (64 (2n+1)!^5)
+    (Amdeberhan and Zeilberger, 1997).
 
     term(0) = 77/64, term(n+1)/term(n)
-    = -(n+1)^10 p(n+1) / (p(n) (2n+2)^5 (2n+3)^5), p = 205n^2+250n+77.
+    = -(n+1)^10 p(n+1) / (p(n) (2n+2)^5 (2n+3)^5), p = 205n^2+250n+77,
+    p(n+1) = 205n^2+660n+532.
     """
-    p = poly(77, 250, 205)
-    num = poly_mul(poly_pow(poly(1, 1), 10), poly_shift(poly_scale(p, -1), 1))
-    den = poly_mul(poly_mul(p, poly_pow(poly(2, 2), 5)), poly_pow(poly(3, 2), 5))
+    ratio = integer_ratio(-1, [poly(1, 1)] * 10 + [poly(532, 660, 205)],
+                          [poly(77, 250, 205)] + [poly(2, 2)] * 5 + [poly(3, 2)] * 5)
     return _entry(
         "az-zeta3", "zeta3",
         "rate-2^-10 alternating series for zeta(3)",
-        Fraction(77, 64), RationalFunction(num, den), 0,
-        provenance="Amdeberhan-Zeilberger (1997)")
+        Fraction(77, 64), ratio, 0)
 
 
 def entry_zeta2_27() -> FormulaEntry:
-    """zeta(2) = 5/3 + sum_{k>=1} (-1)^k (2k-1)!!^3/(6k-1)!! (1/(4k^2) + 5/((6k+1)(6k+3))).
+    """zeta(2) = 5/3 + sum_{k>=1} (-1)^k (2k-1)!!^3/(6k-1)!! (1/(4k^2) + 5/((6k+1)(6k+3)))
+    (Markov, 1889).
 
     term(1) = -83/3780, term(k+1)/term(k)
     = -(2k+1)^3 k^2 (56k^2+136k+83) / ((6k+5)(56k^2+24k+3)(k+1)^2 (6k+7)(6k+9)).
     """
-    num = poly_mul(poly_mul(poly_pow(poly(1, 2), 3), poly(0, 0, -1)), poly(83, 136, 56))
-    den = poly_mul(poly_mul(poly_mul(poly(5, 6), poly(3, 24, 56)),
-                            poly_pow(poly(1, 1), 2)),
-                   poly_mul(poly(7, 6), poly(9, 6)))
+    ratio = integer_ratio(-1, [poly(1, 2)] * 3 + [poly(0, 1)] * 2 + [poly(83, 136, 56)],
+                          [poly(5, 6), poly(3, 24, 56)] + [poly(1, 1)] * 2
+                          + [poly(7, 6), poly(9, 6)])
     return _entry(
         "zeta2-27", "zeta2",
         "rate-1/27 alternating series for zeta(2), constant offset 5/3",
-        Fraction(-83, 3780), RationalFunction(num, den), 1,
-        offset=Fraction(5, 3), provenance="Markov (1889)")
+        Fraction(-83, 3780), ratio, 1, offset=Fraction(5, 3))
 
 
 #: 3F2(1,1,1; 2,2) = zeta(2), the Schellbach parameters of ``schellbach-zeta2``
@@ -472,7 +472,8 @@ ZETA2_SCHELLBACH = SchellbachParams(Fraction(1), Fraction(1), Fraction(2), Fract
 
 
 def entry_schellbach_zeta2() -> FormulaEntry:
-    """zeta(2) via the transformed 3F2(1,1,1;2,2): terms 3 x!^2/(2x+2)!, rate 1/4.
+    """zeta(2) via the transformed 3F2(1,1,1;2,2): terms 3 x!^2/(2x+2)!, rate 1/4
+    (Schellbach, 1864; the limit case of the q-series transformation).
 
     term(0) = V_{0,0} = M_{0,0}, and the ratio is the classical engine's
     V_{x+1,0}/V_{x,0}, both read off its evaluators at (1, 1, 2, 2).
@@ -480,8 +481,7 @@ def entry_schellbach_zeta2() -> FormulaEntry:
     return _entry(
         "schellbach-zeta2", "zeta2",
         "transformed 3F2(1,1,1;2,2) series for zeta(2), geometric rate 1/4",
-        ZETA2_SCHELLBACH.m(0, 0), ZETA2_SCHELLBACH.transformed_ratio(), 0,
-        provenance="Schellbach (1864); limit case of the q-series transformation")
+        ZETA2_SCHELLBACH.m(0, 0), ZETA2_SCHELLBACH.transformed_ratio(), 0)
 
 
 # -- closed forms: independent checks of the recurrences ----------------------
@@ -534,8 +534,7 @@ def _power_ratio(k: int, shift, sign: int = 1) -> RationalFunction:
     sign (vn+u)^k / (vn+u+v)^k."""
     shift = Fraction(shift)
     u, v = shift.numerator, shift.denominator
-    return RationalFunction(poly_scale(poly_pow(poly(u, v), k), sign),
-                            poly_pow(poly(u + v, v), k))
+    return integer_ratio(sign, [poly(u, v)] * k, [poly(u + v, v)] * k)
 
 
 def entry_direct(kind: str, a=None) -> FormulaEntry:
@@ -550,13 +549,11 @@ def entry_direct(kind: str, a=None) -> FormulaEntry:
         bound = "1/N" if k == 2 else "1/(2N^2)"
         return _entry(f"{kind}-direct", kind, f"direct sum of n^-{k}, tail <= {bound}",
                       1, _power_ratio(k, 0), 1,
-                      tail_extra=lambda last: Fraction(1, (k - 1) * last ** (k - 1)),
-                      provenance="definition")
+                      tail_extra=lambda last: Fraction(1, (k - 1) * last ** (k - 1)))
     if kind in ("eta2", "eta3"):
         k = int(kind[-1])
         return _entry(f"{kind}-direct", kind, f"alternating sum of (-1)^(n-1) n^-{k}",
-                      1, _power_ratio(k, 0, -1), 1,
-                      provenance="definition")
+                      1, _power_ratio(k, 0, -1), 1)
     if kind == "hurwitz3":
         a = Fraction(a if a is not None else 1)
         if a <= 0:
@@ -564,8 +561,7 @@ def entry_direct(kind: str, a=None) -> FormulaEntry:
         return _entry("hurwitz3-direct", f"hurwitz3({format_rational(a)})",
                       f"direct sum of ({format_rational(a)}+n)^-3",
                       1 / a ** 3, _power_ratio(3, a), 0,
-                      tail_extra=lambda last: 1 / (2 * (a + last) ** 2),
-                      provenance="definition")
+                      tail_extra=lambda last: 1 / (2 * (a + last) ** 2))
     raise CatalogError(f"unknown direct series kind {kind!r}")
 
 
@@ -576,7 +572,8 @@ def _sqrt_lower(n: int, bits: int = 64) -> Fraction:
 
 
 def entry_kummer() -> FormulaEntry:
-    """The slow three-halves-power series 4F3(9/2,9/2,9/2,1; 5,5,5).
+    """The slow three-halves-power series 4F3(9/2,9/2,9/2,1; 5,5,5), of Kummer's
+    summand family.
 
     term(0) = 1, term(n+1)/term(n) = (2n+9)^3/(2n+10)^3.  The terms decay
     only like n^(-3/2) (the ratio tends to 1), so the entry is flagged slow
@@ -588,8 +585,7 @@ def entry_kummer() -> FormulaEntry:
     # (2n+9)^2 (2n+11) <= (2n+10)^2 (2n+9) for all n >= 0 (certified below);
     # hence term(n) <= ((9/2)/(n+9/2))^(3/2) and
     # tail(N) <= 2 (9/2)^(3/2)/sqrt(N+9/2) = 27/sqrt(2N+9).
-    decay = RationalFunction(poly_mul(poly_pow(poly(9, 2), 2), poly(11, 2)),
-                             poly_mul(poly_pow(poly(10, 2), 2), poly(9, 2)))
+    decay = integer_ratio(1, [poly(9, 2)] * 2 + [poly(11, 2)], [poly(10, 2)] * 2 + [poly(9, 2)])
     if decay.bounded_by(1, 0) is None:
         raise CatalogError("kummer: u_n^2 (n + 9/2) is not certified nonincreasing")
 
@@ -599,9 +595,8 @@ def entry_kummer() -> FormulaEntry:
     return _entry(
         "kummer", "kummer-4f3",
         "slow 4F3(9/2,9/2,9/2,1;5,5,5); terms decay like n^(-3/2)",
-        1, RationalFunction(poly_pow(poly(9, 2), 3), poly_pow(poly(10, 2), 3)), 0,
-        tail_extra=tail, slow=True,
-        provenance="Kummer's summand family")
+        1, integer_ratio(1, [poly(9, 2)] * 3, [poly(10, 2)] * 3), 0,
+        tail_extra=tail, slow=True)
 
 
 # -- parameterized q-series entries (both sides of the transformation) ------
@@ -629,7 +624,7 @@ def entry_phi32_series(a, b, c, d, q) -> FormulaEntry:
     return _entry(
         f"qsh-3phi2({label})", f"3phi2({label})",
         "source q-series of the transformation, geometric rate t",
-        1, engine.source_ratio(), 0, base=engine.q, provenance="q-series 3phi2(a,b,1;c,d)")
+        1, engine.source_ratio(), 0, base=engine.q)
 
 
 def _contraction(a, b, c, d, q, t) -> Fraction:
@@ -671,8 +666,7 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
     return FormulaEntry(
         f"transformed-3phi2({label})", f"3phi2({label})",
         "transformed series of the q-series transformation, q^(2x)-type decay",
-        terms, tail_extra=tail,
-        provenance="telescoped column sums of the 3phi2 extension")
+        terms, tail_extra=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 A ``TermSequence`` is a series described by its first term and its signed
 term ratio, a quotient of integer polynomials in the index n or, for a
-q-series, in y = q^n.  It steps the ratio in lowest terms: in n the two
-polynomials' gcd g is cancelled once, when the sequence is made, wherever
-g is certified positive at every index from n0 on, so the steps keep
-their signs and zeros.  It sums on one unreduced integer state (A, B, T),
-formed from that lowest-terms pair, with term = A/B and prefix sum = T/B:
-a step multiplies by the integers p(n), q(n) of the pair, with no gcd,
-and only a reader of a term or a sum forms a ``Fraction``.  In n these
-are plain Horner evaluations; for a q-series the polynomials are
-evaluated homogeneously at the numerator and denominator of q^n, both
-carried from step to step by one multiplication.
+q-series, in y = q^n.  It steps the ratio in lowest terms: in n each
+factor the ratio was described by that is found on both sides is
+cancelled once, when the sequence is made, wherever it is positive at
+every index from n0 on, so the steps keep their signs and zeros; a
+q-series steps its ratio as described.  It sums on one unreduced integer
+state (A, B, T), formed from that lowest-terms pair, with term = A/B and
+prefix sum = T/B: a step multiplies by the integers p(n), q(n) of the
+pair, with no gcd, and only a reader of a term or a sum forms a
+``Fraction``.  In n these are plain Horner evaluations; for a q-series
+the polynomials are evaluated homogeneously at the numerator and
+denominator of q^n, both carried from step to step by one multiplication.
 
 Many steps at once form a span (P, Q, T) by binary splitting (Haible and
 Papanikolaou, 1998): two halves merge by three products, so reaching index
@@ -40,7 +41,7 @@ from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .exact import format_rational
-from .polys import RationalFunction, gcd_cofactors, nonneg_walk
+from .polys import RationalFunction
 
 
 class TermError(ValueError):
@@ -112,10 +113,14 @@ class TermSequence:
     (n, A, B, T) of index n has term(n) = A/B and term(n0) + ... + term(n)
     = T/B; stepping it by p/q = ratio(n) gives (n+1, A p, B q, T q + A p).
 
-    p/q is ``stepped``: ``ratio`` in lowest terms where an n-series' shared
-    factor is certified positive from n0 on, else ``ratio`` itself.  The
-    states are canonical: A = A(n0) p(n0) ... p(n-1), B likewise, and
-    T = the sum of A(j) B/B(j) over j <= n, whatever route reached them.
+    p/q is ``stepped``: an n-series' ``ratio`` less each factor found on
+    both sides that is positive at every index from n0 on (a linear vn + u
+    with v n0 + u > 0, a quadratic with a negative discriminant), so a step
+    where a shared factor vanishes still finds its denominator zero; a
+    q-series' ``ratio`` itself, as in the catalog a gcd in y cost more than
+    it saved.  The states are canonical: A = A(n0) p(n0) ... p(n-1), B
+    likewise, and T = the sum of A(j) B/B(j) over j <= n, whatever route
+    reached them.
     """
 
     #: states kept: an enclosure reads the sum at ``last`` and the next two terms
@@ -125,7 +130,7 @@ class TermSequence:
         self.ratio = ratio
         self.n0 = n0
         self.base = None if base is None else Fraction(base)
-        self.stepped = self._lowest_terms(ratio)
+        self.stepped = ratio if base is not None else ratio.cancelled(n0)
         num, den = self.stepped.num, self.stepped.den
         if base is not None:
             # one degree for both in y: base^(n degree) cancels
@@ -137,20 +142,6 @@ class TermSequence:
         self._start = (n0, first.numerator, first.denominator, first.numerator)
         self._window = [self._start]
         self._lock = threading.Lock()
-
-    def _lowest_terms(self, ratio: RationalFunction) -> RationalFunction:
-        """An n-series' ratio as num/g over den/g, g = gcd(num, den), when
-        ``nonneg_walk`` certifies g > 0 at every index from n0 on; else the
-        ratio itself, so a step where g vanishes still finds its denominator
-        zero.  A q-series keeps its ratio: in the catalog its gcd cost more
-        than the smaller steps saved."""
-        if self.base is not None or not any(ratio.num):
-            return ratio
-        g, num, den = gcd_cofactors(ratio.num, ratio.den)
-        if len(g) == 1 or nonneg_walk(g, self.n0) != (self.n0, None):
-            return ratio
-        # the cofactors' content is the ratio's, by Gauss's lemma: 1
-        return RationalFunction.canonical(num, den)
 
     def _leaf(self, m: int, n: int, steps: Optional[list] = None) -> tuple[int, int, int]:
         """``span(m, n)``, stepped index by index; each step's (p, q) is

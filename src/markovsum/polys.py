@@ -6,13 +6,15 @@ three needs:
 
 * describing a term ratio in one canonical integer form
   (:class:`RationalFunction`: cleared of denominators, divided by its
-  content), cancelling the factor its two polynomials share
-  (:func:`gcd_cofactors`), and certifying that it stays below a geometric
-  ratio for *all* indices past some point (tail-bound rigor in the series
-  catalog), via a shift-and-inspect positivity certificate whose walk over
-  the gap points also finds the polynomial's first zero
-  (:func:`nonneg_walk`), and the same for a rational function of y = q^n
-  on the interval (0, 1];
+  content) together with the factors it was built from, each primitive,
+  on which the signs and zeros of its two polynomials are read by the
+  roots of their linear factors (:func:`factor_sign`) and the factors the
+  two share are cancelled (``RationalFunction.cancelled``); and certifying
+  that it stays below a geometric ratio for *all* indices past some point
+  (tail-bound rigor in the series catalog), via a shift-and-inspect
+  positivity certificate whose walk over the gap points also finds the
+  polynomial's first zero (:func:`nonneg_walk`), and the same for a
+  rational function of y = q^n on the interval (0, 1];
 * solving the small exact linear systems of the stepwise multiplier solver
   by fraction-free (Bareiss) elimination over the integers;
 * running a transformation engine's formulas on X and Z as symbols, kept
@@ -26,8 +28,10 @@ three needs:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import cached_property, reduce
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Optional, Sequence
 
 Poly = list
@@ -56,13 +60,6 @@ def poly_scale(p: Sequence, c) -> Poly:
     return [a * c for a in p]
 
 
-def poly_pow(p: Sequence, e: int) -> Poly:
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
 def poly_shift(p: Sequence, s) -> Poly:
     """Coefficients of p(x + s)."""
     if s == 0:
@@ -80,83 +77,6 @@ def poly_eval(p: Sequence, x):
     for a in reversed(p):
         v = v * x + a
     return v
-
-
-def _trimmed(p: Sequence) -> Poly:
-    """p without zero coefficients above its degree."""
-    top = len(p)
-    while top > 1 and not p[top - 1]:
-        top -= 1
-    return list(p[:top])
-
-
-def poly_quotient(p: Sequence, d: Sequence) -> Optional[Poly]:
-    """The integer polynomial p/d when d divides p in Z[x], else None; d nonzero."""
-    rest, d = _trimmed(p), _trimmed(d)
-    lead, m = d[-1], len(d) - 1
-    if len(rest) <= m:
-        return None if any(rest) else [0]
-    lower = d[-2::-1]
-    out = []
-    for k in range(len(rest) - 1, m - 1, -1):
-        c, r = divmod(rest[k], lead)
-        if r:
-            return None
-        out.append(c)
-        if c:
-            for b in lower:
-                k -= 1
-                rest[k] -= c * b
-    if any(rest[:m]):
-        return None
-    out.reverse()
-    return out
-
-
-def _primitive(p: Sequence) -> Poly:
-    content = gcd(*p)
-    return [c // content for c in _trimmed(p)]
-
-
-def gcd_cofactors(p: Sequence, q: Sequence) -> tuple[Poly, Poly, Poly]:
-    """(g, p/g, q/g), g the primitive greatest common divisor of two nonzero
-    integer polynomials with a positive leading coefficient.
-
-    Heuristic gcd (Char, Geddes and Gonnet, 1989).  At an integer
-    xi >= 2 B + 2, B the largest coefficient of p and q, every root r of
-    either has |r| < B + 1, and the balanced xi-adic digits of
-    gamma = gcd(p(xi), q(xi)) form a polynomial G with G(xi) = gamma > 0,
-    whose leading digit is then positive.  The gcd d has d(xi) | gamma.
-    When G's primitive part g divides both, g is d: d = g h, h(xi) divides
-    the content of G, which is at most xi/2, and a nonconstant h has
-    |h(xi)| > (xi - B - 1)^deg h >= xi/2.  So gamma <= xi/2 (G a constant)
-    proves d = 1 with no division.  Otherwise xi is squared and the test
-    repeated; it ends, since gamma / |d(xi)| divides the resultant of the
-    cofactors, and once xi exceeds twice that times d's coefficients, G is
-    a constant multiple of d.  The cofactors come from exact divisions, so
-    p = g (p/g) and q = g (q/g) hold whatever the argument above; it only
-    makes g the greatest.
-    """
-    p, q = _trimmed(p), _trimmed(q)
-    xi = 2 * max(map(abs, (*p, *q))) + 2
-    while True:
-        gamma = gcd(poly_eval(p, xi), poly_eval(q, xi))
-        if 2 * gamma <= xi:
-            return [1], p, q
-        digits = []
-        while gamma:
-            digit = gamma % xi
-            if 2 * digit > xi:
-                digit -= xi
-            digits.append(digit)
-            gamma = (gamma - digit) // xi
-        g = _primitive(digits)
-        p_cofactor = poly_quotient(p, g)
-        if p_cofactor is not None:
-            q_cofactor = poly_quotient(q, g)
-            if q_cofactor is not None:
-                return g, p_cofactor, q_cofactor
-        xi *= xi
 
 
 def _certificate_shift(p: Sequence, n0: int) -> Optional[int]:
@@ -261,14 +181,74 @@ def vanishes_at_powers(p: Sequence, q: Fraction, span: int) -> bool:
     return False
 
 
+def _normal(p: Sequence[int]) -> tuple[int, tuple]:
+    """An integer polynomial p as (c, (f_1, ..., f_k)), p = c f_1 ... f_k, in the
+    normal form of :class:`RationalFunction`; (0, ()) for the zero polynomial."""
+    degree = max((i for i, c in enumerate(p) if c), default=-1)
+    if degree < 0:
+        return 0, ()
+    content = gcd(*p) if p[degree] > 0 else -gcd(*p)
+    factor = [c // content for c in p[:degree + 1]]
+    if degree == 2:
+        c, b, a = factor
+        disc = b * b - 4 * a * c
+        root = isqrt(max(disc, 0))
+        if root * root == disc:
+            # (2an + b - root)(2an + b + root) = 4a (an^2 + bn + c)
+            return content, _normal([b - root, 2 * a])[1] + _normal([b + root, 2 * a])[1]
+    return content, (factor,) if degree else ()
+
+
+def factor_sign(side: tuple, n0: int) -> tuple[Optional[int], Optional[int]]:
+    """(s, z) for p = c f_1 ... f_k, side = (c, (f_1, ..., f_k)) in the normal
+    form of :class:`RationalFunction`: s = 1 or -1 when s p(n) >= 0 at every
+    integer n >= n0, and z the first such n with p(n) = 0; (None, None) when
+    no sign is read off the factors, and (1, n0) for the zero polynomial.
+
+    A linear factor vn + u is read by its root -u/v, and a quadratic with a
+    negative discriminant is positive; any other factor must be certified
+    nonnegative from n0 by its own :func:`nonneg_walk`, which finds its first
+    zero.  The linear factors keep their signs between two adjacent roots,
+    so p's is read at n0 and at the first integer past each root from n0 on.
+    """
+    constant, factors = side
+    if not constant:
+        return 1, n0
+    linear, zeros, points = [], [], {n0}
+    for factor in factors:
+        if len(factor) == 2:
+            u, v = factor
+            linear.append(factor)
+            if -u >= v * n0:
+                points.add(-u // v + 1)
+                if u % v == 0:
+                    zeros.append(-u // v)
+        elif len(factor) != 3 or factor[1] ** 2 >= 4 * factor[0] * factor[2]:
+            walk = nonneg_walk(factor, n0)
+            if walk is None or walk[0] != n0:
+                return None, None
+            if walk[1] is not None:
+                zeros.append(walk[1])
+    signs = {(value > 0) - (value < 0)
+             for value in (constant * prod(u + v * n for u, v in linear) for n in points)} - {0}
+    return (signs.pop(), min(zeros, default=None)) if len(signs) == 1 else (None, None)
+
+
 class RationalFunction:
     """Quotient num/den of two integer polynomials in one variable, in one
-    canonical form.
+    canonical form, and the factors it was described by.
 
     Rational coefficients are cleared once: num and den are multiplied by
     the lcm of their coefficients' denominators, then divided by the gcd of
     all their coefficients.  Any positive multiple of the same pair of
     polynomials therefore gives the same integers.
+
+    ``factors`` holds each side as (c, (f_1, ..., f_k)), the polynomial
+    c f_1 ... f_k, each f_i in the normal form: primitive, with a positive
+    leading coefficient, and a quadratic whose discriminant is a square
+    split into its two linear factors.  num/den given here is one factor a
+    side; :func:`integer_ratio` keeps the factors it is given, and num and
+    den are multiplied out when they are first read.
     """
 
     def __init__(self, num: Sequence, den: Sequence):
@@ -276,13 +256,38 @@ class RationalFunction:
         num, den = ([c.numerator * (scale // c.denominator) for c in p] for p in (num, den))
         content = gcd(*num, *den) or 1
         self.num, self.den = ([c // content for c in p] for p in (num, den))
+        self.factors = _normal(self.num), _normal(self.den)
 
     @classmethod
-    def canonical(cls, num: Poly, den: Poly) -> "RationalFunction":
-        """num/den as given: integer lists already in the canonical form."""
+    def of_factors(cls, num: tuple, den: tuple) -> "RationalFunction":
+        """The quotient of two sides (c, factors) in the normal form whose
+        constants are coprime: the canonical form, once multiplied out."""
         ratio = cls.__new__(cls)
-        ratio.num, ratio.den = num, den
+        ratio.factors = num, den
         return ratio
+
+    @cached_property
+    def num(self) -> Poly:
+        return reduce(poly_mul, self.factors[0][1], [self.factors[0][0]])
+
+    @cached_property
+    def den(self) -> Poly:
+        return reduce(poly_mul, self.factors[1][1], [self.factors[1][0]])
+
+    def cancelled(self, n0: int) -> "RationalFunction":
+        """This quotient less each factor found on both sides that is
+        positive at every integer n >= n0, so that no sign or zero there
+        changes; itself when there is none."""
+        (c_num, num), (c_den, den) = self.factors
+        num, den = list(num), list(den)
+        for factor in self.factors[0][1]:
+            if factor in den and factor_sign((1, (factor,)), n0) == (1, None):
+                num.remove(factor)
+                den.remove(factor)
+        if len(num) == len(self.factors[0][1]):
+            return self
+        # the cancelled factors are primitive: the constants stay coprime
+        return RationalFunction.of_factors((c_num, tuple(num)), (c_den, tuple(den)))
 
     def __call__(self, n) -> Fraction:
         d = poly_eval(self.den, n)
@@ -312,23 +317,28 @@ class RationalFunction:
 
 def integer_ratio(scale, num_factors: Sequence[Sequence],
                   den_factors: Sequence[Sequence]) -> RationalFunction:
-    """scale * prod(num_factors) / prod(den_factors), formed over the integers.
+    """scale * prod(num_factors) / prod(den_factors), kept as its factors.
 
-    Each factor is cleared of its coefficients' denominators on its own, and
-    the other side takes the same positive multiple, so no product is taken
-    on ``Fraction`` coefficients; the result is the canonical form that any
-    other route to the same quotient gives.  :func:`factored_ratio`, which
-    reads every engine-derived ratio off the evaluators, is built by it.
+    Each factor is cleared of its coefficients' denominators on its own, the
+    other side taking the same positive multiple, and put in the normal form
+    of :class:`RationalFunction`, and the two constants are divided by their
+    gcd: the canonical form that any other route to the same quotient gives.
+    :func:`factored_ratio`, which reads every engine-derived ratio off the
+    evaluators, is built by it.
     """
     scale = Fraction(scale)
-    sides = [[scale.numerator], [scale.denominator]]
+    constants, sides = [scale.numerator, scale.denominator], ([], [])
     for side, factors in enumerate((num_factors, den_factors)):
-        for factor in factors:
+        for factor, power in Counter(map(tuple, factors)).items():
             multiple = lcm(*(c.denominator for c in factor))
-            sides[side] = poly_mul(sides[side],
-                                   [c.numerator * (multiple // c.denominator) for c in factor])
-            sides[1 - side] = poly_scale(sides[1 - side], multiple)
-    return RationalFunction(*sides)
+            constant, normal = _normal([c.numerator * (multiple // c.denominator)
+                                        for c in factor])
+            constants[side] *= constant ** power
+            constants[1 - side] *= multiple ** power
+            sides[side].extend(normal * power)
+    content = gcd(*constants) or 1
+    return RationalFunction.of_factors(*((c // content, tuple(f))
+                                         for c, f in zip(constants, sides)))
 
 
 def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int], den: int):

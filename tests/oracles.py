@@ -1,6 +1,7 @@
 """Independent evaluations that the engine's stepped values are checked against."""
 
 from fractions import Fraction
+from math import gcd
 
 from markovsum.catalog import CatalogError
 from markovsum.exact import ROUND_TRUNCATE, Enclosure, to_decimal
@@ -9,10 +10,10 @@ from markovsum.markov.pairs import EvaluationError
 from markovsum.markov.solver import _SHAPE, FORM_U1, MultiplierData, SolveResult
 from markovsum.polys import (
     RationalFunction,
+    nonneg_walk,
     poly,
     poly_eval,
     poly_mul,
-    poly_pow,
     poly_scale,
     poly_shift,
 )
@@ -318,3 +319,96 @@ def monic_gcd(p, q) -> list:
             r = trimmed(r)
         p, q = q, r
     return [c / p[-1] for c in p]
+
+
+def poly_pow(p, e: int) -> list:
+    """p^e by repeated multiplication."""
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+def _trimmed(p) -> list:
+    """p without zero coefficients above its degree."""
+    top = len(p)
+    while top > 1 and not p[top - 1]:
+        top -= 1
+    return list(p[:top])
+
+
+def poly_quotient(p, d):
+    """The integer polynomial p/d when d divides p in Z[x], else None; d nonzero."""
+    rest, d = _trimmed(p), _trimmed(d)
+    lead, m = d[-1], len(d) - 1
+    if len(rest) <= m:
+        return None if any(rest) else [0]
+    lower = d[-2::-1]
+    out = []
+    for k in range(len(rest) - 1, m - 1, -1):
+        c, r = divmod(rest[k], lead)
+        if r:
+            return None
+        out.append(c)
+        if c:
+            for b in lower:
+                k -= 1
+                rest[k] -= c * b
+    if any(rest[:m]):
+        return None
+    out.reverse()
+    return out
+
+
+def gcd_cofactors(p, q) -> tuple[list, list, list]:
+    """(g, p/g, q/g), g the primitive greatest common divisor of two nonzero
+    integer polynomials with a positive leading coefficient.
+
+    Heuristic gcd (Char, Geddes and Gonnet, 1989).  At an integer
+    xi >= 2 B + 2, B the largest coefficient of p and q, every root r of
+    either has |r| < B + 1, and the balanced xi-adic digits of
+    gamma = gcd(p(xi), q(xi)) form a polynomial G with G(xi) = gamma > 0,
+    whose leading digit is then positive.  The gcd d has d(xi) | gamma.
+    When G's primitive part g divides both, g is d: d = g h, h(xi) divides
+    the content of G, which is at most xi/2, and a nonconstant h has
+    |h(xi)| > (xi - B - 1)^deg h >= xi/2.  So gamma <= xi/2 (G a constant)
+    proves d = 1 with no division.  Otherwise xi is squared and the test
+    repeated; it ends, since gamma / |d(xi)| divides the resultant of the
+    cofactors, and once xi exceeds twice that times d's coefficients, G is
+    a constant multiple of d.  The cofactors come from exact divisions, so
+    p = g (p/g) and q = g (q/g) hold whatever the argument above; it only
+    makes g the greatest.
+    """
+    p, q = _trimmed(p), _trimmed(q)
+    xi = 2 * max(map(abs, (*p, *q))) + 2
+    while True:
+        gamma = gcd(poly_eval(p, xi), poly_eval(q, xi))
+        if 2 * gamma <= xi:
+            return [1], p, q
+        digits = []
+        while gamma:
+            digit = gamma % xi
+            if 2 * digit > xi:
+                digit -= xi
+            digits.append(digit)
+            gamma = (gamma - digit) // xi
+        content = gcd(*digits)
+        g = [c // content for c in _trimmed(digits)]
+        p_cofactor = poly_quotient(p, g)
+        if p_cofactor is not None:
+            q_cofactor = poly_quotient(q, g)
+            if q_cofactor is not None:
+                return g, p_cofactor, q_cofactor
+        xi *= xi
+
+
+def lowest_terms(ratio, n0: int) -> tuple[list, list]:
+    """The (num, den) an n-series steps, by the reference rule: the gcd g of
+    the ratio's two polynomials is cancelled when ``nonneg_walk`` certifies
+    g > 0 at every index from n0 on, else the ratio is stepped as it is."""
+    if not any(ratio.num):
+        return ratio.num, ratio.den
+    g, num, den = gcd_cofactors(ratio.num, ratio.den)
+    if len(g) == 1 or nonneg_walk(g, n0) != (n0, None):
+        return ratio.num, ratio.den
+    return num, den

@@ -38,7 +38,8 @@ from markovsum.markov import (
     solve_multipliers_stepwise,
 )
 from markovsum.markov.phi32 import SAMPLE_TUPLES
-from markovsum.polys import RationalFunction, poly, poly_pow
+from markovsum.polys import RationalFunction, poly
+from oracles import poly_pow
 from support import parse_reports_csv
 
 CASES = 200

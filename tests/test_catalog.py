@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from markovsum import catalog, hgterm
+from markovsum import catalog, hgterm, polys
 from markovsum.catalog import (
     CatalogError,
     FormulaEntry,
@@ -32,11 +32,13 @@ from markovsum.exact import (
 )
 from markovsum.hgterm import TermSequence, rising_factorial
 from markovsum.markov import SAMPLE_TUPLES, ThreePhiTwo, sample_parameter_tuples
-from markovsum.polys import RationalFunction, gcd_cofactors, poly, poly_mul, poly_shift
+from markovsum.polys import RationalFunction, poly, poly_eval, poly_mul, poly_shift
 from oracles import (
     fraction_enclosure,
+    gcd_cofactors,
     hurwitz3_ratio,
     linear_terms_needed,
+    lowest_terms,
     markov_hurwitz_ratio,
     phi32_series_ratio,
     phi32_transformed_h,
@@ -252,8 +254,9 @@ class TestEvaluate:
 
     def test_registration_scan_catches_a_wrong_certificate(self, monkeypatch):
         # (n+1)^2/(2(n^2+10)) tends to 1/2 from above only from n = 5 on; a
-        # certifier that claims every polynomial nonnegative from n0, with no
-        # zero, passes rate 1/2 from n = 0, and the step-by-step check refuses it
+        # rate certifier that claims every margin nonnegative from n0 passes
+        # rate 1/2 from n = 0 (the signs are read off the factors, and hold),
+        # and the step-by-step check refuses it
         monkeypatch.setattr(catalog, "nonneg_walk", lambda p, n0: (n0, None))
         entry = FormulaEntry(
             "bogus", "other", "rate 1/2 broken at n = 5",
@@ -942,6 +945,13 @@ class TestIntegerBuilders:
 # Steps in lowest terms
 # ---------------------------------------------------------------------------
 
+#: markov-hurwitz below zero, where the denominator's n + 1 + a changes sign
+NEGATIVE_A = [Q(-1, 2), Q(-7, 3), Q(-5, 3), Q(-101, 2), Q(-2399, 2)]
+SCHELLBACH_TUPLES = [catalog.SchellbachParams(*map(Q, params)) for params in (
+    (1, 1, 2, 2), (Q(1, 3), Q(1, 5), Q(7, 2), Q(11, 3)), (Q(1, 2), Q(1, 2), Q(3, 2), Q(5, 2)),
+    (1, 2, 3, 4))]
+
+
 def _degrees(ratio) -> tuple[int, int]:
     return tuple(max((i for i, c in enumerate(p) if c), default=0) for p in (ratio.num, ratio.den))
 
@@ -976,10 +986,37 @@ class TestLowestTermsSteps:
         builds += [lambda params=params, side=side: side(*params) for params in SAMPLE_TUPLES
                    for side in (entry_phi32_series, entry_phi32_transformed)]
         stepped = [_claims(build) for build in builds]
-        monkeypatch.setattr(TermSequence, "_lowest_terms", lambda self, ratio: ratio)
+        monkeypatch.setattr(RationalFunction, "cancelled", lambda self, n0: self)
         terms = get_entry("markov-hurwitz").terms
         assert terms.stepped is terms.ratio
         assert stepped == [_claims(build) for build in builds]
+
+    def test_stepped_pair_equals_the_gcd_oracle(self):
+        # the oracle cancels the whole gcd of the multiplied-out pair where it
+        # is certified positive from n0; the factors give the same integers
+        sequences = [get_entry(entry_id).terms for entry_id in catalog.REGISTRY]
+        sequences += [entry_markov_hurwitz(a).terms for a in HURWITZ_VALUES + NEGATIVE_A]
+        sequences += [TermSequence(params.m(0, 0), params.transformed_ratio())
+                      for params in SCHELLBACH_TUPLES]
+        for terms in sequences:
+            assert terms.base is None
+            stepped = terms.stepped
+            assert (stepped.num, stepped.den) == lowest_terms(terms.ratio, terms.n0)
+
+    def test_far_negative_hurwitz_builds_without_a_sign_walk(self, monkeypatch):
+        # signs and zero steps are read off the factors' roots, and only the
+        # rate's margin is walked; a sign walk over the denominator's gap
+        # points, about 0.7 |a| of them, made 1 400 006 evaluations here
+        calls = []
+
+        def counted(p, x):
+            calls.append(x)
+            return poly_eval(p, x)
+
+        monkeypatch.setattr(polys, "poly_eval", counted)
+        monkeypatch.setattr(catalog, "poly_eval", counted)
+        entry = entry_markov_hurwitz(Q(-2000001, 2))
+        assert entry.alternating and len(calls) < 1000
 
     def test_transformed_side_whose_ratio_shares_a_factor_in_y(self):
         # the ratio shares y - 3, negative on (0, 1]: a q-series steps its

@@ -12,8 +12,8 @@ from markovsum.hgterm import (
     q_pochhammer,
     rising_factorial,
 )
-from markovsum.polys import RationalFunction, poly, poly_add, poly_mul, poly_pow, poly_scale
-from oracles import stepped_factors
+from markovsum.polys import RationalFunction, integer_ratio, poly, poly_add, poly_mul, poly_scale
+from oracles import poly_pow, stepped_factors
 
 
 class TestRisingFactorial:
@@ -141,9 +141,8 @@ class TestFirstIndex:
 class TestLowestTerms:
     def test_a_step_where_both_sides_vanish_is_still_undefined(self):
         # -(n-3)^2 (n+2) / ((n-3)^2 (4n+4)): the shared factor vanishes at n = 3
-        shared = poly_pow(poly(-3, 1), 2)
-        seq = TermSequence(1, RationalFunction(poly_mul(shared, poly(-2, -1)),
-                                               poly_mul(shared, poly(4, 4))))
+        shared = [poly(-3, 1)] * 2
+        seq = TermSequence(1, integer_ratio(1, shared + [poly(-2, -1)], shared + [poly(4, 4)]))
         assert seq.stepped is seq.ratio
         assert seq.term(3) == Q(-1, 2) * Q(-3, 8) * Q(-1, 3)
         for stepped_across in (lambda: seq.term(4), lambda: seq.span(0, 40),
@@ -154,8 +153,7 @@ class TestLowestTerms:
     @pytest.mark.parametrize("n0, cancelled", [(0, False), (1, True)])
     def test_a_factor_that_changes_sign_is_kept(self, n0, cancelled):
         # (2n-1)(n+1) / ((2n-1)^2 (n+2)): the shared 2n-1 is -1 at n = 0
-        ratio = RationalFunction(poly_mul(poly(-1, 2), poly(1, 1)),
-                                 poly_mul(poly_pow(poly(-1, 2), 2), poly(2, 1)))
+        ratio = integer_ratio(1, [poly(-1, 2), poly(1, 1)], [poly(-1, 2)] * 2 + [poly(2, 1)])
         seq = TermSequence(Q(3, 5), ratio, n0)
         assert (seq.stepped is not ratio) == cancelled
         if cancelled:
@@ -164,6 +162,44 @@ class TestLowestTerms:
         for n in range(n0, n0 + 80):
             _, b, _ = seq.state(n)
             assert b > 0 and seq.term(n) == term, n
+            term *= ratio(n)
+
+    def test_a_square_quadratic_splits_and_cancels(self):
+        # 5n^2 + 10n + 5 = 5 (n+1)^2, given whole: one n + 1 cancels against the denominator's
+        assert RationalFunction(poly(5, 10, 5), poly(1)).factors == ((5, ([1, 1], [1, 1])), (1, ()))
+        ratio = integer_ratio(1, [poly(5, 10, 5)], [poly(1, 1), poly(6, 4)])
+        seq = TermSequence(1, ratio)
+        assert (seq.stepped.num, seq.stepped.den) == ([5, 5], [6, 4])
+        assert_steps_the_ratio(seq, ratio, 40)
+
+    @pytest.mark.parametrize("n0, cancelled", [(0, False), (1, False), (2, True)])
+    def test_a_quadratic_with_irrational_roots_cancels_only_where_positive(self, n0, cancelled):
+        # (n^2 - 2)(n+1) / ((n^2 - 2)(3n+4)): n^2 - 2 is -2 and -1 at n = 0, 1
+        ratio = integer_ratio(1, [poly(-2, 0, 1), poly(1, 1)], [poly(-2, 0, 1), poly(4, 3)])
+        seq = TermSequence(1, ratio, n0)
+        assert (seq.stepped is not ratio) == cancelled
+        if cancelled:
+            assert (seq.stepped.num, seq.stepped.den) == ([1, 1], [4, 3])
+        assert_steps_the_ratio(seq, ratio, n0 + 40)
+
+    @pytest.mark.parametrize("n0", [2, 5])
+    def test_a_shared_linear_factor_vanishing_from_n0_on_is_kept(self, n0):
+        # (n-5)(n+1) / ((n-5)(2n+7)): the shared n - 5 vanishes at n = 5 >= n0
+        ratio = integer_ratio(1, [poly(-5, 1), poly(1, 1)], [poly(-5, 1), poly(7, 2)])
+        seq = TermSequence(1, ratio, n0)
+        assert seq.stepped is ratio
+        assert_steps_the_ratio(seq, ratio, 6)
+        for stepped_across in (lambda: seq.term(6), lambda: seq.span(n0, 40)):
+            with pytest.raises(TermError, match=r"ratio undefined at n=5: its denominator"):
+                stepped_across()
+
+
+def assert_steps_the_ratio(seq, ratio, stop: int):
+    """term(n) = term(n0) ratio(n0) ... ratio(n-1) for n0 <= n < stop."""
+    term = seq.term(seq.n0)
+    for n in range(seq.n0, stop):
+        assert seq.term(n) == term, n
+        if n + 1 < stop:
             term *= ratio(n)
 
 
@@ -178,20 +214,21 @@ def _integer_polys(max_size: int = 3):
 @st.composite
 def shared_factor_series(draw):
     """(first, p, q, g, n0, base): p/q a term ratio below 1/2 in size, q > 0,
-    and g > 0 at every index from n0 on (in n) or on (0, 1] (in y)."""
+    and g a list of factors > 0 at every index from n0 on (in n) or on
+    (0, 1] (in y)."""
     base = draw(st.sampled_from([None, Q(1, 2), Q(2, 3), Q(1, 5)]))
     n0 = draw(st.integers(0, 3)) if base is None else 0
     p = draw(_integer_polys())
     q = poly_add(poly_scale(p, 2), [c + 1 for c in draw(_integer_polys())])
     if draw(st.booleans()):
         p = poly_scale(p, -1)
-    g = [draw(st.integers(1, 3))]
+    g = [[draw(st.integers(1, 3))]]
     for _ in range(draw(st.integers(1, 3))):
         if base is None:
             factor = draw(st.sampled_from([[1, 1], [3, 2], [1 - n0, 1], [5, -2, 1], [2, 0, 1]]))
         else:
             factor = draw(st.sampled_from([[1, 1], [3, -1], [2, -1], [1, 0, 1], [4, 1, -2]]))
-        g = poly_mul(g, factor)
+        g.append(factor)
     first = Q(draw(st.integers(-50, 50)), draw(st.integers(1, 50)))
     return first, p, q, g, n0, base
 
@@ -201,8 +238,7 @@ class TestSteppingInLowestTerms:
     @given(shared_factor_series(), st.sampled_from([3, 40, 200]))
     def test_a_shared_factor_changes_no_value(self, series, bits):
         first, p, q, g, n0, base = series
-        shared = TermSequence(first, RationalFunction(poly_mul(g, p), poly_mul(g, q)), n0,
-                              base=base)
+        shared = TermSequence(first, integer_ratio(1, g + [p], g + [q]), n0, base=base)
         plain = TermSequence(first, RationalFunction(p, q), n0, base=base)
         if base is None and any(p):
             # q > 0 from n0 on, so each sequence cancels every shared factor

@@ -12,22 +12,21 @@ from markovsum.polys import (
     degrees,
     divisor_lcm,
     eventually_nonneg,
+    factor_sign,
     factored_ratio,
-    gcd_cofactors,
+    integer_ratio,
     nonneg_walk,
     poly,
     poly_add,
     poly_eval,
     poly_mul,
-    poly_pow,
-    poly_quotient,
     poly_scale,
     poly_shift,
     unit_interval_nonneg,
     vanishes_at_powers,
 )
 from markovsum.markov import SAMPLE_TUPLES
-from oracles import monic_gcd
+from oracles import gcd_cofactors, monic_gcd, poly_pow, poly_quotient
 from support import factors_value
 
 GEOMETRIC_IDS = ("apery", "markov-hurwitz", "ratio27-zeta3", "az-zeta3",
@@ -66,7 +65,7 @@ class TestPolyShift:
 
     def test_helpers_keep_the_coefficient_type(self):
         p = poly(3, -1, 0, 7)
-        for result in (p, poly_shift(p, 0), poly_shift(p, 2), poly_mul(p, p), poly_pow(p, 3),
+        for result in (p, poly_shift(p, 0), poly_shift(p, 2), poly_mul(p, p),
                        poly_add(p, poly(1, 1)), poly_scale(p, -2), [poly_eval(p, 5)]):
             assert all(type(c) is int for c in result), result
         assert all(type(c) is Q for c in poly_shift(p, Q(1, 2)))
@@ -361,3 +360,47 @@ class TestWalkUnderPositiveFactors:
         # nonneg_walk's (v, z) depend only on the signs of p at n >= n0
         g = data.draw(positive_from(n0)) if data is not None else [3, 1]
         assert nonneg_walk(poly_mul(g, p), n0) == nonneg_walk(p, n0)
+
+
+#: factors read whole: definite quadratics, n^2 - 2 (irrational roots), n^3 + 1 and n^3 - 8
+WHOLE_FACTORS = ([5, -2, 1], [2, 0, 1], [3, 1, 1], [-2, 0, 1], [1, 0, 0, 1], [-8, 0, 0, 1])
+
+
+class TestFactorSign:
+    @DRAWS
+    @given(st.integers(-3, 3), st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 4)),
+                                        max_size=5),
+           st.lists(st.sampled_from(WHOLE_FACTORS), max_size=2), st.integers(-3, 6))
+    # n^2 - 2 times n - 1 is >= 0 at every n >= 0, but only the whole walk sees it
+    @example(1, [(-1, 1)], [[-2, 0, 1]], 0)
+    @example(0, [(1, 1)], [], 2)
+    def test_the_factors_give_the_walks_sign_and_first_zero(self, c, linear, whole, n0):
+        ratio = integer_ratio(c, [poly(u, v) for u, v in linear] + whole, [])
+        p, side = ratio.num, ratio.factors[0]
+        walks = [nonneg_walk(poly_scale(p, s), n0) for s in (1, -1)]
+        expected = next(((s, walk[1]) for s, walk in zip((1, -1), walks)
+                         if walk is not None and walk[0] == n0), (None, None))
+        sign, zero = factor_sign(side, n0)
+        if sign is not None or all(len(f) == 2 or f[1] ** 2 < 4 * f[0] * f[2]
+                                   for f in side[1]):
+            assert (sign, zero) == expected
+        elif expected[0] is not None:  # hidden only by a whole factor negative past n0
+            assert any(len(f) > 2 and nonneg_walk(f, n0) != (n0, None) for f in side[1])
+
+    def test_normal_form(self):
+        # content and sign in the constant; a square discriminant splits
+        assert integer_ratio(1, [poly(-6, 0, 6), poly(Q(1, 2), Q(-3, 2))], [poly(4)]).factors == \
+            ((-3, ([-1, 1], [1, 1], [-1, 3])), (4, ()))
+        assert RationalFunction(poly(5, 10, 5), poly(-2, 0, 2)).factors == \
+            ((5, ([1, 1], [1, 1])), (2, ([-1, 1], [1, 1])))
+        assert RationalFunction(poly(0, 0), poly(7)).factors == ((0, ()), (1, ()))
+        assert RationalFunction(poly(-2, 0, 1), poly(1)).factors[0] == (1, ([-2, 0, 1],))
+
+    def test_a_far_root_costs_no_walk(self):
+        # (2n - 10^9 + 1)^4 (5n^2 + 1) is positive from 0 with no zero, read off one root
+        side = integer_ratio(1, [poly(1 - 10 ** 9, 2)] * 4 + [poly(1, 0, 5)], []).factors[0]
+        assert factor_sign(side, 0) == (1, None)
+        assert factor_sign(integer_ratio(-1, [poly(-10 ** 9, 1)], []).factors[0], 0) == \
+            (None, None)
+        assert factor_sign(integer_ratio(1, [poly(-10 ** 9, 1)] * 2, []).factors[0], 0) == \
+            (1, 10 ** 9)
