@@ -7,36 +7,30 @@ by that enclosure.
 
 Each entry is described once, by its first index n0, its first term and
 its signed term ratio p/q, integer polynomials in n or, for the two
-q-series sides, in y = q^n, in the one canonical form of
-``polys.RationalFunction``, kept as its factors: a constant, linear
-factors and small polynomials such as p(n+1)/p(n) (the builders in n pass
-theirs to ``polys.integer_ratio``; the q-series sides and Schellbach's
-series read their first term and ratio off the engines' evaluators); the
-terms and prefix sums follow on one unreduced integer state
-(``hgterm.TermSequence``), stepped on the ratio in lowest terms.
-Everything else is derived for every index, never by a scan: in n the
-signs and zeros off the factors (``polys.factor_sign``) and the rate by a
-positivity certificate (``polys.nonneg_walk``), in y all by
-``polys.unit_interval_nonneg`` on (0, 1]:
+q-series sides, in y = q^n, kept as factors in the canonical form of
+``polys.RationalFunction`` (the builders in n pass theirs to
+``polys.integer_ratio``; the q-series sides and Schellbach's series read
+theirs off the engines' evaluators); the terms and prefix sums follow on
+one unreduced integer state (``hgterm.TermSequence``), stepped on the
+ratio in lowest terms.  Everything else is derived for every index, never
+by a scan: in n the signs and zeros off the factors (``polys.factor_sign``)
+and the rest by ``polys.nonneg_walk``, in y all by
+``polys.unit_interval_nonneg``:
 
 * the sign pattern: terms keep their sign (p, q >= 0) or alternate (p <= 0);
-* the zero steps: q(n) = 0 leaves the ratio undefined and, for alternating
-  terms, p(n) = 0 ends the alternation; in n they are the integer roots
-  of the linear factors from n0 on, in y only y = 1 can be one, and the
-  first of them refuses the entry;
+* the zero steps: q(n) = 0, or p(n) = 0 on alternating terms, refuses the
+  entry at the first one; in n they are the integer roots of the linear
+  factors from n0 on, in y only y = 1 can be one;
 * the rate: rho is the ratio's limit L when |term(n+1)| <= L |term(n)| is
   certified, else the first certified rung of L + (1-L)/8, L + (1-L)/4,
-  L + (1-L)/2; it holds from ``valid_from``, the first index the
-  certificate covers, and an entry with L > 1 or no certified rung is
-  refused;
-* geometric: rho < 1 bounds the remainder by |term(N+1)|/(1 - rho);
-* alternating: alternating terms with rho <= 1 decrease in magnitude, so
-  once they tend to 0 (at rho = 1, by Raabe's test in n) the remainder is
-  bounded by the first omitted term and has its sign, a bracket tighter
-  than the geometric bound;
-* custom tails, which take no rate: integral comparison for the direct
-  series and the slow n^(-3/2) entry; for the transformed q-series a
-  one-term-plus-geometric bound, its ratio certified below K q^(2x).
+  L + (1-L)/2, from ``valid_from`` on; L > 1 or no rung refuses the entry;
+* alternating terms with rho <= 1 that tend to 0 (at rho = 1 by Raabe's
+  test, in n) are bracketed by the next two partial sums;
+* every other remainder after N is at most r(N+1) |term(N+1)|, r a
+  majorant with r >= 0 and r(n) - r(n+1) |ratio(n)| - 1 >= 0 certified
+  from an index m <= N + 1 on (Gosper's certificate as an inequality):
+  the constant 1/(1 - rho) for rho < 1, or the entry's own for the direct
+  series, the slow n^(-3/2) entry and the transformed q-series.
 
 The closed-form terms are independent checks only (``CLOSED_FORMS``).
 ``terms_needed`` finds the first index whose term two indices on is at most
@@ -44,9 +38,9 @@ The closed-form terms are independent checks only (``CLOSED_FORMS``).
 integer state (past ``valid_from`` that test is monotone), then tests one
 enclosure per index from there.  An enclosure is two integer numerators
 over one denominator, rendered by floor division, so the search reduces no
-``Fraction``; ``evaluate`` reduces only what its report prints, when it is
-read.  The sequence keeps the states of its last three indices, so
-``evaluate`` after ``terms_needed`` steps no further.
+``Fraction``; ``evaluate`` reduces only what its report prints.  The
+sequence keeps the states of its last three indices, so ``evaluate`` after
+``terms_needed`` steps no further.
 
 All arithmetic is exact; nothing rounds until rendering.  Entries are
 immutable after registration and evaluation is pure; the kept states
@@ -59,8 +53,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, isqrt, prod
+from itertools import chain, count
+from math import comb, factorial, prod
 from typing import Callable, Optional, Sequence
 
 from .exact import (
@@ -82,7 +76,9 @@ from .polys import (
     poly,
     poly_add,
     poly_eval,
+    poly_mul,
     poly_scale,
+    poly_shift,
     unit_interval_nonneg,
 )
 
@@ -111,13 +107,11 @@ class FormulaEntry:
     """A catalog series, described by its term sequence, and the bounds derived
     from that description at registration: ``alternating`` and
     ``remainder_nonneg`` from the sign of the ratio and, unless the entry
-    brings its own tail bound, a certified rate rho <= 1: the ratio's limit L
-    or the first certified rung above it.  ``ratio_bound`` (rho < 1) and
-    ``leibniz_from`` (alternating, terms -> 0) hold from where rho is certified.
-
-    ``offset`` is added to every partial sum.  ``tail_extra(last)`` is a
-    certified bound on |sum of terms beyond index last|, or None when not
-    yet applicable.
+    brings its own ``majorant`` (r in n, or in y), a certified rate rho <= 1.
+    ``ratio_bound`` (rho < 1) and ``leibniz_from`` (alternating, terms -> 0)
+    hold from where rho is certified.  ``tail`` = (r, m): the remainder after
+    N >= m - 1 is at most r(N+1) |term(N+1)|, r the majorant certified from
+    m on or 1/(1 - rho).  ``offset`` is added to every partial sum.
     """
 
     entry_id: str
@@ -125,21 +119,27 @@ class FormulaEntry:
     description: str
     terms: TermSequence
     offset: Fraction = Fraction(0)
-    tail_extra: Optional[Callable[[int], Optional[Fraction]]] = None
+    majorant: Optional[RationalFunction] = None
     slow: bool = False
     alternating: bool = field(init=False)
     remainder_nonneg: bool = field(init=False)
     leibniz_from: Optional[int] = field(init=False)
     ratio_bound: Optional[RatioBound] = field(init=False)
+    tail: Optional[tuple[RationalFunction, int]] = field(init=False)
 
     def __post_init__(self):
         self.alternating, self.remainder_nonneg, zero_step = self._signs()
-        self.leibniz_from = self.ratio_bound = None
-        if self.tail_extra is None:
+        self.leibniz_from = self.ratio_bound = self.tail = None
+        if self.majorant is None:
             rate, valid_from = self._rate()
             if self.alternating and (rate < 1 or self._raabe()):
                 self.leibniz_from = valid_from
-            self.ratio_bound = RatioBound(rate, valid_from) if rate < 1 else None
+            if rate < 1:  # r = 1/(1 - rho): r - r |ratio| - 1 >= 0 is |ratio| <= rho
+                self.ratio_bound = RatioBound(rate, valid_from)
+                gap = (rate.denominator - rate.numerator, ())
+                self.tail = RationalFunction.of_factors((rate.denominator, ()), gap), valid_from
+        else:
+            self.tail = self.majorant, self._majorant_from(self.majorant)
         if zero_step is not None:
             raise CatalogError(f"{self.entry_id}: {zero_step}")
 
@@ -149,11 +149,9 @@ class FormulaEntry:
 
     @property
     def asymptotic_ratio(self) -> Optional[Fraction]:
-        """L = lim |term(n+1)/term(n)|, or None when it is not finite.
-
-        In n, L = lead(num)/lead(den), 0 when deg num < deg den; in
-        y = q^n, which tends to 0, L = num(0)/den(0).
-        """
+        """L = lim |term(n+1)/term(n)|, or None when it is not finite: in n
+        lead(num)/lead(den), 0 when deg num < deg den; in y = q^n -> 0,
+        num(0)/den(0)."""
         num, den = self.terms.stepped.num, self.terms.stepped.den
         if self.terms.base is None:
             degree = max((i for p in (num, den) for i, c in enumerate(p) if c), default=0)
@@ -219,6 +217,38 @@ class FormulaEntry:
         num, den = self.terms.stepped.num, self.terms.stepped.den
         return self.terms.base is None and _degree(poly_add(den, num)) == _degree(den) - 1
 
+    def _majorant_from(self, r: RationalFunction) -> int:
+        """The first index m >= n0 from which r = u/v >= 0 and
+        r(n) - r(n+1) |ratio(n)| - 1 >= 0 are certified; refused without one.
+
+        Over v(n) v(n+1) q > 0, the stepped ratio p/q being sign |p/q|, the
+        second is v(n+1) (u(n) - v(n)) q - sign u(n+1) v(n) p >= 0.  In n it,
+        u and v - 1 (v > 0 on the integers) are walked.  In y, where r(n+1)
+        is r(q y), they and v are certified on (0, q^m] at y = q^m u, with
+        v(q^m) > 0; such an m exists iff each has a positive lowest coefficient.
+        """
+        ratio, base = self.terms.stepped, self.terms.base
+        p, q, u, v = ratio.num, ratio.den, r.num, r.den
+        if base is None:
+            u1, v1, positive = poly_shift(u, 1), poly_shift(v, 1), poly_add(v, [-1])
+        else:
+            u1, v1 = (_homogeneous(c, *base.as_integer_ratio(), len(u) + len(v)) for c in (u, v))
+            positive = v
+        excess = poly_mul(poly_mul(v1, poly_add(u, poly_scale(v, -1))), q)
+        step = poly_scale(poly_mul(poly_mul(u1, v), p), 1 if self.alternating else -1)
+        checks = (u, positive, poly_add(excess, step))
+        lowest = (next((c for c in check if c), 0) for check in checks)
+        if base is None:
+            starts = [self._valid_from(c) for c in checks]
+            if None not in starts:
+                return max(starts)
+        elif 0 < base < 1 and any(v) and min(lowest) >= 0:
+            for m in count(self.n0):
+                at = [_homogeneous(c, *(base ** m).as_integer_ratio(), len(c) - 1) for c in checks]
+                if sum(at[1]) > 0 and all(map(unit_interval_nonneg, at)):
+                    return m
+        raise CatalogError(f"{self.entry_id}: the tail majorant is not certified")
+
     # -- tail bounds --------------------------------------------------------
 
     def enclosure_after(self, last: int) -> Optional[Enclosure]:
@@ -226,17 +256,15 @@ class FormulaEntry:
 
         Alternating terms past ``leibniz_from`` are bracketed by the next two
         partial sums, which lie inside the first omitted term's bracket and
-        so inside the geometric bound; otherwise the geometric remainder
-        bound applies, else the entry's own tail.  Each bound is the sum
-        plus a quantity that depends only on the terms, so the width does
-        not depend on the sum.  The sum, offset + T/B, is read off the
-        sequence's unreduced state, and the bounds are formed as integers
-        over one denominator, with no gcd; the width is reduced from the
-        terms themselves when it is read.
+        so inside the geometric bound; otherwise the tail's majorant bounds
+        the remainder by r(last+1) |term(last+1)|.  The width depends only on
+        the terms.  The sum, offset + T/B, is read off the sequence's
+        unreduced state, and the bounds are formed as integers over one
+        denominator, with no gcd; the width is reduced when it is read.
         """
         terms, on, od = self.terms, self.offset.numerator, self.offset.denominator
         _, b, t = terms.state(last)
-        s, d = on * b + t * od, od * b
+        s = on * b + t * od
         if self.leibniz_from is not None and last + 1 >= self.leibniz_from:
             a1, b1, _ = terms.state(last + 1)
             a2, b2, _ = terms.state(last + 2)
@@ -245,26 +273,23 @@ class FormulaEntry:
             nearer = s * (b2 // b) + od * a1 * (b2 // b1)
             low, high = sorted((nearer, nearer + od * a2))
             return Enclosure.over(low, high, od * b2, lambda: abs(self.term(last + 2)))
-        if self.ratio_bound is not None and last + 1 >= self.ratio_bound.valid_from:
-            a1, b1, _ = terms.state(last + 1)
-            rho = self.ratio_bound.rho
-            gap = rho.denominator - rho.numerator
-            # |term(last+1)|/(1 - rho) = |a1| rho.den / (b1 gap), over od b1 gap
-            return self._around(s * (b1 // b) * gap, od * abs(a1) * rho.denominator,
-                                od * b1 * gap, lambda: abs(self.term(last + 1)) / (1 - rho))
-        bound = self.tail_extra(last) if self.tail_extra is not None else None
-        if bound is None:
+        if self.tail is None or last + 1 < self.tail[1]:
             return None
-        return self._around(s * bound.denominator, d * bound.numerator,
-                            d * bound.denominator, lambda: bound)
+        a1, b1, _ = terms.state(last + 1)
+        r, base = self.tail[0], terms.base
+        y, w = (last + 1, 1) if base is None else (base ** (last + 1)).as_integer_ratio()
+        top, bottom = (sum(_homogeneous(c, y, w, len(r.num) + len(r.den))) for c in (r.num, r.den))
+        # r(last+1) |term(last+1)| = |a1| top / (b1 bottom), over od b1 bottom
+        radius = od * abs(a1) * top
+        high = s * (b1 // b) * bottom + radius
+        sides = 1 if self.remainder_nonneg else 2
+        return Enclosure.over(high - sides * radius, high, od * b1 * bottom,
+                              lambda: sides * abs(self.term(last + 1)) * Fraction(top, bottom))
 
-    def _around(self, center: int, radius: int, den: int,
-                bound: Callable[[], Fraction]) -> Enclosure:
-        """[center, center + radius]/den when the remainder is nonnegative,
-        else [center - radius, center + radius]/den; ``bound()`` = radius/den."""
-        if self.remainder_nonneg:
-            return Enclosure.over(center, center + radius, den, bound)
-        return Enclosure.over(center - radius, center + radius, den, lambda: 2 * bound())
+
+def _homogeneous(p, y: int, w: int, degree: int) -> list:
+    """w^degree p(y u / w) in u, degree >= deg p: integers for w > 0."""
+    return [c * y ** i * w ** (degree - i) for i, c in enumerate(p)]
 
 
 def _degree(p) -> Optional[int]:
@@ -329,14 +354,13 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
     """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
     Only allowed for entries with a geometric ratio bound.  Every enclosure
-    of such an entry holds the next two partial sums, so its width is at
-    least |term(last+2)| = |A|/|B|, and no index where that exceeds
-    10^-digits can do.  Past ``valid_from`` the terms shrink, so the indices
-    where it does not form a tail: the sequence finds the first of them by
+    of such an entry holds the next two partial sums, so it is at least
+    |term(last+2)| = |A|/|B| wide; past ``valid_from`` the terms shrink, and
+    the sequence finds the first index where that is <= 10^-digits by
     galloping and bisecting on spans (bit lengths decide the test unless
-    they fall within two bits of the boundary, and one exact product
-    decides it there).  From that index on, each index gets one enclosure,
-    on integers, and a rendering where it is <= 10^-digits.
+    they fall within two bits of the boundary, where one exact product
+    does).  From there each index gets one enclosure, on integers, and a
+    rendering where it is <= 10^-digits.
     """
     if entry.ratio_bound is None:
         raise CatalogError(f"{entry.entry_id}: no geometric bound")
@@ -532,24 +556,30 @@ CLOSED_FORMS: dict[str, Callable[[int], Fraction]] = {
 def _power_ratio(k: int, shift, sign: int = 1) -> RationalFunction:
     """sign (n+shift)^k / (n+shift+1)^k, over the integers: shift = u/v gives
     sign (vn+u)^k / (vn+u+v)^k."""
-    shift = Fraction(shift)
-    u, v = shift.numerator, shift.denominator
+    u, v = Fraction(shift).as_integer_ratio()
     return integer_ratio(sign, [poly(u, v)] * k, [poly(u + v, v)] * k)
 
 
-def entry_direct(kind: str, a=None) -> FormulaEntry:
-    """Unaccelerated reference series with integral or alternating bounds.
+def _integral_majorant(k: int, shift) -> RationalFunction:
+    """(n+shift)^k / ((k-1) (n+shift-1)^(k-1)) over the integers, from shift = u/v:
+    times (n+shift)^-k, the integral of x^-k from n+shift-1 on."""
+    u, v = Fraction(shift).as_integer_ratio()
+    return integer_ratio(Fraction(1, (k - 1) * v), [poly(u, v)] * k, [poly(u - v, v)] * (k - 1))
 
-    kinds: zeta2, zeta3 (term(1) = 1, ratio n^k/(n+1)^k, integral tails),
+
+def entry_direct(kind: str, a=None) -> FormulaEntry:
+    """Unaccelerated reference series with majorant or alternating bounds.
+
+    kinds: zeta2, zeta3 (term(1) = 1, ratio n^k/(n+1)^k, tail 1/((k-1) N^(k-1))),
     eta2, eta3 (term(1) = 1, ratio -n^k/(n+1)^k, rate 1: the alternating
-    bracket), hurwitz3 (a > 0, term(0) = a^-3, ratio (a+n)^3/(a+n+1)^3).
+    bracket), hurwitz3 (a > 0, term(0) = a^-3, ratio (a+n)^3/(a+n+1)^3,
+    tail 1/(2(a+N)^2)).
     """
     if kind in ("zeta2", "zeta3"):
         k = int(kind[-1])
         bound = "1/N" if k == 2 else "1/(2N^2)"
         return _entry(f"{kind}-direct", kind, f"direct sum of n^-{k}, tail <= {bound}",
-                      1, _power_ratio(k, 0), 1,
-                      tail_extra=lambda last: Fraction(1, (k - 1) * last ** (k - 1)))
+                      1, _power_ratio(k, 0), 1, majorant=_integral_majorant(k, 0))
     if kind in ("eta2", "eta3"):
         k = int(kind[-1])
         return _entry(f"{kind}-direct", kind, f"alternating sum of (-1)^(n-1) n^-{k}",
@@ -560,15 +590,8 @@ def entry_direct(kind: str, a=None) -> FormulaEntry:
             raise CatalogError("hurwitz3 needs a > 0")
         return _entry("hurwitz3-direct", f"hurwitz3({format_rational(a)})",
                       f"direct sum of ({format_rational(a)}+n)^-3",
-                      1 / a ** 3, _power_ratio(3, a), 0,
-                      tail_extra=lambda last: 1 / (2 * (a + last) ** 2))
+                      1 / a ** 3, _power_ratio(3, a), 0, majorant=_integral_majorant(3, a))
     raise CatalogError(f"unknown direct series kind {kind!r}")
-
-
-def _sqrt_lower(n: int, bits: int = 64) -> Fraction:
-    """A rational lower bound on sqrt(n) for integer n >= 1."""
-    scale = 1 << bits
-    return Fraction(isqrt(n * scale * scale), scale)
 
 
 def entry_kummer() -> FormulaEntry:
@@ -577,26 +600,15 @@ def entry_kummer() -> FormulaEntry:
 
     term(0) = 1, term(n+1)/term(n) = (2n+9)^3/(2n+10)^3.  The terms decay
     only like n^(-3/2) (the ratio tends to 1), so the entry is flagged slow
-    and certifies digits through an integral-comparison bound.  The
-    double-factorial form sometimes quoted, sum ((2n+1)!!/(2n)!!)^3, has
-    growing summands and is recorded here without being evaluated.
+    and certifies digits through the majorant 2n+10, certified from n = 0.
+    The double-factorial form sometimes quoted, sum ((2n+1)!!/(2n)!!)^3,
+    has growing summands and is recorded here without being evaluated.
     """
-    # u_n = (9/2)_n/(5)_n satisfies u_n^2 (n + 9/2) nonincreasing, since
-    # (2n+9)^2 (2n+11) <= (2n+10)^2 (2n+9) for all n >= 0 (certified below);
-    # hence term(n) <= ((9/2)/(n+9/2))^(3/2) and
-    # tail(N) <= 2 (9/2)^(3/2)/sqrt(N+9/2) = 27/sqrt(2N+9).
-    decay = integer_ratio(1, [poly(9, 2)] * 2 + [poly(11, 2)], [poly(10, 2)] * 2 + [poly(9, 2)])
-    if decay.bounded_by(1, 0) is None:
-        raise CatalogError("kummer: u_n^2 (n + 9/2) is not certified nonincreasing")
-
-    def tail(last: int) -> Fraction:
-        return 27 / _sqrt_lower(2 * last + 9)
-
     return _entry(
         "kummer", "kummer-4f3",
         "slow 4F3(9/2,9/2,9/2,1;5,5,5); terms decay like n^(-3/2)",
         1, integer_ratio(1, [poly(9, 2)] * 3, [poly(10, 2)] * 3), 0,
-        tail_extra=tail, slow=True)
+        majorant=RationalFunction(poly(10, 2), poly(1)), slow=True)
 
 
 # -- parameterized q-series entries (both sides of the transformation) ------
@@ -637,9 +649,9 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
     """The transformed series sum_x V_{x,0}, the certificate pair's row series.
 
     term(0) = V_{0,0} = M_{0,0}, and the ratio is the engine's
-    V_{x+1,0}/V_{x,0} = y^2 h(y) in y = q^x.  The conditions below make K
-    finite and positive; h <= K on (0, 1] is certified, which gives a
-    one-term-plus-geometric tail.
+    V_{x+1,0}/V_{x,0} in y = q^x.  The conditions below make K finite, and
+    the majorant 1/(1 - K y^2) bounds the remainder after x by the next
+    term times 1/(1 - K q^(2x+2)).
     """
     engine = _convergent_engine(a, b, c, d, q)
     a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
@@ -647,26 +659,13 @@ def entry_phi32_transformed(a, b, c, d, q) -> FormulaEntry:
             and t * (a + b + q) < 1):
         raise CatalogError("certified transformed-series bound needs 0 < max(c,d) <= "
                            "min(a,b), a, b < 1, c, d, t < 1-q and t(a+b+q) < 1")
-    ratio = engine.transformed_ratio()
-    if ratio.num[:2] != [0, 0]:
-        raise CatalogError("transformed series: the derived term ratio is not y^2 h(y)")
     big_k = _contraction(a, b, c, d, q, t)
-    if not unit_interval_nonneg(RationalFunction(ratio.num[2:], ratio.den).margin(big_k)):
-        raise CatalogError(f"transformed series: term(x+1)/term(x) <= "
-                           f"{format_rational(big_k)} q^(2x) is not certified")
-    terms = TermSequence(engine.m(0, 0), ratio, base=q)
-
-    def tail(last: int) -> Optional[Fraction]:
-        contraction = big_k * q ** (2 * (last + 1))
-        if contraction >= 1:
-            return None
-        return abs(terms.term(last + 1)) / (1 - contraction)
-
     label = ",".join(format_rational(v) for v in engine.params)
-    return FormulaEntry(
+    return _entry(
         f"transformed-3phi2({label})", f"3phi2({label})",
         "transformed series of the q-series transformation, q^(2x)-type decay",
-        terms, tail_extra=tail)
+        engine.m(0, 0), engine.transformed_ratio(), 0, base=q,
+        majorant=RationalFunction(poly(1), poly(1, 0, -big_k)))
 
 
 # ---------------------------------------------------------------------------

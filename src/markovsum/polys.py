@@ -6,15 +6,12 @@ three needs:
 
 * describing a term ratio in one canonical integer form
   (:class:`RationalFunction`: cleared of denominators, divided by its
-  content) together with the factors it was built from, each primitive,
-  on which the signs and zeros of its two polynomials are read by the
-  roots of their linear factors (:func:`factor_sign`) and the factors the
-  two share are cancelled (``RationalFunction.cancelled``); and certifying
-  that it stays below a geometric ratio for *all* indices past some point
-  (tail-bound rigor in the series catalog), via a shift-and-inspect
-  positivity certificate whose walk over the gap points also finds the
-  polynomial's first zero (:func:`nonneg_walk`), and the same for a
-  rational function of y = q^n on the interval (0, 1];
+  content) with the factors it was built from, each primitive, off which
+  signs and zeros are read (:func:`factor_sign`) and shared factors
+  cancelled; and certifying a polynomial nonnegative at *all* indices past
+  some point, the catalog's rates and tail majorants, by a shift-and-inspect
+  certificate whose walk over the gap points also finds its first zero
+  (:func:`nonneg_walk`), or on y in (0, 1] (:func:`unit_interval_nonneg`);
 * solving the small exact linear systems of the stepwise multiplier solver
   by fraction-free (Bareiss) elimination over the integers;
 * running a transformation engine's formulas on X and Z as symbols, kept
@@ -109,14 +106,9 @@ def _certificate_shift(p: Sequence, n0: int) -> Optional[int]:
 
 
 def eventually_nonneg(p: Sequence, n0: int) -> Optional[int]:
-    """Certify p(n) >= 0 for every integer n >= n0.
-
-    Finds the smallest shift s such that all coefficients of p(n0 + s + m)
-    are nonnegative (then p >= 0 for n >= n0 + s follows termwise) and
-    checks the finitely many gap points n0 .. n0+s-1 exactly.  Returns the
-    shift used, or None when p has a negative leading coefficient or a
-    gap point where it is negative.
-    """
+    """Certify p(n) >= 0 for every integer n >= n0: the smallest shift s with
+    every coefficient of p(n0 + s + m) nonnegative, when the gap points
+    n0 .. n0+s-1 hold too, else None."""
     s = _certificate_shift(p, n0)
     if s is None or any(poly_eval(p, n0 + j) < 0 for j in range(s)):
         return None
@@ -126,15 +118,12 @@ def eventually_nonneg(p: Sequence, n0: int) -> Optional[int]:
 def nonneg_walk(p: Sequence, n0: int) -> Optional[tuple[int, Optional[int]]]:
     """(v, z): the first index v >= n0 with p(n) >= 0 certified for every
     integer n >= v, and the first integer z >= v with p(z) = 0, None when p
-    has no zero there.
+    has no zero there; None only when p has a negative leading coefficient.
 
     Same certificate as ``eventually_nonneg``; the gap points below the
-    shifted start are checked exactly, downwards, for as long as they hold.
-
-    p(n0 + s + m) has nonnegative coefficients, so a nonzero p is positive
-    past n0 + s: every zero at or past v is one of the points the walk down
-    from n0 + s evaluates.  None only when p has a negative leading
-    coefficient.
+    shifted start n0 + s are checked exactly, downwards, for as long as
+    they hold.  Past n0 + s a nonzero p is positive, so the walk meets
+    every zero at or past v.
     """
     s = _certificate_shift(p, n0)
     if s is None:
@@ -203,18 +192,21 @@ def factor_sign(side: tuple, n0: int) -> tuple[Optional[int], Optional[int]]:
     """(s, z) for p = c f_1 ... f_k, side = (c, (f_1, ..., f_k)) in the normal
     form of :class:`RationalFunction`: s = 1 or -1 when s p(n) >= 0 at every
     integer n >= n0, and z the first such n with p(n) = 0; (None, None) when
-    no sign is read off the factors, and (1, n0) for the zero polynomial.
+    p has no such sign, and (1, n0) for the zero polynomial.
 
     A linear factor vn + u is read by its root -u/v, and a quadratic with a
     negative discriminant is positive; any other factor must be certified
     nonnegative from n0 by its own :func:`nonneg_walk`, which finds its first
     zero.  The linear factors keep their signs between two adjacent roots,
     so p's is read at n0 and at the first integer past each root from n0 on.
+    Where another factor's walk fails, or no sign is read while one is
+    walked (its zeros may hide the linear factors' sign), the multiplied-out
+    p is walked instead, once per sign.
     """
     constant, factors = side
     if not constant:
         return 1, n0
-    linear, zeros, points = [], [], {n0}
+    linear, zeros, points, walked = [], [], {n0}, False
     for factor in factors:
         if len(factor) == 2:
             u, v = factor
@@ -226,12 +218,23 @@ def factor_sign(side: tuple, n0: int) -> tuple[Optional[int], Optional[int]]:
         elif len(factor) != 3 or factor[1] ** 2 >= 4 * factor[0] * factor[2]:
             walk = nonneg_walk(factor, n0)
             if walk is None or walk[0] != n0:
-                return None, None
+                break
+            walked = True
             if walk[1] is not None:
                 zeros.append(walk[1])
-    signs = {(value > 0) - (value < 0)
-             for value in (constant * prod(u + v * n for u, v in linear) for n in points)} - {0}
-    return (signs.pop(), min(zeros, default=None)) if len(signs) == 1 else (None, None)
+    else:
+        signs = {(value > 0) - (value < 0) for value in
+                 (constant * prod(u + v * n for u, v in linear) for n in points)} - {0}
+        if len(signs) == 1:
+            return signs.pop(), min(zeros, default=None)
+        if not walked:
+            return None, None
+    p = reduce(poly_mul, factors, [constant])
+    for sign in (1, -1):
+        walk = nonneg_walk(poly_scale(p, sign), n0)
+        if walk is not None and walk[0] == n0:
+            return sign, walk[1]
+    return None, None
 
 
 class RationalFunction:
@@ -296,12 +299,9 @@ class RationalFunction:
         return Fraction(poly_eval(self.num, n), d)
 
     def bounded_by(self, rho, n0: int) -> Optional[int]:
-        """Certify num(n)/den(n) <= rho for all integers n >= n0.
-
-        Assumes both num and den are eventually positive (each is checked
-        with its own nonnegativity certificate first).  Returns the shift
-        of the main certificate, or None.
-        """
+        """Certify num(n)/den(n) <= rho for all integers n >= n0, num and den
+        each certified nonnegative first: the main certificate's shift, or
+        None."""
         if eventually_nonneg(self.num, n0) is None:
             return None
         if eventually_nonneg(self.den, n0) is None:

@@ -1,7 +1,7 @@
 """Independent evaluations that the engine's stepped values are checked against."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from markovsum.catalog import CatalogError
 from markovsum.exact import ROUND_TRUNCATE, Enclosure, to_decimal
@@ -252,7 +252,8 @@ def stepped_factors(seq, n: int) -> tuple[int, int]:
 def fraction_enclosure(entry, partial: Fraction, last: int):
     """The enclosure of an entry's limit from the partial sum through ``last``,
     on Fractions: the tightest of every bound that applies (the two Leibniz
-    brackets, the geometric remainder, the entry's own tail)."""
+    brackets, the geometric remainder, the entry's own majorant r times the
+    next term, from where registration certified it)."""
     lows, highs = [], []
     if entry.leibniz_from is not None and last + 1 >= entry.leibniz_from:
         nxt = entry.term(last + 1)
@@ -263,12 +264,50 @@ def fraction_enclosure(entry, partial: Fraction, last: int):
     bounds = []
     if entry.ratio_bound and last + 1 >= entry.ratio_bound.valid_from:
         bounds.append(abs(entry.term(last + 1)) / (1 - entry.ratio_bound.rho))
-    if entry.tail_extra is not None and entry.tail_extra(last) is not None:
-        bounds.append(entry.tail_extra(last))
+    if entry.majorant is not None and last + 1 >= entry.tail[1]:
+        base = entry.terms.base
+        at = last + 1 if base is None else base ** (last + 1)
+        bounds.append(abs(entry.term(last + 1)) * entry.majorant(at))
     for bound in bounds:
         lows.append(partial if entry.remainder_nonneg else partial - bound)
         highs.append(partial + bound)
     return Enclosure(max(lows), min(highs)) if lows else None
+
+
+# -- the remainder bounds the catalog used before its majorants ---------------
+
+def zeta_direct_tail(k: int, last: int) -> Fraction:
+    """sum_{n > N} n^-k <= integral of x^-k from N on = 1/((k-1) N^(k-1))."""
+    return Fraction(1, (k - 1) * last ** (k - 1))
+
+
+def hurwitz3_direct_tail(a, last: int) -> Fraction:
+    """sum_{n > N} (a+n)^-3 <= integral of x^-3 from a+N on = 1/(2 (a+N)^2)."""
+    return 1 / (2 * (a + last) ** 2)
+
+
+def _sqrt_lower(n: int, bits: int = 64) -> Fraction:
+    """A rational lower bound on sqrt(n) for integer n >= 1."""
+    scale = 1 << bits
+    return Fraction(isqrt(n * scale * scale), scale)
+
+
+def kummer_tail(last: int) -> Fraction:
+    """27/sqrt(2N+9), sqrt bounded below: u_n = (9/2)_n/(5)_n has u_n^2 (n + 9/2)
+    nonincreasing, so term(n) <= ((9/2)/(n+9/2))^(3/2), whose integral from N on
+    is 2 (9/2)^(3/2)/sqrt(N+9/2)."""
+    return 27 / _sqrt_lower(2 * last + 9)
+
+
+def transformed_tail_factor(engine, last: int):
+    """1/(1 - K q^(2N+2)), or None where K q^(2N+2) >= 1: the transformed
+    series' remainder after N is at most the next term times this, for
+    term(x+1)/term(x) <= K q^(2x) with the explicit constant K."""
+    a, b, c, d, q, t = engine.a, engine.b, engine.c, engine.d, engine.q, engine.t
+    big_k = (c * d / q) * (1 + t * (c + d)) / (
+        (1 - c) * (1 - d) * (1 - t * (a + b + q)) * (1 - t) ** 2)
+    contraction = big_k * q ** (2 * (last + 1))
+    return None if contraction >= 1 else 1 / (1 - contraction)
 
 
 def linear_terms_needed(entry, digits: int, rounding: str = ROUND_TRUNCATE,

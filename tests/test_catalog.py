@@ -36,13 +36,17 @@ from markovsum.polys import RationalFunction, poly, poly_eval, poly_mul, poly_sh
 from oracles import (
     fraction_enclosure,
     gcd_cofactors,
+    hurwitz3_direct_tail,
     hurwitz3_ratio,
+    kummer_tail,
     linear_terms_needed,
     lowest_terms,
     markov_hurwitz_ratio,
     phi32_series_ratio,
     phi32_transformed_h,
     schellbach_ratio,
+    transformed_tail_factor,
+    zeta_direct_tail,
 )
 from support import claims_failure, contains, parse_reports_csv
 
@@ -722,6 +726,14 @@ class TestIntegerDescription:
         assert entry.remainder_nonneg and entry.ratio_bound == RatioBound(Q(1, 4), 1)
         assert evaluate(entry, 5).enclosure == Enclosure(Q(245, 64), Q(245, 64))
 
+    def test_a_sign_only_the_whole_numerator_shows_is_accepted(self):
+        # (n - 1)(n^2 - 2) >= 0 at every n >= 0, though n^2 - 2 is negative at 0 and 1
+        ratio = polys.integer_ratio(1, [poly(-1, 1), poly(-2, 0, 1)],
+                                    [poly(2, 2), poly(2, 1), poly(3, 1)])
+        for described in (ratio, RationalFunction(ratio.num, ratio.den)):
+            entry = FormulaEntry("whole", "other", "", TermSequence(1, described))
+            assert entry.ratio_bound == RatioBound(Q(1, 2), 0)
+
     @pytest.mark.parametrize("n0, refused", [(0, True), (1, False)])
     def test_a_q_series_denominator_vanishes_only_at_y_one(self, n0, refused):
         # 1/(2 - 2y), y = (1/2)^n: a zero at y = 1, which is n = 0
@@ -729,7 +741,7 @@ class TestIntegerDescription:
             return FormulaEntry("bogus", "other", "pole at y = 1",
                                 TermSequence(1, RationalFunction(poly(1), poly(2, -2)), n0,
                                              base=Q(1, 2)),
-                                tail_extra=lambda last: None)
+                                majorant=RationalFunction(poly(3), poly(1)))
         if refused:
             with pytest.raises(CatalogError, match=r"ratio undefined at n=0: its denominator"):
                 build()
@@ -749,7 +761,7 @@ def same_description(entry, oracle_ratio) -> bool:
     ratio = entry.terms.ratio
     rebuilt = FormulaEntry(entry.entry_id, entry.constant, entry.description,
                            TermSequence(entry.term(entry.n0), oracle_ratio, entry.n0),
-                           tail_extra=entry.tail_extra)
+                           majorant=entry.majorant)
     return (ratio.num, ratio.den) == (oracle_ratio.num, oracle_ratio.den) \
         and derived(rebuilt) == derived(entry) and rebuilt.ratio_bound == entry.ratio_bound
 
@@ -926,12 +938,16 @@ class TestIntegerBuilders:
                 first = engine.v0(0) if build is entry_phi32_transformed else 1
                 assert entry.term(0) == first, params
                 accepted[build] += 1
-        assert list(accepted.values()) == [38, 3]
+        # the transformed side's conditions also hold at two tuples with c or d
+        # = -1/3, where K < 0 and the terms alternate: its majorant certifies
+        # nothing there, and they are refused
+        assert list(accepted.values()) == [38, 1]
 
     def test_transformed_ratio_without_its_y2_factor_is_refused(self, monkeypatch):
+        # y + y^2 exceeds K y^2 near y = 0: the majorant's certificate has lowest term -y
         monkeypatch.setattr(ThreePhiTwo, "transformed_ratio",
                             lambda self: RationalFunction([0, 1, 1], [1]))
-        with pytest.raises(CatalogError, match=r"not y\^2 h\(y\)"):
+        with pytest.raises(CatalogError, match="is not certified"):
             entry_phi32_transformed(*SAMPLE_TUPLES[0])
 
     def test_schellbach_equals_the_fraction_construction(self):
@@ -1031,3 +1047,105 @@ class TestLowestTermsSteps:
             oracle = fraction_enclosure(fresh, fresh.terms.partial_sum(last), last)
             assert evaluate(entry, n).enclosure == oracle
         assert evaluate(entry, 40, digits=20).digits_proven == 20
+
+
+# ---------------------------------------------------------------------------
+# Tail majorants against the bounds they replaced
+# ---------------------------------------------------------------------------
+
+#: case -> (entry builder, the integral-comparison tail it used before its majorant)
+DIRECT_TAILS = {
+    "zeta2-direct": (lambda: entry_direct("zeta2"), lambda last: zeta_direct_tail(2, last)),
+    "zeta3-direct": (lambda: entry_direct("zeta3"), lambda last: zeta_direct_tail(3, last)),
+    **{f"hurwitz3-direct({a})": (lambda a=a: entry_direct("hurwitz3", a),
+                                 lambda last, a=a: hurwitz3_direct_tail(a, last))
+       for a in DIRECT_SAMPLED + [Q(1, 2), Q(1)]},
+}
+
+
+def remainder_bound(entry, last: int) -> tuple[int, int]:
+    """The bound the enclosure after ``last`` puts on a nonnegative remainder,
+    as the integers (high - low, den): no gcd of the state's integers."""
+    assert entry.remainder_nonneg
+    enclosure = entry.enclosure_after(last)
+    return enclosure.high - enclosure.low, enclosure.den
+
+
+class TestTailMajorants:
+    @pytest.mark.parametrize("case", sorted(DIRECT_TAILS))
+    def test_direct_bounds_equal_the_integral_tails(self, case):
+        build, oracle = DIRECT_TAILS[case]
+        entry = build()
+        for last in range(entry.n0, 301):
+            width, den = remainder_bound(entry, last)
+            bound = oracle(last)
+            assert width * bound.denominator == bound.numerator * den, last
+
+    @pytest.mark.parametrize("params", SAMPLE_TUPLES)
+    def test_transformed_bound_equals_the_one_term_plus_geometric_tail(self, params):
+        entry, engine = entry_phi32_transformed(*params), ThreePhiTwo(*params)
+        (r, start), q = entry.tail, engine.q
+        for last in range(301):
+            factor = transformed_tail_factor(engine, last)
+            assert (last + 1 >= start) == (factor is not None), last
+            if factor is not None:
+                assert r(q ** (last + 1)) == factor, last
+            if last > 60:  # the enclosures themselves where their integers stay small
+                continue
+            if factor is None:
+                assert entry.enclosure_after(last) is None, last
+                continue
+            # width = |term(last+1)| factor, term(last+1) = a1/b1
+            a1, b1, _ = entry.terms.state(last + 1)
+            width, den = remainder_bound(entry, last)
+            assert width * b1 * factor.denominator == den * abs(a1) * factor.numerator, last
+
+    def test_kummer_bound_is_below_the_integral_tail(self):
+        entry = entry_kummer()
+        assert (entry.tail[0].num, entry.tail[0].den, entry.tail[1]) == ([10, 2], [1], 0)
+        for last in range(2001):
+            width, den = remainder_bound(entry, last)
+            bound = kummer_tail(last)
+            assert width * bound.denominator <= bound.numerator * den, last
+
+    def test_the_transformed_certificate_starts_where_k_q_2m_falls_below_one(self):
+        # the sample tuples, then the seeded draws the transformed side accepts
+        starts = []
+        for params in itertools.chain(SAMPLE_TUPLES, sample_parameter_tuples(10 ** 6, 0)):
+            try:
+                entry = entry_phi32_transformed(*params)
+            except CatalogError as error:
+                assert "is not certified" not in str(error), params
+                continue
+            engine = ThreePhiTwo(*params)
+            first = next(m for m in itertools.count()
+                         if transformed_tail_factor(engine, m - 1) is not None)
+            starts.append((params, entry.tail[1], first))
+            if len(starts) == 32:
+                break
+        assert all(start == first for _, start, first in starts), starts
+
+    def test_geometric_entries_bound_by_the_constant_majorant(self):
+        for entry_id in GEOMETRIC_IDS:
+            entry = get_entry(entry_id)
+            rho, valid_from = entry.ratio_bound.rho, entry.ratio_bound.valid_from
+            r, start = entry.tail
+            assert entry.majorant is None and start == valid_from
+            assert (r.num, r.den) == ([rho.denominator], [rho.denominator - rho.numerator])
+
+    @pytest.mark.parametrize("build, majorant", [
+        # 2n + 8: the certificate is (1 - 3m)/m^2 with m = 2n + 10
+        (entry_kummer, RationalFunction(poly(8, 2), poly(1))),
+        # half of n^3/(2(n-1)^2): the certificate tends to -1/2
+        (lambda: entry_direct("zeta3"), RationalFunction(poly(0, 0, 0, 1), poly(4, -8, 4))),
+    ], ids=["kummer", "zeta3-direct"])
+    def test_a_wrong_majorant_is_refused(self, build, majorant):
+        entry = build()
+        with pytest.raises(CatalogError, match="is not certified"):
+            FormulaEntry(entry.entry_id, entry.constant, entry.description, entry.terms,
+                         majorant=majorant)
+
+    def test_transformed_side_with_alternating_terms_is_refused(self):
+        # c = -1/3 meets the side's conditions, but K < 0: r = 1/(1 - K y^2) < 1
+        with pytest.raises(CatalogError, match="is not certified"):
+            entry_phi32_transformed(Q(2, 3), Q(2, 3), Q(-1, 3), Q(1, 5), Q(1, 2))

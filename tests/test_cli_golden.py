@@ -84,8 +84,19 @@ GOLDEN = {
         "f8ede4776c6edd54432cb2eeab823d0b1e18bd96746a0175b74bb3c61ce2ce09",
     "compare zeta2 --digits 10":
         "0368bbdd35f43aeecbacbd35c3bf2d726e5cf0a50d366468ca5c644631969552",
+    # re-recorded on the majorant 2n + 10, whose bound is about 0.92 times the
+    # integral-comparison 27/sqrt(2N+9) it replaced: width 1.0959 became 1.0097
     "compute kummer --digits 1 --max-terms 300":
-        "22d66ba67a563d0289a93cc4118f46b69cee08cc9b7370157d9c3389b1e1282e",
+        "61786e4d0f2d2940d978b5a9e36f2b85731cd93b244e4a0534f0770c33270584",
+    # recorded on the integral-comparison tails, before the majorants that
+    # give the same bounds; the JSON holds both enclosure bounds
+    "--format json compute zeta3-direct --max-terms 400":
+        "02c95af2edaec3e9c41f32113b36da193c01231015db596e87b58e932485eb89",
+    "--format json compute zeta2-direct --max-terms 400":
+        "00cde8568bba0611b04f171c2989476f4364431b78869537a9c519622d99350d",
+    # the majorant's certificate starts at n = 1
+    "--format json compute hurwitz3-direct --a 1/6 --max-terms 512":
+        "20a7f36799792715b1c557e6e4b510af4c95bf74746b4e369e4e178413262621",
     "solve 3phi2-u1 --x-max 60":
         "13fe20dd0601aa1be706bf8fd7378f9ff17d3de16056ffa59b2781e5a2554ff0",
     "solve 4f3-u2 --x-max 60":

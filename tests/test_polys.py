@@ -373,6 +373,8 @@ class TestFactorSign:
            st.lists(st.sampled_from(WHOLE_FACTORS), max_size=2), st.integers(-3, 6))
     # n^2 - 2 times n - 1 is >= 0 at every n >= 0, but only the whole walk sees it
     @example(1, [(-1, 1)], [[-2, 0, 1]], 0)
+    # n^3 + 1 vanishes at n = -1, where 2n + 1 is negative: p >= 0 from -1 on
+    @example(1, [(1, 2)], [[1, 0, 0, 1]], -1)
     @example(0, [(1, 1)], [], 2)
     def test_the_factors_give_the_walks_sign_and_first_zero(self, c, linear, whole, n0):
         ratio = integer_ratio(c, [poly(u, v) for u, v in linear] + whole, [])
@@ -380,12 +382,7 @@ class TestFactorSign:
         walks = [nonneg_walk(poly_scale(p, s), n0) for s in (1, -1)]
         expected = next(((s, walk[1]) for s, walk in zip((1, -1), walks)
                          if walk is not None and walk[0] == n0), (None, None))
-        sign, zero = factor_sign(side, n0)
-        if sign is not None or all(len(f) == 2 or f[1] ** 2 < 4 * f[0] * f[2]
-                                   for f in side[1]):
-            assert (sign, zero) == expected
-        elif expected[0] is not None:  # hidden only by a whole factor negative past n0
-            assert any(len(f) > 2 and nonneg_walk(f, n0) != (n0, None) for f in side[1])
+        assert factor_sign(side, n0) == expected
 
     def test_normal_form(self):
         # content and sign in the constant; a square discriminant splits
