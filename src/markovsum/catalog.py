@@ -29,18 +29,20 @@ and the rest by ``polys.nonneg_walk``, in y all by
 * every other remainder after N is at most r(N+1) |term(N+1)|, r a
   majorant with r >= 0 and r(n) - r(n+1) |ratio(n)| - 1 >= 0 certified
   from an index m <= N + 1 on (Gosper's certificate as an inequality):
-  the constant 1/(1 - rho) for rho < 1, or the entry's own for the direct
-  series, the slow n^(-3/2) entry and the transformed q-series.
+  the constant 1/(1 - rho) for rho < 1, the transformed q-series' own, or
+  for nonnegative terms whose ratio tends to 1 a cut of the formal tail
+  over the term; the next cut l with the certificate <= 0 and l term -> 0
+  makes the remainder at least l(N+1) term(N+1).
 
 The closed-form terms are independent checks only (``CLOSED_FORMS``).
-``terms_needed`` finds the first index whose term two indices on is at most
-10^-digits by galloping and bisecting on binary-splitting spans of the
-integer state (past ``valid_from`` that test is monotone), then tests one
-enclosure per index from there.  An enclosure is two integer numerators
-over one denominator, rendered by floor division, so the search reduces no
-``Fraction``; ``evaluate`` reduces only what its report prints.  The
-sequence keeps the states of its last three indices, so ``evaluate`` after
-``terms_needed`` steps no further.
+``terms_needed`` finds the first index whose width, or term two indices on,
+is at most 10^-digits by galloping and bisecting on binary-splitting spans
+of the integer state (past the bounds' start that test is monotone), then
+tests one enclosure per index from there.  An enclosure is two integer
+numerators over one denominator, rendered by floor division, so the search
+reduces no ``Fraction``; ``evaluate`` reduces only what its report prints.
+The sequence keeps the states of its last three indices, so ``evaluate``
+after ``terms_needed`` steps no further.
 
 All arithmetic is exact; nothing rounds until rendering.  Entries are
 immutable after registration and evaluation is pure; the kept states
@@ -53,7 +55,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from math import comb, factorial, prod
 from typing import Callable, Optional, Sequence
 
@@ -106,12 +108,15 @@ RATE_LADDER = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
 class FormulaEntry:
     """A catalog series, described by its term sequence, and the bounds derived
     from that description at registration: ``alternating`` and
-    ``remainder_nonneg`` from the sign of the ratio and, unless the entry
-    brings its own ``majorant`` (r in n, or in y), a certified rate rho <= 1.
-    ``ratio_bound`` (rho < 1) and ``leibniz_from`` (alternating, terms -> 0)
-    hold from where rho is certified.  ``tail`` = (r, m): the remainder after
-    N >= m - 1 is at most r(N+1) |term(N+1)|, r the majorant certified from
-    m on or 1/(1 - rho).  ``offset`` is added to every partial sum.
+    ``remainder_nonneg`` from the sign of the ratio and, unless one-signed
+    terms bring a ``majorant`` r (in n, or in y) and maybe a ``minorant`` l
+    (in n), a certified rate rho <= 1.  ``ratio_bound`` (rho < 1) and
+    ``leibniz_from`` (alternating, terms -> 0) hold from where rho is
+    certified.  ``tail`` = (r, m): the remainder after N >= m - 1 is at most
+    r(N+1) |term(N+1)|, r certified from m on: 1/(1 - rho), the entry's, or
+    derived with l for nonnegative terms whose ratio tends to 1.
+    ``lower_tail`` = (l, m): it is at least l(N+1) term(N+1).  ``offset`` is
+    added to every partial sum.
     """
 
     entry_id: str
@@ -120,26 +125,36 @@ class FormulaEntry:
     terms: TermSequence
     offset: Fraction = Fraction(0)
     majorant: Optional[RationalFunction] = None
+    minorant: Optional[RationalFunction] = None
     slow: bool = False
     alternating: bool = field(init=False)
     remainder_nonneg: bool = field(init=False)
     leibniz_from: Optional[int] = field(init=False)
     ratio_bound: Optional[RatioBound] = field(init=False)
     tail: Optional[tuple[RationalFunction, int]] = field(init=False)
+    lower_tail: Optional[tuple[RationalFunction, int]] = field(init=False)
 
     def __post_init__(self):
         self.alternating, self.remainder_nonneg, zero_step = self._signs()
-        self.leibniz_from = self.ratio_bound = self.tail = None
-        if self.majorant is None:
+        self.leibniz_from = self.ratio_bound = self.tail = self.lower_tail = None
+        if self.alternating or self.majorant is None:
             rate, valid_from = self._rate()
-            if self.alternating and (rate < 1 or self._raabe()):
+            ratio = self.terms.stepped  # at rate 1, in n, by Raabe's test
+            if self.alternating and (rate < 1 or self.terms.base is None
+                                     and _vanishes(poly_scale(ratio.num, -1), ratio.den)):
                 self.leibniz_from = valid_from
             if rate < 1:  # r = 1/(1 - rho): r - r |ratio| - 1 >= 0 is |ratio| <= rho
                 self.ratio_bound = RatioBound(rate, valid_from)
                 gap = (rate.denominator - rate.numerator, ())
                 self.tail = RationalFunction.of_factors((rate.denominator, ()), gap), valid_from
-        else:
-            self.tail = self.majorant, self._majorant_from(self.majorant)
+            elif self.remainder_nonneg and self.terms.base is None:
+                self.tail, self.lower_tail = self._expansion_pair()
+        else:  # the entry's own majorant, and its minorant if any
+            self.tail, self.lower_tail = ((r, self._certified_from(r, sign)) if r else None
+                                          for r, sign in ((self.majorant, 1), (self.minorant, -1)))
+            if None in (self.tail[1], (self.lower_tail or (None, 0))[1]):
+                kind = "majorant" if self.tail[1] is None else "minorant"
+                raise CatalogError(f"{self.entry_id}: the tail {kind} is not certified")
         if zero_step is not None:
             raise CatalogError(f"{self.entry_id}: {zero_step}")
 
@@ -209,21 +224,14 @@ class FormulaEntry:
         raise CatalogError(f"{self.entry_id}: no rate certificate at the ratio's limit "
                            f"{format_rational(limit)} or at a rung above it")
 
-    def _raabe(self) -> bool:
-        """Whether alternating terms at rate 1 tend to 0: in n, when den + num
-        (certified >= 0, num <= 0) has degree deg den - 1, |ratio| is
-        1 - c/n + O(n^-2) with c > 0 (Raabe); a lower degree leaves |term|
-        a nonzero limit.  In y = q^n nothing is decided."""
-        num, den = self.terms.stepped.num, self.terms.stepped.den
-        return self.terms.base is None and _degree(poly_add(den, num)) == _degree(den) - 1
+    def _certified_from(self, r: RationalFunction, sign: int) -> Optional[int]:
+        """The first index m >= n0 from which r = u/v >= 0 and sign (r(n) -
+        r(n+1) ratio(n) - 1) >= 0 are certified for one-signed terms, None
+        without one; a minorant (sign -1) in n, for terms >= 0, r term -> 0.
 
-    def _majorant_from(self, r: RationalFunction) -> int:
-        """The first index m >= n0 from which r = u/v >= 0 and
-        r(n) - r(n+1) |ratio(n)| - 1 >= 0 are certified; refused without one.
-
-        Over v(n) v(n+1) q > 0, the stepped ratio p/q being sign |p/q|, the
-        second is v(n+1) (u(n) - v(n)) q - sign u(n+1) v(n) p >= 0.  In n it,
-        u and v - 1 (v > 0 on the integers) are walked.  In y, where r(n+1)
+        Over v(n) v(n+1) q > 0, the stepped ratio being p/q >= 0, the
+        certificate is v(n+1) (u(n) - v(n)) q - u(n+1) v(n) p.  In n it, u
+        and v - 1 (v > 0 on the integers) are walked.  In y, where r(n+1)
         is r(q y), they and v are certified on (0, q^m] at y = q^m u, with
         v(q^m) > 0; such an m exists iff each has a positive lowest coefficient.
         """
@@ -235,19 +243,46 @@ class FormulaEntry:
             u1, v1 = (_homogeneous(c, *base.as_integer_ratio(), len(u) + len(v)) for c in (u, v))
             positive = v
         excess = poly_mul(poly_mul(v1, poly_add(u, poly_scale(v, -1))), q)
-        step = poly_scale(poly_mul(poly_mul(u1, v), p), 1 if self.alternating else -1)
-        checks = (u, positive, poly_add(excess, step))
-        lowest = (next((c for c in check if c), 0) for check in checks)
+        step = poly_mul(poly_mul(u1, v), p)  # r term's ratio is step / (u v1 q)
+        if sign < 0 and not (base is None and self.remainder_nonneg
+                             and _vanishes(step, poly_mul(poly_mul(u, v1), q))):
+            return None
+        checks = (u, positive, poly_scale(poly_add(excess, poly_scale(step, -1)), sign))
         if base is None:
             starts = [self._valid_from(c) for c in checks]
-            if None not in starts:
-                return max(starts)
-        elif 0 < base < 1 and any(v) and min(lowest) >= 0:
+            return None if None in starts else max(starts)
+        if 0 < base < 1 and any(v) and all(next((c for c in f if c), 0) >= 0 for f in checks):
             for m in count(self.n0):
                 at = [_homogeneous(c, *(base ** m).as_integer_ratio(), len(c) - 1) for c in checks]
                 if sum(at[1]) > 0 and all(map(unit_interval_nonneg, at)):
                     return m
-        raise CatalogError(f"{self.entry_id}: the tail majorant is not certified")
+        return None
+
+    def _expansion_pair(self) -> tuple:
+        """(r, m) and (l, m'), None where not found, for nonnegative terms in n
+        whose ratio p/q tends to 1.  The tail over the term solves s(n) -
+        ratio(n) s(n+1) = 1, formally by s = sum_k c_k x^(1-k), x = vn + u,
+        u/v = p_(d-1) / (d p_d).  Cut before a nonzero c_k, its certificate
+        leads with -c_k times a positive factor: of these cuts up to order 8,
+        r is the first majorant (c_k < 0) certified, l the next minorant."""
+        p, q = self.terms.stepped.num, self.terms.stepped.den
+        d, pair = _degree(p), []
+        if not d or q[d - 1] - p[d - 1] <= q[d]:  # ratio = 1 - c/n + ...: c > 1 converges
+            return None, None
+        u, v = Fraction(p[d - 1], d * p[d]).as_integer_ratio()
+        in_x = [poly_shift([a * v ** (d - i) for i, a in enumerate(f)], -u) for f in (p, q)]
+        for c, den in islice(_tail_expansion(*in_x, v), 9):
+            if c[-1] and len(c) > 1 and (c[-1] > 0) == bool(pair):
+                # s = sum_(j<k) c_j x^(k-1-j) / x^(k-2), cut after the last nonzero c_j
+                k = len(c) - 1 - next(i for i, a in enumerate(reversed(c[:-1])) if a)
+                s = RationalFunction(*([a * v ** i for i, a in enumerate(poly_shift(f, u))] for f in
+                                       ([0] * (2 - k) + c[k - 1::-1], [0] * (k - 2) + [den])))
+                start = self._certified_from(s, -1 if pair else 1)
+                if start is not None:
+                    pair.append((s, start))
+                    if len(pair) == 2:
+                        return tuple(pair)
+        return (pair or [None])[0], None
 
     # -- tail bounds --------------------------------------------------------
 
@@ -257,10 +292,11 @@ class FormulaEntry:
         Alternating terms past ``leibniz_from`` are bracketed by the next two
         partial sums, which lie inside the first omitted term's bracket and
         so inside the geometric bound; otherwise the tail's majorant bounds
-        the remainder by r(last+1) |term(last+1)|.  The width depends only on
-        the terms.  The sum, offset + T/B, is read off the sequence's
-        unreduced state, and the bounds are formed as integers over one
-        denominator, with no gcd; the width is reduced when it is read.
+        the remainder by r(last+1) |term(last+1)|, and a minorant from
+        below by l(last+1) term(last+1).  The width depends only on the
+        terms.  The sum, offset + T/B, is read off the sequence's unreduced
+        state, and the bounds are formed as integers over one denominator,
+        with no gcd; the width is reduced when it is read.
         """
         terms, on, od = self.terms, self.offset.numerator, self.offset.denominator
         _, b, t = terms.state(last)
@@ -276,15 +312,26 @@ class FormulaEntry:
         if self.tail is None or last + 1 < self.tail[1]:
             return None
         a1, b1, _ = terms.state(last + 1)
-        r, base = self.tail[0], terms.base
-        y, w = (last + 1, 1) if base is None else (base ** (last + 1)).as_integer_ratio()
-        top, bottom = (sum(_homogeneous(c, y, w, len(r.num) + len(r.den))) for c in (r.num, r.den))
+        top, bottom = self._at(self.tail[0], last + 1)
         # r(last+1) |term(last+1)| = |a1| top / (b1 bottom), over od b1 bottom
         radius = od * abs(a1) * top
         high = s * (b1 // b) * bottom + radius
+        if self.lower_tail is not None and last + 1 >= self.lower_tail[1]:
+            l_top, l_bottom = self._at(self.lower_tail[0], last + 1)
+            # the sum plus l(last+1) term(last+1), both over od b1 bottom l_bottom
+            low = (high - radius) * l_bottom + od * a1 * l_top * bottom
+            return Enclosure.over(low, high * l_bottom, od * b1 * bottom * l_bottom,
+                                  lambda: self.term(last + 1) * (Fraction(top, bottom)
+                                                                 - Fraction(l_top, l_bottom)))
         sides = 1 if self.remainder_nonneg else 2
         return Enclosure.over(high - sides * radius, high, od * b1 * bottom,
                               lambda: sides * abs(self.term(last + 1)) * Fraction(top, bottom))
+
+    def _at(self, r: RationalFunction, n: int) -> tuple[int, int]:
+        """r at index n as integers (top, bottom), in y = base^n homogeneously."""
+        base = self.terms.base
+        y, w = (n, 1) if base is None else (base ** n).as_integer_ratio()
+        return tuple(sum(_homogeneous(c, y, w, len(r.num) + len(r.den))) for c in (r.num, r.den))
 
 
 def _homogeneous(p, y: int, w: int, degree: int) -> list:
@@ -295,6 +342,38 @@ def _homogeneous(p, y: int, w: int, degree: int) -> list:
 def _degree(p) -> Optional[int]:
     """The degree of a polynomial; None for the zero polynomial."""
     return max((i for i, c in enumerate(p) if c), default=None)
+
+
+def _vanishes(top, bottom) -> bool:
+    """Whether terms with ratio top/bottom, each positive from some index on,
+    tend to 0: the ratio tends below 1, or is 1 - c/n + O(n^-2) with c > 0."""
+    gap = poly_add(bottom, poly_scale(top, -1))
+    return (degree := _degree(gap)) is not None and gap[degree] > 0 >= _degree(bottom) - 1 - degree
+
+
+def _tail_expansion(p: list, q: list, step: int):
+    """(C_0, ..., C_i) and D > 0, c_j = C_j / D, for i = 0, 1, ...: the formal
+    s(x) = sum_k c_k x^(1-k) with q(x) s(x) - p(x) s(x + step) = q(x), p and
+    q integer, of degree d, with one leading coefficient and c = (q - p)_(d-1)
+    / (step q_d) > 1.  By (x + step)^(1-k) = sum_j binom(1-k, j) step^j
+    x^(1-k-j), x^(d-i) is triangular in c_0, ..., c_i, c_i's factor being
+    step q_d (c - 1 + i) > 0."""
+    d, numerators, den, rows = _degree(q), [], 1, []
+    p, q = p[d::-1], q[d::-1]  # p[t], q[t]: the coefficients of x^(d-t)
+    for i in count():
+        q, weights = q + [0], {}  # x^(d-i) in q(x) x^(1-k) - p(x) (x+step)^(1-k)
+        rows.append([1])  # rows[k][j] = binom(1-k, j) step^j
+        for k in [k for k, a in enumerate(numerators) if a] + [i]:  # k = i, each c_k != 0
+            row, t1 = rows[k], i - k + 1
+            while len(row) <= t1:
+                row.append(row[-1] * (2 - k - len(row)) * step // len(row))
+            weights[k] = q[t1]
+            for t in range(min(d, t1) + 1):
+                weights[k] -= row[t1 - t] * p[t]
+        top = q[i] * den - sum(a * weights[k] for k, a in enumerate(numerators) if a)
+        numerators = [a * weights[i] for a in numerators] + [top]
+        den *= weights[i]
+        yield numerators, den
 
 
 def _zero_step(den_zero: Optional[int], num_zero: Optional[int]) -> Optional[str]:
@@ -351,26 +430,38 @@ def evaluate(entry: FormulaEntry, n_terms: int, digits: Optional[int] = None,
 
 def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCATE,
                  n_cap: int = 100000) -> int:
-    """Smallest N with evaluate(entry, N, digits, rounding).digits_proven >= digits.
+    """Smallest N <= n_cap, from where the entry's width is certified to
+    shrink, with evaluate(entry, N, digits, rounding).digits_proven >= digits.
 
-    Only allowed for entries with a geometric ratio bound.  Every enclosure
-    of such an entry holds the next two partial sums, so it is at least
-    |term(last+2)| = |A|/|B| wide; past ``valid_from`` the terms shrink, and
-    the sequence finds the first index where that is <= 10^-digits by
-    galloping and bisecting on spans (bit lengths decide the test unless
-    they fall within two bits of the boundary, where one exact product
-    does).  From there each index gets one enclosure, on integers, and a
-    rendering where it is <= 10^-digits.
+    A geometric or bracketed enclosure is at least |term(last+2)| = |A|/|B|
+    wide, and the terms shrink past ``valid_from`` or ``leibniz_from``.  A
+    telescoping pair's is w(last) = (r - l)(last+1) term(last+1) wide, and
+    past both starts w(n-1) - w(n) is term(n) times r's certificate less
+    l's, so >= 0.  The sequence finds the first index where that term or
+    width is <= 10^-digits by galloping and bisecting on spans (bit lengths
+    decide the test unless they fall within two bits of the boundary, where
+    one exact product does).  From there each index gets one enclosure, on
+    integers, and a rendering where it is <= 10^-digits.
     """
-    if entry.ratio_bound is None:
-        raise CatalogError(f"{entry.entry_id}: no geometric bound")
+    bound, lower = entry.ratio_bound, entry.lower_tail
+    if bound is not None or entry.leibniz_from is not None:
+        start, lead = bound.valid_from if bound else entry.leibniz_from, 2
+    elif lower is not None:
+        start, lead = max(entry.tail[1], lower[1]) - 1, 1
+    else:
+        raise CatalogError(f"{entry.entry_id}: no certified width that tends to 0")
     if digits <= 0:
         return 1
     scale = 10 ** digits
     scale_bits = scale.bit_length()
 
-    def excess(a: int, b: int) -> int:
-        """About log2(|a/b| 10^digits), and positive exactly when |a/b| > 10^-digits."""
+    def excess(e: int, a: int, b: int) -> int:
+        """About log2(|a/b| 10^digits), and positive exactly when |a/b| > 10^-digits:
+        a/b is term(e + lead), times (r - l)(e+1) for a telescoping pair."""
+        if lead == 1:
+            (r_top, r_bottom), (l_top, l_bottom) = (entry._at(bound[0], e + 1)
+                                                    for bound in (entry.tail, lower))
+            a, b = a * (r_top * l_bottom - l_top * r_bottom), b * r_bottom * l_bottom
         # |a| scale is in [2^(gap+bits(b)-2), 2^(gap+bits(b))), |b| in
         # [2^(bits(b)-1), 2^bits(b)): the bit lengths decide unless gap is 0 or 1
         gap = a.bit_length() + scale_bits - b.bit_length()
@@ -379,8 +470,8 @@ def terms_needed(entry: FormulaEntry, digits: int, rounding: str = ROUND_TRUNCAT
         return max(gap, 1)
 
     n0 = entry.n0
-    start, stop = max(n0, entry.ratio_bound.valid_from), n0 + n_cap - 1
-    first = entry.terms.first_index(start, stop, excess)
+    start, stop = max(n0, start), n0 + n_cap - 1
+    first = entry.terms.first_index(start, stop, excess, lead)
     for last in range(stop + 1 if first is None else first, stop + 1):
         enclosure = entry.enclosure_after(last)
         if (enclosure.high - enclosure.low) * scale <= enclosure.den and \
@@ -560,26 +651,20 @@ def _power_ratio(k: int, shift, sign: int = 1) -> RationalFunction:
     return integer_ratio(sign, [poly(u, v)] * k, [poly(u + v, v)] * k)
 
 
-def _integral_majorant(k: int, shift) -> RationalFunction:
-    """(n+shift)^k / ((k-1) (n+shift-1)^(k-1)) over the integers, from shift = u/v:
-    times (n+shift)^-k, the integral of x^-k from n+shift-1 on."""
-    u, v = Fraction(shift).as_integer_ratio()
-    return integer_ratio(Fraction(1, (k - 1) * v), [poly(u, v)] * k, [poly(u - v, v)] * (k - 1))
-
-
 def entry_direct(kind: str, a=None) -> FormulaEntry:
-    """Unaccelerated reference series with majorant or alternating bounds.
+    """Unaccelerated reference series with telescoping or alternating bounds.
 
-    kinds: zeta2, zeta3 (term(1) = 1, ratio n^k/(n+1)^k, tail 1/((k-1) N^(k-1))),
-    eta2, eta3 (term(1) = 1, ratio -n^k/(n+1)^k, rate 1: the alternating
-    bracket), hurwitz3 (a > 0, term(0) = a^-3, ratio (a+n)^3/(a+n+1)^3,
-    tail 1/(2(a+N)^2)).
+    kinds: zeta2, zeta3 (term(1) = 1, ratio n^k/(n+1)^k), eta2, eta3
+    (term(1) = 1, ratio -n^k/(n+1)^k, rate 1: the alternating bracket),
+    hurwitz3 (a > 0, term(0) = a^-3, ratio (a+n)^3/(a+n+1)^3).  zeta3 in
+    x = n and hurwitz3 in x = n + a derive r = x/2 + 1/2 + 1/(4x) and l = r
+    - 1/(12 x^3).
     """
     if kind in ("zeta2", "zeta3"):
         k = int(kind[-1])
         bound = "1/N" if k == 2 else "1/(2N^2)"
         return _entry(f"{kind}-direct", kind, f"direct sum of n^-{k}, tail <= {bound}",
-                      1, _power_ratio(k, 0), 1, majorant=_integral_majorant(k, 0))
+                      1, _power_ratio(k, 0), 1)
     if kind in ("eta2", "eta3"):
         k = int(kind[-1])
         return _entry(f"{kind}-direct", kind, f"alternating sum of (-1)^(n-1) n^-{k}",
@@ -590,7 +675,7 @@ def entry_direct(kind: str, a=None) -> FormulaEntry:
             raise CatalogError("hurwitz3 needs a > 0")
         return _entry("hurwitz3-direct", f"hurwitz3({format_rational(a)})",
                       f"direct sum of ({format_rational(a)}+n)^-3",
-                      1 / a ** 3, _power_ratio(3, a), 0, majorant=_integral_majorant(3, a))
+                      1 / a ** 3, _power_ratio(3, a), 0)
     raise CatalogError(f"unknown direct series kind {kind!r}")
 
 
@@ -599,16 +684,16 @@ def entry_kummer() -> FormulaEntry:
     summand family.
 
     term(0) = 1, term(n+1)/term(n) = (2n+9)^3/(2n+10)^3.  The terms decay
-    only like n^(-3/2) (the ratio tends to 1), so the entry is flagged slow
-    and certifies digits through the majorant 2n+10, certified from n = 0.
+    only like n^(-3/2) (the ratio tends to 1), so the entry is flagged slow;
+    its pair in x = n + 9/2, r = 2x + 1/(5x) + 1/(20x^2), l = r - 1/(40x^3)
+    - 1/(40x^4), is certified from n = 0.
     The double-factorial form sometimes quoted, sum ((2n+1)!!/(2n)!!)^3,
     has growing summands and is recorded here without being evaluated.
     """
     return _entry(
         "kummer", "kummer-4f3",
         "slow 4F3(9/2,9/2,9/2,1;5,5,5); terms decay like n^(-3/2)",
-        1, integer_ratio(1, [poly(9, 2)] * 3, [poly(10, 2)] * 3), 0,
-        majorant=RationalFunction(poly(10, 2), poly(1)), slow=True)
+        1, integer_ratio(1, [poly(9, 2)] * 3, [poly(10, 2)] * 3), 0, slow=True)
 
 
 # -- parameterized q-series entries (both sides of the transformation) ------

@@ -262,16 +262,7 @@ def _cmd_compute(args, out: _Out) -> int:
         raise _UsageError(str(exc)) from None
     if args.digits < 1:
         raise _UsageError("--digits must be >= 1")
-    shortfall_note = ""
-    if entry.ratio_bound is not None:
-        try:
-            n_terms = catalog.terms_needed(entry, args.digits, rounding=args.rounding)
-        except CatalogError as exc:
-            raise _UsageError(str(exc)) from None
-    else:
-        n_terms = args.max_terms
-        shortfall_note = (f"no geometric bound; summed {n_terms} terms "
-                          f"(cap --max-terms)")
+    n_terms = _terms_needed(entry, args.digits, args.rounding, args.max_terms)
     report = catalog.evaluate(entry, n_terms, digits=args.digits, rounding=args.rounding)
     if args.format == "json":
         out.emit(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -280,9 +271,19 @@ def _cmd_compute(args, out: _Out) -> int:
     else:
         for line in _report_text(report):
             out.emit(line)
-        if shortfall_note and report.digits_proven < args.digits:
-            out.emit(f"note: {shortfall_note}")
+        if entry.ratio_bound is None and report.digits_proven < args.digits:
+            out.emit(f"note: no geometric bound; summed {n_terms} terms (cap --max-terms)")
     return EXIT_OK if report.digits_proven >= args.digits else EXIT_PRECISION
+
+
+def _terms_needed(entry: catalog.FormulaEntry, digits: int, rounding: str, cap: int) -> int:
+    """The terms that prove ``digits``, else ``cap``, which a geometric entry ignores."""
+    try:
+        return catalog.terms_needed(entry, digits, rounding, *([] if entry.ratio_bound else [cap]))
+    except CatalogError:
+        if entry.ratio_bound is not None:
+            raise
+        return cap
 
 
 def _truncated_digits(entry: catalog.FormulaEntry, n_terms: int, digits: int):
@@ -299,10 +300,7 @@ def _cmd_compare(args, out: _Out) -> int:
     rendered = []
     for entry_id in catalog.CONSTANT_GROUPS[args.constant]:
         entry = catalog.get_entry(entry_id)
-        if entry.ratio_bound is not None:
-            n_terms = catalog.terms_needed(entry, args.digits) if args.digits else 1
-        else:
-            n_terms = args.max_terms
+        n_terms = _terms_needed(entry, args.digits, ROUND_TRUNCATE, args.max_terms)
         report, digit_strings = _truncated_digits(entry, n_terms, max(args.digits, 1))
         reports.append(report)
         rendered.append(digit_strings)

@@ -235,12 +235,12 @@ class TermSequence:
             del window[0]
         return state
 
-    def first_index(self, start: int, stop: int,
-                    excess: Callable[[int, int], int]) -> Optional[int]:
-        """The least e in [start, stop] with excess(A, B) <= 0 for the term
-        A/B = term(e + 2), the last one an enclosure after e reads, given a
-        test that holds at every index past one where it holds; None when it
-        fails at stop.
+    def first_index(self, start: int, stop: int, excess: Callable[[int, int, int], int],
+                    lead: int = WINDOW - 1) -> Optional[int]:
+        """The least e in [start, stop] with excess(e, A, B) <= 0 for the term
+        A/B = term(e + lead) (by default the last one an enclosure after e
+        reads), given a test that holds at every index past one where it
+        holds; None when it fails at stop.
 
         ``excess`` is about the number of bits by which the term must still
         shrink.  The search gallops from ``start`` on spans of doubling
@@ -250,11 +250,9 @@ class TermSequence:
         Plain doubling would overshoot by up to the last span's length: on a
         2-vCPU VM it took ``compute apery --digits 10000`` from 0.7 to 1.65 s.
         """
-        lead = self.WINDOW - 1
-
         def need(e, a, b):
             p, q, _ = self._leaf(e, e + lead)
-            return excess(a * p, b * q)
+            return excess(e, a * p, b * q)
 
         if start > stop:
             return None
@@ -269,7 +267,7 @@ class TermSequence:
             p, q, s = node[:3]
             ahead = need(end, a * p, b * q)
             if ahead <= 0:
-                cursor = self._bisect(node, cursor, end, excess)
+                cursor = self._bisect(node, cursor, end, excess, lead)
                 break
             cursor = (end, a * p, b * q, t * q + a * s)
             length = 2 * (end - index)
@@ -280,17 +278,17 @@ class TermSequence:
             self._keep(cursor)
         return cursor[0]
 
-    def _bisect(self, node: tuple, state: tuple, n: int, excess) -> tuple:
+    def _bisect(self, node: tuple, state: tuple, n: int, excess, lead: int) -> tuple:
         """The first state past ``state`` in the node's span [m, n) whose term
-        two indices on passes, given that n passes and m does not."""
-        m, lead = state[0], self.WINDOW - 1
+        ``lead`` indices on passes, given that n passes and m does not."""
+        m = state[0]
         while node[3] is not None:
             left, right = node[3]
             middle = (m + n) // 2
             _, a, b, t = state
             p, q, s = left[:3]
             ahead = self._leaf(middle, middle + lead)
-            if excess(a * p * ahead[0], b * q * ahead[1]) <= 0:
+            if excess(middle, a * p * ahead[0], b * q * ahead[1]) <= 0:
                 node, n = left, middle
             else:
                 node, state, m = right, (middle, a * p, b * q, t * q + a * s), middle
@@ -303,7 +301,7 @@ class TermSequence:
             ahead_p = ahead_q = 1
             for p_ahead, q_ahead in steps[k:k + lead]:
                 ahead_p, ahead_q = ahead_p * p_ahead, ahead_q * q_ahead
-            if m + k == n or excess(a * ahead_p, b * ahead_q) <= 0:
+            if m + k == n or excess(m + k, a * ahead_p, b * ahead_q) <= 0:
                 return m + k, a, b, t
 
     def term(self, n: int) -> Fraction:

@@ -252,8 +252,9 @@ def stepped_factors(seq, n: int) -> tuple[int, int]:
 def fraction_enclosure(entry, partial: Fraction, last: int):
     """The enclosure of an entry's limit from the partial sum through ``last``,
     on Fractions: the tightest of every bound that applies (the two Leibniz
-    brackets, the geometric remainder, the entry's own majorant r times the
-    next term, from where registration certified it)."""
+    brackets, the geometric remainder, the majorant r times the next term,
+    and from below the minorant l times it, each from where registration
+    certified it)."""
     lows, highs = [], []
     if entry.leibniz_from is not None and last + 1 >= entry.leibniz_from:
         nxt = entry.term(last + 1)
@@ -264,13 +265,15 @@ def fraction_enclosure(entry, partial: Fraction, last: int):
     bounds = []
     if entry.ratio_bound and last + 1 >= entry.ratio_bound.valid_from:
         bounds.append(abs(entry.term(last + 1)) / (1 - entry.ratio_bound.rho))
-    if entry.majorant is not None and last + 1 >= entry.tail[1]:
-        base = entry.terms.base
-        at = last + 1 if base is None else base ** (last + 1)
-        bounds.append(abs(entry.term(last + 1)) * entry.majorant(at))
+    base = entry.terms.base
+    at = last + 1 if base is None else base ** (last + 1)
+    if entry.ratio_bound is None and entry.tail and last + 1 >= entry.tail[1]:
+        bounds.append(abs(entry.term(last + 1)) * entry.tail[0](at))
     for bound in bounds:
         lows.append(partial if entry.remainder_nonneg else partial - bound)
         highs.append(partial + bound)
+    if entry.lower_tail and last + 1 >= entry.lower_tail[1]:
+        lows.append(partial + entry.term(last + 1) * entry.lower_tail[0](at))
     return Enclosure(max(lows), min(highs)) if lows else None
 
 
@@ -314,23 +317,29 @@ def linear_terms_needed(entry, digits: int, rounding: str = ROUND_TRUNCATE,
                         n_cap: int = 100000) -> int:
     """terms_needed by one forward pass over every index, on Fractions.
 
-    An index is skipped while the term two past it exceeds 10^-digits
-    (bit lengths decide unless they fall within two bits of the boundary);
-    every other index gets a Fraction enclosure and, when it is at most
-    10^-digits wide, a rendering.
+    The pass starts at the rate's or the bracket's start, or where both tail
+    bounds of a telescoping pair hold.  For the first two an index is
+    skipped while the term two past it exceeds 10^-digits (bit lengths
+    decide unless they fall within two bits of the boundary); every other
+    index gets a Fraction enclosure and, when it is at most 10^-digits
+    wide, a rendering.
     """
-    if entry.ratio_bound is None:
-        raise CatalogError(f"{entry.entry_id}: no geometric bound")
+    if entry.ratio_bound is not None or entry.leibniz_from is not None:
+        first = entry.ratio_bound.valid_from if entry.ratio_bound else entry.leibniz_from
+    elif entry.lower_tail is not None:
+        first = max(entry.tail[1], entry.lower_tail[1]) - 1
+    else:
+        raise CatalogError(f"{entry.entry_id}: no certified width that tends to 0")
     if digits <= 0:
         return 1
     scale = 10 ** digits
     target, scale_bits = Fraction(1, scale), scale.bit_length()
     n0, terms = entry.n0, entry.terms
-    for n in range(max(1, entry.ratio_bound.valid_from - n0 + 1), n_cap + 1):
+    for n in range(max(1, first - n0 + 1), n_cap + 1):
         last = n0 + n - 1
         a, b, _ = terms.state(last + 2)
         gap = b.bit_length() - a.bit_length() - scale_bits
-        if a and (gap <= -2 or gap <= 0 and abs(a) * scale > abs(b)):
+        if entry.lower_tail is None and a and (gap <= -2 or gap <= 0 and abs(a) * scale > abs(b)):
             continue
         enclosure = fraction_enclosure(entry, entry.offset + terms.partial_sum(last), last)
         if enclosure.width <= target and \

@@ -51,6 +51,9 @@ from oracles import (
 from support import claims_failure, contains, parse_reports_csv
 
 CANONICAL = (Q(1, 3), Q(1, 5), Q(1, 7), Q(1, 11), Q(1, 2))
+#: 4F3(9/2,9/2,9/2,1; 5,5,5; 1) to 22 digits, from an independent 40-digit
+#: hypergeometric evaluation; its 9.04658676497 heads the entry's 14 digits
+KUMMER = Q("9.046586764972048900104")
 
 
 class TestAperyEntry:
@@ -165,10 +168,12 @@ class TestDirectEntries:
         with pytest.raises(CatalogError):
             entry_direct("zeta5")
 
-    def test_integral_bound_brackets(self):
-        report = evaluate(entry_direct("zeta3"), 400)
-        assert contains(report.enclosure, Q("1.2020569"))
-        assert report.digits_proven >= 4
+    def test_telescoping_pair_brackets(self):
+        # the pair proves 15 digits at 400 terms, around apery's 30-digit enclosure
+        report, reference = evaluate(entry_direct("zeta3"), 400), proven(entry_apery(), 30)
+        assert contains(report.enclosure, reference.lower)
+        assert contains(report.enclosure, reference.upper)
+        assert report.digits_proven >= 15
 
 
 class TestKummerEntry:
@@ -185,17 +190,18 @@ class TestKummerEntry:
         assert Q(97, 100) < r100 < 1
 
     def test_flagged_slow_with_no_geometric_bound(self):
+        # no rate, but the telescoping pair's width tends to 0: the spanned
+        # search serves it, and finds what the linear pass finds
         e = entry_kummer()
         assert e.slow and e.ratio_bound is None
-        with pytest.raises(CatalogError, match="no geometric bound"):
-            terms_needed(e, 3)
+        assert terms_needed(e, 3) == linear_terms_needed(entry_kummer(), 3)
 
     def test_enclosure_contains_reference(self):
-        # 9.04658676497... is an independently computed reference value for
-        # this sum; the 300-term enclosure is wide (~1.3) but must contain it
+        # the 300-term enclosure is about 1.5e-12 wide and must contain the
+        # independently computed value of this sum
         report = evaluate(entry_kummer(), 300)
-        assert contains(report.enclosure, Q("9.0465867"))
-        assert report.enclosure.width < 2
+        assert contains(report.enclosure, KUMMER)
+        assert report.enclosure.width < Q(1, 10 ** 11)
 
 
 class TestPhi32Entries:
@@ -939,9 +945,9 @@ class TestIntegerBuilders:
                 assert entry.term(0) == first, params
                 accepted[build] += 1
         # the transformed side's conditions also hold at two tuples with c or d
-        # = -1/3, where K < 0 and the terms alternate: its majorant certifies
-        # nothing there, and they are refused
-        assert list(accepted.values()) == [38, 1]
+        # = -1/3, where K < 0 and the terms alternate: they take the rate and
+        # the bracket, not the builder's majorant
+        assert list(accepted.values()) == [38, 3]
 
     def test_transformed_ratio_without_its_y2_factor_is_refused(self, monkeypatch):
         # y + y^2 exceeds K y^2 near y = 0: the majorant's certificate has lowest term -y
@@ -1057,6 +1063,7 @@ class TestLowestTermsSteps:
 DIRECT_TAILS = {
     "zeta2-direct": (lambda: entry_direct("zeta2"), lambda last: zeta_direct_tail(2, last)),
     "zeta3-direct": (lambda: entry_direct("zeta3"), lambda last: zeta_direct_tail(3, last)),
+    "kummer": (entry_kummer, kummer_tail),
     **{f"hurwitz3-direct({a})": (lambda a=a: entry_direct("hurwitz3", a),
                                  lambda last, a=a: hurwitz3_direct_tail(a, last))
        for a in DIRECT_SAMPLED + [Q(1, 2), Q(1)]},
@@ -1071,16 +1078,103 @@ def remainder_bound(entry, last: int) -> tuple[int, int]:
     return enclosure.high - enclosure.low, enclosure.den
 
 
-class TestTailMajorants:
+def upper_remainder(entry, last: int) -> tuple[int, int]:
+    """The enclosure's upper bound less the partial sum through ``last``, as
+    the integers (numerator, denominator): no gcd of the state's integers."""
+    assert entry.offset == 0
+    enclosure, (_, b, t) = entry.enclosure_after(last), entry.terms.state(last)
+    return enclosure.high * b - t * enclosure.den, enclosure.den * b
+
+
+#: the six slow entries: one-signed with a telescoping pair, or alternating at rate 1
+SLOW_IDS = ("eta2-direct", "eta3-direct", "hurwitz3-direct", "kummer", "zeta2-direct",
+            "zeta3-direct")
+
+
+class TestTelescopingPairs:
     @pytest.mark.parametrize("case", sorted(DIRECT_TAILS))
-    def test_direct_bounds_equal_the_integral_tails(self, case):
+    def test_upper_bound_is_below_the_integral_tail(self, case):
         build, oracle = DIRECT_TAILS[case]
         entry = build()
         for last in range(entry.n0, 301):
-            width, den = remainder_bound(entry, last)
+            remainder, den = upper_remainder(entry, last)
             bound = oracle(last)
-            assert width * bound.denominator == bound.numerator * den, last
+            assert remainder * bound.denominator <= bound.numerator * den, last
 
+    @pytest.mark.parametrize("case", sorted(DIRECT_TAILS))
+    def test_enclosures_contain_the_references(self, case):
+        entry = DIRECT_TAILS[case][0]()
+        if entry.entry_id == "hurwitz3-direct":
+            reference = proven(entry_markov_hurwitz(Q(entry.constant[9:-1])), 30)
+        else:
+            reference = {"zeta2": lambda: proven(entry_zeta2_27(), 30),
+                         "zeta3": lambda: proven(entry_apery(), 30),
+                         "kummer-4f3": lambda: Enclosure(KUMMER, KUMMER)}[entry.constant]()
+        for n in (1, 2, 5, 40, 300):
+            enclosure = evaluate(entry, n).enclosure
+            assert contains(enclosure, reference.lower) and contains(enclosure, reference.upper), n
+
+    @pytest.mark.parametrize("entry_id", ["hurwitz3-direct", "kummer", "zeta2-direct",
+                                          "zeta3-direct"])
+    def test_swapped_pair_is_refused(self, entry_id):
+        entry = get_entry(entry_id)
+        (r, r_from), (l, l_from) = entry.tail, entry.lower_tail
+        for majorant, minorant in ((l, r), (r, r), (l, l)):
+            with pytest.raises(CatalogError, match="is not certified"):
+                FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=majorant,
+                             minorant=minorant)
+        given = FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=r, minorant=l)
+        assert (given.tail, given.lower_tail) == ((r, r_from), (l, l_from))
+
+    def test_minorant_whose_product_with_the_term_stays_is_refused(self):
+        # l = n^3 meets l(n) - l(n+1) ratio(n) - 1 = -1 <= 0, but l term = 1:
+        # the remainder is not at least l term
+        entry = get_entry("zeta3-direct")
+        with pytest.raises(CatalogError, match="the tail minorant is not certified"):
+            FormulaEntry("bogus", "zeta3", "", entry.terms, majorant=entry.tail[0],
+                         minorant=RationalFunction(poly(0, 0, 0, 1), poly(1)))
+
+    def test_minorant_of_negative_terms_is_refused(self):
+        # the remainder of -zeta(3)'s terms is at most l term, not at least
+        (r, _), (l, _) = get_entry("zeta3-direct").tail, get_entry("zeta3-direct").lower_tail
+        terms = TermSequence(-1, get_entry("zeta3-direct").terms.ratio, 1)
+        assert FormulaEntry("minus", "zeta3", "", terms, majorant=r).lower_tail is None
+        with pytest.raises(CatalogError, match="the tail minorant is not certified"):
+            FormulaEntry("minus", "zeta3", "", terms, majorant=r, minorant=l)
+
+    @pytest.mark.parametrize("entry_id", SLOW_IDS)
+    def test_search_equals_the_linear_pass(self, entry_id):
+        assert_same_n(lambda: get_entry(entry_id), range(1, 7))
+
+    def test_direct_hurwitz_sweep_proves_four_digits_within_eight_terms(self):
+        counts = {}
+        for a in HURWITZ_VALUES:
+            entry = entry_direct("hurwitz3", a)
+            counts[a] = terms_needed(entry, 4, ROUND_TRUNCATE, n_cap=8)
+            assert evaluate(entry, counts[a], 4, ROUND_TRUNCATE).digits_proven == 4, a
+        assert counts[Q(5, 12)] == 3 and max(counts.values()) <= 6
+
+    @pytest.mark.parametrize("build, shift, r, l", [
+        (lambda: entry_direct("zeta3"), 0, lambda x: x / 2 + Q(1, 2) + 1 / (4 * x),
+         lambda x: 1 / (12 * x ** 3)),
+        (lambda: entry_direct("hurwitz3", Q(7, 9)), Q(7, 9),
+         lambda x: x / 2 + Q(1, 2) + 1 / (4 * x), lambda x: 1 / (12 * x ** 3)),
+        (lambda: entry_direct("zeta2"), 0, lambda x: x + Q(1, 2) + 1 / (6 * x),
+         lambda x: 1 / (30 * x ** 3)),
+        (entry_kummer, Q(9, 2), lambda x: 2 * x + 1 / (5 * x) + 1 / (20 * x ** 2),
+         lambda x: 1 / (40 * x ** 3) + 1 / (40 * x ** 4)),
+    ], ids=["zeta3-direct", "hurwitz3-direct", "zeta2-direct", "kummer"])
+    def test_pairs_of_the_catalog(self, build, shift, r, l):
+        # r and r - l in the entry's x = n + shift, certified from the first index
+        entry = build()
+        (majorant, r_from), (minorant, l_from) = entry.tail, entry.lower_tail
+        for n in range(entry.n0, entry.n0 + 50):
+            x = Q(n) + shift
+            assert (majorant(n), majorant(n) - minorant(n)) == (r(x), l(x)), n
+        assert (r_from, l_from) == (entry.n0, entry.n0)
+
+
+class TestTailMajorants:
     @pytest.mark.parametrize("params", SAMPLE_TUPLES)
     def test_transformed_bound_equals_the_one_term_plus_geometric_tail(self, params):
         entry, engine = entry_phi32_transformed(*params), ThreePhiTwo(*params)
@@ -1102,11 +1196,11 @@ class TestTailMajorants:
 
     def test_kummer_bound_is_below_the_integral_tail(self):
         entry = entry_kummer()
-        assert (entry.tail[0].num, entry.tail[0].den, entry.tail[1]) == ([10, 2], [1], 0)
+        assert (entry.tail[1], entry.lower_tail[1]) == (0, 0)
         for last in range(2001):
-            width, den = remainder_bound(entry, last)
+            remainder, den = upper_remainder(entry, last)
             bound = kummer_tail(last)
-            assert width * bound.denominator <= bound.numerator * den, last
+            assert remainder * bound.denominator <= bound.numerator * den, last
 
     def test_the_transformed_certificate_starts_where_k_q_2m_falls_below_one(self):
         # the sample tuples, then the seeded draws the transformed side accepts
@@ -1145,7 +1239,14 @@ class TestTailMajorants:
             FormulaEntry(entry.entry_id, entry.constant, entry.description, entry.terms,
                          majorant=majorant)
 
-    def test_transformed_side_with_alternating_terms_is_refused(self):
-        # c = -1/3 meets the side's conditions, but K < 0: r = 1/(1 - K y^2) < 1
-        with pytest.raises(CatalogError, match="is not certified"):
-            entry_phi32_transformed(Q(2, 3), Q(2, 3), Q(-1, 3), Q(1, 5), Q(1, 2))
+    @pytest.mark.parametrize("c, d", [(Q(-1, 3), Q(1, 5)), (Q(1, 5), Q(-1, 3))])
+    def test_transformed_side_with_alternating_terms_takes_the_bracket(self, c, d):
+        # K < 0: the terms alternate, and r = 1/(1 - K y^2) < 1 would bound
+        # nothing; the rate and the bracket are certified instead
+        params = (Q(2, 3), Q(2, 3), c, d, Q(1, 2))
+        entry, source = entry_phi32_transformed(*params), entry_phi32_series(*params)
+        assert entry.alternating and entry.ratio_bound == RatioBound(Q(1, 8), 0)
+        assert entry.leibniz_from == 0
+        value = evaluate(entry, 30, 20).rendering
+        assert str(value) == "0.97207192994602160690"
+        assert str(evaluate(source, terms_needed(source, 20), 20).rendering) == str(value)

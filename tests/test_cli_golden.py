@@ -28,8 +28,9 @@ GOLDEN = {
         "c5c45252d4e664cb3999f9c8977de9641eecc83141e14b67ab1ac7d58b21d919",
     "--format json compute markov-hurwitz --a 7/2 --digits 20":
         "7ccb7833dccf68cd43916596919cda3c8a25a85cfc76b94fea9fec4c4666133c",
+    # re-recorded on the telescoping pair: 4 digits from 3 terms, not 512
     "compute hurwitz3-direct --a 7/9 --digits 4 --max-terms 512 --rounding truncate":
-        "81fa8848bf1b61754a7a2202ba9f82fe78b62851cf63c8b74a83b76cc3d4f775",
+        "3f3132b8a729619a46fce8189713cec28c00a18a710e2779b7f506ff7b8dccf6",
     "verify-pair 3phi2":
         "a3cbb87bfc410f089220caba2f8784e6d6ef9a4522edaf0562010844e77eb37c",
     "verify-pair 3phi2 --a 3/4 --b 1/2 --c 1/3 --d 1/4 --q 2/5":
@@ -52,8 +53,9 @@ GOLDEN = {
         "1569bd2e3000942dc4c258b62ee728182ddb30d47068e7d71d53fe88984ed3cc",
     "solve 3phi2-u1 --form u3 --x-max 3":
         "60a5bffe7c81cc3dd3f016458a69706634a71cbc3437cf2c1af1f6892c81d866",
+    # re-recorded on the telescoping pair: zeta3-direct proves 10 digits in 35 terms
     "compare zeta3 --digits 10":
-        "99c0c82f807b6f02c4809a7980e301d625c3edb31f91b5fa244628544ceeb49e",
+        "8b0fb39b81364c3744da53fd25ecb4ae588ef5665e6cff663f86520bcd0d53bd",
     "list":
         "3979d47e6e4555142fbce558b2328008071d36d98d0ebf243ee8d7766143cfff",
     "compute apery --digits 150":
@@ -72,31 +74,35 @@ GOLDEN = {
         "ae3d19e2d4eda7659d8473a1dba54179691f1c6df039a0f817036715470ef6ec",
     "compute ratio27-zeta3 --digits 1000":
         "769eec75cff2d9cbc848ce5110faa9dd4dea5499c5d0916c51651333f58304c8",
+    # re-recorded on the telescoping pair: zeta3-direct proves 18 digits at 2048 terms, not 6
     "compare zeta3 --digits 100":
-        "7e80d2e72761f9bcbb8e9eb3ab9a3a704b0c4fbd65159f7ed1ffa8687988f5ad",
+        "fed0be056af7a5a8127649fcb233efb1c415f4763b39391d8e88f2b994964dce",
+    # re-recorded on the telescoping pair: exit 0 with 3 digits from 2 terms, not 2 at 2048
     "compute zeta2-direct --digits 3":
-        "f078b8c918afd0f174eb14c89c824d2382947dd26884d5bfc3bd3f76ff4102f3",
+        "cb009e0223bf2d9cf92da6d6b39f0187d88be67a45aaf588b01fe897f5fa6dc8",
+    # re-recorded on the bracket search: 6 digits from 1033 terms, not 2048
     "compute eta2-direct --digits 6":
-        "e10c5e4504b955c0608f368d33350da74e26ea9d81efa1f0870599f4c0995ccd",
+        "6df33d178c02ea741d9635b3919be5d2abc3b70e81a7bba3d304bdc7d47e188c",
+    # re-recorded on the bracket search: 6 digits from 140 terms, not 2048
     "compute eta3-direct --digits 6":
-        "5dfe5fcc8355313ef9ca713746c25a3a50131497e520a36820b9bc43913e1b66",
+        "f51cea9bb11b3f0dad729d699e690e6193084ff3ac96a3983b87a00ad3b3f276",
+    # re-recorded on the telescoping pair: 3 digits from 3 terms, not 512
     "compute hurwitz3-direct --a 1/2 --digits 3 --max-terms 512":
-        "f8ede4776c6edd54432cb2eeab823d0b1e18bd96746a0175b74bb3c61ce2ce09",
+        "9c849454d45b74ecf8b507af5727539f023b96f4443f77267c0f32149da09793",
+    # re-recorded on the telescoping pair: zeta2-direct proves 10 digits in 57 terms
     "compare zeta2 --digits 10":
-        "0368bbdd35f43aeecbacbd35c3bf2d726e5cf0a50d366468ca5c644631969552",
-    # re-recorded on the majorant 2n + 10, whose bound is about 0.92 times the
-    # integral-comparison 27/sqrt(2N+9) it replaced: width 1.0959 became 1.0097
+        "d4eec75fa2091f1139eb457ae9b5b8f585ff9d9106c88b4952b06c4f43477b95",
+    # re-recorded on the telescoping pair: exit 0 with 1 digit from 1 term, not 0 at 300
     "compute kummer --digits 1 --max-terms 300":
-        "61786e4d0f2d2940d978b5a9e36f2b85731cd93b244e4a0534f0770c33270584",
-    # recorded on the integral-comparison tails, before the majorants that
-    # give the same bounds; the JSON holds both enclosure bounds
+        "1604715eeab7ac19ed0d14331f826b46dda28949d24cf2b5ea3304ba3d9199f8",
+    # re-recorded on the telescoping pair, whose lower bound the JSON holds: the
+    # cap still binds, at 15 and 14 digits, and at 16 for hurwitz3(1/6)
     "--format json compute zeta3-direct --max-terms 400":
-        "02c95af2edaec3e9c41f32113b36da193c01231015db596e87b58e932485eb89",
+        "9c02fc0595da9eb69bc3cb6a654c44dc4145438017d294a7410049053e576c74",
     "--format json compute zeta2-direct --max-terms 400":
-        "00cde8568bba0611b04f171c2989476f4364431b78869537a9c519622d99350d",
-    # the majorant's certificate starts at n = 1
+        "4f588ecc5953280098f712802c2d8842648f9eef3753c0e6af356d08af93f9f6",
     "--format json compute hurwitz3-direct --a 1/6 --max-terms 512":
-        "20a7f36799792715b1c557e6e4b510af4c95bf74746b4e369e4e178413262621",
+        "8873f88948aca395f7e519e8fa83a6ded6097906c88f741bb0587f26995cc113",
     "solve 3phi2-u1 --x-max 60":
         "13fe20dd0601aa1be706bf8fd7378f9ff17d3de16056ffa59b2781e5a2554ff0",
     "solve 4f3-u2 --x-max 60":
@@ -141,8 +147,9 @@ GOLDEN = {
         "ee746154dcaca2d9667358a55a252d7fc3e861b35f4925808967323ee8361b5e",
     "--format json compute az-zeta3 --digits 1000 --rounding round-half-even":
         "d425a039c6c92c64d4fc017d05d012f87f3503c4b6faf8746647a1e9f8b24156",
+    # re-recorded on the telescoping pair: zeta2-direct proves 17 digits at 2048 terms, not 3
     "compare zeta2 --digits 4000":
-        "add63accf2bc14235e9595afe92e96e219704707034587d0b892535124c8b259",
+        "64035093457674d782fd465920848743e75be8a65ce213cdb28965eb58ba5b41",
 }
 
 
@@ -180,8 +187,9 @@ def test_deep_golden_output(capsys, argv):
 
 
 def test_zeta3_formulas_agree_at_10000_digits(capsys):
+    # re-recorded on the telescoping pair: zeta3-direct proves 18 digits at 2048 terms, not 6
     assert digest(capsys, "compare zeta3 --digits 10000") == \
-        "8b65ecfb75bd367592a93c394366fe75670225ece0af7e508e7a4441284c3dcb"
+        "284d9a15c416df8261423707c50344d0b553c8ae9c4495f9bf933b657d9b12ac"
 
 
 @pytest.mark.parametrize("argv, point, label", [

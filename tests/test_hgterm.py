@@ -127,7 +127,7 @@ class TestFirstIndex:
         # the ratio (n+1)/(6n+8) stays below 1/6, so the terms shrink
         seq = TermSequence(1, RationalFunction(poly(1, 1), poly(8, 6)))
 
-        def excess(a, b):
+        def excess(e, a, b):
             return a.bit_length() + bits - b.bit_length() + (a << bits > b)
 
         found = seq.first_index(0, 10 ** 5, excess)
@@ -257,7 +257,7 @@ class TestSteppingInLowestTerms:
             (p1, q1, t1), (p2, q2, t2) = shared.span(m, n), plain.span(m, n)
             assert (Q(p1, q1), Q(t1, q1)) == (Q(p2, q2), Q(t2, q2))
 
-        def excess(a, b):
+        def excess(e, a, b):
             # positive exactly when |a/b| > 2^-bits, like the catalog's test
             a = abs(a)
             return a.bit_length() + bits - b.bit_length() + (a << bits > b) if a else -1
