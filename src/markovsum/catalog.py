@@ -109,14 +109,13 @@ class FormulaEntry:
     """A catalog series, described by its term sequence, and the bounds derived
     from that description at registration: ``alternating`` and
     ``remainder_nonneg`` from the sign of the ratio and, unless one-signed
-    terms bring a ``majorant`` r (in n, or in y) and maybe a ``minorant`` l
-    (in n), a certified rate rho <= 1.  ``ratio_bound`` (rho < 1) and
-    ``leibniz_from`` (alternating, terms -> 0) hold from where rho is
-    certified.  ``tail`` = (r, m): the remainder after N >= m - 1 is at most
-    r(N+1) |term(N+1)|, r certified from m on: 1/(1 - rho), the entry's, or
-    derived with l for nonnegative terms whose ratio tends to 1.
-    ``lower_tail`` = (l, m): it is at least l(N+1) term(N+1).  ``offset`` is
-    added to every partial sum.
+    terms bring their own ``majorant`` r (in n, or in y), a certified rate
+    rho <= 1.  ``ratio_bound`` (rho < 1) and ``leibniz_from`` (alternating,
+    terms -> 0) hold from where rho is certified.  ``tail`` = (r, m): the
+    remainder after N >= m - 1 is at most r(N+1) |term(N+1)|, r certified
+    from m on: 1/(1 - rho), the entry's, or derived with l for nonnegative
+    terms whose ratio tends to 1.  ``lower_tail`` = (l, m): it is at least
+    l(N+1) term(N+1).  ``offset`` is added to every partial sum.
     """
 
     entry_id: str
@@ -125,7 +124,6 @@ class FormulaEntry:
     terms: TermSequence
     offset: Fraction = Fraction(0)
     majorant: Optional[RationalFunction] = None
-    minorant: Optional[RationalFunction] = None
     slow: bool = False
     alternating: bool = field(init=False)
     remainder_nonneg: bool = field(init=False)
@@ -149,12 +147,10 @@ class FormulaEntry:
                 self.tail = RationalFunction.of_factors((rate.denominator, ()), gap), valid_from
             elif self.remainder_nonneg and self.terms.base is None:
                 self.tail, self.lower_tail = self._expansion_pair()
-        else:  # the entry's own majorant, and its minorant if any
-            self.tail, self.lower_tail = ((r, self._certified_from(r, sign)) if r else None
-                                          for r, sign in ((self.majorant, 1), (self.minorant, -1)))
-            if None in (self.tail[1], (self.lower_tail or (None, 0))[1]):
-                kind = "majorant" if self.tail[1] is None else "minorant"
-                raise CatalogError(f"{self.entry_id}: the tail {kind} is not certified")
+        else:
+            self.tail = self.majorant, self._certified_from(self.majorant, 1)
+            if self.tail[1] is None:
+                raise CatalogError(f"{self.entry_id}: the tail majorant is not certified")
         if zero_step is not None:
             raise CatalogError(f"{self.entry_id}: {zero_step}")
 

@@ -58,13 +58,14 @@ def poly_scale(p: Sequence, c) -> Poly:
 
 
 def poly_shift(p: Sequence, s) -> Poly:
-    """Coefficients of p(x + s), by Horner's rule repeated (a Taylor shift)."""
+    """Coefficients of p(x + s)."""
     if s == 0:
         return list(p)
-    out = [a * s ** 0 for a in p]  # of s's type, as each term a s^k is
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += s * out[j + 1]
+    out = [0] * len(p)
+    for i, a in enumerate(p):
+        if a:
+            for j in range(i + 1):
+                out[j] += a * comb(i, j) * s ** (i - j)
     return out
 
 

@@ -1119,28 +1119,25 @@ class TestTelescopingPairs:
     def test_swapped_pair_is_refused(self, entry_id):
         entry = get_entry(entry_id)
         (r, r_from), (l, l_from) = entry.tail, entry.lower_tail
-        for majorant, minorant in ((l, r), (r, r), (l, l)):
-            with pytest.raises(CatalogError, match="is not certified"):
-                FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=majorant,
-                             minorant=minorant)
-        given = FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=r, minorant=l)
-        assert (given.tail, given.lower_tail) == ((r, r_from), (l, l_from))
+        with pytest.raises(CatalogError, match="is not certified"):
+            FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=l)
+        assert entry._certified_from(r, -1) is None
+        assert (entry._certified_from(r, 1), entry._certified_from(l, -1)) == (r_from, l_from)
+        given = FormulaEntry(entry_id, entry.constant, "", entry.terms, majorant=r)
+        assert (given.tail, given.lower_tail) == ((r, r_from), None)
 
     def test_minorant_whose_product_with_the_term_stays_is_refused(self):
         # l = n^3 meets l(n) - l(n+1) ratio(n) - 1 = -1 <= 0, but l term = 1:
         # the remainder is not at least l term
         entry = get_entry("zeta3-direct")
-        with pytest.raises(CatalogError, match="the tail minorant is not certified"):
-            FormulaEntry("bogus", "zeta3", "", entry.terms, majorant=entry.tail[0],
-                         minorant=RationalFunction(poly(0, 0, 0, 1), poly(1)))
+        assert entry._certified_from(RationalFunction(poly(0, 0, 0, 1), poly(1)), -1) is None
 
     def test_minorant_of_negative_terms_is_refused(self):
         # the remainder of -zeta(3)'s terms is at most l term, not at least
         (r, _), (l, _) = get_entry("zeta3-direct").tail, get_entry("zeta3-direct").lower_tail
         terms = TermSequence(-1, get_entry("zeta3-direct").terms.ratio, 1)
-        assert FormulaEntry("minus", "zeta3", "", terms, majorant=r).lower_tail is None
-        with pytest.raises(CatalogError, match="the tail minorant is not certified"):
-            FormulaEntry("minus", "zeta3", "", terms, majorant=r, minorant=l)
+        minus = FormulaEntry("minus", "zeta3", "", terms, majorant=r)
+        assert minus.lower_tail is None and minus._certified_from(l, -1) is None
 
     @pytest.mark.parametrize("entry_id", SLOW_IDS)
     def test_search_equals_the_linear_pass(self, entry_id):

@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,14 +70,6 @@ class TestPolyShift:
             assert all(type(c) is int for c in result), result
         assert all(type(c) is Q for c in poly_shift(p, Q(1, 2)))
         assert type(poly_eval(p, Q(1, 3))) is Q
-
-    def test_taylor_shift_equals_the_binomial_sum(self):
-        # the reference: p(x + s) = sum_i p_i sum_j binom(i, j) s^(i-j) x^j
-        for p in (poly(3, -1, 0, 7), poly(5), poly(0, 0, 0, 0, 1), poly(2, Q(-1, 3), 4, -9, 1)):
-            for s in (1, -3, 17, Q(2, 5), Q(-7, 3)):
-                reference = [sum(c * comb(i, j) * s ** (i - j) for i, c in enumerate(p) if i >= j)
-                             for j in range(len(p))]
-                assert poly_shift(p, s) == reference, (p, s)
 
     def test_shift_moves_the_argument(self):
         p = poly(3, Q(-1, 2), 0, 7)
